@@ -7,7 +7,6 @@ from .errors import (
     DegenerateFamilyError,
     DomainNotCoveredError,
     GielabError,
-    InvalidConditioningError,
     InvalidDimensionError,
     InvalidFamilyParamsError,
     InvalidInputError,
@@ -38,7 +37,6 @@ from .measurement import (
     FiniteMeasurement,
     GaussianMeasurement,
     HomodyneMeasurement,
-    apply_classical_channel,
     assemble_ccm,
     condition_on_e,
     general_single_mode,
@@ -60,8 +58,6 @@ from .symplectic import (
     CovMat,
     SymplecticMatrix,
     WilliamsonDecomposition,
-    build_symplectic,
-    schur_complement,
     symplectic_eigenvalues,
     symplectic_form,
     williamson,

@@ -29,10 +29,6 @@ class InvalidSqueezerError(GielabError):
     """Two-mode squeezer parameters do not satisfy x^2 - y^2 = 1."""
 
 
-class InvalidConditioningError(GielabError):
-    """The block being conditioned on is indefinite."""
-
-
 class InvalidMeasurementError(GielabError):
     """A Gaussian measurement seed is outside the allowed parameter range."""
 

@@ -18,7 +18,16 @@ from . import config
 from .config import GridConfig
 from .errors import DegenerateFamilyError, DomainNotCoveredError, InvalidInputError
 from .information import _descend
-from .measurement import FiniteMeasurement, condition_on_e, homodyne
+from .measurement import (
+    FiniteMeasurement,
+    GaussianMeasurement,
+    condition_on_e,
+    conditional_ab,
+    eve_kernel,
+    general_single_mode,
+    homodyne,
+    single_mode_seeds,
+)
 from .purification import Purification, purify, purify_asym_glems
 from .states import StateFamily, is_separable, make_family, std_form_cm, std_form_params
 from .symplectic import CovMat, rotation, xxpp_reorder
@@ -116,48 +125,11 @@ def sym_glems_candidates(a: float, kp: float) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _seed_from_params(phi: float, tau: float, t: float) -> np.ndarray:
-    p = rotation(phi)
-    return p @ np.diag([tau * np.exp(2.0 * t), tau * np.exp(-2.0 * t)]) @ p.T
-
-
-def _f_xx_kernel(gamma_ab: np.ndarray, gamma_abe: np.ndarray, kernel: np.ndarray) -> float:
-    corr = gamma_abe @ kernel @ gamma_abe.T
-    va = gamma_ab[0, 0] - corr[0, 0]
-    vb = gamma_ab[2, 2] - corr[2, 2]
-    c = gamma_ab[0, 2] - corr[0, 2]
-    return float(0.5 * np.log(va * vb / (va * vb - c * c)))
-
-
-def _f_xx_seed(pi: Purification, seed: np.ndarray) -> float:
-    kernel = np.linalg.inv(pi.gamma_e + seed)
-    return _f_xx_kernel(pi.gamma_ab.mat, pi.gamma_abe, kernel)
-
-
-def _f_xx_homodyne_e(pi: Purification, angle: float) -> float:
-    u = np.array([np.cos(angle), np.sin(angle)])
-    proj = np.outer(u, u)
-    var = float(u @ pi.gamma_e @ u)
-    kernel = proj / var
-    return _f_xx_kernel(pi.gamma_ab.mat, pi.gamma_abe, kernel)
-
-
-def _f_xx_batch(pi: Purification, phis, taus, ts) -> np.ndarray:
-    """Vectorized f over a batch of single-mode seeds (double x-homodyne fixed)."""
-    c, s = np.cos(phis), np.sin(phis)
-    vx, vp = taus * np.exp(2.0 * ts), taus * np.exp(-2.0 * ts)
-    seeds = np.empty(phis.shape + (2, 2))
-    seeds[..., 0, 0] = c * c * vx + s * s * vp
-    seeds[..., 1, 1] = s * s * vx + c * c * vp
-    seeds[..., 0, 1] = seeds[..., 1, 0] = c * s * (vx - vp)
-    delta = pi.gamma_e[None, :, :] + seeds.reshape(-1, 2, 2)
-    kernels = np.linalg.inv(delta)
-    corr = np.einsum("ij,njk,lk->nil", pi.gamma_abe, kernels, pi.gamma_abe)
-    gab = pi.gamma_ab.mat
-    va = gab[0, 0] - corr[:, 0, 0]
-    vb = gab[2, 2] - corr[:, 2, 2]
-    c_ab = gab[0, 2] - corr[:, 0, 2]
-    return 0.5 * np.log(va * vb / (va * vb - c_ab * c_ab))
+def _f_xx(pi: Purification, kernel: np.ndarray):
+    """Double x-homodyne mutual information on A, B given one Eve kernel or a stack."""
+    cond = conditional_ab(pi, kernel)
+    va, vb, c = cond[..., 0, 0], cond[..., 2, 2], cond[..., 0, 2]
+    return 0.5 * np.log(va * vb / (va * vb - c * c))
 
 
 _SINGLE_MODE_CANDIDATES = (
@@ -168,12 +140,13 @@ _SINGLE_MODE_CANDIDATES = (
 )
 
 
-def _eval_single_mode_params(pi: Purification, params: tuple) -> float:
+def _single_mode_measurement(params: tuple) -> GaussianMeasurement:
+    """Eve's measurement at a (phi, tau, t) trace point."""
     phi, tau, t = params
     if np.isinf(t):
         # measured quadrature of the squeezed seed sits at phi + pi/2
-        return _f_xx_homodyne_e(pi, phi + np.pi / 2.0)
-    return _f_xx_seed(pi, _seed_from_params(phi, tau, t))
+        return homodyne([phi + np.pi / 2.0])
+    return general_single_mode(phi, tau, t)
 
 
 def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
@@ -183,13 +156,13 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     log_taus = np.linspace(0.0, grid_cfg.tau_log_max, n)
     ts = np.linspace(0.0, grid_cfg.t_max, n)
     pg, lg, tg = np.meshgrid(phis, log_taus, ts, indexing="ij")
-    values = _f_xx_batch(pi, pg.ravel(), np.exp(lg.ravel()), tg.ravel())
+    values = _f_xx(pi, eve_kernel(pi.gamma_e, single_mode_seeds(pg, np.exp(lg), tg)))
     flat = int(np.argmin(values))
     coarse = np.array([pg.flat[flat], lg.flat[flat], tg.flat[flat]])
-    trace = [((float(coarse[0]), float(np.exp(coarse[1])), float(coarse[2])), float(values[flat]))]
+    trace = [((float(coarse[0]), float(np.exp(coarse[1])), float(coarse[2])), float(values.flat[flat]))]
 
     def objective(x):
-        return _f_xx_seed(pi, _seed_from_params(x[0], np.exp(x[1]), x[2]))
+        return _f_xx(pi, eve_kernel(pi.gamma_e, single_mode_seeds(x[0], np.exp(x[1]), x[2])))
 
     refined, refined_val = _descend(
         objective,
@@ -203,7 +176,7 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
 
     candidates = []
     for name, params in _SINGLE_MODE_CANDIDATES:
-        val = _eval_single_mode_params(pi, params)
+        val = float(_f_xx(pi, eve_kernel(pi.gamma_e, _single_mode_measurement(params))))
         candidates.append((name, params, val))
         trace.append((params, val))
 
@@ -223,12 +196,7 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
 
 def _sym_glems_gate(pi: Purification, params: tuple) -> float:
     """GCMI optimality gate 2 + 1/a~ - s~ of the conditional standard form."""
-    phi, tau, t = params
-    if np.isinf(t):
-        ge = homodyne([phi + np.pi / 2.0])
-    else:
-        ge = FiniteMeasurement(CovMat(_seed_from_params(phi, tau, t)))
-    a_t, b_t, kx_t, _ = std_form_params(condition_on_e(pi, ge))
+    a_t, b_t, kx_t, _ = std_form_params(condition_on_e(pi, _single_mode_measurement(params)))
     s_tilde = np.sqrt(max(a_t * b_t - kx_t * kx_t, 0.0))
     return float(2.0 + 1.0 / np.sqrt(a_t * b_t) - s_tilde)
 
@@ -287,7 +255,7 @@ def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig | None = Non
 
 def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
     pi = purify(std_form_cm(fam.std))
-    value = _f_xx_kernel(pi.gamma_ab.mat, np.zeros((4, 0)), np.zeros((0, 0)))
+    value = float(_f_xx(pi, np.zeros((0, 0))))
     trace = tuple((params, value) for _, params in _SINGLE_MODE_CANDIDATES)
     return GieResult(
         closed_form=closed,
@@ -339,6 +307,19 @@ def k_h(q: QMatrixParams, a: float, k: float) -> float:
     return float(base + ((k / a) * e + f * np.cos(2.0 * q.phi)) ** 2 / denom)
 
 
+def _spectral_seed(q: QMatrixParams) -> np.ndarray:
+    """Eve's pure two-mode seed with x block Q and p block Q^{-1} (xxpp), in xpxp order."""
+    q_mat = q.matrix()
+    lam = xxpp_reorder()
+    seed_primed = np.block(
+        [
+            [q_mat, np.zeros((2, 2))],
+            [np.zeros((2, 2)), np.linalg.inv(q_mat)],
+        ]
+    )
+    return lam.T @ seed_primed @ lam
+
+
 def k_h_determinant(q: QMatrixParams, a: float, k: float) -> float:
     """Unreduced determinant form of K_h built from explicit 4x4 matrices.
 
@@ -349,15 +330,7 @@ def k_h_determinant(q: QMatrixParams, a: float, k: float) -> float:
     """
     nu, _, _ = _cosh_sinh_v(a, k)
     z_sq = np.sqrt((a + k) / (a - k))
-    q_mat = q.matrix()
-    lam = xxpp_reorder()
-    seed_primed = np.block(
-        [
-            [q_mat, np.zeros((2, 2))],
-            [np.zeros((2, 2)), np.linalg.inv(q_mat)],
-        ]
-    )
-    seed = lam.T @ seed_primed @ lam
+    seed = _spectral_seed(q)
     w = (nu * nu - 1.0) / (2.0 * a)
     d11, d22 = nu - w * z_sq, nu - w / z_sq
     x_a = np.array(
@@ -449,14 +422,7 @@ def _sqrt_ab_of_q(pi: Purification, params: tuple) -> float:
     l1 = min(cap, cap if np.isinf(l1) else l1)
     l2 = min(cap, l2)
     l1, l2 = max(l1, 1.0 / cap), max(l2, 1.0 / cap)
-    q_mat = rotation(phi) @ np.diag([l1, l2]) @ rotation(phi).T
-    lam = xxpp_reorder()
-    seed = lam.T @ np.block(
-        [
-            [q_mat, np.zeros((2, 2))],
-            [np.zeros((2, 2)), np.linalg.inv(q_mat)],
-        ]
-    ) @ lam
+    seed = _spectral_seed(QMatrixParams(phi, l1, l2))
     a_t, b_t, _, _ = std_form_params(condition_on_e(pi, FiniteMeasurement(CovMat(seed))))
     return float(np.sqrt(a_t * b_t))
 

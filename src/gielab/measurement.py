@@ -3,6 +3,12 @@
 Measurements are either a finite Gaussian seed CM or an exact homodyne
 limit given by one quadrature angle per mode.  Everything works at the
 level of second moments; outcome samples are never materialized.
+
+Conditioning on Eve's measurement lives here and only here: ``eve_kernel``
+builds the matrix M of the Schur step ``gamma_AB - gamma_ABE M gamma_ABE^T``
+and ``conditional_ab`` applies it, for one measurement or a stack of
+single-mode seeds from ``single_mode_seeds``.  The assembled-CCM route
+(``assemble_ccm`` + ``Ccm.conditional_ab``) is kept apart as the oracle.
 """
 
 from __future__ import annotations
@@ -12,14 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import (
-    DimensionMismatchError,
-    InvalidConditioningError,
-    InvalidInputError,
-    InvalidMeasurementError,
-)
+from .errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
 from .purification import Purification
-from .symplectic import CovMat, rotation, symplectic_eigenvalues
+from .symplectic import CovMat, symplectic_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,25 @@ def homodyne(angles) -> HomodyneMeasurement:
     return HomodyneMeasurement(tuple(np.atleast_1d(angles)))
 
 
+def single_mode_seeds(phis, taus, ts) -> np.ndarray:
+    """Seed CMs ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P^T``, stacked (..., 2, 2).
+
+    The parameters broadcast against each other; scalars give one 2 x 2 seed.
+    """
+    c, s = np.cos(phis), np.sin(phis)
+    vx, vp = taus * np.exp(2.0 * ts), taus * np.exp(-2.0 * ts)
+    seeds = np.empty(np.broadcast(c, vx).shape + (2, 2))
+    seeds[..., 0, 0] = c * c * vx + s * s * vp
+    seeds[..., 1, 1] = s * s * vx + c * c * vp
+    seeds[..., 0, 1] = seeds[..., 1, 0] = c * s * (vx - vp)
+    return seeds
+
+
 def general_single_mode(phi: float, tau: float, t: float) -> FiniteMeasurement:
     """Rotated squeezed-thermal seed ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P^T``."""
     if tau < 1.0 or t < 0.0:
         raise InvalidMeasurementError(f"need tau >= 1 and t >= 0, got ({tau}, {t})")
-    p = rotation(phi)
-    seed = p @ np.diag([tau * np.exp(2.0 * t), tau * np.exp(-2.0 * t)]) @ p.T
-    return FiniteMeasurement(CovMat(seed))
+    return FiniteMeasurement(CovMat(single_mode_seeds(phi, tau, t)))
 
 
 @dataclass(frozen=True)
@@ -143,20 +156,28 @@ def assemble_ccm(pi: Purification, ga: FiniteMeasurement, gb: FiniteMeasurement,
     return Ccm(np.vstack([top, bottom]), (2, 2, 2 * pi.r_count))
 
 
-def _conditioning_kernel(gamma_e: np.ndarray, ge: GaussianMeasurement) -> np.ndarray:
-    """The matrix M with conditional CM ``gamma_AB - gamma_ABE M gamma_ABE^T``."""
-    rcond = config.tolerances().pinv_rcond
-    if isinstance(ge, FiniteMeasurement):
-        return np.linalg.pinv(gamma_e + ge.seed.mat, rcond=rcond, hermitian=True)
-    # Exact homodyne: project onto the measured quadrature directions and
-    # pseudoinvert the projected block (the t -> infinity limit of the
-    # finite formula).
-    dirs = ge.directions()
-    proj = np.zeros_like(gamma_e)
-    for j, u in enumerate(dirs):
-        proj[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = np.outer(u, u)
-    projected = proj @ gamma_e @ proj
-    return np.linalg.pinv(projected, rcond=rcond, hermitian=True)
+def eve_kernel(gamma_e: np.ndarray, ge: GaussianMeasurement | np.ndarray) -> np.ndarray:
+    """The matrix M with conditional CM ``gamma_AB - gamma_ABE M gamma_ABE^T``.
+
+    ``ge`` is a finite measurement or a stack of seed CMs (..., 2R, 2R), for
+    which M = (gamma_E + seed)^{-1}, or an exact homodyne, for which M is the
+    t -> infinity limit ``U (U^T gamma_E U)^{-1} U^T`` with U the measured
+    quadrature directions.
+    """
+    if isinstance(ge, HomodyneMeasurement):
+        u = np.zeros((gamma_e.shape[0], ge.n_modes))
+        for j, direction in enumerate(ge.directions()):
+            u[2 * j : 2 * j + 2, j] = direction
+        return u @ np.linalg.inv(u.T @ gamma_e @ u) @ u.T
+    seeds = ge.seed.mat if isinstance(ge, FiniteMeasurement) else ge
+    return np.linalg.inv(gamma_e + seeds)
+
+
+def conditional_ab(pi: Purification, kernel: np.ndarray) -> np.ndarray:
+    """Schur step ``gamma_AB - gamma_ABE M gamma_ABE^T``, broadcast over stacked kernels M."""
+    corr = pi.gamma_abe @ kernel @ pi.gamma_abe.T
+    # in place: a grid stage stacks tens of thousands of 4 x 4 results
+    return np.subtract(pi.gamma_ab.mat, corr, out=corr)
 
 
 def condition_on_e(pi: Purification, ge: GaussianMeasurement | None) -> CovMat:
@@ -167,31 +188,4 @@ def condition_on_e(pi: Purification, ge: GaussianMeasurement | None) -> CovMat:
         raise InvalidMeasurementError("purification has a nonempty E block; a measurement is required")
     if ge.n_modes != pi.r_count:
         raise DimensionMismatchError(f"E measurement has {ge.n_modes} modes, purification has {pi.r_count}")
-    kernel = _conditioning_kernel(pi.gamma_e, ge)
-    cond = pi.gamma_ab.mat - pi.gamma_abe @ kernel @ pi.gamma_abe.T
-    return CovMat(cond)
-
-
-def apply_classical_channel(sigma: Ccm, x: np.ndarray, y: np.ndarray) -> Ccm:
-    """Act with the classical Gaussian channel ``d_E -> X d_E + y`` on a CCM.
-
-    Returns the joint CCM of the A, B outcomes with the transformed E
-    variables; its ``conditional_ab`` is ``alpha - beta X^T (X delta X^T + Y)^+ X beta^T``.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    n_ab = sigma.partition[0] + sigma.partition[1]
-    n_e = sigma.partition[2]
-    if x.shape[1] != n_e:
-        raise DimensionMismatchError(f"channel matrix maps {x.shape[1]} outcomes, CCM has {n_e}")
-    if y.shape != (x.shape[0], x.shape[0]):
-        raise DimensionMismatchError(f"noise CCM must be {x.shape[0]} x {x.shape[0]}, got {y.shape}")
-    eigs = np.linalg.eigvalsh(0.5 * (y + y.T))
-    if eigs.size and eigs.min() < -1e-10 * max(1.0, abs(eigs).max()):
-        raise InvalidConditioningError("channel noise CCM must be positive semidefinite")
-    alpha = sigma.mat[:n_ab, :n_ab]
-    beta = sigma.mat[:n_ab, n_ab:]
-    delta = sigma.mat[n_ab:, n_ab:]
-    top = np.hstack([alpha, beta @ x.T])
-    bottom = np.hstack([x @ beta.T, x @ delta @ x.T + y])
-    return Ccm(np.vstack([top, bottom]), (sigma.partition[0], sigma.partition[1], x.shape[0]))
+    return CovMat(conditional_ab(pi, eve_kernel(pi.gamma_e, ge)))

@@ -4,8 +4,9 @@ Covariance matrices are stored dense in the quadrature ordering
 ``(x1, p1, ..., xn, pn)`` with vacuum normalized to the identity.  The
 module provides the symplectic form, symplectic spectra, Williamson
 decompositions (analytic routes for the two standard-form families plus a
-generic spectral construction) and Schur complements with pseudoinverse
-support.
+generic spectral construction) and a few fixed phase-space matrices:
+rotation, balanced beam splitter, two-mode squeezer, mode swap and the
+xxpp reordering.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import scipy.linalg
 from . import config
 from .errors import (
     DecompositionError,
-    InvalidConditioningError,
     InvalidDimensionError,
     InvalidInputError,
     InvalidSqueezerError,
@@ -265,16 +265,6 @@ def rotation(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def squeezer_x(z: float) -> np.ndarray:
-    """Single-mode squeezer diag(1/z, z), squeezing the x quadrature for z > 1."""
-    return np.diag([1.0 / z, z])
-
-
-def squeezer_p(z: float) -> np.ndarray:
-    """Single-mode squeezer diag(z, 1/z), squeezing the p quadrature for z > 1."""
-    return np.diag([z, 1.0 / z])
-
-
 def beam_splitter_balanced() -> np.ndarray:
     """Balanced beam splitter on two modes (orthogonal and symplectic)."""
     eye = np.eye(2)
@@ -299,69 +289,9 @@ def mode_swap() -> np.ndarray:
 def xxpp_reorder() -> np.ndarray:
     """Orthogonal basis change from (x1,p1,x2,p2) to (x1,x2,p1,p2) ordering.
 
-    A reordering, not a symplectic operation; it is not symplectic-checked.
+    A reordering, not a symplectic operation.
     """
     lam = np.zeros((4, 4))
     lam[0, 0] = lam[1, 2] = lam[2, 1] = lam[3, 3] = 1.0
     return lam
 
-
-_BUILDERS = {
-    "rotation": rotation,
-    "squeezer_x": squeezer_x,
-    "squeezer_p": squeezer_p,
-    "beam_splitter_balanced": beam_splitter_balanced,
-    "two_mode_squeezer": two_mode_squeezer,
-    "mode_swap": mode_swap,
-    "xxpp_reorder": xxpp_reorder,
-}
-
-
-def build_symplectic(kind: str, *args) -> np.ndarray:
-    """Build a standard symplectic matrix by name (see ``_BUILDERS`` keys)."""
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise InvalidInputError(f"unknown symplectic kind {kind!r}") from None
-    mat = builder(*args)
-    if kind != "xxpp_reorder":
-        omega = symplectic_form(mat.shape[0] // 2)
-        residual = np.abs(mat @ omega @ mat.T - omega).max()
-        if residual > config.tolerances().symplectic_atol:
-            raise DecompositionError("builder produced a non-symplectic matrix", residual=residual)
-    return mat
-
-
-def schur_complement(mat, keep: int, pseudo: bool = False) -> np.ndarray:
-    """Schur complement ``alpha - beta delta^+ beta^T`` onto the leading block.
-
-    Args:
-        mat: symmetric matrix partitioned as [[alpha, beta], [beta^T, delta]].
-        keep: size of the leading block that survives.
-        pseudo: force the Moore-Penrose pseudoinverse of delta.  The
-            pseudoinverse is also used automatically when delta is singular
-            (singular values below ``pinv_rcond`` of the largest are nulled).
-
-    Raises:
-        InvalidConditioningError: the discarded block is indefinite.
-    """
-    mat = _as_matrix(mat)
-    n = mat.shape[0]
-    if not 0 <= keep <= n:
-        raise InvalidDimensionError(f"keep block size {keep} out of range for {n} x {n}")
-    if keep == n:
-        return mat.copy()
-    alpha = mat[:keep, :keep]
-    beta = mat[:keep, keep:]
-    delta = mat[keep:, keep:]
-    eigs = np.linalg.eigvalsh(0.5 * (delta + delta.T))
-    scale = max(1.0, abs(eigs).max())
-    if eigs.min() < -1e-10 * scale:
-        raise InvalidConditioningError(f"discarded block is indefinite, min eigenvalue {eigs.min():.3e}")
-    rcond = config.tolerances().pinv_rcond
-    if pseudo or eigs.min() <= rcond * eigs.max():
-        inv = np.linalg.pinv(delta, rcond=rcond, hermitian=True)
-    else:
-        inv = np.linalg.inv(delta)
-    out = alpha - beta @ inv @ beta.T
-    return 0.5 * (out + out.T)

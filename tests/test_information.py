@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gielab.errors import NumericalDegeneracyError
 from gielab.information import (
@@ -21,6 +22,15 @@ J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def _pi(tag, **params):
     return purify(std_form_cm(make_family(tag, **params).std))
+
+
+def _random_finite_e(rng, r_count):
+    """Product of random single-mode seeds on each of Eve's modes."""
+    seeds = [
+        general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random()).seed.mat
+        for _ in range(r_count)
+    ]
+    return FiniteMeasurement(CovMat(scipy.linalg.block_diag(*seeds)))
 
 
 class TestMutualInformationF:
@@ -165,16 +175,7 @@ class TestFDecomposed:
             for _ in range(30):
                 ga = general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random())
                 gb = general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random())
-                if pi.r_count == 1:
-                    ge = general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random())
-                else:
-                    seed = np.block(
-                        [
-                            [general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random()).seed.mat, np.zeros((2, 2))],
-                            [np.zeros((2, 2)), general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random()).seed.mat],
-                        ]
-                    )
-                    ge = FiniteMeasurement(CovMat(seed))
+                ge = _random_finite_e(rng, pi.r_count)
                 i_ab, k_eab = f_decomposed(pi, ga, gb, ge)
                 total = mutual_information_f(pi, ga, gb, ge)
                 assert abs(i_ab + k_eab - total) < 1e-9
@@ -196,12 +197,13 @@ class TestCcmRouteAgreement:
             for _ in range(20):
                 ga = general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random())
                 gb = general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random())
-                ge = heterodyne(pi.r_count) if pi.r_count else None
-                ccm = assemble_ccm(pi, ga, gb, ge)
-                sigma = ccm.conditional_ab()
-                det = np.linalg.det
-                f_ccm = 0.5 * np.log(det(sigma[:2, :2]) * det(sigma[2:, 2:]) / det(sigma))
-                assert np.isclose(f_ccm, mutual_information_f(pi, ga, gb, ge), atol=1e-10)
+                # heterodyne and an arbitrary finite seed on E
+                ges = (heterodyne(pi.r_count), _random_finite_e(rng, pi.r_count)) if pi.r_count else (None,)
+                for ge in ges:
+                    sigma = assemble_ccm(pi, ga, gb, ge).conditional_ab()
+                    det = np.linalg.det
+                    f_ccm = 0.5 * np.log(det(sigma[:2, :2]) * det(sigma[2:, 2:]) / det(sigma))
+                    assert np.isclose(f_ccm, mutual_information_f(pi, ga, gb, ge), atol=1e-10)
 
 
 class TestDeterminantIdentities:

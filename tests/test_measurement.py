@@ -2,29 +2,26 @@ import numpy as np
 import pytest
 
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
+from gielab.gie import _f_xx
+from gielab.information import mutual_information_f
 from gielab.measurement import (
     Ccm,
     FiniteMeasurement,
-    apply_classical_channel,
     assemble_ccm,
     condition_on_e,
+    eve_kernel,
     general_single_mode,
     heterodyne,
     homodyne,
+    single_mode_seeds,
 )
-from gielab.purification import purify
+from gielab.purification import purify, purify_asym_glems
 from gielab.states import make_family, std_form_cm
 from gielab.symplectic import CovMat
 
 
 def _pi(tag, **params):
     return purify(std_form_cm(make_family(tag, **params).std))
-
-
-def _mi_of_ccm(sigma, na):
-    """Mutual information of a two-block Gaussian CCM (test-local helper)."""
-    det = np.linalg.det
-    return 0.5 * np.log(det(sigma[:na, :na]) * det(sigma[na:, na:]) / det(sigma))
 
 
 class TestBuilders:
@@ -121,49 +118,28 @@ class TestConditionOnE:
             assert cond.is_physical(atol=1e-7)
 
 
-class TestClassicalChannel:
-    def _ccm(self):
-        pi = _pi("sym_glems", a=1.5, kp=0.5)
-        return pi, assemble_ccm(pi, heterodyne(1), heterodyne(1), heterodyne(1))
+def _random_seed_params(rng, n=40):
+    return rng.random(n) * np.pi, 1.0 + 2.0 * rng.random(n), 4.0 * rng.random(n)
 
-    def test_identity_channel_preserves_conditional(self):
-        _, ccm = self._ccm()
-        out = apply_classical_channel(ccm, np.eye(2), np.zeros((2, 2)))
-        assert np.allclose(out.conditional_ab(), ccm.conditional_ab(), atol=1e-12)
 
-    def test_zero_channel_removes_conditioning(self):
-        _, ccm = self._ccm()
-        out = apply_classical_channel(ccm, np.zeros((2, 2)), np.zeros((2, 2)))
-        assert np.allclose(out.conditional_ab(), ccm.mat[:4, :4], atol=1e-12)
+class TestEveKernel:
+    """The shared Schur step against per-measurement ``mutual_information_f``."""
 
-    def test_added_noise_weakly_increases_mutual_information(self):
-        _, ccm = self._ccm()
-        values = []
-        for eps in np.linspace(0.0, 5.0, 11):
-            out = apply_classical_channel(ccm, np.eye(2), eps * np.eye(2))
-            values.append(_mi_of_ccm(out.conditional_ab(), 2))
-        diffs = np.diff(values)
-        assert np.all(diffs >= -1e-12)
+    def test_stacked_values_match_per_measurement_mutual_information(self, rng):
+        x_hom = homodyne([0.0])
+        for pi in (_pi("sym_glems", a=1.8, kp=0.7), purify_asym_glems(1.9, 1.3)):
+            phis, taus, ts = _random_seed_params(rng)
+            stacked = _f_xx(pi, eve_kernel(pi.gamma_e, single_mode_seeds(phis, taus, ts)))
+            for value, phi, tau, t in zip(stacked, phis, taus, ts):
+                expected = mutual_information_f(pi, x_hom, x_hom, general_single_mode(phi, tau, t))
+                assert abs(value - expected) < 1e-12
+            for angle in (0.0, np.pi / 2.0, *(rng.random(8) * np.pi)):
+                ge = homodyne([angle])
+                value = _f_xx(pi, eve_kernel(pi.gamma_e, ge))
+                assert abs(value - mutual_information_f(pi, x_hom, x_hom, ge)) < 1e-12
 
-    def test_channel_absorbs_into_a_measurement(self, rng):
-        # the transformed conditional CCM is reproduced by conditioning with
-        # the seed Gamma_E + X^{-1} Y X^{-T}
-        pi, _ = self._ccm()
-        for _ in range(20):
-            seed = general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random()).seed.mat
-            ccm = assemble_ccm(pi, heterodyne(1), heterodyne(1), FiniteMeasurement(CovMat(seed)))
-            x = rng.normal(size=(2, 2)) + 0.5 * np.eye(2)
-            if abs(np.linalg.det(x)) < 1e-2:
-                continue
-            y_root = rng.normal(size=(2, 2))
-            y = y_root @ y_root.T
-            transformed = apply_classical_channel(ccm, x, y).conditional_ab()
-            x_inv = np.linalg.lstsq(x, np.eye(2), rcond=None)[0]
-            absorbed_seed = seed + x_inv @ y @ x_inv.T
-            direct = condition_on_e(pi, FiniteMeasurement(CovMat(absorbed_seed))).mat + np.eye(4)
-            assert np.abs(transformed - direct).max() < 1e-6
-
-    def test_dimension_mismatch_rejected(self):
-        _, ccm = self._ccm()
-        with pytest.raises(DimensionMismatchError):
-            apply_classical_channel(ccm, np.eye(3), np.zeros((3, 3)))
+    def test_general_single_mode_is_a_slice_of_the_stacked_seeds(self, rng):
+        phis, taus, ts = _random_seed_params(rng)
+        seeds = single_mode_seeds(phis, taus, ts)
+        for i, (phi, tau, t) in enumerate(zip(phis, taus, ts)):
+            assert np.array_equal(general_single_mode(phi, tau, t).seed.mat, seeds[i])

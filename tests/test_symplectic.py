@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gielab.errors import (
-    InvalidConditioningError,
     InvalidDimensionError,
     InvalidInputError,
     InvalidSqueezerError,
@@ -14,12 +11,8 @@ from gielab.symplectic import (
     CovMat,
     SymplecticMatrix,
     beam_splitter_balanced,
-    build_symplectic,
     mode_swap,
     rotation,
-    schur_complement,
-    squeezer_p,
-    squeezer_x,
     std_form_symplectic_eigenvalues,
     symplectic_eigenvalues,
     symplectic_form,
@@ -189,18 +182,17 @@ class TestBuilders:
         assert np.allclose(u @ u.T, np.eye(4), atol=1e-15)
 
     @pytest.mark.parametrize(
-        "kind,args",
+        "builder,args",
         [
-            ("rotation", (0.3,)),
-            ("squeezer_x", (1.7,)),
-            ("squeezer_p", (0.6,)),
-            ("beam_splitter_balanced", ()),
-            ("two_mode_squeezer", (np.cosh(0.4), np.sinh(0.4))),
-            ("mode_swap", ()),
+            (rotation, (0.3,)),
+            (beam_splitter_balanced, ()),
+            (two_mode_squeezer, (np.cosh(0.4), np.sinh(0.4))),
+            (mode_swap, ()),
         ],
+        ids=lambda value: getattr(value, "__name__", None),
     )
-    def test_builders_satisfy_symplectic_condition(self, kind, args):
-        mat = build_symplectic(kind, *args)
+    def test_builders_satisfy_symplectic_condition(self, builder, args):
+        mat = builder(*args)
         omega = symplectic_form(mat.shape[0] // 2)
         assert np.abs(mat @ omega @ mat.T - omega).max() < 1e-9
 
@@ -210,51 +202,12 @@ class TestBuilders:
         mat = np.diag([1.0, 2.0, 3.0, 4.0])
         assert np.allclose(lam @ mat @ lam.T, np.diag([1.0, 3.0, 2.0, 4.0]))
 
-    def test_squeezers_act_on_named_quadrature(self):
-        assert np.allclose(squeezer_x(2.0), np.diag([0.5, 2.0]))
-        assert np.allclose(squeezer_p(2.0), np.diag([2.0, 0.5]))
-
     def test_mode_swap_exchanges_blocks(self):
         t = mode_swap()
         mat = std_cm(2.0, 1.5, 0.3, 0.2)
         swapped = t @ mat @ t.T
         assert np.allclose(swapped[:2, :2], 1.5 * np.eye(2))
         assert np.allclose(swapped[2:, 2:], 2.0 * np.eye(2))
-
-
-class TestSchurComplement:
-    def test_block_diagonal_keeps_block(self):
-        mat = np.diag([2.0, 3.0, 4.0, 5.0])
-        assert np.allclose(schur_complement(mat, 2), np.diag([2.0, 3.0]))
-
-    def test_scalar_blocks(self):
-        assert np.isclose(schur_complement(np.array([[2.0, 1.0], [1.0, 2.0]]), 1)[0, 0], 1.5)
-
-    def test_pseudo_inverse_acts_on_nonzero_subspace(self):
-        # delta = diag(1, 0); only the first E variable conditions
-        mat = np.array(
-            [
-                [2.0, 0.5, 0.3],
-                [0.5, 1.0, 0.0],
-                [0.3, 0.0, 0.0],
-            ]
-        )
-        out = schur_complement(mat, 1, pseudo=True)
-        assert np.isclose(out[0, 0], 2.0 - 0.5**2 / 1.0)
-
-    def test_indefinite_discarded_block_rejected(self):
-        mat = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(InvalidConditioningError):
-            schur_complement(mat, 2)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_psd_preserved(self, seed):
-        local = np.random.default_rng(seed)
-        root = local.normal(size=(4, 4))
-        mat = root @ root.T + 1e-6 * np.eye(4)
-        out = schur_complement(mat, 2, pseudo=True)
-        assert np.linalg.eigvalsh(out).min() > -1e-10
 
 
 class TestTypes:
