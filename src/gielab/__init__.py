@@ -31,7 +31,7 @@ from .gie import (
     sym_glems_candidates,
     verified_domain,
 )
-from .information import f_decomposed, f_homodyne_ab, gcmi, gcmi_condition_g, gcmi_numeric, mutual_information_f
+from .information import f_decomposed, f_homodyne_ab, gcmi_condition_g, gcmi_numeric, mutual_information_f
 from .measurement import (
     Ccm,
     FiniteMeasurement,
@@ -50,8 +50,6 @@ from .renyi2 import (
     gr2_of_family,
     gr2_symmetric,
     gr2_two_mode_reduction,
-    three_mode_cm,
-    three_mode_couplings,
 )
 from .states import StateFamily, StdForm, classify, is_separable, make_family, std_form_cm, to_std_form
 from .symplectic import (

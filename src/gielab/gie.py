@@ -5,7 +5,11 @@ thermal states (a <= 2.41) and asymmetric squeezed-thermal GLEMS
 (sqrt(ab) <= 2.41).  Each family also has a deterministic Eve-side
 minimizer that fixes double x-homodyne on A and B, minimizes the outcome
 mutual information over Eve's Gaussian measurements, and reports the
-optimal measurement together with the optimizer trace.
+optimal measurement together with the optimizer trace.  The minimizers
+run the grid stage and pattern search of ``gielab.optimize`` on one
+broadcasting objective per family (``_f_xx`` over single-mode seeds for
+R = 1, the finite-lambda K_h for R = 2), then add the exact limit
+candidates.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import numpy as np
 from . import config
 from .config import GridConfig
 from .errors import DegenerateFamilyError, DomainNotCoveredError, InvalidInputError
-from .information import _descend
 from .measurement import (
     FiniteMeasurement,
     GaussianMeasurement,
@@ -28,6 +31,7 @@ from .measurement import (
     homodyne,
     single_mode_seeds,
 )
+from .optimize import descend, grid_argmin
 from .purification import Purification, purify, purify_asym_glems
 from .states import StateFamily, is_separable, make_family, std_form_cm, std_form_params
 from .symplectic import CovMat, rotation, xxpp_reorder
@@ -151,20 +155,19 @@ def _single_mode_measurement(params: tuple) -> GaussianMeasurement:
 
 def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     """Grid + descent + exact limit candidates for a single-mode E."""
+
+    def objective(phi, log_tau, t):
+        return _f_xx(pi, eve_kernel(pi.gamma_e, single_mode_seeds(phi, np.exp(log_tau), t)))
+
     n = grid_cfg.points
-    phis = np.linspace(0.0, np.pi, n, endpoint=False)
-    log_taus = np.linspace(0.0, grid_cfg.tau_log_max, n)
-    ts = np.linspace(0.0, grid_cfg.t_max, n)
-    pg, lg, tg = np.meshgrid(phis, log_taus, ts, indexing="ij")
-    values = _f_xx(pi, eve_kernel(pi.gamma_e, single_mode_seeds(pg, np.exp(lg), tg)))
-    flat = int(np.argmin(values))
-    coarse = np.array([pg.flat[flat], lg.flat[flat], tg.flat[flat]])
-    trace = [((float(coarse[0]), float(np.exp(coarse[1])), float(coarse[2])), float(values.flat[flat]))]
-
-    def objective(x):
-        return _f_xx(pi, eve_kernel(pi.gamma_e, single_mode_seeds(x[0], np.exp(x[1]), x[2])))
-
-    refined, refined_val = _descend(
+    axes = (
+        np.linspace(0.0, np.pi, n, endpoint=False),
+        np.linspace(0.0, grid_cfg.tau_log_max, n),
+        np.linspace(0.0, grid_cfg.t_max, n),
+    )
+    coarse, coarse_val = grid_argmin(objective, axes)
+    trace = [((float(coarse[0]), float(np.exp(coarse[1])), float(coarse[2])), coarse_val)]
+    refined, refined_val = descend(
         objective,
         coarse,
         np.array([0.0, 0.0, 0.0]),
@@ -281,30 +284,38 @@ def _cosh_sinh_v(a: float, k: float) -> tuple[float, float, float]:
     return nu, (nu + 1.0 / nu) / 2.0, (nu - 1.0 / nu) / 2.0
 
 
+def _k_h_finite(phi, lambda1, lambda2, a, k, cosh_v, sinh_v):
+    """Finite-lambda K_h and its denominator E^2 - F^2; broadcasts over (phi, lambda1, lambda2)."""
+    e = 1.0 + lambda1 * lambda2 + cosh_v * (lambda1 + lambda2)
+    f = sinh_v * (lambda1 - lambda2)
+    denom = e * e - f * f
+    return (a * a - k * k) / (a * a) + ((k / a) * e + f * np.cos(2.0 * phi)) ** 2 / denom, denom
+
+
 def k_h(q: QMatrixParams, a: float, k: float) -> float:
     """Reduced Eve-side determinant ratio for double x-homodyne on A and B.
 
     ``K_h = (a^2 - k^2)/a^2 + [(k/a) E + F cos(2 phi)]^2 / (E^2 - F^2)``
     with E and F polynomial in the measurement parameters.  ``lambda1`` may
-    be infinite, in which case the analytic limit is evaluated.
+    be infinite, in which case the analytic limit is evaluated.  This is the
+    validated scalar entry point; ``minimize_kh`` evaluates the same finite
+    formula on its grid and descent without rebuilding ``QMatrixParams``.
 
     Raises:
         InvalidInputError: when E^2 <= F^2 (impossible for valid parameters).
     """
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
-    base = (a * a - k * k) / (a * a)
     if np.isinf(q.lambda1):
+        base = (a * a - k * k) / (a * a)
         ratio = sinh_v / (q.lambda2 + cosh_v)
         denom = 1.0 - ratio * ratio
         if denom <= 0.0:
             raise InvalidInputError("degenerate measurement ratio")
         return float(base + (k / a + ratio * np.cos(2.0 * q.phi)) ** 2 / denom)
-    e = 1.0 + q.lambda1 * q.lambda2 + cosh_v * (q.lambda1 + q.lambda2)
-    f = sinh_v * (q.lambda1 - q.lambda2)
-    denom = e * e - f * f
+    value, denom = _k_h_finite(q.phi, q.lambda1, q.lambda2, a, k, cosh_v, sinh_v)
     if denom <= 0.0:
         raise InvalidInputError(f"E^2 - F^2 = {denom} is not positive; invalid parameters")
-    return float(base + ((k / a) * e + f * np.cos(2.0 * q.phi)) ** 2 / denom)
+    return float(value)
 
 
 def _spectral_seed(q: QMatrixParams) -> np.ndarray:
@@ -367,31 +378,25 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
     dual-homodyne limit.
     """
     grid_cfg = config.grid() if grid_cfg is None else grid_cfg
-    nu, cosh_v, sinh_v = _cosh_sinh_v(a, k)
-    n = grid_cfg.points
-    phis = np.linspace(0.0, np.pi, n, endpoint=False)
-    logs = np.linspace(grid_cfg.lambda_log_min, grid_cfg.lambda_log_max, n)
-    pg, u1g, u2g = np.meshgrid(phis, logs, logs, indexing="ij")
-    mask = u1g >= u2g
-    l1, l2 = np.exp(u1g), np.exp(u2g)
-    e = 1.0 + l1 * l2 + cosh_v * (l1 + l2)
-    f = sinh_v * (l1 - l2)
-    base = (a * a - k * k) / (a * a)
-    values = base + ((k / a) * e + f * np.cos(2.0 * pg)) ** 2 / (e * e - f * f)
-    values = np.where(mask, values, np.inf)
-    flat = int(np.argmin(values))
-    coarse = np.array([pg.flat[flat], u1g.flat[flat], u2g.flat[flat]])
-    trace = [((float(coarse[0]), float(np.exp(coarse[1])), float(np.exp(coarse[2]))), float(values.flat[flat]))]
+    _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
 
-    def objective(x):
-        l_hi, l_lo = np.exp(x[1]), np.exp(x[2])
-        if l_lo > l_hi:
+    def grid_values(phi, log_l1, log_l2):
+        l1, l2 = np.exp(log_l1), np.exp(log_l2)
+        return np.where(l2 > l1, np.inf, _k_h_finite(phi, l1, l2, a, k, cosh_v, sinh_v)[0])
+
+    def objective(phi, log_l1, log_l2):
+        l1, l2 = np.exp(log_l1), np.exp(log_l2)
+        if l2 > l1:
             return np.inf
-        return k_h(QMatrixParams(x[0] % np.pi, l_hi, l_lo), a, k)
+        return _k_h_finite(phi % np.pi, l1, l2, a, k, cosh_v, sinh_v)[0]
 
+    n = grid_cfg.points
+    logs = np.linspace(grid_cfg.lambda_log_min, grid_cfg.lambda_log_max, n)
+    coarse, coarse_val = grid_argmin(grid_values, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs))
+    trace = [((float(coarse[0]), float(np.exp(coarse[1])), float(np.exp(coarse[2]))), coarse_val)]
     lo = np.array([0.0, grid_cfg.lambda_log_min, grid_cfg.lambda_log_min])
     hi = np.array([np.pi, grid_cfg.lambda_log_max, grid_cfg.lambda_log_max])
-    refined, refined_val = _descend(objective, coarse, lo, hi, grid_cfg.resolution)
+    refined, refined_val = descend(objective, coarse, lo, hi, grid_cfg.resolution)
     refined_params = (float(refined[0]) % np.pi, float(np.exp(refined[1])), float(np.exp(refined[2])))
     trace.append((refined_params, float(refined_val)))
 

@@ -4,12 +4,16 @@ The central quantity is the outcome mutual information
 ``f = (1/2) ln(det sigma_A det sigma_B / det sigma_AB)`` of local Gaussian
 measurements on the E-conditioned state, together with its decomposition
 into an unconditioned part plus an Eve-side correction, and the Gaussian
-classical mutual information of a conditional standard form.
+classical mutual information (GCMI) of a conditional standard form: the
+double-homodyne closed form, its optimality gate G, and the numeric
+minimum of the objective u over local squeezed measurements that checks
+the closed form wherever the gate holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .measurement import FiniteMeasurement, GaussianMeasurement, condition_on_e
+from .optimize import descend, grid_argmin
 from .purification import Purification
 from .states import StdForm
 
@@ -97,53 +102,47 @@ def gcmi_condition_g(cond: StdForm) -> float:
     )
 
 
-def u_function(cond: StdForm, r_a: float, r_b: float) -> float:
+def u_function(cond: StdForm, r_a, r_b):
     """Objective of the GCMI minimization over local squeezed measurements.
 
     ``u = [1 - kx^2/(a_- b_-)][1 - kp^2/(a_+ b_+)]`` with
-    ``a_± = a + e^{±2 r}``.  Infinite arguments evaluate the analytic limit.
+    ``a_± = a + e^{±2 r}``.  The squeezings broadcast against each other;
+    an infinite one gives the analytic limit exactly, because
+    ``e^{-2 r} = 0`` and ``e^{2 r} = inf`` make the second factor 1.
     """
-    a_minus = cond.a + (0.0 if np.isinf(r_a) else np.exp(-2.0 * r_a))
-    b_minus = cond.b + (0.0 if np.isinf(r_b) else np.exp(-2.0 * r_b))
-    first = 1.0 - cond.kx * cond.kx / (a_minus * b_minus)
-    if np.isinf(r_a) or np.isinf(r_b):
-        second = 1.0
-    else:
-        a_plus = cond.a + np.exp(2.0 * r_a)
-        b_plus = cond.b + np.exp(2.0 * r_b)
-        second = 1.0 - cond.kp * cond.kp / (a_plus * b_plus)
-    return float(first * second)
+    a_minus, b_minus = cond.a + np.exp(-2.0 * r_a), cond.b + np.exp(-2.0 * r_b)
+    a_plus, b_plus = cond.a + np.exp(2.0 * r_a), cond.b + np.exp(2.0 * r_b)
+    return (1.0 - cond.kx * cond.kx / (a_minus * b_minus)) * (1.0 - cond.kp * cond.kp / (a_plus * b_plus))
 
 
 @dataclass(frozen=True)
 class GcmiResult:
     value: float
-    method: str  # closed_form | numeric
-    argmin: tuple[float, float] | None = None
+    argmin: tuple[float, float]
 
 
 def gcmi_numeric(cond: StdForm, points: int | None = None) -> GcmiResult:
-    """Minimize u(rA, rB) on a deterministic grid plus coordinate descent."""
+    """Gaussian classical mutual information of a conditional standard form.
+
+    Minimizes u(rA, rB) on a deterministic grid, the analytic r -> infinity
+    edges and a pattern-search descent.  The closed form ``f_homodyne_ab``
+    is proven optimal only where ``gcmi_condition_g`` is non-negative; this
+    numeric minimum checks it there and covers the rest.
+    """
     grid_cfg = config.grid()
     points = grid_cfg.points if points is None else points
     rs = np.linspace(0.0, grid_cfg.squeeze_max, points)
-    ra, rb = np.meshgrid(rs, rs, indexing="ij")
-    em_a, ep_a = np.exp(-2.0 * ra), np.exp(2.0 * ra)
-    em_b, ep_b = np.exp(-2.0 * rb), np.exp(2.0 * rb)
-    u = (1.0 - cond.kx**2 / ((cond.a + em_a) * (cond.b + em_b))) * (
-        1.0 - cond.kp**2 / ((cond.a + ep_a) * (cond.b + ep_b))
-    )
-    flat = int(np.argmin(u))
-    best = (float(ra.flat[flat]), float(rb.flat[flat]))
-    best_val = float(u.flat[flat])
+    objective = partial(u_function, cond)
+    coarse, best_val = grid_argmin(objective, (rs, rs))
+    best = (float(coarse[0]), float(coarse[1]))
     # analytic r -> infinity edges
     for edge in ((np.inf, np.inf), *((np.inf, r) for r in rs), *((r, np.inf) for r in rs)):
         val = u_function(cond, *edge)
         if val < best_val - 1e-15:
             best_val, best = val, edge
     if np.isfinite(best[0]) and np.isfinite(best[1]):
-        best, best_val = _descend(
-            lambda x: u_function(cond, x[0], x[1]),
+        best, best_val = descend(
+            objective,
             np.array(best),
             np.zeros(2),
             np.full(2, grid_cfg.squeeze_max),
@@ -152,60 +151,7 @@ def gcmi_numeric(cond: StdForm, points: int | None = None) -> GcmiResult:
         best = tuple(float(x) for x in best)
     if best_val <= 0.0:
         raise NumericalDegeneracyError(f"u minimum degenerate: {best_val}")
-    return GcmiResult(value=_check_nats(-0.5 * np.log(best_val), "GCMI"), method="numeric", argmin=best)
-
-
-def gcmi(cond: StdForm, points: int | None = None) -> GcmiResult:
-    """Gaussian classical mutual information of a conditional standard form.
-
-    Returns the closed form when the optimality gate G >= 0 holds, and the
-    numeric minimum of u otherwise (flagged ``numeric``; the proven
-    optimality domain does not cover that regime).
-    """
-    if gcmi_condition_g(cond) >= 0.0:
-        return GcmiResult(value=f_homodyne_ab(cond), method="closed_form", argmin=(np.inf, np.inf))
-    return gcmi_numeric(cond, points=points)
-
-
-def _descend(fn, x0, lows, highs, resolution, max_sweeps=400):
-    """Deterministic pattern-search descent within a box.
-
-    Probes coordinate moves plus pairwise diagonal moves (diagonal valleys
-    stall a pure coordinate search), halving the step until it falls below
-    ``resolution``.
-    """
-    x = np.array(x0, dtype=float)
-    val = fn(x)
-    steps = np.maximum((highs - lows) * 0.05, resolution)
-    directions = []
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = 1.0
-        directions.append(e)
-        for j in range(i + 1, x.size):
-            d = np.zeros(x.size)
-            d[i] = 1.0
-            d[j] = 1.0
-            directions.append(d / np.sqrt(2.0))
-            d = d.copy()
-            d[j] = -1.0
-            directions.append(d / np.sqrt(2.0))
-    for _ in range(max_sweeps):
-        improved = False
-        for direction in directions:
-            for sign in (1.0, -1.0):
-                trial = np.clip(x + sign * steps * direction, lows, highs)
-                if np.array_equal(trial, x):
-                    continue
-                tval = fn(trial)
-                if tval < val - 1e-15:
-                    x, val = trial, tval
-                    improved = True
-        if not improved:
-            steps *= 0.5
-            if steps.max() < resolution:
-                break
-    return x, val
+    return GcmiResult(value=_check_nats(-0.5 * np.log(best_val), "GCMI"), argmin=best)
 
 
 def f_decomposed(

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InvalidThreeModeError, WrongFamilyError
 from .gie import gie_closed_form
 from .states import StateFamily, StdForm
-from .symplectic import CovMat
 
 
 @dataclass(frozen=True)
@@ -37,41 +36,6 @@ class ThreeModePureParams:
 
     def as_tuple(self):
         return (self.a1, self.a2, self.a3)
-
-
-def three_mode_couplings(p: ThreeModePureParams) -> tuple[float, ...]:
-    """The six coupling constants (c1+, c1-, c2+, c2-, c3+, c3-)."""
-    a = p.as_tuple()
-    out = []
-    for i in range(3):
-        j, k = (n for n in range(3) if n != i)
-        ai, aj, ak = a[i], a[j], a[k]
-        a_mm = (ai - 1.0) ** 2 - (aj - ak) ** 2
-        a_pm = (ai + 1.0) ** 2 - (aj - ak) ** 2
-        a_mp = (ai - 1.0) ** 2 - (aj + ak) ** 2
-        a_pp = (ai + 1.0) ** 2 - (aj + ak) ** 2
-        first = np.sqrt(max(a_mm * a_pm, 0.0))
-        second = np.sqrt(max(a_mp * a_pp, 0.0))
-        denom = 4.0 * np.sqrt(aj * ak)
-        out.append(((first + second) / denom, (first - second) / denom))
-    return tuple(float(c) for pair in out for c in pair)
-
-
-def three_mode_cm(p: ThreeModePureParams) -> CovMat:
-    """Assembled 6x6 standard-form covariance matrix of the pure state."""
-    c1p, c1m, c2p, c2m, c3p, c3m = three_mode_couplings(p)
-    a1, a2, a3 = p.as_tuple()
-    mat = np.array(
-        [
-            [a1, 0.0, c3p, 0.0, c2p, 0.0],
-            [0.0, a1, 0.0, c3m, 0.0, c2m],
-            [c3p, 0.0, a2, 0.0, c1p, 0.0],
-            [0.0, c3m, 0.0, a2, 0.0, c1m],
-            [c2p, 0.0, c1p, 0.0, a3, 0.0],
-            [0.0, c2m, 0.0, c1m, 0.0, a3],
-        ]
-    )
-    return CovMat(mat)
 
 
 def _alpha_k(ai: float, aj: float) -> float:

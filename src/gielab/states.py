@@ -14,7 +14,7 @@ import numpy as np
 
 from . import config
 from .errors import InvalidFamilyParamsError, InvalidInputError, UnphysicalStateError
-from .symplectic import CovMat, rotation, std_form_symplectic_eigenvalues
+from .symplectic import CovMat, std_form_symplectic_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class StdForm:
 
     def symplectic_eigenvalues(self) -> tuple[float, float]:
         return std_form_symplectic_eigenvalues(self.a, self.b, self.kx, self.kp)
-
-    def is_symmetric(self, atol: float = 1e-12) -> bool:
-        return abs(self.a - self.b) <= atol * max(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -202,12 +199,3 @@ def classify(p: StdForm, atol: float | None = None) -> StateFamily:
     if isotropic and glems:
         return StateFamily(tag="asym_glems", params={"a": p.a, "b": p.b}, std=p)
     return StateFamily(tag="generic", params={}, std=p)
-
-
-def rotate_locally(gamma, phi_a: float, phi_b: float) -> CovMat:
-    """Conjugate a two-mode CM by local rotations P(phi_A) + P(phi_B)."""
-    mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
-    s = np.zeros((4, 4))
-    s[:2, :2] = rotation(phi_a)
-    s[2:, 2:] = rotation(phi_b)
-    return CovMat(s @ mat @ s.T)

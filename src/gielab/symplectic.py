@@ -61,10 +61,6 @@ class CovMat:
     def n_modes(self) -> int:
         return self.mat.shape[0] // 2
 
-    def is_physical(self, atol: float | None = None) -> bool:
-        atol = config.tolerances().physical_atol if atol is None else atol
-        return bool(symplectic_eigenvalues(self).min() >= 1.0 - atol)
-
 
 @dataclass(frozen=True)
 class SymplecticMatrix:

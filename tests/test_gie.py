@@ -180,6 +180,11 @@ class TestKh:
         assert np.isclose(k_min, 0.9360540674603174, atol=1e-6)
         assert np.isinf(best[1])  # dual-homodyne limit wins
 
+    def test_grid_stage_evaluates_the_public_formula(self):
+        for a, k in ((1.2, 0.5), (1.8, 1.1), (2.3, 1.0), (1.5, 0.3)):
+            params, value = minimize_kh(a, k, FAST)[2][0]
+            assert value == k_h(QMatrixParams(*params), a, k)
+
     def test_limit_value_equals_rmax_form(self):
         a, k = 1.2, 0.5
         nu_sq = a * a - k * k

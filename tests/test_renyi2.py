@@ -11,11 +11,45 @@ from gielab.renyi2 import (
     gr2_of_family,
     gr2_symmetric,
     gr2_two_mode_reduction,
-    three_mode_cm,
-    three_mode_couplings,
 )
 from gielab.states import StdForm, make_family
-from gielab.symplectic import symplectic_eigenvalues
+from gielab.symplectic import CovMat, symplectic_eigenvalues
+
+
+def three_mode_couplings(p: ThreeModePureParams) -> tuple[float, ...]:
+    """The six coupling constants (c1+, c1-, c2+, c2-, c3+, c3-) of the pure state."""
+    a = p.as_tuple()
+    out = []
+    for i in range(3):
+        j, k = (n for n in range(3) if n != i)
+        ai, aj, ak = a[i], a[j], a[k]
+        a_mm = (ai - 1.0) ** 2 - (aj - ak) ** 2
+        a_pm = (ai + 1.0) ** 2 - (aj - ak) ** 2
+        a_mp = (ai - 1.0) ** 2 - (aj + ak) ** 2
+        a_pp = (ai + 1.0) ** 2 - (aj + ak) ** 2
+        first = np.sqrt(max(a_mm * a_pm, 0.0))
+        second = np.sqrt(max(a_mp * a_pp, 0.0))
+        denom = 4.0 * np.sqrt(aj * ak)
+        out.append(((first + second) / denom, (first - second) / denom))
+    return tuple(float(c) for pair in out for c in pair)
+
+
+def three_mode_cm(p: ThreeModePureParams) -> CovMat:
+    """Standard-form 6x6 CM of the pure three-mode state: the independent
+    oracle for ``purify_asym_glems``."""
+    c1p, c1m, c2p, c2m, c3p, c3m = three_mode_couplings(p)
+    a1, a2, a3 = p.as_tuple()
+    mat = np.array(
+        [
+            [a1, 0.0, c3p, 0.0, c2p, 0.0],
+            [0.0, a1, 0.0, c3m, 0.0, c2m],
+            [c3p, 0.0, a2, 0.0, c1p, 0.0],
+            [0.0, c3m, 0.0, a2, 0.0, c1m],
+            [c2p, 0.0, c1p, 0.0, a3, 0.0],
+            [0.0, c2m, 0.0, c1m, 0.0, a3],
+        ]
+    )
+    return CovMat(mat)
 
 
 def _random_valid_triple(rng, max_a=4.0):
