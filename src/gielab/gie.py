@@ -5,11 +5,10 @@ thermal states (a <= 2.41) and asymmetric squeezed-thermal GLEMS
 (sqrt(ab) <= 2.41).  Each family also has a deterministic Eve-side
 minimizer that fixes double x-homodyne on A and B, minimizes the outcome
 mutual information over Eve's Gaussian measurements, and reports the
-optimal measurement together with the optimizer trace.  The minimizers
-run the grid stage and pattern search of ``gielab.optimize`` on one
-broadcasting objective per family (``_f_xx`` over single-mode seeds for
-R = 1, the finite-lambda K_h for R = 2), then add the exact limit
-candidates.
+optimal measurement together with the optimizer trace.  Each minimizer
+hands ``gielab.optimize.search`` its family's objective (``_f_xx`` over
+single-mode seeds for R = 1, the finite-lambda K_h for R = 2) and its
+table of exact limit candidates, which names Eve's optimum.
 """
 
 from __future__ import annotations
@@ -31,13 +30,14 @@ from .measurement import (
     homodyne,
     single_mode_seeds,
 )
-from .optimize import descend, grid_argmin
+from .optimize import search
 from .purification import Purification, purify, purify_asym_glems
 from .states import StateFamily, is_separable, make_family, std_form_cm, std_form_params
 from .symplectic import CovMat, rotation, xxpp_reorder
 
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
+SQRT_AB_SLACK = 1e-9  # allowed excess of sqrt(a~ b~) over a along a sym_sq_thermal trace
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def _f_xx(pi: Purification, kernel: np.ndarray):
 
 
 _SINGLE_MODE_CANDIDATES = (
-    # name, (phi, tau, t) with t = inf marking an exact homodyne limit
+    # name, (phi, tau, t) in priority order; t = inf marks an exact homodyne limit
     ("heterodyne", (0.0, 1.0, 0.0)),
     ("homodyne p_E", (0.0, 1.0, np.inf)),
     ("homodyne x_E", (np.pi / 2.0, 1.0, np.inf)),
@@ -154,7 +154,7 @@ def _single_mode_measurement(params: tuple) -> GaussianMeasurement:
 
 
 def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
-    """Grid + descent + exact limit candidates for a single-mode E."""
+    """Eve's optimum over (phi, ln tau, t) and the single-mode limit candidates."""
 
     def objective(phi, log_tau, t):
         return _f_xx(pi, eve_kernel(pi.gamma_e, single_mode_seeds(phi, np.exp(log_tau), t)))
@@ -165,35 +165,17 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
         np.linspace(0.0, grid_cfg.tau_log_max, n),
         np.linspace(0.0, grid_cfg.t_max, n),
     )
-    coarse, coarse_val = grid_argmin(objective, axes)
-    trace = [((float(coarse[0]), float(np.exp(coarse[1])), float(coarse[2])), coarse_val)]
-    refined, refined_val = descend(
-        objective,
-        coarse,
-        np.array([0.0, 0.0, 0.0]),
-        np.array([np.pi, grid_cfg.tau_log_max, grid_cfg.t_max]),
-        grid_cfg.resolution,
+    candidates = [
+        (name, params, float(_f_xx(pi, eve_kernel(pi.gamma_e, _single_mode_measurement(params)))))
+        for name, params in _SINGLE_MODE_CANDIDATES
+    ]
+    highs = np.array([np.pi, grid_cfg.tau_log_max, grid_cfg.t_max])
+    best_val, optimum, best, trace = search(
+        objective, objective, axes, np.zeros(3), highs, grid_cfg.resolution,
+        lambda x: (float(x[0]) % np.pi, float(np.exp(x[1])), float(x[2])), candidates,
     )
-    refined_params = (float(refined[0]) % np.pi, float(np.exp(refined[1])), float(refined[2]))
-    trace.append((refined_params, float(refined_val)))
-
-    candidates = []
-    for name, params in _SINGLE_MODE_CANDIDATES:
-        val = float(_f_xx(pi, eve_kernel(pi.gamma_e, _single_mode_measurement(params))))
-        candidates.append((name, params, val))
-        trace.append((params, val))
-
-    best_val = min(refined_val, min(v for _, _, v in candidates))
-    tie = config.tolerances().tie_atol
-    optimum = None
-    for name, _, val in sorted(candidates, key=lambda item: item[0]):
-        if val <= best_val + tie:
-            optimum = name
-            break
     if optimum is None:
-        optimum = (
-            f"general(phi={refined_params[0]:.6g}, tau={refined_params[1]:.6g}, t={refined_params[2]:.6g})"
-        )
+        optimum = f"general(phi={best[0]:.6g}, tau={best[1]:.6g}, t={best[2]:.6g})"
     return float(best_val), optimum, trace
 
 
@@ -264,7 +246,7 @@ def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
         closed_form=closed,
         numeric=float(value),
         discrepancy=abs(closed - value),
-        eve_optimum="heterodyne",  # every measurement ties; lexicographic first
+        eve_optimum="heterodyne",  # every measurement ties; first in priority order
         optimizer_trace=trace,
         verified=True,
         extra={},
@@ -296,22 +278,17 @@ def k_h(q: QMatrixParams, a: float, k: float) -> float:
     """Reduced Eve-side determinant ratio for double x-homodyne on A and B.
 
     ``K_h = (a^2 - k^2)/a^2 + [(k/a) E + F cos(2 phi)]^2 / (E^2 - F^2)``
-    with E and F polynomial in the measurement parameters.  ``lambda1`` may
-    be infinite, in which case the analytic limit is evaluated.  This is the
-    validated scalar entry point; ``minimize_kh`` evaluates the same finite
-    formula on its grid and descent without rebuilding ``QMatrixParams``.
+    with E and F polynomial in the measurement parameters.  This is the
+    validated scalar entry point for finite lambda1; ``minimize_kh`` runs
+    the same formula without rebuilding ``QMatrixParams``, and
+    ``k_h_limit`` is the one formula for the limit lambda1 -> infinity.
 
     Raises:
-        InvalidInputError: when E^2 <= F^2 (impossible for valid parameters).
+        InvalidInputError: for a non-finite lambda1 or E^2 <= F^2 (impossible for valid parameters).
     """
+    if not np.isfinite(q.lambda1):
+        raise InvalidInputError(f"lambda1 must be finite, got {q.lambda1}; use k_h_limit for the limit")
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
-    if np.isinf(q.lambda1):
-        base = (a * a - k * k) / (a * a)
-        ratio = sinh_v / (q.lambda2 + cosh_v)
-        denom = 1.0 - ratio * ratio
-        if denom <= 0.0:
-            raise InvalidInputError("degenerate measurement ratio")
-        return float(base + (k / a + ratio * np.cos(2.0 * q.phi)) ** 2 / denom)
     value, denom = _k_h_finite(q.phi, q.lambda1, q.lambda2, a, k, cosh_v, sinh_v)
     if denom <= 0.0:
         raise InvalidInputError(f"E^2 - F^2 = {denom} is not positive; invalid parameters")
@@ -370,12 +347,20 @@ def k_h_limit(a: float, k: float) -> float:
     return float(base + (k / a - r_max) ** 2 / (1.0 - r_max * r_max))
 
 
+_KH_CANDIDATES = (
+    # name, (phi, lambda1, lambda2) in priority order; lambda1 = inf marks the dual-homodyne limit
+    ("homodyne x_EA p_EB", (np.pi / 2.0, np.inf, 0.0)),
+    ("heterodyne", (0.0, 1.0, 1.0)),
+)
+
+
 def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
     """Deterministic minimization of K_h over Eve's reduced parameters.
 
-    Returns ``(k_min, best_params, trace)`` where best_params is a
-    (phi, lambda1, lambda2) tuple, possibly with infinite lambda1 for the
-    dual-homodyne limit.
+    Searches (phi, ln lambda1, ln lambda2) and ``_KH_CANDIDATES`` with
+    ``gielab.optimize.search``.  Returns ``(k_min, best_params, trace)``;
+    best_params is the (phi, lambda1, lambda2) of the named candidate
+    (infinite lambda1 for the dual-homodyne limit) or the descent end.
     """
     grid_cfg = config.grid() if grid_cfg is None else grid_cfg
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
@@ -392,27 +377,17 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
 
     n = grid_cfg.points
     logs = np.linspace(grid_cfg.lambda_log_min, grid_cfg.lambda_log_max, n)
-    coarse, coarse_val = grid_argmin(grid_values, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs))
-    trace = [((float(coarse[0]), float(np.exp(coarse[1])), float(np.exp(coarse[2]))), coarse_val)]
-    lo = np.array([0.0, grid_cfg.lambda_log_min, grid_cfg.lambda_log_min])
-    hi = np.array([np.pi, grid_cfg.lambda_log_max, grid_cfg.lambda_log_max])
-    refined, refined_val = descend(objective, coarse, lo, hi, grid_cfg.resolution)
-    refined_params = (float(refined[0]) % np.pi, float(np.exp(refined[1])), float(np.exp(refined[2])))
-    trace.append((refined_params, float(refined_val)))
-
-    limit_params = (np.pi / 2.0, np.inf, 0.0)
-    limit_val = k_h_limit(a, k)
-    trace.append((limit_params, limit_val))
-    het_params = (0.0, 1.0, 1.0)
-    het_val = k_h(QMatrixParams(*het_params), a, k)
-    trace.append((het_params, het_val))
-
-    best_val, best = refined_val, refined_params
-    if het_val < best_val:
-        best_val, best = het_val, het_params
-    if limit_val < best_val - config.tolerances().tie_atol:
-        best_val, best = limit_val, limit_params
-    return float(best_val), best, trace
+    candidates = [
+        (name, params, k_h_limit(a, k) if np.isinf(params[1]) else k_h(QMatrixParams(*params), a, k))
+        for name, params in _KH_CANDIDATES
+    ]
+    k_min, _, best, trace = search(
+        grid_values, objective, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs),
+        np.array([0.0, grid_cfg.lambda_log_min, grid_cfg.lambda_log_min]),
+        np.array([np.pi, grid_cfg.lambda_log_max, grid_cfg.lambda_log_max]),
+        grid_cfg.resolution, lambda x: (float(x[0]) % np.pi, float(np.exp(x[1])), float(np.exp(x[2]))), candidates,
+    )
+    return float(k_min), best, trace
 
 
 def _sqrt_ab_of_q(pi: Purification, params: tuple) -> float:
@@ -452,12 +427,8 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig | None =
     k_min, best, trace = minimize_kh(a, k, grid_cfg)
     i_h = 0.5 * np.log(a * a / (a * a - k * k))
     numeric = float(i_h + 0.5 * np.log(k_min))
-    tie = config.tolerances().tie_atol
-    if np.isinf(best[1]) or abs(k_h_limit(a, k) - k_min) <= tie:
-        optimum = "homodyne x_EA p_EB"
-    elif abs(k_h(QMatrixParams(0.0, 1.0, 1.0), a, k) - k_min) <= tie:
-        optimum = "heterodyne"
-    else:
+    optimum = next((name for name, params in _KH_CANDIDATES if params == best), None)
+    if optimum is None:
         optimum = f"Q(phi={best[0]:.6g}, lambda1={best[1]:.6g}, lambda2={best[2]:.6g})"
     pi = purify(std_form_cm(fam.std))
     sqrt_ab_max = max(_sqrt_ab_of_q(pi, params) for params, _ in trace)
@@ -468,7 +439,7 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig | None =
         eve_optimum=optimum,
         optimizer_trace=tuple(trace),
         # the conditional-purity bound sqrt(a~ b~) <= a must hold on the trace
-        verified=bool(verified_domain(fam) and sqrt_ab_max <= a + 1e-9),
+        verified=bool(verified_domain(fam) and sqrt_ab_max <= a + SQRT_AB_SLACK),
         extra={"k_min": k_min, "sqrt_ab_max": sqrt_ab_max},
     )
 

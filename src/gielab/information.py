@@ -25,7 +25,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .measurement import FiniteMeasurement, GaussianMeasurement, condition_on_e
-from .optimize import descend, grid_argmin
+from .optimize import MIN_IMPROVEMENT, descend, grid_argmin
 from .purification import Purification
 from .states import StdForm
 
@@ -138,7 +138,7 @@ def gcmi_numeric(cond: StdForm, points: int | None = None) -> GcmiResult:
     # analytic r -> infinity edges
     for edge in ((np.inf, np.inf), *((np.inf, r) for r in rs), *((r, np.inf) for r in rs)):
         val = u_function(cond, *edge)
-        if val < best_val - 1e-15:
+        if val < best_val - MIN_IMPROVEMENT:
             best_val, best = val, edge
     if np.isfinite(best[0]) and np.isfinite(best[1]):
         best, best_val = descend(

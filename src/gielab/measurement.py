@@ -89,10 +89,20 @@ def single_mode_seeds(phis, taus, ts) -> np.ndarray:
 
 
 def general_single_mode(phi: float, tau: float, t: float) -> FiniteMeasurement:
-    """Rotated squeezed-thermal seed ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P^T``."""
-    if tau < 1.0 or t < 0.0:
+    """Rotated squeezed-thermal seed ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P^T``.
+
+    Checked from its parameters, since tau >= 1 and t >= 0 give nu = tau
+    exactly, not by the matrix gate of ``FiniteMeasurement``: near t = 8 the
+    entries reach e^16 and the matrix determinant is off by about 1e-2.
+    """
+    if not (tau >= 1.0 and t >= 0.0):
         raise InvalidMeasurementError(f"need tau >= 1 and t >= 0, got ({tau}, {t})")
-    return FiniteMeasurement(CovMat(single_mode_seeds(phi, tau, t)))
+    seed = single_mode_seeds(phi, tau, t)
+    if not np.isfinite(seed).all():
+        raise InvalidMeasurementError(f"seed CM not finite at (phi, tau, t) = ({phi}, {tau}, {t})")
+    measurement = object.__new__(FiniteMeasurement)
+    object.__setattr__(measurement, "seed", CovMat(seed))
+    return measurement
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import config
 from .config import GridConfig
 from .gie import (
     GATE_LOWER_BOUND,
+    SQRT_AB_SLACK,
+    VERIFIED_DOMAIN_BOUND,
     QMatrixParams,
     gie_closed_form,
     gie_numeric,
@@ -53,14 +56,16 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.criterion}: {self.detail}"
 
 
-def _random_physical_cm(rng, n_modes=2) -> np.ndarray:
-    """Random physical CM: random symplectic conjugation of a thermal spectrum."""
-    import scipy.linalg
+def random_symplectic(rng, scale: float) -> np.ndarray:
+    """Random two-mode symplectic matrix ``exp(Omega H)``, ``H = scale (G + G^T)``, G standard normal."""
+    h = rng.normal(size=(4, 4))
+    return scipy.linalg.expm(symplectic_form(2) @ (scale * (h + h.T)))
 
-    h = rng.normal(size=(2 * n_modes, 2 * n_modes))
-    h = 0.35 * (h + h.T)
-    s = scipy.linalg.expm(symplectic_form(n_modes) @ h)
-    nus = np.sort(1.0 + rng.random(n_modes) * 2.0)[::-1]
+
+def random_physical_cm(rng, scale: float) -> np.ndarray:
+    """Random physical two-mode CM: ``random_symplectic`` conjugation of a thermal spectrum in [1, 3)."""
+    s = random_symplectic(rng, scale)
+    nus = np.sort(1.0 + rng.random(2) * 2.0)[::-1]
     return s @ np.diag(np.repeat(nus, 2)) @ s.T
 
 
@@ -113,7 +118,7 @@ def _family_sample_points(per_family: int):
     while len(asym) < per_family:
         a = 1.0 + rng.random() * 1.4
         b = 1.0 + rng.random() * 1.4
-        if abs(a - b) > 1e-3 and np.sqrt(a * b) <= 2.41 and min(a, b) > 1.0 + 1e-6:
+        if abs(a - b) > 1e-3 and np.sqrt(a * b) <= VERIFIED_DOMAIN_BOUND and min(a, b) > 1.0 + 1e-6:
             asym.append(("asym_glems", {"a": a, "b": b}))
     return {"sym_glems": sym_glems, "sym_sq_thermal": sym_sq, "asym_glems": asym}
 
@@ -169,7 +174,7 @@ def check_gcmi_optimality(n=1000, atol=1e-6, points=21) -> CheckResult:
     checked = 0
     while checked < n:
         cond = _random_std_form(rng, max_a=2.4)
-        if np.sqrt(cond.a * cond.b) > 2.41:
+        if np.sqrt(cond.a * cond.b) > VERIFIED_DOMAIN_BOUND:
             continue
         if gcmi_condition_g(cond) < 0.0:
             continue
@@ -218,7 +223,7 @@ def check_thresholds(results) -> CheckResult:
             worst_ab = max(worst_ab, res.extra["sqrt_ab_max"] - params["a"])
         elif tag == "sym_glems":
             worst_gate = min(worst_gate, res.extra["gate_min"])
-    passed = worst_ab <= 1e-9 and worst_gate > GATE_LOWER_BOUND
+    passed = worst_ab <= SQRT_AB_SLACK and worst_gate > GATE_LOWER_BOUND
     return CheckResult(
         "threshold machinery",
         passed,
@@ -234,13 +239,13 @@ def check_conjecture(grid_n=20, atol=1e-12) -> CheckResult:
         for frac in np.linspace(0.05, 0.95, grid_n):
             kp = frac * np.sqrt(a * a - 1.0)
             worst = max(worst, conjecture_gap(make_family("sym_glems", a=a, kp=kp)))
-    for a in np.linspace(1.05, 2.41, grid_n):
+    for a in np.linspace(1.05, VERIFIED_DOMAIN_BOUND, grid_n):
         for frac in np.linspace(0.05, 0.95, grid_n):
             k = max(a - 1.0, 0.0) + frac * (np.sqrt(a * a - 1.0) - max(a - 1.0, 0.0))
             worst = max(worst, conjecture_gap(make_family("sym_sq_thermal", a=a, k=k)))
     for a in np.linspace(1.02, 2.3, grid_n):
         for b in np.linspace(1.02, 2.3, grid_n):
-            if abs(a - b) < 1e-9 or np.sqrt(a * b) > 2.41:
+            if abs(a - b) < 1e-9 or np.sqrt(a * b) > VERIFIED_DOMAIN_BOUND:
                 continue
             fam = make_family("asym_glems", a=a, b=b)
             worst = max(worst, conjecture_gap(fam))
@@ -311,7 +316,7 @@ def check_structural(n=40) -> CheckResult:
     tol = config.tolerances()
     worst_symp = worst_will = worst_pur = worst_hom = worst_dec = 0.0
     for _ in range(n):
-        mat = _random_physical_cm(rng)
+        mat = random_physical_cm(rng, scale=0.35)
         dec = williamson(mat)
         omega = symplectic_form(2)
         worst_symp = max(worst_symp, np.abs(dec.s.mat @ omega @ dec.s.mat.T - omega).max())

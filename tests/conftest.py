@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
-from gielab.symplectic import symplectic_form
 
 def pytest_configure(config):
     config._acceptance_lines = []
@@ -32,15 +30,3 @@ def acceptance_report(request):
 def rng():
     return np.random.default_rng(12345)
 
-
-def random_symplectic(rng, n_modes=2, scale=0.4):
-    """Random symplectic matrix exp(Omega H) with H symmetric."""
-    h = rng.normal(size=(2 * n_modes, 2 * n_modes))
-    h = scale * (h + h.T)
-    return scipy.linalg.expm(symplectic_form(n_modes) @ h)
-
-
-def random_physical_cm(rng, n_modes=2, nu_max=3.0):
-    s = random_symplectic(rng, n_modes)
-    nus = np.sort(1.0 + rng.random(n_modes) * (nu_max - 1.0))[::-1]
-    return s @ np.diag(np.repeat(nus, 2)) @ s.T

@@ -198,6 +198,8 @@ class TestKh:
             QMatrixParams(0.5, 1.0, 2.0)  # lambda2 > lambda1
         with pytest.raises(InvalidInputError):
             k_h(QMatrixParams(0.5, 1.0, 0.5), 1.2, 0.8)  # unphysical (a, k)
+        with pytest.raises(InvalidInputError):
+            k_h(QMatrixParams(np.pi / 2.0, np.inf, 0.0), 1.2, 0.5)  # the limit is k_h_limit's
 
 
 class TestDomainCorners:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gielab.config import GridConfig
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
 from gielab.gie import _f_xx
 from gielab.information import mutual_information_f
@@ -45,14 +46,27 @@ class TestBuilders:
             general_single_mode(0.0, 0.5, 1.0)
         with pytest.raises(InvalidMeasurementError):
             general_single_mode(0.0, 1.0, -0.2)
+        for phi, tau, t in ((0.0, 1.0, np.inf), (0.0, np.nan, 1.0), (np.inf, 1.0, 1.0)):
+            with np.errstate(invalid="ignore"), pytest.raises(InvalidMeasurementError):
+                general_single_mode(phi, tau, t)
+
+    def test_seeds_at_the_descent_box_edge_are_physical(self):
+        # entries near e^16 leave the determinant of the assembled matrix off
+        # by about 1e-2; tau >= 1 and t >= 0 give nu = tau exactly
+        t_max = GridConfig().t_max
+        general_single_mode(0.807432061702533, 1.0005, 8.0)
+        general_single_mode(10.0 * np.pi / 13.0, 1.0, t_max)  # an n = 13 grid angle
+        for phi in np.linspace(0.0, np.pi, 2001):
+            general_single_mode(phi, 1.0, t_max)
 
     def test_homodyne_angles_reduced_mod_pi(self):
         hom = homodyne([np.pi + 0.25])
         assert np.isclose(hom.angles[0], 0.25)
 
     def test_unphysical_seed_rejected(self):
-        with pytest.raises(InvalidMeasurementError):
-            FiniteMeasurement(CovMat(0.5 * np.eye(2)))
+        for nu in (0.5, 0.99):
+            with pytest.raises(InvalidMeasurementError):
+                FiniteMeasurement(CovMat(nu * np.eye(2)))
 
 
 class TestAssembleCcm:

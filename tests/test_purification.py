@@ -7,7 +7,7 @@ from gielab.information import mutual_information_f
 from gielab.purification import purify, purify_asym_glems
 from gielab.states import make_family, std_form_cm
 from gielab.symplectic import CovMat, SIGMA_Z
-from tests.conftest import random_physical_cm
+from gielab.verify import random_physical_cm
 
 
 class TestPurify:
@@ -39,14 +39,14 @@ class TestPurify:
                 assert pi.purity_defect() < 1e-7
 
     def test_ab_reduction_is_exact_copy(self, rng):
-        mat = random_physical_cm(rng)
+        mat = random_physical_cm(rng, scale=0.4)
         pi = purify(CovMat(mat))
         gamma_pi = pi.gamma_pi().mat
         assert np.array_equal(gamma_pi[:4, :4], pi.gamma_ab.mat)
 
     def test_random_cm_purity(self, rng):
         for _ in range(50):
-            pi = purify(CovMat(random_physical_cm(rng)))
+            pi = purify(CovMat(random_physical_cm(rng, scale=0.4)))
             assert pi.purity_defect() < 1e-7
 
     def test_unphysical_rejected(self):

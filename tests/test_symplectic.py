@@ -20,7 +20,7 @@ from gielab.symplectic import (
     williamson,
     xxpp_reorder,
 )
-from tests.conftest import random_physical_cm, random_symplectic
+from gielab.verify import random_physical_cm, random_symplectic
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -78,7 +78,7 @@ class TestSymplecticEigenvalues:
 
     def test_closed_form_matches_generic_route(self, rng):
         for _ in range(200):
-            mat = random_physical_cm(rng)
+            mat = random_physical_cm(rng, scale=0.4)
             a, b, kx, kp = _invariant_params(mat)
             closed = std_form_symplectic_eigenvalues(a, b, kx, kp)
             generic = symplectic_eigenvalues(mat)
@@ -86,15 +86,15 @@ class TestSymplecticEigenvalues:
 
     def test_invariant_under_symplectic_conjugation(self, rng):
         for _ in range(100):
-            mat = random_physical_cm(rng)
-            s = random_symplectic(rng)
+            mat = random_physical_cm(rng, scale=0.4)
+            s = random_symplectic(rng, scale=0.4)
             before = symplectic_eigenvalues(mat)
             after = symplectic_eigenvalues(s @ mat @ s.T)
             assert np.allclose(before, after, atol=1e-8)
 
     def test_determinant_is_product_of_squares(self, rng):
         for _ in range(100):
-            mat = random_physical_cm(rng)
+            mat = random_physical_cm(rng, scale=0.4)
             nus = symplectic_eigenvalues(mat)
             assert np.isclose(np.linalg.det(mat), np.prod(nus**2), rtol=1e-8)
 
@@ -146,7 +146,7 @@ class TestWilliamson:
     def test_random_cm_residuals(self, rng):
         omega = symplectic_form(2)
         for _ in range(100):
-            mat = random_physical_cm(rng)
+            mat = random_physical_cm(rng, scale=0.4)
             dec = williamson(mat)
             assert np.abs(dec.s.mat @ mat @ dec.s.mat.T - dec.normal_form()).max() < 1e-8
             assert np.abs(dec.s.mat @ omega @ dec.s.mat.T - omega).max() < 1e-9
