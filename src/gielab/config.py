@@ -1,8 +1,12 @@
 """Numerical tolerances and optimizer grid settings.
 
-All tolerance values used across the library live in one record so that
-tests and the CLI share a single source of truth.  ``GIELAB_CONFIG`` may
-point to a ``key=value`` file overriding individual entries.
+``Tolerances`` and ``GridConfig`` hold the user-settable keys:
+``GIELAB_CONFIG`` may point to a ``key=value`` file overriding individual
+entries, and tests and the CLI read the same active records.  Thresholds
+that the library shares between modules but that are not meant to be set
+are module constants instead: ``optimize.MIN_IMPROVEMENT``,
+``gie.SQRT_AB_SLACK``, ``gie.GATE_LOWER_BOUND`` and
+``gie.VERIFIED_DOMAIN_BOUND``.
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     ]
     highs = np.array([np.pi, grid_cfg.tau_log_max, grid_cfg.t_max])
     best_val, optimum, best, trace = search(
-        objective, objective, axes, np.zeros(3), highs, grid_cfg.resolution,
+        objective, axes, np.zeros(3), highs, grid_cfg.resolution,
         lambda x: (float(x[0]) % np.pi, float(np.exp(x[1])), float(x[2])), candidates,
     )
     if optimum is None:
@@ -365,15 +365,9 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
     grid_cfg = config.grid() if grid_cfg is None else grid_cfg
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
 
-    def grid_values(phi, log_l1, log_l2):
-        l1, l2 = np.exp(log_l1), np.exp(log_l2)
-        return np.where(l2 > l1, np.inf, _k_h_finite(phi, l1, l2, a, k, cosh_v, sinh_v)[0])
-
     def objective(phi, log_l1, log_l2):
         l1, l2 = np.exp(log_l1), np.exp(log_l2)
-        if l2 > l1:
-            return np.inf
-        return _k_h_finite(phi % np.pi, l1, l2, a, k, cosh_v, sinh_v)[0]
+        return np.where(l2 > l1, np.inf, _k_h_finite(phi % np.pi, l1, l2, a, k, cosh_v, sinh_v)[0])
 
     n = grid_cfg.points
     logs = np.linspace(grid_cfg.lambda_log_min, grid_cfg.lambda_log_max, n)
@@ -382,7 +376,7 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
         for name, params in _KH_CANDIDATES
     ]
     k_min, _, best, trace = search(
-        grid_values, objective, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs),
+        objective, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs),
         np.array([0.0, grid_cfg.lambda_log_min, grid_cfg.lambda_log_min]),
         np.array([np.pi, grid_cfg.lambda_log_max, grid_cfg.lambda_log_max]),
         grid_cfg.resolution, lambda x: (float(x[0]) % np.pi, float(np.exp(x[1])), float(np.exp(x[2]))), candidates,

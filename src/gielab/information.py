@@ -135,9 +135,9 @@ def gcmi_numeric(cond: StdForm, points: int | None = None) -> GcmiResult:
     objective = partial(u_function, cond)
     coarse, best_val = grid_argmin(objective, (rs, rs))
     best = (float(coarse[0]), float(coarse[1]))
-    # analytic r -> infinity edges
-    for edge in ((np.inf, np.inf), *((np.inf, r) for r in rs), *((r, np.inf) for r in rs)):
-        val = u_function(cond, *edge)
+    # analytic r -> infinity edges, evaluated in one call and taken in order
+    edges = [(np.inf, np.inf), *((np.inf, r) for r in rs), *((r, np.inf) for r in rs)]
+    for edge, val in zip(edges, objective(*np.array(edges).T)):
         if val < best_val - MIN_IMPROVEMENT:
             best_val, best = val, edge
     if np.isfinite(best[0]) and np.isfinite(best[1]):

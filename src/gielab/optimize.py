@@ -24,15 +24,19 @@ def grid_argmin(fn, axes):
 
 
 def descend(fn, x0, lows, highs, resolution, max_sweeps=400):
-    """Deterministic pattern-search descent within a box.
+    """Deterministic Hooke-Jeeves pattern-search descent within a box.
 
     Probes coordinate moves plus pairwise diagonal moves (diagonal valleys
-    stall a pure coordinate search), halving the step until it falls below
-    ``resolution``.
+    stall a pure coordinate search), each with sign + then -, and moves to
+    the first probe in that order that beats the incumbent by more than
+    ``MIN_IMPROVEMENT``; a sweep without a move halves the step until it
+    falls below ``resolution``.  ``fn`` must broadcast over 1-D probe
+    arrays, one per coordinate: each poll evaluates every probe still left
+    in the sweep in one call and keeps only the first improvement, so the
+    path is the one a probe-at-a-time search takes.
     """
     x = np.array(x0, dtype=float)
-    # tolist(): unpacking the array itself costs about 1 us more per probe
-    val = fn(*x.tolist())
+    val = fn(*x[:, None])[0]
     steps = np.maximum((highs - lows) * 0.05, resolution)
     directions = []
     for i in range(x.size):
@@ -47,36 +51,38 @@ def descend(fn, x0, lows, highs, resolution, max_sweeps=400):
             d = d.copy()
             d[j] = -1.0
             directions.append(d / np.sqrt(2.0))
+    moves = np.array([sign * direction for direction in directions for sign in (1.0, -1.0)])
     for _ in range(max_sweeps):
-        improved = False
-        for direction in directions:
-            for sign in (1.0, -1.0):
-                trial = np.clip(x + sign * steps * direction, lows, highs)
-                if np.array_equal(trial, x):
-                    continue
-                tval = fn(*trial.tolist())
-                if tval < val - MIN_IMPROVEMENT:
-                    x, val = trial, tval
-                    improved = True
-        if not improved:
+        k = 0  # the next probe to poll; it stays 0 in a sweep without a move
+        while k < len(moves):
+            trials = np.clip(x + steps * moves[k:], lows, highs)
+            values = fn(*trials.T)
+            better = np.flatnonzero(np.any(trials != x, axis=1) & (values < val - MIN_IMPROVEMENT))
+            if better.size == 0:
+                break
+            first = better[0]
+            x, val = trials[first], values[first]
+            k += first + 1
+        if k == 0:
             steps *= 0.5
             if steps.max() < resolution:
                 break
     return x, val
 
 
-def search(grid_fn, fn, axes, lows, highs, resolution, to_params, candidates):
-    """Minimize ``grid_fn`` on the mesh of ``axes``, descend on ``fn`` in [lows, highs].
+def search(fn, axes, lows, highs, resolution, to_params, candidates):
+    """Minimize ``fn`` on the mesh of ``axes``, then descend on it in [lows, highs].
 
-    ``grid_fn`` broadcasts over meshes, ``fn`` takes one scalar per
-    coordinate, ``to_params`` maps a search point to reported parameters and
-    ``candidates`` are ``(label, params, value)`` in priority order.  Returns
+    ``fn`` takes one array per coordinate and broadcasts over them (the grid
+    passes meshes, the descent 1-D probe arrays), ``to_params`` maps a
+    search point to reported parameters and ``candidates`` are
+    ``(label, params, value)`` in priority order.  Returns
     ``(best_value, label, best_params, trace)``: the least of the descent end
     and the candidates; the first candidate within ``tie_atol`` of it with its
     params, or None with the descent end; and ``(params, value)`` of the grid
     best, the descent end and every candidate.
     """
-    coarse, coarse_val = grid_argmin(grid_fn, axes)
+    coarse, coarse_val = grid_argmin(fn, axes)
     refined, refined_val = descend(fn, coarse, lows, highs, resolution)
     refined_params = to_params(refined)
     trace = [(to_params(coarse), coarse_val), (refined_params, float(refined_val))]

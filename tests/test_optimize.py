@@ -1,7 +1,9 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gielab import config
-from gielab.optimize import descend, grid_argmin, search
+from gielab.optimize import MIN_IMPROVEMENT, descend, grid_argmin, search
 
 AXES = (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
 LOWS, HIGHS = np.zeros(2), np.ones(2)
@@ -17,8 +19,8 @@ def to_params(x):
     return (float(x[0]), float(x[1]))
 
 
-def run(candidates, grid_fn=bowl, fn=bowl):
-    return search(grid_fn, fn, AXES, LOWS, HIGHS, RESOLUTION, to_params, candidates)
+def run(candidates, fn=bowl):
+    return search(fn, AXES, LOWS, HIGHS, RESOLUTION, to_params, candidates)
 
 
 def descent_end():
@@ -54,16 +56,93 @@ class TestSearch:
         assert value == low
 
     def test_trace_is_grid_best_then_descent_end_then_candidates(self):
-        def shifted(x, y):  # scalar descent objective, distinct from the grid's
-            return bowl(x, y) + 1.0
-
         candidates = [("a", (0.5, 0.5), 2.0), ("b", (0.7, 0.1), 3.0)]
-        _, _, _, trace = run(candidates, fn=shifted)
+        _, _, _, trace = run(candidates)
         grid_best, grid_val = grid_argmin(bowl, AXES)
-        end, end_val = descend(shifted, grid_best, LOWS, HIGHS, RESOLUTION)
+        end, end_val = descend(bowl, grid_best, LOWS, HIGHS, RESOLUTION)
+        assert not np.array_equal(grid_best, end)  # the off-grid minimum moves the descent
         assert trace == [
             (to_params(grid_best), grid_val),
             (to_params(end), float(end_val)),
             ((0.5, 0.5), 2.0),
             ((0.7, 0.1), 3.0),
         ]
+
+
+def probe_at_a_time_descend(fn, x0, lows, highs, resolution, max_sweeps=400):
+    """Oracle: the Hooke-Jeeves descent that evaluates one probe per call."""
+    x = np.array(x0, dtype=float)
+    val = fn(*x.tolist())
+    steps = np.maximum((highs - lows) * 0.05, resolution)
+    directions = []
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = 1.0
+        directions.append(e)
+        for j in range(i + 1, x.size):
+            d = np.zeros(x.size)
+            d[i] = 1.0
+            d[j] = 1.0
+            directions.append(d / np.sqrt(2.0))
+            d = d.copy()
+            d[j] = -1.0
+            directions.append(d / np.sqrt(2.0))
+    for _ in range(max_sweeps):
+        improved = False
+        for direction in directions:
+            for sign in (1.0, -1.0):
+                trial = np.clip(x + sign * steps * direction, lows, highs)
+                if np.array_equal(trial, x):
+                    continue
+                tval = fn(*trial.tolist())
+                if tval < val - MIN_IMPROVEMENT:
+                    x, val = trial, tval
+                    improved = True
+        if not improved:
+            steps *= 0.5
+            if steps.max() < resolution:
+                break
+    return x, val
+
+
+@st.composite
+def box_problems(draw):
+    """A polynomial objective on a 2-D or 3-D box, its start and an optional inf region.
+
+    The minimum may lie outside the box (probes get clipped), the start may
+    sit on a box face, and ``x0 + x1 > cut`` may be masked to inf as the
+    K_h objective masks lambda2 > lambda1.  Polynomials keep scalar and
+    array evaluations equal bit for bit.
+    """
+    dim = draw(st.sampled_from((2, 3)))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    lows = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    highs = lows + np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=dim, max_size=dim)))
+    center = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim)))
+    weights = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim)))
+    coupling = draw(st.floats(-0.9, 0.9))
+    well = draw(st.sampled_from((0.0, 0.3)))  # a double well in x0 gives a rugged path
+    cut = draw(st.one_of(st.none(), st.floats(-2.0, 3.0)))
+    where = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=dim, max_size=dim))
+    x0 = np.array([lo + f * (hi - lo) for lo, hi, f in zip(lows, highs, where)])
+
+    def fn(*xs):
+        value = well * (xs[0] * xs[0] - 1.0) ** 2 + coupling * (xs[0] - center[0]) * (xs[1] - center[1])
+        for x, c, w in zip(xs, center, weights):
+            value = value + w * (x - c) ** 2
+        if cut is None:
+            return value
+        return np.where(xs[0] + xs[1] > cut, np.inf, value)
+
+    return fn, x0, lows, highs
+
+
+class TestDescend:
+    @settings(max_examples=80, deadline=None)
+    @given(box_problems())
+    def test_batched_polls_follow_the_probe_at_a_time_path(self, problem):
+        fn, x0, lows, highs = problem
+        x, val = descend(fn, x0, lows, highs, 1e-7)
+        x_ref, val_ref = probe_at_a_time_descend(fn, x0, lows, highs, 1e-7)
+        assert x.tolist() == x_ref.tolist()
+        assert float(val) == float(val_ref)
