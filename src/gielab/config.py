@@ -3,10 +3,11 @@
 ``Tolerances`` and ``GridConfig`` hold the user-settable keys:
 ``GIELAB_CONFIG`` may point to a ``key=value`` file overriding individual
 entries, and tests and the CLI read the same active records.  Thresholds
-that the library shares between modules but that are not meant to be set
-are module constants instead: ``optimize.MIN_IMPROVEMENT``,
-``gie.SQRT_AB_SLACK``, ``gie.GATE_LOWER_BOUND`` and
-``gie.VERIFIED_DOMAIN_BOUND``.
+that the library uses but that are not meant to be set are module
+constants instead: ``optimize.MIN_IMPROVEMENT``, ``gie.SQRT_AB_SLACK``,
+``gie.SCAN_MONOTONE_SLACK``, ``gie.GATE_LOWER_BOUND``,
+``gie.VERIFIED_DOMAIN_BOUND``, ``measurement.CCM_PSD_RTOL``,
+``renyi2.TRIANGLE_SLACK`` and ``symplectic.EIGENVALUE_SYMMETRY_RTOL``.
 """
 
 from __future__ import annotations

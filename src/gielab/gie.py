@@ -6,9 +6,12 @@ thermal states (a <= 2.41) and asymmetric squeezed-thermal GLEMS
 minimizer that fixes double x-homodyne on A and B, minimizes the outcome
 mutual information over Eve's Gaussian measurements, and reports the
 optimal measurement together with the optimizer trace.  Each minimizer
-hands ``gielab.optimize.search`` its family's objective (``_f_xx`` over
-single-mode seeds for R = 1, the finite-lambda K_h for R = 2) and its
-table of exact limit candidates, which names Eve's optimum.
+hands ``gielab.optimize.search`` its family's objective (``_f_xx`` of the
+seed-frame kernel ``measurement.seed_frame_xx`` for R = 1, the
+finite-lambda K_h for R = 2) and its table of exact limit candidates,
+which names Eve's optimum.  For R = 1 the candidates are rows of the same
+objective: heterodyne is (phi, ln tau, t) = (0, 0, 0) and the exact
+homodynes sit at t = inf.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ from .measurement import (
     FiniteMeasurement,
     GaussianMeasurement,
     condition_on_e,
-    conditional_ab,
-    eve_kernel,
     general_single_mode,
     homodyne,
-    single_mode_seeds,
+    seed_frame_xx,
 )
 from .optimize import search
 from .purification import Purification, purify, purify_asym_glems
@@ -38,6 +39,7 @@ from .symplectic import CovMat, rotation, xxpp_reorder
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
 SQRT_AB_SLACK = 1e-9  # allowed excess of sqrt(a~ b~) over a along a sym_sq_thermal trace
+SCAN_MONOTONE_SLACK = 1e-12  # allowed decrease between neighbours of the asym_glems vx scan
 
 
 @dataclass(frozen=True)
@@ -129,19 +131,23 @@ def sym_glems_candidates(a: float, kp: float) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _f_xx(pi: Purification, kernel: np.ndarray):
-    """Double x-homodyne mutual information on A, B given one Eve kernel or a stack."""
-    cond = conditional_ab(pi, kernel)
-    va, vb, c = cond[..., 0, 0], cond[..., 2, 2], cond[..., 0, 2]
+def _f_xx(va, vb, c):
+    """Double x-homodyne mutual information on A and B, from the conditional
+    x variances va, vb and their covariance c; broadcasts."""
     return 0.5 * np.log(va * vb / (va * vb - c * c))
 
 
 _SINGLE_MODE_CANDIDATES = (
-    # name, (phi, tau, t) in priority order; t = inf marks an exact homodyne limit
-    ("heterodyne", (0.0, 1.0, 0.0)),
-    ("homodyne p_E", (0.0, 1.0, np.inf)),
-    ("homodyne x_E", (np.pi / 2.0, 1.0, np.inf)),
+    # name, search row (phi, ln tau, t) in priority order; t = inf is an exact homodyne limit
+    ("heterodyne", (0.0, 0.0, 0.0)),
+    ("homodyne p_E", (0.0, 0.0, np.inf)),
+    ("homodyne x_E", (np.pi / 2.0, 0.0, np.inf)),
 )
+
+
+def _single_mode_params(x) -> tuple:
+    """Reported (phi, tau, t) of a search row (phi, ln tau, t)."""
+    return float(x[0]) % np.pi, float(np.exp(x[1])), float(x[2])
 
 
 def _single_mode_measurement(params: tuple) -> GaussianMeasurement:
@@ -154,10 +160,16 @@ def _single_mode_measurement(params: tuple) -> GaussianMeasurement:
 
 
 def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
-    """Eve's optimum over (phi, ln tau, t) and the single-mode limit candidates."""
+    """Eve's optimum over (phi, ln tau, t) and the single-mode limit candidates.
+
+    One objective, ``_f_xx`` of ``seed_frame_xx``, serves the grid, the
+    descent and the candidates, which are its rows at t = 0 (heterodyne)
+    and t = inf (the exact homodynes).
+    """
+    kernel = seed_frame_xx(pi)
 
     def objective(phi, log_tau, t):
-        return _f_xx(pi, eve_kernel(pi.gamma_e, single_mode_seeds(phi, np.exp(log_tau), t)))
+        return _f_xx(*kernel(phi, np.exp(log_tau), t))
 
     n = grid_cfg.points
     axes = (
@@ -165,14 +177,14 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
         np.linspace(0.0, grid_cfg.tau_log_max, n),
         np.linspace(0.0, grid_cfg.t_max, n),
     )
+    rows = np.array([row for _, row in _SINGLE_MODE_CANDIDATES])
     candidates = [
-        (name, params, float(_f_xx(pi, eve_kernel(pi.gamma_e, _single_mode_measurement(params)))))
-        for name, params in _SINGLE_MODE_CANDIDATES
+        (name, _single_mode_params(row), float(value))
+        for (name, _), row, value in zip(_SINGLE_MODE_CANDIDATES, rows, objective(*rows.T))
     ]
     highs = np.array([np.pi, grid_cfg.tau_log_max, grid_cfg.t_max])
     best_val, optimum, best, trace = search(
-        objective, axes, np.zeros(3), highs, grid_cfg.resolution,
-        lambda x: (float(x[0]) % np.pi, float(np.exp(x[1])), float(x[2])), candidates,
+        objective, axes, np.zeros(3), highs, grid_cfg.resolution, _single_mode_params, candidates
     )
     if optimum is None:
         optimum = f"general(phi={best[0]:.6g}, tau={best[1]:.6g}, t={best[2]:.6g})"
@@ -226,7 +238,7 @@ def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig | None = Non
     vxs = np.linspace(1.0, nu_tilde, grid_cfg.points)
     h = 1.0 / (1.0 + vxs / (x_sq * y_sq * (vxs + 1.0) ** 2)) if y_sq > 0 else np.zeros_like(vxs)
     scan = 0.5 * np.log(1.0 / (1.0 - h))
-    scan_monotone = bool(np.all(np.diff(scan) >= -1e-12))
+    scan_monotone = bool(np.all(np.diff(scan) >= -SCAN_MONOTONE_SLACK))
     return GieResult(
         closed_form=closed,
         numeric=numeric,
@@ -239,9 +251,9 @@ def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig | None = Non
 
 
 def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
-    pi = purify(std_form_cm(fam.std))
-    value = float(_f_xx(pi, np.zeros((0, 0))))
-    trace = tuple((params, value) for _, params in _SINGLE_MODE_CANDIDATES)
+    g = purify(std_form_cm(fam.std)).gamma_ab.mat
+    value = float(_f_xx(g[0, 0], g[2, 2], g[0, 2]))
+    trace = tuple((_single_mode_params(row), value) for _, row in _SINGLE_MODE_CANDIDATES)
     return GieResult(
         closed_form=closed,
         numeric=float(value),

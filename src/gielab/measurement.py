@@ -4,11 +4,15 @@ Measurements are either a finite Gaussian seed CM or an exact homodyne
 limit given by one quadrature angle per mode.  Everything works at the
 level of second moments; outcome samples are never materialized.
 
-Conditioning on Eve's measurement lives here and only here: ``eve_kernel``
-builds the matrix M of the Schur step ``gamma_AB - gamma_ABE M gamma_ABE^T``
-and ``conditional_ab`` applies it, for one measurement or a stack of
-single-mode seeds from ``single_mode_seeds``.  The assembled-CCM route
-(``assemble_ccm`` + ``Ccm.conditional_ab``) is kept apart as the oracle.
+Conditioning on Eve's measurement lives here and only here, as the Schur
+step ``gamma_AB - gamma_ABE M gamma_ABE^T`` (Weedbrook et al., Rev. Mod.
+Phys. 84, 621 (2012), Sec. II).  ``condition_on_e`` applies it to any
+measurement, with M from ``eve_kernel``.  ``seed_frame_xx`` is its R = 1
+path for the Eve-side search: it inverts the 2 x 2 in the frame of Eve's
+squeezed seed, without a determinant, and returns only the three
+conditional entries that double x-homodyne on A and B reads.  The
+assembled-CCM route (``assemble_ccm`` + ``Ccm.conditional_ab``) is kept
+apart as the oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from . import config
 from .errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
 from .purification import Purification
 from .symplectic import CovMat, symplectic_eigenvalues
+
+CCM_PSD_RTOL = 1e-10  # a CCM eigenvalue may dip this far below zero, relative to max(1, the largest)
 
 
 @dataclass(frozen=True)
@@ -74,20 +80,6 @@ def homodyne(angles) -> HomodyneMeasurement:
     return HomodyneMeasurement(tuple(np.atleast_1d(angles)))
 
 
-def single_mode_seeds(phis, taus, ts) -> np.ndarray:
-    """Seed CMs ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P^T``, stacked (..., 2, 2).
-
-    The parameters broadcast against each other; scalars give one 2 x 2 seed.
-    """
-    c, s = np.cos(phis), np.sin(phis)
-    vx, vp = taus * np.exp(2.0 * ts), taus * np.exp(-2.0 * ts)
-    seeds = np.empty(np.broadcast(c, vx).shape + (2, 2))
-    seeds[..., 0, 0] = c * c * vx + s * s * vp
-    seeds[..., 1, 1] = s * s * vx + c * c * vp
-    seeds[..., 0, 1] = seeds[..., 1, 0] = c * s * (vx - vp)
-    return seeds
-
-
 def general_single_mode(phi: float, tau: float, t: float) -> FiniteMeasurement:
     """Rotated squeezed-thermal seed ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P^T``.
 
@@ -97,7 +89,9 @@ def general_single_mode(phi: float, tau: float, t: float) -> FiniteMeasurement:
     """
     if not (tau >= 1.0 and t >= 0.0):
         raise InvalidMeasurementError(f"need tau >= 1 and t >= 0, got ({tau}, {t})")
-    seed = single_mode_seeds(phi, tau, t)
+    c, s = np.cos(phi), np.sin(phi)
+    vx, vp = tau * np.exp(2.0 * t), tau * np.exp(-2.0 * t)
+    seed = np.array([[c * c * vx + s * s * vp, c * s * (vx - vp)], [c * s * (vx - vp), s * s * vx + c * c * vp]])
     if not np.isfinite(seed).all():
         raise InvalidMeasurementError(f"seed CM not finite at (phi, tau, t) = ({phi}, {tau}, {t})")
     measurement = object.__new__(FiniteMeasurement)
@@ -120,7 +114,7 @@ class Ccm:
         if mat.shape[0] != sum(self.partition):
             raise DimensionMismatchError(f"partition {self.partition} does not match {mat.shape}")
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        if eigs.size and eigs.min() < -1e-10 * max(1.0, eigs.max()):
+        if eigs.size and eigs.min() < -CCM_PSD_RTOL * max(1.0, eigs.max()):
             raise InvalidInputError(f"CCM indefinite, min eigenvalue {eigs.min():.3e}")
         mat = 0.5 * (mat + mat.T)
         mat.flags.writeable = False
@@ -166,28 +160,19 @@ def assemble_ccm(pi: Purification, ga: FiniteMeasurement, gb: FiniteMeasurement,
     return Ccm(np.vstack([top, bottom]), (2, 2, 2 * pi.r_count))
 
 
-def eve_kernel(gamma_e: np.ndarray, ge: GaussianMeasurement | np.ndarray) -> np.ndarray:
+def eve_kernel(gamma_e: np.ndarray, ge: GaussianMeasurement) -> np.ndarray:
     """The matrix M with conditional CM ``gamma_AB - gamma_ABE M gamma_ABE^T``.
 
-    ``ge`` is a finite measurement or a stack of seed CMs (..., 2R, 2R), for
-    which M = (gamma_E + seed)^{-1}, or an exact homodyne, for which M is the
-    t -> infinity limit ``U (U^T gamma_E U)^{-1} U^T`` with U the measured
-    quadrature directions.
+    M = (gamma_E + seed)^{-1} for a finite measurement; for an exact homodyne
+    it is the t -> infinity limit ``U (U^T gamma_E U)^{-1} U^T`` with U the
+    measured quadrature directions.
     """
     if isinstance(ge, HomodyneMeasurement):
         u = np.zeros((gamma_e.shape[0], ge.n_modes))
         for j, direction in enumerate(ge.directions()):
             u[2 * j : 2 * j + 2, j] = direction
         return u @ np.linalg.inv(u.T @ gamma_e @ u) @ u.T
-    seeds = ge.seed.mat if isinstance(ge, FiniteMeasurement) else ge
-    return np.linalg.inv(gamma_e + seeds)
-
-
-def conditional_ab(pi: Purification, kernel: np.ndarray) -> np.ndarray:
-    """Schur step ``gamma_AB - gamma_ABE M gamma_ABE^T``, broadcast over stacked kernels M."""
-    corr = pi.gamma_abe @ kernel @ pi.gamma_abe.T
-    # in place: a grid stage stacks tens of thousands of 4 x 4 results
-    return np.subtract(pi.gamma_ab.mat, corr, out=corr)
+    return np.linalg.inv(gamma_e + ge.seed.mat)
 
 
 def condition_on_e(pi: Purification, ge: GaussianMeasurement | None) -> CovMat:
@@ -198,4 +183,64 @@ def condition_on_e(pi: Purification, ge: GaussianMeasurement | None) -> CovMat:
         raise InvalidMeasurementError("purification has a nonempty E block; a measurement is required")
     if ge.n_modes != pi.r_count:
         raise DimensionMismatchError(f"E measurement has {ge.n_modes} modes, purification has {pi.r_count}")
-    return CovMat(conditional_ab(pi, eve_kernel(pi.gamma_e, ge)))
+    return CovMat(pi.gamma_ab.mat - pi.gamma_abe @ eve_kernel(pi.gamma_e, ge) @ pi.gamma_abe.T)
+
+
+def _seed_frame_rows(x00: float, x11: float, x01: float) -> np.ndarray:
+    """Coefficients of (X'00, X'11, X'01), X' = P(phi)^T X P(phi), in (1, cos 2phi, sin 2phi)."""
+    h, d = 0.5 * (x00 + x11), 0.5 * (x00 - x11)
+    return np.array([[h, d, x01], [h, -d, -x01], [0.0, x01, -d]])
+
+
+def seed_frame_xx(pi: Purification):
+    """The R = 1 conditioning kernel for x-homodyne on A and B.
+
+    Returns ``kernel(phi, tau, t) -> (va, vb, c)``: the entries (0, 0),
+    (2, 2) and (0, 2) of the Schur step after Eve measures with the seed
+    ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P(phi)^T``.  The parameters
+    broadcast against each other and every operation is elementwise, so a
+    row's values do not depend on the batch it is evaluated in.
+
+    The 2 x 2 inverse is taken in the seed frame, where the seed is
+    diagonal: with E' = P^T gamma_E P, ``d_x = E'00 + tau e^{2t}`` and
+    ``d_p = E'11 + tau e^{-2t}``,
+    ``m11 = 1 / (d_p - E'01^2 / d_x)``, ``m00 = 1 / (d_x - E'01^2 / d_p)``
+    and ``m01 = -(E'01 / d_x) m11``.  No determinant is formed, and d_p,
+    the direction the seed squeezes, is never rotated into entries of size
+    e^{2t} (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed.), so nothing cancels and the result is exact to rounding.
+    At t = inf, IEEE arithmetic gives d_x = inf and m00 = m01 = 0: the exact
+    homodyne limit on the quadrature at phi + pi/2.  E' and the seed-frame
+    products of rows 0 and 2 of gamma_ABE are affine in
+    (1, cos 2phi, sin 2phi); their coefficients are computed here, once.
+    """
+    if pi.r_count != 1:
+        raise DimensionMismatchError(f"seed_frame_xx needs one E mode, purification has {pi.r_count}")
+    e, (r0, r2) = pi.gamma_e, pi.gamma_abe[[0, 2]]
+    xs = [
+        _seed_frame_rows(u[0] * w[0], u[1] * w[1], 0.5 * (u[0] * w[1] + u[1] * w[0]))
+        for u, w in ((r0, r0), (r2, r2), (r0, r2))
+    ]
+    # columns: E'00, E'11, E'01, then X'00, -2 X'01, X'11 for X = r0 r0^T, r2 r2^T, sym(r0 r2^T)
+    coef = np.column_stack(
+        [*_seed_frame_rows(e[0, 0], e[1, 1], e[0, 1])]
+        + [x[0] for x in xs] + [-2.0 * x[2] for x in xs] + [x[1] for x in xs]
+    )
+    const, cos_coef, sin_coef = coef[0].copy(), coef[1].copy(), coef[2].copy()
+    g = pi.gamma_ab.mat[[0, 2, 0], [0, 2, 2]]
+
+    def kernel(phi, tau, t):
+        two_phi = 2.0 * phi
+        rot = const + np.cos(two_phi)[..., None] * cos_coef + np.sin(two_phi)[..., None] * sin_coef
+        e2t = np.exp(2.0 * t)
+        d_x = rot[..., 0] + tau * e2t
+        d_p = rot[..., 1] + tau / e2t
+        e01 = rot[..., 2]
+        ratio = e01 / d_x
+        m11 = 1.0 / (d_p - ratio * e01)
+        m00 = 1.0 / (d_x - e01 * e01 / d_p)
+        cond = g - (m00[..., None] * rot[..., 3:6] + (ratio * m11)[..., None] * rot[..., 6:9]
+                    + m11[..., None] * rot[..., 9:12])
+        return cond[..., 0], cond[..., 1], cond[..., 2]
+
+    return kernel

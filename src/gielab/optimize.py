@@ -16,11 +16,16 @@ MIN_IMPROVEMENT = 1e-15  # a probe must beat the incumbent by more than this to 
 
 
 def grid_argmin(fn, axes):
-    """Evaluate ``fn`` on the full mesh of ``axes``; return the best point and its value."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    values = fn(*mesh)
+    """Evaluate ``fn`` on the full mesh of ``axes``; return the best point and its value.
+
+    ``fn`` gets the sparse mesh, one broadcastable array per axis, so work
+    that depends on fewer coordinates is done once per distinct value; it
+    must broadcast its arguments to the full mesh shape.
+    """
+    values = fn(*np.meshgrid(*axes, indexing="ij", sparse=True))
     flat = int(np.argmin(values))
-    return np.array([m.flat[flat] for m in mesh]), float(values.flat[flat])
+    index = np.unravel_index(flat, values.shape)
+    return np.array([axis[i] for axis, i in zip(axes, index)]), float(values.flat[flat])
 
 
 def descend(fn, x0, lows, highs, resolution, max_sweeps=400):

@@ -16,6 +16,8 @@ from .errors import InvalidThreeModeError, WrongFamilyError
 from .gie import gie_closed_form
 from .states import StateFamily, StdForm
 
+TRIANGLE_SLACK = 1e-12  # rounding allowance on the triangle constraints of ThreeModePureParams
+
 
 @dataclass(frozen=True)
 class ThreeModePureParams:
@@ -29,40 +31,74 @@ class ThreeModePureParams:
         for ai, aj, ak in ((self.a1, self.a2, self.a3), (self.a2, self.a1, self.a3), (self.a3, self.a1, self.a2)):
             if ai < 1.0:
                 raise InvalidThreeModeError(f"local invariants must be >= 1, got {ai}")
-            if not abs(aj - ak) + 1.0 <= ai + 1e-12:
+            if not abs(aj - ak) + 1.0 <= ai + TRIANGLE_SLACK:
                 raise InvalidThreeModeError(f"triangle constraint violated: {ai} < |{aj} - {ak}| + 1")
-            if not ai <= aj + ak - 1.0 + 1e-12:
+            if not ai <= aj + ak - 1.0 + TRIANGLE_SLACK:
                 raise InvalidThreeModeError(f"triangle constraint violated: {ai} > {aj} + {ak} - 1")
 
     def as_tuple(self):
         return (self.a1, self.a2, self.a3)
 
 
-def _alpha_k(ai: float, aj: float) -> float:
-    diff = ai * ai - aj * aj
-    total = ai * ai + aj * aj
-    inner = diff * diff + 8.0 * total
-    return float(np.sqrt((2.0 * total + diff * diff + abs(diff) * np.sqrt(inner)) / (2.0 * total)))
-
-
-def gr2_two_mode_reduction(p: ThreeModePureParams, traced_mode: int) -> float:
-    """GR2 entanglement of the two-mode reduction with one mode traced out.
-
-    ``traced_mode`` is 1, 2 or 3.  The value is ``(1/2) ln g_k`` with the
-    branch of g_k selected by where a_k falls relative to alpha_k and
-    sqrt(a_i^2 + a_j^2 - 1); ties resolve toward the closed-form branches.
-    """
+def _reduction_terms(p: ThreeModePureParams, traced_mode: int, ak_excess: float | None):
+    """(a_i, a_j, a_k, a_k - 1) of the reduction that traces out ``traced_mode``."""
     if traced_mode not in (1, 2, 3):
         raise InvalidThreeModeError(f"traced_mode must be 1, 2 or 3, got {traced_mode}")
     a = p.as_tuple()
     ak = a[traced_mode - 1]
     ai, aj = (a[n] for n in range(3) if n != traced_mode - 1)
-    if ak >= np.sqrt(ai * ai + aj * aj - 1.0):
+    return ai, aj, ak, ak - 1.0 if ak_excess is None else ak_excess
+
+
+def gr2_branch(p: ThreeModePureParams, traced_mode: int, ak_excess: float | None = None) -> int:
+    """Which branch of g_k fires (1, 2 or 3).
+
+    Branch 1 holds when ``a_k >= sqrt(a_i^2 + a_j^2 - 1)``, branch 3 when
+    ``a_k <= alpha_k``; ties go to these closed-form branches.  Near the
+    triangle boundary a_k = 1 + |a_i - a_j| both tests compare nearly equal
+    numbers, so they are rewritten exactly in the differences u = |a_i - a_j|,
+    the triangle slack w = (a_k - 1) - u and
+    K = 2 (min(a_i, a_j) - 1)(max(a_i, a_j) + 1), with s = 2u + w + 2,
+    x = (a_k - 1)(a_k + 1) and v = a_i + a_j:
+
+    - branch 1: ``w s >= K``
+    - branch 3: ``2 u^4 K >= w s [u^2 (x + u (u + 2)) + v^2 (w s + 4 u)]``
+
+    Each side is a product or sum of non-negative terms, so neither cancels.
+    On the boundary w = 0, where the asymmetric GLEMS reduction lies,
+    branch 3 holds for every state.  ``ak_excess`` is a_k - 1 when the
+    caller knows it exactly; a_k itself may be rounded.
+    """
+    ai, aj, ak, excess = _reduction_terms(p, traced_mode, ak_excess)
+    u, v = abs(ai - aj), ai + aj
+    w = excess - u
+    ws = w * (2.0 * u + w + 2.0)
+    k = 2.0 * (min(ai, aj) - 1.0) * (max(ai, aj) + 1.0)
+    if ws >= k:
+        return 1
+    x = excess * (ak + 1.0)
+    if 2.0 * u**4 * k >= ws * (u * u * (x + u * (u + 2.0)) + v * v * (ws + 4.0 * u)):
+        return 3
+    return 2
+
+
+def gr2_two_mode_reduction(p: ThreeModePureParams, traced_mode: int, ak_excess: float | None = None) -> float:
+    """GR2 entanglement of the two-mode reduction with one mode traced out.
+
+    ``traced_mode`` is 1, 2 or 3.  The value is ``(1/2) ln g_k`` with the
+    branch of g_k chosen by ``gr2_branch``; on the third branch it is
+    ``ln(|a_i^2 - a_j^2| / (a_k^2 - 1))``, taken from the factored forms
+    ``(a_i - a_j)(a_i + a_j)`` and ``(a_k - 1)(a_k + 1)``.  ``ak_excess`` is
+    a_k - 1 when the caller knows it exactly (the asymmetric GLEMS reduction
+    passes |a - b|, whose a_k = 1 + |a - b| rounds).
+    """
+    branch = gr2_branch(p, traced_mode, ak_excess)
+    if branch == 1:
         return 0.0
-    if ak <= _alpha_k(ai, aj):
-        g = ((ai * ai - aj * aj) / (ak * ak - 1.0)) ** 2
-        return float(0.5 * np.log(g))
-    a1, a2, a3 = a
+    ai, aj, ak, excess = _reduction_terms(p, traced_mode, ak_excess)
+    if branch == 3:
+        return float(np.log(abs((ai - aj) * (ai + aj)) / (excess * (ak + 1.0))))
+    a1, a2, a3 = a = p.as_tuple()
     delta = 1.0
     for s1 in (-1.0, 1.0):
         for s2 in (-1.0, 1.0):
@@ -80,18 +116,6 @@ def gr2_two_mode_reduction(p: ThreeModePureParams, traced_mode: int) -> float:
         - np.sqrt(delta)
     )
     return float(0.5 * np.log(zeta / (8.0 * ak * ak)))
-
-
-def gr2_branch(p: ThreeModePureParams, traced_mode: int) -> int:
-    """Which branch of g_k fires (1, 2 or 3) for diagnostics and tests."""
-    a = p.as_tuple()
-    ak = a[traced_mode - 1]
-    ai, aj = (a[n] for n in range(3) if n != traced_mode - 1)
-    if ak >= np.sqrt(ai * ai + aj * aj - 1.0):
-        return 1
-    if ak <= _alpha_k(ai, aj):
-        return 3
-    return 2
 
 
 def gr2_symmetric(p: StdForm) -> float:
@@ -114,8 +138,8 @@ def gr2_of_family(fam: StateFamily) -> float:
         a, b = fam.std.a, fam.std.b
         if a == b:
             return gr2_symmetric(fam.std)
-        triple = ThreeModePureParams(a1=a, a2=b, a3=1.0 + abs(a - b))
-        return gr2_two_mode_reduction(triple, traced_mode=3)
+        excess = abs(a - b)  # exact a_3 - 1; the rounded a_3 = 1 + |a - b| cancels
+        return gr2_two_mode_reduction(ThreeModePureParams(a1=a, a2=b, a3=1.0 + excess), 3, ak_excess=excess)
     if fam.tag in ("pure", "sym_glems", "sym_sq_thermal"):
         return gr2_symmetric(fam.std)
     raise WrongFamilyError("GR2 closed forms cover the four solvable families only")

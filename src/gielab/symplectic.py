@@ -27,6 +27,7 @@ from .errors import (
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0])
+EIGENVALUE_SYMMETRY_RTOL = 1e-8  # symplectic_eigenvalues: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
 
 
 def _readonly(mat: np.ndarray) -> np.ndarray:
@@ -116,7 +117,7 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise InvalidInputError(f"expected a 2n x 2n matrix, got {mat.shape}")
     scale = max(1.0, np.abs(mat).max())
-    if np.abs(mat - mat.T).max() > 1e-8 * scale:
+    if np.abs(mat - mat.T).max() > EIGENVALUE_SYMMETRY_RTOL * scale:
         raise InvalidInputError("covariance matrix is not symmetric")
     n = mat.shape[0] // 2
     if n == 0:

@@ -250,7 +250,7 @@ def check_conjecture(grid_n=20, atol=1e-12) -> CheckResult:
             fam = make_family("asym_glems", a=a, b=b)
             worst = max(worst, conjecture_gap(fam))
             triple = ThreeModePureParams(a1=a, a2=b, a3=1.0 + abs(a - b))
-            if gr2_branch(triple, traced_mode=3) == 2:
+            if gr2_branch(triple, traced_mode=3, ak_excess=abs(a - b)) == 2:
                 branch_two += 1
     for a in np.linspace(1.0, 5.0, grid_n):
         worst = max(worst, conjecture_gap(make_family("pure", a=a)))

@@ -4,17 +4,15 @@ import pytest
 from gielab.config import GridConfig
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
 from gielab.gie import _f_xx
-from gielab.information import mutual_information_f
 from gielab.measurement import (
     Ccm,
     FiniteMeasurement,
     assemble_ccm,
     condition_on_e,
-    eve_kernel,
     general_single_mode,
     heterodyne,
     homodyne,
-    single_mode_seeds,
+    seed_frame_xx,
 )
 from gielab.purification import purify, purify_asym_glems
 from gielab.states import make_family, std_form_cm
@@ -133,27 +131,94 @@ class TestConditionOnE:
 
 
 def _random_seed_params(rng, n=40):
-    return rng.random(n) * np.pi, 1.0 + 2.0 * rng.random(n), 4.0 * rng.random(n)
+    # t < 2 keeps the lab-frame oracles within 1e-14 of exact
+    return rng.random(n) * np.pi, 1.0 + 2.0 * rng.random(n), 2.0 * rng.random(n)
 
 
-class TestEveKernel:
-    """The shared Schur step against per-measurement ``mutual_information_f``."""
+def _xx_entries(cond: np.ndarray):
+    return cond[0, 0], cond[2, 2], cond[0, 2]
 
-    def test_stacked_values_match_per_measurement_mutual_information(self, rng):
-        x_hom = homodyne([0.0])
-        for pi in (_pi("sym_glems", a=1.8, kp=0.7), purify_asym_glems(1.9, 1.3)):
+
+KERNEL_STATES = (
+    ("sym_glems", {"a": 2.0, "kp": 1.0}),
+    ("sym_glems", {"a": 1.8, "kp": 0.7}),
+    ("asym_glems", {"a": 1.8, "b": 1.3}),
+    ("asym_glems", {"a": 1.9, "b": 1.3}),
+    ("asym_glems", {"a": 1.2, "b": 2.3}),
+)
+
+
+def _kernel_pi(tag, params):
+    return purify_asym_glems(params["a"], params["b"]) if tag == "asym_glems" else _pi(tag, **params)
+
+
+class TestSeedFrameKernel:
+    """The R = 1 kernel against the general conditioning routes and a 50-digit reference."""
+
+    def test_matches_the_assembled_ccm_oracle(self, rng):
+        for tag, params in KERNEL_STATES:
+            pi = _kernel_pi(tag, params)
             phis, taus, ts = _random_seed_params(rng)
-            stacked = _f_xx(pi, eve_kernel(pi.gamma_e, single_mode_seeds(phis, taus, ts)))
-            for value, phi, tau, t in zip(stacked, phis, taus, ts):
-                expected = mutual_information_f(pi, x_hom, x_hom, general_single_mode(phi, tau, t))
-                assert abs(value - expected) < 1e-12
-            for angle in (0.0, np.pi / 2.0, *(rng.random(8) * np.pi)):
-                ge = homodyne([angle])
-                value = _f_xx(pi, eve_kernel(pi.gamma_e, ge))
-                assert abs(value - mutual_information_f(pi, x_hom, x_hom, ge)) < 1e-12
+            va, vb, c = seed_frame_xx(pi)(phis, taus, ts)
+            for i, (phi, tau, t) in enumerate(zip(phis, taus, ts)):
+                # heterodyne on A and B adds the identity to their diagonal blocks
+                ccm = assemble_ccm(pi, heterodyne(1), heterodyne(1), general_single_mode(phi, tau, t))
+                oracle = ccm.conditional_ab() - np.eye(4)
+                assert np.abs(np.subtract(_xx_entries(oracle), (va[i], vb[i], c[i]))).max() < 1e-12
 
-    def test_general_single_mode_is_a_slice_of_the_stacked_seeds(self, rng):
-        phis, taus, ts = _random_seed_params(rng)
-        seeds = single_mode_seeds(phis, taus, ts)
-        for i, (phi, tau, t) in enumerate(zip(phis, taus, ts)):
-            assert np.array_equal(general_single_mode(phi, tau, t).seed.mat, seeds[i])
+    def test_infinite_t_rows_are_the_exact_homodynes(self, rng):
+        # the seed measures the quadrature at phi + pi/2 once d_x = inf; the
+        # two routes round differently, so they agree to a few ulp
+        for tag, params in KERNEL_STATES:
+            pi = _kernel_pi(tag, params)
+            phis = np.concatenate([[np.pi / 2.0, 0.0], rng.random(8) * np.pi])
+            values = _f_xx(*seed_frame_xx(pi)(phis, 1.0, np.inf))
+            for phi, value in zip(phis, values):
+                exact = _f_xx(*_xx_entries(condition_on_e(pi, homodyne([phi + np.pi / 2.0])).mat))
+                assert abs(value - exact) < 1e-15
+
+    def test_broadcasts_and_is_elementwise(self, rng):
+        pi = _kernel_pi(*KERNEL_STATES[0])
+        kernel = seed_frame_xx(pi)
+        phis, taus, ts = _random_seed_params(rng, 6)
+        mesh = np.meshgrid(phis, taus, ts, indexing="ij", sparse=True)
+        full = kernel(*mesh)
+        assert all(x.shape == (6, 6, 6) for x in full)
+        for i, j, k in ((0, 0, 0), (5, 2, 3), (1, 4, 5)):
+            single = kernel(phis[i], taus[j], ts[k])
+            assert all(x[i, j, k] == y for x, y in zip(full, single))
+
+    def test_needs_one_e_mode(self):
+        with pytest.raises(DimensionMismatchError):
+            seed_frame_xx(_pi("sym_sq_thermal", a=1.3, k=0.6))
+        with pytest.raises(DimensionMismatchError):
+            seed_frame_xx(_pi("pure", a=2.0))
+
+    def test_box_edges_against_50_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        grid = GridConfig()
+        phis = np.concatenate([
+            [0.0, np.pi / 2.0],
+            *(np.linspace(0.0, np.pi, n, endpoint=False) for n in (13, 33)),
+        ])
+        for tag, params in KERNEL_STATES:
+            pi = _kernel_pi(tag, params)
+            kernel = seed_frame_xx(pi)
+            gamma_ab, gamma_abe, gamma_e = (mp.matrix(m.tolist()) for m in (pi.gamma_ab.mat, pi.gamma_abe, pi.gamma_e))
+            worst = 0.0
+            for log_tau in (0.0, grid.tau_log_max):
+                tau = float(np.exp(log_tau))
+                for t in (0.0, grid.t_max):
+                    values = _f_xx(*kernel(phis, tau, t))
+                    squeeze = mp.diag([mp.mpf(tau) * mp.exp(2 * mp.mpf(t)), mp.mpf(tau) * mp.exp(-2 * mp.mpf(t))])
+                    for phi, value in zip(phis, values):
+                        c, s = mp.cos(mp.mpf(phi)), mp.sin(mp.mpf(phi))
+                        rot = mp.matrix([[c, -s], [s, c]])
+                        seed = rot * squeeze * rot.T
+                        cond = gamma_ab - gamma_abe * mp.inverse(gamma_e + seed) * gamma_abe.T
+                        va, vb, cov = cond[0, 0], cond[2, 2], cond[0, 2]
+                        exact = mp.log(va * vb / (va * vb - cov * cov)) / 2
+                        worst = max(worst, abs(float(mp.mpf(value) - exact)))
+            assert worst < 1e-14, (tag, params, worst)

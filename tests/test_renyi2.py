@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gielab.errors import InvalidThreeModeError, WrongFamilyError
 from gielab.gie import gie_closed_form
@@ -50,6 +52,14 @@ def three_mode_cm(p: ThreeModePureParams) -> CovMat:
         ]
     )
     return CovMat(mat)
+
+
+def _alpha_k(ai: float, aj: float) -> float:
+    """The boundary a_k = alpha_k between the middle and third branches of g_k."""
+    diff = ai * ai - aj * aj
+    total = ai * ai + aj * aj
+    inner = diff * diff + 8.0 * total
+    return float(np.sqrt((2.0 * total + diff * diff + abs(diff) * np.sqrt(inner)) / (2.0 * total)))
 
 
 def _random_valid_triple(rng, max_a=4.0):
@@ -112,8 +122,6 @@ class TestGr2Reduction:
 
     def test_branch_boundaries_agree(self, rng):
         # at a_k = alpha_k the middle and third branches coincide
-        from gielab.renyi2 import _alpha_k
-
         for _ in range(50):
             a1 = 1.2 + rng.random() * 2
             a2 = 1.2 + rng.random() * 2
@@ -182,3 +190,55 @@ class TestConjecture:
                 fam = make_family("asym_glems", a=a, b=b)
                 assert conjecture_gap(fam) < 1e-12
                 assert np.isclose(gr2_of_family(fam), gie_closed_form(fam), atol=1e-12)
+
+
+def _assert_reduction_is_exact(a: float, b: float):
+    """No spurious error, never the middle branch, and GR2 within
+    ``check_conjecture``'s 1e-12 of the GIE closed form ln((a + b) / (|a - b| + 2))."""
+    excess = abs(a - b)
+    triple = ThreeModePureParams(a, b, 1.0 + excess)
+    assert gr2_branch(triple, traced_mode=3, ak_excess=excess) != 2
+    gr2 = gr2_two_mode_reduction(triple, traced_mode=3, ak_excess=excess)
+    assert abs(gr2 - np.log((a + b) / (excess + 2.0))) < 1e-12
+
+
+class TestGr2AsymGlemsPrecision:
+    """The asymmetric GLEMS reduction sits on the triangle boundary a_3 = 1 + |a - b|,
+    where a_3 - 1 and a_1^2 - a_2^2 cancel unless both are carried in factored form."""
+
+    def test_reported_near_degenerate_points(self):
+        # the rounded a_3 sent the first point to the middle branch, where it
+        # raised; the others reached gaps of 7.4e-10 and 1.0e-12
+        for a, b in (
+            (1.0041374209214655, 1.0041242799135397),
+            (1.0479869509489352, 1.0479870089580368),
+            (1.009318, 1.009225),
+        ):
+            _assert_reduction_is_exact(a, b)
+            assert conjecture_gap(make_family("asym_glems", a=a, b=b)) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(1.0, 6.0), log_gap=st.floats(-15.0, -3.0), sign=st.sampled_from((-1.0, 1.0)))
+    def test_near_a_equals_b(self, a, log_gap, sign):
+        b = a * (1.0 + sign * 10.0**log_gap)
+        assume(b >= 1.0 and b != a)
+        _assert_reduction_is_exact(a, b)
+        assert conjecture_gap(make_family("asym_glems", a=a, b=b)) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_a=st.floats(-16.0, -2.0), log_b=st.floats(-16.0, -2.0))
+    def test_near_vacuum(self, log_a, log_b):
+        a, b = 1.0 + 10.0**log_a, 1.0 + 10.0**log_b
+        assume(a != b)
+        _assert_reduction_is_exact(a, b)
+        assert conjecture_gap(make_family("asym_glems", a=a, b=b)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(10.0, 1e3), frac=st.floats(0.0, 1.0))
+    def test_large_a(self, a, frac):
+        # the reduction itself: near a = b at large a, make_family's standard-form
+        # gate rejects some states on its own; beyond a ~ 1e4 the rounding of
+        # 1 + |a - b| outgrows the absolute triangle slack of ThreeModePureParams
+        b = 1.0 + frac * (a - 1.0)
+        assume(b != a)
+        _assert_reduction_is_exact(a, b)
