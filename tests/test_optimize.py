@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gielab import config
@@ -105,14 +105,34 @@ def probe_at_a_time_descend(fn, x0, lows, highs, resolution, max_sweeps=400):
     return x, val
 
 
+def box_objective(center, weights, coupling, well, cut):
+    """A polynomial in one argument per coordinate, masked to inf where ``x0 + x1 > cut``.
+
+    Squares are written as products: ``x * x`` is correctly rounded for a
+    Python float and an array element alike, while ``x ** 2`` on a scalar
+    goes through the C library's ``pow``, which can round a near-halfway
+    square the other way.  So scalar and array evaluations agree bit for bit.
+    """
+
+    def fn(*xs):
+        shifted = xs[0] * xs[0] - 1.0
+        value = well * shifted * shifted + coupling * (xs[0] - center[0]) * (xs[1] - center[1])
+        for x, c, w in zip(xs, center, weights):
+            value = value + w * (x - c) * (x - c)
+        if cut is None:
+            return value
+        return np.where(xs[0] + xs[1] > cut, np.inf, value)
+
+    return fn
+
+
 @st.composite
 def box_problems(draw):
     """A polynomial objective on a 2-D or 3-D box, its start and an optional inf region.
 
     The minimum may lie outside the box (probes get clipped), the start may
     sit on a box face, and ``x0 + x1 > cut`` may be masked to inf as the
-    K_h objective masks lambda2 > lambda1.  Polynomials keep scalar and
-    array evaluations equal bit for bit.
+    K_h objective masks lambda2 > lambda1.
     """
     dim = draw(st.sampled_from((2, 3)))
     coord = st.floats(-2.0, 2.0, allow_nan=False)
@@ -125,21 +145,23 @@ def box_problems(draw):
     cut = draw(st.one_of(st.none(), st.floats(-2.0, 3.0)))
     where = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=dim, max_size=dim))
     x0 = np.array([lo + f * (hi - lo) for lo, hi, f in zip(lows, highs, where)])
+    return box_objective(center, weights, coupling, well, cut), x0, lows, highs
 
-    def fn(*xs):
-        value = well * (xs[0] * xs[0] - 1.0) ** 2 + coupling * (xs[0] - center[0]) * (xs[1] - center[1])
-        for x, c, w in zip(xs, center, weights):
-            value = value + w * (x - c) ** 2
-        if cut is None:
-            return value
-        return np.where(xs[0] + xs[1] > cut, np.inf, value)
 
-    return fn, x0, lows, highs
+# (x0 - c)**2 at the start x0 = -0.41528..., c = -3.59835... is a near-halfway
+# square that libm's pow rounds up and x * x rounds down
+NEAR_HALFWAY_SQUARE = (
+    box_objective(np.array([-3.5983500045072674, 0.0]), np.ones(2), 0.0, 0.0, None),
+    np.array([-0.4152858782814799, 0.0]),
+    np.array([-0.4152858782814799, 0.0]),
+    np.array([0.5847141217185201, 1.0]),
+)
 
 
 class TestDescend:
     @settings(max_examples=80, deadline=None)
     @given(box_problems())
+    @example(NEAR_HALFWAY_SQUARE)
     def test_batched_polls_follow_the_probe_at_a_time_path(self, problem):
         fn, x0, lows, highs = problem
         x, val = descend(fn, x0, lows, highs, 1e-7)
