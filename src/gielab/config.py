@@ -4,10 +4,11 @@
 ``GIELAB_CONFIG`` may point to a ``key=value`` file overriding individual
 entries, and tests and the CLI read the same active records.  Thresholds
 that the library uses but that are not meant to be set are module
-constants instead: ``optimize.MIN_IMPROVEMENT``, ``gie.SQRT_AB_SLACK``,
-``gie.SCAN_MONOTONE_SLACK``, ``gie.GATE_LOWER_BOUND``,
+constants instead: ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_SWEEPS``,
+``gie.SQRT_AB_SLACK``, ``gie.SCAN_MONOTONE_SLACK``, ``gie.GATE_LOWER_BOUND``,
 ``gie.VERIFIED_DOMAIN_BOUND``, ``measurement.CCM_PSD_RTOL``,
-``renyi2.TRIANGLE_SLACK`` and ``symplectic.EIGENVALUE_SYMMETRY_RTOL``.
+``renyi2.TRIANGLE_SLACK``, ``renyi2.SYMMETRY_RTOL`` and
+``symplectic.EIGENVALUE_SYMMETRY_RTOL``.
 """
 
 from __future__ import annotations

@@ -8,11 +8,15 @@ optimizer trace and names the optimum with the tie rule (``tie_atol``).
 
 from __future__ import annotations
 
+import bisect
+import functools
+
 import numpy as np
 
 from . import config
 
 MIN_IMPROVEMENT = 1e-15  # a probe must beat the incumbent by more than this to replace it
+MAX_SWEEPS = 400  # the descent stops after this many sweeps even above its resolution
 
 
 def grid_argmin(fn, axes):
@@ -28,28 +32,23 @@ def grid_argmin(fn, axes):
     return np.array([axis[i] for axis, i in zip(axes, index)]), float(values.flat[flat])
 
 
-def descend(fn, x0, lows, highs, resolution, max_sweeps=400):
-    """Deterministic Hooke-Jeeves pattern-search descent within a box.
+@functools.lru_cache(maxsize=None)
+def _poll_plans(dim):
+    """What one poll of a ``dim``-coordinate descent evaluates, per start row k.
 
-    Probes coordinate moves plus pairwise diagonal moves (diagonal valleys
-    stall a pure coordinate search), each with sign + then -, and moves to
-    the first probe in that order that beats the incumbent by more than
-    ``MIN_IMPROVEMENT``; a sweep without a move halves the step until it
-    falls below ``resolution``.  ``fn`` must broadcast over 1-D probe
-    arrays, one per coordinate: each poll evaluates every probe still left
-    in the sweep in one call and keeps only the first improvement, so the
-    path is the one a probe-at-a-time search takes.
+    The plan for k is ``(rows, moves, sweeps)``: the move rows in poll
+    order (this sweep's rows k.., the next sweep's rows before k at the
+    same step, then a whole sweep at half the step), the moves in that
+    order with the half-step ones scaled by 0.5 (exact), and each row's
+    sweep offset from the sweep under way.
     """
-    x = np.array(x0, dtype=float)
-    val = fn(*x[:, None])[0]
-    steps = np.maximum((highs - lows) * 0.05, resolution)
     directions = []
-    for i in range(x.size):
-        e = np.zeros(x.size)
+    for i in range(dim):
+        e = np.zeros(dim)
         e[i] = 1.0
         directions.append(e)
-        for j in range(i + 1, x.size):
-            d = np.zeros(x.size)
+        for j in range(i + 1, dim):
+            d = np.zeros(dim)
             d[i] = 1.0
             d[j] = 1.0
             directions.append(d / np.sqrt(2.0))
@@ -57,21 +56,68 @@ def descend(fn, x0, lows, highs, resolution, max_sweeps=400):
             d[j] = -1.0
             directions.append(d / np.sqrt(2.0))
     moves = np.array([sign * direction for direction in directions for sign in (1.0, -1.0)])
-    for _ in range(max_sweeps):
-        k = 0  # the next probe to poll; it stays 0 in a sweep without a move
-        while k < len(moves):
-            trials = np.clip(x + steps * moves[k:], lows, highs)
-            values = fn(*trials.T)
-            better = np.flatnonzero(np.any(trials != x, axis=1) & (values < val - MIN_IMPROVEMENT))
-            if better.size == 0:
-                break
+    n = len(moves)
+    plans = []
+    for k in range(n):
+        rows = (*range(k, n), *range(k), *range(n))
+        scaled = moves[list(rows)] * np.repeat([1.0, 0.5], n)[:, None]
+        scaled.flags.writeable = False
+        plans.append((rows, scaled, (0,) * (n - k) + (1,) * k + (1 + (k > 0),) * n))
+    return tuple(plans)
+
+
+def descend(fn, x0, lows, highs, resolution, max_sweeps=MAX_SWEEPS):
+    """Deterministic Hooke-Jeeves pattern-search descent within a box.
+
+    Sweeps coordinate moves plus pairwise diagonal moves (diagonal valleys
+    stall a pure coordinate search), each with sign + then -, and moves to
+    each probe that beats the incumbent by more than ``MIN_IMPROVEMENT``;
+    a sweep without a move halves the step until it falls below
+    ``resolution``, and at most ``max_sweeps`` sweeps run.  ``fn`` must
+    broadcast over 1-D probe arrays, one per coordinate.
+
+    One call evaluates every probe that a probe-at-a-time search would try
+    next from the incumbent, up to two sweeps ahead: the rest of this
+    sweep; the next sweep's rows before the current one at the same step
+    (that sweep's later rows would repeat the probes this call rejects, so
+    it would end without a move); then the whole sweep at half the step.
+    The first improving probe in that order is the move, and the sweeps
+    and halvings it passes are counted; a call with no improvement passes
+    them all.  Each plan is cut at the sweep cap and where the half step
+    would fall below ``resolution``.  So the path, the end point and its
+    value are those of the probe-at-a-time search.
+    """
+    x = np.array(x0, dtype=float)
+    val = fn(*x[:, None])[0]
+    steps = np.maximum((highs - lows) * 0.05, resolution)
+    top = float(steps.max())  # every step halves with the largest one
+    plans = _poll_plans(x.size)
+    n = len(plans)
+    sweep, k = 0, 0  # the sweep under way and its next row to poll
+    while sweep < max_sweeps:
+        rows, moves, sweeps = plans[k]
+        stop = len(rows) if top * 0.5 >= resolution else n  # the half-step sweep runs only above resolution
+        if sweep + sweeps[stop - 1] >= max_sweeps:
+            stop = bisect.bisect_left(sweeps, max_sweeps - sweep)
+        trials = np.minimum(np.maximum(x + steps * moves[:stop], lows), highs)
+        values = fn(*trials.T)
+        better = ((trials != x).any(axis=1) & (values < val - MIN_IMPROVEMENT)).nonzero()[0]
+        if better.size:
             first = better[0]
             x, val = trials[first], values[first]
-            k += first + 1
-        if k == 0:
-            steps *= 0.5
-            if steps.max() < resolution:
+            if first >= n:  # the move comes after a sweep without one
+                steps, top = steps * 0.5, top * 0.5
+            sweep, k = sweep + sweeps[first], rows[first] + 1
+            if k == n:
+                sweep, k = sweep + 1, 0
+        else:
+            # every sweep the call covers ends without a move, but the first if it moved earlier
+            covered = sweeps[stop - 1] + 1
+            scale = 0.5 ** (covered - (k > 0))
+            steps, top = steps * scale, top * scale
+            if top < resolution:
                 break
+            sweep, k = sweep + covered, 0
     return x, val
 
 

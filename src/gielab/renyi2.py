@@ -17,6 +17,7 @@ from .gie import gie_closed_form
 from .states import StateFamily, StdForm
 
 TRIANGLE_SLACK = 1e-12  # rounding allowance on the triangle constraints of ThreeModePureParams
+SYMMETRY_RTOL = 1e-9  # largest |a - b| / max(a, b) that gr2_symmetric accepts as a = b
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def gr2_symmetric(p: StdForm) -> float:
     ``ln[(nu- + 1/nu-)/2]`` with nu- the smallest PPT symplectic
     eigenvalue ``sqrt((a - kx)(a - kp))``, zero when nu- >= 1.
     """
-    if abs(p.a - p.b) > 1e-9 * max(p.a, p.b):
+    if abs(p.a - p.b) > SYMMETRY_RTOL * max(p.a, p.b):
         raise WrongFamilyError(f"gr2_symmetric needs a = b, got ({p.a}, {p.b})")
     nu_minus = np.sqrt((p.a - p.kx) * (p.a - p.kp))
     if nu_minus >= 1.0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gielab.optimize
 from gielab.config import GridConfig
 from gielab.errors import DegenerateFamilyError, DomainNotCoveredError, InvalidInputError
 from gielab.gie import (
@@ -158,6 +159,42 @@ class TestNumericAsymGlems:
             gie_numeric_asym_glems(1.5, 1.5, FAST)
 
 
+def _probe_at_a_time_descend(fn, x0, lows, highs, resolution):
+    """The Hooke-Jeeves descent one probe per call; returns its end, value and whether the cap stopped it.
+
+    Each probe is a 1-row array, so the objective takes the array path that
+    the batched descent takes (a scalar ``** 2`` can round differently).
+    """
+    x = np.array(x0, dtype=float)
+    val = fn(*x[:, None])[0]
+    steps = np.maximum((highs - lows) * 0.05, resolution)
+    directions = []
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = 1.0
+        directions.append(e)
+        for j in range(i + 1, x.size):
+            for other in (1.0, -1.0):
+                d = np.zeros(x.size)
+                d[i], d[j] = 1.0, other
+                directions.append(d / np.sqrt(2.0))
+    for _ in range(gielab.optimize.MAX_SWEEPS):
+        improved = False
+        for direction in directions:
+            for sign in (1.0, -1.0):
+                trial = np.clip(x + sign * steps * direction, lows, highs)
+                if np.array_equal(trial, x):
+                    continue
+                tval = fn(*trial[:, None])[0]
+                if tval < val - gielab.optimize.MIN_IMPROVEMENT:
+                    x, val, improved = trial, tval, True
+        if not improved:
+            steps *= 0.5
+            if steps.max() < resolution:
+                return x, val, False
+    return x, val, True
+
+
 class TestKh:
     def test_equal_spectrum_gives_unity(self):
         for phi in (0.0, 0.4, 1.3, 3.0):
@@ -184,6 +221,20 @@ class TestKh:
         for a, k in ((1.2, 0.5), (1.8, 1.1), (2.3, 1.0), (1.5, 0.3)):
             params, value = minimize_kh(a, k, FAST)[2][0]
             assert value == k_h(QMatrixParams(*params), a, k)
+
+    def test_descent_that_hits_the_sweep_cap_follows_the_probe_at_a_time_path(self, monkeypatch):
+        descend, capped = gielab.optimize.descend, []
+
+        def checked(fn, x0, lows, highs, resolution):
+            x, value = descend(fn, x0, lows, highs, resolution)
+            x_ref, value_ref, stopped_on_cap = _probe_at_a_time_descend(fn, x0, lows, highs, resolution)
+            assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
+            capped.append(stopped_on_cap)
+            return x, value
+
+        monkeypatch.setattr(gielab.optimize, "descend", checked)
+        minimize_kh(1.7356584694880974, 0.41199196834939183, GridConfig(points=21))
+        assert capped == [True]  # the descent stops on the cap, not on its resolution
 
     def test_limit_value_equals_rmax_form(self):
         a, k = 1.2, 0.5

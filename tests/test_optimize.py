@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gielab import config
-from gielab.optimize import MIN_IMPROVEMENT, descend, grid_argmin, search
+from gielab.optimize import MAX_SWEEPS, MIN_IMPROVEMENT, descend, grid_argmin, search
 
 AXES = (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
 LOWS, HIGHS = np.zeros(2), np.ones(2)
@@ -69,7 +69,7 @@ class TestSearch:
         ]
 
 
-def probe_at_a_time_descend(fn, x0, lows, highs, resolution, max_sweeps=400):
+def probe_at_a_time_descend(fn, x0, lows, highs, resolution, max_sweeps=MAX_SWEEPS):
     """Oracle: the Hooke-Jeeves descent that evaluates one probe per call."""
     x = np.array(x0, dtype=float)
     val = fn(*x.tolist())
@@ -166,5 +166,15 @@ class TestDescend:
         fn, x0, lows, highs = problem
         x, val = descend(fn, x0, lows, highs, 1e-7)
         x_ref, val_ref = probe_at_a_time_descend(fn, x0, lows, highs, 1e-7)
+        assert x.tolist() == x_ref.tolist()
+        assert float(val) == float(val_ref)
+
+    @settings(max_examples=80, deadline=None)
+    @given(box_problems(), st.integers(1, 60))
+    def test_the_sweep_cap_stops_both_searches_at_the_same_probe(self, problem, max_sweeps):
+        # a cap of 1-60 sweeps cuts most descents short, in every block of a poll
+        fn, x0, lows, highs = problem
+        x, val = descend(fn, x0, lows, highs, 1e-7, max_sweeps)
+        x_ref, val_ref = probe_at_a_time_descend(fn, x0, lows, highs, 1e-7, max_sweeps)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
