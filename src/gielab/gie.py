@@ -7,11 +7,11 @@ minimizer that fixes double x-homodyne on A and B, minimizes the outcome
 mutual information over Eve's Gaussian measurements, and reports the
 optimal measurement together with the optimizer trace.  Each minimizer
 hands ``gielab.optimize.search`` its family's objective (``_f_xx`` of the
-seed-frame kernel ``measurement.seed_frame_xx`` for R = 1, the
-finite-lambda K_h for R = 2) and its table of exact limit candidates,
-which names Eve's optimum.  For R = 1 the candidates are rows of the same
-objective: heterodyne is (phi, ln tau, t) = (0, 0, 0) and the exact
-homodynes sit at t = inf.
+seed-frame kernel ``measurement.seed_frame_xx`` for R = 1, K_h for R = 2)
+and its exact limit candidates, rows of that objective in priority order,
+which name Eve's optimum.  Heterodyne is the row (0, 0, 0) in both; the
+R = 1 homodynes sit at t = inf, and the R = 2 dual homodyne at
+(phi, ln lambda1, ln lambda2) = (pi/2, inf, -inf).
 """
 
 from __future__ import annotations
@@ -24,17 +24,12 @@ from . import config
 from .config import GridConfig
 from .errors import DegenerateFamilyError, DomainNotCoveredError, InvalidInputError
 from .measurement import (
-    FiniteMeasurement,
-    GaussianMeasurement,
-    condition_on_e,
-    general_single_mode,
-    homodyne,
-    seed_frame_xx,
+    GaussianMeasurement, condition_on_e, general_single_mode, homodyne, seed_frame_schur, seed_frame_xx,
 )
 from .optimize import search
 from .purification import Purification, purify, purify_asym_glems
 from .states import StateFamily, is_separable, make_family, std_form_cm, std_form_params
-from .symplectic import CovMat, rotation, xxpp_reorder
+from .symplectic import rotation, xxpp_reorder
 
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
@@ -177,14 +172,9 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
         np.linspace(0.0, grid_cfg.tau_log_max, n),
         np.linspace(0.0, grid_cfg.t_max, n),
     )
-    rows = np.array([row for _, row in _SINGLE_MODE_CANDIDATES])
-    candidates = [
-        (name, _single_mode_params(row), float(value))
-        for (name, _), row, value in zip(_SINGLE_MODE_CANDIDATES, rows, objective(*rows.T))
-    ]
     highs = np.array([np.pi, grid_cfg.tau_log_max, grid_cfg.t_max])
     best_val, optimum, best, trace = search(
-        objective, axes, np.zeros(3), highs, grid_cfg.resolution, _single_mode_params, candidates
+        objective, axes, np.zeros(3), highs, grid_cfg.resolution, _single_mode_params, _SINGLE_MODE_CANDIDATES
     )
     if optimum is None:
         optimum = f"general(phi={best[0]:.6g}, tau={best[1]:.6g}, t={best[2]:.6g})"
@@ -278,10 +268,16 @@ def _cosh_sinh_v(a: float, k: float) -> tuple[float, float, float]:
     return nu, (nu + 1.0 / nu) / 2.0, (nu - 1.0 / nu) / 2.0
 
 
-def _k_h_finite(phi, lambda1, lambda2, a, k, cosh_v, sinh_v):
-    """Finite-lambda K_h and its denominator E^2 - F^2; broadcasts over (phi, lambda1, lambda2)."""
-    e = 1.0 + lambda1 * lambda2 + cosh_v * (lambda1 + lambda2)
-    f = sinh_v * (lambda1 - lambda2)
+def _k_h_scaled(phi, lambda1, lambda2, a, k, cosh_v, sinh_v):
+    """K_h and its denominator; broadcasts over (phi, lambda1, lambda2).
+
+    E and F are divided by lambda1, which leaves K_h unchanged and keeps
+    every term finite at lambda1 = inf: there E/lambda1 = cosh v and
+    F/lambda1 = sinh v, the exact dual-homodyne limit.
+    """
+    ratio = lambda2 / lambda1
+    e = 1.0 / lambda1 + lambda2 + cosh_v * (1.0 + ratio)
+    f = sinh_v * (1.0 - ratio)
     denom = e * e - f * f
     return (a * a - k * k) / (a * a) + ((k / a) * e + f * np.cos(2.0 * phi)) ** 2 / denom, denom
 
@@ -291,18 +287,16 @@ def k_h(q: QMatrixParams, a: float, k: float) -> float:
 
     ``K_h = (a^2 - k^2)/a^2 + [(k/a) E + F cos(2 phi)]^2 / (E^2 - F^2)``
     with E and F polynomial in the measurement parameters.  This is the
-    validated scalar entry point for finite lambda1; ``minimize_kh`` runs
-    the same formula without rebuilding ``QMatrixParams``, and
-    ``k_h_limit`` is the one formula for the limit lambda1 -> infinity.
+    validated scalar entry point; ``minimize_kh`` runs the same formula
+    without rebuilding ``QMatrixParams``.  lambda1 = inf gives the exact
+    limit, the dual homodyne at phi = pi/2 and lambda2 = 0.
 
     Raises:
-        InvalidInputError: for a non-finite lambda1 or E^2 <= F^2 (impossible for valid parameters).
+        InvalidInputError: E^2 - F^2 is not positive (impossible for valid parameters).
     """
-    if not np.isfinite(q.lambda1):
-        raise InvalidInputError(f"lambda1 must be finite, got {q.lambda1}; use k_h_limit for the limit")
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
-    value, denom = _k_h_finite(q.phi, q.lambda1, q.lambda2, a, k, cosh_v, sinh_v)
-    if denom <= 0.0:
+    value, denom = _k_h_scaled(q.phi, q.lambda1, q.lambda2, a, k, cosh_v, sinh_v)
+    if not denom > 0.0:
         raise InvalidInputError(f"E^2 - F^2 = {denom} is not positive; invalid parameters")
     return float(value)
 
@@ -349,68 +343,61 @@ def k_h_determinant(q: QMatrixParams, a: float, k: float) -> float:
     return float(det(seed + x_a) * det(seed + x_b) / (det(seed + x_ab) * det(seed + gamma_e)))
 
 
-def k_h_limit(a: float, k: float) -> float:
-    """K_h at Eve's dual-homodyne limit (x on E_A, p on E_B)."""
-    nu, _, _ = _cosh_sinh_v(a, k)
-    r_max = (nu * nu - 1.0) / (nu * nu + 1.0)
-    base = (a * a - k * k) / (a * a)
-    if r_max == 0.0:  # pure state: every measurement gives K_h = 1
-        return 1.0
-    return float(base + (k / a - r_max) ** 2 / (1.0 - r_max * r_max))
-
-
 _KH_CANDIDATES = (
-    # name, (phi, lambda1, lambda2) in priority order; lambda1 = inf marks the dual-homodyne limit
-    ("homodyne x_EA p_EB", (np.pi / 2.0, np.inf, 0.0)),
-    ("heterodyne", (0.0, 1.0, 1.0)),
+    # name, search row (phi, ln lambda1, ln lambda2) in priority order; ln lambda1 = inf is the dual-homodyne limit
+    ("homodyne x_EA p_EB", (np.pi / 2.0, np.inf, -np.inf)),
+    ("heterodyne", (0.0, 0.0, 0.0)),
 )
+
+
+def _kh_params(x) -> tuple:
+    """Reported (phi, lambda1, lambda2) of a search row (phi, ln lambda1, ln lambda2)."""
+    return float(x[0]) % np.pi, float(np.exp(x[1])), float(np.exp(x[2]))
 
 
 def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
     """Deterministic minimization of K_h over Eve's reduced parameters.
 
-    Searches (phi, ln lambda1, ln lambda2) and ``_KH_CANDIDATES`` with
-    ``gielab.optimize.search``.  Returns ``(k_min, best_params, trace)``;
-    best_params is the (phi, lambda1, lambda2) of the named candidate
-    (infinite lambda1 for the dual-homodyne limit) or the descent end.
+    Searches (phi, ln lambda1, ln lambda2) and the rows ``_KH_CANDIDATES``
+    of the same objective with ``gielab.optimize.search``.  Returns
+    ``(k_min, best_params, trace)``; best_params is the (phi, lambda1,
+    lambda2) of the named candidate (infinite lambda1 for the dual-homodyne
+    limit) or the descent end.
     """
     grid_cfg = config.grid() if grid_cfg is None else grid_cfg
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
 
     def objective(phi, log_l1, log_l2):
         l1, l2 = np.exp(log_l1), np.exp(log_l2)
-        return np.where(l2 > l1, np.inf, _k_h_finite(phi % np.pi, l1, l2, a, k, cosh_v, sinh_v)[0])
+        return np.where(l2 > l1, np.inf, _k_h_scaled(phi % np.pi, l1, l2, a, k, cosh_v, sinh_v)[0])
 
     n = grid_cfg.points
     logs = np.linspace(grid_cfg.lambda_log_min, grid_cfg.lambda_log_max, n)
-    candidates = [
-        (name, params, k_h_limit(a, k) if np.isinf(params[1]) else k_h(QMatrixParams(*params), a, k))
-        for name, params in _KH_CANDIDATES
-    ]
     k_min, _, best, trace = search(
         objective, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs),
         np.array([0.0, grid_cfg.lambda_log_min, grid_cfg.lambda_log_min]),
         np.array([np.pi, grid_cfg.lambda_log_max, grid_cfg.lambda_log_max]),
-        grid_cfg.resolution, lambda x: (float(x[0]) % np.pi, float(np.exp(x[1])), float(np.exp(x[2]))), candidates,
+        grid_cfg.resolution, _kh_params, _KH_CANDIDATES,
     )
     return float(k_min), best, trace
 
 
-def _sqrt_ab_of_q(pi: Purification, params: tuple) -> float:
-    """sqrt(a~ b~) of the conditional standard form at a trace point.
+_AB_BLOCK_ENTRIES = ((0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3))
 
-    Limit points are probed from inside the finite family; the spectral
-    parameters are capped at e^{+-12} so the seed stays representable in
-    double precision (the bound is monotone toward the capped limits).
+
+def _sqrt_ab_of_q(pi: Purification, points) -> np.ndarray:
+    """sqrt(a~ b~) of the conditional standard form at each (phi, lambda1, lambda2) of ``points``.
+
+    Eve's seed is blockdiag(Q, Q^{-1}) in xxpp order, Q = P diag(lambda1,
+    lambda2) P^T, so ``measurement.seed_frame_schur`` conditions every
+    point in one call with the seed eigenvalues (lambda1, lambda2,
+    1/lambda1, 1/lambda2).  The limit row (pi/2, inf, 0) is the exact dual
+    homodyne: its lambda2 = 0 gives 1/lambda2 = inf and weight 0.
     """
-    phi, l1, l2 = params
-    cap = np.exp(12.0)
-    l1 = min(cap, cap if np.isinf(l1) else l1)
-    l2 = min(cap, l2)
-    l1, l2 = max(l1, 1.0 / cap), max(l2, 1.0 / cap)
-    seed = _spectral_seed(QMatrixParams(phi, l1, l2))
-    a_t, b_t, _, _ = std_form_params(condition_on_e(pi, FiniteMeasurement(CovMat(seed))))
-    return float(np.sqrt(a_t * b_t))
+    phi, l1, l2 = np.array(points, dtype=float).T
+    inv_l2 = np.divide(1.0, l2, out=np.full_like(l2, np.inf), where=l2 > 0.0)
+    c00, c11, c01, c22, c33, c23 = seed_frame_schur(pi, _AB_BLOCK_ENTRIES)(phi, (l1, l2, 1.0 / l1, inv_l2))
+    return np.sqrt(np.sqrt(c00 * c11 - c01 * c01) * np.sqrt(c22 * c33 - c23 * c23))
 
 
 def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig | None = None) -> GieResult:
@@ -433,11 +420,11 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig | None =
     k_min, best, trace = minimize_kh(a, k, grid_cfg)
     i_h = 0.5 * np.log(a * a / (a * a - k * k))
     numeric = float(i_h + 0.5 * np.log(k_min))
-    optimum = next((name for name, params in _KH_CANDIDATES if params == best), None)
+    optimum = next((name for name, row in _KH_CANDIDATES if _kh_params(row) == best), None)
     if optimum is None:
         optimum = f"Q(phi={best[0]:.6g}, lambda1={best[1]:.6g}, lambda2={best[2]:.6g})"
     pi = purify(std_form_cm(fam.std))
-    sqrt_ab_max = max(_sqrt_ab_of_q(pi, params) for params, _ in trace)
+    sqrt_ab_max = float(_sqrt_ab_of_q(pi, [params for params, _ in trace]).max())
     return GieResult(
         closed_form=closed,
         numeric=numeric,

@@ -7,10 +7,10 @@ level of second moments; outcome samples are never materialized.
 Conditioning on Eve's measurement lives here and only here, as the Schur
 step ``gamma_AB - gamma_ABE M gamma_ABE^T`` (Weedbrook et al., Rev. Mod.
 Phys. 84, 621 (2012), Sec. II).  ``condition_on_e`` applies it to any
-measurement, with M from ``eve_kernel``.  ``seed_frame_xx`` is its R = 1
-path for the Eve-side search: it inverts the 2 x 2 in the frame of Eve's
-squeezed seed, without a determinant, and returns only the three
-conditional entries that double x-homodyne on A and B reads.  The
+measurement, with M from ``eve_kernel``.  ``seed_frame_schur`` is its
+path for the Eve-side searches: gamma_E = nu I makes M diagonal in the
+frame of Eve's seed, and it returns only the conditional entries the
+caller reads; ``seed_frame_xx`` is its one-E-mode form.  The
 assembled-CCM route (``assemble_ccm`` + ``Ccm.conditional_ab``) is kept
 apart as the oracle.
 """
@@ -186,61 +186,67 @@ def condition_on_e(pi: Purification, ge: GaussianMeasurement | None) -> CovMat:
     return CovMat(pi.gamma_ab.mat - pi.gamma_abe @ eve_kernel(pi.gamma_e, ge) @ pi.gamma_abe.T)
 
 
-def _seed_frame_rows(x00: float, x11: float, x01: float) -> np.ndarray:
-    """Coefficients of (X'00, X'11, X'01), X' = P(phi)^T X P(phi), in (1, cos 2phi, sin 2phi)."""
-    h, d = 0.5 * (x00 + x11), 0.5 * (x00 - x11)
-    return np.array([[h, d, x01], [h, -d, -x01], [0.0, x01, -d]])
+def seed_frame_schur(pi: Purification, entries):
+    """The Schur step in the frame of Eve's seed, for ``gamma_E = nu I``.
+
+    Eve's seed is ``R(phi) diag(s) R(phi)^T``, with E in xxpp order and
+    R(phi) rotating each consecutive pair of axes by P(phi): (x, p) for one
+    E mode, (x1, x2) and (p1, p2) for two.  gamma_E = nu I commutes with R,
+    so the kernel is ``R diag(1 / (nu + s)) R^T``: no inverse, nothing
+    cancels, and an infinite s gives weight 0, the exact homodyne limit.
+
+    Returns an elementwise, broadcasting ``kernel(phi, s)`` with s the 2R
+    seed eigenvalues in xxpp order; it gives the conditional entries (i, j)
+    of ``entries``.  Without an E mode there is nothing to condition on and
+    they are those of gamma_AB, as in ``condition_on_e``.
+
+    Raises:
+        InvalidInputError: gamma_E is not a multiple of the identity.
+    """
+    g = pi.gamma_ab.mat
+    if pi.r_count == 0:
+        return lambda phi, s: tuple(np.full(np.shape(phi), g[i, j]) for i, j in entries)
+    nu = pi.gamma_e[0, 0]
+    if not np.array_equal(pi.gamma_e, nu * np.eye(2 * pi.r_count)):
+        raise InvalidInputError(f"the seed-frame kernel needs gamma_E = nu I, got {pi.gamma_e.tolist()}")
+    xxpp = np.r_[0 : 2 * pi.r_count : 2, 1 : 2 * pi.r_count : 2]
+    # row i of gamma_ABE as the (u, v) pairs of E axes that R(phi) rotates
+    pairs = {i: [tuple(uv) for uv in pi.gamma_abe[i, xxpp].reshape(-1, 2)] for entry in entries for i in entry}
+    targets = [(g[i, j], i, j) for i, j in entries]
+
+    def kernel(phi, s):
+        cos, sin = np.cos(phi), np.sin(phi)
+        # row i of gamma_ABE R(phi)
+        cols = {i: [c for u, v in uv for c in (u * cos + v * sin, v * cos - u * sin)] for i, uv in pairs.items()}
+        weights = [-1.0 / (nu + s_j) for s_j in s]  # negated, so the Schur step is a running sum
+        out = []
+        for acc, i, j in targets:
+            for w, ci, cj in zip(weights, cols[i], cols[j], strict=True):
+                acc = acc + w * (ci * cj)
+            out.append(acc)
+        return tuple(out)
+
+    return kernel
 
 
 def seed_frame_xx(pi: Purification):
     """The R = 1 conditioning kernel for x-homodyne on A and B.
 
     Returns ``kernel(phi, tau, t) -> (va, vb, c)``: the entries (0, 0),
-    (2, 2) and (0, 2) of the Schur step after Eve measures with the seed
-    ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P(phi)^T``.  The parameters
-    broadcast against each other and every operation is elementwise, so a
-    row's values do not depend on the batch it is evaluated in.
+    (2, 2) and (0, 2) of ``seed_frame_schur`` for the seed
+    ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P(phi)^T``; t = inf is the exact
+    homodyne on the quadrature at phi + pi/2.
 
-    The 2 x 2 inverse is taken in the seed frame, where the seed is
-    diagonal: with E' = P^T gamma_E P, ``d_x = E'00 + tau e^{2t}`` and
-    ``d_p = E'11 + tau e^{-2t}``,
-    ``m11 = 1 / (d_p - E'01^2 / d_x)``, ``m00 = 1 / (d_x - E'01^2 / d_p)``
-    and ``m01 = -(E'01 / d_x) m11``.  No determinant is formed, and d_p,
-    the direction the seed squeezes, is never rotated into entries of size
-    e^{2t} (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed.), so nothing cancels and the result is exact to rounding.
-    At t = inf, IEEE arithmetic gives d_x = inf and m00 = m01 = 0: the exact
-    homodyne limit on the quadrature at phi + pi/2.  E' and the seed-frame
-    products of rows 0 and 2 of gamma_ABE are affine in
-    (1, cos 2phi, sin 2phi); their coefficients are computed here, once.
+    Raises:
+        DimensionMismatchError: the purification does not have one E mode.
+        InvalidInputError: gamma_E is not a multiple of the identity.
     """
     if pi.r_count != 1:
         raise DimensionMismatchError(f"seed_frame_xx needs one E mode, purification has {pi.r_count}")
-    e, (r0, r2) = pi.gamma_e, pi.gamma_abe[[0, 2]]
-    xs = [
-        _seed_frame_rows(u[0] * w[0], u[1] * w[1], 0.5 * (u[0] * w[1] + u[1] * w[0]))
-        for u, w in ((r0, r0), (r2, r2), (r0, r2))
-    ]
-    # columns: E'00, E'11, E'01, then X'00, -2 X'01, X'11 for X = r0 r0^T, r2 r2^T, sym(r0 r2^T)
-    coef = np.column_stack(
-        [*_seed_frame_rows(e[0, 0], e[1, 1], e[0, 1])]
-        + [x[0] for x in xs] + [-2.0 * x[2] for x in xs] + [x[1] for x in xs]
-    )
-    const, cos_coef, sin_coef = coef[0].copy(), coef[1].copy(), coef[2].copy()
-    g = pi.gamma_ab.mat[[0, 2, 0], [0, 2, 2]]
+    schur = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
 
     def kernel(phi, tau, t):
-        two_phi = 2.0 * phi
-        rot = const + np.cos(two_phi)[..., None] * cos_coef + np.sin(two_phi)[..., None] * sin_coef
         e2t = np.exp(2.0 * t)
-        d_x = rot[..., 0] + tau * e2t
-        d_p = rot[..., 1] + tau / e2t
-        e01 = rot[..., 2]
-        ratio = e01 / d_x
-        m11 = 1.0 / (d_p - ratio * e01)
-        m00 = 1.0 / (d_x - e01 * e01 / d_p)
-        cond = g - (m00[..., None] * rot[..., 3:6] + (ratio * m11)[..., None] * rot[..., 6:9]
-                    + m11[..., None] * rot[..., 9:12])
-        return cond[..., 0], cond[..., 1], cond[..., 2]
+        return schur(phi, (tau * e2t, tau / e2t))
 
     return kernel

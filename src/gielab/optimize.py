@@ -2,8 +2,9 @@
 
 ``search`` runs a grid stage (``grid_argmin``), a Hooke-Jeeves pattern
 search (``descend``) from the best grid point and then the caller's exact
-candidates; it is the one place that orders these stages, builds the
-optimizer trace and names the optimum with the tie rule (``tie_atol``).
+candidates, rows of the same objective; it is the one place that orders
+these stages, builds the optimizer trace and names the optimum with the tie
+rule (``tie_atol``).
 """
 
 from __future__ import annotations
@@ -125,21 +126,24 @@ def search(fn, axes, lows, highs, resolution, to_params, candidates):
     """Minimize ``fn`` on the mesh of ``axes``, then descend on it in [lows, highs].
 
     ``fn`` takes one array per coordinate and broadcasts over them (the grid
-    passes meshes, the descent 1-D probe arrays), ``to_params`` maps a
-    search point to reported parameters and ``candidates`` are
-    ``(label, params, value)`` in priority order.  Returns
-    ``(best_value, label, best_params, trace)``: the least of the descent end
-    and the candidates; the first candidate within ``tie_atol`` of it with its
-    params, or None with the descent end; and ``(params, value)`` of the grid
-    best, the descent end and every candidate.
+    passes meshes, the descent and the candidates 1-D arrays), ``to_params``
+    maps a search point to reported parameters and ``candidates`` are
+    ``(label, row)`` in priority order: points of the same search space,
+    which may lie outside the box (an infinite coordinate is an exact limit),
+    all evaluated in one call.  Returns ``(best_value, label, best_params,
+    trace)``: the least of the descent end and the candidates; the first
+    candidate within ``tie_atol`` of it with its params, or None with the
+    descent end; and ``(params, value)`` of the grid best, the descent end
+    and every candidate.
     """
     coarse, coarse_val = grid_argmin(fn, axes)
     refined, refined_val = descend(fn, coarse, lows, highs, resolution)
     refined_params = to_params(refined)
     trace = [(to_params(coarse), coarse_val), (refined_params, float(refined_val))]
-    trace += [(params, value) for _, params, value in candidates]
+    rows = np.array([row for _, row in candidates], dtype=float).reshape(len(candidates), len(lows))
+    trace += [(to_params(row), float(value)) for row, value in zip(rows, fn(*rows.T))]
     best_val = min(value for _, value in trace[1:])
-    for label, params, value in candidates:
+    for (label, _), (params, value) in zip(candidates, trace[2:]):
         if value <= best_val + config.tolerances().tie_atol:
             return best_val, label, params, trace
     return best_val, None, refined_params, trace

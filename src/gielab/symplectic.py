@@ -130,7 +130,16 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
 
 
 def std_form_symplectic_eigenvalues(a, b, kx, kp) -> tuple[float, float]:
-    """Closed-form symplectic eigenvalues of a two-mode standard form."""
+    """Closed-form symplectic eigenvalues of a two-mode standard form.
+
+    For kx = kp = k the discriminant factors as
+    ``delta^2 - 4 det gamma = (a - b)^2 ((a + b)^2 - 4 k^2)``, so
+    ``nu+- = (sqrt((a + b)^2 - 4 k^2) +- |a - b|) / 2`` with no cancellation
+    near a = b, where the general form loses about half the digits.
+    """
+    if kx == kp:
+        root = np.sqrt(max((a + b) ** 2 - 4.0 * kx * kx, 0.0))
+        return float((root + abs(a - b)) / 2.0), float((root - abs(a - b)) / 2.0)
     delta = a * a + b * b - 2.0 * kx * kp
     det_gamma = (a * b - kx * kx) * (a * b - kp * kp)
     d = max(delta * delta - 4.0 * det_gamma, 0.0)
@@ -181,9 +190,7 @@ def _williamson_squeezed_thermal(a, b, k):
     s = two_mode_squeezer(x, y)
     if a < b:
         s = mode_swap() @ s
-    nu1 = (s_root + abs(a - b)) / 2.0
-    nu2 = (s_root - abs(a - b)) / 2.0
-    return s, (float(nu1), float(nu2))
+    return s, std_form_symplectic_eigenvalues(a, b, k, k)
 
 
 def _williamson_generic(mat: np.ndarray):

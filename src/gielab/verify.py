@@ -45,6 +45,19 @@ WORKED_POINTS = (
 )
 KMIN_WORKED = 0.9360540674603174  # K_h minimum at (a, k) = (1.2, 0.5)
 
+# Pass tolerances of the checks, one per compared quantity.
+CLOSED_FORM_ATOL = 1e-9          # worked closed-form values vs frozen oracles
+MINMAX_ATOL = 2e-5               # |closed - numeric| of the family minimizers
+CANDIDATE_ORDER_SLACK = -1e-12   # least allowed U1 - U3 and U2 - U3
+GCMI_ATOL = 1e-6                 # GCMI u-minimization vs its closed form
+KH_CROSS_ATOL = 1e-9             # reduced K_h vs the determinant form
+KH_UNIT_ATOL = 1e-12             # K_h = 1 at an equal spectrum
+KH_MIN_ATOL = 1e-6               # K_h grid minimum vs KMIN_WORKED
+CONJECTURE_ATOL = 1e-12          # |GIE - GR2| on the family grids
+FAITHFULNESS_ATOL = 1e-6         # |min f| on separable states
+HOMODYNE_LIMIT_ATOL = 1e-5       # exact homodyne vs a t = 8 squeezed seed
+F_DECOMPOSITION_ATOL = 1e-9      # I_AB + K_EAB vs the total f
+
 
 @dataclass
 class CheckResult:
@@ -92,7 +105,7 @@ def _entangled_sym_glems(rng, max_a=6.0):
             return a, kp
 
 
-def check_closed_form_identities(atol=1e-9) -> CheckResult:
+def check_closed_form_identities(atol=CLOSED_FORM_ATOL) -> CheckResult:
     """Criterion 1: worked points against frozen direct-formula values."""
     worst = 0.0
     for tag, params, expected in WORKED_POINTS:
@@ -140,7 +153,7 @@ def run_family_numeric(per_family: int, grid_cfg: GridConfig):
     return out
 
 
-def check_minmax(results, atol=2e-5) -> CheckResult:
+def check_minmax(results, atol=MINMAX_ATOL) -> CheckResult:
     """Criterion 2: numeric optimum vs closed form, and Eve's reported optimum."""
     worst = 0.0
     wrong_opt = []
@@ -155,7 +168,7 @@ def check_minmax(results, atol=2e-5) -> CheckResult:
     return CheckResult("min-max verification", passed, detail)
 
 
-def check_candidate_ordering(n=1000, slack=-1e-12) -> CheckResult:
+def check_candidate_ordering(n=1000, slack=CANDIDATE_ORDER_SLACK) -> CheckResult:
     """Criterion 3: U1 >= U3 and U2 >= U3 on random entangled symmetric GLEMS."""
     rng = np.random.default_rng(7)
     worst = np.inf
@@ -167,7 +180,7 @@ def check_candidate_ordering(n=1000, slack=-1e-12) -> CheckResult:
     return CheckResult("candidate ordering", passed, f"{n} points, min(U1 - U3, U2 - U3) = {worst:.3e}")
 
 
-def check_gcmi_optimality(n=1000, atol=1e-6, points=21) -> CheckResult:
+def check_gcmi_optimality(n=1000, atol=GCMI_ATOL, points=21) -> CheckResult:
     """Criterion 4: numeric u-minimization vs the closed form when G >= 0."""
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -185,7 +198,7 @@ def check_gcmi_optimality(n=1000, atol=1e-6, points=21) -> CheckResult:
     return CheckResult("GCMI optimality", passed, f"{checked} forms, max |numeric - closed| = {worst:.3e}")
 
 
-def check_kh_machinery(n=1000, cross_atol=1e-9, unit_atol=1e-12, min_atol=1e-6,
+def check_kh_machinery(n=1000, cross_atol=KH_CROSS_ATOL, unit_atol=KH_UNIT_ATOL, min_atol=KH_MIN_ATOL,
                        grid_cfg: GridConfig | None = None) -> CheckResult:
     """Criterion 5: K_h reduction vs determinants, unit identity, grid minimum."""
     rng = np.random.default_rng(13)
@@ -231,7 +244,7 @@ def check_thresholds(results) -> CheckResult:
     )
 
 
-def check_conjecture(grid_n=20, atol=1e-12) -> CheckResult:
+def check_conjecture(grid_n=20, atol=CONJECTURE_ATOL) -> CheckResult:
     """Criterion 7: |GIE - GR2| on dense family grids; asym branch is never 2."""
     worst = 0.0
     branch_two = 0
@@ -301,7 +314,7 @@ def check_faithfulness(n=1000, grid_cfg: GridConfig | None = None) -> CheckResul
         if gie_closed_form(make_family("sym_glems", a=a, kp=kp)) <= 0.0:
             positive_violations += 1
         count_ent += 1
-    passed = bad_closed == 0 and worst_numeric < 1e-6 and positive_violations == 0
+    passed = bad_closed == 0 and worst_numeric < FAITHFULNESS_ATOL and positive_violations == 0
     return CheckResult(
         "faithfulness",
         passed,
@@ -344,8 +357,8 @@ def check_structural(n=40) -> CheckResult:
         worst_symp < tol.symplectic_atol
         and worst_will < tol.williamson_atol
         and worst_pur < tol.purity_atol
-        and worst_hom < 1e-5
-        and worst_dec < 1e-9
+        and worst_hom < HOMODYNE_LIMIT_ATOL
+        and worst_dec < F_DECOMPOSITION_ATOL
     )
     return CheckResult(
         "structural suite",

@@ -62,6 +62,12 @@ class TestCompute:
         assert record["eve_optimum"] == "homodyne x_E"
         assert abs(record["gie_numeric_nats"] - record["gie_closed_nats"]) < 2e-5
 
+    def test_physical_asym_glems_near_a_equals_b_at_large_a(self, capsys):
+        # nu2 = 1 here; the unfactored discriminant put it at 0.9999999 and rejected the state
+        code, out, _ = run_cli(capsys, "compute", "--family", "asym-glems", "--a", "12", "--b", "11.999999962052668")
+        assert code == 0
+        assert json.loads(out)["gie_closed_nats"] > 0
+
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--family", "sym-glems", "--a", "1.5")
         assert code == 1

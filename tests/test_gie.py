@@ -7,6 +7,8 @@ from gielab.errors import DegenerateFamilyError, DomainNotCoveredError, InvalidI
 from gielab.gie import (
     GATE_LOWER_BOUND,
     QMatrixParams,
+    _spectral_seed,
+    _sqrt_ab_of_q,
     gie_closed_form,
     gie_numeric,
     gie_numeric_asym_glems,
@@ -14,12 +16,14 @@ from gielab.gie import (
     gie_numeric_sym_sq_thermal,
     k_h,
     k_h_determinant,
-    k_h_limit,
     minimize_kh,
     sym_glems_candidates,
     verified_domain,
 )
-from gielab.states import StdForm, classify, make_family
+from gielab.measurement import FiniteMeasurement, condition_on_e, homodyne
+from gielab.purification import Purification, purify
+from gielab.states import StdForm, classify, make_family, std_form_cm, std_form_params
+from gielab.symplectic import CovMat
 
 FAST = GridConfig(points=13)
 
@@ -131,6 +135,15 @@ class TestNumericSymSqThermal:
         assert np.isclose(res.closed_form, expected, atol=1e-12)
         assert abs(res.numeric - expected) < 2e-5
 
+    def test_near_pure_state_purified_without_e_mode(self):
+        # a^2 - k^2 - 1 = 1.3e-9: past family_atol, so the search runs, but
+        # purify drops the E mode; the gate then reads gamma_AB, sqrt(a b) = a
+        a, k = 2.0, 1.7320508072
+        assert purify(std_form_cm(make_family("sym_sq_thermal", a=a, k=k).std)).r_count == 0
+        res = gie_numeric_sym_sq_thermal(a, k, FAST)
+        assert res.extra["sqrt_ab_max"] == a
+        assert res.verified and res.discrepancy < 2e-5
+
     def test_separable_short_circuit(self):
         res = gie_numeric_sym_sq_thermal(3.0, 1.0, FAST)
         assert res.closed_form == 0.0 and res.numeric == 0.0
@@ -237,20 +250,61 @@ class TestKh:
         assert capped == [True]  # the descent stops on the cap, not on its resolution
 
     def test_limit_value_equals_rmax_form(self):
+        # the dual-homodyne limit in its own form: r_max = (nu^2 - 1) / (nu^2 + 1)
         a, k = 1.2, 0.5
         nu_sq = a * a - k * k
         r_max = 1.0 / (1.0 + 2.0 / (nu_sq - 1.0))
         assert np.isclose(r_max, 0.0867579908675799, atol=1e-14)
         expected = nu_sq / a**2 + (k / a - r_max) ** 2 / (1 - r_max**2)
-        assert np.isclose(k_h_limit(a, k), expected, atol=1e-14)
+        params, value = minimize_kh(a, k, FAST)[2][2]
+        assert params == (np.pi / 2.0, np.inf, 0.0)
+        assert abs(value - expected) < 1e-14
+        assert abs(k_h(QMatrixParams(np.pi / 2.0, np.inf, 0.0), a, k) - expected) < 1e-14
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidInputError):
             QMatrixParams(0.5, 1.0, 2.0)  # lambda2 > lambda1
         with pytest.raises(InvalidInputError):
             k_h(QMatrixParams(0.5, 1.0, 0.5), 1.2, 0.8)  # unphysical (a, k)
+
+
+def _sq_thermal_pi(a, k):
+    return purify(std_form_cm(make_family("sym_sq_thermal", a=a, k=k).std))
+
+
+def _lab_frame_sqrt_ab(pi, ge):
+    a_t, b_t, _, _ = std_form_params(condition_on_e(pi, ge))
+    return np.sqrt(a_t * b_t)
+
+
+class TestQFrameGate:
+    """sqrt(a~ b~) in Eve's Q frame against the lab-frame inverse of gamma_E + seed."""
+
+    STATES = ((1.2, 0.5), (1.8, 1.1), (2.3, 1.6), (1.05, 0.3))
+
+    def test_limit_row_is_the_exact_dual_homodyne(self):
+        for a, k in self.STATES:
+            pi = _sq_thermal_pi(a, k)
+            (value,) = _sqrt_ab_of_q(pi, [(np.pi / 2.0, np.inf, 0.0)])
+            assert abs(value - _lab_frame_sqrt_ab(pi, homodyne([0.0, np.pi / 2.0]))) < 1e-14
+
+    def test_finite_rows_match_the_spectral_seed(self, rng):
+        for a, k in self.STATES:
+            pi = _sq_thermal_pi(a, k)
+            points = []
+            for _ in range(20):
+                lam = np.sort(np.exp(rng.uniform(-3.0, 3.0, size=2)))
+                points.append((rng.random() * np.pi, lam[1], lam[0]))
+            for q, value in zip(points, _sqrt_ab_of_q(pi, points)):
+                seed = FiniteMeasurement(CovMat(_spectral_seed(QMatrixParams(*q))))
+                assert abs(value - _lab_frame_sqrt_ab(pi, seed)) < 1e-12
+
+    def test_needs_gamma_e_proportional_to_identity(self):
+        pi = _sq_thermal_pi(1.2, 0.5)
+        squeeze = np.diag([2.0, 0.5, 1.0, 1.0])  # a local squeezer on the first E mode
+        skewed = Purification(pi.gamma_ab, pi.gamma_abe @ squeeze, squeeze @ pi.gamma_e @ squeeze, 2)
         with pytest.raises(InvalidInputError):
-            k_h(QMatrixParams(np.pi / 2.0, np.inf, 0.0), 1.2, 0.5)  # the limit is k_h_limit's
+            _sqrt_ab_of_q(skewed, [(0.0, 1.0, 1.0)])
 
 
 class TestDomainCorners:

@@ -12,9 +12,10 @@ from gielab.measurement import (
     general_single_mode,
     heterodyne,
     homodyne,
+    seed_frame_schur,
     seed_frame_xx,
 )
-from gielab.purification import purify, purify_asym_glems
+from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.states import make_family, std_form_cm
 from gielab.symplectic import CovMat, symplectic_eigenvalues
 
@@ -187,6 +188,20 @@ class TestSeedFrameKernel:
         for i, j, k in ((0, 0, 0), (5, 2, 3), (1, 4, 5)):
             single = kernel(phis[i], taus[j], ts[k])
             assert all(x[i, j, k] == y for x, y in zip(full, single))
+
+    def test_needs_gamma_e_proportional_to_identity(self):
+        pi = purify_asym_glems(1.8, 1.3)
+        squeeze = np.diag([2.0, 0.5])  # a local squeezer on E: the same state, gamma_E != nu I
+        skewed = Purification(pi.gamma_ab, pi.gamma_abe @ squeeze, squeeze @ pi.gamma_e @ squeeze, 1)
+        with pytest.raises(InvalidInputError):
+            seed_frame_xx(skewed)
+
+    def test_without_e_mode_returns_gamma_ab(self):
+        pi = _pi("pure", a=2.0)
+        phis = np.array([0.0, 1.0, 2.5])
+        entries = seed_frame_schur(pi, ((0, 0), (0, 2), (3, 3)))(phis, ())
+        for (i, j), values in zip(((0, 0), (0, 2), (3, 3)), entries):
+            assert values.shape == phis.shape and np.all(values == pi.gamma_ab.mat[i, j])
 
     def test_needs_one_e_mode(self):
         with pytest.raises(DimensionMismatchError):

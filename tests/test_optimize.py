@@ -19,7 +19,13 @@ def to_params(x):
     return (float(x[0]), float(x[1]))
 
 
-def run(candidates, fn=bowl):
+def with_rows_beyond_5(x, y):
+    """``bowl`` in the box; a row at x >= 5, outside it, evaluates to y, so a
+    candidate row ``(5, y)`` has the value y."""
+    return np.where(x >= 5.0, y, bowl(x, y))
+
+
+def run(candidates, fn=with_rows_beyond_5):
     return search(fn, AXES, LOWS, HIGHS, RESOLUTION, to_params, candidates)
 
 
@@ -35,28 +41,28 @@ TIE = config.tolerances().tie_atol
 class TestSearch:
     def test_candidate_within_tie_above_the_descent_is_named(self):
         low, _ = descent_end()
-        value, label, params, _ = run([("exact", (0.33, 0.61), low + 0.5 * TIE)])
+        value, label, params, _ = run([("exact", (5.0, low + 0.5 * TIE))])
         assert label == "exact"
-        assert params == (0.33, 0.61)
+        assert params == (5.0, low + 0.5 * TIE)
         assert value == low  # the value is the minimum, not the named candidate's
 
     def test_earlier_candidate_wins_a_tie(self):
-        first, second = ("first", (0.1, 0.1), -1.0), ("second", (0.2, 0.2), -1.0)
-        assert run([first, second])[1:3] == ("first", (0.1, 0.1))
-        assert run([second, first])[1:3] == ("second", (0.2, 0.2))
+        first, second = ("first", (5.0, -1.0)), ("second", (6.0, -1.0))
+        assert run([first, second])[1:3] == ("first", (5.0, -1.0))
+        assert run([second, first])[1:3] == ("second", (6.0, -1.0))
         # a later candidate lower by less than tie_atol does not displace it
-        value, label, _, _ = run([("first", (0.1, 0.1), -1.0 + 0.5 * TIE), second])
+        value, label, _, _ = run([("first", (5.0, -1.0 + 0.5 * TIE)), second])
         assert (value, label) == (-1.0, "first")
 
     def test_no_candidate_within_tie_names_the_descent_end(self):
         low, end = descent_end()
-        value, label, params, trace = run([("far", (0.9, 0.9), low + 1e3 * TIE)])
+        value, label, params, trace = run([("far", (5.0, low + 1e3 * TIE))])
         assert label is None
         assert params == end == trace[1][0]
         assert value == low
 
     def test_trace_is_grid_best_then_descent_end_then_candidates(self):
-        candidates = [("a", (0.5, 0.5), 2.0), ("b", (0.7, 0.1), 3.0)]
+        candidates = [("a", (5.0, 2.0)), ("b", (0.7, 0.1))]
         _, _, _, trace = run(candidates)
         grid_best, grid_val = grid_argmin(bowl, AXES)
         end, end_val = descend(bowl, grid_best, LOWS, HIGHS, RESOLUTION)
@@ -64,8 +70,8 @@ class TestSearch:
         assert trace == [
             (to_params(grid_best), grid_val),
             (to_params(end), float(end_val)),
-            ((0.5, 0.5), 2.0),
-            ((0.7, 0.1), 3.0),
+            ((5.0, 2.0), 2.0),
+            ((0.7, 0.1), float(bowl(0.7, 0.1))),  # rows inside the box evaluate the objective
         ]
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gielab import config
 from gielab.errors import InvalidThreeModeError, WrongFamilyError
 from gielab.gie import gie_closed_form
 from gielab.purification import purify_asym_glems
@@ -14,7 +15,7 @@ from gielab.renyi2 import (
     gr2_symmetric,
     gr2_two_mode_reduction,
 )
-from gielab.states import StdForm, make_family
+from gielab.states import StdForm, is_separable, make_family
 from gielab.symplectic import CovMat, symplectic_eigenvalues
 
 
@@ -236,9 +237,13 @@ class TestGr2AsymGlemsPrecision:
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(10.0, 1e3), frac=st.floats(0.0, 1.0))
     def test_large_a(self, a, frac):
-        # the reduction itself: near a = b at large a, make_family's standard-form
-        # gate rejects some states on its own; beyond a ~ 1e4 the rounding of
-        # 1 + |a - b| outgrows the absolute triangle slack of ThreeModePureParams
+        # beyond a ~ 1e4 the rounding of 1 + |a - b| outgrows the absolute
+        # triangle slack of ThreeModePureParams, so a stays below 1e3
         b = 1.0 + frac * (a - 1.0)
         assume(b != a)
         _assert_reduction_is_exact(a, b)
+        fam = make_family("asym_glems", a=a, b=b)
+        # within ppt_atol of the PPT boundary the GIE closed form is 0 by
+        # is_separable, while GR2 keeps its formula, linear in the distance
+        bound = config.tolerances().ppt_atol if is_separable(fam.std) else 1e-12
+        assert conjecture_gap(fam) < bound
