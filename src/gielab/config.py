@@ -7,14 +7,15 @@ that the library uses but that are not meant to be set are module
 constants instead: ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_SWEEPS``,
 ``gie.SQRT_AB_SLACK``, ``gie.SCAN_MONOTONE_SLACK``, ``gie.GATE_LOWER_BOUND``,
 ``gie.VERIFIED_DOMAIN_BOUND``, ``measurement.CCM_PSD_RTOL``,
-``renyi2.TRIANGLE_SLACK``, ``renyi2.SYMMETRY_RTOL`` and
-``symplectic.EIGENVALUE_SYMMETRY_RTOL``.  The pass tolerances of the
-``verify`` checks are constants of that module: ``verify.CLOSED_FORM_ATOL``,
-``verify.MINMAX_ATOL``, ``verify.CANDIDATE_ORDER_SLACK``,
-``verify.GCMI_ATOL``, ``verify.KH_CROSS_ATOL``, ``verify.KH_UNIT_ATOL``,
-``verify.KH_MIN_ATOL``, ``verify.CONJECTURE_ATOL``,
-``verify.FAITHFULNESS_ATOL``, ``verify.HOMODYNE_LIMIT_ATOL`` and
-``verify.F_DECOMPOSITION_ATOL``.
+``renyi2.TRIANGLE_SLACK``, ``renyi2.TRIANGLE_ULPS``, ``renyi2.SYMMETRY_RTOL``,
+``symplectic.EIGENVALUE_SYMMETRY_RTOL``, ``symplectic.STANDARD_FORM_RTOL``,
+``symplectic.ANALYTIC_ROUTE_RTOL`` and ``symplectic.SQUEEZER_ATOL``.  The
+pass tolerances of the ``verify`` checks are constants of that module:
+``verify.CLOSED_FORM_ATOL``, ``verify.MINMAX_ATOL``,
+``verify.CANDIDATE_ORDER_SLACK``, ``verify.GCMI_ATOL``,
+``verify.KH_CROSS_ATOL``, ``verify.KH_UNIT_ATOL``, ``verify.KH_MIN_ATOL``,
+``verify.CONJECTURE_ATOL``, ``verify.FAITHFULNESS_ATOL``,
+``verify.HOMODYNE_LIMIT_ATOL`` and ``verify.F_DECOMPOSITION_ATOL``.
 """
 
 from __future__ import annotations

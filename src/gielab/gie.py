@@ -23,9 +23,7 @@ import numpy as np
 from . import config
 from .config import GridConfig
 from .errors import DegenerateFamilyError, DomainNotCoveredError, InvalidInputError
-from .measurement import (
-    GaussianMeasurement, condition_on_e, general_single_mode, homodyne, seed_frame_schur, seed_frame_xx,
-)
+from .measurement import condition_on_e, general_single_mode, seed_frame_schur, seed_frame_xx
 from .optimize import search
 from .purification import Purification, purify, purify_asym_glems
 from .states import StateFamily, is_separable, make_family, std_form_cm, std_form_params
@@ -82,18 +80,16 @@ def verified_domain(fam: StateFamily) -> bool:
     return False
 
 
-def gie_closed_form(fam: StateFamily, require_verified: bool = False) -> float:
+def gie_closed_form(fam: StateFamily) -> float:
     """Closed-form GIE of a family instance.
 
     Separable states return 0 by faithfulness.  Outside the proven domain
-    the formula value is still returned unless ``require_verified`` is set,
-    in which case DomainNotCoveredError is raised.
+    the formula value is still returned; ``verified_domain`` tells the two
+    apart.
     """
     p = fam.std
     if is_separable(p):
         return 0.0
-    if require_verified and not verified_domain(fam):
-        raise DomainNotCoveredError(f"{fam.tag} point outside the proven validity domain")
     if fam.tag == "pure":
         return float(np.log(p.a))
     if fam.tag == "sym_glems":
@@ -145,15 +141,6 @@ def _single_mode_params(x) -> tuple:
     return float(x[0]) % np.pi, float(np.exp(x[1])), float(x[2])
 
 
-def _single_mode_measurement(params: tuple) -> GaussianMeasurement:
-    """Eve's measurement at a (phi, tau, t) trace point."""
-    phi, tau, t = params
-    if np.isinf(t):
-        # measured quadrature of the squeezed seed sits at phi + pi/2
-        return homodyne([phi + np.pi / 2.0])
-    return general_single_mode(phi, tau, t)
-
-
 def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     """Eve's optimum over (phi, ln tau, t) and the single-mode limit candidates.
 
@@ -183,7 +170,7 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
 
 def _sym_glems_gate(pi: Purification, params: tuple) -> float:
     """GCMI optimality gate 2 + 1/a~ - s~ of the conditional standard form."""
-    a_t, b_t, kx_t, _ = std_form_params(condition_on_e(pi, _single_mode_measurement(params)))
+    a_t, b_t, kx_t, _ = std_form_params(condition_on_e(pi, general_single_mode(*params)))
     s_tilde = np.sqrt(max(a_t * b_t - kx_t * kx_t, 0.0))
     return float(2.0 + 1.0 / np.sqrt(a_t * b_t) - s_tilde)
 
@@ -241,7 +228,7 @@ def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig | None = Non
 
 
 def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
-    g = purify(std_form_cm(fam.std)).gamma_ab.mat
+    g = std_form_cm(fam.std).mat  # a pure state's gamma_AB; there is no E to measure
     value = float(_f_xx(g[0, 0], g[2, 2], g[0, 2]))
     trace = tuple((_single_mode_params(row), value) for _, row in _SINGLE_MODE_CANDIDATES)
     return GieResult(
@@ -360,9 +347,8 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
 
     Searches (phi, ln lambda1, ln lambda2) and the rows ``_KH_CANDIDATES``
     of the same objective with ``gielab.optimize.search``.  Returns
-    ``(k_min, best_params, trace)``; best_params is the (phi, lambda1,
-    lambda2) of the named candidate (infinite lambda1 for the dual-homodyne
-    limit) or the descent end.
+    ``(k_min, optimum, trace)``; optimum is the label of the named
+    candidate or ``Q(...)`` with the descent end's (phi, lambda1, lambda2).
     """
     grid_cfg = config.grid() if grid_cfg is None else grid_cfg
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
@@ -373,13 +359,15 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
 
     n = grid_cfg.points
     logs = np.linspace(grid_cfg.lambda_log_min, grid_cfg.lambda_log_max, n)
-    k_min, _, best, trace = search(
+    k_min, optimum, best, trace = search(
         objective, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs),
         np.array([0.0, grid_cfg.lambda_log_min, grid_cfg.lambda_log_min]),
         np.array([np.pi, grid_cfg.lambda_log_max, grid_cfg.lambda_log_max]),
         grid_cfg.resolution, _kh_params, _KH_CANDIDATES,
     )
-    return float(k_min), best, trace
+    if optimum is None:
+        optimum = f"Q(phi={best[0]:.6g}, lambda1={best[1]:.6g}, lambda2={best[2]:.6g})"
+    return float(k_min), optimum, trace
 
 
 _AB_BLOCK_ENTRIES = ((0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3))
@@ -415,15 +403,12 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig | None =
             verified=True,
             extra={},
         )
-    if abs(a * a - k * k - 1.0) <= config.tolerances().family_atol:
+    pi = purify(std_form_cm(fam.std))
+    if pi.r_count == 0:  # a^2 - k^2 = 1 within purify's cutoff: pure state
         return _numeric_pure(fam, closed)
-    k_min, best, trace = minimize_kh(a, k, grid_cfg)
+    k_min, optimum, trace = minimize_kh(a, k, grid_cfg)
     i_h = 0.5 * np.log(a * a / (a * a - k * k))
     numeric = float(i_h + 0.5 * np.log(k_min))
-    optimum = next((name for name, row in _KH_CANDIDATES if _kh_params(row) == best), None)
-    if optimum is None:
-        optimum = f"Q(phi={best[0]:.6g}, lambda1={best[1]:.6g}, lambda2={best[2]:.6g})"
-    pi = purify(std_form_cm(fam.std))
     sqrt_ab_max = float(_sqrt_ab_of_q(pi, [params for params, _ in trace]).max())
     return GieResult(
         closed_form=closed,

@@ -25,7 +25,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .measurement import FiniteMeasurement, GaussianMeasurement, condition_on_e
-from .optimize import MIN_IMPROVEMENT, descend, grid_argmin
+from .optimize import descend, grid_argmin
 from .purification import Purification
 from .states import StdForm
 
@@ -124,34 +124,21 @@ class GcmiResult:
 def gcmi_numeric(cond: StdForm, points: int | None = None) -> GcmiResult:
     """Gaussian classical mutual information of a conditional standard form.
 
-    Minimizes u(rA, rB) on a deterministic grid, the analytic r -> infinity
-    edges and a pattern-search descent.  The closed form ``f_homodyne_ab``
-    is proven optimal only where ``gcmi_condition_g`` is non-negative; this
-    numeric minimum checks it there and covers the rest.
+    Minimizes u(rA, rB) on a deterministic grid whose axes end in the exact
+    r = inf limit, then descends from a finite best.  The closed form
+    ``f_homodyne_ab`` is proven optimal only where ``gcmi_condition_g`` is
+    non-negative; this numeric minimum checks it there and covers the rest.
     """
     grid_cfg = config.grid()
     points = grid_cfg.points if points is None else points
-    rs = np.linspace(0.0, grid_cfg.squeeze_max, points)
+    rs = np.append(np.linspace(0.0, grid_cfg.squeeze_max, points), np.inf)
     objective = partial(u_function, cond)
-    coarse, best_val = grid_argmin(objective, (rs, rs))
-    best = (float(coarse[0]), float(coarse[1]))
-    # analytic r -> infinity edges, evaluated in one call and taken in order
-    edges = [(np.inf, np.inf), *((np.inf, r) for r in rs), *((r, np.inf) for r in rs)]
-    for edge, val in zip(edges, objective(*np.array(edges).T)):
-        if val < best_val - MIN_IMPROVEMENT:
-            best_val, best = val, edge
-    if np.isfinite(best[0]) and np.isfinite(best[1]):
-        best, best_val = descend(
-            objective,
-            np.array(best),
-            np.zeros(2),
-            np.full(2, grid_cfg.squeeze_max),
-            grid_cfg.resolution,
-        )
-        best = tuple(float(x) for x in best)
+    best, best_val = grid_argmin(objective, (rs, rs))
+    if np.isfinite(best).all():
+        best, best_val = descend(objective, best, np.zeros(2), np.full(2, grid_cfg.squeeze_max), grid_cfg.resolution)
     if best_val <= 0.0:
         raise NumericalDegeneracyError(f"u minimum degenerate: {best_val}")
-    return GcmiResult(value=_check_nats(-0.5 * np.log(best_val), "GCMI"), argmin=best)
+    return GcmiResult(value=_check_nats(-0.5 * np.log(best_val), "GCMI"), argmin=(float(best[0]), float(best[1])))
 
 
 def f_decomposed(

@@ -80,15 +80,19 @@ def homodyne(angles) -> HomodyneMeasurement:
     return HomodyneMeasurement(tuple(np.atleast_1d(angles)))
 
 
-def general_single_mode(phi: float, tau: float, t: float) -> FiniteMeasurement:
+def general_single_mode(phi: float, tau: float, t: float) -> GaussianMeasurement:
     """Rotated squeezed-thermal seed ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P^T``.
 
     Checked from its parameters, since tau >= 1 and t >= 0 give nu = tau
     exactly, not by the matrix gate of ``FiniteMeasurement``: near t = 8 the
     entries reach e^16 and the matrix determinant is off by about 1e-2.
+    t = inf is the exact limit, the homodyne on the quadrature at phi + pi/2
+    that ``seed_frame_xx`` evaluates there.
     """
     if not (tau >= 1.0 and t >= 0.0):
         raise InvalidMeasurementError(f"need tau >= 1 and t >= 0, got ({tau}, {t})")
+    if t == np.inf and np.isfinite(phi):
+        return homodyne([phi + np.pi / 2.0])
     c, s = np.cos(phi), np.sin(phi)
     vx, vp = tau * np.exp(2.0 * t), tau * np.exp(-2.0 * t)
     seed = np.array([[c * c * vx + s * s * vp, c * s * (vx - vp)], [c * s * (vx - vp), s * s * vx + c * c * vp]])
@@ -197,15 +201,16 @@ def seed_frame_schur(pi: Purification, entries):
 
     Returns an elementwise, broadcasting ``kernel(phi, s)`` with s the 2R
     seed eigenvalues in xxpp order; it gives the conditional entries (i, j)
-    of ``entries``.  Without an E mode there is nothing to condition on and
-    they are those of gamma_AB, as in ``condition_on_e``.
+    of ``entries``.  It needs at least one E mode: a pure state has nothing
+    to condition on, and the callers take their pure paths before this.
 
     Raises:
+        DimensionMismatchError: the purification has no E mode.
         InvalidInputError: gamma_E is not a multiple of the identity.
     """
-    g = pi.gamma_ab.mat
     if pi.r_count == 0:
-        return lambda phi, s: tuple(np.full(np.shape(phi), g[i, j]) for i, j in entries)
+        raise DimensionMismatchError("the seed-frame kernel needs at least one E mode")
+    g = pi.gamma_ab.mat
     nu = pi.gamma_e[0, 0]
     if not np.array_equal(pi.gamma_e, nu * np.eye(2 * pi.r_count)):
         raise InvalidInputError(f"the seed-frame kernel needs gamma_E = nu I, got {pi.gamma_e.tolist()}")

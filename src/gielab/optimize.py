@@ -67,14 +67,14 @@ def _poll_plans(dim):
     return tuple(plans)
 
 
-def descend(fn, x0, lows, highs, resolution, max_sweeps=MAX_SWEEPS):
+def descend(fn, x0, lows, highs, resolution):
     """Deterministic Hooke-Jeeves pattern-search descent within a box.
 
     Sweeps coordinate moves plus pairwise diagonal moves (diagonal valleys
     stall a pure coordinate search), each with sign + then -, and moves to
     each probe that beats the incumbent by more than ``MIN_IMPROVEMENT``;
     a sweep without a move halves the step until it falls below
-    ``resolution``, and at most ``max_sweeps`` sweeps run.  ``fn`` must
+    ``resolution``, and at most ``MAX_SWEEPS`` sweeps run.  ``fn`` must
     broadcast over 1-D probe arrays, one per coordinate.
 
     One call evaluates every probe that a probe-at-a-time search would try
@@ -95,11 +95,11 @@ def descend(fn, x0, lows, highs, resolution, max_sweeps=MAX_SWEEPS):
     plans = _poll_plans(x.size)
     n = len(plans)
     sweep, k = 0, 0  # the sweep under way and its next row to poll
-    while sweep < max_sweeps:
+    while sweep < MAX_SWEEPS:
         rows, moves, sweeps = plans[k]
         stop = len(rows) if top * 0.5 >= resolution else n  # the half-step sweep runs only above resolution
-        if sweep + sweeps[stop - 1] >= max_sweeps:
-            stop = bisect.bisect_left(sweeps, max_sweeps - sweep)
+        if sweep + sweeps[stop - 1] >= MAX_SWEEPS:
+            stop = bisect.bisect_left(sweeps, MAX_SWEEPS - sweep)
         trials = np.minimum(np.maximum(x + steps * moves[:stop], lows), highs)
         values = fn(*trials.T)
         better = ((trials != x).any(axis=1) & (values < val - MIN_IMPROVEMENT)).nonzero()[0]

@@ -17,6 +17,7 @@ from .gie import gie_closed_form
 from .states import StateFamily, StdForm
 
 TRIANGLE_SLACK = 1e-12  # rounding allowance on the triangle constraints of ThreeModePureParams
+TRIANGLE_ULPS = 4  # ... widened to this many ulps of the largest invariant, more than 1e-12 above about 1,100
 SYMMETRY_RTOL = 1e-9  # largest |a - b| / max(a, b) that gr2_symmetric accepts as a = b
 
 
@@ -29,12 +30,14 @@ class ThreeModePureParams:
     a3: float
 
     def __post_init__(self):
+        # a caller's a_k = 1 + |a_i - a_j| is itself off by about one ulp of the largest invariant
+        slack = max(TRIANGLE_SLACK, TRIANGLE_ULPS * np.finfo(float).eps * max(self.a1, self.a2, self.a3))
         for ai, aj, ak in ((self.a1, self.a2, self.a3), (self.a2, self.a1, self.a3), (self.a3, self.a1, self.a2)):
             if ai < 1.0:
                 raise InvalidThreeModeError(f"local invariants must be >= 1, got {ai}")
-            if not abs(aj - ak) + 1.0 <= ai + TRIANGLE_SLACK:
+            if not abs(aj - ak) + 1.0 <= ai + slack:
                 raise InvalidThreeModeError(f"triangle constraint violated: {ai} < |{aj} - {ak}| + 1")
-            if not ai <= aj + ak - 1.0 + TRIANGLE_SLACK:
+            if not ai <= aj + ak - 1.0 + slack:
                 raise InvalidThreeModeError(f"triangle constraint violated: {ai} > {aj} + {ak} - 1")
 
     def as_tuple(self):

@@ -179,13 +179,13 @@ def make_family(tag: str, **params) -> StateFamily:
     raise InvalidFamilyParamsError(f"unknown family tag {tag!r}")
 
 
-def classify(p: StdForm, atol: float | None = None) -> StateFamily:
+def classify(p: StdForm) -> StateFamily:
     """Classify a standard form into the family hierarchy.
 
     Precedence: pure, then symmetric GLEMS, then symmetric squeezed
     thermal, then asymmetric squeezed-thermal GLEMS, else generic.
     """
-    atol = config.tolerances().classify_atol if atol is None else atol
+    atol = config.tolerances().classify_atol
     nu1, nu2 = p.symplectic_eigenvalues()
     symmetric = abs(p.a - p.b) <= atol
     isotropic = abs(p.kx - p.kp) <= atol

@@ -28,6 +28,9 @@ from .errors import (
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0])
 EIGENVALUE_SYMMETRY_RTOL = 1e-8  # symplectic_eigenvalues: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
+STANDARD_FORM_RTOL = 1e-11  # _is_standard_form: allowed |gamma - pattern|, relative to max(1, |gamma|)
+ANALYTIC_ROUTE_RTOL = 1e-12  # williamson: |a - b| and |cx + cp| below this, relative, take the analytic routes
+SQUEEZER_ATOL = 1e-10  # two_mode_squeezer: allowed |x^2 - y^2 - 1|
 
 
 def _readonly(mat: np.ndarray) -> np.ndarray:
@@ -150,7 +153,7 @@ def std_form_symplectic_eigenvalues(a, b, kx, kp) -> tuple[float, float]:
     return float(nu1), float(nu2)
 
 
-def _is_standard_form(mat: np.ndarray, atol: float = 1e-11):
+def _is_standard_form(mat: np.ndarray):
     """Detect a two-mode standard form, returning (a, b, cx, cp) or None."""
     if mat.shape != (4, 4):
         return None
@@ -165,7 +168,7 @@ def _is_standard_form(mat: np.ndarray, atol: float = 1e-11):
         ]
     )
     scale = max(1.0, np.abs(mat).max())
-    if np.abs(mat - pattern).max() > atol * scale:
+    if np.abs(mat - pattern).max() > STANDARD_FORM_RTOL * scale:
         return None
     return float(a), float(b), float(cx), float(cp)
 
@@ -242,9 +245,9 @@ def williamson(gamma) -> WilliamsonDecomposition:
     std = _is_standard_form(mat)
     if std is not None:
         a, b, cx, cp = std
-        if abs(a - b) <= 1e-12 * max(a, b) and cx >= abs(cp):
+        if abs(a - b) <= ANALYTIC_ROUTE_RTOL * max(a, b) and cx >= abs(cp):
             s, nus = _williamson_symmetric(a, cx, -cp)
-        elif abs(cx + cp) <= 1e-12 * max(1.0, abs(cx)) and cx >= 0.0:
+        elif abs(cx + cp) <= ANALYTIC_ROUTE_RTOL * max(1.0, abs(cx)) and cx >= 0.0:
             s, nus = _williamson_squeezed_thermal(a, b, cx)
         else:
             s, nus = _williamson_generic(mat)
@@ -277,7 +280,7 @@ def beam_splitter_balanced() -> np.ndarray:
 
 def two_mode_squeezer(x: float, y: float) -> np.ndarray:
     """Two-mode squeezer with cosh/sinh parameters (x, y), x^2 - y^2 = 1."""
-    if abs(x * x - y * y - 1.0) > 1e-10:
+    if abs(x * x - y * y - 1.0) > SQUEEZER_ATOL:
         raise InvalidSqueezerError(f"two-mode squeezer needs x^2 - y^2 = 1, got {x * x - y * y}")
     eye = np.eye(2)
     return np.block([[x * eye, -y * SIGMA_Z], [-y * SIGMA_Z, x * eye]])

@@ -105,14 +105,16 @@ def _entangled_sym_glems(rng, max_a=6.0):
             return a, kp
 
 
-def check_closed_form_identities(atol=CLOSED_FORM_ATOL) -> CheckResult:
+def check_closed_form_identities() -> CheckResult:
     """Criterion 1: worked points against frozen direct-formula values."""
     worst = 0.0
     for tag, params, expected in WORKED_POINTS:
         fam = make_family(tag, **params)
         worst = max(worst, abs(gie_closed_form(fam) - expected))
-    passed = worst < atol
-    return CheckResult("closed-form identities", passed, f"max |value - oracle| = {worst:.3e} (tol {atol:g})")
+    passed = worst < CLOSED_FORM_ATOL
+    return CheckResult(
+        "closed-form identities", passed, f"max |value - oracle| = {worst:.3e} (tol {CLOSED_FORM_ATOL:g})"
+    )
 
 
 def _family_sample_points(per_family: int):
@@ -153,7 +155,7 @@ def run_family_numeric(per_family: int, grid_cfg: GridConfig):
     return out
 
 
-def check_minmax(results, atol=MINMAX_ATOL) -> CheckResult:
+def check_minmax(results) -> CheckResult:
     """Criterion 2: numeric optimum vs closed form, and Eve's reported optimum."""
     worst = 0.0
     wrong_opt = []
@@ -161,14 +163,14 @@ def check_minmax(results, atol=MINMAX_ATOL) -> CheckResult:
         worst = max(worst, res.discrepancy)
         if res.eve_optimum != _EXPECTED_OPTIMUM[tag]:
             wrong_opt.append((tag, params, res.eve_optimum))
-    passed = worst < atol and not wrong_opt
-    detail = f"{len(results)} points, max |closed - numeric| = {worst:.3e} (tol {atol:g})"
+    passed = worst < MINMAX_ATOL and not wrong_opt
+    detail = f"{len(results)} points, max |closed - numeric| = {worst:.3e} (tol {MINMAX_ATOL:g})"
     if wrong_opt:
         detail += f"; unexpected optima: {wrong_opt[:3]}"
     return CheckResult("min-max verification", passed, detail)
 
 
-def check_candidate_ordering(n=1000, slack=CANDIDATE_ORDER_SLACK) -> CheckResult:
+def check_candidate_ordering(n=1000) -> CheckResult:
     """Criterion 3: U1 >= U3 and U2 >= U3 on random entangled symmetric GLEMS."""
     rng = np.random.default_rng(7)
     worst = np.inf
@@ -176,11 +178,11 @@ def check_candidate_ordering(n=1000, slack=CANDIDATE_ORDER_SLACK) -> CheckResult
         a, kp = _entangled_sym_glems(rng)
         u1, u2, u3 = sym_glems_candidates(a, kp)
         worst = min(worst, u1 - u3, u2 - u3)
-    passed = worst >= slack
+    passed = worst >= CANDIDATE_ORDER_SLACK
     return CheckResult("candidate ordering", passed, f"{n} points, min(U1 - U3, U2 - U3) = {worst:.3e}")
 
 
-def check_gcmi_optimality(n=1000, atol=GCMI_ATOL, points=21) -> CheckResult:
+def check_gcmi_optimality(n=1000, points=21) -> CheckResult:
     """Criterion 4: numeric u-minimization vs the closed form when G >= 0."""
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -194,12 +196,11 @@ def check_gcmi_optimality(n=1000, atol=GCMI_ATOL, points=21) -> CheckResult:
         gap = abs(gcmi_numeric(cond, points=points).value - f_homodyne_ab(cond))
         worst = max(worst, gap)
         checked += 1
-    passed = worst < atol
+    passed = worst < GCMI_ATOL
     return CheckResult("GCMI optimality", passed, f"{checked} forms, max |numeric - closed| = {worst:.3e}")
 
 
-def check_kh_machinery(n=1000, cross_atol=KH_CROSS_ATOL, unit_atol=KH_UNIT_ATOL, min_atol=KH_MIN_ATOL,
-                       grid_cfg: GridConfig | None = None) -> CheckResult:
+def check_kh_machinery(grid_cfg: GridConfig, n=1000) -> CheckResult:
     """Criterion 5: K_h reduction vs determinants, unit identity, grid minimum."""
     rng = np.random.default_rng(13)
     worst_cross = 0.0
@@ -216,10 +217,9 @@ def check_kh_machinery(n=1000, cross_atol=KH_CROSS_ATOL, unit_atol=KH_UNIT_ATOL,
         worst_cross = max(worst_cross, abs(k_h(q, a, k) - k_h_determinant(q, a, k)))
         q_eq = QMatrixParams(phi, lam[0], lam[0])
         worst_unit = max(worst_unit, abs(k_h(q_eq, a, k) - 1.0))
-    grid_cfg = grid_cfg or GridConfig(points=21)
     k_min, _, _ = minimize_kh(1.2, 0.5, grid_cfg)
     gap_min = abs(k_min - KMIN_WORKED)
-    passed = worst_cross < cross_atol and worst_unit < unit_atol and gap_min < min_atol
+    passed = worst_cross < KH_CROSS_ATOL and worst_unit < KH_UNIT_ATOL and gap_min < KH_MIN_ATOL
     return CheckResult(
         "K_h machinery",
         passed,
@@ -244,7 +244,7 @@ def check_thresholds(results) -> CheckResult:
     )
 
 
-def check_conjecture(grid_n=20, atol=CONJECTURE_ATOL) -> CheckResult:
+def check_conjecture(grid_n=20) -> CheckResult:
     """Criterion 7: |GIE - GR2| on dense family grids; asym branch is never 2."""
     worst = 0.0
     branch_two = 0
@@ -269,16 +269,15 @@ def check_conjecture(grid_n=20, atol=CONJECTURE_ATOL) -> CheckResult:
         worst = max(worst, conjecture_gap(make_family("pure", a=a)))
     for r in np.linspace(0.0, 1.5, grid_n):
         worst = max(worst, conjecture_gap(make_family("cv_ghz", r=r)))
-    passed = worst < atol and branch_two == 0
+    passed = worst < CONJECTURE_ATOL and branch_two == 0
     return CheckResult(
         "conjecture equality", passed, f"max |GIE - GR2| = {worst:.3e}, middle-branch hits = {branch_two}"
     )
 
 
-def check_faithfulness(n=1000, grid_cfg: GridConfig | None = None) -> CheckResult:
+def check_faithfulness(grid_cfg: GridConfig, n=1000) -> CheckResult:
     """Criterion 8: closed form 0 plus tiny minimized f on separable states."""
     rng = np.random.default_rng(17)
-    grid_cfg = grid_cfg or GridConfig(points=13)
     bad_closed = 0
     count_sep = 0
     while count_sep < n:

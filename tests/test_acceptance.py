@@ -63,25 +63,23 @@ def test_criterion_1_closed_form_identities(acceptance_report):
         abs(gie_closed_form(make_family("pure", a=2.0)) - oracle["pure"]),
     )
     assert worst < 1e-9, f"worked point deviates from the oracle by {worst:.3e}"
-    acceptance_report(check_closed_form_identities(atol=1e-9))
+    acceptance_report(check_closed_form_identities())
 
 
 def test_criterion_2_minmax_verification(family_numeric_results, acceptance_report):
-    acceptance_report(check_minmax(family_numeric_results, atol=2e-5))
+    acceptance_report(check_minmax(family_numeric_results))
 
 
 def test_criterion_3_candidate_ordering(acceptance_report):
-    acceptance_report(check_candidate_ordering(n=1000, slack=-1e-12))
+    acceptance_report(check_candidate_ordering(n=1000))
 
 
 def test_criterion_4_gcmi_optimality(acceptance_report):
-    acceptance_report(check_gcmi_optimality(n=1000, atol=1e-6, points=21))
+    acceptance_report(check_gcmi_optimality(n=1000, points=21))
 
 
 def test_criterion_5_kh_machinery(acceptance_report):
-    acceptance_report(
-        check_kh_machinery(n=1000, cross_atol=1e-9, unit_atol=1e-12, min_atol=1e-6, grid_cfg=FULL_GRID)
-    )
+    acceptance_report(check_kh_machinery(FULL_GRID, n=1000))
 
 
 def test_criterion_6_threshold_machinery(family_numeric_results, acceptance_report):
@@ -89,11 +87,11 @@ def test_criterion_6_threshold_machinery(family_numeric_results, acceptance_repo
 
 
 def test_criterion_7_conjecture_equality(acceptance_report):
-    acceptance_report(check_conjecture(grid_n=20, atol=1e-12))
+    acceptance_report(check_conjecture(grid_n=20))
 
 
 def test_criterion_8_faithfulness(acceptance_report):
-    acceptance_report(check_faithfulness(n=1000, grid_cfg=FULL_GRID))
+    acceptance_report(check_faithfulness(FULL_GRID, n=1000))
 
 
 def test_criterion_9_structural_suite(acceptance_report):

@@ -68,6 +68,22 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["gie_closed_nats"] > 0
 
+    def test_asym_glems_at_large_a_passes_the_triangle_check(self, capsys):
+        # a_3 = 1 + |a - b| is off by about one ulp of a, past an absolute 1e-12 slack
+        code, out, _ = run_cli(
+            capsys, "compute", "--family", "asym-glems", "--a", "32257.08033420893", "--b", "1964.337545195124",
+            "--with-gr2",
+        )
+        assert code == 0
+        assert json.loads(out)["gap"] < 1e-12
+
+    def test_pure_state_at_large_a_is_not_purified(self, capsys):
+        # purify's Williamson residual here, 3.2e-8, fails its 1e-8 gate
+        code, out, _ = run_cli(capsys, "compute", "--family", "pure", "--a", "2e4", "--numeric")
+        assert code == 0
+        record = json.loads(out)
+        assert record["eve_optimum"] == "heterodyne" and record["verified"]
+
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--family", "sym-glems", "--a", "1.5")
         assert code == 1

@@ -1,5 +1,9 @@
+import importlib
+import re
+
 import pytest
 
+from gielab import config
 from gielab.config import DEFAULT_GRID, DEFAULT_TOLERANCES, GridConfig, Tolerances, load_config
 
 
@@ -33,3 +37,10 @@ def test_records_are_immutable():
         Tolerances().physical_atol = 1.0
     with pytest.raises(Exception):
         GridConfig().points = 5
+
+
+def test_every_constant_in_the_tolerance_index_exists():
+    names = re.findall(r"``(\w+)\.(\w+)``", config.__doc__)
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"gielab.{module}"), name), f"{module}.{name}"

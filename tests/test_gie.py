@@ -24,6 +24,7 @@ from gielab.measurement import FiniteMeasurement, condition_on_e, homodyne
 from gielab.purification import Purification, purify
 from gielab.states import StdForm, classify, make_family, std_form_cm, std_form_params
 from gielab.symplectic import CovMat
+from tests.test_optimize import probe_at_a_time_descend
 
 FAST = GridConfig(points=13)
 
@@ -60,10 +61,8 @@ class TestClosedForm:
     def test_domain_gate(self):
         fam = make_family("sym_sq_thermal", a=3.0, k=2.5)  # entangled, a > 2.41
         assert not verified_domain(fam)
-        value = gie_closed_form(fam)  # still computable on request
+        value = gie_closed_form(fam)  # still computable; verified_domain flags it
         assert value > 0
-        with pytest.raises(DomainNotCoveredError):
-            gie_closed_form(fam, require_verified=True)
 
     def test_generic_entangled_not_covered(self):
         p = StdForm(1.4, 1.1, 0.4, 0.25)
@@ -136,13 +135,13 @@ class TestNumericSymSqThermal:
         assert abs(res.numeric - expected) < 2e-5
 
     def test_near_pure_state_purified_without_e_mode(self):
-        # a^2 - k^2 - 1 = 1.3e-9: past family_atol, so the search runs, but
-        # purify drops the E mode; the gate then reads gamma_AB, sqrt(a b) = a
+        # a^2 - k^2 - 1 = 1.3e-9, past family_atol; purify drops the E mode,
+        # and that decides: the pure path, where every measurement of E ties
         a, k = 2.0, 1.7320508072
         assert purify(std_form_cm(make_family("sym_sq_thermal", a=a, k=k).std)).r_count == 0
         res = gie_numeric_sym_sq_thermal(a, k, FAST)
-        assert res.extra["sqrt_ab_max"] == a
-        assert res.verified and res.discrepancy < 2e-5
+        assert res.eve_optimum == "heterodyne"
+        assert res.verified and res.discrepancy < 1e-9
 
     def test_separable_short_circuit(self):
         res = gie_numeric_sym_sq_thermal(3.0, 1.0, FAST)
@@ -172,42 +171,6 @@ class TestNumericAsymGlems:
             gie_numeric_asym_glems(1.5, 1.5, FAST)
 
 
-def _probe_at_a_time_descend(fn, x0, lows, highs, resolution):
-    """The Hooke-Jeeves descent one probe per call; returns its end, value and whether the cap stopped it.
-
-    Each probe is a 1-row array, so the objective takes the array path that
-    the batched descent takes (a scalar ``** 2`` can round differently).
-    """
-    x = np.array(x0, dtype=float)
-    val = fn(*x[:, None])[0]
-    steps = np.maximum((highs - lows) * 0.05, resolution)
-    directions = []
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = 1.0
-        directions.append(e)
-        for j in range(i + 1, x.size):
-            for other in (1.0, -1.0):
-                d = np.zeros(x.size)
-                d[i], d[j] = 1.0, other
-                directions.append(d / np.sqrt(2.0))
-    for _ in range(gielab.optimize.MAX_SWEEPS):
-        improved = False
-        for direction in directions:
-            for sign in (1.0, -1.0):
-                trial = np.clip(x + sign * steps * direction, lows, highs)
-                if np.array_equal(trial, x):
-                    continue
-                tval = fn(*trial[:, None])[0]
-                if tval < val - gielab.optimize.MIN_IMPROVEMENT:
-                    x, val, improved = trial, tval, True
-        if not improved:
-            steps *= 0.5
-            if steps.max() < resolution:
-                return x, val, False
-    return x, val, True
-
-
 class TestKh:
     def test_equal_spectrum_gives_unity(self):
         for phi in (0.0, 0.4, 1.3, 3.0):
@@ -226,9 +189,9 @@ class TestKh:
             assert abs(k_h(q, a, k) - k_h_determinant(q, a, k)) < 1e-9
 
     def test_minimum_matches_closed_form(self):
-        k_min, best, _ = minimize_kh(1.2, 0.5, FAST)
+        k_min, optimum, _ = minimize_kh(1.2, 0.5, FAST)
         assert np.isclose(k_min, 0.9360540674603174, atol=1e-6)
-        assert np.isinf(best[1])  # dual-homodyne limit wins
+        assert optimum == "homodyne x_EA p_EB"  # dual-homodyne limit wins
 
     def test_grid_stage_evaluates_the_public_formula(self):
         for a, k in ((1.2, 0.5), (1.8, 1.1), (2.3, 1.0), (1.5, 0.3)):
@@ -240,7 +203,7 @@ class TestKh:
 
         def checked(fn, x0, lows, highs, resolution):
             x, value = descend(fn, x0, lows, highs, resolution)
-            x_ref, value_ref, stopped_on_cap = _probe_at_a_time_descend(fn, x0, lows, highs, resolution)
+            x_ref, value_ref, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs, resolution)
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
             capped.append(stopped_on_cap)
             return x, value

@@ -45,9 +45,11 @@ class TestBuilders:
             general_single_mode(0.0, 0.5, 1.0)
         with pytest.raises(InvalidMeasurementError):
             general_single_mode(0.0, 1.0, -0.2)
-        for phi, tau, t in ((0.0, 1.0, np.inf), (0.0, np.nan, 1.0), (np.inf, 1.0, 1.0)):
+        for phi, tau, t in ((0.0, np.nan, 1.0), (np.inf, 1.0, 1.0), (np.inf, 1.0, np.inf)):
             with np.errstate(invalid="ignore"), pytest.raises(InvalidMeasurementError):
                 general_single_mode(phi, tau, t)
+        # t = inf is the exact limit: the homodyne on the quadrature at phi + pi/2
+        assert general_single_mode(0.3, 2.0, np.inf) == homodyne([0.3 + np.pi / 2.0])
 
     def test_seeds_at_the_descent_box_edge_are_physical(self):
         # entries near e^16 leave the determinant of the assembled matrix off
@@ -196,18 +198,13 @@ class TestSeedFrameKernel:
         with pytest.raises(InvalidInputError):
             seed_frame_xx(skewed)
 
-    def test_without_e_mode_returns_gamma_ab(self):
-        pi = _pi("pure", a=2.0)
-        phis = np.array([0.0, 1.0, 2.5])
-        entries = seed_frame_schur(pi, ((0, 0), (0, 2), (3, 3)))(phis, ())
-        for (i, j), values in zip(((0, 0), (0, 2), (3, 3)), entries):
-            assert values.shape == phis.shape and np.all(values == pi.gamma_ab.mat[i, j])
-
     def test_needs_one_e_mode(self):
         with pytest.raises(DimensionMismatchError):
             seed_frame_xx(_pi("sym_sq_thermal", a=1.3, k=0.6))
         with pytest.raises(DimensionMismatchError):
             seed_frame_xx(_pi("pure", a=2.0))
+        with pytest.raises(DimensionMismatchError):
+            seed_frame_schur(_pi("pure", a=2.0), ((0, 0),))
 
     def test_box_edges_against_50_digit_reference(self):
         mpmath = pytest.importorskip("mpmath")

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gielab import config
-from gielab.optimize import MAX_SWEEPS, MIN_IMPROVEMENT, descend, grid_argmin, search
+from gielab import config, optimize
+from gielab.optimize import MIN_IMPROVEMENT, descend, grid_argmin, search
 
 AXES = (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
 LOWS, HIGHS = np.zeros(2), np.ones(2)
@@ -75,10 +77,15 @@ class TestSearch:
         ]
 
 
-def probe_at_a_time_descend(fn, x0, lows, highs, resolution, max_sweeps=MAX_SWEEPS):
-    """Oracle: the Hooke-Jeeves descent that evaluates one probe per call."""
+def probe_at_a_time_descend(fn, x0, lows, highs, resolution):
+    """Oracle: the Hooke-Jeeves descent that evaluates one probe per call.
+
+    Returns its end, the value there and whether ``optimize.MAX_SWEEPS``
+    (read at call time) stopped it.  Each probe is a 1-row array, so the
+    objective takes the array path that the batched descent takes.
+    """
     x = np.array(x0, dtype=float)
-    val = fn(*x.tolist())
+    val = fn(*x[:, None])[0]
     steps = np.maximum((highs - lows) * 0.05, resolution)
     directions = []
     for i in range(x.size):
@@ -93,22 +100,22 @@ def probe_at_a_time_descend(fn, x0, lows, highs, resolution, max_sweeps=MAX_SWEE
             d = d.copy()
             d[j] = -1.0
             directions.append(d / np.sqrt(2.0))
-    for _ in range(max_sweeps):
+    for _ in range(optimize.MAX_SWEEPS):
         improved = False
         for direction in directions:
             for sign in (1.0, -1.0):
                 trial = np.clip(x + sign * steps * direction, lows, highs)
                 if np.array_equal(trial, x):
                     continue
-                tval = fn(*trial.tolist())
+                tval = fn(*trial[:, None])[0]
                 if tval < val - MIN_IMPROVEMENT:
                     x, val = trial, tval
                     improved = True
         if not improved:
             steps *= 0.5
             if steps.max() < resolution:
-                break
-    return x, val
+                return x, val, False
+    return x, val, True
 
 
 def box_objective(center, weights, coupling, well, cut):
@@ -171,7 +178,7 @@ class TestDescend:
     def test_batched_polls_follow_the_probe_at_a_time_path(self, problem):
         fn, x0, lows, highs = problem
         x, val = descend(fn, x0, lows, highs, 1e-7)
-        x_ref, val_ref = probe_at_a_time_descend(fn, x0, lows, highs, 1e-7)
+        x_ref, val_ref, _ = probe_at_a_time_descend(fn, x0, lows, highs, 1e-7)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
 
@@ -180,7 +187,8 @@ class TestDescend:
     def test_the_sweep_cap_stops_both_searches_at_the_same_probe(self, problem, max_sweeps):
         # a cap of 1-60 sweeps cuts most descents short, in every block of a poll
         fn, x0, lows, highs = problem
-        x, val = descend(fn, x0, lows, highs, 1e-7, max_sweeps)
-        x_ref, val_ref = probe_at_a_time_descend(fn, x0, lows, highs, 1e-7, max_sweeps)
+        with mock.patch.object(optimize, "MAX_SWEEPS", max_sweeps):
+            x, val = descend(fn, x0, lows, highs, 1e-7)
+            x_ref, val_ref, _ = probe_at_a_time_descend(fn, x0, lows, highs, 1e-7)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)

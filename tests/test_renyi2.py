@@ -237,8 +237,7 @@ class TestGr2AsymGlemsPrecision:
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(10.0, 1e3), frac=st.floats(0.0, 1.0))
     def test_large_a(self, a, frac):
-        # beyond a ~ 1e4 the rounding of 1 + |a - b| outgrows the absolute
-        # triangle slack of ThreeModePureParams, so a stays below 1e3
+        # a up to 1e3 here; test_beyond_the_absolute_triangle_slack draws a up to 1e5
         b = 1.0 + frac * (a - 1.0)
         assume(b != a)
         _assert_reduction_is_exact(a, b)
@@ -247,3 +246,12 @@ class TestGr2AsymGlemsPrecision:
         # is_separable, while GR2 keeps its formula, linear in the distance
         bound = config.tolerances().ppt_atol if is_separable(fam.std) else 1e-12
         assert conjecture_gap(fam) < bound
+
+    def test_beyond_the_absolute_triangle_slack(self):
+        # a_3 = 1 + |a - b| is off by about one ulp of a, which outgrew the
+        # absolute TRIANGLE_SLACK from a ~ 1.6e4: 199 of these draws raised
+        rng = np.random.default_rng(1)
+        for a, frac in zip(rng.uniform(1.6e4, 1e5, 2000), rng.random(2000)):
+            fam = make_family("asym_glems", a=a, b=1.0 + frac * (a - 1.0))
+            bound = config.tolerances().ppt_atol if is_separable(fam.std) else 1e-12
+            assert conjecture_gap(fam) < bound
