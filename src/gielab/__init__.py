@@ -2,7 +2,7 @@
 two-mode Gaussian states: closed forms, purifications, Gaussian-measurement
 conditioning and deterministic min-max verification."""
 
-from .config import GridConfig, Tolerances, configure, load_config
+from .config import GridConfig
 from .errors import (
     DegenerateFamilyError,
     DomainNotCoveredError,

@@ -12,8 +12,7 @@ import json
 import math
 import sys
 
-from . import config
-from .config import GridConfig
+from .config import DEFAULT_GRID, GridConfig
 from .errors import DomainNotCoveredError, GielabError
 from .gie import gie_closed_form, gie_numeric, verified_domain
 from .renyi2 import gr2_of_family
@@ -29,6 +28,7 @@ _FAMILY_FLAGS = {
     "asym-glems": ("a", "b"),
     "cv-ghz": ("r",),
 }
+RANGE_STEP_SLACK = 1e-9  # a range keeps its stop value when (stop - start) / step falls this short of a whole count
 
 
 def _fmt(value) -> str:
@@ -92,26 +92,36 @@ def _to_bits(record: dict) -> dict:
     return out
 
 
+def _number(text: str, token: str, name: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise GielabError(f"--{name} {token!r} is not a number, start:stop:step or a+/-offset") from None
+
+
 def _parse_range(token: str, bound: dict, name: str):
     """A parameter token: scalar, start:stop:step range, or a +/- offset of a."""
     if token is None:
         return [None]
     if ":" in token:
-        start, stop, step = (float(part) for part in token.split(":"))
-        if step <= 0:
-            raise GielabError(f"range {token!r} needs a positive step")
+        parts = token.split(":")
+        if len(parts) != 3:
+            raise GielabError(f"--{name} {token!r}: a range is start:stop:step")
+        start, stop, step = (_number(part, token, name) for part in parts)
+        if not (math.isfinite(start) and math.isfinite(stop) and step > 0):
+            raise GielabError(f"range {token!r} needs finite ends and a positive step")
         if stop < start:
             return []  # empty range: header-only output
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        count = int(math.floor((stop - start) / step + RANGE_STEP_SLACK)) + 1
         return [start + i * step for i in range(count)]
     if name != "a" and (token.startswith("a+") or token.startswith("a-")):
-        bound[name] = float(token[1:])
+        bound[name] = _number(token[1:], token, name)
         return ["derived"]
-    return [float(token)]
+    return [_number(token, token, name)]
 
 
 def cmd_compute(args) -> int:
-    grid_cfg = GridConfig(points=args.grid) if args.grid else config.grid()
+    grid_cfg = GridConfig(points=args.grid)
     values = {name: getattr(args, name) for name in ("a", "b", "k", "kp", "r")}
     try:
         record = _run_point(args.family, values, args, grid_cfg, trace_path=args.out)
@@ -139,9 +149,11 @@ def _csv_row(record: dict) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    grid_cfg = GridConfig(points=args.grid) if args.grid else config.grid()
+    grid_cfg = GridConfig(points=args.grid)
     bound: dict = {}
     axes = {name: _parse_range(getattr(args, name), bound, name) for name in ("a", "b", "k", "kp", "r")}
+    if bound and args.a is None:
+        raise GielabError(f"an a+/-offset for --{' --'.join(bound)} needs --a")
     rows = []
     for a in axes["a"]:
         for b in axes["b"]:
@@ -182,8 +194,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    grid_cfg = GridConfig(points=args.grid) if args.grid else None
-    checks = run_suite(args.suite, grid_cfg)
+    checks = run_suite(args.suite, None if args.grid is None else GridConfig(points=args.grid))
     failed = [c for c in checks if not c.passed]
     for check in checks:
         print(check.line())
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"--{name}", type=float, default=None)
         p.add_argument("--with-gr2", action="store_true")
         p.add_argument("--numeric", action="store_true")
-        p.add_argument("--grid", type=int, default=None, metavar="N")
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID.points, metavar="N")
         p.add_argument("--bits", action="store_true")
         p.add_argument("--strict", action="store_true")
 
@@ -230,26 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        tol, grid_cfg = config.load_config()
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: bad config file: {exc}", file=sys.stderr)
-        return 1
-    previous = (config.tolerances(), config.grid())
-    config.configure(tol, grid_cfg)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        config.configure(*previous)
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except GielabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        config.configure(*previous)
 
 
 if __name__ == "__main__":

@@ -20,19 +20,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
-from .config import GridConfig
+from .config import DEFAULT_GRID, GridConfig
 from .errors import DegenerateFamilyError, DomainNotCoveredError, InvalidInputError
 from .measurement import condition_on_e, general_single_mode, seed_frame_schur, seed_frame_xx
-from .optimize import search
+from .optimize import RESOLUTION, search
 from .purification import Purification, purify, purify_asym_glems
-from .states import StateFamily, is_separable, make_family, std_form_cm, std_form_params
+from .states import FAMILY_ATOL, StateFamily, is_separable, make_family, std_form_cm, std_form_params
 from .symplectic import rotation, xxpp_reorder
 
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
 SQRT_AB_SLACK = 1e-9  # allowed excess of sqrt(a~ b~) over a along a sym_sq_thermal trace
 SCAN_MONOTONE_SLACK = 1e-12  # allowed decrease between neighbours of the asym_glems vx scan
+TAU_LOG_MAX = 8.0  # R = 1 search box: ln(tau) of Eve's seed thermal noise in [0, TAU_LOG_MAX]
+T_MAX = 8.0  # R = 1 search box: seed squeezing t in [0, T_MAX]
+LAMBDA_LOG_MIN = -12.0  # K_h search box: ln(lambda1), ln(lambda2) in [LAMBDA_LOG_MIN, LAMBDA_LOG_MAX]
+LAMBDA_LOG_MAX = 24.0
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,12 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     n = grid_cfg.points
     axes = (
         np.linspace(0.0, np.pi, n, endpoint=False),
-        np.linspace(0.0, grid_cfg.tau_log_max, n),
-        np.linspace(0.0, grid_cfg.t_max, n),
+        np.linspace(0.0, TAU_LOG_MAX, n),
+        np.linspace(0.0, T_MAX, n),
     )
-    highs = np.array([np.pi, grid_cfg.tau_log_max, grid_cfg.t_max])
+    highs = np.array([np.pi, TAU_LOG_MAX, T_MAX])
     best_val, optimum, best, trace = search(
-        objective, axes, np.zeros(3), highs, grid_cfg.resolution, _single_mode_params, _SINGLE_MODE_CANDIDATES
+        objective, axes, np.zeros(3), highs, RESOLUTION, _single_mode_params, _SINGLE_MODE_CANDIDATES
     )
     if optimum is None:
         optimum = f"general(phi={best[0]:.6g}, tau={best[1]:.6g}, t={best[2]:.6g})"
@@ -175,9 +178,8 @@ def _sym_glems_gate(pi: Purification, params: tuple) -> float:
     return float(2.0 + 1.0 / np.sqrt(a_t * b_t) - s_tilde)
 
 
-def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig | None = None) -> GieResult:
+def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
     """Eve-side minimization for a symmetric GLEMS (x-homodyne fixed on A, B)."""
-    grid_cfg = config.grid() if grid_cfg is None else grid_cfg
     fam = make_family("sym_glems", a=a, kp=kp)
     pi = purify(std_form_cm(fam.std))
     closed = gie_closed_form(fam)
@@ -197,9 +199,8 @@ def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig | None = Non
     )
 
 
-def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig | None = None) -> GieResult:
+def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
     """Eve-side minimization for an asymmetric squeezed-thermal GLEMS."""
-    grid_cfg = config.grid() if grid_cfg is None else grid_cfg
     if a == b:
         raise DegenerateFamilyError("a = b degenerates to a pure state")
     fam = make_family("asym_glems", a=a, b=b)
@@ -249,7 +250,7 @@ def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
 
 def _cosh_sinh_v(a: float, k: float) -> tuple[float, float, float]:
     nu_sq = a * a - k * k
-    if a < 1.0 or k < 0.0 or nu_sq < 1.0 - config.tolerances().family_atol:
+    if a < 1.0 or k < 0.0 or nu_sq < 1.0 - FAMILY_ATOL:
         raise InvalidInputError(f"need a >= 1, k >= 0 and a^2 - k^2 >= 1, got ({a}, {k})")
     nu = np.sqrt(max(nu_sq, 1.0))
     return nu, (nu + 1.0 / nu) / 2.0, (nu - 1.0 / nu) / 2.0
@@ -342,7 +343,7 @@ def _kh_params(x) -> tuple:
     return float(x[0]) % np.pi, float(np.exp(x[1])), float(np.exp(x[2]))
 
 
-def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
+def minimize_kh(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID):
     """Deterministic minimization of K_h over Eve's reduced parameters.
 
     Searches (phi, ln lambda1, ln lambda2) and the rows ``_KH_CANDIDATES``
@@ -350,7 +351,6 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
     ``(k_min, optimum, trace)``; optimum is the label of the named
     candidate or ``Q(...)`` with the descent end's (phi, lambda1, lambda2).
     """
-    grid_cfg = config.grid() if grid_cfg is None else grid_cfg
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
 
     def objective(phi, log_l1, log_l2):
@@ -358,12 +358,12 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig | None = None):
         return np.where(l2 > l1, np.inf, _k_h_scaled(phi % np.pi, l1, l2, a, k, cosh_v, sinh_v)[0])
 
     n = grid_cfg.points
-    logs = np.linspace(grid_cfg.lambda_log_min, grid_cfg.lambda_log_max, n)
+    logs = np.linspace(LAMBDA_LOG_MIN, LAMBDA_LOG_MAX, n)
     k_min, optimum, best, trace = search(
         objective, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs),
-        np.array([0.0, grid_cfg.lambda_log_min, grid_cfg.lambda_log_min]),
-        np.array([np.pi, grid_cfg.lambda_log_max, grid_cfg.lambda_log_max]),
-        grid_cfg.resolution, _kh_params, _KH_CANDIDATES,
+        np.array([0.0, LAMBDA_LOG_MIN, LAMBDA_LOG_MIN]),
+        np.array([np.pi, LAMBDA_LOG_MAX, LAMBDA_LOG_MAX]),
+        RESOLUTION, _kh_params, _KH_CANDIDATES,
     )
     if optimum is None:
         optimum = f"Q(phi={best[0]:.6g}, lambda1={best[1]:.6g}, lambda2={best[2]:.6g})"
@@ -388,9 +388,8 @@ def _sqrt_ab_of_q(pi: Purification, points) -> np.ndarray:
     return np.sqrt(np.sqrt(c00 * c11 - c01 * c01) * np.sqrt(c22 * c33 - c23 * c23))
 
 
-def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig | None = None) -> GieResult:
+def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
     """Eve-side minimization for a symmetric squeezed thermal state."""
-    grid_cfg = config.grid() if grid_cfg is None else grid_cfg
     fam = make_family("sym_sq_thermal", a=a, k=k)
     closed = gie_closed_form(fam)
     if is_separable(fam.std):
@@ -422,7 +421,7 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig | None =
     )
 
 
-def gie_numeric(fam: StateFamily, grid_cfg: GridConfig | None = None) -> GieResult:
+def gie_numeric(fam: StateFamily, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
     """Dispatch the numeric Eve-side verification by family tag."""
     if fam.tag == "pure":
         return _numeric_pure(fam, gie_closed_form(fam))

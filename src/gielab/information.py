@@ -17,7 +17,6 @@ from functools import partial
 
 import numpy as np
 
-from . import config
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -25,13 +24,16 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .measurement import FiniteMeasurement, GaussianMeasurement, condition_on_e
-from .optimize import descend, grid_argmin
+from .optimize import RESOLUTION, descend, grid_argmin
 from .purification import Purification
 from .states import StdForm
 
+NATS_SLACK = 1e-10  # an information value may dip this far below zero before it is an error
+SQUEEZE_MAX = 12.0  # the r range of the u(rA, rB) minimization
+
 
 def _check_nats(value: float, context: str) -> float:
-    if value < -config.tolerances().nats_slack or not np.isfinite(value):
+    if value < -NATS_SLACK or not np.isfinite(value):
         raise NumericalDegeneracyError(f"{context} produced {value}")
     return max(value, 0.0)
 
@@ -121,7 +123,7 @@ class GcmiResult:
     argmin: tuple[float, float]
 
 
-def gcmi_numeric(cond: StdForm, points: int | None = None) -> GcmiResult:
+def gcmi_numeric(cond: StdForm, points: int) -> GcmiResult:
     """Gaussian classical mutual information of a conditional standard form.
 
     Minimizes u(rA, rB) on a deterministic grid whose axes end in the exact
@@ -129,13 +131,11 @@ def gcmi_numeric(cond: StdForm, points: int | None = None) -> GcmiResult:
     ``f_homodyne_ab`` is proven optimal only where ``gcmi_condition_g`` is
     non-negative; this numeric minimum checks it there and covers the rest.
     """
-    grid_cfg = config.grid()
-    points = grid_cfg.points if points is None else points
-    rs = np.append(np.linspace(0.0, grid_cfg.squeeze_max, points), np.inf)
+    rs = np.append(np.linspace(0.0, SQUEEZE_MAX, points), np.inf)
     objective = partial(u_function, cond)
     best, best_val = grid_argmin(objective, (rs, rs))
     if np.isfinite(best).all():
-        best, best_val = descend(objective, best, np.zeros(2), np.full(2, grid_cfg.squeeze_max), grid_cfg.resolution)
+        best, best_val = descend(objective, best, np.zeros(2), np.full(2, SQUEEZE_MAX), RESOLUTION)
     if best_val <= 0.0:
         raise NumericalDegeneracyError(f"u minimum degenerate: {best_val}")
     return GcmiResult(value=_check_nats(-0.5 * np.log(best_val), "GCMI"), argmin=(float(best[0]), float(best[1])))

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
 from .purification import Purification
-from .symplectic import CovMat, symplectic_eigenvalues
+from .symplectic import PHYSICAL_ATOL, CovMat, symplectic_eigenvalues
 
 CCM_PSD_RTOL = 1e-10  # a CCM eigenvalue may dip this far below zero, relative to max(1, the largest)
+PINV_RCOND = 1e-12  # pseudoinverse singular-value cutoff of the E block
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class FiniteMeasurement:
     def __post_init__(self):
         nus = symplectic_eigenvalues(self.seed)
         # the eigenvalue error floor grows with the seed norm; scale the gate
-        slack = config.tolerances().physical_atol * max(1.0, float(np.abs(self.seed.mat).max()))
+        slack = PHYSICAL_ATOL * max(1.0, float(np.abs(self.seed.mat).max()))
         if nus.size and nus.min() < 1.0 - slack:
             raise InvalidMeasurementError(f"seed CM unphysical, min symplectic eigenvalue {nus.min():.12g}")
 
@@ -132,7 +132,7 @@ class Ccm:
             return alpha.copy()
         beta = self.mat[:n_ab, n_ab:]
         delta = self.mat[n_ab:, n_ab:]
-        return alpha - beta @ np.linalg.pinv(delta, rcond=config.tolerances().pinv_rcond, hermitian=True) @ beta.T
+        return alpha - beta @ np.linalg.pinv(delta, rcond=PINV_RCOND, hermitian=True) @ beta.T
 
 
 def assemble_ccm(pi: Purification, ga: FiniteMeasurement, gb: FiniteMeasurement, ge: FiniteMeasurement | None) -> Ccm:

@@ -4,7 +4,7 @@
 search (``descend``) from the best grid point and then the caller's exact
 candidates, rows of the same objective; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
-rule (``tie_atol``).
+rule (``TIE_ATOL``).
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import functools
 
 import numpy as np
 
-from . import config
-
 MIN_IMPROVEMENT = 1e-15  # a probe must beat the incumbent by more than this to replace it
 MAX_SWEEPS = 400  # the descent stops after this many sweeps even above its resolution
+RESOLUTION = 1e-8  # the step below which every search in gielab stops descending
+TIE_ATOL = 1e-12  # a candidate this close to the best value names the optimum
 
 
 def grid_argmin(fn, axes):
@@ -132,7 +132,7 @@ def search(fn, axes, lows, highs, resolution, to_params, candidates):
     which may lie outside the box (an infinite coordinate is an exact limit),
     all evaluated in one call.  Returns ``(best_value, label, best_params,
     trace)``: the least of the descent end and the candidates; the first
-    candidate within ``tie_atol`` of it with its params, or None with the
+    candidate within ``TIE_ATOL`` of it with its params, or None with the
     descent end; and ``(params, value)`` of the grid best, the descent end
     and every candidate.
     """
@@ -144,6 +144,6 @@ def search(fn, axes, lows, highs, resolution, to_params, candidates):
     trace += [(to_params(row), float(value)) for row, value in zip(rows, fn(*rows.T))]
     best_val = min(value for _, value in trace[1:])
     for (label, _), (params, value) in zip(candidates, trace[2:]):
-        if value <= best_val + config.tolerances().tie_atol:
+        if value <= best_val + TIE_ATOL:
             return best_val, label, params, trace
     return best_val, None, refined_params, trace

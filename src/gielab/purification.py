@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .errors import DegenerateFamilyError, InvalidFamilyParamsError, UnphysicalStateError
-from .symplectic import SIGMA_Z, CovMat, symplectic_eigenvalues, williamson
+from .symplectic import PHYSICAL_ATOL, SIGMA_Z, CovMat, symplectic_eigenvalues, williamson
+
+PURITY_ATOL = 1e-7  # allowed deviation of the purification's symplectic spectrum from 1
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,15 @@ def purify(gamma) -> Purification:
     """Minimal Gaussian purification of a physical two-mode CM.
 
     The E block is ``diag(nu_i I)`` over the eigenvalues above the
-    ``1 + physical_atol`` cutoff; states on the cutoff resolve toward the
+    ``1 + PHYSICAL_ATOL`` cutoff; states on the cutoff resolve toward the
     smaller purifying system.  Pure inputs return empty E blocks.
     """
     cov = gamma if isinstance(gamma, CovMat) else CovMat(np.asarray(gamma, dtype=float))
     if cov.n_modes != 2:
         raise UnphysicalStateError(f"purify expects a two-mode CM, got {cov.n_modes} modes")
-    tol = config.tolerances()
     decomp = williamson(cov)
     nus = decomp.nus
-    noisy = [i for i, nu in enumerate(nus) if nu > 1.0 + tol.physical_atol]
+    noisy = [i for i, nu in enumerate(nus) if nu > 1.0 + PHYSICAL_ATOL]
     r_count = len(noisy)
     if r_count == 0:
         return Purification(cov, np.zeros((4, 0)), np.zeros((0, 0)), 0)
@@ -73,7 +73,7 @@ def purify(gamma) -> Purification:
     gamma_abe = decomp.s.inverse() @ abe0
     pi = Purification(cov, gamma_abe, gamma_e, r_count)
     defect = pi.purity_defect()
-    if defect > tol.purity_atol:
+    if defect > PURITY_ATOL:
         raise UnphysicalStateError(f"purification impure, spectrum defect {defect:.3e}")
     return pi
 
@@ -104,6 +104,6 @@ def purify_asym_glems(a: float, b: float) -> Purification:
     gamma_e = (1.0 + abs(a - b)) * eye
     pi = Purification(gamma_ab, gamma_abe, gamma_e, 1)
     defect = pi.purity_defect()
-    if defect > config.tolerances().purity_atol:
+    if defect > PURITY_ATOL:
         raise UnphysicalStateError(f"purification impure, spectrum defect {defect:.3e}")
     return pi

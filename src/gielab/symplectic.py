@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import config
 from .errors import (
     DecompositionError,
     InvalidDimensionError,
@@ -31,6 +30,10 @@ EIGENVALUE_SYMMETRY_RTOL = 1e-8  # symplectic_eigenvalues: allowed |gamma - gamm
 STANDARD_FORM_RTOL = 1e-11  # _is_standard_form: allowed |gamma - pattern|, relative to max(1, |gamma|)
 ANALYTIC_ROUTE_RTOL = 1e-12  # williamson: |a - b| and |cx + cp| below this, relative, take the analytic routes
 SQUEEZER_ATOL = 1e-10  # two_mode_squeezer: allowed |x^2 - y^2 - 1|
+COVMAT_SYMMETRY_RTOL = 1e-12  # CovMat: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
+PHYSICAL_ATOL = 1e-9  # symplectic eigenvalues >= 1 - atol
+SYMPLECTIC_ATOL = 1e-9  # |S Omega S^T - Omega| residual
+WILLIAMSON_ATOL = 1e-8  # |S gamma S^T - diag(nu)| residual
 
 
 def _readonly(mat: np.ndarray) -> np.ndarray:
@@ -57,7 +60,7 @@ class CovMat:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
             raise InvalidInputError(f"covariance matrix must be 2n x 2n, got {mat.shape}")
         scale = max(1.0, np.abs(mat).max())
-        if np.abs(mat - mat.T).max() > config.tolerances().symmetry_rtol * scale:
+        if np.abs(mat - mat.T).max() > COVMAT_SYMMETRY_RTOL * scale:
             raise InvalidInputError("covariance matrix is not symmetric")
         object.__setattr__(self, "mat", _readonly(0.5 * (mat + mat.T)))
 
@@ -78,7 +81,7 @@ class SymplecticMatrix:
             raise InvalidInputError(f"symplectic matrix must be 2n x 2n, got {mat.shape}")
         omega = symplectic_form(mat.shape[0] // 2)
         residual = np.abs(mat @ omega @ mat.T - omega).max()
-        if residual > config.tolerances().symplectic_atol:
+        if residual > SYMPLECTIC_ATOL:
             raise InvalidInputError(f"symplectic condition violated, residual {residual:.3e}")
         object.__setattr__(self, "mat", _readonly(mat))
 
@@ -235,9 +238,8 @@ def williamson(gamma) -> WilliamsonDecomposition:
         DecompositionError: the residual check failed.
     """
     mat = _as_matrix(gamma)
-    tol = config.tolerances()
     nus_check = symplectic_eigenvalues(mat)
-    if nus_check.min() < 1.0 - tol.physical_atol:
+    if nus_check.min() < 1.0 - PHYSICAL_ATOL:
         raise UnphysicalStateError(
             f"unphysical covariance matrix, min symplectic eigenvalue {nus_check.min():.12g}"
         )
@@ -258,7 +260,7 @@ def williamson(gamma) -> WilliamsonDecomposition:
     residual = np.abs(s @ mat @ s.T - normal).max()
     omega = symplectic_form(mat.shape[0] // 2)
     symp_residual = np.abs(s @ omega @ s.T - omega).max()
-    if residual > tol.williamson_atol or symp_residual > tol.symplectic_atol:
+    if residual > WILLIAMSON_ATOL or symp_residual > SYMPLECTIC_ATOL:
         raise DecompositionError(
             f"williamson residual {residual:.3e} (symplectic {symp_residual:.3e})",
             residual=max(residual, symp_residual),

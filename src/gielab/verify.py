@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import config
 from .config import GridConfig
 from .gie import (
     GATE_LOWER_BOUND,
@@ -30,10 +29,10 @@ from .gie import (
 )
 from .information import f_decomposed, f_homodyne_ab, gcmi_condition_g, gcmi_numeric, mutual_information_f
 from .measurement import general_single_mode, heterodyne, homodyne
-from .purification import purify
+from .purification import PURITY_ATOL, purify
 from .renyi2 import ThreeModePureParams, conjecture_gap, gr2_branch
 from .states import StdForm, classify, is_separable, make_family, std_form_cm
-from .symplectic import CovMat, symplectic_form, williamson
+from .symplectic import SYMPLECTIC_ATOL, WILLIAMSON_ATOL, CovMat, symplectic_form, williamson
 
 # Worked closed-form points, frozen from direct evaluation of the formulas.
 WORKED_POINTS = (
@@ -182,7 +181,7 @@ def check_candidate_ordering(n=1000) -> CheckResult:
     return CheckResult("candidate ordering", passed, f"{n} points, min(U1 - U3, U2 - U3) = {worst:.3e}")
 
 
-def check_gcmi_optimality(n=1000, points=21) -> CheckResult:
+def check_gcmi_optimality(grid_cfg: GridConfig, n=1000) -> CheckResult:
     """Criterion 4: numeric u-minimization vs the closed form when G >= 0."""
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -193,7 +192,7 @@ def check_gcmi_optimality(n=1000, points=21) -> CheckResult:
             continue
         if gcmi_condition_g(cond) < 0.0:
             continue
-        gap = abs(gcmi_numeric(cond, points=points).value - f_homodyne_ab(cond))
+        gap = abs(gcmi_numeric(cond, grid_cfg.points).value - f_homodyne_ab(cond))
         worst = max(worst, gap)
         checked += 1
     passed = worst < GCMI_ATOL
@@ -325,7 +324,6 @@ def check_faithfulness(grid_cfg: GridConfig, n=1000) -> CheckResult:
 def check_structural(n=40) -> CheckResult:
     """Criterion 9: residual suite for the linear-algebra layer."""
     rng = np.random.default_rng(19)
-    tol = config.tolerances()
     worst_symp = worst_will = worst_pur = worst_hom = worst_dec = 0.0
     for _ in range(n):
         mat = random_physical_cm(rng, scale=0.35)
@@ -353,9 +351,9 @@ def check_structural(n=40) -> CheckResult:
         pur = purify(std_form_cm(make_family("sym_glems", a=a, kp=kp).std))
         worst_pur = max(worst_pur, pur.purity_defect())
     passed = (
-        worst_symp < tol.symplectic_atol
-        and worst_will < tol.williamson_atol
-        and worst_pur < tol.purity_atol
+        worst_symp < SYMPLECTIC_ATOL
+        and worst_will < WILLIAMSON_ATOL
+        and worst_pur < PURITY_ATOL
         and worst_hom < HOMODYNE_LIMIT_ATOL
         and worst_dec < F_DECOMPOSITION_ATOL
     )
@@ -372,17 +370,18 @@ def run_suite(level: str = "fast", grid_cfg: GridConfig | None = None) -> list[C
     if level not in ("fast", "full"):
         raise ValueError(f"unknown suite {level!r}")
     full = level == "full"
-    grid_cfg = grid_cfg or (GridConfig(points=21) if full else GridConfig(points=13))
+    if grid_cfg is None:
+        grid_cfg = GridConfig(points=21 if full else 13)
     results = run_family_numeric(50 if full else 4, grid_cfg)
     checks = [
         check_closed_form_identities(),
         check_minmax(results),
         check_candidate_ordering(n=1000 if full else 150),
-        check_gcmi_optimality(n=1000 if full else 60, points=21 if full else 13),
-        check_kh_machinery(n=1000 if full else 150, grid_cfg=grid_cfg),
+        check_gcmi_optimality(grid_cfg, n=1000 if full else 60),
+        check_kh_machinery(grid_cfg, n=1000 if full else 150),
         check_thresholds(results),
         check_conjecture(grid_n=20 if full else 8),
-        check_faithfulness(n=1000 if full else 100, grid_cfg=grid_cfg),
+        check_faithfulness(grid_cfg, n=1000 if full else 100),
         check_structural(n=40 if full else 10),
     ]
     return checks

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 
-def pytest_configure(config):
-    config._acceptance_lines = []
+ACCEPTANCE_LINES = pytest.StashKey[list]()
 
 
 def pytest_terminal_summary(terminalreporter):
-    lines = getattr(terminalreporter.config, "_acceptance_lines", None)
+    lines = terminalreporter.config.stash.get(ACCEPTANCE_LINES, None)
     if lines:
         terminalreporter.section("acceptance criteria")
         for line in lines:
@@ -20,7 +19,7 @@ def acceptance_report(request):
 
     def _report(result):
         print(result.line())
-        request.config._acceptance_lines.append(result.line())
+        request.config.stash.setdefault(ACCEPTANCE_LINES, []).append(result.line())
         assert result.passed, result.detail
 
     return _report

@@ -75,7 +75,7 @@ def test_criterion_3_candidate_ordering(acceptance_report):
 
 
 def test_criterion_4_gcmi_optimality(acceptance_report):
-    acceptance_report(check_gcmi_optimality(n=1000, points=21))
+    acceptance_report(check_gcmi_optimality(FULL_GRID, n=1000))
 
 
 def test_criterion_5_kh_machinery(acceptance_report):

@@ -2,9 +2,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from gielab import verify
 from gielab.cli import main
+from gielab.errors import GielabError
 from gielab.gie import gie_closed_form
 from gielab.states import make_family
 
@@ -177,23 +179,25 @@ class TestSweep:
         assert "cannot write" in err
 
 
-class TestConfigEnv:
-    def test_missing_config_file_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("GIELAB_CONFIG", "/nonexistent/gielab.conf")
-        code, _, err = run_cli(capsys, "compute", "--family", "pure", "--a", "2")
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--family", "sym-sq-thermal", "--k", "a-0.7"),  # an offset of a without --a
+        ("sweep", "--family", "pure", "--a", "a+1"),
+        ("sweep", "--family", "pure", "--a", "1:2"),
+        ("sweep", "--family", "pure", "--a", "1:2:x"),
+        ("sweep", "--family", "pure", "--a", "1:inf:1"),
+        ("sweep", "--family", "pure", "--a", "2", "--grid", "0"),
+        ("compute", "--family", "sym-glems", "--a", "1.5", "--kp", "0.5", "--numeric", "--grid", "-3"),
+        ("compute", "--family", "sym-glems", "--a", "1.5", "--kp", "0.5", "--numeric", "--grid", "0"),
+        ("verify", "fast", "--grid", "-2"),
+        ("compute", "--family", "sym-glems", "--a", "nan", "--kp", "0.5", "--numeric"),
+        ("compute", "--family", "pure", "--a", "inf"),
+    ])
+    def test_is_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
-        assert "config" in err
-
-    def test_config_file_sets_grid_default(self, capsys, monkeypatch, tmp_path):
-        path = tmp_path / "gielab.conf"
-        path.write_text("points = 9\n")
-        monkeypatch.setenv("GIELAB_CONFIG", str(path))
-        code, out, _ = run_cli(
-            capsys, "compute", "--family", "sym-glems", "--a", "1.5", "--kp", "0.5", "--numeric"
-        )
-        assert code == 0
-        record = json.loads(out)
-        assert abs(record["gie_numeric_nats"] - record["gie_closed_nats"]) < 2e-5
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -215,3 +219,15 @@ class TestVerify:
         assert code == 4
         assert any(line.startswith("FAIL  closed-form identities") for line in out.splitlines())
         assert "failed" in err
+
+    def test_grid_reaches_the_gcmi_check(self, capsys, monkeypatch):
+        seen = []
+
+        def first_form_only(cond, points):
+            seen.append(points)
+            raise GielabError("stopped at the first GCMI form")
+
+        monkeypatch.setattr(verify, "gcmi_numeric", first_form_only)
+        code, _, err = run_cli(capsys, "verify", "fast", "--grid", "9")
+        assert (code, seen) == (1, [9])
+        assert "stopped at the first GCMI form" in err

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gielab.optimize
 from gielab.config import GridConfig
@@ -24,6 +28,7 @@ from gielab.measurement import FiniteMeasurement, condition_on_e, homodyne
 from gielab.purification import Purification, purify
 from gielab.states import StdForm, classify, make_family, std_form_cm, std_form_params
 from gielab.symplectic import CovMat
+from gielab.verify import MINMAX_ATOL
 from tests.test_optimize import probe_at_a_time_descend
 
 FAST = GridConfig(points=13)
@@ -135,7 +140,7 @@ class TestNumericSymSqThermal:
         assert abs(res.numeric - expected) < 2e-5
 
     def test_near_pure_state_purified_without_e_mode(self):
-        # a^2 - k^2 - 1 = 1.3e-9, past family_atol; purify drops the E mode,
+        # a^2 - k^2 - 1 = 1.3e-9, past states.FAMILY_ATOL; purify drops the E mode,
         # and that decides: the pure path, where every measurement of E ties
         a, k = 2.0, 1.7320508072
         assert purify(std_form_cm(make_family("sym_sq_thermal", a=a, k=k).std)).r_count == 0
@@ -299,6 +304,48 @@ class TestDomainCorners:
         kp = 0.999 * np.sqrt(a * a - 1.0)
         res = gie_numeric_sym_glems(a, kp, FAST)
         assert res.discrepancy < 2e-5
+
+
+def _asym_at_sqrt_ab(g, x):
+    return {"a": g ** (1.0 + x), "b": g ** (1.0 - x)}  # a/b = g^(2x), away from a = b
+
+
+def _sq_thermal_between(a, x):
+    lo, hi = a - 1.0, math.sqrt(a * a - 1.0)  # entangled, a^2 - k^2 >= 1
+    return {"a": a, "k": lo + x * (hi - lo)}
+
+
+# Each boundary maps a distance d to it and an interior coordinate x in
+# [0.1, 0.9] to the family's parameters, so only the one boundary is near.
+BOUNDARIES = {
+    "sym_glems kp -> 0": ("sym_glems", lambda d, x: {"a": 1.0 + 5.0 * x, "kp": d}),
+    "sym_glems a^2 - kp^2 -> 1": (
+        "sym_glems", lambda d, x: {"a": 1.0 + 5.0 * x, "kp": math.sqrt((1.0 + 5.0 * x) ** 2 - 1.0 - d)},
+    ),
+    "sym_glems a -> 1": ("sym_glems", lambda d, x: {"a": 1.0 + d, "kp": x * math.sqrt((1.0 + d) ** 2 - 1.0)}),
+    "asym_glems |a - b| -> 0": ("asym_glems", lambda d, x: {"a": 1.0 + 1.4 * x, "b": 1.0 + 1.4 * x + d}),
+    "asym_glems sqrt(ab) -> 2.41": ("asym_glems", lambda d, x: _asym_at_sqrt_ab(2.41 - d, x)),
+    "sym_sq_thermal a -> 2.41": ("sym_sq_thermal", lambda d, x: _sq_thermal_between(2.41 - d, x)),
+    "sym_sq_thermal a - k -> 1": (
+        "sym_sq_thermal", lambda d, x: {"a": 1.0 + 1.41 * x, "k": 1.41 * x + d},
+    ),
+    "sym_sq_thermal a^2 - k^2 -> 1": (
+        "sym_sq_thermal", lambda d, x: {"a": 1.0 + 1.41 * x, "k": math.sqrt((1.0 + 1.41 * x) ** 2 - 1.0 - d)},
+    ),
+}
+
+
+class TestBoundaryApproach:
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @settings(max_examples=40, deadline=None)
+    @given(log_d=st.floats(-12.0, -3.0), x=st.floats(0.1, 0.9))
+    def test_numeric_matches_closed_form_near_the_boundary(self, boundary, log_d, x):
+        # labels are not asserted: which of two tied limits is named can
+        # depend on the frame the purification picks
+        tag, params_of = BOUNDARIES[boundary]
+        res = gie_numeric(make_family(tag, **params_of(10.0 ** log_d, x)), FAST)
+        assert res.discrepancy < MINMAX_ATOL
+        assert res.verified
 
 
 class TestMonotonicity:

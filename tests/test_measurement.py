@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gielab.config import GridConfig
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
-from gielab.gie import _f_xx
+from gielab.gie import T_MAX, TAU_LOG_MAX, _f_xx
 from gielab.measurement import (
     Ccm,
     FiniteMeasurement,
@@ -54,11 +53,10 @@ class TestBuilders:
     def test_seeds_at_the_descent_box_edge_are_physical(self):
         # entries near e^16 leave the determinant of the assembled matrix off
         # by about 1e-2; tau >= 1 and t >= 0 give nu = tau exactly
-        t_max = GridConfig().t_max
         general_single_mode(0.807432061702533, 1.0005, 8.0)
-        general_single_mode(10.0 * np.pi / 13.0, 1.0, t_max)  # an n = 13 grid angle
+        general_single_mode(10.0 * np.pi / 13.0, 1.0, T_MAX)  # an n = 13 grid angle
         for phi in np.linspace(0.0, np.pi, 2001):
-            general_single_mode(phi, 1.0, t_max)
+            general_single_mode(phi, 1.0, T_MAX)
 
     def test_homodyne_angles_reduced_mod_pi(self):
         hom = homodyne([np.pi + 0.25])
@@ -210,7 +208,6 @@ class TestSeedFrameKernel:
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 50
-        grid = GridConfig()
         phis = np.concatenate([
             [0.0, np.pi / 2.0],
             *(np.linspace(0.0, np.pi, n, endpoint=False) for n in (13, 33)),
@@ -220,9 +217,9 @@ class TestSeedFrameKernel:
             kernel = seed_frame_xx(pi)
             gamma_ab, gamma_abe, gamma_e = (mp.matrix(m.tolist()) for m in (pi.gamma_ab.mat, pi.gamma_abe, pi.gamma_e))
             worst = 0.0
-            for log_tau in (0.0, grid.tau_log_max):
+            for log_tau in (0.0, TAU_LOG_MAX):
                 tau = float(np.exp(log_tau))
-                for t in (0.0, grid.t_max):
+                for t in (0.0, T_MAX):
                     values = _f_xx(*kernel(phis, tau, t))
                     squeeze = mp.diag([mp.mpf(tau) * mp.exp(2 * mp.mpf(t)), mp.mpf(tau) * mp.exp(-2 * mp.mpf(t))])
                     for phi, value in zip(phis, values):

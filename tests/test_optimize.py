@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gielab import config, optimize
-from gielab.optimize import MIN_IMPROVEMENT, descend, grid_argmin, search
+from gielab import optimize
+from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, descend, grid_argmin, search
 
 AXES = (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
 LOWS, HIGHS = np.zeros(2), np.ones(2)
@@ -37,28 +37,25 @@ def descent_end():
     return value, params
 
 
-TIE = config.tolerances().tie_atol
-
-
 class TestSearch:
     def test_candidate_within_tie_above_the_descent_is_named(self):
         low, _ = descent_end()
-        value, label, params, _ = run([("exact", (5.0, low + 0.5 * TIE))])
+        value, label, params, _ = run([("exact", (5.0, low + 0.5 * TIE_ATOL))])
         assert label == "exact"
-        assert params == (5.0, low + 0.5 * TIE)
+        assert params == (5.0, low + 0.5 * TIE_ATOL)
         assert value == low  # the value is the minimum, not the named candidate's
 
     def test_earlier_candidate_wins_a_tie(self):
         first, second = ("first", (5.0, -1.0)), ("second", (6.0, -1.0))
         assert run([first, second])[1:3] == ("first", (5.0, -1.0))
         assert run([second, first])[1:3] == ("second", (6.0, -1.0))
-        # a later candidate lower by less than tie_atol does not displace it
-        value, label, _, _ = run([("first", (5.0, -1.0 + 0.5 * TIE)), second])
+        # a later candidate lower by less than TIE_ATOL does not displace it
+        value, label, _, _ = run([("first", (5.0, -1.0 + 0.5 * TIE_ATOL)), second])
         assert (value, label) == (-1.0, "first")
 
     def test_no_candidate_within_tie_names_the_descent_end(self):
         low, end = descent_end()
-        value, label, params, trace = run([("far", (5.0, low + 1e3 * TIE))])
+        value, label, params, trace = run([("far", (5.0, low + 1e3 * TIE_ATOL))])
         assert label is None
         assert params == end == trace[1][0]
         assert value == low

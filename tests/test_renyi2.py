@@ -3,7 +3,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gielab import config
 from gielab.errors import InvalidThreeModeError, WrongFamilyError
 from gielab.gie import gie_closed_form
 from gielab.purification import purify_asym_glems
@@ -15,7 +14,7 @@ from gielab.renyi2 import (
     gr2_symmetric,
     gr2_two_mode_reduction,
 )
-from gielab.states import StdForm, is_separable, make_family
+from gielab.states import PPT_ATOL, StdForm, is_separable, make_family
 from gielab.symplectic import CovMat, symplectic_eigenvalues
 
 
@@ -242,9 +241,9 @@ class TestGr2AsymGlemsPrecision:
         assume(b != a)
         _assert_reduction_is_exact(a, b)
         fam = make_family("asym_glems", a=a, b=b)
-        # within ppt_atol of the PPT boundary the GIE closed form is 0 by
+        # within PPT_ATOL of the PPT boundary the GIE closed form is 0 by
         # is_separable, while GR2 keeps its formula, linear in the distance
-        bound = config.tolerances().ppt_atol if is_separable(fam.std) else 1e-12
+        bound = PPT_ATOL if is_separable(fam.std) else 1e-12
         assert conjecture_gap(fam) < bound
 
     def test_beyond_the_absolute_triangle_slack(self):
@@ -253,5 +252,5 @@ class TestGr2AsymGlemsPrecision:
         rng = np.random.default_rng(1)
         for a, frac in zip(rng.uniform(1.6e4, 1e5, 2000), rng.random(2000)):
             fam = make_family("asym_glems", a=a, b=1.0 + frac * (a - 1.0))
-            bound = config.tolerances().ppt_atol if is_separable(fam.std) else 1e-12
+            bound = PPT_ATOL if is_separable(fam.std) else 1e-12
             assert conjecture_gap(fam) < bound
