@@ -4,7 +4,6 @@ conditioning and deterministic min-max verification."""
 
 from .config import GridConfig
 from .errors import (
-    DegenerateFamilyError,
     DomainNotCoveredError,
     GielabError,
     InvalidDimensionError,

@@ -12,8 +12,8 @@ search reads it:
   ``symplectic.SYMPLECTIC_ATOL``, ``symplectic.WILLIAMSON_ATOL``,
   ``symplectic.EIGENVALUE_SYMMETRY_RTOL``, ``symplectic.STANDARD_FORM_RTOL``,
   ``symplectic.ANALYTIC_ROUTE_RTOL`` and ``symplectic.SQUEEZER_ATOL``;
-- ``states.PPT_ATOL``, ``states.FAMILY_ATOL``, ``states.STD_FORM_ATOL`` and
-  ``states.CLASSIFY_ATOL``;
+- ``states.PPT_ATOL``, ``states.FAMILY_ATOL``, ``states.STD_FORM_ATOL``,
+  ``states.CLASSIFY_ATOL`` and ``states.STD_FORM_ENTRY_MAX``;
 - ``purification.PURITY_ATOL``;
 - ``measurement.PINV_RCOND`` and ``measurement.CCM_PSD_RTOL``;
 - ``information.NATS_SLACK``;
@@ -22,8 +22,8 @@ search reads it:
 - the search boxes ``gie.TAU_LOG_MAX``, ``gie.T_MAX`` (R = 1),
   ``gie.LAMBDA_LOG_MIN``, ``gie.LAMBDA_LOG_MAX`` (K_h) and
   ``information.SQUEEZE_MAX`` (GCMI);
-- ``gie.SQRT_AB_SLACK``, ``gie.SCAN_MONOTONE_SLACK``, ``gie.GATE_LOWER_BOUND``
-  and ``gie.VERIFIED_DOMAIN_BOUND``;
+- ``gie.SQRT_AB_SLACK``, ``gie.GATE_LOWER_BOUND`` and
+  ``gie.VERIFIED_DOMAIN_BOUND``;
 - ``renyi2.TRIANGLE_SLACK``, ``renyi2.TRIANGLE_ULPS`` and
   ``renyi2.SYMMETRY_RTOL``;
 - ``cli.RANGE_STEP_SLACK``;

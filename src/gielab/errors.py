@@ -45,10 +45,6 @@ class InvalidFamilyParamsError(GielabError):
     """Parameters violate the defining constraint of a state family."""
 
 
-class DegenerateFamilyError(GielabError):
-    """Parameters degenerate to a different family (use that path instead)."""
-
-
 class WrongFamilyError(GielabError):
     """The operation is defined for a different state family."""
 

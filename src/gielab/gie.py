@@ -12,6 +12,10 @@ and its exact limit candidates, rows of that objective in priority order,
 which name Eve's optimum.  Heterodyne is the row (0, 0, 0) in both; the
 R = 1 homodynes sit at t = inf, and the R = 2 dual homodyne at
 (phi, ln lambda1, ln lambda2) = (pi/2, inf, -inf).
+
+Both trace gates, 2 + 1/a~ - s~ (sym_glems) and sqrt(a~ b~) <= a
+(sym_sq_thermal), condition every row on Eve in one ``seed_frame_schur``
+call per point (``_conditional_cms``) and read it with one ``std_form_params``.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_GRID, GridConfig
-from .errors import DegenerateFamilyError, DomainNotCoveredError, InvalidInputError
-from .measurement import condition_on_e, general_single_mode, seed_frame_schur, seed_frame_xx
+from .errors import DomainNotCoveredError, InvalidInputError
+from .measurement import condition_on_e  # noqa: F401  (perfbench/spans.py traces this name in gielab.gie)
+from .measurement import seed_frame_schur, seed_frame_xx
 from .optimize import RESOLUTION, search
 from .purification import Purification, purify, purify_asym_glems
 from .states import FAMILY_ATOL, StateFamily, is_separable, make_family, std_form_cm, std_form_params
@@ -31,7 +36,6 @@ from .symplectic import rotation, xxpp_reorder
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
 SQRT_AB_SLACK = 1e-9  # allowed excess of sqrt(a~ b~) over a along a sym_sq_thermal trace
-SCAN_MONOTONE_SLACK = 1e-12  # allowed decrease between neighbours of the asym_glems vx scan
 TAU_LOG_MAX = 8.0  # R = 1 search box: ln(tau) of Eve's seed thermal noise in [0, TAU_LOG_MAX]
 T_MAX = 8.0  # R = 1 search box: seed squeezing t in [0, T_MAX]
 LAMBDA_LOG_MIN = -12.0  # K_h search box: ln(lambda1), ln(lambda2) in [LAMBDA_LOG_MIN, LAMBDA_LOG_MAX]
@@ -120,6 +124,19 @@ def sym_glems_candidates(a: float, kp: float) -> tuple[float, float, float]:
     return u1, u2, u3
 
 
+_UPPER_TRIANGLE = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
+def _conditional_cms(pi: Purification, phi, s) -> np.ndarray:
+    """Conditional CMs of A and B, stacked (rows, 4, 4), after Eve's seed
+    ``R(phi) diag(s) R(phi)^T`` at each row: all ten entries in one call."""
+    entries = seed_frame_schur(pi, _UPPER_TRIANGLE)(phi, s)
+    cms = np.empty((np.size(phi), 4, 4))
+    for (i, j), c in zip(_UPPER_TRIANGLE, entries, strict=True):
+        cms[:, i, j] = cms[:, j, i] = c
+    return cms
+
+
 # ---------------------------------------------------------------------------
 # shared single-mode-E machinery (R = 1 families)
 # ---------------------------------------------------------------------------
@@ -171,11 +188,14 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     return float(best_val), optimum, trace
 
 
-def _sym_glems_gate(pi: Purification, params: tuple) -> float:
-    """GCMI optimality gate 2 + 1/a~ - s~ of the conditional standard form."""
-    a_t, b_t, kx_t, _ = std_form_params(condition_on_e(pi, general_single_mode(*params)))
-    s_tilde = np.sqrt(max(a_t * b_t - kx_t * kx_t, 0.0))
-    return float(2.0 + 1.0 / np.sqrt(a_t * b_t) - s_tilde)
+def _sym_glems_gate(pi: Purification, trace) -> float:
+    """Least GCMI optimality gate 2 + 1/a~ - s~ of the conditional standard
+    forms along a single-mode trace of (phi, tau, t) rows."""
+    phi, tau, t = np.array([params for params, _ in trace]).T
+    e2t = np.exp(2.0 * t)
+    a_t, b_t, kx_t, _ = std_form_params(_conditional_cms(pi, phi, (tau * e2t, tau / e2t)))
+    s_tilde = np.sqrt(np.maximum(a_t * b_t - kx_t * kx_t, 0.0))
+    return float(np.min(2.0 + 1.0 / np.sqrt(a_t * b_t) - s_tilde))
 
 
 def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
@@ -186,7 +206,7 @@ def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GR
     if pi.r_count == 0:  # boundary case a^2 - kp^2 = 1: pure state
         return _numeric_pure(fam, closed)
     numeric, optimum, trace = _minimize_f_single_mode(pi, grid_cfg)
-    gate_min = min(_sym_glems_gate(pi, params) for params, _ in trace)
+    gate_min = _sym_glems_gate(pi, trace)
     return GieResult(
         closed_form=closed,
         numeric=numeric,
@@ -195,28 +215,18 @@ def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GR
         optimizer_trace=tuple(trace),
         # the GCMI gate must clear its strict lower bound along the trace
         verified=bool(verified_domain(fam) and gate_min > GATE_LOWER_BOUND),
-        extra={"gate_min": gate_min, "candidates": sym_glems_candidates(a, kp)},
+        extra={"gate_min": gate_min},
     )
 
 
 def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
     """Eve-side minimization for an asymmetric squeezed-thermal GLEMS."""
-    if a == b:
-        raise DegenerateFamilyError("a = b degenerates to a pure state")
     fam = make_family("asym_glems", a=a, b=b)
     pi = purify_asym_glems(a, b)
     closed = gie_closed_form(fam)
+    if pi.r_count == 0:  # a = b: pure state
+        return _numeric_pure(fam, closed)
     numeric, optimum, trace = _minimize_f_single_mode(pi, grid_cfg)
-
-    # scan of the conditional-state mutual information over the reachable
-    # conditional variance; its minimum must sit at the heterodyne end
-    nu_tilde = 1.0 + abs(a - b)
-    x_sq = (max(a, b) + 1.0) / (abs(a - b) + 2.0)
-    y_sq = x_sq - 1.0
-    vxs = np.linspace(1.0, nu_tilde, grid_cfg.points)
-    h = 1.0 / (1.0 + vxs / (x_sq * y_sq * (vxs + 1.0) ** 2)) if y_sq > 0 else np.zeros_like(vxs)
-    scan = 0.5 * np.log(1.0 / (1.0 - h))
-    scan_monotone = bool(np.all(np.diff(scan) >= -SCAN_MONOTONE_SLACK))
     return GieResult(
         closed_form=closed,
         numeric=numeric,
@@ -224,7 +234,6 @@ def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GR
         eve_optimum=optimum,
         optimizer_trace=tuple(trace),
         verified=verified_domain(fam),
-        extra={"vx_scan_min": float(scan[0]), "vx_scan_monotone": scan_monotone},
     )
 
 
@@ -239,7 +248,6 @@ def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
         eve_optimum="heterodyne",  # every measurement ties; first in priority order
         optimizer_trace=trace,
         verified=True,
-        extra={},
     )
 
 
@@ -370,22 +378,17 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID):
     return float(k_min), optimum, trace
 
 
-_AB_BLOCK_ENTRIES = ((0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3))
-
-
 def _sqrt_ab_of_q(pi: Purification, points) -> np.ndarray:
     """sqrt(a~ b~) of the conditional standard form at each (phi, lambda1, lambda2) of ``points``.
 
-    Eve's seed is blockdiag(Q, Q^{-1}) in xxpp order, Q = P diag(lambda1,
-    lambda2) P^T, so ``measurement.seed_frame_schur`` conditions every
-    point in one call with the seed eigenvalues (lambda1, lambda2,
-    1/lambda1, 1/lambda2).  The limit row (pi/2, inf, 0) is the exact dual
-    homodyne: its lambda2 = 0 gives 1/lambda2 = inf and weight 0.
+    Eve's seed blockdiag(Q, Q^{-1}), Q = P diag(lambda1, lambda2) P^T, has
+    seed-frame eigenvalues (lambda1, lambda2, 1/lambda1, 1/lambda2); the
+    limit row (pi/2, inf, 0) is the exact dual homodyne (1/lambda2 = inf).
     """
     phi, l1, l2 = np.array(points, dtype=float).T
     inv_l2 = np.divide(1.0, l2, out=np.full_like(l2, np.inf), where=l2 > 0.0)
-    c00, c11, c01, c22, c33, c23 = seed_frame_schur(pi, _AB_BLOCK_ENTRIES)(phi, (l1, l2, 1.0 / l1, inv_l2))
-    return np.sqrt(np.sqrt(c00 * c11 - c01 * c01) * np.sqrt(c22 * c33 - c23 * c23))
+    a_t, b_t, _, _ = std_form_params(_conditional_cms(pi, phi, (l1, l2, 1.0 / l1, inv_l2)))
+    return np.sqrt(a_t * b_t)
 
 
 def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
@@ -400,7 +403,6 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAUL
             eve_optimum="separable (no optimization run)",
             optimizer_trace=(),
             verified=True,
-            extra={},
         )
     pi = purify(std_form_cm(fam.std))
     if pi.r_count == 0:  # a^2 - k^2 = 1 within purify's cutoff: pure state
@@ -417,7 +419,7 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAUL
         optimizer_trace=tuple(trace),
         # the conditional-purity bound sqrt(a~ b~) <= a must hold on the trace
         verified=bool(verified_domain(fam) and sqrt_ab_max <= a + SQRT_AB_SLACK),
-        extra={"k_min": k_min, "sqrt_ab_max": sqrt_ab_max},
+        extra={"sqrt_ab_max": sqrt_ab_max},
     )
 
 

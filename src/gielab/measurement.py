@@ -215,8 +215,9 @@ def seed_frame_schur(pi: Purification, entries):
     if not np.array_equal(pi.gamma_e, nu * np.eye(2 * pi.r_count)):
         raise InvalidInputError(f"the seed-frame kernel needs gamma_E = nu I, got {pi.gamma_e.tolist()}")
     xxpp = np.r_[0 : 2 * pi.r_count : 2, 1 : 2 * pi.r_count : 2]
-    # row i of gamma_ABE as the (u, v) pairs of E axes that R(phi) rotates
-    pairs = {i: [tuple(uv) for uv in pi.gamma_abe[i, xxpp].reshape(-1, 2)] for entry in entries for i in entry}
+    # row i of gamma_ABE as the (u, v) pairs of E axes that R(phi) rotates, fetched once per row
+    rows = dict.fromkeys(i for entry in entries for i in entry)
+    pairs = {i: [tuple(uv) for uv in pi.gamma_abe[i, xxpp].reshape(-1, 2)] for i in rows}
     targets = [(g[i, j], i, j) for i, j in entries]
 
     def kernel(phi, s):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFamilyError, InvalidFamilyParamsError, UnphysicalStateError
+from .errors import InvalidFamilyParamsError, UnphysicalStateError
 from .symplectic import PHYSICAL_ATOL, SIGMA_Z, CovMat, symplectic_eigenvalues, williamson
 
 PURITY_ATOL = 1e-7  # allowed deviation of the purification's symplectic spectrum from 1
@@ -79,11 +79,9 @@ def purify(gamma) -> Purification:
 
 
 def purify_asym_glems(a: float, b: float) -> Purification:
-    """Analytic three-mode purification of an asymmetric squeezed-thermal GLEMS."""
+    """Analytic three-mode purification of an asymmetric squeezed-thermal GLEMS (no E mode at a = b)."""
     if a < 1.0 or b < 1.0:
         raise InvalidFamilyParamsError(f"asym_glems needs a, b >= 1, got ({a}, {b})")
-    if a == b:
-        raise DegenerateFamilyError("a = b is a pure state; use the pure-state path")
     eye = np.eye(2)
     if a > b:
         k = np.sqrt((a + 1.0) * (b - 1.0))
@@ -101,6 +99,8 @@ def purify_asym_glems(a: float, b: float) -> Purification:
             ]
         )
     )
+    if a == b:  # the pure state with k = sqrt(a^2 - 1)
+        return Purification(gamma_ab, np.zeros((4, 0)), np.zeros((0, 0)), 0)
     gamma_e = (1.0 + abs(a - b)) * eye
     pi = Purification(gamma_ab, gamma_abe, gamma_e, 1)
     defect = pi.purity_defect()

@@ -8,7 +8,6 @@ kp <= 0 means both correlation signs agree, which is always separable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ FAMILY_ATOL = 1e-10  # slack of a family-defining constraint
 # through this route; full-matrix checks still use symplectic.PHYSICAL_ATOL.
 STD_FORM_ATOL = 1e-7
 CLASSIFY_ATOL = 1e-8  # family classification of a StdForm
+STD_FORM_ENTRY_MAX = 1e75  # larger entries overflow det gamma in the closed-form spectrum
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,9 @@ class StdForm:
     kp: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.kx, self.kp))):
-            raise InvalidInputError(f"standard form needs finite entries, got {(self.a, self.b, self.kx, self.kp)}")
+        entries = (self.a, self.b, self.kx, self.kp)
+        if not all(abs(x) <= STD_FORM_ENTRY_MAX for x in entries):  # nan and inf fail too
+            raise InvalidInputError(f"standard form needs finite entries up to {STD_FORM_ENTRY_MAX:g}, got {entries}")
         if self.a < 1.0 - PHYSICAL_ATOL or self.b < 1.0 - PHYSICAL_ATOL:
             raise UnphysicalStateError(f"local purities need a, b >= 1, got ({self.a}, {self.b})")
         if self.kx < 0.0 or self.kx < abs(self.kp) - FAMILY_ATOL:
@@ -77,35 +78,31 @@ def std_form_cm(p: StdForm) -> CovMat:
     return CovMat(mat)
 
 
-def std_form_params(gamma) -> tuple[float, float, float, float]:
+def std_form_params(gamma):
     """Raw standard-form invariants (a, b, kx, kp) of a two-mode CM.
 
     Computed from det A, det B, det C and det gamma, which fix the
     standard form uniquely.  No physicality validation is applied; use
-    ``to_std_form`` for a checked ``StdForm``.
+    ``to_std_form`` for a checked ``StdForm``.  A 4x4 input gives four
+    floats; a stack of shape (..., 4, 4) gives four arrays of shape (...).
     """
     mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
-    if mat.shape != (4, 4):
+    if mat.shape[-2:] != (4, 4):
         raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
-    block_a = mat[:2, :2]
-    block_b = mat[2:, 2:]
-    block_c = mat[:2, 2:]
-    det_a, det_b, det_c = np.linalg.det(block_a), np.linalg.det(block_b), np.linalg.det(block_c)
-    det_g = np.linalg.det(mat)
-    if det_a <= 0.0 or det_b <= 0.0:
+    det = np.linalg.det
+    det_a, det_b, det_c, det_g = det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat[..., :2, 2:]), det(mat)
+    if np.any(det_a <= 0.0) or np.any(det_b <= 0.0):
         raise UnphysicalStateError("local block determinant is not positive")
     a, b = np.sqrt(det_a), np.sqrt(det_b)
     # cx^2 and cp^2 are the roots of t^2 - s t + det_c^2 = 0
     s = (det_a * det_b + det_c * det_c - det_g) / (a * b)
-    disc = max(s * s - 4.0 * det_c * det_c, 0.0)
-    root = np.sqrt(disc)
-    cx_sq = max((s + root) / 2.0, 0.0)
-    cp_sq = max((s - root) / 2.0, 0.0)
-    cx = np.sqrt(cx_sq)
-    cp = np.sqrt(cp_sq)
-    if det_c < 0.0:
-        cp = -cp
-    return float(a), float(b), float(cx), float(-cp)
+    root = np.sqrt(np.maximum(s * s - 4.0 * det_c * det_c, 0.0))
+    cx = np.sqrt(np.maximum((s + root) / 2.0, 0.0))
+    cp = np.sqrt(np.maximum((s - root) / 2.0, 0.0))
+    kp = np.where(det_c < 0.0, cp, -cp)
+    if mat.ndim == 2:
+        return float(a), float(b), float(cx), float(kp)
+    return a, b, cx, kp
 
 
 def to_std_form(gamma) -> StdForm:
@@ -131,11 +128,13 @@ def is_separable(p: StdForm) -> bool:
 
 
 def _cv_ghz_std(r: float) -> StdForm:
-    xp = (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 3.0
-    xm = (np.exp(-2.0 * r) + 2.0 * np.exp(2.0 * r)) / 3.0
-    a = np.sqrt(xp * xm)
-    kx = np.sqrt(xm / xp) * (xm - xp)
-    kp = np.sqrt(xp / xm) * (xm - xp)
+    # past r ~ 177 the entries overflow to inf or nan, which StdForm rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        xp = (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 3.0
+        xm = (np.exp(-2.0 * r) + 2.0 * np.exp(2.0 * r)) / 3.0
+        a = np.sqrt(xp * xm)
+        kx = np.sqrt(xm / xp) * (xm - xp)
+        kp = np.sqrt(xp / xm) * (xm - xp)
     return StdForm(a=float(a), b=float(a), kx=float(kx), kp=float(kp))
 
 

@@ -79,6 +79,13 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["gap"] < 1e-12
 
+    def test_asym_glems_at_equal_purities_takes_the_pure_path(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--family", "asym-glems", "--a", "2", "--b", "2", "--numeric")
+        assert code == 0
+        record = json.loads(out)
+        assert abs(record["gie_numeric_nats"] - math.log(2.0)) < 1e-12
+        assert record["eve_optimum"] == "heterodyne" and record["verified"]
+
     def test_pure_state_at_large_a_is_not_purified(self, capsys):
         # purify's Williamson residual here, 3.2e-8, fails its 1e-8 gate
         code, out, _ = run_cli(capsys, "compute", "--family", "pure", "--a", "2e4", "--numeric")

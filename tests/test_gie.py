@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import gielab.optimize
 from gielab.config import GridConfig
-from gielab.errors import DegenerateFamilyError, DomainNotCoveredError, InvalidInputError
+from gielab.errors import DomainNotCoveredError, InvalidInputError
 from gielab.gie import (
     GATE_LOWER_BOUND,
     QMatrixParams,
+    _conditional_cms,
     _spectral_seed,
     _sqrt_ab_of_q,
     gie_closed_form,
@@ -24,8 +25,8 @@ from gielab.gie import (
     sym_glems_candidates,
     verified_domain,
 )
-from gielab.measurement import FiniteMeasurement, condition_on_e, homodyne
-from gielab.purification import Purification, purify
+from gielab.measurement import FiniteMeasurement, condition_on_e, general_single_mode, homodyne
+from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.states import StdForm, classify, make_family, std_form_cm, std_form_params
 from gielab.symplectic import CovMat
 from gielab.verify import MINMAX_ATOL
@@ -159,8 +160,6 @@ class TestNumericAsymGlems:
         res = gie_numeric_asym_glems(2.0, 1.5, FAST)
         assert abs(res.numeric - ASYM_WORKED) < 2e-5
         assert res.eve_optimum == "heterodyne"
-        assert res.extra["vx_scan_monotone"]
-        assert np.isclose(res.extra["vx_scan_min"], ASYM_WORKED, atol=1e-12)
 
     def test_swapped_purities_same_value(self):
         res = gie_numeric_asym_glems(1.5, 2.0, FAST)
@@ -171,9 +170,13 @@ class TestNumericAsymGlems:
         assert res.closed_form == 0.0
         assert abs(res.numeric) < 1e-9
 
-    def test_equal_purities_rejected(self):
-        with pytest.raises(DegenerateFamilyError):
-            gie_numeric_asym_glems(1.5, 1.5, FAST)
+    def test_equal_purities_take_the_pure_path(self):
+        # a = b is the pure state with k = sqrt(a^2 - 1); every measurement of E ties
+        res = gie_numeric_asym_glems(1.5, 1.5, FAST)
+        assert res.eve_optimum == "heterodyne"
+        assert res.extra == {}
+        assert abs(res.numeric - np.log(1.5)) < 1e-12
+        assert res.verified and res.discrepancy < 1e-12
 
 
 class TestKh:
@@ -245,8 +248,14 @@ def _lab_frame_sqrt_ab(pi, ge):
     return np.sqrt(a_t * b_t)
 
 
+def _single_mode_pis():
+    """R = 1 purifications: sym_glems points (one at large a) and an asym_glems point."""
+    pis = [purify(std_form_cm(make_family("sym_glems", a=a, kp=kp).std)) for a, kp in ((1.5, 0.5), (4.196, 3.932))]
+    return pis + [purify_asym_glems(2.0, 1.5)]
+
+
 class TestQFrameGate:
-    """sqrt(a~ b~) in Eve's Q frame against the lab-frame inverse of gamma_E + seed."""
+    """The gates' seed-frame conditioning against the lab-frame inverse of gamma_E + seed."""
 
     STATES = ((1.2, 0.5), (1.8, 1.1), (2.3, 1.6), (1.05, 0.3))
 
@@ -257,15 +266,33 @@ class TestQFrameGate:
             assert abs(value - _lab_frame_sqrt_ab(pi, homodyne([0.0, np.pi / 2.0]))) < 1e-14
 
     def test_finite_rows_match_the_spectral_seed(self, rng):
+        # R = 2: the seed blockdiag(Q, Q^{-1}) has seed-frame eigenvalues (l1, l2, 1/l1, 1/l2)
         for a, k in self.STATES:
             pi = _sq_thermal_pi(a, k)
             points = []
             for _ in range(20):
                 lam = np.sort(np.exp(rng.uniform(-3.0, 3.0, size=2)))
                 points.append((rng.random() * np.pi, lam[1], lam[0]))
-            for q, value in zip(points, _sqrt_ab_of_q(pi, points)):
+            phi, l1, l2 = np.array(points).T
+            cms = _conditional_cms(pi, phi, (l1, l2, 1.0 / l1, 1.0 / l2))
+            for q, cm, value in zip(points, cms, _sqrt_ab_of_q(pi, points), strict=True):
                 seed = FiniteMeasurement(CovMat(_spectral_seed(QMatrixParams(*q))))
+                assert np.abs(cm - condition_on_e(pi, seed).mat).max() < 1e-12  # all ten entries
                 assert abs(value - _lab_frame_sqrt_ab(pi, seed)) < 1e-12
+        # R = 1: the seed P(phi) diag(tau e^{2t}, tau e^{-2t}) P(phi)^T
+        for pi in _single_mode_pis():
+            phi, tau, t = rng.random(20) * np.pi, 1.0 + 3.0 * rng.random(20), 2.0 * rng.random(20)
+            cms = _conditional_cms(pi, phi, (tau * np.exp(2.0 * t), tau * np.exp(-2.0 * t)))
+            for row, cm in zip(zip(phi, tau, t), cms, strict=True):
+                assert np.abs(cm - condition_on_e(pi, general_single_mode(*row)).mat).max() < 1e-12
+
+    def test_single_mode_limit_rows_are_exact_homodynes(self):
+        # t = inf gives s = (inf, 0): the homodyne on the quadrature at phi + pi/2
+        phi = np.linspace(0.0, np.pi, 7, endpoint=False)
+        for pi in _single_mode_pis():
+            cms = _conditional_cms(pi, phi, (np.full_like(phi, np.inf), np.zeros_like(phi)))
+            for angle, cm in zip(phi, cms, strict=True):
+                assert np.abs(cm - condition_on_e(pi, homodyne([angle + np.pi / 2.0])).mat).max() < 1e-12
 
     def test_needs_gamma_e_proportional_to_identity(self):
         pi = _sq_thermal_pi(1.2, 0.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gielab.errors import DegenerateFamilyError, UnphysicalStateError
+from gielab.errors import UnphysicalStateError
 from gielab.measurement import heterodyne
 from gielab.information import mutual_information_f
 from gielab.purification import purify, purify_asym_glems
@@ -74,9 +74,12 @@ class TestPurifyAsymGlems:
         pi = purify_asym_glems(2.0, 1.0)
         assert np.allclose(pi.gamma_abe[2:], 0.0, atol=1e-14)
 
-    def test_equal_purities_rejected(self):
-        with pytest.raises(DegenerateFamilyError):
-            purify_asym_glems(1.7, 1.7)
+    def test_equal_purities_give_no_extra_mode(self):
+        # a = b is the pure state with k = sqrt(a^2 - 1): nothing to purify
+        pi = purify_asym_glems(1.7, 1.7)
+        assert pi.r_count == 0
+        assert pi.gamma_abe.shape == (4, 0) and pi.gamma_e.shape == (0, 0)
+        assert np.allclose(pi.gamma_ab.mat, std_form_cm(make_family("pure", a=1.7).std).mat, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("a,b", [(2.0, 1.5), (1.5, 2.0), (1.3, 1.05), (2.2, 1.01)])
     def test_matches_generic_purification_under_heterodyne(self, a, b):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gielab.errors import InvalidFamilyParamsError, InvalidInputError, UnphysicalStateError
+from gielab.errors import GielabError, InvalidFamilyParamsError, InvalidInputError, UnphysicalStateError
 from gielab.states import (
     StdForm,
     classify,
@@ -9,6 +9,7 @@ from gielab.states import (
     make_family,
     ppt_min_symplectic_eigenvalue,
     std_form_cm,
+    std_form_params,
     to_std_form,
 )
 from gielab.symplectic import CovMat, rotation, symplectic_eigenvalues
@@ -92,6 +93,17 @@ class TestToStdForm:
         assert np.isclose(q.kp, xy * (cvp + 1) * lam_a * lam_b, atol=1e-10)
 
 
+    def test_a_stack_gives_the_single_matrix_bits(self, rng):
+        # random CMs, plus standard forms whose kx or kp is +0 or -0
+        mats = [x @ x.T + np.eye(4) for x in rng.normal(size=(50, 4, 4))]
+        pairs = ((0.0, 0.0), (0.0, -0.0), (0.3, 0.0), (0.3, -0.0), (0.3, 0.2))
+        mats += [std_form_cm(StdForm(1.5, 1.5, kx, kp)).mat for kx, kp in pairs]
+        stacked = np.array(std_form_params(np.array(mats))).T
+        single = np.array([std_form_params(m) for m in mats])
+        assert np.array_equal(stacked, single)
+        assert np.array_equal(np.signbit(stacked), np.signbit(single))
+
+
 class TestSeparability:
     def test_entangled_isotropic_point(self):
         p = StdForm(1.2, 1.2, 0.5, 0.5)
@@ -159,6 +171,13 @@ class TestMakeFamily:
             fam = make_family("cv_ghz", r=r)
             nus = symplectic_eigenvalues(std_form_cm(fam.std))
             assert abs(nus[1] - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("r", [100.0, 200.0, 400.0])
+    def test_cv_ghz_past_the_float_range_raises_without_warnings(self, r):
+        # RuntimeWarnings are errors here: the entries pass 1e75 from r ~ 87,
+        # e^{2r} e^{2r} overflows from r ~ 177 and e^{2r} from r ~ 355
+        with pytest.raises(GielabError):
+            make_family("cv_ghz", r=r)
 
     def test_pure_family_unit_spectrum(self):
         fam = make_family("pure", a=2.5)
