@@ -53,7 +53,6 @@ from .renyi2 import (
 from .states import StateFamily, StdForm, classify, is_separable, make_family, std_form_cm, to_std_form
 from .symplectic import (
     CovMat,
-    SymplecticMatrix,
     WilliamsonDecomposition,
     symplectic_eigenvalues,
     symplectic_form,

@@ -28,10 +28,10 @@ from .config import DEFAULT_GRID, GridConfig
 from .errors import DomainNotCoveredError, InvalidInputError
 from .measurement import condition_on_e  # noqa: F401  (perfbench/spans.py traces this name in gielab.gie)
 from .measurement import seed_frame_schur, seed_frame_xx
-from .optimize import RESOLUTION, search
+from .optimize import search
 from .purification import Purification, purify, purify_asym_glems
 from .states import FAMILY_ATOL, StateFamily, is_separable, make_family, std_form_cm, std_form_params
-from .symplectic import rotation, xxpp_reorder
+from .symplectic import XXPP, rotation
 
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
@@ -181,7 +181,7 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     )
     highs = np.array([np.pi, TAU_LOG_MAX, T_MAX])
     best_val, optimum, best, trace = search(
-        objective, axes, np.zeros(3), highs, RESOLUTION, _single_mode_params, _SINGLE_MODE_CANDIDATES
+        objective, axes, np.zeros(3), highs, _single_mode_params, _SINGLE_MODE_CANDIDATES
     )
     if optimum is None:
         optimum = f"general(phi={best[0]:.6g}, tau={best[1]:.6g}, t={best[2]:.6g})"
@@ -300,14 +300,13 @@ def k_h(q: QMatrixParams, a: float, k: float) -> float:
 def _spectral_seed(q: QMatrixParams) -> np.ndarray:
     """Eve's pure two-mode seed with x block Q and p block Q^{-1} (xxpp), in xpxp order."""
     q_mat = q.matrix()
-    lam = xxpp_reorder()
     seed_primed = np.block(
         [
             [q_mat, np.zeros((2, 2))],
             [np.zeros((2, 2)), np.linalg.inv(q_mat)],
         ]
     )
-    return lam.T @ seed_primed @ lam
+    return XXPP.T @ seed_primed @ XXPP
 
 
 def k_h_determinant(q: QMatrixParams, a: float, k: float) -> float:
@@ -371,7 +370,7 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID):
         objective, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs),
         np.array([0.0, LAMBDA_LOG_MIN, LAMBDA_LOG_MIN]),
         np.array([np.pi, LAMBDA_LOG_MAX, LAMBDA_LOG_MAX]),
-        RESOLUTION, _kh_params, _KH_CANDIDATES,
+        _kh_params, _KH_CANDIDATES,
     )
     if optimum is None:
         optimum = f"Q(phi={best[0]:.6g}, lambda1={best[1]:.6g}, lambda2={best[2]:.6g})"

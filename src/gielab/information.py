@@ -24,7 +24,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .measurement import FiniteMeasurement, GaussianMeasurement, condition_on_e
-from .optimize import RESOLUTION, descend, grid_argmin
+from .optimize import descend, grid_argmin
 from .purification import Purification
 from .states import StdForm
 
@@ -135,7 +135,7 @@ def gcmi_numeric(cond: StdForm, points: int) -> GcmiResult:
     objective = partial(u_function, cond)
     best, best_val = grid_argmin(objective, (rs, rs))
     if np.isfinite(best).all():
-        best, best_val = descend(objective, best, np.zeros(2), np.full(2, SQUEEZE_MAX), RESOLUTION)
+        best, best_val = descend(objective, best, np.zeros(2), np.full(2, SQUEEZE_MAX))
     if best_val <= 0.0:
         raise NumericalDegeneracyError(f"u minimum degenerate: {best_val}")
     return GcmiResult(value=_check_nats(-0.5 * np.log(best_val), "GCMI"), argmin=(float(best[0]), float(best[1])))

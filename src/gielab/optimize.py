@@ -67,15 +67,16 @@ def _poll_plans(dim):
     return tuple(plans)
 
 
-def descend(fn, x0, lows, highs, resolution):
+def descend(fn, x0, lows, highs):
     """Deterministic Hooke-Jeeves pattern-search descent within a box.
 
     Sweeps coordinate moves plus pairwise diagonal moves (diagonal valleys
     stall a pure coordinate search), each with sign + then -, and moves to
     each probe that beats the incumbent by more than ``MIN_IMPROVEMENT``;
     a sweep without a move halves the step until it falls below
-    ``resolution``, and at most ``MAX_SWEEPS`` sweeps run.  ``fn`` must
-    broadcast over 1-D probe arrays, one per coordinate.
+    ``RESOLUTION``, and at most ``MAX_SWEEPS`` sweeps run (both read when
+    ``descend`` is called).  ``fn`` must broadcast over 1-D probe arrays,
+    one per coordinate.
 
     One call evaluates every probe that a probe-at-a-time search would try
     next from the incumbent, up to two sweeps ahead: the rest of this
@@ -85,19 +86,19 @@ def descend(fn, x0, lows, highs, resolution):
     The first improving probe in that order is the move, and the sweeps
     and halvings it passes are counted; a call with no improvement passes
     them all.  Each plan is cut at the sweep cap and where the half step
-    would fall below ``resolution``.  So the path, the end point and its
+    would fall below ``RESOLUTION``.  So the path, the end point and its
     value are those of the probe-at-a-time search.
     """
     x = np.array(x0, dtype=float)
     val = fn(*x[:, None])[0]
-    steps = np.maximum((highs - lows) * 0.05, resolution)
+    steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
     top = float(steps.max())  # every step halves with the largest one
     plans = _poll_plans(x.size)
     n = len(plans)
     sweep, k = 0, 0  # the sweep under way and its next row to poll
     while sweep < MAX_SWEEPS:
         rows, moves, sweeps = plans[k]
-        stop = len(rows) if top * 0.5 >= resolution else n  # the half-step sweep runs only above resolution
+        stop = len(rows) if top * 0.5 >= RESOLUTION else n  # the half-step sweep runs only above RESOLUTION
         if sweep + sweeps[stop - 1] >= MAX_SWEEPS:
             stop = bisect.bisect_left(sweeps, MAX_SWEEPS - sweep)
         trials = np.minimum(np.maximum(x + steps * moves[:stop], lows), highs)
@@ -116,13 +117,13 @@ def descend(fn, x0, lows, highs, resolution):
             covered = sweeps[stop - 1] + 1
             scale = 0.5 ** (covered - (k > 0))
             steps, top = steps * scale, top * scale
-            if top < resolution:
+            if top < RESOLUTION:
                 break
             sweep, k = sweep + covered, 0
     return x, val
 
 
-def search(fn, axes, lows, highs, resolution, to_params, candidates):
+def search(fn, axes, lows, highs, to_params, candidates):
     """Minimize ``fn`` on the mesh of ``axes``, then descend on it in [lows, highs].
 
     ``fn`` takes one array per coordinate and broadcasts over them (the grid
@@ -137,7 +138,7 @@ def search(fn, axes, lows, highs, resolution, to_params, candidates):
     and every candidate.
     """
     coarse, coarse_val = grid_argmin(fn, axes)
-    refined, refined_val = descend(fn, coarse, lows, highs, resolution)
+    refined, refined_val = descend(fn, coarse, lows, highs)
     refined_params = to_params(refined)
     trace = [(to_params(coarse), coarse_val), (refined_params, float(refined_val))]
     rows = np.array([row for _, row in candidates], dtype=float).reshape(len(candidates), len(lows))

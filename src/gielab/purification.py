@@ -49,6 +49,14 @@ class Purification:
         return float(np.abs(symplectic_eigenvalues(self.gamma_pi()) - 1.0).max())
 
 
+def _checked_pure(pi: Purification) -> Purification:
+    """Return ``pi`` if its assembled spectrum is within ``PURITY_ATOL`` of one."""
+    defect = pi.purity_defect()
+    if defect > PURITY_ATOL:
+        raise UnphysicalStateError(f"purification impure, spectrum defect {defect:.3e}")
+    return pi
+
+
 def purify(gamma) -> Purification:
     """Minimal Gaussian purification of a physical two-mode CM.
 
@@ -70,12 +78,7 @@ def purify(gamma) -> Purification:
     for col, i in enumerate(noisy):
         abe0[2 * i : 2 * i + 2, 2 * col : 2 * col + 2] = np.sqrt(nus[i] ** 2 - 1.0) * SIGMA_Z
         gamma_e[2 * col : 2 * col + 2, 2 * col : 2 * col + 2] = nus[i] * np.eye(2)
-    gamma_abe = decomp.s.inverse() @ abe0
-    pi = Purification(cov, gamma_abe, gamma_e, r_count)
-    defect = pi.purity_defect()
-    if defect > PURITY_ATOL:
-        raise UnphysicalStateError(f"purification impure, spectrum defect {defect:.3e}")
-    return pi
+    return _checked_pure(Purification(cov, decomp.inverse() @ abe0, gamma_e, r_count))
 
 
 def purify_asym_glems(a: float, b: float) -> Purification:
@@ -102,8 +105,4 @@ def purify_asym_glems(a: float, b: float) -> Purification:
     if a == b:  # the pure state with k = sqrt(a^2 - 1)
         return Purification(gamma_ab, np.zeros((4, 0)), np.zeros((0, 0)), 0)
     gamma_e = (1.0 + abs(a - b)) * eye
-    pi = Purification(gamma_ab, gamma_abe, gamma_e, 1)
-    defect = pi.purity_defect()
-    if defect > PURITY_ATOL:
-        raise UnphysicalStateError(f"purification impure, spectrum defect {defect:.3e}")
-    return pi
+    return _checked_pure(Purification(gamma_ab, gamma_abe, gamma_e, 1))

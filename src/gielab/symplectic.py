@@ -4,13 +4,16 @@ Covariance matrices are stored dense in the quadrature ordering
 ``(x1, p1, ..., xn, pn)`` with vacuum normalized to the identity.  The
 module provides the symplectic form, symplectic spectra, Williamson
 decompositions (analytic routes for the two standard-form families plus a
-generic spectral construction) and a few fixed phase-space matrices:
-rotation, balanced beam splitter, two-mode squeezer, mode swap and the
-xxpp reordering.
+generic spectral construction) and the phase-space matrices they use.  The
+fixed ones are read-only constants built at import (``J2``, ``SIGMA_Z``,
+``BEAM_SPLITTER``, ``MODE_SWAP``, ``XXPP``), as is ``symplectic_form(n)``
+for each n; rotations and two-mode squeezers are built from their
+parameters.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +27,6 @@ from .errors import (
     UnphysicalStateError,
 )
 
-J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-SIGMA_Z = np.diag([1.0, -1.0])
 EIGENVALUE_SYMMETRY_RTOL = 1e-8  # symplectic_eigenvalues: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
 STANDARD_FORM_RTOL = 1e-11  # _is_standard_form: allowed |gamma - pattern|, relative to max(1, |gamma|)
 ANALYTIC_ROUTE_RTOL = 1e-12  # williamson: |a - b| and |cx + cp| below this, relative, take the analytic routes
@@ -36,15 +37,23 @@ SYMPLECTIC_ATOL = 1e-9  # |S Omega S^T - Omega| residual
 WILLIAMSON_ATOL = 1e-8  # |S gamma S^T - diag(nu)| residual
 
 
-def _readonly(mat: np.ndarray) -> np.ndarray:
+def _readonly(mat) -> np.ndarray:
     out = np.array(mat, dtype=float)
     out.flags.writeable = False
     return out
 
 
+J2 = _readonly([[0.0, 1.0], [-1.0, 0.0]])
+SIGMA_Z = _readonly(np.diag([1.0, -1.0]))
+# balanced beam splitter on two modes, orthogonal and symplectic
+BEAM_SPLITTER = _readonly(np.block([[np.eye(2), np.eye(2)], [-np.eye(2), np.eye(2)]]) / np.sqrt(2.0))
+MODE_SWAP = _readonly(np.eye(4)[[2, 3, 0, 1]])  # completely reflecting beam splitter exchanging two modes
+XXPP = _readonly(np.eye(4)[[0, 2, 1, 3]])  # (x1,p1,x2,p2) -> (x1,x2,p1,p2): orthogonal, not symplectic
+
+
 def _as_matrix(gamma) -> np.ndarray:
-    """Accept a CovMat, SymplecticMatrix or plain array and return the array."""
-    if isinstance(gamma, (CovMat, SymplecticMatrix)):
+    """Accept a CovMat or plain array and return the array."""
+    if isinstance(gamma, CovMat):
         return gamma.mat
     return np.asarray(gamma, dtype=float)
 
@@ -70,47 +79,31 @@ class CovMat:
 
 
 @dataclass(frozen=True)
-class SymplecticMatrix:
-    """Real matrix satisfying ``S Omega S^T = Omega``."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
-            raise InvalidInputError(f"symplectic matrix must be 2n x 2n, got {mat.shape}")
-        omega = symplectic_form(mat.shape[0] // 2)
-        residual = np.abs(mat @ omega @ mat.T - omega).max()
-        if residual > SYMPLECTIC_ATOL:
-            raise InvalidInputError(f"symplectic condition violated, residual {residual:.3e}")
-        object.__setattr__(self, "mat", _readonly(mat))
-
-    @property
-    def n_modes(self) -> int:
-        return self.mat.shape[0] // 2
-
-    def inverse(self) -> np.ndarray:
-        """Exact symplectic inverse ``Omega S^T Omega^T``."""
-        omega = symplectic_form(self.n_modes)
-        return omega @ self.mat.T @ omega.T
-
-
-@dataclass(frozen=True)
 class WilliamsonDecomposition:
-    """Pair (S, nu) with ``S gamma S^T = diag(nu1, nu1, ..., nun, nun)``."""
+    """Pair (S, nu) with ``S gamma S^T = diag(nu1, nu1, ..., nun, nun)``.
 
-    s: SymplecticMatrix
+    ``s`` is read-only and symplectic: ``williamson``, its only producer,
+    checks ``S Omega S^T = Omega`` to ``SYMPLECTIC_ATOL``.
+    """
+
+    s: np.ndarray
     nus: tuple[float, ...]
 
     def normal_form(self) -> np.ndarray:
         return np.diag(np.repeat(self.nus, 2))
 
+    def inverse(self) -> np.ndarray:
+        """Exact symplectic inverse ``Omega S^T Omega^T``."""
+        omega = symplectic_form(len(self.nus))
+        return omega @ self.s.T @ omega.T
 
+
+@functools.lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, n copies of ``[[0, 1], [-1, 0]]``."""
+    """Block-diagonal symplectic form, n copies of ``[[0, 1], [-1, 0]]``; one read-only array per n."""
     if n_modes < 1:
         raise InvalidDimensionError("need at least one mode")
-    return np.kron(np.eye(n_modes), J2)
+    return _readonly(np.kron(np.eye(n_modes), J2))
 
 
 def symplectic_eigenvalues(gamma) -> np.ndarray:
@@ -180,9 +173,7 @@ def _williamson_symmetric(a, kx, kp):
     """Analytic route for the symmetric standard form: (S_A + S_B) U_BS."""
     za = ((a + kx) / (a - kp)) ** 0.25
     zb = ((a + kp) / (a - kx)) ** 0.25
-    sa = np.diag([1.0 / za, za])
-    sb = np.diag([zb, 1.0 / zb])
-    s = scipy.linalg.block_diag(sa, sb) @ beam_splitter_balanced()
+    s = np.diag([1.0 / za, za, zb, 1.0 / zb]) @ BEAM_SPLITTER
     nu1 = np.sqrt((a + kx) * (a - kp))
     nu2 = np.sqrt((a - kx) * (a + kp))
     return s, (float(nu1), float(nu2))
@@ -195,7 +186,7 @@ def _williamson_squeezed_thermal(a, b, k):
     y = np.sqrt((a + b - s_root) / (2.0 * s_root))
     s = two_mode_squeezer(x, y)
     if a < b:
-        s = mode_swap() @ s
+        s = MODE_SWAP @ s
     return s, std_form_symplectic_eigenvalues(a, b, k, k)
 
 
@@ -265,7 +256,8 @@ def williamson(gamma) -> WilliamsonDecomposition:
             f"williamson residual {residual:.3e} (symplectic {symp_residual:.3e})",
             residual=max(residual, symp_residual),
         )
-    return WilliamsonDecomposition(s=SymplecticMatrix(s), nus=nus)
+    s.flags.writeable = False
+    return WilliamsonDecomposition(s=s, nus=nus)
 
 
 def rotation(phi: float) -> np.ndarray:
@@ -274,33 +266,9 @@ def rotation(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def beam_splitter_balanced() -> np.ndarray:
-    """Balanced beam splitter on two modes (orthogonal and symplectic)."""
-    eye = np.eye(2)
-    return np.block([[eye, eye], [-eye, eye]]) / np.sqrt(2.0)
-
-
 def two_mode_squeezer(x: float, y: float) -> np.ndarray:
     """Two-mode squeezer with cosh/sinh parameters (x, y), x^2 - y^2 = 1."""
     if abs(x * x - y * y - 1.0) > SQUEEZER_ATOL:
         raise InvalidSqueezerError(f"two-mode squeezer needs x^2 - y^2 = 1, got {x * x - y * y}")
     eye = np.eye(2)
     return np.block([[x * eye, -y * SIGMA_Z], [-y * SIGMA_Z, x * eye]])
-
-
-def mode_swap() -> np.ndarray:
-    """Completely reflecting beam splitter exchanging two modes."""
-    eye = np.eye(2)
-    zero = np.zeros((2, 2))
-    return np.block([[zero, eye], [eye, zero]])
-
-
-def xxpp_reorder() -> np.ndarray:
-    """Orthogonal basis change from (x1,p1,x2,p2) to (x1,x2,p1,p2) ordering.
-
-    A reordering, not a symplectic operation.
-    """
-    lam = np.zeros((4, 4))
-    lam[0, 0] = lam[1, 2] = lam[2, 1] = lam[3, 3] = 1.0
-    return lam
-

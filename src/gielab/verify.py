@@ -329,8 +329,8 @@ def check_structural(n=40) -> CheckResult:
         mat = random_physical_cm(rng, scale=0.35)
         dec = williamson(mat)
         omega = symplectic_form(2)
-        worst_symp = max(worst_symp, np.abs(dec.s.mat @ omega @ dec.s.mat.T - omega).max())
-        worst_will = max(worst_will, np.abs(dec.s.mat @ mat @ dec.s.mat.T - dec.normal_form()).max())
+        worst_symp = max(worst_symp, np.abs(dec.s @ omega @ dec.s.T - omega).max())
+        worst_will = max(worst_will, np.abs(dec.s @ mat @ dec.s.T - dec.normal_form()).max())
         pi = purify(CovMat(mat))
         worst_pur = max(worst_pur, pi.purity_defect())
         ga = general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random())

@@ -209,9 +209,9 @@ class TestKh:
     def test_descent_that_hits_the_sweep_cap_follows_the_probe_at_a_time_path(self, monkeypatch):
         descend, capped = gielab.optimize.descend, []
 
-        def checked(fn, x0, lows, highs, resolution):
-            x, value = descend(fn, x0, lows, highs, resolution)
-            x_ref, value_ref, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs, resolution)
+        def checked(fn, x0, lows, highs):
+            x, value = descend(fn, x0, lows, highs)
+            x_ref, value_ref, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs)
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
             capped.append(stopped_on_cap)
             return x, value

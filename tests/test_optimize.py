@@ -9,7 +9,6 @@ from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, descend, grid_argmin, sea
 
 AXES = (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
 LOWS, HIGHS = np.zeros(2), np.ones(2)
-RESOLUTION = 1e-8
 
 
 def bowl(x, y):
@@ -28,7 +27,7 @@ def with_rows_beyond_5(x, y):
 
 
 def run(candidates, fn=with_rows_beyond_5):
-    return search(fn, AXES, LOWS, HIGHS, RESOLUTION, to_params, candidates)
+    return search(fn, AXES, LOWS, HIGHS, to_params, candidates)
 
 
 def descent_end():
@@ -64,7 +63,7 @@ class TestSearch:
         candidates = [("a", (5.0, 2.0)), ("b", (0.7, 0.1))]
         _, _, _, trace = run(candidates)
         grid_best, grid_val = grid_argmin(bowl, AXES)
-        end, end_val = descend(bowl, grid_best, LOWS, HIGHS, RESOLUTION)
+        end, end_val = descend(bowl, grid_best, LOWS, HIGHS)
         assert not np.array_equal(grid_best, end)  # the off-grid minimum moves the descent
         assert trace == [
             (to_params(grid_best), grid_val),
@@ -74,16 +73,17 @@ class TestSearch:
         ]
 
 
-def probe_at_a_time_descend(fn, x0, lows, highs, resolution):
+def probe_at_a_time_descend(fn, x0, lows, highs):
     """Oracle: the Hooke-Jeeves descent that evaluates one probe per call.
 
-    Returns its end, the value there and whether ``optimize.MAX_SWEEPS``
-    (read at call time) stopped it.  Each probe is a 1-row array, so the
+    Stops below ``optimize.RESOLUTION`` or after ``optimize.MAX_SWEEPS``
+    sweeps, both read at call time.  Returns its end, the value there and
+    whether the sweep cap stopped it.  Each probe is a 1-row array, so the
     objective takes the array path that the batched descent takes.
     """
     x = np.array(x0, dtype=float)
     val = fn(*x[:, None])[0]
-    steps = np.maximum((highs - lows) * 0.05, resolution)
+    steps = np.maximum((highs - lows) * 0.05, optimize.RESOLUTION)
     directions = []
     for i in range(x.size):
         e = np.zeros(x.size)
@@ -110,7 +110,7 @@ def probe_at_a_time_descend(fn, x0, lows, highs, resolution):
                     improved = True
         if not improved:
             steps *= 0.5
-            if steps.max() < resolution:
+            if steps.max() < optimize.RESOLUTION:
                 return x, val, False
     return x, val, True
 
@@ -174,8 +174,9 @@ class TestDescend:
     @example(NEAR_HALFWAY_SQUARE)
     def test_batched_polls_follow_the_probe_at_a_time_path(self, problem):
         fn, x0, lows, highs = problem
-        x, val = descend(fn, x0, lows, highs, 1e-7)
-        x_ref, val_ref, _ = probe_at_a_time_descend(fn, x0, lows, highs, 1e-7)
+        with mock.patch.object(optimize, "RESOLUTION", 1e-7):
+            x, val = descend(fn, x0, lows, highs)
+            x_ref, val_ref, _ = probe_at_a_time_descend(fn, x0, lows, highs)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
 
@@ -184,8 +185,8 @@ class TestDescend:
     def test_the_sweep_cap_stops_both_searches_at_the_same_probe(self, problem, max_sweeps):
         # a cap of 1-60 sweeps cuts most descents short, in every block of a poll
         fn, x0, lows, highs = problem
-        with mock.patch.object(optimize, "MAX_SWEEPS", max_sweeps):
-            x, val = descend(fn, x0, lows, highs, 1e-7)
-            x_ref, val_ref, _ = probe_at_a_time_descend(fn, x0, lows, highs, 1e-7)
+        with mock.patch.object(optimize, "MAX_SWEEPS", max_sweeps), mock.patch.object(optimize, "RESOLUTION", 1e-7):
+            x, val = descend(fn, x0, lows, highs)
+            x_ref, val_ref, _ = probe_at_a_time_descend(fn, x0, lows, highs)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
