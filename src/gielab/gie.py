@@ -145,7 +145,8 @@ def _conditional_cms(pi: Purification, phi, s) -> np.ndarray:
 def _f_xx(va, vb, c):
     """Double x-homodyne mutual information on A and B, from the conditional
     x variances va, vb and their covariance c; broadcasts."""
-    return 0.5 * np.log(va * vb / (va * vb - c * c))
+    vab = va * vb
+    return 0.5 * np.log(vab / (vab - c * c))
 
 
 _SINGLE_MODE_CANDIDATES = (

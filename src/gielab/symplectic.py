@@ -8,7 +8,9 @@ generic spectral construction) and the phase-space matrices they use.  The
 fixed ones are read-only constants built at import (``J2``, ``SIGMA_Z``,
 ``BEAM_SPLITTER``, ``MODE_SWAP``, ``XXPP``), as is ``symplectic_form(n)``
 for each n; rotations and two-mode squeezers are built from their
-parameters.
+parameters.  ``_williamson_generic`` imports ``scipy.linalg`` (for its real
+Schur form) when it is first called, because the analytic routes every
+family takes need numpy alone and importing scipy dominates start-up.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DecompositionError,
@@ -192,6 +193,8 @@ def _williamson_squeezed_thermal(a, b, k):
 
 def _williamson_generic(mat: np.ndarray):
     """Spectral construction via the canonical form of gamma^{-1/2} Omega gamma^{-1/2}."""
+    import scipy.linalg
+
     n = mat.shape[0] // 2
     w, v = np.linalg.eigh(mat)
     if w.min() <= 0:

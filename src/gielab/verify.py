@@ -5,6 +5,9 @@ worked points, Eve-side optimizer agreement, candidate ordering, GCMI
 optimality, the K_h reduction, threshold bounds along optimizer traces,
 the GIE = GR2 equality, faithfulness and the structural residual suite.
 Sampling is deterministic (fixed seeds), so repeated runs are identical.
+``random_symplectic`` imports ``scipy.linalg`` (for ``expm``) when it is
+first called, so importing this module, as ``gielab.cli`` does, loads numpy
+and nothing heavier.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import GridConfig
 from .gie import (
@@ -70,6 +72,8 @@ class CheckResult:
 
 def random_symplectic(rng, scale: float) -> np.ndarray:
     """Random two-mode symplectic matrix ``exp(Omega H)``, ``H = scale (G + G^T)``, G standard normal."""
+    import scipy.linalg
+
     h = rng.normal(size=(4, 4))
     return scipy.linalg.expm(symplectic_form(2) @ (scale * (h + h.T)))
 
