@@ -10,7 +10,6 @@ from .errors import (
     InvalidFamilyParamsError,
     InvalidInputError,
     InvalidMeasurementError,
-    InvalidSqueezerError,
     InvalidThreeModeError,
     NumericalDegeneracyError,
     UnphysicalStateError,

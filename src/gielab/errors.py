@@ -20,14 +20,6 @@ class UnphysicalStateError(GielabError):
 class DecompositionError(GielabError):
     """A matrix decomposition failed to reach the required residual."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class InvalidSqueezerError(GielabError):
-    """Two-mode squeezer parameters do not satisfy x^2 - y^2 = 1."""
-
 
 class InvalidMeasurementError(GielabError):
     """A Gaussian measurement seed is outside the allowed parameter range."""

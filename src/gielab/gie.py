@@ -223,7 +223,7 @@ def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GR
 def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
     """Eve-side minimization for an asymmetric squeezed-thermal GLEMS."""
     fam = make_family("asym_glems", a=a, b=b)
-    pi = purify_asym_glems(a, b)
+    pi = purify_asym_glems(fam)
     closed = gie_closed_form(fam)
     if pi.r_count == 0:  # a = b: pure state
         return _numeric_pure(fam, closed)
@@ -425,12 +425,17 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAUL
 
 def gie_numeric(fam: StateFamily, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
     """Dispatch the numeric Eve-side verification by family tag."""
+    p = fam.std
     if fam.tag == "pure":
         return _numeric_pure(fam, gie_closed_form(fam))
+    # Each minimizer rebuilds its family from the defining scalars instead of
+    # running on fam.std.  A CV GHZ state's own kx rounds off the GLEMS
+    # surface: from r ~ 4.3 its purification finds two E modes, while the
+    # rebuilt kx = a - 1/(a + kp) keeps the single E mode.
     if fam.tag == "sym_glems":
-        return gie_numeric_sym_glems(fam.params["a"], fam.params["kp"], grid_cfg)
+        return gie_numeric_sym_glems(p.a, p.kp, grid_cfg)
     if fam.tag == "sym_sq_thermal":
-        return gie_numeric_sym_sq_thermal(fam.params["a"], fam.params["k"], grid_cfg)
+        return gie_numeric_sym_sq_thermal(p.a, p.kx, grid_cfg)
     if fam.tag == "asym_glems":
-        return gie_numeric_asym_glems(fam.params["a"], fam.params["b"], grid_cfg)
+        return gie_numeric_asym_glems(p.a, p.b, grid_cfg)
     raise DomainNotCoveredError("numeric verification covers the four solvable families only")

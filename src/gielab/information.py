@@ -12,7 +12,6 @@ the closed form wherever the gate holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -117,13 +116,7 @@ def u_function(cond: StdForm, r_a, r_b):
     return (1.0 - cond.kx * cond.kx / (a_minus * b_minus)) * (1.0 - cond.kp * cond.kp / (a_plus * b_plus))
 
 
-@dataclass(frozen=True)
-class GcmiResult:
-    value: float
-    argmin: tuple[float, float]
-
-
-def gcmi_numeric(cond: StdForm, points: int) -> GcmiResult:
+def gcmi_numeric(cond: StdForm, points: int) -> float:
     """Gaussian classical mutual information of a conditional standard form.
 
     Minimizes u(rA, rB) on a deterministic grid whose axes end in the exact
@@ -138,7 +131,7 @@ def gcmi_numeric(cond: StdForm, points: int) -> GcmiResult:
         best, best_val = descend(objective, best, np.zeros(2), np.full(2, SQUEEZE_MAX))
     if best_val <= 0.0:
         raise NumericalDegeneracyError(f"u minimum degenerate: {best_val}")
-    return GcmiResult(value=_check_nats(-0.5 * np.log(best_val), "GCMI"), argmin=(float(best[0]), float(best[1])))
+    return _check_nats(-0.5 * np.log(best_val), "GCMI")
 
 
 def f_decomposed(

@@ -4,7 +4,8 @@ A mixed two-mode state with R symplectic eigenvalues above one is purified
 by pairing each noisy Williamson mode with one extra mode in a two-mode
 squeezed state, then pulling the system modes back with the inverse
 Williamson transformation.  The asymmetric squeezed-thermal GLEMS family
-additionally has an analytic single-extra-mode form.
+additionally has an analytic single-extra-mode form, built around the
+standard form that ``states.make_family`` gives it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFamilyParamsError, UnphysicalStateError
+from .errors import UnphysicalStateError, WrongFamilyError
+from .states import StateFamily, std_form_cm
 from .symplectic import PHYSICAL_ATOL, SIGMA_Z, CovMat, symplectic_eigenvalues, williamson
 
 PURITY_ATOL = 1e-7  # allowed deviation of the purification's symplectic spectrum from 1
@@ -81,28 +83,17 @@ def purify(gamma) -> Purification:
     return _checked_pure(Purification(cov, decomp.inverse() @ abe0, gamma_e, r_count))
 
 
-def purify_asym_glems(a: float, b: float) -> Purification:
+def purify_asym_glems(fam: StateFamily) -> Purification:
     """Analytic three-mode purification of an asymmetric squeezed-thermal GLEMS (no E mode at a = b)."""
-    if a < 1.0 or b < 1.0:
-        raise InvalidFamilyParamsError(f"asym_glems needs a, b >= 1, got ({a}, {b})")
-    eye = np.eye(2)
-    if a > b:
-        k = np.sqrt((a + 1.0) * (b - 1.0))
-        gamma_abe = np.vstack([np.sqrt((a - b) * (a + 1.0)) * SIGMA_Z, np.sqrt((a - b) * (b - 1.0)) * eye])
-    else:
-        k = np.sqrt((a - 1.0) * (b + 1.0))
-        gamma_abe = np.vstack([np.sqrt((b - a) * (a - 1.0)) * eye, np.sqrt((b - a) * (b + 1.0)) * SIGMA_Z])
-    gamma_ab = CovMat(
-        np.array(
-            [
-                [a, 0.0, k, 0.0],
-                [0.0, a, 0.0, -k],
-                [k, 0.0, b, 0.0],
-                [0.0, -k, 0.0, b],
-            ]
-        )
-    )
+    if fam.tag != "asym_glems":
+        raise WrongFamilyError(f"purify_asym_glems needs an asym_glems family, got {fam.tag!r}")
+    gamma_ab = std_form_cm(fam.std)
+    a, b = fam.std.a, fam.std.b
     if a == b:  # the pure state with k = sqrt(a^2 - 1)
         return Purification(gamma_ab, np.zeros((4, 0)), np.zeros((0, 0)), 0)
-    gamma_e = (1.0 + abs(a - b)) * eye
-    return _checked_pure(Purification(gamma_ab, gamma_abe, gamma_e, 1))
+    eye = np.eye(2)
+    if a > b:
+        gamma_abe = np.vstack([np.sqrt((a - b) * (a + 1.0)) * SIGMA_Z, np.sqrt((a - b) * (b - 1.0)) * eye])
+    else:
+        gamma_abe = np.vstack([np.sqrt((b - a) * (a - 1.0)) * eye, np.sqrt((b - a) * (b + 1.0)) * SIGMA_Z])
+    return _checked_pure(Purification(gamma_ab, gamma_abe, (1.0 + abs(a - b)) * eye, 1))

@@ -8,7 +8,7 @@ kp <= 0 means both correlation signs agree, which is always separable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,11 +53,10 @@ class StdForm:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A classified two-mode state: family tag plus its defining scalars."""
+    """A classified two-mode state: family tag plus its standard form."""
 
     tag: str  # pure | sym_glems | sym_sq_thermal | asym_glems | generic
-    params: dict = field(default_factory=dict)
-    std: StdForm = None
+    std: StdForm
 
     def __post_init__(self):
         if self.tag not in ("pure", "sym_glems", "sym_sq_thermal", "asym_glems", "generic"):
@@ -155,7 +154,7 @@ def make_family(tag: str, **params) -> StateFamily:
             raise InvalidFamilyParamsError(f"pure family needs a >= 1, got {a}")
         k = np.sqrt(max(a * a - 1.0, 0.0))
         std = StdForm(a=a, b=a, kx=float(k), kp=float(k))
-        return StateFamily(tag="pure", params={"a": a}, std=std)
+        return StateFamily(tag="pure", std=std)
     if tag == "sym_glems":
         a, kp = float(params["a"]), float(params["kp"])
         if a < 1.0 or kp < 0.0:
@@ -164,26 +163,26 @@ def make_family(tag: str, **params) -> StateFamily:
             raise InvalidFamilyParamsError(f"sym_glems needs a^2 - kp^2 >= 1, got {a * a - kp * kp}")
         kx = a - 1.0 / (a + kp)
         std = StdForm(a=a, b=a, kx=float(kx), kp=kp)
-        return StateFamily(tag="sym_glems", params={"a": a, "kp": kp}, std=std)
+        return StateFamily(tag="sym_glems", std=std)
     if tag == "sym_sq_thermal":
         a, k = float(params["a"]), float(params["k"])
         if a < 1.0 or k < 0.0 or a * a - k * k < 1.0 - FAMILY_ATOL:
             raise InvalidFamilyParamsError(f"sym_sq_thermal needs a^2 - k^2 >= 1, got ({a}, {k})")
         std = StdForm(a=a, b=a, kx=k, kp=k)
-        return StateFamily(tag="sym_sq_thermal", params={"a": a, "k": k}, std=std)
+        return StateFamily(tag="sym_sq_thermal", std=std)
     if tag == "asym_glems":
         a, b = float(params["a"]), float(params["b"])
         if a < 1.0 or b < 1.0:
             raise InvalidFamilyParamsError(f"asym_glems needs a, b >= 1, got ({a}, {b})")
         k = np.sqrt((a + 1.0) * (b - 1.0)) if a >= b else np.sqrt((a - 1.0) * (b + 1.0))
         std = StdForm(a=a, b=b, kx=float(k), kp=float(k))
-        return StateFamily(tag="asym_glems", params={"a": a, "b": b}, std=std)
+        return StateFamily(tag="asym_glems", std=std)
     if tag == "cv_ghz":
         r = float(params["r"])
         if r < 0.0:
             raise InvalidFamilyParamsError(f"cv_ghz needs r >= 0, got {r}")
         std = _cv_ghz_std(r)
-        return StateFamily(tag="sym_glems", params={"a": std.a, "kp": std.kp}, std=std)
+        return StateFamily(tag="sym_glems", std=std)
     raise InvalidFamilyParamsError(f"unknown family tag {tag!r}")
 
 
@@ -198,11 +197,11 @@ def classify(p: StdForm) -> StateFamily:
     isotropic = abs(p.kx - p.kp) <= CLASSIFY_ATOL
     glems = abs(nu2 - 1.0) <= CLASSIFY_ATOL
     if abs(nu1 - 1.0) <= CLASSIFY_ATOL and glems:
-        return StateFamily(tag="pure", params={"a": p.a}, std=p)
+        return StateFamily(tag="pure", std=p)
     if symmetric and glems:
-        return StateFamily(tag="sym_glems", params={"a": p.a, "kp": p.kp}, std=p)
+        return StateFamily(tag="sym_glems", std=p)
     if symmetric and isotropic:
-        return StateFamily(tag="sym_sq_thermal", params={"a": p.a, "k": p.kx}, std=p)
+        return StateFamily(tag="sym_sq_thermal", std=p)
     if isotropic and glems:
-        return StateFamily(tag="asym_glems", params={"a": p.a, "b": p.b}, std=p)
-    return StateFamily(tag="generic", params={}, std=p)
+        return StateFamily(tag="asym_glems", std=p)
+    return StateFamily(tag="generic", std=p)

@@ -3,14 +3,14 @@
 Covariance matrices are stored dense in the quadrature ordering
 ``(x1, p1, ..., xn, pn)`` with vacuum normalized to the identity.  The
 module provides the symplectic form, symplectic spectra, Williamson
-decompositions (analytic routes for the two standard-form families plus a
+decompositions (an analytic route for the symmetric standard form plus a
 generic spectral construction) and the phase-space matrices they use.  The
 fixed ones are read-only constants built at import (``J2``, ``SIGMA_Z``,
-``BEAM_SPLITTER``, ``MODE_SWAP``, ``XXPP``), as is ``symplectic_form(n)``
-for each n; rotations and two-mode squeezers are built from their
-parameters.  ``_williamson_generic`` imports ``scipy.linalg`` (for its real
-Schur form) when it is first called, because the analytic routes every
-family takes need numpy alone and importing scipy dominates start-up.
+``BEAM_SPLITTER``, ``XXPP``), as is ``symplectic_form(n)`` for each n;
+rotations are built from their angle.  ``_williamson_generic`` imports
+``scipy.linalg`` (for its real Schur form) when it is first called, because
+the analytic route every family path takes needs numpy alone and importing
+scipy dominates start-up.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ from .errors import (
     DecompositionError,
     InvalidDimensionError,
     InvalidInputError,
-    InvalidSqueezerError,
     UnphysicalStateError,
 )
 
 EIGENVALUE_SYMMETRY_RTOL = 1e-8  # symplectic_eigenvalues: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
-STANDARD_FORM_RTOL = 1e-11  # _is_standard_form: allowed |gamma - pattern|, relative to max(1, |gamma|)
-ANALYTIC_ROUTE_RTOL = 1e-12  # williamson: |a - b| and |cx + cp| below this, relative, take the analytic routes
-SQUEEZER_ATOL = 1e-10  # two_mode_squeezer: allowed |x^2 - y^2 - 1|
+STANDARD_FORM_RTOL = 1e-11  # _symmetric_standard_form: allowed |gamma - pattern|, relative to max(1, |gamma|)
+ANALYTIC_ROUTE_RTOL = 1e-12  # williamson: |a - b| below this, relative to max(a, b), takes the analytic route
 COVMAT_SYMMETRY_RTOL = 1e-12  # CovMat: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
 PHYSICAL_ATOL = 1e-9  # symplectic eigenvalues >= 1 - atol
 SYMPLECTIC_ATOL = 1e-9  # |S Omega S^T - Omega| residual
@@ -48,7 +46,6 @@ J2 = _readonly([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA_Z = _readonly(np.diag([1.0, -1.0]))
 # balanced beam splitter on two modes, orthogonal and symplectic
 BEAM_SPLITTER = _readonly(np.block([[np.eye(2), np.eye(2)], [-np.eye(2), np.eye(2)]]) / np.sqrt(2.0))
-MODE_SWAP = _readonly(np.eye(4)[[2, 3, 0, 1]])  # completely reflecting beam splitter exchanging two modes
 XXPP = _readonly(np.eye(4)[[0, 2, 1, 3]])  # (x1,p1,x2,p2) -> (x1,x2,p1,p2): orthogonal, not symplectic
 
 
@@ -150,8 +147,8 @@ def std_form_symplectic_eigenvalues(a, b, kx, kp) -> tuple[float, float]:
     return float(nu1), float(nu2)
 
 
-def _is_standard_form(mat: np.ndarray):
-    """Detect a two-mode standard form, returning (a, b, cx, cp) or None."""
+def _symmetric_standard_form(mat: np.ndarray):
+    """Detect a symmetric two-mode standard form with cx >= |cp|, returning (a, cx, cp) or None."""
     if mat.shape != (4, 4):
         return None
     a, b = mat[0, 0], mat[2, 2]
@@ -167,7 +164,9 @@ def _is_standard_form(mat: np.ndarray):
     scale = max(1.0, np.abs(mat).max())
     if np.abs(mat - pattern).max() > STANDARD_FORM_RTOL * scale:
         return None
-    return float(a), float(b), float(cx), float(cp)
+    if abs(a - b) <= ANALYTIC_ROUTE_RTOL * max(a, b) and cx >= abs(cp):
+        return float(a), float(cx), float(cp)
+    return None
 
 
 def _williamson_symmetric(a, kx, kp):
@@ -178,17 +177,6 @@ def _williamson_symmetric(a, kx, kp):
     nu1 = np.sqrt((a + kx) * (a - kp))
     nu2 = np.sqrt((a - kx) * (a + kp))
     return s, (float(nu1), float(nu2))
-
-
-def _williamson_squeezed_thermal(a, b, k):
-    """Analytic route for the squeezed-thermal standard form (a two-mode squeezer)."""
-    s_root = np.sqrt((a + b) ** 2 - 4.0 * k * k)
-    x = np.sqrt((a + b + s_root) / (2.0 * s_root))
-    y = np.sqrt((a + b - s_root) / (2.0 * s_root))
-    s = two_mode_squeezer(x, y)
-    if a < b:
-        s = MODE_SWAP @ s
-    return s, std_form_symplectic_eigenvalues(a, b, k, k)
 
 
 def _williamson_generic(mat: np.ndarray):
@@ -222,10 +210,10 @@ def _williamson_generic(mat: np.ndarray):
 def williamson(gamma) -> WilliamsonDecomposition:
     """Williamson normal form of a physical covariance matrix.
 
-    Symmetric and squeezed-thermal two-mode standard forms take their
-    analytic decompositions; everything else goes through the generic
-    spectral construction.  The result is validated against the residual
-    tolerances before being returned.
+    A symmetric two-mode standard form takes its analytic decomposition;
+    everything else goes through the generic spectral construction.  The
+    result is validated against the residual tolerances before being
+    returned.
 
     Raises:
         UnphysicalStateError: some symplectic eigenvalue is below 1.
@@ -238,15 +226,10 @@ def williamson(gamma) -> WilliamsonDecomposition:
             f"unphysical covariance matrix, min symplectic eigenvalue {nus_check.min():.12g}"
         )
 
-    std = _is_standard_form(mat)
-    if std is not None:
-        a, b, cx, cp = std
-        if abs(a - b) <= ANALYTIC_ROUTE_RTOL * max(a, b) and cx >= abs(cp):
-            s, nus = _williamson_symmetric(a, cx, -cp)
-        elif abs(cx + cp) <= ANALYTIC_ROUTE_RTOL * max(1.0, abs(cx)) and cx >= 0.0:
-            s, nus = _williamson_squeezed_thermal(a, b, cx)
-        else:
-            s, nus = _williamson_generic(mat)
+    sym = _symmetric_standard_form(mat)
+    if sym is not None:
+        a, cx, cp = sym
+        s, nus = _williamson_symmetric(a, cx, -cp)
     else:
         s, nus = _williamson_generic(mat)
 
@@ -255,10 +238,7 @@ def williamson(gamma) -> WilliamsonDecomposition:
     omega = symplectic_form(mat.shape[0] // 2)
     symp_residual = np.abs(s @ omega @ s.T - omega).max()
     if residual > WILLIAMSON_ATOL or symp_residual > SYMPLECTIC_ATOL:
-        raise DecompositionError(
-            f"williamson residual {residual:.3e} (symplectic {symp_residual:.3e})",
-            residual=max(residual, symp_residual),
-        )
+        raise DecompositionError(f"williamson residual {residual:.3e} (symplectic {symp_residual:.3e})")
     s.flags.writeable = False
     return WilliamsonDecomposition(s=s, nus=nus)
 
@@ -268,10 +248,3 @@ def rotation(phi: float) -> np.ndarray:
     c, s = np.cos(phi), np.sin(phi)
     return np.array([[c, -s], [s, c]])
 
-
-def two_mode_squeezer(x: float, y: float) -> np.ndarray:
-    """Two-mode squeezer with cosh/sinh parameters (x, y), x^2 - y^2 = 1."""
-    if abs(x * x - y * y - 1.0) > SQUEEZER_ATOL:
-        raise InvalidSqueezerError(f"two-mode squeezer needs x^2 - y^2 = 1, got {x * x - y * y}")
-    eye = np.eye(2)
-    return np.block([[x * eye, -y * SIGMA_Z], [-y * SIGMA_Z, x * eye]])

@@ -2,9 +2,10 @@
 
 Only ``symplectic._williamson_generic`` (``scipy.linalg.schur``) and
 ``verify.random_symplectic`` (``scipy.linalg.expm``) call scipy, and each
-imports it when it runs.  pytest's own process already holds scipy
-(``tests/test_information.py`` imports it), so every check here runs in a
-fresh interpreter.
+imports it when it runs.  No family's numeric path reaches either, so
+``gie_numeric`` runs on numpy alone.  pytest's own process already holds
+scipy (``tests/test_information.py`` imports it), so every check here runs
+in a fresh interpreter.
 """
 
 import json
@@ -21,7 +22,7 @@ _LEAKED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 # Each snippet is a first call into scipy-backed code; it binds ``result``
 # to nested lists of floats.  The Williamson input is a standard form turned
-# by a local rotation on mode A, which no analytic route accepts.
+# by a local rotation on mode A, which the analytic route does not accept.
 FIRST_CALLS = {
     "williamson generic route": (
         "import numpy as np\n"
@@ -50,8 +51,32 @@ def _fresh(code: str):
     return json.loads(proc.stdout)
 
 
+# Every family, a separable point (which skips the purification) and a CV GHZ
+# state whose own kx is off the GLEMS surface (gie_numeric rebuilds it).
+FAMILY_POINTS = (
+    ("pure", {"a": 2.0}),
+    ("sym_glems", {"a": 1.5, "kp": 0.5}),
+    ("sym_sq_thermal", {"a": 1.2, "k": 0.5}),
+    ("sym_sq_thermal", {"a": 3.0, "k": 1.0}),
+    ("asym_glems", {"a": 2.0, "b": 1.5}),
+    ("cv_ghz", {"r": 0.5}),
+    ("cv_ghz", {"r": 4.5}),
+)
+
+
 def test_import_loads_no_scipy():
     report = _fresh(f"import json, sys, gielab, gielab.cli, gielab.verify\nprint(json.dumps({_LEAKED}))\n")
+    assert report == []
+
+
+def test_family_numeric_paths_load_no_scipy():
+    report = _fresh(
+        "import json, sys\n"
+        "from gielab import GridConfig, gie_numeric, make_family\n"
+        f"for tag, params in {FAMILY_POINTS!r}:\n"
+        "    gie_numeric(make_family(tag, **params), GridConfig(5))\n"
+        f"print(json.dumps({_LEAKED}))\n"
+    )
     assert report == []
 
 

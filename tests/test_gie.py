@@ -120,6 +120,16 @@ class TestNumericSymGlems:
         res = gie_numeric(fam, FAST)
         assert abs(res.numeric - GHZ_WORKED) < 2e-5
 
+    def test_strongly_squeezed_cv_ghz_keeps_one_e_mode(self):
+        # this state's own kx rounds off the GLEMS surface, so purifying fam.std
+        # finds two E modes; gie_numeric must rebuild kx = a - 1/(a + kp)
+        fam = make_family("cv_ghz", r=4.5)
+        assert purify(std_form_cm(fam.std)).r_count == 2
+        res = gie_numeric(fam, FAST)
+        assert res.eve_optimum == "homodyne x_E"
+        assert res.verified
+        assert res.discrepancy < MINMAX_ATOL
+
     def test_trace_records_candidates(self):
         res = gie_numeric_sym_glems(1.5, 0.5, FAST)
         values = [v for _, v in res.optimizer_trace]
@@ -251,7 +261,7 @@ def _lab_frame_sqrt_ab(pi, ge):
 def _single_mode_pis():
     """R = 1 purifications: sym_glems points (one at large a) and an asym_glems point."""
     pis = [purify(std_form_cm(make_family("sym_glems", a=a, kp=kp).std)) for a, kp in ((1.5, 0.5), (4.196, 3.932))]
-    return pis + [purify_asym_glems(2.0, 1.5)]
+    return pis + [purify_asym_glems(make_family("asym_glems", a=2.0, b=1.5))]
 
 
 class TestQFrameGate:

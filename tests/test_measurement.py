@@ -150,7 +150,7 @@ KERNEL_STATES = (
 
 
 def _kernel_pi(tag, params):
-    return purify_asym_glems(params["a"], params["b"]) if tag == "asym_glems" else _pi(tag, **params)
+    return purify_asym_glems(make_family(tag, **params)) if tag == "asym_glems" else _pi(tag, **params)
 
 
 class TestSeedFrameKernel:
@@ -190,7 +190,7 @@ class TestSeedFrameKernel:
             assert all(x[i, j, k] == y for x, y in zip(full, single))
 
     def test_needs_gamma_e_proportional_to_identity(self):
-        pi = purify_asym_glems(1.8, 1.3)
+        pi = purify_asym_glems(make_family("asym_glems", a=1.8, b=1.3))
         squeeze = np.diag([2.0, 0.5])  # a local squeezer on E: the same state, gamma_E != nu I
         skewed = Purification(pi.gamma_ab, pi.gamma_abe @ squeeze, squeeze @ pi.gamma_e @ squeeze, 1)
         with pytest.raises(InvalidInputError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gielab.errors import UnphysicalStateError
+from gielab.errors import UnphysicalStateError, WrongFamilyError
 from gielab.measurement import heterodyne
 from gielab.information import mutual_information_f
 from gielab.purification import purify, purify_asym_glems
@@ -56,7 +56,7 @@ class TestPurify:
 
 class TestPurifyAsymGlems:
     def test_blocks_for_a_greater_than_b(self):
-        pi = purify_asym_glems(2.0, 1.5)
+        pi = purify_asym_glems(make_family("asym_glems", a=2.0, b=1.5))
         assert pi.r_count == 1
         assert np.allclose(pi.gamma_e, 1.5 * np.eye(2), atol=1e-14)
         assert np.allclose(pi.gamma_abe[:2], np.sqrt(1.5) * SIGMA_Z, atol=1e-14)
@@ -64,28 +64,32 @@ class TestPurifyAsymGlems:
         assert pi.purity_defect() < 1e-7
 
     def test_blocks_for_a_less_than_b(self):
-        pi = purify_asym_glems(1.5, 2.0)
+        pi = purify_asym_glems(make_family("asym_glems", a=1.5, b=2.0))
         assert np.allclose(pi.gamma_e, 1.5 * np.eye(2), atol=1e-14)
         assert np.allclose(pi.gamma_abe[:2], np.sqrt(0.5 * 0.5) * np.eye(2), atol=1e-14)
         assert np.allclose(pi.gamma_abe[2:], np.sqrt(0.5 * 3.0) * SIGMA_Z, atol=1e-14)
         assert pi.purity_defect() < 1e-7
 
     def test_b_equal_one_decouples_mode_b(self):
-        pi = purify_asym_glems(2.0, 1.0)
+        pi = purify_asym_glems(make_family("asym_glems", a=2.0, b=1.0))
         assert np.allclose(pi.gamma_abe[2:], 0.0, atol=1e-14)
 
     def test_equal_purities_give_no_extra_mode(self):
         # a = b is the pure state with k = sqrt(a^2 - 1): nothing to purify
-        pi = purify_asym_glems(1.7, 1.7)
+        pi = purify_asym_glems(make_family("asym_glems", a=1.7, b=1.7))
         assert pi.r_count == 0
         assert pi.gamma_abe.shape == (4, 0) and pi.gamma_e.shape == (0, 0)
         assert np.allclose(pi.gamma_ab.mat, std_form_cm(make_family("pure", a=1.7).std).mat, rtol=0.0, atol=1e-14)
+
+    def test_other_families_rejected(self):
+        with pytest.raises(WrongFamilyError):
+            purify_asym_glems(make_family("sym_glems", a=1.5, kp=0.5))
 
     @pytest.mark.parametrize("a,b", [(2.0, 1.5), (1.5, 2.0), (1.3, 1.05), (2.2, 1.01)])
     def test_matches_generic_purification_under_heterodyne(self, a, b):
         # the two purifications differ by a symplectic on E only, so matched
         # measurements give identical conditional mutual information
-        analytic = purify_asym_glems(a, b)
+        analytic = purify_asym_glems(make_family("asym_glems", a=a, b=b))
         generic = purify(analytic.gamma_ab)
         ga = gb = heterodyne(1)
         ge = heterodyne(1)

@@ -89,7 +89,7 @@ class TestThreeModeCouplings:
 
     def test_matches_asym_glems_purification_blocks(self):
         a, b = 2.0, 1.5
-        pi = purify_asym_glems(a, b)
+        pi = purify_asym_glems(make_family("asym_glems", a=a, b=b))
         cov = three_mode_cm(ThreeModePureParams(a, b, 1.0 + a - b))
         assert np.allclose(cov.mat[:4, :4], pi.gamma_ab.mat, atol=1e-12)
         assert np.allclose(np.abs(cov.mat[:4, 4:]), np.abs(pi.gamma_abe), atol=1e-12)
