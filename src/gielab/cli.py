@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -16,18 +17,12 @@ from .config import DEFAULT_GRID, GridConfig
 from .errors import DomainNotCoveredError, GielabError
 from .gie import gie_closed_form, gie_numeric, verified_domain
 from .renyi2 import gr2_of_family
-from .states import StateFamily, make_family
+from .states import FAMILY_PARAMS, make_family
 from .verify import run_suite
 
 CSV_HEADER = ["family", "a", "b", "kx", "kp", "gie_closed_nats", "gie_numeric_nats", "gr2_nats", "gap", "verified", "eve_optimum"]
 
-_FAMILY_FLAGS = {
-    "pure": ("a",),
-    "sym-glems": ("a", "kp"),
-    "sym-sq-thermal": ("a", "k"),
-    "asym-glems": ("a", "b"),
-    "cv-ghz": ("r",),
-}
+_PARAM_FLAGS = sorted({name for names in FAMILY_PARAMS.values() for name in names})  # a, b, k, kp, r
 RANGE_STEP_SLACK = 1e-9  # a range keeps its stop value when (stop - start) / step falls this short of a whole count
 
 
@@ -37,17 +32,18 @@ def _fmt(value) -> str:
     return format(value, ".17g")
 
 
-def _make_family(family: str, values: dict) -> StateFamily:
-    tag = family.replace("-", "_")
-    needed = _FAMILY_FLAGS[family]
-    missing = [name for name in needed if values.get(name) is None]
-    if missing:
-        raise GielabError(f"family {family} needs --{' --'.join(missing)}")
-    return make_family(tag, **{name: values[name] for name in needed})
+def _family_tokens(args) -> dict:
+    """The family's flags and their values; every other parameter flag must be absent."""
+    names = FAMILY_PARAMS[args.family.replace("-", "_")]
+    given = [name for name in _PARAM_FLAGS if getattr(args, name) is not None]
+    if set(given) != set(names):
+        got = " ".join(f"--{name}" for name in given) or "none"
+        raise GielabError(f"family {args.family} takes --{' --'.join(names)}, got {got}")
+    return {name: getattr(args, name) for name in names}
 
 
 def _run_point(family: str, values: dict, args, grid_cfg: GridConfig, trace_path: str | None = None) -> dict:
-    fam = _make_family(family, values)
+    fam = make_family(family.replace("-", "_"), **values)
     closed = gie_closed_form(fam)
     verified = verified_domain(fam)
     record = {
@@ -101,8 +97,6 @@ def _number(text: str, token: str, name: str) -> float:
 
 def _parse_range(token: str, bound: dict, name: str):
     """A parameter token: scalar, start:stop:step range, or a +/- offset of a."""
-    if token is None:
-        return [None]
     if ":" in token:
         parts = token.split(":")
         if len(parts) != 3:
@@ -122,7 +116,9 @@ def _parse_range(token: str, bound: dict, name: str):
 
 def cmd_compute(args) -> int:
     grid_cfg = GridConfig(points=args.grid)
-    values = {name: getattr(args, name) for name in ("a", "b", "k", "kp", "r")}
+    values = _family_tokens(args)
+    if args.out and not args.numeric:
+        raise GielabError("--out writes the optimizer trace, so it needs --numeric")
     try:
         record = _run_point(args.family, values, args, grid_cfg, trace_path=args.out)
     except DomainNotCoveredError as exc:
@@ -151,32 +147,27 @@ def _csv_row(record: dict) -> list[str]:
 def cmd_sweep(args) -> int:
     grid_cfg = GridConfig(points=args.grid)
     bound: dict = {}
-    axes = {name: _parse_range(getattr(args, name), bound, name) for name in ("a", "b", "k", "kp", "r")}
-    if bound and args.a is None:
-        raise GielabError(f"an a+/-offset for --{' --'.join(bound)} needs --a")
+    axes = {name: _parse_range(token, bound, name) for name, token in _family_tokens(args).items()}
+    if bound and "a" not in axes:
+        raise GielabError(f"an a+/-offset for --{' --'.join(bound)} needs --a, which family {args.family} does not take")
     rows = []
-    for a in axes["a"]:
-        for b in axes["b"]:
-            for k in axes["k"]:
-                for kp in axes["kp"]:
-                    for r in axes["r"]:
-                        values = {"a": a, "b": b, "k": k, "kp": kp, "r": r}
-                        for name, offset in bound.items():
-                            if values[name] == "derived":
-                                values[name] = values["a"] + offset
-                        try:
-                            record = _run_point(args.family, values, args, grid_cfg)
-                            if args.bits:
-                                record = _to_bits(record)
-                        except GielabError as exc:
-                            record = {
-                                "family": args.family,
-                                "a": values.get("a"),
-                                "b": values.get("b"),
-                                "verified": False,
-                                "eve_optimum": f"error: {exc}",
-                            }
-                        rows.append(record)
+    for point in itertools.product(*axes.values()):
+        values = dict(zip(axes, point))
+        for name, offset in bound.items():
+            values[name] = values["a"] + offset
+        try:
+            record = _run_point(args.family, values, args, grid_cfg)
+            if args.bits:
+                record = _to_bits(record)
+        except GielabError as exc:
+            record = {
+                "family": args.family,
+                "a": values.get("a"),
+                "b": values.get("b"),
+                "verified": False,
+                "eve_optimum": f"error: {exc}",
+            }
+        rows.append(record)
     try:
         fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
         try:
@@ -210,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p, sweep=False):
-        p.add_argument("--family", required=True, choices=sorted(_FAMILY_FLAGS))
-        for name in ("a", "b", "k", "kp", "r"):
+        p.add_argument("--family", required=True, choices=sorted(tag.replace("_", "-") for tag in FAMILY_PARAMS))
+        for name in _PARAM_FLAGS:
             if sweep:
                 p.add_argument(f"--{name}", type=str, default=None, help="scalar, start:stop:step, or a+/-offset")
             else:
@@ -220,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--numeric", action="store_true")
         p.add_argument("--grid", type=int, default=DEFAULT_GRID.points, metavar="N")
         p.add_argument("--bits", action="store_true")
-        p.add_argument("--strict", action="store_true")
 
     p_compute = sub.add_parser("compute", help="compute a single point, JSON on stdout")
     add_params(p_compute)
+    p_compute.add_argument("--strict", action="store_true")
     p_compute.add_argument("--out", type=str, default=None, metavar="PATH",
                            help="write the optimizer trace here (with --numeric)")
     p_compute.set_defaults(func=cmd_compute)

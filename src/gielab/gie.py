@@ -74,6 +74,19 @@ class GieResult:
     extra: dict = field(default_factory=dict)
 
 
+def _judged(fam: StateFamily, closed: float, numeric: float, optimum: str, trace, gate=True, **extra) -> GieResult:
+    """A numeric run's result: verified inside the family's proven domain when its gate holds."""
+    return GieResult(
+        closed_form=closed,
+        numeric=numeric,
+        discrepancy=abs(closed - numeric),
+        eve_optimum=optimum,
+        optimizer_trace=tuple(trace),
+        verified=bool(verified_domain(fam) and gate),
+        extra=extra,
+    )
+
+
 def verified_domain(fam: StateFamily) -> bool:
     """True inside the proven validity domain of the family's closed form."""
     if is_separable(fam.std):
@@ -208,16 +221,8 @@ def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GR
         return _numeric_pure(fam, closed)
     numeric, optimum, trace = _minimize_f_single_mode(pi, grid_cfg)
     gate_min = _sym_glems_gate(pi, trace)
-    return GieResult(
-        closed_form=closed,
-        numeric=numeric,
-        discrepancy=abs(closed - numeric),
-        eve_optimum=optimum,
-        optimizer_trace=tuple(trace),
-        # the GCMI gate must clear its strict lower bound along the trace
-        verified=bool(verified_domain(fam) and gate_min > GATE_LOWER_BOUND),
-        extra={"gate_min": gate_min},
-    )
+    # the GCMI gate must clear its strict lower bound along the trace
+    return _judged(fam, closed, numeric, optimum, trace, gate_min > GATE_LOWER_BOUND, gate_min=gate_min)
 
 
 def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
@@ -227,21 +232,16 @@ def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GR
     closed = gie_closed_form(fam)
     if pi.r_count == 0:  # a = b: pure state
         return _numeric_pure(fam, closed)
-    numeric, optimum, trace = _minimize_f_single_mode(pi, grid_cfg)
-    return GieResult(
-        closed_form=closed,
-        numeric=numeric,
-        discrepancy=abs(closed - numeric),
-        eve_optimum=optimum,
-        optimizer_trace=tuple(trace),
-        verified=verified_domain(fam),
-    )
+    return _judged(fam, closed, *_minimize_f_single_mode(pi, grid_cfg))
 
 
 def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
     g = std_form_cm(fam.std).mat  # a pure state's gamma_AB; there is no E to measure
     value = float(_f_xx(g[0, 0], g[2, 2], g[0, 2]))
     trace = tuple((_single_mode_params(row), value) for _, row in _SINGLE_MODE_CANDIDATES)
+    # GIE = ln a holds for every pure state, so the result is verified even
+    # where verified_domain is not: asym_glems at a = b, and sym_sq_thermal
+    # states past the mixed-state bound VERIFIED_DOMAIN_BOUND.
     return GieResult(
         closed_form=closed,
         numeric=float(value),
@@ -395,15 +395,8 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAUL
     """Eve-side minimization for a symmetric squeezed thermal state."""
     fam = make_family("sym_sq_thermal", a=a, k=k)
     closed = gie_closed_form(fam)
-    if is_separable(fam.std):
-        return GieResult(
-            closed_form=0.0,
-            numeric=0.0,
-            discrepancy=0.0,
-            eve_optimum="separable (no optimization run)",
-            optimizer_trace=(),
-            verified=True,
-        )
+    if is_separable(fam.std):  # closed = 0 and verified_domain holds
+        return _judged(fam, closed, 0.0, "separable (no optimization run)", ())
     pi = purify(std_form_cm(fam.std))
     if pi.r_count == 0:  # a^2 - k^2 = 1 within purify's cutoff: pure state
         return _numeric_pure(fam, closed)
@@ -411,16 +404,9 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAUL
     i_h = 0.5 * np.log(a * a / (a * a - k * k))
     numeric = float(i_h + 0.5 * np.log(k_min))
     sqrt_ab_max = float(_sqrt_ab_of_q(pi, [params for params, _ in trace]).max())
-    return GieResult(
-        closed_form=closed,
-        numeric=numeric,
-        discrepancy=abs(closed - numeric),
-        eve_optimum=optimum,
-        optimizer_trace=tuple(trace),
-        # the conditional-purity bound sqrt(a~ b~) <= a must hold on the trace
-        verified=bool(verified_domain(fam) and sqrt_ab_max <= a + SQRT_AB_SLACK),
-        extra={"sqrt_ab_max": sqrt_ab_max},
-    )
+    # the conditional-purity bound sqrt(a~ b~) <= a must hold on the trace
+    gate = sqrt_ab_max <= a + SQRT_AB_SLACK
+    return _judged(fam, closed, numeric, optimum, trace, gate, sqrt_ab_max=sqrt_ab_max)
 
 
 def gie_numeric(fam: StateFamily, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:

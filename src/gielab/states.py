@@ -137,17 +137,36 @@ def _cv_ghz_std(r: float) -> StdForm:
     return StdForm(a=float(a), b=float(a), kx=float(kx), kp=float(kp))
 
 
+# Each family's defining scalars, in the order a, b, k, kp, r.
+FAMILY_PARAMS = {
+    "pure": ("a",),
+    "sym_glems": ("a", "kp"),
+    "sym_sq_thermal": ("a", "k"),
+    "asym_glems": ("a", "b"),
+    "cv_ghz": ("r",),
+}
+
+
 def make_family(tag: str, **params) -> StateFamily:
     """Construct a state family instance from its defining scalars.
 
-    Tags and parameters:
+    ``FAMILY_PARAMS[tag]`` names the scalars each tag takes:
         pure(a)                two-mode squeezed vacuum, k = sqrt(a^2 - 1)
         sym_glems(a, kp)       one unit symplectic eigenvalue, kx = a - 1/(a + kp)
         sym_sq_thermal(a, k)   kx = kp = k
         asym_glems(a, b)       k fixed by the unit-eigenvalue branch
         cv_ghz(r)              two-mode reduction of the CV GHZ state
                                (a symmetric GLEMS instance)
+
+    Raises:
+        InvalidFamilyParamsError: an unknown tag, a missing or unknown
+            scalar, or scalars outside the family's range.
     """
+    names = FAMILY_PARAMS.get(tag)
+    if names is None:
+        raise InvalidFamilyParamsError(f"unknown family tag {tag!r}")
+    if params.keys() != set(names):
+        raise InvalidFamilyParamsError(f"{tag} takes ({', '.join(names)}), got ({', '.join(params)})")
     if tag == "pure":
         a = float(params["a"])
         if a < 1.0:
@@ -177,13 +196,10 @@ def make_family(tag: str, **params) -> StateFamily:
         k = np.sqrt((a + 1.0) * (b - 1.0)) if a >= b else np.sqrt((a - 1.0) * (b + 1.0))
         std = StdForm(a=a, b=b, kx=float(k), kp=float(k))
         return StateFamily(tag="asym_glems", std=std)
-    if tag == "cv_ghz":
-        r = float(params["r"])
-        if r < 0.0:
-            raise InvalidFamilyParamsError(f"cv_ghz needs r >= 0, got {r}")
-        std = _cv_ghz_std(r)
-        return StateFamily(tag="sym_glems", std=std)
-    raise InvalidFamilyParamsError(f"unknown family tag {tag!r}")
+    r = float(params["r"])  # cv_ghz
+    if r < 0.0:
+        raise InvalidFamilyParamsError(f"cv_ghz needs r >= 0, got {r}")
+    return StateFamily(tag="sym_glems", std=_cv_ghz_std(r))
 
 
 def classify(p: StdForm) -> StateFamily:

@@ -279,7 +279,8 @@ def check_conjecture(grid_n=20) -> CheckResult:
 
 
 def check_faithfulness(grid_cfg: GridConfig, n=1000) -> CheckResult:
-    """Criterion 8: closed form 0 plus tiny minimized f on separable states."""
+    """Criterion 8: closed form 0 plus tiny minimized f on separable states,
+    and a positive closed form on entangled samples of every mixed family."""
     rng = np.random.default_rng(17)
     bad_closed = 0
     count_sep = 0
@@ -302,20 +303,11 @@ def check_faithfulness(grid_cfg: GridConfig, n=1000) -> CheckResult:
         worst_numeric = max(worst_numeric, abs(res.numeric))
         res = gie_numeric(make_family("asym_glems", a=a, b=1.0), grid_cfg)
         worst_numeric = max(worst_numeric, abs(res.numeric))
-    positive_violations = 0
-    for _ in range(n):
-        p = _random_std_form(rng)
-        fam = classify(p)
-        if fam.tag == "generic" or is_separable(p):
-            continue
-        if gie_closed_form(fam) <= 0.0:
-            positive_violations += 1
-    count_ent = 0
-    while count_ent < n:  # entangled family instances have positive closed form
-        a, kp = _entangled_sym_glems(rng, max_a=4.0)
-        if gie_closed_form(make_family("sym_glems", a=a, kp=kp)) <= 0.0:
-            positive_violations += 1
-        count_ent += 1
+    positive_violations = sum(  # entangled instances of every mixed family have a positive closed form
+        gie_closed_form(make_family(tag, **params)) <= 0.0
+        for points in _family_sample_points(n).values()
+        for tag, params in points
+    )
     passed = bad_closed == 0 and worst_numeric < FAITHFULNESS_ATOL and positive_violations == 0
     return CheckResult(
         "faithfulness",

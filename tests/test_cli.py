@@ -177,6 +177,24 @@ class TestSweep:
         first = lines[1].split(",")
         assert first[9] == "false" and "error" in first[10]  # a = 1.05 is unphysical
 
+    def test_two_axes_run_a_major(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--family", "asym-glems", "--a", "1.2:1.6:0.2", "--b", "1.1:1.5:0.2",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out_path.read_text().strip().splitlines()[1:]]
+        a_values = [1.2, 1.4, 1.6]
+        b_values = [1.1, 1.3, 1.5]
+        expected = [(a, b) for a in a_values for b in b_values]
+        assert [(float(row[1]), float(row[2])) for row in rows] == pytest.approx(expected, abs=1e-12)
+
+    def test_strict_belongs_to_compute_only(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "pure", "--a", "2", "--strict")
+        assert code == 1
+        assert out == ""
+
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--family", "pure", "--a", "1.5",
@@ -199,6 +217,10 @@ class TestMalformedInput:
         ("verify", "fast", "--grid", "-2"),
         ("compute", "--family", "sym-glems", "--a", "nan", "--kp", "0.5", "--numeric"),
         ("compute", "--family", "pure", "--a", "inf"),
+        ("compute", "--family", "pure", "--a", "2", "--kp", "0.5"),  # a flag the family does not take
+        ("sweep", "--family", "sym-glems", "--a", "1.5", "--kp", "0.5", "--b", "1:3:1", "--r", "0:1:0.5"),
+        ("sweep", "--family", "cv-ghz", "--r", "a+1"),  # cv-ghz has no --a to offset
+        ("compute", "--family", "pure", "--a", "2", "--out", "never-written.json"),  # --out needs --numeric
     ])
     def test_is_one_error_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

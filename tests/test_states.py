@@ -3,6 +3,7 @@ import pytest
 
 from gielab.errors import GielabError, InvalidFamilyParamsError, InvalidInputError, UnphysicalStateError
 from gielab.states import (
+    FAMILY_PARAMS,
     StdForm,
     classify,
     is_separable,
@@ -195,6 +196,16 @@ class TestMakeFamily:
             make_family("cv_ghz", r=-0.1)
         with pytest.raises(InvalidFamilyParamsError):
             make_family("unknown", a=1.0)
+
+    @pytest.mark.parametrize("tag, params", [
+        ("sym_glems", {"a": 2.0}),  # kp missing
+        ("sym_glems", {"a": 2.0, "kp": 0.5, "b": 1.5}),  # b is not a sym_glems scalar
+        ("pure", {"a": 2.0, "k": 1.0}),
+        ("cv_ghz", {"a": 2.0}),
+    ])
+    def test_missing_or_unknown_scalar_names_the_expected_ones(self, tag, params):
+        with pytest.raises(InvalidFamilyParamsError, match=", ".join(FAMILY_PARAMS[tag])):
+            make_family(tag, **params)
 
 
 class TestClassify:
