@@ -31,11 +31,9 @@ from .gie import (
 )
 from .information import f_decomposed, f_homodyne_ab, gcmi_condition_g, gcmi_numeric, mutual_information_f
 from .measurement import (
-    Ccm,
     FiniteMeasurement,
     GaussianMeasurement,
     HomodyneMeasurement,
-    assemble_ccm,
     condition_on_e,
     general_single_mode,
     heterodyne,
@@ -49,7 +47,7 @@ from .renyi2 import (
     gr2_symmetric,
     gr2_two_mode_reduction,
 )
-from .states import StateFamily, StdForm, classify, is_separable, make_family, std_form_cm, to_std_form
+from .states import StateFamily, StdForm, classify, is_separable, make_family, std_form_cm
 from .symplectic import (
     CovMat,
     WilliamsonDecomposition,

@@ -15,7 +15,6 @@ search reads it:
 - ``states.PPT_ATOL``, ``states.FAMILY_ATOL``, ``states.STD_FORM_ATOL``,
   ``states.CLASSIFY_ATOL`` and ``states.STD_FORM_ENTRY_MAX``;
 - ``purification.PURITY_ATOL``;
-- ``measurement.PINV_RCOND`` and ``measurement.CCM_PSD_RTOL``;
 - ``information.NATS_SLACK``;
 - ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_SWEEPS``, ``optimize.TIE_ATOL``
   and ``optimize.RESOLUTION``;

@@ -81,9 +81,10 @@ def std_form_params(gamma):
     """Raw standard-form invariants (a, b, kx, kp) of a two-mode CM.
 
     Computed from det A, det B, det C and det gamma, which fix the
-    standard form uniquely.  No physicality validation is applied; use
-    ``to_std_form`` for a checked ``StdForm``.  A 4x4 input gives four
-    floats; a stack of shape (..., 4, 4) gives four arrays of shape (...).
+    standard form uniquely.  No physicality validation is applied;
+    ``StdForm(*std_form_params(gamma))`` gives a checked one.  A 4x4 input
+    gives four floats; a stack of shape (..., 4, 4) gives four arrays of
+    shape (...).
     """
     mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
     if mat.shape[-2:] != (4, 4):
@@ -102,15 +103,6 @@ def std_form_params(gamma):
     if mat.ndim == 2:
         return float(a), float(b), float(cx), float(kp)
     return a, b, cx, kp
-
-
-def to_std_form(gamma) -> StdForm:
-    """Reduce a two-mode covariance matrix to its standard form.
-
-    Idempotent on standard-form inputs; raises for unphysical input.
-    """
-    a, b, kx, kp = std_form_params(gamma)
-    return StdForm(a=a, b=b, kx=kx, kp=kp)
 
 
 def ppt_min_symplectic_eigenvalue(p: StdForm) -> float:

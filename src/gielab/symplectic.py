@@ -7,10 +7,7 @@ decompositions (an analytic route for the symmetric standard form plus a
 generic spectral construction) and the phase-space matrices they use.  The
 fixed ones are read-only constants built at import (``J2``, ``SIGMA_Z``,
 ``BEAM_SPLITTER``, ``XXPP``), as is ``symplectic_form(n)`` for each n;
-rotations are built from their angle.  ``_williamson_generic`` imports
-``scipy.linalg`` (for its real Schur form) when it is first called, because
-the analytic route every family path takes needs numpy alone and importing
-scipy dominates start-up.
+rotations are built from their angle.
 """
 
 from __future__ import annotations
@@ -180,30 +177,29 @@ def _williamson_symmetric(a, kx, kp):
 
 
 def _williamson_generic(mat: np.ndarray):
-    """Spectral construction via the canonical form of gamma^{-1/2} Omega gamma^{-1/2}."""
-    import scipy.linalg
+    """Spectral construction from the Hermitian matrix ``i gamma^{-1/2} Omega gamma^{-1/2}``.
 
+    Its eigenvalues are +-1/nu.  eigh sorts them ascending, so the n
+    positive ones come last with nu descending.  An eigenvector u of 1/nu
+    gives the orthonormal pair ``(x, p) = sqrt(2) (Re u, -Im u)``, on which
+    ``gamma^{-1/2} Omega gamma^{-1/2}`` acts as ``J2 / nu``; this holds on a
+    degenerate spectrum too.  Each u's phase is fixed first, making its
+    largest-modulus entry real and positive, so the vacuum gives S = I.
+    """
     n = mat.shape[0] // 2
     w, v = np.linalg.eigh(mat)
     if w.min() <= 0:
         raise UnphysicalStateError("covariance matrix is not positive definite")
     inv_root = v @ np.diag(w**-0.5) @ v.T
-    anti = inv_root @ symplectic_form(n) @ inv_root
-    anti = 0.5 * (anti - anti.T)
-    t, o = scipy.linalg.schur(anti, output="real")
-    pair_freqs = []
-    for j in range(n):
-        freq = t[2 * j, 2 * j + 1]
-        if freq < 0:
-            o[:, [2 * j, 2 * j + 1]] = o[:, [2 * j + 1, 2 * j]]
-            freq = -freq
-        pair_freqs.append(freq)
-    order = np.argsort(pair_freqs, kind="stable")  # ascending freq = descending nu
-    cols = np.concatenate([[2 * j, 2 * j + 1] for j in order])
-    o = o[:, cols]
-    nus = 1.0 / np.asarray(pair_freqs)[order]
-    d_root = np.diag(np.repeat(np.sqrt(nus), 2))
-    s = d_root @ o.T @ inv_root
+    freqs, u = np.linalg.eigh(1j * (inv_root @ symplectic_form(n) @ inv_root))
+    freqs, u = freqs[n:], u[:, n:]
+    lead = u[np.abs(u).argmax(axis=0), np.arange(n)]
+    u = u * (lead.conj() / np.abs(lead))
+    o = np.empty((2 * n, 2 * n))
+    o[:, 0::2] = np.sqrt(2.0) * u.real
+    o[:, 1::2] = -np.sqrt(2.0) * u.imag
+    nus = 1.0 / freqs
+    s = np.repeat(np.sqrt(nus), 2)[:, None] * (o.T @ inv_root)
     return s, tuple(float(nu) for nu in nus)
 
 

@@ -5,9 +5,6 @@ worked points, Eve-side optimizer agreement, candidate ordering, GCMI
 optimality, the K_h reduction, threshold bounds along optimizer traces,
 the GIE = GR2 equality, faithfulness and the structural residual suite.
 Sampling is deterministic (fixed seeds), so repeated runs are identical.
-``random_symplectic`` imports ``scipy.linalg`` (for ``expm``) when it is
-first called, so importing this module, as ``gielab.cli`` does, loads numpy
-and nothing heavier.
 """
 
 from __future__ import annotations
@@ -70,12 +67,27 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.criterion}: {self.detail}"
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+
+    A degree-18 Taylor series of ``a / 2^k``, whose 1-norm is below 1, so
+    the omitted tail is below 1e-17 in norm; then k squarings.
+    """
+    k = max(0, int(np.frexp(np.abs(a).sum(axis=0).max())[1]))
+    a = a / 2.0**k
+    term = out = np.eye(len(a))
+    for j in range(1, 19):
+        term = term @ a / j
+        out = out + term
+    for _ in range(k):
+        out = out @ out
+    return out
+
+
 def random_symplectic(rng, scale: float) -> np.ndarray:
     """Random two-mode symplectic matrix ``exp(Omega H)``, ``H = scale (G + G^T)``, G standard normal."""
-    import scipy.linalg
-
     h = rng.normal(size=(4, 4))
-    return scipy.linalg.expm(symplectic_form(2) @ (scale * (h + h.T)))
+    return _expm(symplectic_form(2) @ (scale * (h + h.T)))
 
 
 def random_physical_cm(rng, scale: float) -> np.ndarray:

@@ -1,0 +1,92 @@
+"""Reference routes that only the tests use.
+
+The assembled joint outcome CCM (``assemble_ccm`` + ``Ccm.conditional_ab``)
+conditions on E by a pseudoinverse Schur complement of the whole outcome
+matrix, sharing no code with the conditioning kernels of
+``gielab.measurement`` that the tests check against it.  ``to_std_form``
+is the checked ``StdForm`` of ``gielab.states.std_form_params``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
+from gielab.measurement import FiniteMeasurement
+from gielab.purification import Purification
+from gielab.states import StdForm, std_form_params
+
+CCM_PSD_RTOL = 1e-10  # a CCM eigenvalue may dip this far below zero, relative to max(1, the largest)
+PINV_RCOND = 1e-12  # pseudoinverse singular-value cutoff of the E block
+
+
+def to_std_form(gamma) -> StdForm:
+    """Reduce a two-mode covariance matrix to its standard form.
+
+    Idempotent on standard-form inputs; raises for unphysical input.
+    """
+    a, b, kx, kp = std_form_params(gamma)
+    return StdForm(a=a, b=b, kx=kx, kp=kp)
+
+
+@dataclass(frozen=True)
+class Ccm:
+    """Classical covariance matrix of measurement outcomes.
+
+    ``partition`` holds the outcome dimensions of the A, B and E blocks.
+    """
+
+    mat: np.ndarray
+    partition: tuple[int, int, int]
+
+    def __post_init__(self):
+        mat = np.asarray(self.mat, dtype=float)
+        if mat.shape[0] != sum(self.partition):
+            raise DimensionMismatchError(f"partition {self.partition} does not match {mat.shape}")
+        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+        if eigs.size and eigs.min() < -CCM_PSD_RTOL * max(1.0, eigs.max()):
+            raise InvalidInputError(f"CCM indefinite, min eigenvalue {eigs.min():.3e}")
+        mat = 0.5 * (mat + mat.T)
+        mat.flags.writeable = False
+        object.__setattr__(self, "mat", mat)
+
+    def conditional_ab(self) -> np.ndarray:
+        """Schur complement of the E block: CCM of (A, B) outcomes given E."""
+        n_ab = self.partition[0] + self.partition[1]
+        alpha = self.mat[:n_ab, :n_ab]
+        if self.partition[2] == 0:
+            return alpha.copy()
+        beta = self.mat[:n_ab, n_ab:]
+        delta = self.mat[n_ab:, n_ab:]
+        return alpha - beta @ np.linalg.pinv(delta, rcond=PINV_RCOND, hermitian=True) @ beta.T
+
+
+def assemble_ccm(pi: Purification, ga: FiniteMeasurement, gb: FiniteMeasurement, ge: FiniteMeasurement | None) -> Ccm:
+    """Joint outcome CCM for finite measurements on A, B and E.
+
+    The blocks follow the AB|E partitioning: ``alpha = gamma_AB + Gamma_A + Gamma_B``
+    (direct sum), ``beta = gamma_ABE`` and ``delta = gamma_E + Gamma_E``.
+    """
+    for g, name in ((ga, "A"), (gb, "B")):
+        if not isinstance(g, FiniteMeasurement):
+            raise InvalidMeasurementError(f"assemble_ccm needs a finite measurement on {name}")
+        if g.n_modes != 1:
+            raise DimensionMismatchError(f"measurement on {name} must be single-mode")
+    alpha = pi.gamma_ab.mat + np.block(
+        [
+            [ga.seed.mat, np.zeros((2, 2))],
+            [np.zeros((2, 2)), gb.seed.mat],
+        ]
+    )
+    if pi.r_count == 0:
+        return Ccm(alpha, (2, 2, 0))
+    if not isinstance(ge, FiniteMeasurement):
+        raise InvalidMeasurementError("assemble_ccm needs a finite measurement on E")
+    if ge.n_modes != pi.r_count:
+        raise DimensionMismatchError(f"E measurement has {ge.n_modes} modes, purification has {pi.r_count}")
+    delta = pi.gamma_e + ge.seed.mat
+    top = np.hstack([alpha, pi.gamma_abe])
+    bottom = np.hstack([pi.gamma_abe.T, delta])
+    return Ccm(np.vstack([top, bottom]), (2, 2, 2 * pi.r_count))

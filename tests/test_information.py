@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from gielab.errors import NumericalDegeneracyError
 from gielab.information import (
@@ -15,6 +14,7 @@ from gielab.measurement import FiniteMeasurement, general_single_mode, heterodyn
 from gielab.purification import Purification, purify
 from gielab.states import StdForm, make_family, std_form_cm
 from gielab.symplectic import CovMat, rotation
+from oracles import assemble_ccm
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -25,11 +25,11 @@ def _pi(tag, **params):
 
 def _random_finite_e(rng, r_count):
     """Product of random single-mode seeds on each of Eve's modes."""
-    seeds = [
-        general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random()).seed.mat
-        for _ in range(r_count)
-    ]
-    return FiniteMeasurement(CovMat(scipy.linalg.block_diag(*seeds)))
+    mat = np.zeros((2 * r_count, 2 * r_count))
+    for j in range(r_count):
+        seed = general_single_mode(rng.random() * np.pi, 1.0 + rng.random(), rng.random()).seed.mat
+        mat[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = seed
+    return FiniteMeasurement(CovMat(mat))
 
 
 class TestMutualInformationF:
@@ -195,8 +195,6 @@ class TestCcmRouteAgreement:
     def test_f_matches_assembled_ccm_schur_route(self, rng):
         # independent path: assemble the joint outcome CCM, Schur-complement
         # the E block, and take the determinant ratio directly
-        from gielab.measurement import assemble_ccm
-
         for tag, params in (
             ("sym_glems", {"a": 1.6, "kp": 0.6}),
             ("sym_sq_thermal", {"a": 1.25, "k": 0.55}),

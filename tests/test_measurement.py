@@ -4,9 +4,7 @@ import pytest
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
 from gielab.gie import T_MAX, TAU_LOG_MAX, _f_xx
 from gielab.measurement import (
-    Ccm,
     FiniteMeasurement,
-    assemble_ccm,
     condition_on_e,
     general_single_mode,
     heterodyne,
@@ -17,6 +15,7 @@ from gielab.measurement import (
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.states import make_family, std_form_cm
 from gielab.symplectic import CovMat, symplectic_eigenvalues
+from oracles import Ccm, assemble_ccm
 
 
 def _pi(tag, **params):

@@ -11,9 +11,9 @@ from gielab.states import (
     ppt_min_symplectic_eigenvalue,
     std_form_cm,
     std_form_params,
-    to_std_form,
 )
 from gielab.symplectic import CovMat, rotation, symplectic_eigenvalues
+from oracles import to_std_form
 
 
 def rotate_locally(gamma: CovMat, phi_a: float, phi_b: float) -> CovMat:

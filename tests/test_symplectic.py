@@ -13,13 +13,14 @@ from gielab.symplectic import (
     SIGMA_Z,
     XXPP,
     CovMat,
+    _symmetric_standard_form,
     rotation,
     std_form_symplectic_eigenvalues,
     symplectic_eigenvalues,
     symplectic_form,
     williamson,
 )
-from gielab.verify import random_physical_cm, random_symplectic
+from gielab.verify import _expm, random_physical_cm, random_symplectic
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -156,6 +157,21 @@ class TestWilliamson:
             assert np.abs(dec.s @ omega @ dec.s.T - omega).max() < 1e-9
             assert np.allclose(dec.inverse() @ dec.s, np.eye(4), atol=1e-12)
             assert not dec.s.flags.writeable
+            assert dec.nus[0] >= dec.nus[1]
+
+    @pytest.mark.parametrize("nu", [1.7, 1.0])
+    def test_degenerate_spectrum_on_the_generic_route(self, rng, nu):
+        # nu I seen through a random symplectic is off the standard form, so
+        # the eigenvectors come from a twofold-degenerate eigenspace
+        omega = symplectic_form(2)
+        for _ in range(20):
+            s = random_symplectic(rng, scale=0.35)
+            mat = nu * s @ s.T
+            assert _symmetric_standard_form(mat) is None
+            dec = williamson(mat)
+            assert np.abs(np.subtract(dec.nus, nu)).max() < 1e-12
+            assert np.abs(dec.s @ mat @ dec.s.T - dec.normal_form()).max() < 1e-8
+            assert np.abs(dec.s @ omega @ dec.s.T - omega).max() < 1e-9
 
     def test_degenerate_spectrum(self):
         mat = std_cm(1.2, 1.2, 0.5, 0.5)  # nu1 = nu2 = sqrt(1.19)
@@ -176,6 +192,20 @@ class TestWilliamson:
             williamson(mat)
         with pytest.raises(UnphysicalStateError):
             purify(mat)
+
+
+class TestExpm:
+    def test_matches_a_50_digit_reference(self):
+        # the Omega H draws of random_symplectic at the structural suite's scale
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            h = rng.normal(size=(4, 4))
+            a = symplectic_form(2) @ (0.35 * (h + h.T))
+            exact = np.array(mp.expm(mp.matrix(a.tolist())).tolist(), dtype=float)
+            assert np.abs(_expm(a) - exact).max() < 1e-13 * np.abs(exact).max()
 
 
 class TestBuilders:
