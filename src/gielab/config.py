@@ -9,9 +9,8 @@ Every other threshold is a module constant, in the module whose check or
 search reads it:
 
 - ``symplectic.COVMAT_SYMMETRY_RTOL``, ``symplectic.PHYSICAL_ATOL``,
-  ``symplectic.SYMPLECTIC_ATOL``, ``symplectic.WILLIAMSON_ATOL``,
-  ``symplectic.EIGENVALUE_SYMMETRY_RTOL``, ``symplectic.STANDARD_FORM_RTOL``
-  and ``symplectic.ANALYTIC_ROUTE_RTOL``;
+  ``symplectic.SYMPLECTIC_ATOL``, ``symplectic.WILLIAMSON_ATOL`` and
+  ``symplectic.EIGENVALUE_SYMMETRY_RTOL``;
 - ``states.PPT_ATOL``, ``states.FAMILY_ATOL``, ``states.STD_FORM_ATOL``,
   ``states.CLASSIFY_ATOL`` and ``states.STD_FORM_ENTRY_MAX``;
 - ``purification.PURITY_ATOL``;

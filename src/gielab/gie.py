@@ -15,7 +15,9 @@ R = 1 homodynes sit at t = inf, and the R = 2 dual homodyne at
 
 Both trace gates, 2 + 1/a~ - s~ (sym_glems) and sqrt(a~ b~) <= a
 (sym_sq_thermal), condition every row on Eve in one ``seed_frame_schur``
-call per point (``_conditional_cms``) and read it with one ``std_form_params``.
+call per point (``_conditional_cms``).  The sym_glems gate reads the stack
+with one ``std_form_xx_det``, the sym_sq_thermal gate with one
+``std_form_params``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .measurement import condition_on_e  # noqa: F401  (perfbench/spans.py trace
 from .measurement import seed_frame_schur, seed_frame_xx
 from .optimize import search
 from .purification import Purification, purify, purify_asym_glems
-from .states import FAMILY_ATOL, StateFamily, is_separable, make_family, std_form_cm, std_form_params
+from .states import FAMILY_ATOL, StateFamily, a_minus_kx, is_separable, make_family, std_form_cm
+from .states import std_form_params, std_form_xx_det
 from .symplectic import XXPP, rotation
 
 VERIFIED_DOMAIN_BOUND = 2.41
@@ -131,7 +134,7 @@ def sym_glems_candidates(a: float, kp: float) -> tuple[float, float, float]:
     kx = fam.std.kx
     u1 = float(np.log(a / np.sqrt(a * a - kx * kx)))
     za = ((a + kx) / (a - kp)) ** 0.25
-    zb = ((a + kp) / (a - kx)) ** 0.25
+    zb = ((a + kp) / a_minus_kx(fam.std)) ** 0.25
     u2 = float(np.log((za * zb + 1.0 / (za * zb)) / 2.0))
     u3 = float(np.log(a / np.sqrt(a * a - kp * kp)))
     return u1, u2, u3
@@ -204,18 +207,17 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
 
 def _sym_glems_gate(pi: Purification, trace) -> float:
     """Least GCMI optimality gate 2 + 1/a~ - s~ of the conditional standard
-    forms along a single-mode trace of (phi, tau, t) rows."""
+    forms along a single-mode trace of (phi, tau, t) rows, s~^2 = a~ b~ - kx~^2."""
     phi, tau, t = np.array([params for params, _ in trace]).T
     e2t = np.exp(2.0 * t)
-    a_t, b_t, kx_t, _ = std_form_params(_conditional_cms(pi, phi, (tau * e2t, tau / e2t)))
-    s_tilde = np.sqrt(np.maximum(a_t * b_t - kx_t * kx_t, 0.0))
-    return float(np.min(2.0 + 1.0 / np.sqrt(a_t * b_t) - s_tilde))
+    a_t, b_t, xx_det = std_form_xx_det(_conditional_cms(pi, phi, (tau * e2t, tau / e2t)))
+    return float(np.min(2.0 + 1.0 / np.sqrt(a_t * b_t) - np.sqrt(np.maximum(xx_det, 0.0))))
 
 
 def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
     """Eve-side minimization for a symmetric GLEMS (x-homodyne fixed on A, B)."""
     fam = make_family("sym_glems", a=a, kp=kp)
-    pi = purify(std_form_cm(fam.std))
+    pi = purify(fam.std)
     closed = gie_closed_form(fam)
     if pi.r_count == 0:  # boundary case a^2 - kp^2 = 1: pure state
         return _numeric_pure(fam, closed)
@@ -397,7 +399,7 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAUL
     closed = gie_closed_form(fam)
     if is_separable(fam.std):  # closed = 0 and verified_domain holds
         return _judged(fam, closed, 0.0, "separable (no optimization run)", ())
-    pi = purify(std_form_cm(fam.std))
+    pi = purify(fam.std)
     if pi.r_count == 0:  # a^2 - k^2 = 1 within purify's cutoff: pure state
         return _numeric_pure(fam, closed)
     k_min, optimum, trace = minimize_kh(a, k, grid_cfg)
@@ -414,10 +416,10 @@ def gie_numeric(fam: StateFamily, grid_cfg: GridConfig = DEFAULT_GRID) -> GieRes
     p = fam.std
     if fam.tag == "pure":
         return _numeric_pure(fam, gie_closed_form(fam))
-    # Each minimizer rebuilds its family from the defining scalars instead of
-    # running on fam.std.  A CV GHZ state's own kx rounds off the GLEMS
-    # surface: from r ~ 4.3 its purification finds two E modes, while the
-    # rebuilt kx = a - 1/(a + kp) keeps the single E mode.
+    # Each minimizer takes its family's defining scalars and rebuilds the
+    # family, so a CV GHZ state, a sym_glems instance, runs on the rebuilt
+    # kx = a - 1/(a + kp) and that family's spectrum, not on its own kx,
+    # which differs in the last bits.
     if fam.tag == "sym_glems":
         return gie_numeric_sym_glems(p.a, p.kp, grid_cfg)
     if fam.tag == "sym_sq_thermal":

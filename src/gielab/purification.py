@@ -3,9 +3,11 @@
 A mixed two-mode state with R symplectic eigenvalues above one is purified
 by pairing each noisy Williamson mode with one extra mode in a two-mode
 squeezed state, then pulling the system modes back with the inverse
-Williamson transformation.  The asymmetric squeezed-thermal GLEMS family
-additionally has an analytic single-extra-mode form, built around the
-standard form that ``states.make_family`` gives it.
+Williamson transformation, which ``symplectic.williamson`` gives for a
+covariance matrix and a closed form gives for a symmetric standard form.
+The asymmetric squeezed-thermal GLEMS family additionally has an analytic
+single-extra-mode form, built around the standard form that
+``states.make_family`` gives it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalStateError, WrongFamilyError
-from .states import StateFamily, std_form_cm
-from .symplectic import PHYSICAL_ATOL, SIGMA_Z, CovMat, symplectic_eigenvalues, williamson
+from .states import StateFamily, StdForm, a_minus_kx, std_form_cm
+from .symplectic import BEAM_SPLITTER, PHYSICAL_ATOL, SIGMA_Z, CovMat, WilliamsonDecomposition
+from .symplectic import symplectic_eigenvalues, williamson
 
 PURITY_ATOL = 1e-7  # allowed deviation of the purification's symplectic spectrum from 1
 
@@ -59,17 +62,34 @@ def _checked_pure(pi: Purification) -> Purification:
     return pi
 
 
-def purify(gamma) -> Purification:
-    """Minimal Gaussian purification of a physical two-mode CM.
+def _symmetric_williamson(p: StdForm) -> WilliamsonDecomposition:
+    """Analytic Williamson frame (S_A + S_B) U_BS of a symmetric standard form,
+    with the spectrum the form carries."""
+    a, kx, kp = p.a, p.kx, p.kp
+    za = ((a + kx) / (a - kp)) ** 0.25
+    zb = ((a + kp) / a_minus_kx(p)) ** 0.25
+    s = np.diag([1.0 / za, za, zb, 1.0 / zb]) @ BEAM_SPLITTER
+    s.flags.writeable = False
+    return WilliamsonDecomposition(s=s, nus=p.nus)
 
-    The E block is ``diag(nu_i I)`` over the eigenvalues above the
-    ``1 + PHYSICAL_ATOL`` cutoff; states on the cutoff resolve toward the
-    smaller purifying system.  Pure inputs return empty E blocks.
+
+def purify(gamma) -> Purification:
+    """Minimal Gaussian purification of a physical two-mode CM or ``StdForm``.
+
+    A symmetric standard form (a = b) takes the analytic frame and counts
+    its E modes on the spectrum it carries; anything else goes through
+    ``williamson``.  The E block is ``diag(nu_i I)`` over the eigenvalues
+    above the ``1 + PHYSICAL_ATOL`` cutoff; states on the cutoff resolve
+    toward the smaller purifying system.  Pure inputs return empty E blocks.
     """
-    cov = gamma if isinstance(gamma, CovMat) else CovMat(np.asarray(gamma, dtype=float))
-    if cov.n_modes != 2:
-        raise UnphysicalStateError(f"purify expects a two-mode CM, got {cov.n_modes} modes")
-    decomp = williamson(cov)
+    if isinstance(gamma, StdForm):
+        cov = std_form_cm(gamma)
+        decomp = _symmetric_williamson(gamma) if gamma.a == gamma.b else williamson(cov)
+    else:
+        cov = gamma if isinstance(gamma, CovMat) else CovMat(np.asarray(gamma, dtype=float))
+        if cov.n_modes != 2:
+            raise UnphysicalStateError(f"purify expects a two-mode CM, got {cov.n_modes} modes")
+        decomp = williamson(cov)
     nus = decomp.nus
     noisy = [i for i, nu in enumerate(nus) if nu > 1.0 + PHYSICAL_ATOL]
     r_count = len(noisy)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidThreeModeError, WrongFamilyError
 from .gie import gie_closed_form
-from .states import StateFamily, StdForm
+from .states import StateFamily, StdForm, a_minus_kx
 
 TRIANGLE_SLACK = 1e-12  # rounding allowance on the triangle constraints of ThreeModePureParams
 TRIANGLE_ULPS = 4  # ... widened to this many ulps of the largest invariant, more than 1e-12 above about 1,100
@@ -130,7 +130,7 @@ def gr2_symmetric(p: StdForm) -> float:
     """
     if abs(p.a - p.b) > SYMMETRY_RTOL * max(p.a, p.b):
         raise WrongFamilyError(f"gr2_symmetric needs a = b, got ({p.a}, {p.b})")
-    nu_minus = np.sqrt((p.a - p.kx) * (p.a - p.kp))
+    nu_minus = np.sqrt(a_minus_kx(p) * (p.a - p.kp))
     if nu_minus >= 1.0:
         return 0.0
     return float(np.log((nu_minus + 1.0 / nu_minus) / 2.0))

@@ -8,19 +8,19 @@ kp <= 0 means both correlation signs agree, which is always separable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidFamilyParamsError, InvalidInputError, UnphysicalStateError
+from .errors import InvalidFamilyParamsError, InvalidInputError, NumericalDegeneracyError, UnphysicalStateError
 from .symplectic import PHYSICAL_ATOL, CovMat, std_form_symplectic_eigenvalues
 
 PPT_ATOL = 1e-10  # separability margin on the smallest PPT symplectic eigenvalue
 FAMILY_ATOL = 1e-10  # slack of a family-defining constraint
-# Physicality gate of the StdForm constructor.  Near the isotropic surface
-# nu1 = nu2 the closed-form spectrum carries an irreducible sqrt(machine-eps)
-# noise floor, so derived conditional forms cannot be certified at 1e-9
-# through this route; full-matrix checks still use symplectic.PHYSICAL_ATOL.
+# Physicality gate of the StdForm constructor on nu2.  Near the isotropic surface
+# nu1 = nu2 a spectrum computed in closed form carries an irreducible sqrt(machine-eps)
+# noise floor, so derived conditional forms cannot be certified at 1e-9 through
+# this route; full-matrix checks still use symplectic.PHYSICAL_ATOL.
 STD_FORM_ATOL = 1e-7
 CLASSIFY_ATOL = 1e-8  # family classification of a StdForm
 STD_FORM_ENTRY_MAX = 1e75  # larger entries overflow det gamma in the closed-form spectrum
@@ -28,12 +28,14 @@ STD_FORM_ENTRY_MAX = 1e75  # larger entries overflow det gamma in the closed-for
 
 @dataclass(frozen=True)
 class StdForm:
-    """Standard-form parameters of a two-mode covariance matrix."""
+    """Standard-form parameters of a two-mode covariance matrix and its symplectic
+    spectrum ``nus`` (nu1 >= nu2): exact from ``make_family``, else computed."""
 
     a: float
     b: float
     kx: float
     kp: float
+    nus: tuple[float, float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         entries = (self.a, self.b, self.kx, self.kp)
@@ -43,12 +45,10 @@ class StdForm:
             raise UnphysicalStateError(f"local purities need a, b >= 1, got ({self.a}, {self.b})")
         if self.kx < 0.0 or self.kx < abs(self.kp) - FAMILY_ATOL:
             raise InvalidInputError(f"standard form needs kx >= |kp| >= 0, got ({self.kx}, {self.kp})")
-        nu1, nu2 = self.symplectic_eigenvalues()
-        if nu2 < 1.0 - STD_FORM_ATOL:
-            raise UnphysicalStateError(f"unphysical standard form, nu2 = {nu2:.12g}")
-
-    def symplectic_eigenvalues(self) -> tuple[float, float]:
-        return std_form_symplectic_eigenvalues(self.a, self.b, self.kx, self.kp)
+        if self.nus is None:
+            object.__setattr__(self, "nus", std_form_symplectic_eigenvalues(self.a, self.b, self.kx, self.kp))
+        if self.nus[1] < 1.0 - STD_FORM_ATOL:
+            raise UnphysicalStateError(f"unphysical standard form, nu2 = {self.nus[1]:.12g}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,20 @@ def std_form_cm(p: StdForm) -> CovMat:
     return CovMat(mat)
 
 
+def _invariants(gamma):
+    """(a, b, s, det C, det gamma) of a two-mode CM or a stack of them, where
+    s = kx^2 + kp^2 of its standard form."""
+    mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
+    if mat.shape[-2:] != (4, 4):
+        raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
+    det = np.linalg.det
+    det_a, det_b, det_c, det_g = det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat[..., :2, 2:]), det(mat)
+    if np.any(det_a <= 0.0) or np.any(det_b <= 0.0):
+        raise UnphysicalStateError("local block determinant is not positive")
+    a, b = np.sqrt(det_a), np.sqrt(det_b)
+    return a, b, (det_a * det_b + det_c * det_c - det_g) / (a * b), det_c, det_g
+
+
 def std_form_params(gamma):
     """Raw standard-form invariants (a, b, kx, kp) of a two-mode CM.
 
@@ -86,23 +100,34 @@ def std_form_params(gamma):
     gives four floats; a stack of shape (..., 4, 4) gives four arrays of
     shape (...).
     """
-    mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
-    if mat.shape[-2:] != (4, 4):
-        raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
-    det = np.linalg.det
-    det_a, det_b, det_c, det_g = det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat[..., :2, 2:]), det(mat)
-    if np.any(det_a <= 0.0) or np.any(det_b <= 0.0):
-        raise UnphysicalStateError("local block determinant is not positive")
-    a, b = np.sqrt(det_a), np.sqrt(det_b)
+    a, b, s, det_c, _ = _invariants(gamma)
     # cx^2 and cp^2 are the roots of t^2 - s t + det_c^2 = 0
-    s = (det_a * det_b + det_c * det_c - det_g) / (a * b)
     root = np.sqrt(np.maximum(s * s - 4.0 * det_c * det_c, 0.0))
     cx = np.sqrt(np.maximum((s + root) / 2.0, 0.0))
     cp = np.sqrt(np.maximum((s - root) / 2.0, 0.0))
     kp = np.where(det_c < 0.0, cp, -cp)
-    if mat.ndim == 2:
+    if np.ndim(a) == 0:
         return float(a), float(b), float(cx), float(kp)
     return a, b, cx, kp
+
+
+def std_form_xx_det(gamma):
+    """a, b and a b - kx^2 of the standard form of a stack of two-mode CMs.
+
+    a b - kx^2 and a b - kp^2 are the roots of t^2 - (2ab - s) t + det gamma, so a b - kx^2
+    is det gamma over the larger root, without cancelling a b against kx^2."""
+    a, b, s, _, det_g = _invariants(gamma)
+    half = a * b - s / 2.0
+    return a, b, det_g / (half + np.sqrt(np.maximum(half * half - det_g, 0.0)))
+
+
+def a_minus_kx(p: StdForm) -> float:
+    """a - kx, which the symmetric closed forms divide by; NumericalDegeneracyError
+    where kx rounds to a or above (a CV GHZ state from r ~ 9.4)."""
+    gap = p.a - p.kx
+    if not gap > 0.0:
+        raise NumericalDegeneracyError(f"a - kx rounds to {gap:g} at a = {p.a:.17g}: past the double-precision limit")
+    return gap
 
 
 def ppt_min_symplectic_eigenvalue(p: StdForm) -> float:
@@ -123,10 +148,11 @@ def _cv_ghz_std(r: float) -> StdForm:
     with np.errstate(over="ignore", invalid="ignore"):
         xp = (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 3.0
         xm = (np.exp(-2.0 * r) + 2.0 * np.exp(2.0 * r)) / 3.0
-        a = np.sqrt(xp * xm)
+        a = float(np.sqrt(xp * xm))
         kx = np.sqrt(xm / xp) * (xm - xp)
         kp = np.sqrt(xp / xm) * (xm - xp)
-    return StdForm(a=float(a), b=float(a), kx=float(kx), kp=float(kp))
+    # the third mode purifies the two: its local a is the one noisy eigenvalue
+    return StdForm(a=a, b=a, kx=float(kx), kp=float(kp), nus=(a, 1.0))
 
 
 # Each family's defining scalars, in the order a, b, k, kp, r.
@@ -164,7 +190,7 @@ def make_family(tag: str, **params) -> StateFamily:
         if a < 1.0:
             raise InvalidFamilyParamsError(f"pure family needs a >= 1, got {a}")
         k = np.sqrt(max(a * a - 1.0, 0.0))
-        std = StdForm(a=a, b=a, kx=float(k), kp=float(k))
+        std = StdForm(a=a, b=a, kx=float(k), kp=float(k), nus=(1.0, 1.0))
         return StateFamily(tag="pure", std=std)
     if tag == "sym_glems":
         a, kp = float(params["a"]), float(params["kp"])
@@ -173,20 +199,21 @@ def make_family(tag: str, **params) -> StateFamily:
         if a * a - kp * kp < 1.0 - FAMILY_ATOL:
             raise InvalidFamilyParamsError(f"sym_glems needs a^2 - kp^2 >= 1, got {a * a - kp * kp}")
         kx = a - 1.0 / (a + kp)
-        std = StdForm(a=a, b=a, kx=float(kx), kp=kp)
+        std = StdForm(a=a, b=a, kx=kx, kp=kp, nus=(float(np.sqrt((a + kx) * (a - kp))), 1.0))
         return StateFamily(tag="sym_glems", std=std)
     if tag == "sym_sq_thermal":
         a, k = float(params["a"]), float(params["k"])
         if a < 1.0 or k < 0.0 or a * a - k * k < 1.0 - FAMILY_ATOL:
             raise InvalidFamilyParamsError(f"sym_sq_thermal needs a^2 - k^2 >= 1, got ({a}, {k})")
-        std = StdForm(a=a, b=a, kx=k, kp=k)
+        nu = float(np.sqrt((a - k) * (a + k)))
+        std = StdForm(a=a, b=a, kx=k, kp=k, nus=(nu, nu))
         return StateFamily(tag="sym_sq_thermal", std=std)
     if tag == "asym_glems":
         a, b = float(params["a"]), float(params["b"])
         if a < 1.0 or b < 1.0:
             raise InvalidFamilyParamsError(f"asym_glems needs a, b >= 1, got ({a}, {b})")
         k = np.sqrt((a + 1.0) * (b - 1.0)) if a >= b else np.sqrt((a - 1.0) * (b + 1.0))
-        std = StdForm(a=a, b=b, kx=float(k), kp=float(k))
+        std = StdForm(a=a, b=b, kx=float(k), kp=float(k), nus=(1.0 + abs(a - b), 1.0))
         return StateFamily(tag="asym_glems", std=std)
     r = float(params["r"])  # cv_ghz
     if r < 0.0:
@@ -200,7 +227,7 @@ def classify(p: StdForm) -> StateFamily:
     Precedence: pure, then symmetric GLEMS, then symmetric squeezed
     thermal, then asymmetric squeezed-thermal GLEMS, else generic.
     """
-    nu1, nu2 = p.symplectic_eigenvalues()
+    nu1, nu2 = p.nus
     symmetric = abs(p.a - p.b) <= CLASSIFY_ATOL
     isotropic = abs(p.kx - p.kp) <= CLASSIFY_ATOL
     glems = abs(nu2 - 1.0) <= CLASSIFY_ATOL

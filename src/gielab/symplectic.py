@@ -2,12 +2,11 @@
 
 Covariance matrices are stored dense in the quadrature ordering
 ``(x1, p1, ..., xn, pn)`` with vacuum normalized to the identity.  The
-module provides the symplectic form, symplectic spectra, Williamson
-decompositions (an analytic route for the symmetric standard form plus a
-generic spectral construction) and the phase-space matrices they use.  The
-fixed ones are read-only constants built at import (``J2``, ``SIGMA_Z``,
-``BEAM_SPLITTER``, ``XXPP``), as is ``symplectic_form(n)`` for each n;
-rotations are built from their angle.
+module provides the symplectic form, symplectic spectra, the Williamson
+decomposition (one spectral construction for every input) and the
+phase-space matrices they use.  The fixed ones are read-only constants
+built at import (``J2``, ``SIGMA_Z``, ``BEAM_SPLITTER``, ``XXPP``), as is
+``symplectic_form(n)`` for each n; rotations are built from their angle.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from .errors import (
 )
 
 EIGENVALUE_SYMMETRY_RTOL = 1e-8  # symplectic_eigenvalues: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
-STANDARD_FORM_RTOL = 1e-11  # _symmetric_standard_form: allowed |gamma - pattern|, relative to max(1, |gamma|)
-ANALYTIC_ROUTE_RTOL = 1e-12  # williamson: |a - b| below this, relative to max(a, b), takes the analytic route
 COVMAT_SYMMETRY_RTOL = 1e-12  # CovMat: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
 PHYSICAL_ATOL = 1e-9  # symplectic eigenvalues >= 1 - atol
 SYMPLECTIC_ATOL = 1e-9  # |S Omega S^T - Omega| residual
@@ -77,8 +74,8 @@ class CovMat:
 class WilliamsonDecomposition:
     """Pair (S, nu) with ``S gamma S^T = diag(nu1, nu1, ..., nun, nun)``.
 
-    ``s`` is read-only and symplectic: ``williamson``, its only producer,
-    checks ``S Omega S^T = Omega`` to ``SYMPLECTIC_ATOL``.
+    ``s`` is read-only and symplectic: ``williamson`` checks ``S Omega S^T =
+    Omega`` to ``SYMPLECTIC_ATOL``; ``purification``'s analytic frame is so by construction.
     """
 
     s: np.ndarray
@@ -144,48 +141,30 @@ def std_form_symplectic_eigenvalues(a, b, kx, kp) -> tuple[float, float]:
     return float(nu1), float(nu2)
 
 
-def _symmetric_standard_form(mat: np.ndarray):
-    """Detect a symmetric two-mode standard form with cx >= |cp|, returning (a, cx, cp) or None."""
-    if mat.shape != (4, 4):
-        return None
-    a, b = mat[0, 0], mat[2, 2]
-    cx, cp = mat[0, 2], mat[1, 3]
-    pattern = np.array(
-        [
-            [a, 0.0, cx, 0.0],
-            [0.0, a, 0.0, cp],
-            [cx, 0.0, b, 0.0],
-            [0.0, cp, 0.0, b],
-        ]
-    )
-    scale = max(1.0, np.abs(mat).max())
-    if np.abs(mat - pattern).max() > STANDARD_FORM_RTOL * scale:
-        return None
-    if abs(a - b) <= ANALYTIC_ROUTE_RTOL * max(a, b) and cx >= abs(cp):
-        return float(a), float(cx), float(cp)
-    return None
+def williamson(gamma) -> WilliamsonDecomposition:
+    """Williamson normal form of a physical covariance matrix.
 
-
-def _williamson_symmetric(a, kx, kp):
-    """Analytic route for the symmetric standard form: (S_A + S_B) U_BS."""
-    za = ((a + kx) / (a - kp)) ** 0.25
-    zb = ((a + kp) / (a - kx)) ** 0.25
-    s = np.diag([1.0 / za, za, zb, 1.0 / zb]) @ BEAM_SPLITTER
-    nu1 = np.sqrt((a + kx) * (a - kp))
-    nu2 = np.sqrt((a - kx) * (a + kp))
-    return s, (float(nu1), float(nu2))
-
-
-def _williamson_generic(mat: np.ndarray):
-    """Spectral construction from the Hermitian matrix ``i gamma^{-1/2} Omega gamma^{-1/2}``.
-
-    Its eigenvalues are +-1/nu.  eigh sorts them ascending, so the n
+    The ``eigvals`` spectrum must clear ``1 - PHYSICAL_ATOL`` first.  S is
+    then built from the Hermitian matrix ``i gamma^{-1/2} Omega gamma^{-1/2}``,
+    whose eigenvalues are +-1/nu.  eigh sorts them ascending, so the n
     positive ones come last with nu descending.  An eigenvector u of 1/nu
     gives the orthonormal pair ``(x, p) = sqrt(2) (Re u, -Im u)``, on which
     ``gamma^{-1/2} Omega gamma^{-1/2}`` acts as ``J2 / nu``; this holds on a
     degenerate spectrum too.  Each u's phase is fixed first, making its
     largest-modulus entry real and positive, so the vacuum gives S = I.
+    The result is validated against the residual tolerances before being
+    returned.
+
+    Raises:
+        UnphysicalStateError: some symplectic eigenvalue is below 1.
+        DecompositionError: the residual check failed.
     """
+    mat = _as_matrix(gamma)
+    nus_check = symplectic_eigenvalues(mat)
+    if nus_check.min() < 1.0 - PHYSICAL_ATOL:
+        raise UnphysicalStateError(
+            f"unphysical covariance matrix, min symplectic eigenvalue {nus_check.min():.12g}"
+        )
     n = mat.shape[0] // 2
     w, v = np.linalg.eigh(mat)
     if w.min() <= 0:
@@ -200,43 +179,13 @@ def _williamson_generic(mat: np.ndarray):
     o[:, 1::2] = -np.sqrt(2.0) * u.imag
     nus = 1.0 / freqs
     s = np.repeat(np.sqrt(nus), 2)[:, None] * (o.T @ inv_root)
-    return s, tuple(float(nu) for nu in nus)
-
-
-def williamson(gamma) -> WilliamsonDecomposition:
-    """Williamson normal form of a physical covariance matrix.
-
-    A symmetric two-mode standard form takes its analytic decomposition;
-    everything else goes through the generic spectral construction.  The
-    result is validated against the residual tolerances before being
-    returned.
-
-    Raises:
-        UnphysicalStateError: some symplectic eigenvalue is below 1.
-        DecompositionError: the residual check failed.
-    """
-    mat = _as_matrix(gamma)
-    nus_check = symplectic_eigenvalues(mat)
-    if nus_check.min() < 1.0 - PHYSICAL_ATOL:
-        raise UnphysicalStateError(
-            f"unphysical covariance matrix, min symplectic eigenvalue {nus_check.min():.12g}"
-        )
-
-    sym = _symmetric_standard_form(mat)
-    if sym is not None:
-        a, cx, cp = sym
-        s, nus = _williamson_symmetric(a, cx, -cp)
-    else:
-        s, nus = _williamson_generic(mat)
-
-    normal = np.diag(np.repeat(nus, 2))
-    residual = np.abs(s @ mat @ s.T - normal).max()
-    omega = symplectic_form(mat.shape[0] // 2)
+    residual = np.abs(s @ mat @ s.T - np.diag(np.repeat(nus, 2))).max()
+    omega = symplectic_form(n)
     symp_residual = np.abs(s @ omega @ s.T - omega).max()
     if residual > WILLIAMSON_ATOL or symp_residual > SYMPLECTIC_ATOL:
         raise DecompositionError(f"williamson residual {residual:.3e} (symplectic {symp_residual:.3e})")
     s.flags.writeable = False
-    return WilliamsonDecomposition(s=s, nus=nus)
+    return WilliamsonDecomposition(s=s, nus=tuple(float(nu) for nu in nus))
 
 
 def rotation(phi: float) -> np.ndarray:

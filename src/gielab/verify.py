@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GridConfig
+from .errors import GielabError
 from .gie import (
     GATE_LOWER_BOUND,
     SQRT_AB_SLACK,
@@ -30,7 +31,7 @@ from .information import f_decomposed, f_homodyne_ab, gcmi_condition_g, gcmi_num
 from .measurement import general_single_mode, heterodyne, homodyne
 from .purification import PURITY_ATOL, purify
 from .renyi2 import ThreeModePureParams, conjecture_gap, gr2_branch
-from .states import StdForm, classify, is_separable, make_family, std_form_cm
+from .states import StdForm, classify, is_separable, make_family
 from .symplectic import SYMPLECTIC_ATOL, WILLIAMSON_ATOL, CovMat, symplectic_form, williamson
 
 # Worked closed-form points, frozen from direct evaluation of the formulas.
@@ -98,8 +99,6 @@ def random_physical_cm(rng, scale: float) -> np.ndarray:
 
 
 def _random_std_form(rng, max_a=3.0) -> StdForm:
-    from .errors import GielabError
-
     while True:
         a = 1.0 + rng.random() * (max_a - 1.0)
         b = 1.0 + rng.random() * (max_a - 1.0)
@@ -349,7 +348,7 @@ def check_structural(n=40) -> CheckResult:
         worst_dec = max(worst_dec, abs(i_ab + k_eab - total))
     for _ in range(n):  # single-E-mode states exercise the exact homodyne limit
         a, kp = _entangled_sym_glems(rng, max_a=3.0)
-        pi = purify(std_form_cm(make_family("sym_glems", a=a, kp=kp).std))
+        pi = purify(make_family("sym_glems", a=a, kp=kp).std)
         angle = rng.random() * np.pi
         exact = mutual_information_f(pi, homodyne([0.0]), homodyne([0.0]), homodyne([angle]))
         approx = mutual_information_f(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gielab.optimize
 from gielab.config import GridConfig
-from gielab.errors import DomainNotCoveredError, InvalidInputError
+from gielab.errors import DomainNotCoveredError, InvalidInputError, NumericalDegeneracyError
 from gielab.gie import (
     GATE_LOWER_BOUND,
     QMatrixParams,
@@ -27,7 +27,8 @@ from gielab.gie import (
 )
 from gielab.measurement import FiniteMeasurement, condition_on_e, general_single_mode, homodyne
 from gielab.purification import Purification, purify, purify_asym_glems
-from gielab.states import StdForm, classify, make_family, std_form_cm, std_form_params
+from gielab.renyi2 import gr2_of_family
+from gielab.states import StdForm, classify, make_family, std_form_params
 from gielab.symplectic import CovMat
 from gielab.verify import MINMAX_ATOL
 from tests.test_optimize import probe_at_a_time_descend
@@ -121,14 +122,35 @@ class TestNumericSymGlems:
         assert abs(res.numeric - GHZ_WORKED) < 2e-5
 
     def test_strongly_squeezed_cv_ghz_keeps_one_e_mode(self):
-        # this state's own kx rounds off the GLEMS surface, so purifying fam.std
-        # finds two E modes; gie_numeric must rebuild kx = a - 1/(a + kp)
+        # this state's own kx rounds off the GLEMS surface (recomputed from
+        # (a, b, kx, kp), nu2 = 1 + 1.6e-9); the carried spectrum (a, 1) keeps one E mode
         fam = make_family("cv_ghz", r=4.5)
-        assert purify(std_form_cm(fam.std)).r_count == 2
+        assert purify(fam.std).r_count == 1
         res = gie_numeric(fam, FAST)
         assert res.eve_optimum == "homodyne x_E"
         assert res.verified
         assert res.discrepancy < MINMAX_ATOL
+
+    def test_gate_matches_a_50_digit_readout(self):
+        # a b - kx^2 read as det gamma over the larger root: the gate read through
+        # kx~ was off by 3.4e-7 here
+        mpmath = pytest.importorskip("mpmath")
+        a, kp = 5.955034189330633, 5.29661995673705
+        res = gie_numeric_sym_glems(a, kp, FAST)
+        phi, tau, t = np.array([params for params, _ in res.optimizer_trace]).T
+        e2t = np.exp(2.0 * t)
+        cms = _conditional_cms(purify(make_family("sym_glems", a=a, kp=kp).std), phi, (tau * e2t, tau / e2t))
+        with mpmath.workdps(50):
+            gates = []
+            for cm in cms:
+                m = mpmath.matrix(cm.tolist())
+                det_a, det_b, det_g = mpmath.det(m[0:2, 0:2]), mpmath.det(m[2:4, 2:4]), mpmath.det(m)
+                det_c = mpmath.det(m[0:2, 2:4])
+                ab = mpmath.sqrt(det_a * det_b)
+                s = (det_a * det_b + det_c**2 - det_g) / ab
+                kx_sq = (s + mpmath.sqrt(s * s - 4 * det_c**2)) / 2
+                gates.append(2 + 1 / mpmath.sqrt(ab) - mpmath.sqrt(ab - kx_sq))
+            assert abs(float(min(gates) - res.extra["gate_min"])) < 3e-8
 
     def test_trace_records_candidates(self):
         res = gie_numeric_sym_glems(1.5, 0.5, FAST)
@@ -154,7 +176,7 @@ class TestNumericSymSqThermal:
         # a^2 - k^2 - 1 = 1.3e-9, past states.FAMILY_ATOL; purify drops the E mode,
         # and that decides: the pure path, where every measurement of E ties
         a, k = 2.0, 1.7320508072
-        assert purify(std_form_cm(make_family("sym_sq_thermal", a=a, k=k).std)).r_count == 0
+        assert purify(make_family("sym_sq_thermal", a=a, k=k).std).r_count == 0
         res = gie_numeric_sym_sq_thermal(a, k, FAST)
         assert res.eve_optimum == "heterodyne"
         assert res.verified and res.discrepancy < 1e-9
@@ -250,7 +272,7 @@ class TestKh:
 
 
 def _sq_thermal_pi(a, k):
-    return purify(std_form_cm(make_family("sym_sq_thermal", a=a, k=k).std))
+    return purify(make_family("sym_sq_thermal", a=a, k=k).std)
 
 
 def _lab_frame_sqrt_ab(pi, ge):
@@ -260,7 +282,7 @@ def _lab_frame_sqrt_ab(pi, ge):
 
 def _single_mode_pis():
     """R = 1 purifications: sym_glems points (one at large a) and an asym_glems point."""
-    pis = [purify(std_form_cm(make_family("sym_glems", a=a, kp=kp).std)) for a, kp in ((1.5, 0.5), (4.196, 3.932))]
+    pis = [purify(make_family("sym_glems", a=a, kp=kp).std) for a, kp in ((1.5, 0.5), (4.196, 3.932))]
     return pis + [purify_asym_glems(make_family("asym_glems", a=2.0, b=1.5))]
 
 
@@ -403,6 +425,75 @@ class TestMonotonicity:
                 for a in np.linspace(np.sqrt(1 + kp * kp) + 0.01, 4.0, 25)
             ]
             assert np.all(np.diff(values) <= 1e-12)
+
+
+LARGE_A = st.floats(10.0, 1e4)
+
+
+def _evaluates(fam):
+    """gie_numeric at grid 13 with no error, a gap under MINMAX_ATOL, and
+    verified wherever verified_domain holds."""
+    res = gie_numeric(fam, FAST)
+    assert res.discrepancy < MINMAX_ATOL
+    assert res.verified or not verified_domain(fam)
+    return res
+
+
+class TestLargeA:
+    """10 <= a <= 1e4, where the spectrum recomputed from (a, b, kx, kp) rounds off one."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=LARGE_A)
+    def test_pure(self, a):
+        _evaluates(make_family("pure", a=a))
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=LARGE_A, u=st.floats(0.05, 0.95))
+    def test_sym_glems(self, a, u):
+        res = _evaluates(make_family("sym_glems", a=a, kp=u * math.sqrt(a * a - 1.0)))
+        assert res.verified and res.eve_optimum == "homodyne x_E"
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=LARGE_A, w=st.floats(0.0, 1.0))
+    def test_sym_sq_thermal(self, a, w):
+        # entangled for a - k < 1: k from a - 1 up to the pure edge sqrt(a^2 - 1)
+        _evaluates(make_family("sym_sq_thermal", a=a, k=(a - 1.0) + w * (math.sqrt(a * a - 1.0) - (a - 1.0))))
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=LARGE_A, b=st.floats(1.0, 1e4))
+    def test_asym_glems(self, a, b):
+        _evaluates(make_family("asym_glems", a=a, b=b))
+
+
+class TestCvGhzRange:
+    R_GRID = 0.05 * np.arange(1, 1801)  # (0, 90]
+
+    def test_every_r_up_to_the_entry_cap(self):
+        # make_family and classify hold up to STD_FORM_ENTRY_MAX (r ~ 86.7),
+        # and gie_numeric while a <= 1e4 (r <= 4.95)
+        raised = []
+        for r in self.R_GRID:
+            try:
+                fam = make_family("cv_ghz", r=float(r))
+            except InvalidInputError:
+                raised.append(r)
+                continue
+            assert classify(fam.std).tag == "sym_glems"
+            if fam.std.a <= 1e4:
+                res = gie_numeric(fam, FAST)
+                assert res.discrepancy < MINMAX_ATOL
+                assert res.verified and res.eve_optimum == "homodyne x_E"
+        assert raised[0] > 86.7 and raised == list(self.R_GRID[self.R_GRID >= raised[0]])
+
+    @pytest.mark.parametrize("r", [9.55, 40.0])
+    def test_past_the_double_precision_limit_one_typed_error(self, r):
+        # the rebuilt kx = a - 1/(a + kp) rounds to a from r = 9.55 (a ~ 9.3e7), and
+        # the state's own kx from r = 9.4; RuntimeWarnings are errors in this suite
+        fam = make_family("cv_ghz", r=r)
+        with pytest.raises(NumericalDegeneracyError, match="double-precision limit"):
+            gie_numeric(fam, FAST)
+        with pytest.raises(NumericalDegeneracyError, match="double-precision limit"):
+            gr2_of_family(fam)
 
 
 class TestVerifiedDomain:

@@ -12,7 +12,7 @@ from gielab.information import (
 )
 from gielab.measurement import FiniteMeasurement, general_single_mode, heterodyne, homodyne
 from gielab.purification import Purification, purify
-from gielab.states import StdForm, make_family, std_form_cm
+from gielab.states import StdForm, make_family
 from gielab.symplectic import CovMat, rotation
 from oracles import assemble_ccm
 
@@ -20,7 +20,7 @@ J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _pi(tag, **params):
-    return purify(std_form_cm(make_family(tag, **params).std))
+    return purify(make_family(tag, **params).std)
 
 
 def _random_finite_e(rng, r_count):

@@ -13,13 +13,13 @@ from gielab.measurement import (
     seed_frame_xx,
 )
 from gielab.purification import Purification, purify, purify_asym_glems
-from gielab.states import make_family, std_form_cm
+from gielab.states import make_family
 from gielab.symplectic import CovMat, symplectic_eigenvalues
 from oracles import Ccm, assemble_ccm
 
 
 def _pi(tag, **params):
-    return purify(std_form_cm(make_family(tag, **params).std))
+    return purify(make_family(tag, **params).std)
 
 
 class TestBuilders:

@@ -6,7 +6,7 @@ from gielab.measurement import heterodyne
 from gielab.information import mutual_information_f
 from gielab.purification import purify, purify_asym_glems
 from gielab.states import make_family, std_form_cm
-from gielab.symplectic import CovMat, SIGMA_Z
+from gielab.symplectic import BEAM_SPLITTER, CovMat, SIGMA_Z
 from gielab.verify import random_physical_cm
 
 
@@ -27,16 +27,30 @@ class TestPurify:
         assert np.allclose(pi.gamma_e, np.sqrt(1.19) * np.eye(4), atol=1e-12)
 
     def test_purity_across_family_grid(self):
+        # each family form on both routes: its analytic frame, and williamson of its CM
         for a in np.linspace(1.05, 3.0, 8):
             for frac in np.linspace(0.1, 0.9, 5):
-                kp = frac * np.sqrt(a * a - 1.0)
-                pi = purify(std_form_cm(make_family("sym_glems", a=a, kp=kp).std))
-                assert pi.purity_defect() < 1e-7
+                std = make_family("sym_glems", a=a, kp=frac * np.sqrt(a * a - 1.0)).std
+                for gamma in (std, std_form_cm(std)):
+                    pi = purify(gamma)
+                    assert pi.r_count == 1 and pi.purity_defect() < 1e-7
         for a in np.linspace(1.05, 2.4, 8):
             for frac in np.linspace(0.1, 0.9, 5):
-                k = frac * np.sqrt(a * a - 1.0)
-                pi = purify(std_form_cm(make_family("sym_sq_thermal", a=a, k=k).std))
-                assert pi.purity_defect() < 1e-7
+                std = make_family("sym_sq_thermal", a=a, k=frac * np.sqrt(a * a - 1.0)).std
+                for gamma in (std, std_form_cm(std)):
+                    pi = purify(gamma)
+                    assert pi.r_count == 2 and pi.purity_defect() < 1e-7
+
+    def test_symmetric_standard_form_uses_analytic_squeezers(self):
+        # sym_glems (a, kp) = (1.5, 0.5) has kx = 1: the frame is (S_A + S_B) U_BS,
+        # and the carried spectrum (sqrt(2.5), 1) gives one E mode
+        pi = purify(make_family("sym_glems", a=1.5, kp=0.5).std)
+        za, zb = 2.5**0.25, 4.0**0.25
+        s = np.diag([1 / za, za, zb, 1 / zb]) @ BEAM_SPLITTER
+        abe0 = np.vstack([np.sqrt(1.5) * SIGMA_Z, np.zeros((2, 2))])
+        assert pi.r_count == 1
+        assert np.allclose(pi.gamma_abe, np.linalg.solve(s, abe0), atol=1e-12)
+        assert np.allclose(pi.gamma_e, np.sqrt(2.5) * np.eye(2), atol=1e-12)
 
     def test_ab_reduction_is_exact_copy(self, rng):
         mat = random_physical_cm(rng, scale=0.4)

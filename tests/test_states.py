@@ -11,6 +11,7 @@ from gielab.states import (
     ppt_min_symplectic_eigenvalue,
     std_form_cm,
     std_form_params,
+    std_form_xx_det,
 )
 from gielab.symplectic import CovMat, rotation, symplectic_eigenvalues
 from oracles import to_std_form
@@ -104,6 +105,14 @@ class TestToStdForm:
         assert np.array_equal(stacked, single)
         assert np.array_equal(np.signbit(stacked), np.signbit(single))
 
+    def test_xx_det_matches_the_standard_form(self, rng):
+        # a b - kx^2 without the cancellation of a b against kx^2
+        mats = np.array([x @ x.T + np.eye(4) for x in rng.normal(size=(50, 4, 4))])
+        a, b, kx, _ = std_form_params(mats)
+        a_x, b_x, xx_det = std_form_xx_det(mats)
+        assert np.array_equal(a_x, a) and np.array_equal(b_x, b)
+        assert np.allclose(xx_det, a * b - kx * kx, rtol=1e-9, atol=0.0)
+
 
 class TestSeparability:
     def test_entangled_isotropic_point(self):
@@ -143,6 +152,33 @@ class TestSeparability:
 
 
 class TestMakeFamily:
+    @pytest.mark.parametrize("tag, params, nus", [
+        ("pure", {"a": 2.5}, (1.0, 1.0)),
+        ("sym_glems", {"a": 1.5, "kp": 0.5}, (np.sqrt(2.5), 1.0)),
+        ("sym_sq_thermal", {"a": 1.2, "k": 0.5}, (np.sqrt(1.19), np.sqrt(1.19))),
+        ("asym_glems", {"a": 2.0, "b": 1.5}, (1.5, 1.0)),
+        ("asym_glems", {"a": 1.5, "b": 2.0}, (1.5, 1.0)),
+        ("cv_ghz", {"r": 0.5}, None),
+    ])
+    def test_carries_its_exact_spectrum(self, tag, params, nus):
+        std = make_family(tag, **params).std
+        if nus is None:  # CV GHZ: the third mode's a is the one noisy eigenvalue
+            nus = (std.a, 1.0)
+        assert std.nus == pytest.approx(nus, abs=1e-15)
+        assert np.allclose(std.nus, symplectic_eigenvalues(std_form_cm(std)), atol=1e-9)
+        # a form from the same four entries computes its own, and compares equal
+        alone = StdForm(std.a, std.b, std.kx, std.kp)
+        assert alone == std
+        assert np.allclose(alone.nus, std.nus, atol=1e-9)
+
+    def test_large_a_keeps_the_unit_spectrum(self):
+        # the rounded k = sqrt(a^2 - 1) recomputes nu2 = 0.99999988 here
+        std = make_family("pure", a=43677.390246059265).std
+        with pytest.raises(UnphysicalStateError, match="nu2 = 0.99999988"):
+            StdForm(std.a, std.b, std.kx, std.kp)
+        assert std.nus == (1.0, 1.0)
+        assert classify(std).tag == "pure"
+
     def test_sym_glems_constraint(self):
         fam = make_family("sym_glems", a=1.5, kp=0.5)
         assert np.isclose(fam.std.kx, 1.0, atol=1e-12)  # a - 1/(a + kp)

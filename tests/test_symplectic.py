@@ -7,13 +7,13 @@ from gielab.errors import (
     UnphysicalStateError,
 )
 from gielab.purification import purify
+from gielab.states import StdForm
 from gielab.symplectic import (
     BEAM_SPLITTER,
     J2,
     SIGMA_Z,
     XXPP,
     CovMat,
-    _symmetric_standard_form,
     rotation,
     std_form_symplectic_eigenvalues,
     symplectic_eigenvalues,
@@ -126,20 +126,6 @@ class TestWilliamson:
         assert np.allclose(dec.s, np.eye(2))
         assert dec.nus == (1.0,)
 
-    def test_symmetric_standard_form_uses_analytic_squeezers(self):
-        a, kx, kp = 1.5, 1.0, 0.5
-        dec = williamson(std_cm(a, a, kx, kp))
-        za = (2.5 / 1.0) ** 0.25
-        zb = (2.0 / 0.5) ** 0.25
-        expected = np.block(
-            [
-                [np.diag([1 / za, za]), np.zeros((2, 2))],
-                [np.zeros((2, 2)), np.diag([zb, 1 / zb])],
-            ]
-        ) @ BEAM_SPLITTER
-        assert np.allclose(dec.s, expected, atol=1e-12)
-        assert np.allclose(dec.nus, [np.sqrt(2.5), 1.0], atol=1e-12)
-
     def test_asymmetric_squeezed_thermal_both_orders(self):
         for a, b in [(2.0, 1.5), (1.5, 2.0)]:
             k = np.sqrt((a + 1) * (b - 1)) if a >= b else np.sqrt((a - 1) * (b + 1))
@@ -161,13 +147,12 @@ class TestWilliamson:
 
     @pytest.mark.parametrize("nu", [1.7, 1.0])
     def test_degenerate_spectrum_on_the_generic_route(self, rng, nu):
-        # nu I seen through a random symplectic is off the standard form, so
-        # the eigenvectors come from a twofold-degenerate eigenspace
+        # nu I seen through a random symplectic: the eigenvectors come from a
+        # twofold-degenerate eigenspace
         omega = symplectic_form(2)
         for _ in range(20):
             s = random_symplectic(rng, scale=0.35)
             mat = nu * s @ s.T
-            assert _symmetric_standard_form(mat) is None
             dec = williamson(mat)
             assert np.abs(np.subtract(dec.nus, nu)).max() < 1e-12
             assert np.abs(dec.s @ mat @ dec.s.T - dec.normal_form()).max() < 1e-8
@@ -185,13 +170,16 @@ class TestWilliamson:
 
     @pytest.mark.parametrize("b", [1.0, 1.5])
     def test_unphysical_standard_forms_rejected_before_the_analytic_routes(self, b):
-        # b = 1 has the symmetric route's pattern, b = 1.5 goes to the generic route;
-        # the suite turns a RuntimeWarning on the way into an error
+        # b = 1 is a symmetric standard form: as a matrix it meets williamson's
+        # eigvals gate, and as a StdForm it never reaches purify's analytic
+        # frame; the suite turns a RuntimeWarning on the way into an error
         mat = std_cm(1.0, b, 2.0, 2.0)
         with pytest.raises(UnphysicalStateError):
             williamson(mat)
         with pytest.raises(UnphysicalStateError):
             purify(mat)
+        with pytest.raises(UnphysicalStateError):
+            purify(StdForm(1.0, b, 2.0, 2.0))
 
 
 class TestExpm:
