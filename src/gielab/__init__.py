@@ -29,7 +29,7 @@ from .gie import (
     sym_glems_candidates,
     verified_domain,
 )
-from .information import f_decomposed, f_homodyne_ab, gcmi_condition_g, gcmi_numeric, mutual_information_f
+from .information import f_decomposed, f_xx, gcmi_condition_g, gcmi_numeric, mutual_information_f
 from .measurement import (
     FiniteMeasurement,
     GaussianMeasurement,

@@ -6,18 +6,20 @@ thermal states (a <= 2.41) and asymmetric squeezed-thermal GLEMS
 minimizer that fixes double x-homodyne on A and B, minimizes the outcome
 mutual information over Eve's Gaussian measurements, and reports the
 optimal measurement together with the optimizer trace.  Each minimizer
-hands ``gielab.optimize.search`` its family's objective (``_f_xx`` of the
-seed-frame kernel ``measurement.seed_frame_xx`` for R = 1, K_h for R = 2)
+hands ``gielab.optimize.search`` its family's objective (``information.f_xx``
+of the seed-frame kernel ``measurement.seed_frame_xx`` for R = 1, K_h for R = 2)
 and its exact limit candidates, rows of that objective in priority order,
 which name Eve's optimum.  Heterodyne is the row (0, 0, 0) in both; the
 R = 1 homodynes sit at t = inf, and the R = 2 dual homodyne at
 (phi, ln lambda1, ln lambda2) = (pi/2, inf, -inf).
 
-Both trace gates, 2 + 1/a~ - s~ (sym_glems) and sqrt(a~ b~) <= a
-(sym_sq_thermal), condition every row on Eve in one ``seed_frame_schur``
-call per point (``_conditional_cms``).  The sym_glems gate reads the stack
-with one ``std_form_xx_det``, the sym_sq_thermal gate with one
-``std_form_params``.
+The R = 1 minimizers report the x-homodyne value, which equals GIE where
+the GCMI gate G (``information.gcmi_condition_g``) is non-negative at Eve's
+optimum.  Both read the least G along the trace with ``_gcmi_gate``:
+sym_glems needs it above ``GATE_LOWER_BOUND``, asym_glems needs G >= 0.
+The two trace gates, G and sqrt(a~ b~) <= a (sym_sq_thermal), condition
+every row on Eve in one ``seed_frame_schur`` call per point
+(``_conditional_cms``) and read the stack with one ``std_form_xx_det``.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ import numpy as np
 
 from .config import DEFAULT_GRID, GridConfig
 from .errors import DomainNotCoveredError, InvalidInputError
+from .information import f_xx, gcmi_condition_g
 from .measurement import condition_on_e  # noqa: F401  (perfbench/spans.py traces this name in gielab.gie)
 from .measurement import seed_frame_schur, seed_frame_xx
 from .optimize import search
 from .purification import Purification, purify, purify_asym_glems
-from .states import FAMILY_ATOL, StateFamily, a_minus_kx, is_separable, make_family, std_form_cm
-from .states import std_form_params, std_form_xx_det
+from .states import FAMILY_ATOL, StateFamily, a_minus_kx, is_separable, make_family, std_form_cm, std_form_xx_det
 from .symplectic import XXPP, rotation
 
 VERIFIED_DOMAIN_BOUND = 2.41
@@ -68,9 +70,9 @@ class QMatrixParams:
 class GieResult:
     """Closed-form value, numeric optimum and optimizer diagnostics (nats)."""
 
-    closed_form: float | None
+    closed_form: float
     numeric: float
-    discrepancy: float | None
+    discrepancy: float
     eve_optimum: str
     optimizer_trace: tuple
     verified: bool
@@ -158,13 +160,6 @@ def _conditional_cms(pi: Purification, phi, s) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _f_xx(va, vb, c):
-    """Double x-homodyne mutual information on A and B, from the conditional
-    x variances va, vb and their covariance c; broadcasts."""
-    vab = va * vb
-    return 0.5 * np.log(vab / (vab - c * c))
-
-
 _SINGLE_MODE_CANDIDATES = (
     # name, search row (phi, ln tau, t) in priority order; t = inf is an exact homodyne limit
     ("heterodyne", (0.0, 0.0, 0.0)),
@@ -181,14 +176,14 @@ def _single_mode_params(x) -> tuple:
 def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     """Eve's optimum over (phi, ln tau, t) and the single-mode limit candidates.
 
-    One objective, ``_f_xx`` of ``seed_frame_xx``, serves the grid, the
+    One objective, ``f_xx`` of ``seed_frame_xx``, serves the grid, the
     descent and the candidates, which are its rows at t = 0 (heterodyne)
     and t = inf (the exact homodynes).
     """
     kernel = seed_frame_xx(pi)
 
     def objective(phi, log_tau, t):
-        return _f_xx(*kernel(phi, np.exp(log_tau), t))
+        return f_xx(*kernel(phi, np.exp(log_tau), t))
 
     n = grid_cfg.points
     axes = (
@@ -205,13 +200,12 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     return float(best_val), optimum, trace
 
 
-def _sym_glems_gate(pi: Purification, trace) -> float:
-    """Least GCMI optimality gate 2 + 1/a~ - s~ of the conditional standard
-    forms along a single-mode trace of (phi, tau, t) rows, s~^2 = a~ b~ - kx~^2."""
+def _gcmi_gate(pi: Purification, trace) -> float:
+    """Least GCMI optimality gate G of the conditional standard forms along a
+    single-mode trace of (phi, tau, t) rows."""
     phi, tau, t = np.array([params for params, _ in trace]).T
     e2t = np.exp(2.0 * t)
-    a_t, b_t, xx_det = std_form_xx_det(_conditional_cms(pi, phi, (tau * e2t, tau / e2t)))
-    return float(np.min(2.0 + 1.0 / np.sqrt(a_t * b_t) - np.sqrt(np.maximum(xx_det, 0.0))))
+    return float(np.min(gcmi_condition_g(*std_form_xx_det(_conditional_cms(pi, phi, (tau * e2t, tau / e2t))))))
 
 
 def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
@@ -222,7 +216,7 @@ def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GR
     if pi.r_count == 0:  # boundary case a^2 - kp^2 = 1: pure state
         return _numeric_pure(fam, closed)
     numeric, optimum, trace = _minimize_f_single_mode(pi, grid_cfg)
-    gate_min = _sym_glems_gate(pi, trace)
+    gate_min = _gcmi_gate(pi, trace)
     # the GCMI gate must clear its strict lower bound along the trace
     return _judged(fam, closed, numeric, optimum, trace, gate_min > GATE_LOWER_BOUND, gate_min=gate_min)
 
@@ -234,12 +228,15 @@ def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GR
     closed = gie_closed_form(fam)
     if pi.r_count == 0:  # a = b: pure state
         return _numeric_pure(fam, closed)
-    return _judged(fam, closed, *_minimize_f_single_mode(pi, grid_cfg))
+    numeric, optimum, trace = _minimize_f_single_mode(pi, grid_cfg)
+    gate_min = _gcmi_gate(pi, trace)
+    # the closed form rests on G >= 0 along the trace
+    return _judged(fam, closed, numeric, optimum, trace, gate_min >= 0.0, gate_min=gate_min)
 
 
 def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
     g = std_form_cm(fam.std).mat  # a pure state's gamma_AB; there is no E to measure
-    value = float(_f_xx(g[0, 0], g[2, 2], g[0, 2]))
+    value = float(f_xx(g[0, 0], g[2, 2], g[0, 2]))
     trace = tuple((_single_mode_params(row), value) for _, row in _SINGLE_MODE_CANDIDATES)
     # GIE = ln a holds for every pure state, so the result is verified even
     # where verified_domain is not: asym_glems at a = b, and sym_sq_thermal
@@ -389,7 +386,7 @@ def _sqrt_ab_of_q(pi: Purification, points) -> np.ndarray:
     """
     phi, l1, l2 = np.array(points, dtype=float).T
     inv_l2 = np.divide(1.0, l2, out=np.full_like(l2, np.inf), where=l2 > 0.0)
-    a_t, b_t, _, _ = std_form_params(_conditional_cms(pi, phi, (l1, l2, 1.0 / l1, inv_l2)))
+    a_t, b_t, _ = std_form_xx_det(_conditional_cms(pi, phi, (l1, l2, 1.0 / l1, inv_l2)))
     return np.sqrt(a_t * b_t)
 
 

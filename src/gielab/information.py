@@ -5,9 +5,12 @@ The central quantity is the outcome mutual information
 measurements on the E-conditioned state, together with its decomposition
 into an unconditioned part plus an Eve-side correction, and the Gaussian
 classical mutual information (GCMI) of a conditional standard form: the
-double-homodyne closed form, its optimality gate G, and the numeric
-minimum of the objective u over local squeezed measurements that checks
-the closed form wherever the gate holds.
+double x-homodyne closed form ``f_xx``, its optimality gate G, and the
+numeric minimum of the objective u over local squeezed measurements that
+checks the closed form wherever the gate holds.  ``f_xx`` is also the
+objective of the single-mode-Eve minimizers in ``gielab.gie``, and G,
+which broadcasts over a stack of conditional forms, their certificate:
+where G >= 0 at Eve's optimum the x-homodyne value they report is the GCMI.
 """
 
 from __future__ import annotations
@@ -77,30 +80,25 @@ def mutual_information_f(
     return _check_nats(float(value), "mutual information")
 
 
-def f_homodyne_ab(cond: StdForm) -> float:
-    """Mutual information of double x-homodyne on a conditional standard form."""
-    ab = cond.a * cond.b
-    denom = ab - cond.kx * cond.kx
-    if denom <= 0.0:
-        raise NumericalDegeneracyError(f"a b - kx^2 = {denom} is not positive")
-    return _check_nats(0.5 * np.log(ab / denom), "double homodyne mutual information")
+def f_xx(va, vb, c):
+    """Double x-homodyne mutual information on A and B, from the conditional
+    x variances va, vb and their covariance c; broadcasts.  On a conditional
+    standard form it is ``f_xx(a, b, kx)``."""
+    vab = va * vb
+    return 0.5 * np.log(vab / (vab - c * c))
 
 
-def gcmi_condition_g(cond: StdForm) -> float:
-    """Optimality gate for the closed-form GCMI.
+def gcmi_condition_g(a, b, xx_det):
+    """Optimality gate of the closed-form GCMI ``f_xx(a, b, kx)``.
 
-    ``G = sqrt(a/b) + sqrt(b/a) + 1/sqrt(ab) - sqrt(ab - kx^2)``; the closed
-    form is proven optimal whenever G >= 0.
+    ``G = sqrt(a/b) + sqrt(b/a) + 1/sqrt(ab) - sqrt(ab - kx^2)`` from the
+    standard form's a, b and ``xx_det = a b - kx^2``, as
+    ``states.std_form_xx_det`` returns them; broadcasts.  The closed form is
+    proven optimal whenever G >= 0.
     """
-    ab = cond.a * cond.b
-    if ab < cond.kx * cond.kx:
-        raise InvalidInputError(f"need a b >= kx^2, got ab = {ab}, kx^2 = {cond.kx ** 2}")
-    return float(
-        np.sqrt(cond.a / cond.b)
-        + np.sqrt(cond.b / cond.a)
-        + 1.0 / np.sqrt(ab)
-        - np.sqrt(ab - cond.kx * cond.kx)
-    )
+    if np.any(xx_det < 0.0):
+        raise InvalidInputError(f"need a b >= kx^2, got a b - kx^2 = {np.min(xx_det)}")
+    return np.sqrt(a / b) + np.sqrt(b / a) + 1.0 / np.sqrt(a * b) - np.sqrt(xx_det)
 
 
 def u_function(cond: StdForm, r_a, r_b):
@@ -121,7 +119,7 @@ def gcmi_numeric(cond: StdForm, points: int) -> float:
 
     Minimizes u(rA, rB) on a deterministic grid whose axes end in the exact
     r = inf limit, then descends from a finite best.  The closed form
-    ``f_homodyne_ab`` is proven optimal only where ``gcmi_condition_g`` is
+    ``f_xx(a, b, kx)`` is proven optimal only where ``gcmi_condition_g`` is
     non-negative; this numeric minimum checks it there and covers the rest.
     """
     rs = np.append(np.linspace(0.0, SQUEEZE_MAX, points), np.inf)

@@ -77,9 +77,14 @@ def std_form_cm(p: StdForm) -> CovMat:
     return CovMat(mat)
 
 
-def _invariants(gamma):
-    """(a, b, s, det C, det gamma) of a two-mode CM or a stack of them, where
-    s = kx^2 + kp^2 of its standard form."""
+def std_form_xx_det(gamma):
+    """a, b and a b - kx^2 of the standard form of a two-mode CM or a stack of them.
+
+    Read from det A, det B, det C and det gamma, which fix the standard form:
+    with s = kx^2 + kp^2, a b - kx^2 and a b - kp^2 are the roots of
+    t^2 - (2ab - s) t + det gamma, so a b - kx^2 is det gamma over the larger
+    root, without cancelling a b against kx^2.  No physicality validation
+    beyond positive local determinants is applied."""
     mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
     if mat.shape[-2:] != (4, 4):
         raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
@@ -88,35 +93,7 @@ def _invariants(gamma):
     if np.any(det_a <= 0.0) or np.any(det_b <= 0.0):
         raise UnphysicalStateError("local block determinant is not positive")
     a, b = np.sqrt(det_a), np.sqrt(det_b)
-    return a, b, (det_a * det_b + det_c * det_c - det_g) / (a * b), det_c, det_g
-
-
-def std_form_params(gamma):
-    """Raw standard-form invariants (a, b, kx, kp) of a two-mode CM.
-
-    Computed from det A, det B, det C and det gamma, which fix the
-    standard form uniquely.  No physicality validation is applied;
-    ``StdForm(*std_form_params(gamma))`` gives a checked one.  A 4x4 input
-    gives four floats; a stack of shape (..., 4, 4) gives four arrays of
-    shape (...).
-    """
-    a, b, s, det_c, _ = _invariants(gamma)
-    # cx^2 and cp^2 are the roots of t^2 - s t + det_c^2 = 0
-    root = np.sqrt(np.maximum(s * s - 4.0 * det_c * det_c, 0.0))
-    cx = np.sqrt(np.maximum((s + root) / 2.0, 0.0))
-    cp = np.sqrt(np.maximum((s - root) / 2.0, 0.0))
-    kp = np.where(det_c < 0.0, cp, -cp)
-    if np.ndim(a) == 0:
-        return float(a), float(b), float(cx), float(kp)
-    return a, b, cx, kp
-
-
-def std_form_xx_det(gamma):
-    """a, b and a b - kx^2 of the standard form of a stack of two-mode CMs.
-
-    a b - kx^2 and a b - kp^2 are the roots of t^2 - (2ab - s) t + det gamma, so a b - kx^2
-    is det gamma over the larger root, without cancelling a b against kx^2."""
-    a, b, s, _, det_g = _invariants(gamma)
+    s = (det_a * det_b + det_c * det_c - det_g) / (a * b)
     half = a * b - s / 2.0
     return a, b, det_g / (half + np.sqrt(np.maximum(half * half - det_g, 0.0)))
 

@@ -27,7 +27,7 @@ from .gie import (
     minimize_kh,
     sym_glems_candidates,
 )
-from .information import f_decomposed, f_homodyne_ab, gcmi_condition_g, gcmi_numeric, mutual_information_f
+from .information import f_decomposed, f_xx, gcmi_condition_g, gcmi_numeric, mutual_information_f
 from .measurement import general_single_mode, heterodyne, homodyne
 from .purification import PURITY_ATOL, purify
 from .renyi2 import ThreeModePureParams, conjecture_gap, gr2_branch
@@ -205,9 +205,9 @@ def check_gcmi_optimality(grid_cfg: GridConfig, n=1000) -> CheckResult:
         cond = _random_std_form(rng, max_a=2.4)
         if np.sqrt(cond.a * cond.b) > VERIFIED_DOMAIN_BOUND:
             continue
-        if gcmi_condition_g(cond) < 0.0:
+        if gcmi_condition_g(cond.a, cond.b, cond.a * cond.b - cond.kx * cond.kx) < 0.0:
             continue
-        gap = abs(gcmi_numeric(cond, grid_cfg.points) - f_homodyne_ab(cond))
+        gap = abs(gcmi_numeric(cond, grid_cfg.points) - f_xx(cond.a, cond.b, cond.kx))
         worst = max(worst, gap)
         checked += 1
     passed = worst < GCMI_ATOL

@@ -3,8 +3,10 @@
 The assembled joint outcome CCM (``assemble_ccm`` + ``Ccm.conditional_ab``)
 conditions on E by a pseudoinverse Schur complement of the whole outcome
 matrix, sharing no code with the conditioning kernels of
-``gielab.measurement`` that the tests check against it.  ``to_std_form``
-is the checked ``StdForm`` of ``gielab.states.std_form_params``.
+``gielab.measurement`` that the tests check against it.  ``std_form_params``
+reads the whole standard form (a, b, kx, kp) of one CM, solving for kx^2
+and kp^2 rather than for a b - kx^2 as ``gielab.states.std_form_xx_det``
+does; ``to_std_form`` is its checked ``StdForm``.
 """
 
 from __future__ import annotations
@@ -13,13 +15,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
+from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError, UnphysicalStateError
 from gielab.measurement import FiniteMeasurement
 from gielab.purification import Purification
-from gielab.states import StdForm, std_form_params
+from gielab.states import StdForm
+from gielab.symplectic import CovMat
 
 CCM_PSD_RTOL = 1e-10  # a CCM eigenvalue may dip this far below zero, relative to max(1, the largest)
 PINV_RCOND = 1e-12  # pseudoinverse singular-value cutoff of the E block
+
+
+def std_form_params(gamma) -> tuple[float, float, float, float]:
+    """Raw standard-form invariants (a, b, kx, kp) of a two-mode CM.
+
+    Computed from det A, det B, det C and det gamma, which fix the standard
+    form uniquely; no physicality validation beyond positive local
+    determinants.
+    """
+    mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
+    det = np.linalg.det
+    det_a, det_b, det_c, det_g = det(mat[:2, :2]), det(mat[2:, 2:]), det(mat[:2, 2:]), det(mat)
+    if det_a <= 0.0 or det_b <= 0.0:
+        raise UnphysicalStateError("local block determinant is not positive")
+    a, b = np.sqrt(det_a), np.sqrt(det_b)
+    s = (det_a * det_b + det_c * det_c - det_g) / (a * b)  # kx^2 + kp^2
+    # kx^2 and kp^2 are the roots of t^2 - s t + det_c^2 = 0
+    root = np.sqrt(max(s * s - 4.0 * det_c * det_c, 0.0))
+    kx = np.sqrt(max((s + root) / 2.0, 0.0))
+    kp = np.sqrt(max((s - root) / 2.0, 0.0))
+    return float(a), float(b), float(kx), float(kp if det_c < 0.0 else -kp)
 
 
 def to_std_form(gamma) -> StdForm:

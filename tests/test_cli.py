@@ -86,6 +86,22 @@ class TestCompute:
         assert abs(record["gie_numeric_nats"] - math.log(2.0)) < 1e-12
         assert record["eve_optimum"] == "heterodyne" and record["verified"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "asym-glems", "--a", "3", "--b", "3"),
+            ("--family", "sym-sq-thermal", "--a", "3", "--k", "2.8284271247461903"),
+        ],
+    )
+    def test_pure_edge_past_the_mixed_state_bound_is_verified(self, capsys, argv):
+        # sqrt(ab) = a = 3 lies past the mixed-state bound 2.41, but both states are
+        # pure, where GIE = ln a is proven: the record takes gie_numeric's verdict
+        code, out, _ = run_cli(capsys, "compute", *argv, "--numeric", "--strict")
+        assert code == 0
+        record = json.loads(out)
+        assert record["verified"] is True and record["eve_optimum"] == "heterodyne"
+        assert abs(record["gie_numeric_nats"] - math.log(3.0)) < 1e-12
+
     def test_pure_state_at_large_a_is_not_purified(self, capsys):
         # purify's Williamson residual here, 3.2e-8, fails its 1e-8 gate
         code, out, _ = run_cli(capsys, "compute", "--family", "pure", "--a", "2e4", "--numeric")

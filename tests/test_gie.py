@@ -12,6 +12,7 @@ from gielab.gie import (
     GATE_LOWER_BOUND,
     QMatrixParams,
     _conditional_cms,
+    _gcmi_gate,
     _spectral_seed,
     _sqrt_ab_of_q,
     gie_closed_form,
@@ -28,9 +29,10 @@ from gielab.gie import (
 from gielab.measurement import FiniteMeasurement, condition_on_e, general_single_mode, homodyne
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.renyi2 import gr2_of_family
-from gielab.states import StdForm, classify, make_family, std_form_params
+from gielab.states import StdForm, classify, make_family
 from gielab.symplectic import CovMat
 from gielab.verify import MINMAX_ATOL
+from oracles import std_form_params
 from tests.test_optimize import probe_at_a_time_descend
 
 FAST = GridConfig(points=13)
@@ -39,6 +41,19 @@ U3_WORKED = 0.05889151782819164
 SQ_THERMAL_WORKED = 0.06230388333615484
 ASYM_WORKED = 0.3364722366212129
 GHZ_WORKED = 0.08954514823451633
+
+
+def _g_50_digits(cm) -> float:
+    """GCMI gate G of a two-mode CM's standard form, read from its determinants at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        m = mpmath.matrix(np.asarray(cm).tolist())
+        det_a, det_b, det_g = mpmath.det(m[0:2, 0:2]), mpmath.det(m[2:4, 2:4]), mpmath.det(m)
+        det_c = mpmath.det(m[0:2, 2:4])
+        a, b = mpmath.sqrt(det_a), mpmath.sqrt(det_b)
+        s = (det_a * det_b + det_c**2 - det_g) / (a * b)
+        kx_sq = (s + mpmath.sqrt(max(s * s - 4 * det_c**2, 0))) / 2
+        return float(mpmath.sqrt(a / b) + mpmath.sqrt(b / a) + 1 / mpmath.sqrt(a * b) - mpmath.sqrt(a * b - kx_sq))
 
 
 class TestClosedForm:
@@ -134,23 +149,12 @@ class TestNumericSymGlems:
     def test_gate_matches_a_50_digit_readout(self):
         # a b - kx^2 read as det gamma over the larger root: the gate read through
         # kx~ was off by 3.4e-7 here
-        mpmath = pytest.importorskip("mpmath")
         a, kp = 5.955034189330633, 5.29661995673705
         res = gie_numeric_sym_glems(a, kp, FAST)
         phi, tau, t = np.array([params for params, _ in res.optimizer_trace]).T
         e2t = np.exp(2.0 * t)
         cms = _conditional_cms(purify(make_family("sym_glems", a=a, kp=kp).std), phi, (tau * e2t, tau / e2t))
-        with mpmath.workdps(50):
-            gates = []
-            for cm in cms:
-                m = mpmath.matrix(cm.tolist())
-                det_a, det_b, det_g = mpmath.det(m[0:2, 0:2]), mpmath.det(m[2:4, 2:4]), mpmath.det(m)
-                det_c = mpmath.det(m[0:2, 2:4])
-                ab = mpmath.sqrt(det_a * det_b)
-                s = (det_a * det_b + det_c**2 - det_g) / ab
-                kx_sq = (s + mpmath.sqrt(s * s - 4 * det_c**2)) / 2
-                gates.append(2 + 1 / mpmath.sqrt(ab) - mpmath.sqrt(ab - kx_sq))
-            assert abs(float(min(gates) - res.extra["gate_min"])) < 3e-8
+        assert abs(min(_g_50_digits(cm) for cm in cms) - res.extra["gate_min"]) < 3e-8
 
     def test_trace_records_candidates(self):
         res = gie_numeric_sym_glems(1.5, 0.5, FAST)
@@ -201,6 +205,21 @@ class TestNumericAsymGlems:
         res = gie_numeric_asym_glems(2.0, 1.0, FAST)
         assert res.closed_form == 0.0
         assert abs(res.numeric) < 1e-9
+
+    def test_gate_min_is_g_of_the_lab_frame_conditional_forms(self):
+        # G of the lab-frame conditional CM at each trace row, read at 50 digits:
+        # no seed-frame kernel and no std_form_xx_det.  Both double-precision
+        # readers carry a sqrt(eps) floor where the conditional form is isotropic
+        # (the heterodyne rows), so the bound is the sym_glems readout's 3e-8.
+        for a, b in ((2.0, 1.5), (1.5, 2.0), (2.9, 2.0), (5.0, 1.05), (1.1, 2.0), (3.0, 1.9)):
+            res = gie_numeric_asym_glems(a, b, FAST)
+            pi = purify_asym_glems(make_family("asym_glems", a=a, b=b))
+            gates = []
+            for (phi, tau, t), _ in res.optimizer_trace:
+                ge = homodyne([phi + np.pi / 2.0]) if np.isinf(t) else general_single_mode(phi, tau, t)
+                gates.append(_g_50_digits(condition_on_e(pi, ge).mat))
+            assert abs(min(gates) - res.extra["gate_min"]) < 3e-8
+            assert res.extra["gate_min"] >= 0.0 and res.verified
 
     def test_equal_purities_take_the_pure_path(self):
         # a = b is the pure state with k = sqrt(a^2 - 1); every measurement of E ties
@@ -317,6 +336,15 @@ class TestQFrameGate:
             cms = _conditional_cms(pi, phi, (tau * np.exp(2.0 * t), tau * np.exp(-2.0 * t)))
             for row, cm in zip(zip(phi, tau, t), cms, strict=True):
                 assert np.abs(cm - condition_on_e(pi, general_single_mode(*row)).mat).max() < 1e-12
+
+    def test_gcmi_gate_on_general_rows(self, rng):
+        # rows off Eve's optimum, where a~ != b~ (asym_glems), against the 50-digit
+        # G of the lab-frame conditional CM; one row at a time, so each value shows
+        for pi in _single_mode_pis():
+            for _ in range(10):
+                row = (rng.random() * np.pi, 1.0 + 3.0 * rng.random(), 2.0 * rng.random())
+                exact = _g_50_digits(condition_on_e(pi, general_single_mode(*row)).mat)
+                assert abs(_gcmi_gate(pi, [(row, 0.0)]) - exact) < 3e-8
 
     def test_single_mode_limit_rows_are_exact_homodynes(self):
         # t = inf gives s = (inf, 0): the homodyne on the quadrature at phi + pi/2

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gielab.errors import NumericalDegeneracyError
+from gielab.errors import InvalidInputError, NumericalDegeneracyError
 from gielab.information import (
     f_decomposed,
-    f_homodyne_ab,
+    f_xx,
     gcmi_condition_g,
     gcmi_numeric,
     mutual_information_f,
@@ -12,7 +12,7 @@ from gielab.information import (
 )
 from gielab.measurement import FiniteMeasurement, general_single_mode, heterodyne, homodyne
 from gielab.purification import Purification, purify
-from gielab.states import StdForm, make_family
+from gielab.states import StdForm, make_family, std_form_xx_det
 from gielab.symplectic import CovMat, rotation
 from oracles import assemble_ccm
 
@@ -21,6 +21,11 @@ J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def _pi(tag, **params):
     return purify(make_family(tag, **params).std)
+
+
+def _g(p: StdForm):
+    """GCMI gate of a standard form."""
+    return gcmi_condition_g(p.a, p.b, p.a * p.b - p.kx * p.kx)
 
 
 def _random_finite_e(rng, r_count):
@@ -83,24 +88,37 @@ class TestMutualInformationF:
 
 class TestFHomodyne:
     def test_uncorrelated_gives_zero(self):
-        assert f_homodyne_ab(StdForm(2.0, 2.0, 0.0, 0.0)) == 0.0
+        assert f_xx(2.0, 2.0, 0.0) == 0.0
 
     def test_worked_point(self):
-        assert np.isclose(f_homodyne_ab(StdForm(2.0, 2.0, 1.0, 1.0)), 0.5 * np.log(4.0 / 3.0), atol=1e-12)
+        assert np.isclose(f_xx(2.0, 2.0, 1.0), 0.5 * np.log(4.0 / 3.0), atol=1e-12)
 
     def test_symmetric_reduction_matches_g_form(self, rng):
         for _ in range(50):
             a = 1.0 + rng.random() * 2
             kx = 0.95 * rng.random() * (a - 1.0 / a)  # keeps a(a - kx) >= 1
-            p = StdForm(a, a, kx, 0.0)
             g = kx / a
-            assert np.isclose(f_homodyne_ab(p), -np.log(np.sqrt(1.0 - g * g)), atol=1e-12)
+            assert np.isclose(f_xx(a, a, kx), -np.log(np.sqrt(1.0 - g * g)), atol=1e-12)
 
 
 class TestGcmi:
     def test_condition_examples(self):
-        assert np.isclose(gcmi_condition_g(StdForm(1.0, 1.0, 0.0, 0.0)), 2.0, atol=1e-14)
-        assert np.isclose(gcmi_condition_g(StdForm(2.0, 2.0, 1.0, 1.0)), 2.5 - np.sqrt(3.0), atol=1e-12)
+        assert np.isclose(_g(StdForm(1.0, 1.0, 0.0, 0.0)), 2.0, atol=1e-14)
+        assert np.isclose(_g(StdForm(2.0, 2.0, 1.0, 1.0)), 2.5 - np.sqrt(3.0), atol=1e-12)
+        assert np.isclose(gcmi_condition_g(4.0, 1.0, 3.0), 3.0 - np.sqrt(3.0), atol=1e-14)
+        with pytest.raises(InvalidInputError):
+            gcmi_condition_g(2.0, 2.0, -1e-3)  # a b < kx^2
+
+    def test_condition_broadcasts_over_a_stack(self, rng):
+        mats = np.array([x @ x.T + np.eye(4) for x in rng.normal(size=(50, 4, 4))])
+        a, b, xx_det = std_form_xx_det(mats)
+        stacked = gcmi_condition_g(a, b, xx_det)
+        assert stacked.shape == (50,)
+        single = [gcmi_condition_g(*std_form_xx_det(m)) for m in mats]
+        assert np.array_equal(stacked, single)
+        # one form with a b < kx^2 in the stack raises for the whole stack
+        with pytest.raises(InvalidInputError):
+            gcmi_condition_g(a, b, np.append(xx_det[1:], -1e-3))
 
     def test_condition_bound_inside_241(self, rng):
         # sqrt(ab) <= 2.41 forces G >= 2 [1 - sinh(ln sqrt(ab))] >= 0
@@ -116,7 +134,7 @@ class TestGcmi:
             except Exception:
                 continue
             count += 1
-            g = gcmi_condition_g(p)
+            g = _g(p)
             s = np.log(np.sqrt(a * b))
             assert g >= 2.0 * (1.0 - np.sinh(s)) - 1e-12
             assert g >= -1e-12
@@ -139,13 +157,13 @@ class TestGcmi:
 
     def test_uncorrelated_gcmi_vanishes(self):
         p = StdForm(1.7, 1.2, 0.0, 0.0)
-        assert f_homodyne_ab(p) == 0.0
+        assert f_xx(p.a, p.b, p.kx) == 0.0
         assert gcmi_numeric(p, points=13) == 0.0
 
     def test_closed_form_branch_flagged(self):
         p = StdForm(2.0, 2.0, 1.0, 0.4)
-        assert gcmi_condition_g(p) >= 0.0
-        assert np.isclose(f_homodyne_ab(p), 0.5 * np.log(4.0 / 3.0), atol=1e-12)
+        assert _g(p) >= 0.0
+        assert np.isclose(f_xx(p.a, p.b, p.kx), 0.5 * np.log(4.0 / 3.0), atol=1e-12)
 
     def test_numeric_equals_closed_form_when_gate_holds(self, rng):
         for _ in range(60):
@@ -156,9 +174,9 @@ class TestGcmi:
                 p = StdForm(a, b, kx, rng.uniform(-kx, kx))
             except Exception:
                 continue
-            if gcmi_condition_g(p) < 0:
+            if _g(p) < 0:
                 continue
-            assert abs(gcmi_numeric(p, points=13) - f_homodyne_ab(p)) < 1e-6
+            assert abs(gcmi_numeric(p, points=13) - f_xx(p.a, p.b, p.kx)) < 1e-6
 
 
 class TestFDecomposed:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
-from gielab.gie import T_MAX, TAU_LOG_MAX, _f_xx
+from gielab.gie import T_MAX, TAU_LOG_MAX
+from gielab.information import f_xx
 from gielab.measurement import (
     FiniteMeasurement,
     condition_on_e,
@@ -172,9 +173,9 @@ class TestSeedFrameKernel:
         for tag, params in KERNEL_STATES:
             pi = _kernel_pi(tag, params)
             phis = np.concatenate([[np.pi / 2.0, 0.0], rng.random(8) * np.pi])
-            values = _f_xx(*seed_frame_xx(pi)(phis, 1.0, np.inf))
+            values = f_xx(*seed_frame_xx(pi)(phis, 1.0, np.inf))
             for phi, value in zip(phis, values):
-                exact = _f_xx(*_xx_entries(condition_on_e(pi, homodyne([phi + np.pi / 2.0])).mat))
+                exact = f_xx(*_xx_entries(condition_on_e(pi, homodyne([phi + np.pi / 2.0])).mat))
                 assert abs(value - exact) < 1e-15
 
     def test_broadcasts_and_is_elementwise(self, rng):
@@ -219,7 +220,7 @@ class TestSeedFrameKernel:
             for log_tau in (0.0, TAU_LOG_MAX):
                 tau = float(np.exp(log_tau))
                 for t in (0.0, T_MAX):
-                    values = _f_xx(*kernel(phis, tau, t))
+                    values = f_xx(*kernel(phis, tau, t))
                     squeeze = mp.diag([mp.mpf(tau) * mp.exp(2 * mp.mpf(t)), mp.mpf(tau) * mp.exp(-2 * mp.mpf(t))])
                     for phi, value in zip(phis, values):
                         c, s = mp.cos(mp.mpf(phi)), mp.sin(mp.mpf(phi))
