@@ -7,7 +7,7 @@ minimizer that fixes double x-homodyne on A and B, minimizes the outcome
 mutual information over Eve's Gaussian measurements, and reports the
 optimal measurement together with the optimizer trace.  Each minimizer
 hands ``gielab.optimize.search`` its family's objective (``information.f_xx``
-of the seed-frame kernel ``measurement.seed_frame_xx`` for R = 1, K_h for R = 2)
+of ``measurement.seed_frame_schur`` at ``_single_mode_seed`` for R = 1, K_h for R = 2)
 and its exact limit candidates, rows of that objective in priority order,
 which name Eve's optimum.  Heterodyne is the row (0, 0, 0) in both; the
 R = 1 homodynes sit at t = inf, and the R = 2 dual homodyne at
@@ -32,11 +32,11 @@ from .config import DEFAULT_GRID, GridConfig
 from .errors import DomainNotCoveredError, InvalidInputError
 from .information import f_xx, gcmi_condition_g
 from .measurement import condition_on_e  # noqa: F401  (perfbench/spans.py traces this name in gielab.gie)
-from .measurement import seed_frame_schur, seed_frame_xx
+from .measurement import seed_frame_schur
 from .optimize import search
 from .purification import Purification, purify, purify_asym_glems
 from .states import FAMILY_ATOL, StateFamily, a_minus_kx, is_separable, make_family, std_form_cm, std_form_xx_det
-from .symplectic import XXPP, rotation
+from .symplectic import PHYSICAL_ATOL, XXPP, rotation
 
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
@@ -45,6 +45,7 @@ TAU_LOG_MAX = 8.0  # R = 1 search box: ln(tau) of Eve's seed thermal noise in [0
 T_MAX = 8.0  # R = 1 search box: seed squeezing t in [0, T_MAX]
 LAMBDA_LOG_MIN = -12.0  # K_h search box: ln(lambda1), ln(lambda2) in [LAMBDA_LOG_MIN, LAMBDA_LOG_MAX]
 LAMBDA_LOG_MAX = 24.0
+_CM_UPPER = np.triu_indices(4)  # the ten entries of a 4x4 CM; built once, since per call it costs a sixth of a gate call
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,15 @@ def _judged(fam: StateFamily, closed: float, numeric: float, optimum: str, trace
 
 
 def verified_domain(fam: StateFamily) -> bool:
-    """True inside the proven validity domain of the family's closed form."""
-    if is_separable(fam.std):
-        return True
-    if fam.tag in ("pure", "sym_glems"):
+    """True inside the proven validity domain of the family's closed form, and for every pure
+    state (GIE = ln a) as the numeric path finds it: a = b, or nu <= 1 + PHYSICAL_ATOL as in purify."""
+    p = fam.std
+    if is_separable(p) or fam.tag in ("pure", "sym_glems"):
         return True
     if fam.tag == "sym_sq_thermal":
-        return bool(fam.std.a <= VERIFIED_DOMAIN_BOUND)
+        return bool(p.a <= VERIFIED_DOMAIN_BOUND or p.nus[0] <= 1.0 + PHYSICAL_ATOL)
     if fam.tag == "asym_glems":
-        return bool(np.sqrt(fam.std.a * fam.std.b) <= VERIFIED_DOMAIN_BOUND)
+        return bool(p.a == p.b or np.sqrt(p.a * p.b) <= VERIFIED_DOMAIN_BOUND)
     return False
 
 
@@ -142,16 +143,13 @@ def sym_glems_candidates(a: float, kp: float) -> tuple[float, float, float]:
     return u1, u2, u3
 
 
-_UPPER_TRIANGLE = tuple((i, j) for i in range(4) for j in range(i, 4))
-
-
 def _conditional_cms(pi: Purification, phi, s) -> np.ndarray:
     """Conditional CMs of A and B, stacked (rows, 4, 4), after Eve's seed
     ``R(phi) diag(s) R(phi)^T`` at each row: all ten entries in one call."""
-    entries = seed_frame_schur(pi, _UPPER_TRIANGLE)(phi, s)
+    rows, cols = _CM_UPPER
+    entries = seed_frame_schur(pi, tuple(zip(rows.tolist(), cols.tolist())))(phi, s)
     cms = np.empty((np.size(phi), 4, 4))
-    for (i, j), c in zip(_UPPER_TRIANGLE, entries, strict=True):
-        cms[:, i, j] = cms[:, j, i] = c
+    cms[:, rows, cols] = cms[:, cols, rows] = np.transpose(entries)
     return cms
 
 
@@ -173,17 +171,24 @@ def _single_mode_params(x) -> tuple:
     return float(x[0]) % np.pi, float(np.exp(x[1])), float(x[2])
 
 
+def _single_mode_seed(tau, t) -> tuple:
+    """Seed-frame eigenvalues (tau e^{2t}, tau e^{-2t}) of Eve's single-mode seed; t = inf
+    gives (inf, 0), the exact homodyne on the quadrature at phi + pi/2."""
+    e2t = np.exp(2.0 * t)
+    return tau * e2t, tau / e2t
+
+
 def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     """Eve's optimum over (phi, ln tau, t) and the single-mode limit candidates.
 
-    One objective, ``f_xx`` of ``seed_frame_xx``, serves the grid, the
-    descent and the candidates, which are its rows at t = 0 (heterodyne)
-    and t = inf (the exact homodynes).
+    One objective, ``f_xx`` of the conditional entries (0, 0), (2, 2) and
+    (0, 2), serves the grid, the descent and the candidates, which are its
+    rows at t = 0 (heterodyne) and t = inf (the exact homodynes).
     """
-    kernel = seed_frame_xx(pi)
+    schur = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
 
     def objective(phi, log_tau, t):
-        return f_xx(*kernel(phi, np.exp(log_tau), t))
+        return f_xx(*schur(phi, _single_mode_seed(np.exp(log_tau), t)))
 
     n = grid_cfg.points
     axes = (
@@ -204,8 +209,7 @@ def _gcmi_gate(pi: Purification, trace) -> float:
     """Least GCMI optimality gate G of the conditional standard forms along a
     single-mode trace of (phi, tau, t) rows."""
     phi, tau, t = np.array([params for params, _ in trace]).T
-    e2t = np.exp(2.0 * t)
-    return float(np.min(gcmi_condition_g(*std_form_xx_det(_conditional_cms(pi, phi, (tau * e2t, tau / e2t))))))
+    return float(np.min(gcmi_condition_g(*std_form_xx_det(_conditional_cms(pi, phi, _single_mode_seed(tau, t))))))
 
 
 def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
@@ -237,18 +241,9 @@ def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GR
 def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
     g = std_form_cm(fam.std).mat  # a pure state's gamma_AB; there is no E to measure
     value = float(f_xx(g[0, 0], g[2, 2], g[0, 2]))
-    trace = tuple((_single_mode_params(row), value) for _, row in _SINGLE_MODE_CANDIDATES)
-    # GIE = ln a holds for every pure state, so the result is verified even
-    # where verified_domain is not: asym_glems at a = b, and sym_sq_thermal
-    # states past the mixed-state bound VERIFIED_DOMAIN_BOUND.
-    return GieResult(
-        closed_form=closed,
-        numeric=float(value),
-        discrepancy=abs(closed - value),
-        eve_optimum="heterodyne",  # every measurement ties; first in priority order
-        optimizer_trace=trace,
-        verified=True,
-    )
+    trace = [(_single_mode_params(row), value) for _, row in _SINGLE_MODE_CANDIDATES]
+    # every measurement ties; the first in priority order names the optimum
+    return _judged(fam, closed, value, "heterodyne", trace)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Phys. 84, 621 (2012), Sec. II).  ``condition_on_e`` applies it to any
 measurement, with M from ``eve_kernel``.  ``seed_frame_schur`` is its
 path for the Eve-side searches: gamma_E = nu I makes M diagonal in the
 frame of Eve's seed, and it returns only the conditional entries the
-caller reads; ``seed_frame_xx`` is its one-E-mode form.
+caller reads, for seed eigenvalues the caller maps from its search row.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def general_single_mode(phi: float, tau: float, t: float) -> GaussianMeasurement
     exactly, not by the matrix gate of ``FiniteMeasurement``: near t = 8 the
     entries reach e^16 and the matrix determinant is off by about 1e-2.
     t = inf is the exact limit, the homodyne on the quadrature at phi + pi/2
-    that ``seed_frame_xx`` evaluates there.
+    that ``seed_frame_schur`` evaluates at the seed eigenvalues (inf, 0).
     """
     if not (tau >= 1.0 and t >= 0.0):
         raise InvalidMeasurementError(f"need tau >= 1 and t >= 0, got ({tau}, {t})")
@@ -139,7 +139,7 @@ def seed_frame_schur(pi: Purification, entries):
     to condition on, and the callers take their pure paths before this.
 
     Raises:
-        DimensionMismatchError: the purification has no E mode.
+        DimensionMismatchError: no E mode, or a kernel call without 2R seed eigenvalues.
         InvalidInputError: gamma_E is not a multiple of the identity.
     """
     if pi.r_count == 0:
@@ -153,8 +153,11 @@ def seed_frame_schur(pi: Purification, entries):
     rows = dict.fromkeys(i for entry in entries for i in entry)
     pairs = {i: [tuple(uv) for uv in pi.gamma_abe[i, xxpp].reshape(-1, 2)] for i in rows}
     targets = [(g[i, j], i, j) for i, j in entries]
+    n_seeds = 2 * pi.r_count
 
     def kernel(phi, s):
+        if len(s) != n_seeds:
+            raise DimensionMismatchError(f"the seed-frame kernel needs {n_seeds} seed eigenvalues, got {len(s)}")
         cos, sin = np.cos(phi), np.sin(phi)
         # row i of gamma_ABE R(phi)
         cols = {i: [c for u, v in uv for c in (u * cos + v * sin, v * cos - u * sin)] for i, uv in pairs.items()}
@@ -168,25 +171,3 @@ def seed_frame_schur(pi: Purification, entries):
 
     return kernel
 
-
-def seed_frame_xx(pi: Purification):
-    """The R = 1 conditioning kernel for x-homodyne on A and B.
-
-    Returns ``kernel(phi, tau, t) -> (va, vb, c)``: the entries (0, 0),
-    (2, 2) and (0, 2) of ``seed_frame_schur`` for the seed
-    ``P(phi) diag(tau e^{2t}, tau e^{-2t}) P(phi)^T``; t = inf is the exact
-    homodyne on the quadrature at phi + pi/2.
-
-    Raises:
-        DimensionMismatchError: the purification does not have one E mode.
-        InvalidInputError: gamma_E is not a multiple of the identity.
-    """
-    if pi.r_count != 1:
-        raise DimensionMismatchError(f"seed_frame_xx needs one E mode, purification has {pi.r_count}")
-    schur = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
-
-    def kernel(phi, tau, t):
-        e2t = np.exp(2.0 * t)
-        return schur(phi, (tau * e2t, tau / e2t))
-
-    return kernel

@@ -95,11 +95,13 @@ class TestCompute:
     )
     def test_pure_edge_past_the_mixed_state_bound_is_verified(self, capsys, argv):
         # sqrt(ab) = a = 3 lies past the mixed-state bound 2.41, but both states are
-        # pure, where GIE = ln a is proven: the record takes gie_numeric's verdict
-        code, out, _ = run_cli(capsys, "compute", *argv, "--numeric", "--strict")
-        assert code == 0
-        record = json.loads(out)
-        assert record["verified"] is True and record["eve_optimum"] == "heterodyne"
+        # pure, where GIE = ln a is proven: the closed-form and numeric records agree
+        for numeric in ((), ("--numeric",)):
+            code, out, _ = run_cli(capsys, "compute", *argv, *numeric, "--strict")
+            assert code == 0
+            record = json.loads(out)
+            assert record["verified"] is True and abs(record["gie_closed_nats"] - math.log(3.0)) < 1e-12
+        assert record["eve_optimum"] == "heterodyne"
         assert abs(record["gie_numeric_nats"] - math.log(3.0)) < 1e-12
 
     def test_pure_state_at_large_a_is_not_purified(self, capsys):
@@ -119,6 +121,12 @@ class TestCompute:
             capsys, "compute", "--family", "sym-sq-thermal", "--a", "3.0", "--k", "2.5", "--strict"
         )
         assert code == 2
+        # a mixed state next to the pure edge a = b = 3, with and without the numeric verdict
+        for numeric in ((), ("--numeric",)):
+            code, out, err = run_cli(
+                capsys, "compute", "--family", "asym-glems", "--a", "3", "--b", "3.000000001", *numeric, "--strict"
+            )
+            assert code == 2 and out == "" and "validity domain" in err
 
     def test_unverified_point_still_reported_without_strict(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--family", "sym-sq-thermal", "--a", "3.0", "--k", "2.5")

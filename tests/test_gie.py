@@ -13,6 +13,7 @@ from gielab.gie import (
     QMatrixParams,
     _conditional_cms,
     _gcmi_gate,
+    _single_mode_seed,
     _spectral_seed,
     _sqrt_ab_of_q,
     gie_closed_form,
@@ -152,8 +153,7 @@ class TestNumericSymGlems:
         a, kp = 5.955034189330633, 5.29661995673705
         res = gie_numeric_sym_glems(a, kp, FAST)
         phi, tau, t = np.array([params for params, _ in res.optimizer_trace]).T
-        e2t = np.exp(2.0 * t)
-        cms = _conditional_cms(purify(make_family("sym_glems", a=a, kp=kp).std), phi, (tau * e2t, tau / e2t))
+        cms = _conditional_cms(purify(make_family("sym_glems", a=a, kp=kp).std), phi, _single_mode_seed(tau, t))
         assert abs(min(_g_50_digits(cm) for cm in cms) - res.extra["gate_min"]) < 3e-8
 
     def test_trace_records_candidates(self):
@@ -532,3 +532,17 @@ class TestVerifiedDomain:
         assert not verified_domain(make_family("asym_glems", a=2.5, b=2.5 + 1e-6))
         assert verified_domain(make_family("sym_glems", a=5.0, kp=2.0))
         assert verified_domain(make_family("pure", a=40.0))
+        # pure edges past the bound, where GIE = ln a is proven, and a mixed neighbour
+        assert verified_domain(make_family("asym_glems", a=3.0, b=3.0))
+        assert verified_domain(make_family("sym_sq_thermal", a=3.0, k=2.8284271247461903))
+        assert not verified_domain(make_family("asym_glems", a=3.0, b=3.0 + 1e-9))
+
+    def test_past_the_bound_holds_exactly_where_the_numeric_path_is_pure(self):
+        # the pure path and verified_domain find purity alike, so both verdicts agree
+        a = 3.0
+        sq_thermal = [make_family("sym_sq_thermal", a=a, k=math.sqrt(a * a - 1.0) - gap)
+                      for gap in (0.0, 1e-12, 3e-10, 1e-9, 1e-6)]
+        asym = [make_family("asym_glems", a=a, b=b) for b in (a, a - 1e-12, a + 1e-9)]
+        for fam, pi in [(f, purify(f.std)) for f in sq_thermal] + [(f, purify_asym_glems(f)) for f in asym]:
+            res = gie_numeric(fam, FAST)
+            assert verified_domain(fam) == res.verified == (pi.r_count == 0), fam

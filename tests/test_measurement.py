@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
-from gielab.gie import T_MAX, TAU_LOG_MAX
+from gielab.gie import T_MAX, TAU_LOG_MAX, _single_mode_seed
 from gielab.information import f_xx
 from gielab.measurement import (
     FiniteMeasurement,
@@ -11,7 +11,6 @@ from gielab.measurement import (
     heterodyne,
     homodyne,
     seed_frame_schur,
-    seed_frame_xx,
 )
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.states import make_family
@@ -153,14 +152,29 @@ def _kernel_pi(tag, params):
     return purify_asym_glems(make_family(tag, **params)) if tag == "asym_glems" else _pi(tag, **params)
 
 
+UPPER_TRIANGLE = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
+def _xx_kernel(pi):
+    """(va, vb, c) at Eve's single-mode seed row (phi, tau, t), as the R = 1 objective reads them."""
+    schur = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
+    return lambda phi, tau, t: schur(phi, _single_mode_seed(tau, t))
+
+
+def _r2_kernel(pi):
+    """All ten entries at Eve's seed blockdiag(Q, Q^{-1}), Q = P diag(l1, l2) P^T, as the R = 2 gate reads them."""
+    schur = seed_frame_schur(pi, UPPER_TRIANGLE)
+    return lambda phi, l1, l2: schur(phi, (l1, l2, 1.0 / l1, 1.0 / l2))
+
+
 class TestSeedFrameKernel:
-    """The R = 1 kernel against the general conditioning routes and a 50-digit reference."""
+    """The seed-frame kernel against the general conditioning routes and a 50-digit reference."""
 
     def test_matches_the_assembled_ccm_oracle(self, rng):
         for tag, params in KERNEL_STATES:
             pi = _kernel_pi(tag, params)
             phis, taus, ts = _random_seed_params(rng)
-            va, vb, c = seed_frame_xx(pi)(phis, taus, ts)
+            va, vb, c = _xx_kernel(pi)(phis, taus, ts)
             for i, (phi, tau, t) in enumerate(zip(phis, taus, ts)):
                 # heterodyne on A and B adds the identity to their diagonal blocks
                 ccm = assemble_ccm(pi, heterodyne(1), heterodyne(1), general_single_mode(phi, tau, t))
@@ -173,36 +187,46 @@ class TestSeedFrameKernel:
         for tag, params in KERNEL_STATES:
             pi = _kernel_pi(tag, params)
             phis = np.concatenate([[np.pi / 2.0, 0.0], rng.random(8) * np.pi])
-            values = f_xx(*seed_frame_xx(pi)(phis, 1.0, np.inf))
+            values = f_xx(*_xx_kernel(pi)(phis, 1.0, np.inf))
             for phi, value in zip(phis, values):
                 exact = f_xx(*_xx_entries(condition_on_e(pi, homodyne([phi + np.pi / 2.0])).mat))
                 assert abs(value - exact) < 1e-15
 
     def test_broadcasts_and_is_elementwise(self, rng):
-        pi = _kernel_pi(*KERNEL_STATES[0])
-        kernel = seed_frame_xx(pi)
+        # R = 1 with the three x-homodyne entries, R = 2 with all ten
         phis, taus, ts = _random_seed_params(rng, 6)
-        mesh = np.meshgrid(phis, taus, ts, indexing="ij", sparse=True)
-        full = kernel(*mesh)
-        assert all(x.shape == (6, 6, 6) for x in full)
-        for i, j, k in ((0, 0, 0), (5, 2, 3), (1, 4, 5)):
-            single = kernel(phis[i], taus[j], ts[k])
-            assert all(x[i, j, k] == y for x, y in zip(full, single))
+        lambdas = np.exp(rng.uniform(-6.0, 6.0, (2, 6)))
+        inputs = (
+            (_xx_kernel(_kernel_pi(*KERNEL_STATES[0])), (phis, taus, ts), 3),
+            (_r2_kernel(_pi("sym_sq_thermal", a=1.3, k=0.6)), (phis, *lambdas), 10),
+        )
+        diagonal = np.arange(6)
+        for kernel, axes, n_entries in inputs:
+            full = kernel(*np.meshgrid(*axes, indexing="ij", sparse=True))
+            assert len(full) == n_entries and all(x.shape == (6, 6, 6) for x in full)
+            for i, j, k in ((0, 0, 0), (5, 2, 3), (1, 4, 5)):
+                single = kernel(axes[0][i], axes[1][j], axes[2][k])
+                assert all(x[i, j, k] == y for x, y in zip(full, single))
+            # a scalar phi against array seeds
+            row = kernel(axes[0][3], axes[1], axes[2])
+            assert all(np.array_equal(x[3, diagonal, diagonal], y) for x, y in zip(full, row, strict=True))
 
     def test_needs_gamma_e_proportional_to_identity(self):
         pi = purify_asym_glems(make_family("asym_glems", a=1.8, b=1.3))
         squeeze = np.diag([2.0, 0.5])  # a local squeezer on E: the same state, gamma_E != nu I
         skewed = Purification(pi.gamma_ab, pi.gamma_abe @ squeeze, squeeze @ pi.gamma_e @ squeeze, 1)
         with pytest.raises(InvalidInputError):
-            seed_frame_xx(skewed)
+            seed_frame_schur(skewed, ((0, 0),))
 
-    def test_needs_one_e_mode(self):
-        with pytest.raises(DimensionMismatchError):
-            seed_frame_xx(_pi("sym_sq_thermal", a=1.3, k=0.6))
-        with pytest.raises(DimensionMismatchError):
-            seed_frame_xx(_pi("pure", a=2.0))
+    def test_needs_one_seed_eigenvalue_per_e_axis(self):
         with pytest.raises(DimensionMismatchError):
             seed_frame_schur(_pi("pure", a=2.0), ((0, 0),))
+        one_mode = seed_frame_schur(_kernel_pi(*KERNEL_STATES[0]), ((0, 0),))
+        with pytest.raises(DimensionMismatchError, match="needs 2 seed eigenvalues, got 4"):
+            one_mode(0.0, (1.0, 2.0, 3.0, 4.0))
+        two_modes = seed_frame_schur(_pi("sym_sq_thermal", a=1.3, k=0.6), ((0, 0),))
+        with pytest.raises(DimensionMismatchError, match="needs 4 seed eigenvalues, got 2"):
+            two_modes(0.0, (1.0, 2.0))
 
     def test_box_edges_against_50_digit_reference(self):
         mpmath = pytest.importorskip("mpmath")
@@ -214,7 +238,7 @@ class TestSeedFrameKernel:
         ])
         for tag, params in KERNEL_STATES:
             pi = _kernel_pi(tag, params)
-            kernel = seed_frame_xx(pi)
+            kernel = _xx_kernel(pi)
             gamma_ab, gamma_abe, gamma_e = (mp.matrix(m.tolist()) for m in (pi.gamma_ab.mat, pi.gamma_abe, pi.gamma_e))
             worst = 0.0
             for log_tau in (0.0, TAU_LOG_MAX):
