@@ -15,7 +15,7 @@ search reads it:
   ``states.CLASSIFY_ATOL`` and ``states.STD_FORM_ENTRY_MAX``;
 - ``purification.PURITY_ATOL``;
 - ``information.NATS_SLACK``;
-- ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_SWEEPS``, ``optimize.TIE_ATOL``
+- ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_POLLS``, ``optimize.TIE_ATOL``
   and ``optimize.RESOLUTION``;
 - the search boxes ``gie.TAU_LOG_MAX``, ``gie.T_MAX`` (R = 1),
   ``gie.LAMBDA_LOG_MIN``, ``gie.LAMBDA_LOG_MAX`` (K_h) and

@@ -1,7 +1,7 @@
 """The deterministic Eve-side search shared by every family.
 
-``search`` runs a grid stage (``grid_argmin``), a Hooke-Jeeves pattern
-search (``descend``) from the best grid point and then the caller's exact
+``search`` runs a grid stage (``grid_argmin``), a compass search
+(``descend``) from the best grid point and then the caller's exact
 candidates, rows of the same objective; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
 rule (``TIE_ATOL``).
@@ -9,13 +9,12 @@ rule (``TIE_ATOL``).
 
 from __future__ import annotations
 
-import bisect
 import functools
 
 import numpy as np
 
 MIN_IMPROVEMENT = 1e-15  # a probe must beat the incumbent by more than this to replace it
-MAX_SWEEPS = 400  # the descent stops after this many sweeps even above its resolution
+MAX_POLLS = 400  # the descent stops after this many polls even above its resolution
 RESOLUTION = 1e-8  # the step below which every search in gielab stops descending
 TIE_ATOL = 1e-12  # a candidate this close to the best value names the optimum
 
@@ -34,92 +33,53 @@ def grid_argmin(fn, axes):
 
 
 @functools.lru_cache(maxsize=None)
-def _poll_plans(dim):
-    """What one poll of a ``dim``-coordinate descent evaluates, per start row k.
+def _probe_table(dim):
+    """The moves of one poll of a ``dim``-coordinate descent, in units of the step.
 
-    The plan for k is ``(rows, moves, sweeps)``: the move rows in poll
-    order (this sweep's rows k.., the next sweep's rows before k at the
-    same step, then a whole sweep at half the step), the moves in that
-    order with the half-step ones scaled by 0.5 (exact), and each row's
-    sweep offset from the sweep under way.
+    Coordinate moves, then pairwise diagonal moves (diagonal valleys stall a
+    pure coordinate search), each with sign + then -, in four blocks at
+    2, 1, 1/2 and 1/4 times the step.
     """
-    directions = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        directions.append(e)
-        for j in range(i + 1, dim):
-            d = np.zeros(dim)
-            d[i] = 1.0
-            d[j] = 1.0
-            directions.append(d / np.sqrt(2.0))
-            d = d.copy()
-            d[j] = -1.0
-            directions.append(d / np.sqrt(2.0))
-    moves = np.array([sign * direction for direction in directions for sign in (1.0, -1.0)])
-    n = len(moves)
-    plans = []
-    for k in range(n):
-        rows = (*range(k, n), *range(k), *range(n))
-        scaled = moves[list(rows)] * np.repeat([1.0, 0.5], n)[:, None]
-        scaled.flags.writeable = False
-        plans.append((rows, scaled, (0,) * (n - k) + (1,) * k + (1 + (k > 0),) * n))
-    return tuple(plans)
+    eye = np.eye(dim)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    diagonals = [(eye[i] + sign * eye[j]) / np.sqrt(2.0) for i, j in pairs for sign in (1.0, -1.0)]
+    moves = np.array([sign * d for d in (*eye, *diagonals) for sign in (1.0, -1.0)])
+    table = np.concatenate([multiple * moves for multiple in (2.0, 1.0, 0.5, 0.25)])
+    table.flags.writeable = False
+    return table
 
 
 def descend(fn, x0, lows, highs):
-    """Deterministic Hooke-Jeeves pattern-search descent within a box.
+    """Deterministic compass search within a box, one complete poll per call of ``fn``.
 
-    Sweeps coordinate moves plus pairwise diagonal moves (diagonal valleys
-    stall a pure coordinate search), each with sign + then -, and moves to
-    each probe that beats the incumbent by more than ``MIN_IMPROVEMENT``;
-    a sweep without a move halves the step until it falls below
-    ``RESOLUTION``, and at most ``MAX_SWEEPS`` sweeps run (both read when
-    ``descend`` is called).  ``fn`` must broadcast over 1-D probe arrays,
-    one per coordinate.
-
-    One call evaluates every probe that a probe-at-a-time search would try
-    next from the incumbent, up to two sweeps ahead: the rest of this
-    sweep; the next sweep's rows before the current one at the same step
-    (that sweep's later rows would repeat the probes this call rejects, so
-    it would end without a move); then the whole sweep at half the step.
-    The first improving probe in that order is the move, and the sweeps
-    and halvings it passes are counted; a call with no improvement passes
-    them all.  Each plan is cut at the sweep cap and where the half step
-    would fall below ``RESOLUTION``.  So the path, the end point and its
-    value are those of the probe-at-a-time search.
+    Each poll evaluates every move of ``_probe_table`` from the incumbent,
+    clipped to the box; a probe improves when it moves and beats the
+    incumbent by more than ``MIN_IMPROVEMENT``.  The descent moves to the
+    lowest improving probe (the first on ties) of the first block that has
+    one, whose multiple scales the step; a poll without one divides the step
+    by 8.  It stops when the largest step falls below ``RESOLUTION`` or after
+    ``MAX_POLLS`` polls, both read when ``descend`` is called.  ``fn`` must
+    broadcast over 1-D probe arrays, one per coordinate.
     """
     x = np.array(x0, dtype=float)
     val = fn(*x[:, None])[0]
     steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
-    top = float(steps.max())  # every step halves with the largest one
-    plans = _poll_plans(x.size)
-    n = len(plans)
-    sweep, k = 0, 0  # the sweep under way and its next row to poll
-    while sweep < MAX_SWEEPS:
-        rows, moves, sweeps = plans[k]
-        stop = len(rows) if top * 0.5 >= RESOLUTION else n  # the half-step sweep runs only above RESOLUTION
-        if sweep + sweeps[stop - 1] >= MAX_SWEEPS:
-            stop = bisect.bisect_left(sweeps, MAX_SWEEPS - sweep)
-        trials = np.minimum(np.maximum(x + steps * moves[:stop], lows), highs)
+    table = _probe_table(x.size)
+    block = len(table) // 4
+    for _ in range(MAX_POLLS):
+        trials = np.minimum(np.maximum(x + steps * table, lows), highs)
         values = fn(*trials.T)
-        better = ((trials != x).any(axis=1) & (values < val - MIN_IMPROVEMENT)).nonzero()[0]
-        if better.size:
-            first = better[0]
-            x, val = trials[first], values[first]
-            if first >= n:  # the move comes after a sweep without one
-                steps, top = steps * 0.5, top * 0.5
-            sweep, k = sweep + sweeps[first], rows[first] + 1
-            if k == n:
-                sweep, k = sweep + 1, 0
+        better = (trials != x).any(axis=1) & (values < val - MIN_IMPROVEMENT)
+        if better.any():
+            first = int(better.argmax()) // block
+            rows = slice(first * block, (first + 1) * block)
+            pick = rows.start + int(np.argmin(np.where(better[rows], values[rows], np.inf)))
+            x, val = trials[pick], values[pick]
+            steps = steps * (2.0, 1.0, 0.5, 0.25)[first]
         else:
-            # every sweep the call covers ends without a move, but the first if it moved earlier
-            covered = sweeps[stop - 1] + 1
-            scale = 0.5 ** (covered - (k > 0))
-            steps, top = steps * scale, top * scale
-            if top < RESOLUTION:
-                break
-            sweep, k = sweep + covered, 0
+            steps = steps * 0.125
+        if steps.max() < RESOLUTION:
+            break
     return x, val
 
 

@@ -257,19 +257,23 @@ class TestKh:
             params, value = minimize_kh(a, k, FAST)[2][0]
             assert value == k_h(QMatrixParams(*params), a, k)
 
-    def test_descent_that_hits_the_sweep_cap_follows_the_probe_at_a_time_path(self, monkeypatch):
-        descend, capped = gielab.optimize.descend, []
+    def test_descent_that_hit_the_old_sweep_cap_ends_on_its_resolution(self, monkeypatch):
+        # a probe-at-a-time Hooke-Jeeves search stopped here on a cap of 400 sweeps with f_min ~ 1.6e-9
+        descend, polls = gielab.optimize.descend, []
 
         def checked(fn, x0, lows, highs):
             x, value = descend(fn, x0, lows, highs)
-            x_ref, value_ref, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs)
+            x_ref, value_ref, count, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs)
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
-            capped.append(stopped_on_cap)
+            assert not stopped_on_cap
+            polls.append(count)
             return x, value
 
         monkeypatch.setattr(gielab.optimize, "descend", checked)
-        minimize_kh(1.7356584694880974, 0.41199196834939183, GridConfig(points=21))
-        assert capped == [True]  # the descent stops on the cap, not on its resolution
+        a, k = 1.7356584694880974, 0.41199196834939183
+        k_min, _, _ = minimize_kh(a, k, GridConfig(points=21))
+        assert polls[0] < 50  # far below MAX_POLLS
+        assert abs(0.5 * np.log(a * a / (a * a - k * k)) + 0.5 * np.log(k_min)) < 1e-14
 
     def test_limit_value_equals_rmax_form(self):
         # the dual-homodyne limit in its own form: r_max = (nu^2 - 1) / (nu^2 + 1)

@@ -74,45 +74,45 @@ class TestSearch:
 
 
 def probe_at_a_time_descend(fn, x0, lows, highs):
-    """Oracle: the Hooke-Jeeves descent that evaluates one probe per call.
+    """Oracle: the compass search of ``descend``, evaluating one probe per call.
 
-    Stops below ``optimize.RESOLUTION`` or after ``optimize.MAX_SWEEPS``
-    sweeps, both read at call time.  Returns its end, the value there and
-    whether the sweep cap stopped it.  Each probe is a 1-row array, so the
+    Polls the moves block by block (2, 1, 1/2 and 1/4 times the step) and
+    stops at the first block with an improving probe.  Stops below
+    ``optimize.RESOLUTION`` or after ``optimize.MAX_POLLS`` polls, both read
+    at call time.  Returns its end, the value there, the polls it ran and
+    whether the poll cap stopped it.  Each probe is a 1-row array, so the
     objective takes the array path that the batched descent takes.
     """
     x = np.array(x0, dtype=float)
     val = fn(*x[:, None])[0]
     steps = np.maximum((highs - lows) * 0.05, optimize.RESOLUTION)
-    directions = []
+    directions = [np.eye(x.size)[i] for i in range(x.size)]
     for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = 1.0
-        directions.append(e)
         for j in range(i + 1, x.size):
-            d = np.zeros(x.size)
-            d[i] = 1.0
-            d[j] = 1.0
-            directions.append(d / np.sqrt(2.0))
-            d = d.copy()
-            d[j] = -1.0
-            directions.append(d / np.sqrt(2.0))
-    for _ in range(optimize.MAX_SWEEPS):
-        improved = False
-        for direction in directions:
             for sign in (1.0, -1.0):
-                trial = np.clip(x + sign * steps * direction, lows, highs)
-                if np.array_equal(trial, x):
-                    continue
-                tval = fn(*trial[:, None])[0]
-                if tval < val - MIN_IMPROVEMENT:
-                    x, val = trial, tval
-                    improved = True
-        if not improved:
-            steps *= 0.5
-            if steps.max() < optimize.RESOLUTION:
-                return x, val, False
-    return x, val, True
+                d = np.zeros(x.size)
+                d[i], d[j] = 1.0, sign
+                directions.append(d / np.sqrt(2.0))
+    for poll in range(1, optimize.MAX_POLLS + 1):
+        best = None
+        for multiple in (2.0, 1.0, 0.5, 0.25):
+            for direction in directions:
+                for sign in (1.0, -1.0):
+                    trial = np.clip(x + steps * (multiple * sign * direction), lows, highs)
+                    if np.array_equal(trial, x):
+                        continue
+                    tval = fn(*trial[:, None])[0]
+                    if tval < val - MIN_IMPROVEMENT and (best is None or tval < best[1]):
+                        best = trial, tval
+            if best is not None:
+                x, val = best
+                steps = steps * multiple
+                break
+        else:
+            steps = steps / 8.0
+        if steps.max() < optimize.RESOLUTION:
+            return x, val, poll, False
+    return x, val, optimize.MAX_POLLS, True
 
 
 def box_objective(center, weights, coupling, well, cut):
@@ -172,21 +172,21 @@ class TestDescend:
     @settings(max_examples=80, deadline=None)
     @given(box_problems())
     @example(NEAR_HALFWAY_SQUARE)
-    def test_batched_polls_follow_the_probe_at_a_time_path(self, problem):
+    def test_complete_polls_follow_the_probe_at_a_time_path(self, problem):
         fn, x0, lows, highs = problem
         with mock.patch.object(optimize, "RESOLUTION", 1e-7):
             x, val = descend(fn, x0, lows, highs)
-            x_ref, val_ref, _ = probe_at_a_time_descend(fn, x0, lows, highs)
+            x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
 
     @settings(max_examples=80, deadline=None)
-    @given(box_problems(), st.integers(1, 60))
-    def test_the_sweep_cap_stops_both_searches_at_the_same_probe(self, problem, max_sweeps):
-        # a cap of 1-60 sweeps cuts most descents short, in every block of a poll
+    @given(box_problems(), st.integers(1, 12))
+    def test_the_poll_cap_stops_both_searches_at_the_same_point(self, problem, max_polls):
+        # a cap of 1-12 polls cuts most descents short
         fn, x0, lows, highs = problem
-        with mock.patch.object(optimize, "MAX_SWEEPS", max_sweeps), mock.patch.object(optimize, "RESOLUTION", 1e-7):
+        with mock.patch.object(optimize, "MAX_POLLS", max_polls), mock.patch.object(optimize, "RESOLUTION", 1e-7):
             x, val = descend(fn, x0, lows, highs)
-            x_ref, val_ref, _ = probe_at_a_time_descend(fn, x0, lows, highs)
+            x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
