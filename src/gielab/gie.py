@@ -252,7 +252,7 @@ def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
 
 
 def _cosh_sinh_v(a: float, k: float) -> tuple[float, float, float]:
-    nu_sq = a * a - k * k
+    nu_sq = (a - k) * (a + k)  # as make_family reads it
     if a < 1.0 or k < 0.0 or nu_sq < 1.0 - FAMILY_ATOL:
         raise InvalidInputError(f"need a >= 1, k >= 0 and a^2 - k^2 >= 1, got ({a}, {k})")
     nu = np.sqrt(max(nu_sq, 1.0))
@@ -395,7 +395,7 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAUL
     if pi.r_count == 0:  # a^2 - k^2 = 1 within purify's cutoff: pure state
         return _numeric_pure(fam, closed)
     k_min, optimum, trace = minimize_kh(a, k, grid_cfg)
-    i_h = 0.5 * np.log(a * a / (a * a - k * k))
+    i_h = 0.5 * np.log(a * a / ((a - k) * (a + k)))
     numeric = float(i_h + 0.5 * np.log(k_min))
     sqrt_ab_max = float(_sqrt_ab_of_q(pi, [params for params, _ in trace]).max())
     # the conditional-purity bound sqrt(a~ b~) <= a must hold on the trace

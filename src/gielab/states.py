@@ -180,10 +180,10 @@ def make_family(tag: str, **params) -> StateFamily:
         return StateFamily(tag="sym_glems", std=std)
     if tag == "sym_sq_thermal":
         a, k = float(params["a"]), float(params["k"])
-        if a < 1.0 or k < 0.0 or a * a - k * k < 1.0 - FAMILY_ATOL:
+        nu_sq = (a - k) * (a + k)  # a * a - k * k rounds off by eps a^2
+        if a < 1.0 or k < 0.0 or nu_sq < 1.0 - FAMILY_ATOL:
             raise InvalidFamilyParamsError(f"sym_sq_thermal needs a^2 - k^2 >= 1, got ({a}, {k})")
-        nu = float(np.sqrt((a - k) * (a + k)))
-        std = StdForm(a=a, b=a, kx=k, kp=k, nus=(nu, nu))
+        std = StdForm(a=a, b=a, kx=k, kp=k, nus=(float(np.sqrt(nu_sq)),) * 2)
         return StateFamily(tag="sym_sq_thermal", std=std)
     if tag == "asym_glems":
         a, b = float(params["a"]), float(params["b"])

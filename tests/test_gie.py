@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gielab.optimize
@@ -487,9 +488,23 @@ class TestLargeA:
 
     @settings(max_examples=25, deadline=None)
     @given(a=LARGE_A, w=st.floats(0.0, 1.0))
+    @example(a=3650.5, w=1.0)  # the rounded edge k has a^2 - k^2 = 1 - 1.86e-9
     def test_sym_sq_thermal(self, a, w):
-        # entangled for a - k < 1: k from a - 1 up to the pure edge sqrt(a^2 - 1)
-        _evaluates(make_family("sym_sq_thermal", a=a, k=(a - 1.0) + w * (math.sqrt(a * a - 1.0) - (a - 1.0))))
+        # entangled for a - k < 1: k from a - 1 up to the pure edge sqrt(a^2 - 1), which
+        # rounds outside the family for some a; step k down until exact arithmetic puts it inside
+        k = (a - 1.0) + w * (math.sqrt(a * a - 1.0) - (a - 1.0))
+        while Fraction(a) ** 2 - Fraction(k) ** 2 < 1:
+            k = math.nextafter(k, 0.0)
+        _evaluates(make_family("sym_sq_thermal", a=a, k=k))
+
+    def test_sym_sq_thermal_edge_inside_the_family_evaluates(self):
+        # a^2 - k^2 = 1 - 6.6e-11 exactly, inside FAMILY_ATOL; a * a - k * k rounds it to 1 - 1.2e-10
+        a, k = 814.4886973076107, 814.4880834253186
+        assert Fraction(a) ** 2 - Fraction(k) ** 2 > 1 - 1e-10
+        res = _evaluates(make_family("sym_sq_thermal", a=a, k=k))
+        assert res.verified and res.eve_optimum == "heterodyne"  # the pure-state path
+        k_min, _, _ = minimize_kh(a, k, FAST)  # the K_h search reads a^2 - k^2 the same way
+        assert abs(k_min - 1.0) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(a=LARGE_A, b=st.floats(1.0, 1e4))
