@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from gielab import verify
 from gielab.config import GridConfig
 from gielab.gie import gie_closed_form
+from gielab.information import gcmi_condition_g
 from gielab.states import make_family
 from gielab.verify import (
     check_candidate_ordering,
@@ -76,6 +78,12 @@ def test_criterion_3_candidate_ordering(acceptance_report):
 
 def test_criterion_4_gcmi_optimality(acceptance_report):
     acceptance_report(check_gcmi_optimality(FULL_GRID, n=1000))
+
+
+def test_criterion_4_reaches_forms_where_g_is_negative(monkeypatch):
+    # where G < 0 the closed form f_xx need not be the GCMI, so a G that admits those forms fails
+    monkeypatch.setattr(verify, "gcmi_condition_g", lambda *args: gcmi_condition_g(*args) + 10.0)
+    assert not check_gcmi_optimality(FULL_GRID, n=1000).passed
 
 
 def test_criterion_5_kh_machinery(acceptance_report):
