@@ -86,7 +86,7 @@ def probe_at_a_time_descend(fn, x0, lows, highs):
     x = np.array(x0, dtype=float)
     val = fn(*x[:, None])[0]
     steps = np.maximum((highs - lows) * 0.05, optimize.RESOLUTION)
-    directions = [np.eye(x.size)[i] for i in range(x.size)]
+    directions = list(np.eye(x.size))
     for i in range(x.size):
         for j in range(i + 1, x.size):
             for sign in (1.0, -1.0):
