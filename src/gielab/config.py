@@ -17,9 +17,8 @@ search reads it:
 - ``information.NATS_SLACK``;
 - ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_POLLS``, ``optimize.TIE_ATOL``
   and ``optimize.RESOLUTION``;
-- the search boxes ``gie.TAU_LOG_MAX``, ``gie.T_MAX`` (R = 1),
-  ``gie.LAMBDA_LOG_MIN``, ``gie.LAMBDA_LOG_MAX`` (K_h) and
-  ``information.SQUEEZE_MAX`` (GCMI);
+- the search boxes, in the search descriptions ``gie.SINGLE_MODE_SEARCH``
+  (R = 1) and ``gie.KH_SEARCH`` (K_h), and ``information.SQUEEZE_MAX`` (GCMI);
 - ``gie.SQRT_AB_SLACK``, ``gie.GATE_LOWER_BOUND`` and
   ``gie.VERIFIED_DOMAIN_BOUND``;
 - ``renyi2.TRIANGLE_SLACK``, ``renyi2.TRIANGLE_ULPS`` and

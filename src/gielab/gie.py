@@ -5,13 +5,12 @@ thermal states (a <= 2.41) and asymmetric squeezed-thermal GLEMS
 (sqrt(ab) <= 2.41).  Each family also has a deterministic Eve-side
 minimizer that fixes double x-homodyne on A and B, minimizes the outcome
 mutual information over Eve's Gaussian measurements, and reports the
-optimal measurement together with the optimizer trace.  Each minimizer
-hands ``gielab.optimize.search`` its family's objective (``information.f_xx``
-of ``measurement.seed_frame_schur`` at ``_single_mode_seed`` for R = 1, K_h for R = 2)
-and its exact limit candidates, rows of that objective in priority order,
-which name Eve's optimum.  Heterodyne is the row (0, 0, 0) in both; the
-R = 1 homodynes sit at t = inf, and the R = 2 dual homodyne at
-(phi, ln lambda1, ln lambda2) = (pi/2, inf, -inf).
+optimal measurement together with the optimizer trace.  Each minimizer is
+its family's objective (``information.f_xx`` of ``measurement.seed_frame_schur``
+at ``_single_mode_seed`` for R = 1, K_h for R = 2) handed to
+``gielab.optimize.search`` with one module-level ``SearchSpace``
+(``SINGLE_MODE_SEARCH``, ``KH_SEARCH``): box, pi-periodic phi, the exact
+limit candidates as rows of that objective and the label of Eve's optimum.
 
 The R = 1 minimizers report the x-homodyne value, which equals GIE where
 the GCMI gate G (``information.gcmi_condition_g``) is non-negative at Eve's
@@ -33,7 +32,7 @@ from .errors import DomainNotCoveredError, InvalidInputError
 from .information import f_xx, gcmi_condition_g
 from .measurement import condition_on_e  # noqa: F401  (perfbench/spans.py traces this name in gielab.gie)
 from .measurement import seed_frame_schur
-from .optimize import search
+from .optimize import SearchSpace, search
 from .purification import Purification, purify, purify_asym_glems
 from .states import FAMILY_ATOL, StateFamily, a_minus_kx, is_separable, make_family, std_form_cm, std_form_xx_det
 from .symplectic import PHYSICAL_ATOL, XXPP, rotation
@@ -41,10 +40,6 @@ from .symplectic import PHYSICAL_ATOL, XXPP, rotation
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
 SQRT_AB_SLACK = 1e-9  # allowed excess of sqrt(a~ b~) over a along a sym_sq_thermal trace
-TAU_LOG_MAX = 8.0  # R = 1 search box: ln(tau) of Eve's seed thermal noise in [0, TAU_LOG_MAX]
-T_MAX = 8.0  # R = 1 search box: seed squeezing t in [0, T_MAX]
-LAMBDA_LOG_MIN = -12.0  # K_h search box: ln(lambda1), ln(lambda2) in [LAMBDA_LOG_MIN, LAMBDA_LOG_MAX]
-LAMBDA_LOG_MAX = 24.0
 _CM_UPPER = np.triu_indices(4)  # the ten entries of a 4x4 CM; built once, since per call it costs a sixth of a gate call
 
 
@@ -158,17 +153,13 @@ def _conditional_cms(pi: Purification, phi, s) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_SINGLE_MODE_CANDIDATES = (
-    # name, search row (phi, ln tau, t) in priority order; t = inf is an exact homodyne limit
-    ("heterodyne", (0.0, 0.0, 0.0)),
-    ("homodyne p_E", (0.0, 0.0, np.inf)),
-    ("homodyne x_E", (np.pi / 2.0, 0.0, np.inf)),
+SINGLE_MODE_SEARCH = SearchSpace(  # Eve's seed R(phi) diag(tau e^{2t}, tau e^{-2t}) R(phi)^T as (phi, ln tau, t)
+    names=("phi", "tau", "t"), lows=(0.0, 0.0, 0.0), highs=(np.pi, 8.0, 8.0), periods=(np.pi, None, None), logs=(1,),
+    # in priority order; t = inf is an exact homodyne limit
+    candidates=(("heterodyne", (0.0, 0.0, 0.0)), ("homodyne p_E", (0.0, 0.0, np.inf)),
+                ("homodyne x_E", (np.pi / 2.0, 0.0, np.inf))),
+    label="general",
 )
-
-
-def _single_mode_params(x) -> tuple:
-    """Reported (phi, tau, t) of a search row (phi, ln tau, t)."""
-    return float(x[0]) % np.pi, float(np.exp(x[1])), float(x[2])
 
 
 def _single_mode_seed(tau, t) -> tuple:
@@ -190,18 +181,7 @@ def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
     def objective(phi, log_tau, t):
         return f_xx(*schur(phi, _single_mode_seed(np.exp(log_tau), t)))
 
-    n = grid_cfg.points
-    axes = (
-        np.linspace(0.0, np.pi, n, endpoint=False),
-        np.linspace(0.0, TAU_LOG_MAX, n),
-        np.linspace(0.0, T_MAX, n),
-    )
-    highs = np.array([np.pi, TAU_LOG_MAX, T_MAX])
-    best_val, optimum, best, trace = search(
-        objective, axes, np.zeros(3), highs, _single_mode_params, _SINGLE_MODE_CANDIDATES
-    )
-    if optimum is None:
-        optimum = f"general(phi={best[0]:.6g}, tau={best[1]:.6g}, t={best[2]:.6g})"
+    best_val, optimum, trace = search(objective, SINGLE_MODE_SEARCH, grid_cfg.points)
     return float(best_val), optimum, trace
 
 
@@ -241,7 +221,7 @@ def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GR
 def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
     g = std_form_cm(fam.std).mat  # a pure state's gamma_AB; there is no E to measure
     value = float(f_xx(g[0, 0], g[2, 2], g[0, 2]))
-    trace = [(_single_mode_params(row), value) for _, row in _SINGLE_MODE_CANDIDATES]
+    trace = [(SINGLE_MODE_SEARCH.params(row), value) for _, row in SINGLE_MODE_SEARCH.candidates]
     # every measurement ties; the first in priority order names the optimum
     return _judged(fam, closed, value, "heterodyne", trace)
 
@@ -333,42 +313,29 @@ def k_h_determinant(q: QMatrixParams, a: float, k: float) -> float:
     return float(det(seed + x_a) * det(seed + x_b) / (det(seed + x_ab) * det(seed + gamma_e)))
 
 
-_KH_CANDIDATES = (
-    # name, search row (phi, ln lambda1, ln lambda2) in priority order; ln lambda1 = inf is the dual-homodyne limit
-    ("homodyne x_EA p_EB", (np.pi / 2.0, np.inf, -np.inf)),
-    ("heterodyne", (0.0, 0.0, 0.0)),
+KH_SEARCH = SearchSpace(  # Eve's Q = R(phi) diag(lambda1, lambda2) R(phi)^T as (phi, ln lambda1, ln lambda2)
+    names=("phi", "lambda1", "lambda2"), lows=(0.0, -12.0, -12.0), highs=(np.pi, 24.0, 24.0),
+    periods=(np.pi, None, None), logs=(1, 2),
+    # in priority order; ln lambda1 = inf is the dual-homodyne limit
+    candidates=(("homodyne x_EA p_EB", (np.pi / 2.0, np.inf, -np.inf)), ("heterodyne", (0.0, 0.0, 0.0))),
+    label="Q",
 )
-
-
-def _kh_params(x) -> tuple:
-    """Reported (phi, lambda1, lambda2) of a search row (phi, ln lambda1, ln lambda2)."""
-    return float(x[0]) % np.pi, float(np.exp(x[1])), float(np.exp(x[2]))
 
 
 def minimize_kh(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID):
     """Deterministic minimization of K_h over Eve's reduced parameters.
 
-    Searches (phi, ln lambda1, ln lambda2) and the rows ``_KH_CANDIDATES``
-    of the same objective with ``gielab.optimize.search``.  Returns
-    ``(k_min, optimum, trace)``; optimum is the label of the named
-    candidate or ``Q(...)`` with the descent end's (phi, lambda1, lambda2).
+    Runs ``gielab.optimize.search`` on ``KH_SEARCH``.  Returns ``(k_min,
+    optimum, trace)``; optimum is the label of the named candidate or
+    ``Q(phi=..., lambda1=..., lambda2=...)`` at the descent end.
     """
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
 
     def objective(phi, log_l1, log_l2):
         l1, l2 = np.exp(log_l1), np.exp(log_l2)
-        return np.where(l2 > l1, np.inf, _k_h_scaled(phi % np.pi, l1, l2, a, k, cosh_v, sinh_v)[0])
+        return np.where(l2 > l1, np.inf, _k_h_scaled(phi, l1, l2, a, k, cosh_v, sinh_v)[0])
 
-    n = grid_cfg.points
-    logs = np.linspace(LAMBDA_LOG_MIN, LAMBDA_LOG_MAX, n)
-    k_min, optimum, best, trace = search(
-        objective, (np.linspace(0.0, np.pi, n, endpoint=False), logs, logs),
-        np.array([0.0, LAMBDA_LOG_MIN, LAMBDA_LOG_MIN]),
-        np.array([np.pi, LAMBDA_LOG_MAX, LAMBDA_LOG_MAX]),
-        _kh_params, _KH_CANDIDATES,
-    )
-    if optimum is None:
-        optimum = f"Q(phi={best[0]:.6g}, lambda1={best[1]:.6g}, lambda2={best[2]:.6g})"
+    k_min, optimum, trace = search(objective, KH_SEARCH, grid_cfg.points)
     return float(k_min), optimum, trace
 
 

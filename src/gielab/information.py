@@ -126,7 +126,7 @@ def gcmi_numeric(cond: StdForm, points: int) -> float:
     objective = partial(u_function, cond)
     best, best_val = grid_argmin(objective, (rs, rs))
     if np.isfinite(best).all():
-        best, best_val = descend(objective, best, np.zeros(2), np.full(2, SQUEEZE_MAX))
+        best, best_val = descend(objective, best, np.zeros(2), np.full(2, SQUEEZE_MAX), (None, None))
     if best_val <= 0.0:
         raise NumericalDegeneracyError(f"u minimum degenerate: {best_val}")
     return _check_nats(-0.5 * np.log(best_val), "GCMI")

@@ -1,7 +1,8 @@
 """The deterministic Eve-side search shared by every family.
 
-``search`` runs a grid stage (``grid_argmin``), a compass search
-(``descend``) from the best grid point and then the caller's exact
+``search`` reads one ``SearchSpace`` per parametrization of Eve's
+measurements and runs a grid stage (``grid_argmin``), a compass search
+(``descend``) from the best grid point and then the space's exact
 candidates, rows of the same objective; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
 rule (``TIE_ATOL``).
@@ -10,6 +11,7 @@ rule (``TIE_ATOL``).
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +19,33 @@ MIN_IMPROVEMENT = 1e-15  # a probe must beat the incumbent by more than this to 
 MAX_POLLS = 400  # the descent stops after this many polls even above its resolution
 RESOLUTION = 1e-8  # the step below which every search in gielab stops descending
 TIE_ATOL = 1e-12  # a candidate this close to the best value names the optimum
+
+
+@dataclass(frozen=True)
+class SearchSpace:
+    """One parametrization of Eve's measurements: all that ``search`` reads of it.
+
+    Per coordinate a reported name, a box [low, high] and a period (None:
+    clipped to the box; a periodic coordinate spans [0, period), its grid
+    omits the endpoint and the descent wraps it).  ``logs`` index the
+    coordinates searched as logarithms, ``candidates`` are the exact
+    ``(label, row)`` pairs in priority order (a row may lie outside the box;
+    an infinite coordinate is an exact limit) and ``label(name=value, ...)``
+    names a general optimum.
+    """
+
+    names: tuple
+    lows: tuple
+    highs: tuple
+    periods: tuple
+    logs: tuple
+    candidates: tuple
+    label: str
+
+    def params(self, x) -> tuple:
+        """Reported parameters of a search row: periodic coordinates reduced, logarithms exponentiated."""
+        return tuple(float(np.exp(v)) if i in self.logs else float(v) if period is None else float(v) % period
+                     for i, (v, period) in enumerate(zip(x, self.periods)))
 
 
 def grid_argmin(fn, axes):
@@ -49,21 +78,25 @@ def _probe_table(dim):
     return table
 
 
-def descend(fn, x0, lows, highs):
+def descend(fn, x0, lows, highs, periods):
     """Deterministic compass search within a box, one complete poll per call of ``fn``.
 
     Each poll evaluates every move of ``_probe_table`` from the incumbent,
-    clipped to the box; a probe improves when it moves and beats the
-    incumbent by more than ``MIN_IMPROVEMENT``.  The descent moves to the
-    lowest improving probe (the first on ties) of the first block that has
-    one, whose multiple scales the step; a poll without one divides the step
-    by 8.  It stops when the largest step falls below ``RESOLUTION`` or after
-    ``MAX_POLLS`` polls, both read when ``descend`` is called.  ``fn`` must
-    broadcast over 1-D probe arrays, one per coordinate.
+    clipped to the box except on a coordinate with a ``periods`` entry, in
+    which ``fn`` must be periodic; the first step is 5% of the box.  The
+    descent takes the lowest probe that moves and beats the incumbent by
+    more than ``MIN_IMPROVEMENT`` (the first on ties) in the first block
+    with one, wrapped into [0, period), and scales the step by that block's
+    multiple; a poll without one divides the step by 8.  It stops below
+    ``RESOLUTION`` or after ``MAX_POLLS`` polls, both read at call time.
+    ``fn`` must broadcast over 1-D probe arrays, one per coordinate.
     """
     x = np.array(x0, dtype=float)
     val = fn(*x[:, None])[0]
     steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
+    cycle = np.array([np.inf if period is None else period for period in periods])
+    wraps = cycle < np.inf
+    lows, highs = np.where(wraps, -np.inf, lows), np.where(wraps, np.inf, highs)
     table = _probe_table(x.size)
     block = len(table) // 4
     for _ in range(MAX_POLLS):
@@ -75,6 +108,7 @@ def descend(fn, x0, lows, highs):
             rows = slice(first * block, (first + 1) * block)
             pick = rows.start + int(np.argmin(np.where(better[rows], values[rows], np.inf)))
             x, val = trials[pick], values[pick]
+            np.remainder(x, cycle, out=x, where=wraps)
             steps = steps * (2.0, 1.0, 0.5, 0.25)[first]
         else:
             steps = steps * 0.125
@@ -83,28 +117,27 @@ def descend(fn, x0, lows, highs):
     return x, val
 
 
-def search(fn, axes, lows, highs, to_params, candidates):
-    """Minimize ``fn`` on the mesh of ``axes``, then descend on it in [lows, highs].
+def search(fn, space, points):
+    """Minimize ``fn`` on the grid of ``space``, ``points`` per coordinate, descend, then try its candidates.
 
     ``fn`` takes one array per coordinate and broadcasts over them (the grid
-    passes meshes, the descent and the candidates 1-D arrays), ``to_params``
-    maps a search point to reported parameters and ``candidates`` are
-    ``(label, row)`` in priority order: points of the same search space,
-    which may lie outside the box (an infinite coordinate is an exact limit),
-    all evaluated in one call.  Returns ``(best_value, label, best_params,
-    trace)``: the least of the descent end and the candidates; the first
-    candidate within ``TIE_ATOL`` of it with its params, or None with the
-    descent end; and ``(params, value)`` of the grid best, the descent end
-    and every candidate.
+    passes meshes, the descent and the candidates 1-D arrays, all candidates
+    in one call).  Returns ``(best_value, label, trace)``: the least of the
+    descent end and the candidates; the first candidate within ``TIE_ATOL``
+    of it, else ``space.label`` with the descent end's parameters; and
+    ``(space.params(row), value)`` of the grid best, the descent end and
+    every candidate.
     """
+    lows, highs = np.array(space.lows), np.array(space.highs)
+    axes = [np.linspace(lo, hi, points, endpoint=period is None) for lo, hi, period in zip(lows, highs, space.periods)]
     coarse, coarse_val = grid_argmin(fn, axes)
-    refined, refined_val = descend(fn, coarse, lows, highs)
-    refined_params = to_params(refined)
-    trace = [(to_params(coarse), coarse_val), (refined_params, float(refined_val))]
-    rows = np.array([row for _, row in candidates], dtype=float).reshape(len(candidates), len(lows))
-    trace += [(to_params(row), float(value)) for row, value in zip(rows, fn(*rows.T))]
+    refined, refined_val = descend(fn, coarse, lows, highs, space.periods)
+    trace = [(space.params(coarse), coarse_val), (space.params(refined), float(refined_val))]
+    rows = np.array([row for _, row in space.candidates], dtype=float).reshape(len(space.candidates), len(lows))
+    trace += [(space.params(row), float(value)) for row, value in zip(rows, fn(*rows.T))]
     best_val = min(value for _, value in trace[1:])
-    for (label, _), (params, value) in zip(candidates, trace[2:]):
+    for (label, _), (_, value) in zip(space.candidates, trace[2:]):
         if value <= best_val + TIE_ATOL:
-            return best_val, label, params, trace
-    return best_val, None, refined_params, trace
+            return best_val, label, trace
+    end = ", ".join(f"{name}={value:.6g}" for name, value in zip(space.names, trace[1][0]))
+    return best_val, f"{space.label}({end})", trace

@@ -14,6 +14,7 @@ from gielab.gie import (
     QMatrixParams,
     _conditional_cms,
     _gcmi_gate,
+    _minimize_f_single_mode,
     _single_mode_seed,
     _spectral_seed,
     _sqrt_ab_of_q,
@@ -32,7 +33,7 @@ from gielab.measurement import FiniteMeasurement, condition_on_e, general_single
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.renyi2 import gr2_of_family
 from gielab.states import StdForm, classify, make_family
-from gielab.symplectic import CovMat
+from gielab.symplectic import CovMat, rotation
 from gielab.verify import MINMAX_ATOL
 from oracles import std_form_params
 from tests.test_optimize import probe_at_a_time_descend
@@ -262,9 +263,9 @@ class TestKh:
         # a probe-at-a-time Hooke-Jeeves search stopped here on a cap of 400 sweeps with f_min ~ 1.6e-9
         descend, polls = gielab.optimize.descend, []
 
-        def checked(fn, x0, lows, highs):
-            x, value = descend(fn, x0, lows, highs)
-            x_ref, value_ref, count, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs)
+        def checked(fn, x0, lows, highs, periods):
+            x, value = descend(fn, x0, lows, highs, periods)
+            x_ref, value_ref, count, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs, periods)
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
             assert not stopped_on_cap
             polls.append(count)
@@ -365,6 +366,38 @@ class TestQFrameGate:
         skewed = Purification(pi.gamma_ab, pi.gamma_abe @ squeeze, squeeze @ pi.gamma_e @ squeeze, 2)
         with pytest.raises(InvalidInputError):
             _sqrt_ab_of_q(skewed, [(0.0, 1.0, 1.0)])
+
+
+# R = 1 points of both families; the first is the reproducer of the clipped angle
+FRAME_POINTS = (
+    ("sym_glems", {"a": 4.439548394722282, "kp": 2.4752861923197846}),
+    ("sym_glems", {"a": 1.5, "kp": 0.5}),
+    ("sym_glems", {"a": 2.5, "kp": 1.8}),
+    ("sym_glems", {"a": 6.0, "kp": 4.0}),
+    ("asym_glems", {"a": 1.8, "b": 1.2}),
+    ("asym_glems", {"a": 1.3, "b": 3.0}),
+)
+
+
+class TestEveFrame:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FRAME_POINTS), st.floats(0.0, np.pi, exclude_max=True), st.sampled_from((13, 21, 33)))
+    @example(FRAME_POINTS[0], 1.6504492800213837, 13)  # 2.80e-2 when the descent clipped phi to [0, pi]
+    def test_the_optimum_does_not_depend_on_eves_frame(self, point, theta, points):
+        """Purifications differ by a unitary on E, so the R = 1 minimum must not
+        depend on the frame of Eve's mode: turned by theta, it still meets the
+        closed form.  The label is not asserted.  In a turned frame the
+        homodyne optimum lies at some phi and t = inf, which no exact
+        candidate covers, so it is named ``general(phi=..., tau=1, t=8)``,
+        the descent end at the squeezing bound, until the search has an
+        exact homodyne face at every angle.
+        """
+        tag, params = point
+        fam = make_family(tag, **params)
+        pi = purify(fam.std) if tag == "sym_glems" else purify_asym_glems(fam)
+        turned = Purification(pi.gamma_ab, pi.gamma_abe @ rotation(theta), pi.gamma_e, pi.r_count)
+        numeric, _, _ = _minimize_f_single_mode(turned, GridConfig(points=points))
+        assert abs(numeric - gie_closed_form(fam)) <= MINMAX_ATOL
 
 
 class TestDomainCorners:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
-from gielab.gie import T_MAX, TAU_LOG_MAX, _single_mode_seed
+from gielab.gie import SINGLE_MODE_SEARCH, _single_mode_seed
 from gielab.information import f_xx
 from gielab.measurement import (
     FiniteMeasurement,
@@ -16,6 +16,8 @@ from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.states import make_family
 from gielab.symplectic import CovMat, symplectic_eigenvalues
 from oracles import Ccm, assemble_ccm
+
+_, TAU_LOG_MAX, T_MAX = SINGLE_MODE_SEARCH.highs  # the R = 1 box edges: ln(tau) and t
 
 
 def _pi(tag, **params):

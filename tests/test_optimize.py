@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -5,19 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gielab import optimize
-from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, descend, grid_argmin, search
+from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, SearchSpace, descend, grid_argmin, search
 
-AXES = (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
-LOWS, HIGHS = np.zeros(2), np.ones(2)
+# the unit square, 11 grid points per coordinate
+TOY = SearchSpace(
+    names=("x", "y"), lows=(0.0, 0.0), highs=(1.0, 1.0), periods=(None, None), logs=(), candidates=(), label="toy"
+)
+POINTS = 11
 
 
 def bowl(x, y):
     """Off-grid minimum 0 at (0.33, 0.61); broadcasts over meshes."""
     return (x - 0.33) ** 2 + (y - 0.61) ** 2
-
-
-def to_params(x):
-    return (float(x[0]), float(x[1]))
 
 
 def with_rows_beyond_5(x, y):
@@ -27,61 +27,122 @@ def with_rows_beyond_5(x, y):
 
 
 def run(candidates, fn=with_rows_beyond_5):
-    return search(fn, AXES, LOWS, HIGHS, to_params, candidates)
+    return search(fn, dataclasses.replace(TOY, candidates=tuple(candidates)), POINTS)
 
 
 def descent_end():
-    value, label, params, _ = run([])
-    assert label is None
-    return value, params
+    value, _, trace = run([])
+    return value, trace[1][0]
 
 
 class TestSearch:
     def test_candidate_within_tie_above_the_descent_is_named(self):
         low, _ = descent_end()
-        value, label, params, _ = run([("exact", (5.0, low + 0.5 * TIE_ATOL))])
+        value, label, trace = run([("exact", (5.0, low + 0.5 * TIE_ATOL))])
         assert label == "exact"
-        assert params == (5.0, low + 0.5 * TIE_ATOL)
+        assert trace[2][0] == (5.0, low + 0.5 * TIE_ATOL)
         assert value == low  # the value is the minimum, not the named candidate's
 
     def test_earlier_candidate_wins_a_tie(self):
         first, second = ("first", (5.0, -1.0)), ("second", (6.0, -1.0))
-        assert run([first, second])[1:3] == ("first", (5.0, -1.0))
-        assert run([second, first])[1:3] == ("second", (6.0, -1.0))
+        assert run([first, second])[1] == "first"
+        assert run([second, first])[1] == "second"
         # a later candidate lower by less than TIE_ATOL does not displace it
-        value, label, _, _ = run([("first", (5.0, -1.0 + 0.5 * TIE_ATOL)), second])
+        value, label, _ = run([("first", (5.0, -1.0 + 0.5 * TIE_ATOL)), second])
         assert (value, label) == (-1.0, "first")
 
     def test_no_candidate_within_tie_names_the_descent_end(self):
         low, end = descent_end()
-        value, label, params, trace = run([("far", (5.0, low + 1e3 * TIE_ATOL))])
-        assert label is None
-        assert params == end == trace[1][0]
+        value, label, trace = run([("far", (5.0, low + 1e3 * TIE_ATOL))])
+        assert label == f"toy(x={end[0]:.6g}, y={end[1]:.6g})"
+        assert trace[1][0] == end
         assert value == low
+
+    def test_general_label_formats_each_reported_coordinate(self):
+        space = SearchSpace(
+            names=("phi", "tau", "t"), lows=(0.0, 0.0, 0.0), highs=(np.pi, 2.0, 3.0), periods=(np.pi, None, None),
+            logs=(1,), candidates=(), label="general",
+        )
+
+        def fn(phi, log_tau, t):
+            return np.sin(phi - 0.3) ** 2 + (log_tau - 0.7) ** 2 + (t - 1.1) ** 2  # pi-periodic in phi
+
+        _, label, trace = search(fn, space, 9)
+        phi, tau, t = trace[1][0]
+        assert abs(phi - 0.3) < 1e-6 and abs(tau - np.exp(0.7)) < 1e-6 and abs(t - 1.1) < 1e-6
+        assert label == f"general(phi={phi:.6g}, tau={tau:.6g}, t={t:.6g})"
+
+    def test_empty_candidates(self):
+        value, label, trace = run([])
+        assert len(trace) == 2
+        assert value == trace[1][1]
+        assert label.startswith("toy(")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.just(5.0), st.floats(-1.0, 2.0)), st.floats(-2.0, 8.0)), max_size=4))
+    def test_the_label_is_always_a_string(self, rows):
+        # rows at x = 5 evaluate to y; the others evaluate the bowl, inside the box or not
+        candidates = [(f"c{i}", row) for i, row in enumerate(rows)]
+        _, label, trace = run(candidates)
+        assert isinstance(label, str)
+        assert label in {name for name, _ in candidates} or label.startswith("toy(x=")
+        assert [params for params, _ in trace[2:]] == rows
 
     def test_trace_is_grid_best_then_descent_end_then_candidates(self):
         candidates = [("a", (5.0, 2.0)), ("b", (0.7, 0.1))]
-        _, _, _, trace = run(candidates)
-        grid_best, grid_val = grid_argmin(bowl, AXES)
-        end, end_val = descend(bowl, grid_best, LOWS, HIGHS)
+        _, _, trace = run(candidates)
+        grid_best, grid_val = grid_argmin(bowl, (np.linspace(0.0, 1.0, POINTS),) * 2)
+        end, end_val = descend(bowl, grid_best, np.zeros(2), np.ones(2), (None, None))
         assert not np.array_equal(grid_best, end)  # the off-grid minimum moves the descent
         assert trace == [
-            (to_params(grid_best), grid_val),
-            (to_params(end), float(end_val)),
-            ((5.0, 2.0), 2.0),
+            (TOY.params(grid_best), grid_val),
+            (TOY.params(end), float(end_val)),
+            ((5.0, 2.0), 2.0),  # a row outside the box is evaluated as it stands
             ((0.7, 0.1), float(bowl(0.7, 0.1))),  # rows inside the box evaluate the objective
         ]
 
+    def test_params_reduce_periodic_coordinates_and_exponentiate_logarithms(self):
+        space = dataclasses.replace(TOY, periods=(np.pi, None), logs=(1,))
+        assert space.params((np.pi / 2.0, 0.0)) == (np.pi / 2.0, 1.0)
+        assert space.params((0.0, np.inf)) == (0.0, np.inf)
+        assert space.params((0.0, -np.inf)) == (0.0, 0.0)
 
-def probe_at_a_time_descend(fn, x0, lows, highs):
+
+def seam_bowl(phi, y):
+    """pi-periodic in phi, minimum 0 at phi = -0.02 = pi - 0.02 (mod pi) and y = 0.5."""
+    return np.sin(phi + 0.02) ** 2 + (y - 0.5) ** 2
+
+
+class TestPeriodicSeam:
+    SPACE = dataclasses.replace(TOY, names=("phi", "y"), highs=(np.pi, 1.0), periods=(np.pi, None), label="general")
+
+    def test_the_descent_wraps_across_the_seam(self):
+        # clipped to [0, pi], this descent stops on the phi = 0 face
+        x, value = descend(seam_bowl, (0.05, 0.5), np.zeros(2), np.array([np.pi, 1.0]), (np.pi, None))
+        assert abs(x[0] - (np.pi - 0.02)) < 1e-6
+        assert value < 1e-12
+
+    def test_the_trace_reports_the_angle_modulo_its_period(self):
+        # a one-point grid starts the descent on phi = 0, the other side of the seam
+        _, label, trace = search(seam_bowl, self.SPACE, 1)
+        (phi, y), value = trace[1]
+        assert 0.0 <= phi < np.pi and abs(phi - (np.pi - 0.02)) < 1e-6 and abs(y - 0.5) < 1e-6
+        assert value < 1e-12
+        assert label == f"general(phi={phi:.6g}, y={y:.6g})"
+
+
+def probe_at_a_time_descend(fn, x0, lows, highs, periods):
     """Oracle: the compass search of ``descend``, evaluating one probe per call.
 
     Polls the moves block by block (2, 1, 1/2 and 1/4 times the step) and
-    stops at the first block with an improving probe.  Stops below
-    ``optimize.RESOLUTION`` or after ``optimize.MAX_POLLS`` polls, both read
-    at call time.  Returns its end, the value there, the polls it ran and
-    whether the poll cap stopped it.  Each probe is a 1-row array, so the
-    objective takes the array path that the batched descent takes.
+    stops at the first block with an improving probe.  A probe is not
+    clipped on a coordinate with a period, whose step is 5% of the period
+    as of any box, and the probe the search moves to is reduced modulo
+    it.  Stops below ``optimize.RESOLUTION`` or after
+    ``optimize.MAX_POLLS`` polls, both read at call time.  Returns its end,
+    the value there, the polls it ran and whether the poll cap stopped it.
+    Each probe is a 1-row array, so the objective takes the array path that
+    the batched descent takes.
     """
     x = np.array(x0, dtype=float)
     val = fn(*x[:, None])[0]
@@ -98,14 +159,16 @@ def probe_at_a_time_descend(fn, x0, lows, highs):
         for multiple in (2.0, 1.0, 0.5, 0.25):
             for direction in directions:
                 for sign in (1.0, -1.0):
-                    trial = np.clip(x + steps * (multiple * sign * direction), lows, highs)
+                    raw = x + steps * (multiple * sign * direction)
+                    clipped = np.clip(raw, lows, highs)
+                    trial = np.array([c if p is None else r for r, c, p in zip(raw, clipped, periods)])
                     if np.array_equal(trial, x):
                         continue
                     tval = fn(*trial[:, None])[0]
                     if tval < val - MIN_IMPROVEMENT and (best is None or tval < best[1]):
                         best = trial, tval
             if best is not None:
-                x, val = best
+                x, val = np.array([v if p is None else v % p for v, p in zip(best[0], periods)]), best[1]
                 steps = steps * multiple
                 break
         else:
@@ -115,8 +178,11 @@ def probe_at_a_time_descend(fn, x0, lows, highs):
     return x, val, optimize.MAX_POLLS, True
 
 
-def box_objective(center, weights, coupling, well, cut):
+def box_objective(center, weights, coupling, well, cut, periods):
     """A polynomial in one argument per coordinate, masked to inf where ``x0 + x1 > cut``.
+
+    A coordinate with a period enters reduced modulo it, so the objective is
+    periodic in it, as ``descend`` requires.
 
     Squares are written as products: ``x * x`` is correctly rounded for a
     Python float and an array element alike, while ``x ** 2`` on a scalar
@@ -125,6 +191,7 @@ def box_objective(center, weights, coupling, well, cut):
     """
 
     def fn(*xs):
+        xs = [x if p is None else x % p for x, p in zip(xs, periods)]
         shifted = xs[0] * xs[0] - 1.0
         value = well * shifted * shifted + coupling * (xs[0] - center[0]) * (xs[1] - center[1])
         for x, c, w in zip(xs, center, weights):
@@ -138,16 +205,22 @@ def box_objective(center, weights, coupling, well, cut):
 
 @st.composite
 def box_problems(draw):
-    """A polynomial objective on a 2-D or 3-D box, its start and an optional inf region.
+    """A polynomial objective on a 2-D or 3-D box, its start, its periods and an optional inf region.
 
-    The minimum may lie outside the box (probes get clipped), the start may
-    sit on a box face, and ``x0 + x1 > cut`` may be masked to inf as the
-    K_h objective masks lambda2 > lambda1.
+    The minimum may lie outside the box (probes get clipped, except on a
+    periodic coordinate, whose box is [0, period)), the start may sit on a
+    box face, and ``x0 + x1 > cut`` may be masked to inf as the K_h
+    objective masks lambda2 > lambda1.
     """
     dim = draw(st.sampled_from((2, 3)))
     coord = st.floats(-2.0, 2.0, allow_nan=False)
     lows = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
     highs = lows + np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=dim, max_size=dim)))
+    periods = [None] * dim
+    periodic = draw(st.one_of(st.none(), st.integers(0, dim - 1)))
+    if periodic is not None:
+        periods[periodic] = draw(st.one_of(st.just(np.pi), st.floats(0.5, 3.0)))
+        lows[periodic], highs[periodic] = 0.0, periods[periodic]
     center = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim)))
     weights = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim)))
     coupling = draw(st.floats(-0.9, 0.9))
@@ -155,16 +228,19 @@ def box_problems(draw):
     cut = draw(st.one_of(st.none(), st.floats(-2.0, 3.0)))
     where = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=dim, max_size=dim))
     x0 = np.array([lo + f * (hi - lo) for lo, hi, f in zip(lows, highs, where)])
-    return box_objective(center, weights, coupling, well, cut), x0, lows, highs
+    if periodic is not None:
+        x0[periodic] %= periods[periodic]
+    return box_objective(center, weights, coupling, well, cut, periods), x0, lows, highs, tuple(periods)
 
 
 # (x0 - c)**2 at the start x0 = -0.41528..., c = -3.59835... is a near-halfway
 # square that libm's pow rounds up and x * x rounds down
 NEAR_HALFWAY_SQUARE = (
-    box_objective(np.array([-3.5983500045072674, 0.0]), np.ones(2), 0.0, 0.0, None),
+    box_objective(np.array([-3.5983500045072674, 0.0]), np.ones(2), 0.0, 0.0, None, (None, None)),
     np.array([-0.4152858782814799, 0.0]),
     np.array([-0.4152858782814799, 0.0]),
     np.array([0.5847141217185201, 1.0]),
+    (None, None),
 )
 
 
@@ -173,10 +249,10 @@ class TestDescend:
     @given(box_problems())
     @example(NEAR_HALFWAY_SQUARE)
     def test_complete_polls_follow_the_probe_at_a_time_path(self, problem):
-        fn, x0, lows, highs = problem
+        fn, x0, lows, highs, periods = problem
         with mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(fn, x0, lows, highs)
-            x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs)
+            x, val = descend(fn, x0, lows, highs, periods)
+            x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
 
@@ -184,9 +260,9 @@ class TestDescend:
     @given(box_problems(), st.integers(1, 12))
     def test_the_poll_cap_stops_both_searches_at_the_same_point(self, problem, max_polls):
         # a cap of 1-12 polls cuts most descents short
-        fn, x0, lows, highs = problem
+        fn, x0, lows, highs, periods = problem
         with mock.patch.object(optimize, "MAX_POLLS", max_polls), mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(fn, x0, lows, highs)
-            x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs)
+            x, val = descend(fn, x0, lows, highs, periods)
+            x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
