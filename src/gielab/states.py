@@ -173,8 +173,9 @@ def make_family(tag: str, **params) -> StateFamily:
         a, kp = float(params["a"]), float(params["kp"])
         if a < 1.0 or kp < 0.0:
             raise InvalidFamilyParamsError(f"sym_glems needs a >= 1 and kp >= 0, got ({a}, {kp})")
-        if a * a - kp * kp < 1.0 - FAMILY_ATOL:
-            raise InvalidFamilyParamsError(f"sym_glems needs a^2 - kp^2 >= 1, got {a * a - kp * kp}")
+        nu_sq = (a - kp) * (a + kp)  # a * a - kp * kp rounds off by eps a^2
+        if nu_sq < 1.0 - FAMILY_ATOL:
+            raise InvalidFamilyParamsError(f"sym_glems needs a^2 - kp^2 >= 1, got {nu_sq}")
         kx = a - 1.0 / (a + kp)
         std = StdForm(a=a, b=a, kx=kx, kp=kp, nus=(float(np.sqrt((a + kx) * (a - kp))), 1.0))
         return StateFamily(tag="sym_glems", std=std)

@@ -539,6 +539,13 @@ class TestLargeA:
         k_min, _, _ = minimize_kh(a, k, FAST)  # the K_h search reads a^2 - k^2 the same way
         assert abs(k_min - 1.0) < 1e-12
 
+    def test_sym_glems_edge_inside_the_family_evaluates(self):
+        # a^2 - kp^2 = 1 - 4.2e-11 exactly, inside FAMILY_ATOL; a * a - kp * kp rounds it to 1 - 1.2e-10
+        a, kp = 838.6599231169192, 838.6593269274938
+        assert Fraction(a) ** 2 - Fraction(kp) ** 2 > 1 - 1e-10
+        res = _evaluates(make_family("sym_glems", a=a, kp=kp))
+        assert res.verified and res.eve_optimum == "heterodyne"  # the pure-state path
+
     @settings(max_examples=25, deadline=None)
     @given(a=LARGE_A, b=st.floats(1.0, 1e4))
     def test_asym_glems(self, a, b):
