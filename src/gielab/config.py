@@ -9,8 +9,7 @@ Every other threshold is a module constant, in the module whose check or
 search reads it:
 
 - ``symplectic.COVMAT_SYMMETRY_RTOL``, ``symplectic.PHYSICAL_ATOL``,
-  ``symplectic.SYMPLECTIC_ATOL``, ``symplectic.WILLIAMSON_ATOL`` and
-  ``symplectic.EIGENVALUE_SYMMETRY_RTOL``;
+  ``symplectic.SYMPLECTIC_ATOL`` and ``symplectic.WILLIAMSON_ATOL``;
 - ``states.PPT_ATOL``, ``states.FAMILY_ATOL``, ``states.STD_FORM_ATOL``,
   ``states.CLASSIFY_ATOL`` and ``states.STD_FORM_ENTRY_MAX``;
 - ``purification.PURITY_ATOL``;

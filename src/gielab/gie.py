@@ -14,11 +14,12 @@ limit candidates as rows of that objective and the label of Eve's optimum.
 
 The R = 1 minimizers report the x-homodyne value, which equals GIE where
 the GCMI gate G (``information.gcmi_condition_g``) is non-negative at Eve's
-optimum.  Both read the least G along the trace with ``_gcmi_gate``:
-sym_glems needs it above ``GATE_LOWER_BOUND``, asym_glems needs G >= 0.
-The two trace gates, G and sqrt(a~ b~) <= a (sym_sq_thermal), condition
-every row on Eve in one ``seed_frame_schur`` call per point
-(``_conditional_cms``) and read the stack with one ``std_form_xx_det``.
+optimum.  Both run ``_single_mode_numeric`` and judge the least G along
+the trace: sym_glems needs it above ``GATE_LOWER_BOUND``, asym_glems G >= 0.
+Both trace gates, G and sqrt(a~ b~) <= a (sym_sq_thermal), read the one
+``_trace_forms``: each row through its seed map (``_single_mode_seed``,
+``_kh_seed``), conditioned on Eve in one ``seed_frame_schur`` call per
+point, read as a stack by one ``std_form_xx_det``.
 """
 
 from __future__ import annotations
@@ -148,6 +149,14 @@ def _conditional_cms(pi: Purification, phi, s) -> np.ndarray:
     return cms
 
 
+def _trace_forms(pi: Purification, seed_map, trace) -> tuple:
+    """(a~, b~, a~ b~ - kx~^2) of the conditional standard form at each row of
+    ``trace``, whose reported parameters are phi and then the arguments of
+    ``seed_map``, which returns the seed-frame eigenvalues of Eve's seed."""
+    phi, *params = np.array([params for params, _ in trace], dtype=float).T
+    return std_form_xx_det(_conditional_cms(pi, phi, seed_map(*params)))
+
+
 # ---------------------------------------------------------------------------
 # shared single-mode-E machinery (R = 1 families)
 # ---------------------------------------------------------------------------
@@ -169,53 +178,37 @@ def _single_mode_seed(tau, t) -> tuple:
     return tau * e2t, tau / e2t
 
 
-def _minimize_f_single_mode(pi: Purification, grid_cfg: GridConfig):
-    """Eve's optimum over (phi, ln tau, t) and the single-mode limit candidates.
+def _single_mode_numeric(fam: StateFamily, pi: Purification, grid_cfg: GridConfig, gate) -> GieResult:
+    """Eve's optimum over (phi, ln tau, t) and the single-mode limit candidates,
+    judged by ``gate`` on the least GCMI gate G along the trace.
 
     One objective, ``f_xx`` of the conditional entries (0, 0), (2, 2) and
     (0, 2), serves the grid, the descent and the candidates, which are its
     rows at t = 0 (heterodyne) and t = inf (the exact homodynes).
     """
+    closed = gie_closed_form(fam)
+    if pi.r_count == 0:  # a pure state: a^2 - kp^2 = 1 (sym_glems), a = b (asym_glems)
+        return _numeric_pure(fam, closed)
     schur = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
 
     def objective(phi, log_tau, t):
         return f_xx(*schur(phi, _single_mode_seed(np.exp(log_tau), t)))
 
-    best_val, optimum, trace = search(objective, SINGLE_MODE_SEARCH, grid_cfg.points)
-    return float(best_val), optimum, trace
-
-
-def _gcmi_gate(pi: Purification, trace) -> float:
-    """Least GCMI optimality gate G of the conditional standard forms along a
-    single-mode trace of (phi, tau, t) rows."""
-    phi, tau, t = np.array([params for params, _ in trace]).T
-    return float(np.min(gcmi_condition_g(*std_form_xx_det(_conditional_cms(pi, phi, _single_mode_seed(tau, t))))))
+    numeric, optimum, trace = search(objective, SINGLE_MODE_SEARCH, grid_cfg.points)
+    gate_min = float(np.min(gcmi_condition_g(*_trace_forms(pi, _single_mode_seed, trace))))
+    return _judged(fam, closed, float(numeric), optimum, trace, gate(gate_min), gate_min=gate_min)
 
 
 def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
-    """Eve-side minimization for a symmetric GLEMS (x-homodyne fixed on A, B)."""
+    """Eve-side minimization for a symmetric GLEMS (x-homodyne fixed on A, B), gated on G > 2 - sqrt(2)."""
     fam = make_family("sym_glems", a=a, kp=kp)
-    pi = purify(fam.std)
-    closed = gie_closed_form(fam)
-    if pi.r_count == 0:  # boundary case a^2 - kp^2 = 1: pure state
-        return _numeric_pure(fam, closed)
-    numeric, optimum, trace = _minimize_f_single_mode(pi, grid_cfg)
-    gate_min = _gcmi_gate(pi, trace)
-    # the GCMI gate must clear its strict lower bound along the trace
-    return _judged(fam, closed, numeric, optimum, trace, gate_min > GATE_LOWER_BOUND, gate_min=gate_min)
+    return _single_mode_numeric(fam, purify(fam.std), grid_cfg, lambda g: g > GATE_LOWER_BOUND)
 
 
 def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
-    """Eve-side minimization for an asymmetric squeezed-thermal GLEMS."""
+    """Eve-side minimization for an asymmetric squeezed-thermal GLEMS, whose closed form rests on G >= 0."""
     fam = make_family("asym_glems", a=a, b=b)
-    pi = purify_asym_glems(fam)
-    closed = gie_closed_form(fam)
-    if pi.r_count == 0:  # a = b: pure state
-        return _numeric_pure(fam, closed)
-    numeric, optimum, trace = _minimize_f_single_mode(pi, grid_cfg)
-    gate_min = _gcmi_gate(pi, trace)
-    # the closed form rests on G >= 0 along the trace
-    return _judged(fam, closed, numeric, optimum, trace, gate_min >= 0.0, gate_min=gate_min)
+    return _single_mode_numeric(fam, purify_asym_glems(fam), grid_cfg, lambda g: g >= 0.0)
 
 
 def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
@@ -339,17 +332,12 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID):
     return float(k_min), optimum, trace
 
 
-def _sqrt_ab_of_q(pi: Purification, points) -> np.ndarray:
-    """sqrt(a~ b~) of the conditional standard form at each (phi, lambda1, lambda2) of ``points``.
-
-    Eve's seed blockdiag(Q, Q^{-1}), Q = P diag(lambda1, lambda2) P^T, has
-    seed-frame eigenvalues (lambda1, lambda2, 1/lambda1, 1/lambda2); the
-    limit row (pi/2, inf, 0) is the exact dual homodyne (1/lambda2 = inf).
-    """
-    phi, l1, l2 = np.array(points, dtype=float).T
-    inv_l2 = np.divide(1.0, l2, out=np.full_like(l2, np.inf), where=l2 > 0.0)
-    a_t, b_t, _ = std_form_xx_det(_conditional_cms(pi, phi, (l1, l2, 1.0 / l1, inv_l2)))
-    return np.sqrt(a_t * b_t)
+def _kh_seed(lambda1, lambda2) -> tuple:
+    """Seed-frame eigenvalues (lambda1, lambda2, 1/lambda1, 1/lambda2) of Eve's seed
+    blockdiag(Q, Q^{-1}), Q = P diag(lambda1, lambda2) P^T; the limit row
+    (pi/2, inf, 0) is the exact dual homodyne (1/lambda2 = inf)."""
+    inv_l2 = np.divide(1.0, lambda2, out=np.full_like(lambda2, np.inf), where=lambda2 > 0.0)
+    return lambda1, lambda2, 1.0 / lambda1, inv_l2
 
 
 def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
@@ -364,7 +352,8 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAUL
     k_min, optimum, trace = minimize_kh(a, k, grid_cfg)
     i_h = 0.5 * np.log(a * a / ((a - k) * (a + k)))
     numeric = float(i_h + 0.5 * np.log(k_min))
-    sqrt_ab_max = float(_sqrt_ab_of_q(pi, [params for params, _ in trace]).max())
+    a_t, b_t, _ = _trace_forms(pi, _kh_seed, trace)
+    sqrt_ab_max = float(np.sqrt(a_t * b_t).max())
     # the conditional-purity bound sqrt(a~ b~) <= a must hold on the trace
     gate = sqrt_ab_max <= a + SQRT_AB_SLACK
     return _judged(fam, closed, numeric, optimum, trace, gate, sqrt_ab_max=sqrt_ab_max)

@@ -34,7 +34,7 @@ class FiniteMeasurement:
         nus = symplectic_eigenvalues(self.seed)
         # the eigenvalue error floor grows with the seed norm; scale the gate
         slack = PHYSICAL_ATOL * max(1.0, float(np.abs(self.seed.mat).max()))
-        if nus.size and nus.min() < 1.0 - slack:
+        if nus.min() < 1.0 - slack:
             raise InvalidMeasurementError(f"seed CM unphysical, min symplectic eigenvalue {nus.min():.12g}")
 
     @property

@@ -23,7 +23,6 @@ from .errors import (
     UnphysicalStateError,
 )
 
-EIGENVALUE_SYMMETRY_RTOL = 1e-8  # symplectic_eigenvalues: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
 COVMAT_SYMMETRY_RTOL = 1e-12  # CovMat: allowed |gamma - gamma^T|, relative to max(1, |gamma|)
 PHYSICAL_ATOL = 1e-9  # symplectic eigenvalues >= 1 - atol
 SYMPLECTIC_ATOL = 1e-9  # |S Omega S^T - Omega| residual
@@ -43,23 +42,16 @@ BEAM_SPLITTER = _readonly(np.block([[np.eye(2), np.eye(2)], [-np.eye(2), np.eye(
 XXPP = _readonly(np.eye(4)[[0, 2, 1, 3]])  # (x1,p1,x2,p2) -> (x1,x2,p1,p2): orthogonal, not symplectic
 
 
-def _as_matrix(gamma) -> np.ndarray:
-    """Accept a CovMat or plain array and return the array."""
-    if isinstance(gamma, CovMat):
-        return gamma.mat
-    return np.asarray(gamma, dtype=float)
-
-
 @dataclass(frozen=True)
 class CovMat:
-    """Symmetric real matrix of quadrature second moments for n modes."""
+    """Symmetric real matrix of quadrature second moments for n >= 1 modes; the one shape and symmetry check."""
 
     mat: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
-            raise InvalidInputError(f"covariance matrix must be 2n x 2n, got {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or not mat.size:
+            raise InvalidInputError(f"covariance matrix must be 2n x 2n with n >= 1, got {mat.shape}")
         scale = max(1.0, np.abs(mat).max())
         if np.abs(mat - mat.T).max() > COVMAT_SYMMETRY_RTOL * scale:
             raise InvalidInputError("covariance matrix is not symmetric")
@@ -104,16 +96,8 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
     Computed from the eigenvalues of ``-(Omega gamma)^2``, whose spectrum
     consists of the squared symplectic eigenvalues, each twice.
     """
-    mat = _as_matrix(gamma)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
-        raise InvalidInputError(f"expected a 2n x 2n matrix, got {mat.shape}")
-    scale = max(1.0, np.abs(mat).max())
-    if np.abs(mat - mat.T).max() > EIGENVALUE_SYMMETRY_RTOL * scale:
-        raise InvalidInputError("covariance matrix is not symmetric")
-    n = mat.shape[0] // 2
-    if n == 0:
-        return np.empty(0)
-    m = symplectic_form(n) @ mat
+    mat = (gamma if isinstance(gamma, CovMat) else CovMat(gamma)).mat
+    m = symplectic_form(len(mat) // 2) @ mat
     squares = np.linalg.eigvals(-m @ m).real
     nus = np.sqrt(np.clip(squares, 0.0, None))
     nus[::-1].sort()
@@ -144,11 +128,11 @@ def std_form_symplectic_eigenvalues(a, b, kx, kp) -> tuple[float, float]:
 def williamson(gamma) -> WilliamsonDecomposition:
     """Williamson normal form of a physical covariance matrix.
 
-    The ``eigvals`` spectrum must clear ``1 - PHYSICAL_ATOL`` first.  S is
-    then built from the Hermitian matrix ``i gamma^{-1/2} Omega gamma^{-1/2}``,
+    S is built from the Hermitian matrix ``i gamma^{-1/2} Omega gamma^{-1/2}``,
     whose eigenvalues are +-1/nu.  eigh sorts them ascending, so the n
-    positive ones come last with nu descending.  An eigenvector u of 1/nu
-    gives the orthonormal pair ``(x, p) = sqrt(2) (Re u, -Im u)``, on which
+    positive ones come last with nu descending; these nu are the spectrum
+    that must clear ``1 - PHYSICAL_ATOL``.  An eigenvector u of 1/nu gives
+    the orthonormal pair ``(x, p) = sqrt(2) (Re u, -Im u)``, on which
     ``gamma^{-1/2} Omega gamma^{-1/2}`` acts as ``J2 / nu``; this holds on a
     degenerate spectrum too.  Each u's phase is fixed first, making its
     largest-modulus entry real and positive, so the vacuum gives S = I.
@@ -156,31 +140,28 @@ def williamson(gamma) -> WilliamsonDecomposition:
     returned.
 
     Raises:
-        UnphysicalStateError: some symplectic eigenvalue is below 1.
+        UnphysicalStateError: gamma is not positive definite, or some nu is below 1.
         DecompositionError: the residual check failed.
     """
-    mat = _as_matrix(gamma)
-    nus_check = symplectic_eigenvalues(mat)
-    if nus_check.min() < 1.0 - PHYSICAL_ATOL:
-        raise UnphysicalStateError(
-            f"unphysical covariance matrix, min symplectic eigenvalue {nus_check.min():.12g}"
-        )
-    n = mat.shape[0] // 2
+    mat = (gamma if isinstance(gamma, CovMat) else CovMat(gamma)).mat
+    n = len(mat) // 2
+    omega = symplectic_form(n)
     w, v = np.linalg.eigh(mat)
     if w.min() <= 0:
         raise UnphysicalStateError("covariance matrix is not positive definite")
     inv_root = v @ np.diag(w**-0.5) @ v.T
-    freqs, u = np.linalg.eigh(1j * (inv_root @ symplectic_form(n) @ inv_root))
+    freqs, u = np.linalg.eigh(1j * (inv_root @ omega @ inv_root))
     freqs, u = freqs[n:], u[:, n:]
+    nus = 1.0 / freqs
+    if nus[-1] < 1.0 - PHYSICAL_ATOL:
+        raise UnphysicalStateError(f"unphysical covariance matrix, min symplectic eigenvalue {nus[-1]:.12g}")
     lead = u[np.abs(u).argmax(axis=0), np.arange(n)]
     u = u * (lead.conj() / np.abs(lead))
     o = np.empty((2 * n, 2 * n))
     o[:, 0::2] = np.sqrt(2.0) * u.real
     o[:, 1::2] = -np.sqrt(2.0) * u.imag
-    nus = 1.0 / freqs
     s = np.repeat(np.sqrt(nus), 2)[:, None] * (o.T @ inv_root)
     residual = np.abs(s @ mat @ s.T - np.diag(np.repeat(nus, 2))).max()
-    omega = symplectic_form(n)
     symp_residual = np.abs(s @ omega @ s.T - omega).max()
     if residual > WILLIAMSON_ATOL or symp_residual > SYMPLECTIC_ATOL:
         raise DecompositionError(f"williamson residual {residual:.3e} (symplectic {symp_residual:.3e})")

@@ -98,10 +98,11 @@ def random_physical_cm(rng, scale: float) -> np.ndarray:
     return s @ np.diag(np.repeat(nus, 2)) @ s.T
 
 
-def _random_std_form(rng, max_a=3.0) -> StdForm:
+def _random_std_form(rng) -> StdForm:
+    """A random valid standard form with a, b in [1, 3); StdForm rejects the invalid draws."""
     while True:
-        a = 1.0 + rng.random() * (max_a - 1.0)
-        b = 1.0 + rng.random() * (max_a - 1.0)
+        a = 1.0 + rng.random() * 2.0
+        b = 1.0 + rng.random() * 2.0
         kx = rng.random() * np.sqrt(max(a * b - 1.0, 0.0))
         kp = rng.uniform(-kx, kx)
         try:

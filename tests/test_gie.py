@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 import gielab.optimize
 from gielab.config import GridConfig
 from gielab.errors import DomainNotCoveredError, InvalidInputError, NumericalDegeneracyError
+from gielab.information import gcmi_condition_g
 from gielab.gie import (
     GATE_LOWER_BOUND,
     QMatrixParams,
     _conditional_cms,
-    _gcmi_gate,
-    _minimize_f_single_mode,
+    _kh_seed,
+    _single_mode_numeric,
     _single_mode_seed,
     _spectral_seed,
-    _sqrt_ab_of_q,
+    _trace_forms,
     gie_closed_form,
     gie_numeric,
     gie_numeric_asym_glems,
@@ -305,6 +306,12 @@ def _lab_frame_sqrt_ab(pi, ge):
     return np.sqrt(a_t * b_t)
 
 
+def _kh_sqrt_ab(pi, points):
+    """sqrt(a~ b~) that the sym_sq_thermal gate reads at each (phi, lambda1, lambda2) row."""
+    a_t, b_t, _ = _trace_forms(pi, _kh_seed, [(q, 0.0) for q in points])
+    return np.sqrt(a_t * b_t)
+
+
 def _single_mode_pis():
     """R = 1 purifications: sym_glems points (one at large a) and an asym_glems point."""
     pis = [purify(make_family("sym_glems", a=a, kp=kp).std) for a, kp in ((1.5, 0.5), (4.196, 3.932))]
@@ -312,14 +319,15 @@ def _single_mode_pis():
 
 
 class TestQFrameGate:
-    """The gates' seed-frame conditioning against the lab-frame inverse of gamma_E + seed."""
+    """The gates' one trace reader, ``_trace_forms``, and its seed maps against the
+    lab-frame inverse of gamma_E + seed."""
 
     STATES = ((1.2, 0.5), (1.8, 1.1), (2.3, 1.6), (1.05, 0.3))
 
     def test_limit_row_is_the_exact_dual_homodyne(self):
         for a, k in self.STATES:
             pi = _sq_thermal_pi(a, k)
-            (value,) = _sqrt_ab_of_q(pi, [(np.pi / 2.0, np.inf, 0.0)])
+            (value,) = _kh_sqrt_ab(pi, [(np.pi / 2.0, np.inf, 0.0)])
             assert abs(value - _lab_frame_sqrt_ab(pi, homodyne([0.0, np.pi / 2.0]))) < 1e-14
 
     def test_finite_rows_match_the_spectral_seed(self, rng):
@@ -331,15 +339,15 @@ class TestQFrameGate:
                 lam = np.sort(np.exp(rng.uniform(-3.0, 3.0, size=2)))
                 points.append((rng.random() * np.pi, lam[1], lam[0]))
             phi, l1, l2 = np.array(points).T
-            cms = _conditional_cms(pi, phi, (l1, l2, 1.0 / l1, 1.0 / l2))
-            for q, cm, value in zip(points, cms, _sqrt_ab_of_q(pi, points), strict=True):
+            cms = _conditional_cms(pi, phi, _kh_seed(l1, l2))
+            for q, cm, value in zip(points, cms, _kh_sqrt_ab(pi, points), strict=True):
                 seed = FiniteMeasurement(CovMat(_spectral_seed(QMatrixParams(*q))))
                 assert np.abs(cm - condition_on_e(pi, seed).mat).max() < 1e-12  # all ten entries
                 assert abs(value - _lab_frame_sqrt_ab(pi, seed)) < 1e-12
         # R = 1: the seed P(phi) diag(tau e^{2t}, tau e^{-2t}) P(phi)^T
         for pi in _single_mode_pis():
             phi, tau, t = rng.random(20) * np.pi, 1.0 + 3.0 * rng.random(20), 2.0 * rng.random(20)
-            cms = _conditional_cms(pi, phi, (tau * np.exp(2.0 * t), tau * np.exp(-2.0 * t)))
+            cms = _conditional_cms(pi, phi, _single_mode_seed(tau, t))
             for row, cm in zip(zip(phi, tau, t), cms, strict=True):
                 assert np.abs(cm - condition_on_e(pi, general_single_mode(*row)).mat).max() < 1e-12
 
@@ -350,7 +358,8 @@ class TestQFrameGate:
             for _ in range(10):
                 row = (rng.random() * np.pi, 1.0 + 3.0 * rng.random(), 2.0 * rng.random())
                 exact = _g_50_digits(condition_on_e(pi, general_single_mode(*row)).mat)
-                assert abs(_gcmi_gate(pi, [(row, 0.0)]) - exact) < 3e-8
+                (gate,) = gcmi_condition_g(*_trace_forms(pi, _single_mode_seed, [(row, 0.0)]))
+                assert abs(gate - exact) < 3e-8
 
     def test_single_mode_limit_rows_are_exact_homodynes(self):
         # t = inf gives s = (inf, 0): the homodyne on the quadrature at phi + pi/2
@@ -365,7 +374,7 @@ class TestQFrameGate:
         squeeze = np.diag([2.0, 0.5, 1.0, 1.0])  # a local squeezer on the first E mode
         skewed = Purification(pi.gamma_ab, pi.gamma_abe @ squeeze, squeeze @ pi.gamma_e @ squeeze, 2)
         with pytest.raises(InvalidInputError):
-            _sqrt_ab_of_q(skewed, [(0.0, 1.0, 1.0)])
+            _trace_forms(skewed, _kh_seed, [((0.0, 1.0, 1.0), 0.0)])
 
 
 # R = 1 points of both families; the first is the reproducer of the clipped angle
@@ -396,8 +405,8 @@ class TestEveFrame:
         fam = make_family(tag, **params)
         pi = purify(fam.std) if tag == "sym_glems" else purify_asym_glems(fam)
         turned = Purification(pi.gamma_ab, pi.gamma_abe @ rotation(theta), pi.gamma_e, pi.r_count)
-        numeric, _, _ = _minimize_f_single_mode(turned, GridConfig(points=points))
-        assert abs(numeric - gie_closed_form(fam)) <= MINMAX_ATOL
+        res = _single_mode_numeric(fam, turned, GridConfig(points=points), lambda g: True)
+        assert res.discrepancy <= MINMAX_ATOL
 
 
 class TestDomainCorners:

@@ -6,6 +6,7 @@ from gielab.errors import (
     InvalidInputError,
     UnphysicalStateError,
 )
+from gielab.measurement import heterodyne
 from gielab.purification import purify
 from gielab.states import StdForm
 from gielab.symplectic import (
@@ -80,6 +81,15 @@ class TestSymplecticEigenvalues:
         bad[0, 1] = 0.5
         with pytest.raises(InvalidInputError):
             symplectic_eigenvalues(bad)
+
+    def test_reads_the_covmat_symmetry_gate(self):
+        # asymmetry 1e-10 relative to the largest entry, 4.5: past CovMat's 1e-12
+        bad = 3.0 * std_cm(1.5, 1.5, 1.0, 0.5)
+        bad[0, 2] += 4.5e-10
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            symplectic_eigenvalues(bad)
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            williamson(bad)
 
     def test_closed_form_matches_generic_route(self, rng):
         for _ in range(200):
@@ -171,7 +181,7 @@ class TestWilliamson:
     @pytest.mark.parametrize("b", [1.0, 1.5])
     def test_unphysical_standard_forms_rejected_before_the_analytic_routes(self, b):
         # b = 1 is a symmetric standard form: as a matrix it meets williamson's
-        # eigvals gate, and as a StdForm it never reaches purify's analytic
+        # positivity gate, and as a StdForm it never reaches purify's analytic
         # frame; the suite turns a RuntimeWarning on the way into an error
         mat = std_cm(1.0, b, 2.0, 2.0)
         with pytest.raises(UnphysicalStateError):
@@ -225,6 +235,12 @@ class TestTypes:
         bad[0, 1] = 1e-6
         with pytest.raises(InvalidInputError):
             CovMat(bad)
+
+    def test_empty_matrix_is_a_typed_error(self):
+        for build in (lambda: CovMat(np.zeros((0, 0))), lambda: heterodyne(0),
+                      lambda: symplectic_eigenvalues(np.zeros((0, 0))), lambda: williamson(np.zeros((0, 0)))):
+            with pytest.raises(InvalidInputError, match="n >= 1"):
+                build()
 
     def test_covmat_is_readonly(self):
         cov = CovMat(np.eye(4))
