@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import gielab.optimize
 from gielab.config import GridConfig
 from gielab.errors import DomainNotCoveredError, InvalidInputError, NumericalDegeneracyError
-from gielab.information import gcmi_condition_g
 from gielab.gie import (
     GATE_LOWER_BOUND,
     QMatrixParams,
@@ -30,6 +29,7 @@ from gielab.gie import (
     sym_glems_candidates,
     verified_domain,
 )
+from gielab.information import gcmi_condition_g
 from gielab.measurement import FiniteMeasurement, condition_on_e, general_single_mode, homodyne
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.renyi2 import gr2_of_family
