@@ -135,8 +135,14 @@ def seed_frame_schur(pi: Purification, entries):
 
     Returns an elementwise, broadcasting ``kernel(phi, s)`` with s the 2R
     seed eigenvalues in xxpp order; it gives the conditional entries (i, j)
-    of ``entries``.  It needs at least one E mode: a pure state has nothing
-    to condition on, and the callers take their pure paths before this.
+    of ``entries``, stacked along a leading axis.  One pass serves every
+    entry and every seed axis k: one rotation of the gamma_ABE rows, one
+    product ``c_ik c_jk`` per entry and axis, and ``g_ij + sum_k w_k (c_ik
+    c_jk)`` summed over k in order, so each entry is the same sequence of
+    rounded operations as a loop over entries and axes.  The rotation
+    depends on phi alone, so on a sparse mesh it is done once per angle.
+    It needs at least one E mode: a pure state has nothing to condition
+    on, and the callers take their pure paths before this.
 
     Raises:
         DimensionMismatchError: no E mode, or a kernel call without 2R seed eigenvalues.
@@ -146,28 +152,43 @@ def seed_frame_schur(pi: Purification, entries):
         raise DimensionMismatchError("the seed-frame kernel needs at least one E mode")
     g = pi.gamma_ab.mat
     nu = pi.gamma_e[0, 0]
-    if not np.array_equal(pi.gamma_e, nu * np.eye(2 * pi.r_count)):
+    if not (pi.gamma_e == nu * np.eye(2 * pi.r_count)).all():
         raise InvalidInputError(f"the seed-frame kernel needs gamma_E = nu I, got {pi.gamma_e.tolist()}")
-    xxpp = np.r_[0 : 2 * pi.r_count : 2, 1 : 2 * pi.r_count : 2]
-    # row i of gamma_ABE as the (u, v) pairs of E axes that R(phi) rotates, fetched once per row
-    rows = dict.fromkeys(i for entry in entries for i in entry)
-    pairs = {i: [tuple(uv) for uv in pi.gamma_abe[i, xxpp].reshape(-1, 2)] for i in rows}
-    targets = [(g[i, j], i, j) for i, j in entries]
-    n_seeds = 2 * pi.r_count
+    n_seeds, n_entries = 2 * pi.r_count, len(entries)
+    # R(phi) turns the E columns (u, v) = (m, R + m) of gamma_ABE (xpxp) into axes 2m and 2m + 1 of the
+    # seed frame, u cos + v sin and v cos + (-u) sin (bit for bit v cos - u sin): their cos and sin
+    # coefficients at the rows i, then the rows j, of the entries
+    rows = np.array(entries, dtype=np.intp).T.ravel()
+    gathered = pi.gamma_abe[rows].T
+    u, v = gathered[: pi.r_count], gathered[pi.r_count :]
+    cos_coef, sin_coef = np.empty((n_seeds, 2 * n_entries)), np.empty((n_seeds, 2 * n_entries))
+    cos_coef[0::2], cos_coef[1::2], sin_coef[0::2], sin_coef[1::2] = u, v, v, -u
+    target = g[rows[:n_entries], rows[n_entries:]]
+    shaped = {}  # the coefficients and g_ij shaped to broadcast against phi of each dimension
 
     def kernel(phi, s):
         if len(s) != n_seeds:
             raise DimensionMismatchError(f"the seed-frame kernel needs {n_seeds} seed eigenvalues, got {len(s)}")
-        cos, sin = np.cos(phi), np.sin(phi)
-        # row i of gamma_ABE R(phi)
-        cols = {i: [c for u, v in uv for c in (u * cos + v * sin, v * cos - u * sin)] for i, uv in pairs.items()}
-        weights = [-1.0 / (nu + s_j) for s_j in s]  # negated, so the Schur step is a running sum
-        out = []
-        for acc, i, j in targets:
-            for w, ci, cj in zip(weights, cols[i], cols[j], strict=True):
-                acc = acc + w * (ci * cj)
-            out.append(acc)
-        return tuple(out)
+        phi = np.asarray(phi)
+        try:
+            s = np.array(s, dtype=float)
+        except ValueError:  # seed arrays of different shapes, as on a sparse mesh
+            s = np.array(np.broadcast_arrays(*s))
+        ndim = max(phi.ndim, s.ndim - 1)
+        if ndim not in shaped:
+            tail = (1,) * ndim
+            shaped[ndim] = (cos_coef.reshape(cos_coef.shape + tail), sin_coef.reshape(sin_coef.shape + tail),
+                            target.reshape(target.shape + tail))
+        cos_k, sin_k, target_k = shaped[ndim]
+        cols = cos_k * np.cos(phi) + sin_k * np.sin(phi)  # (axes k, rows i then j, *phi)
+        weights = -1.0 / (nu + s.reshape((n_seeds, 1) + (1,) * (ndim + 1 - s.ndim) + s.shape[1:]))  # negated
+        products = cols[:, :n_entries] * cols[:, n_entries:]
+        # g_ij + w_0 (c_i0 c_j0), added in place (addition commutes bit for bit), then + w_k (c_ik c_jk) in
+        # order of k: in place, the mesh output is the only array of its size that a call allocates twice
+        out = weights[0] * products[0]
+        out += target_k
+        for w, product in zip(weights[1:], products[1:]):
+            out += w * product
+        return out
 
     return kernel
-

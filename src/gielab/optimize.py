@@ -11,7 +11,7 @@ rule (``TIE_ATOL``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,23 @@ class SearchSpace:
     logs: tuple
     candidates: tuple
     label: str
+    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def arrays(self, points) -> tuple:
+        """``(lows, highs, axes, rows)``: the box, the grid axes at ``points`` per
+        coordinate and the candidate rows stacked (coordinates, candidates), as
+        read-only arrays built once per space and grid size."""
+        arrays = self._arrays.get(points)
+        if arrays is None:
+            lows, highs = np.array(self.lows), np.array(self.highs)
+            axes = tuple(np.linspace(lo, hi, points, endpoint=period is None)
+                         for lo, hi, period in zip(lows, highs, self.periods))
+            rows = np.array([row for _, row in self.candidates], dtype=float).reshape(len(self.candidates), len(lows))
+            arrays = lows, highs, axes, np.ascontiguousarray(rows.T)
+            for array in (lows, highs, *axes, arrays[3]):
+                array.flags.writeable = False
+            self._arrays[points] = arrays
+        return arrays
 
     def params(self, x) -> tuple:
         """Reported parameters of a search row: periodic coordinates reduced, logarithms exponentiated."""
@@ -78,7 +95,7 @@ def _probe_table(dim):
     return table
 
 
-def descend(fn, x0, lows, highs, periods):
+def descend(fn, x0, lows, highs, periods, value=None):
     """Deterministic compass search within a box, one complete poll per call of ``fn``.
 
     Each poll evaluates every move of ``_probe_table`` from the incumbent,
@@ -89,30 +106,43 @@ def descend(fn, x0, lows, highs, periods):
     with one, wrapped into [0, period), and scales the step by that block's
     multiple; a poll without one divides the step by 8.  It stops below
     ``RESOLUTION`` or after ``MAX_POLLS`` polls, both read at call time.
-    ``fn`` must broadcast over 1-D probe arrays, one per coordinate.
+    ``fn`` must broadcast over 1-D probe arrays, one per coordinate; it gets
+    them as the contiguous rows of one (coordinates, probes) array.
+
+    ``value`` is ``fn`` at ``x0`` where the caller has it (``search`` passes
+    the grid's value); without it the descent evaluates ``x0`` first.  Every
+    step factor is a power of two, so the step is the first step times one
+    scale, exactly, and the stop rule reads the scale times the widest first
+    step.
     """
     x = np.array(x0, dtype=float)
-    val = fn(*x[:, None])[0]
-    steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
+    val = fn(*x[:, None])[0] if value is None else value
+    first_steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
+    widest, scale = float(first_steps.max()), 1.0
     cycle = np.array([np.inf if period is None else period for period in periods])
     wraps = cycle < np.inf
-    lows, highs = np.where(wraps, -np.inf, lows), np.where(wraps, np.inf, highs)
-    table = _probe_table(x.size)
-    block = len(table) // 4
+    lows, highs = np.where(wraps, -np.inf, lows)[:, None], np.where(wraps, np.inf, highs)[:, None]
+    moves = first_steps[:, None] * _probe_table(x.size).T  # (coordinates, probes) at scale 1
+    block = moves.shape[1] // 4
     for _ in range(MAX_POLLS):
-        trials = np.minimum(np.maximum(x + steps * table, lows), highs)
-        values = fn(*trials.T)
-        better = (trials != x).any(axis=1) & (values < val - MIN_IMPROVEMENT)
-        if better.any():
-            first = int(better.argmax()) // block
-            rows = slice(first * block, (first + 1) * block)
-            pick = rows.start + int(np.argmin(np.where(better[rows], values[rows], np.inf)))
-            x, val = trials[pick], values[pick]
+        trials = x[:, None] + moves * scale
+        np.maximum(trials, lows, out=trials)
+        np.minimum(trials, highs, out=trials)
+        values = fn(*trials)
+        better = values < val - MIN_IMPROVEMENT
+        first = int(better.argmax())
+        if better[first]:  # an improving value: only now rule out the probes that clipping kept in place
+            better &= (trials != x[:, None]).any(axis=0)
+            first = int(better.argmax())
+        if better[first]:
+            rows = slice(first - first % block, first - first % block + block)
+            pick = rows.start + int(np.where(better[rows], values[rows], np.inf).argmin())
+            x, val = trials[:, pick], values[pick]
             np.remainder(x, cycle, out=x, where=wraps)
-            steps = steps * (2.0, 1.0, 0.5, 0.25)[first]
+            scale *= (2.0, 1.0, 0.5, 0.25)[first // block]
         else:
-            steps = steps * 0.125
-        if steps.max() < RESOLUTION:
+            scale *= 0.125
+        if scale * widest < RESOLUTION:
             break
     return x, val
 
@@ -126,15 +156,15 @@ def search(fn, space, points):
     descent end and the candidates; the first candidate within ``TIE_ATOL``
     of it, else ``space.label`` with the descent end's parameters; and
     ``(space.params(row), value)`` of the grid best, the descent end and
-    every candidate.
+    every candidate.  The descent starts from the grid best with the grid's
+    value there, so ``fn`` is called once for the grid, once per poll and
+    once for the candidates.
     """
-    lows, highs = np.array(space.lows), np.array(space.highs)
-    axes = [np.linspace(lo, hi, points, endpoint=period is None) for lo, hi, period in zip(lows, highs, space.periods)]
+    lows, highs, axes, rows = space.arrays(points)
     coarse, coarse_val = grid_argmin(fn, axes)
-    refined, refined_val = descend(fn, coarse, lows, highs, space.periods)
+    refined, refined_val = descend(fn, coarse, lows, highs, space.periods, coarse_val)
     trace = [(space.params(coarse), coarse_val), (space.params(refined), float(refined_val))]
-    rows = np.array([row for _, row in space.candidates], dtype=float).reshape(len(space.candidates), len(lows))
-    trace += [(space.params(row), float(value)) for row, value in zip(rows, fn(*rows.T))]
+    trace += [(space.params(row), float(value)) for row, value in zip(rows.T, fn(*rows))]
     best_val = min(value for _, value in trace[1:])
     for (label, _), (_, value) in zip(space.candidates, trace[2:]):
         if value <= best_val + TIE_ATOL:

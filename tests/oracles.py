@@ -6,7 +6,10 @@ matrix, sharing no code with the conditioning kernels of
 ``gielab.measurement`` that the tests check against it.  ``std_form_params``
 reads the whole standard form (a, b, kx, kp) of one CM, solving for kx^2
 and kp^2 rather than for a b - kx^2 as ``gielab.states.std_form_xx_det``
-does; ``to_std_form`` is its checked ``StdForm``.
+does; ``to_std_form`` is its checked ``StdForm``.  ``seed_frame_schur_loop``
+is ``gielab.measurement.seed_frame_schur`` as a loop over entries and seed
+axes, one numpy operation on each: the reference that the one-pass kernel
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +26,34 @@ from gielab.symplectic import CovMat
 
 CCM_PSD_RTOL = 1e-10  # a CCM eigenvalue may dip this far below zero, relative to max(1, the largest)
 PINV_RCOND = 1e-12  # pseudoinverse singular-value cutoff of the E block
+
+
+def seed_frame_schur_loop(pi: Purification, entries):
+    """``seed_frame_schur(pi, entries)``, entry by entry and seed axis by seed axis.
+
+    ``kernel(phi, s)`` returns a tuple of the entries; each is ``g_ij`` plus
+    ``w_k (c_ik c_jk)`` added over the seed axes k in order, with
+    ``w_k = -1 / (nu + s_k)`` and ``c_ik`` row i of gamma_ABE R(phi).
+    """
+    g = pi.gamma_ab.mat
+    nu = pi.gamma_e[0, 0]
+    xxpp = np.r_[0 : 2 * pi.r_count : 2, 1 : 2 * pi.r_count : 2]
+    # row i of gamma_ABE as the (u, v) pairs of E axes that R(phi) rotates
+    pairs = {i: [tuple(uv) for uv in pi.gamma_abe[i, xxpp].reshape(-1, 2)] for entry in entries for i in entry}
+    targets = [(g[i, j], i, j) for i, j in entries]
+
+    def kernel(phi, s):
+        cos, sin = np.cos(phi), np.sin(phi)
+        cols = {i: [c for u, v in uv for c in (u * cos + v * sin, v * cos - u * sin)] for i, uv in pairs.items()}
+        weights = [-1.0 / (nu + s_j) for s_j in s]
+        out = []
+        for acc, i, j in targets:
+            for w, ci, cj in zip(weights, cols[i], cols[j], strict=True):
+                acc = acc + w * (ci * cj)
+            out.append(acc)
+        return tuple(out)
+
+    return kernel
 
 
 def std_form_params(gamma) -> tuple[float, float, float, float]:

@@ -264,8 +264,8 @@ class TestKh:
         # a probe-at-a-time Hooke-Jeeves search stopped here on a cap of 400 sweeps with f_min ~ 1.6e-9
         descend, polls = gielab.optimize.descend, []
 
-        def checked(fn, x0, lows, highs, periods):
-            x, value = descend(fn, x0, lows, highs, periods)
+        def checked(fn, x0, lows, highs, periods, start_value=None):
+            x, value = descend(fn, x0, lows, highs, periods, start_value)
             x_ref, value_ref, count, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs, periods)
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
             assert not stopped_on_cap

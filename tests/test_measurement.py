@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
-from gielab.gie import SINGLE_MODE_SEARCH, _single_mode_seed
+from gielab.gie import SINGLE_MODE_SEARCH, _kh_seed, _single_mode_seed
 from gielab.information import f_xx
 from gielab.measurement import (
     FiniteMeasurement,
@@ -15,7 +15,7 @@ from gielab.measurement import (
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.states import make_family
 from gielab.symplectic import CovMat, symplectic_eigenvalues
-from oracles import Ccm, assemble_ccm
+from oracles import Ccm, assemble_ccm, seed_frame_schur_loop
 
 _, TAU_LOG_MAX, T_MAX = SINGLE_MODE_SEARCH.highs  # the R = 1 box edges: ln(tau) and t
 
@@ -257,3 +257,53 @@ class TestSeedFrameKernel:
                         exact = mp.log(va * vb / (va * vb - cov * cov)) / 2
                         worst = max(worst, abs(float(mp.mpf(value) - exact)))
             assert worst < 1e-14, (tag, params, worst)
+
+
+class TestSeedFrameKernelBitForBit:
+    """The one-pass kernel against the entry-by-entry loop of ``oracles``: equal, not close."""
+
+    @staticmethod
+    def _assert_identical(pi, entries, seed_map, *args):
+        new = seed_frame_schur(pi, entries)(args[0], seed_map(*args[1:]))
+        old = seed_frame_schur_loop(pi, entries)(args[0], seed_map(*args[1:]))
+        assert len(new) == len(old) == len(entries)
+        for x, y in zip(new, old):
+            assert np.shape(x) == np.shape(y)
+            assert np.array_equal(x, y)
+
+    @staticmethod
+    def _inputs(rng, first, second, n=7):
+        """(phi, first, second) as 1-D rows, a sparse 3-D mesh and a scalar phi against 1-D seeds."""
+        axes = (rng.random(n) * np.pi, first(rng, n), second(rng, n))
+        yield axes
+        yield np.meshgrid(*axes, indexing="ij", sparse=True)
+        yield (axes[0][2], axes[1], axes[2])
+
+    def test_single_mode_eve_with_three_and_ten_entries(self, rng):
+        taus = lambda rng, n: np.exp(rng.uniform(0.0, TAU_LOG_MAX, n))  # noqa: E731
+        ts = lambda rng, n: np.append(rng.uniform(0.0, T_MAX, n - 1), 0.0)  # noqa: E731
+        for state in (KERNEL_STATES[0], KERNEL_STATES[2], KERNEL_STATES[4]):  # purify and purify_asym_glems
+            pi = _kernel_pi(*state)
+            for entries in (((0, 0), (2, 2), (0, 2)), UPPER_TRIANGLE):
+                for args in self._inputs(rng, taus, ts):
+                    self._assert_identical(pi, entries, _single_mode_seed, *args)
+
+    def test_two_mode_eve_with_ten_entries(self, rng):
+        lambdas = lambda rng, n: np.exp(rng.uniform(-12.0, 24.0, n))  # noqa: E731
+        for a, k in ((1.3, 0.6), (2.2, 1.9)):
+            pi = _pi("sym_sq_thermal", a=a, k=k)
+            for args in self._inputs(rng, lambdas, lambdas):
+                self._assert_identical(pi, UPPER_TRIANGLE, _kh_seed, *args)
+
+    def test_exact_limit_rows(self, rng):
+        # t = inf is the single-mode homodyne (seeds (inf, 0)); lambda2 = 0 the dual homodyne (1/lambda2 = inf)
+        phis = np.concatenate([[0.0, np.pi / 2.0], rng.random(5) * np.pi])
+        for state in (KERNEL_STATES[0], KERNEL_STATES[2]):
+            pi = _kernel_pi(*state)
+            for entries in (((0, 0), (2, 2), (0, 2)), UPPER_TRIANGLE):
+                self._assert_identical(pi, entries, _single_mode_seed, phis, np.ones(7), np.full(7, np.inf))
+                self._assert_identical(pi, entries, _single_mode_seed, phis, 1.0, np.inf)
+                self._assert_identical(pi, entries, _single_mode_seed, np.pi / 2.0, 1.0, np.inf)
+        pi = _pi("sym_sq_thermal", a=1.3, k=0.6)
+        self._assert_identical(pi, UPPER_TRIANGLE, _kh_seed, phis, np.full(7, np.inf), np.zeros(7))
+        self._assert_identical(pi, UPPER_TRIANGLE, _kh_seed, phis, np.exp(rng.uniform(0.0, 9.0, 7)), np.zeros(7))

@@ -30,6 +30,17 @@ def run(candidates, fn=with_rows_beyond_5):
     return search(fn, dataclasses.replace(TOY, candidates=tuple(candidates)), POINTS)
 
 
+def counted(fn):
+    """``fn`` and a list that grows by one entry per call of it."""
+    calls = []
+
+    def wrapped(*xs):
+        calls.append(len(xs[0]) if np.ndim(xs[0]) == 1 else None)
+        return fn(*xs)
+
+    return wrapped, calls
+
+
 def descent_end():
     value, _, trace = run([])
     return value, trace[1][0]
@@ -100,6 +111,34 @@ class TestSearch:
             ((5.0, 2.0), 2.0),  # a row outside the box is evaluated as it stands
             ((0.7, 0.1), float(bowl(0.7, 0.1))),  # rows inside the box evaluate the objective
         ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 13), st.booleans())
+    def test_one_call_for_the_grid_one_per_poll_and_one_for_the_candidates(self, points, periodic):
+        # the descent starts from the grid best with the grid's value, without evaluating it again
+        space = dataclasses.replace(TOY, candidates=(("a", (5.0, 2.0)), ("b", (0.7, 0.1))))
+        if periodic:
+            space = dataclasses.replace(space, highs=(np.pi, 1.0), periods=(np.pi, None))
+        fn, calls = counted(with_rows_beyond_5)
+        _, _, trace = search(fn, space, points)
+        lows, highs, axes, _ = space.arrays(points)
+        grid_best, _ = grid_argmin(with_rows_beyond_5, axes)
+        _, _, polls, _ = probe_at_a_time_descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)
+        assert len(calls) == 1 + polls + 1
+        assert calls[0] is None and calls[-1] == 2  # the mesh first, the two candidates in one call last
+        assert trace[1][0] == space.params(descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)[0])
+
+    def test_space_arrays_are_built_once_and_read_only(self):
+        space = dataclasses.replace(TOY, candidates=(("a", (5.0, 2.0)), ("b", (0.7, 0.1))))
+        lows, highs, axes, rows = space.arrays(POINTS)
+        assert space.arrays(POINTS) is space.arrays(POINTS)
+        assert rows.tolist() == [[5.0, 0.7], [2.0, 0.1]]  # (coordinates, candidates)
+        assert [axis.tolist() for axis in axes] == [np.linspace(0.0, 1.0, POINTS).tolist()] * 2
+        for array in (lows, highs, *axes, rows):
+            assert not array.flags.writeable
+        assert space.arrays(5)[2][0].size == 5
+        assert dataclasses.replace(space).arrays(POINTS) is not space.arrays(POINTS)
+        assert dataclasses.replace(space) == space  # the arrays take no part in equality
 
     def test_params_reduce_periodic_coordinates_and_exponentiate_logarithms(self):
         space = dataclasses.replace(TOY, periods=(np.pi, None), logs=(1,))
@@ -255,6 +294,20 @@ class TestDescend:
             x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
+
+    @settings(max_examples=80, deadline=None)
+    @given(box_problems())
+    @example(NEAR_HALFWAY_SQUARE)
+    def test_a_start_value_keeps_the_path_and_saves_one_call(self, problem):
+        fn, x0, lows, highs, periods = problem
+        start = fn(*np.array(x0, dtype=float)[:, None])[0]
+        counted_fn, calls = counted(fn)
+        with mock.patch.object(optimize, "RESOLUTION", 1e-7):
+            x, val = descend(counted_fn, x0, lows, highs, periods, start)
+            x_ref, val_ref, polls, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
+        assert x.tolist() == x_ref.tolist()
+        assert float(val) == float(val_ref)
+        assert len(calls) == polls  # one call per poll, none for the start
 
     @settings(max_examples=80, deadline=None)
     @given(box_problems(), st.integers(1, 12))
