@@ -115,7 +115,7 @@ def gie_closed_form(fam: StateFamily) -> float:
     if fam.tag == "pure":
         return float(np.log(p.a))
     if fam.tag == "sym_glems":
-        return float(np.log(p.a / np.sqrt(p.a**2 - p.kp**2)))
+        return float(np.log(p.a / np.sqrt((p.a - p.kp) * (p.a + p.kp))))  # a^2 - kp^2 as make_family reads it
     if fam.tag == "sym_sq_thermal":
         g = p.a - p.kx
         return float(np.log((g * g + 1.0) / (2.0 * g)))
@@ -131,11 +131,11 @@ def sym_glems_candidates(a: float, kp: float) -> tuple[float, float, float]:
     """
     fam = make_family("sym_glems", a=a, kp=kp)
     kx = fam.std.kx
-    u1 = float(np.log(a / np.sqrt(a * a - kx * kx)))
+    u1 = float(np.log(a / np.sqrt((a - kx) * (a + kx))))  # a^2 - k^2 read without cancellation
     za = ((a + kx) / (a - kp)) ** 0.25
     zb = ((a + kp) / a_minus_kx(fam.std)) ** 0.25
     u2 = float(np.log((za * zb + 1.0 / (za * zb)) / 2.0))
-    u3 = float(np.log(a / np.sqrt(a * a - kp * kp)))
+    u3 = float(np.log(a / np.sqrt((a - kp) * (a + kp))))
     return u1, u2, u3
 
 

@@ -70,6 +70,20 @@ class TestClosedForm:
         assert np.isclose(gie_closed_form(make_family("cv_ghz", r=0.5)), GHZ_WORKED, atol=1e-12)
         assert np.isclose(gie_closed_form(make_family("pure", a=1.0)), 0.0, atol=1e-14)
 
+    def test_sym_glems_near_the_pure_edge_against_50_digit_reference(self):
+        # a^2 - kp^2 = 1 - 4.2e-11: read as a * a - kp * kp it cancels to 3.7e-11 off the value
+        mpmath = pytest.importorskip("mpmath")
+        a, kp = 838.6599231169192, 838.6593269274938
+        fam = make_family("sym_glems", a=a, kp=kp)
+        u1, u2, u3 = sym_glems_candidates(a, kp)
+        with mpmath.workdps(50):
+            def exact(k):
+                return mpmath.log(mpmath.mpf(a) / mpmath.sqrt(mpmath.mpf(a) ** 2 - mpmath.mpf(k) ** 2))
+
+            for value, reference in ((gie_closed_form(fam), exact(kp)), (u3, exact(kp)), (u1, exact(fam.std.kx))):
+                assert abs(float(mpmath.mpf(value) - reference)) < 1e-15
+        assert u2 >= u3
+
     def test_separable_faithfulness(self):
         assert gie_closed_form(make_family("sym_sq_thermal", a=3.0, k=1.0)) == 0.0
 
