@@ -183,8 +183,8 @@ def seed_frame_schur(pi: Purification, entries):
         cols = cos_k * np.cos(phi) + sin_k * np.sin(phi)  # (axes k, rows i then j, *phi)
         weights = -1.0 / (nu + s.reshape((n_seeds, 1) + (1,) * (ndim + 1 - s.ndim) + s.shape[1:]))  # negated
         products = cols[:, :n_entries] * cols[:, n_entries:]
-        # g_ij + w_0 (c_i0 c_j0), added in place (addition commutes bit for bit), then + w_k (c_ik c_jk) in
-        # order of k: in place, the mesh output is the only array of its size that a call allocates twice
+        # g_ij + w_0 (c_i0 c_j0) (addition commutes bit for bit), then + w_k (c_ik c_jk) in order of k, in
+        # place: a call allocates two arrays of the output's size, not one per term, which a 33^3 mesh feels
         out = weights[0] * products[0]
         out += target_k
         for w, product in zip(weights[1:], products[1:]):
