@@ -11,7 +11,7 @@ rule (``TIE_ATOL``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,23 +41,6 @@ class SearchSpace:
     logs: tuple
     candidates: tuple
     label: str
-    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def arrays(self, points) -> tuple:
-        """``(lows, highs, axes, rows)``: the box, the grid axes at ``points`` per
-        coordinate and the candidate rows stacked (coordinates, candidates), as
-        read-only arrays built once per space and grid size."""
-        arrays = self._arrays.get(points)
-        if arrays is None:
-            lows, highs = np.array(self.lows), np.array(self.highs)
-            axes = tuple(np.linspace(lo, hi, points, endpoint=period is None)
-                         for lo, hi, period in zip(lows, highs, self.periods))
-            rows = np.array([row for _, row in self.candidates], dtype=float).reshape(len(self.candidates), len(lows))
-            arrays = lows, highs, axes, np.ascontiguousarray(rows.T)
-            for array in (lows, highs, *axes, arrays[3]):
-                array.flags.writeable = False
-            self._arrays[points] = arrays
-        return arrays
 
     def params(self, x) -> tuple:
         """Reported parameters of a search row: periodic coordinates reduced, logarithms exponentiated."""
@@ -95,7 +78,7 @@ def _probe_table(dim):
     return table
 
 
-def descend(fn, x0, lows, highs, periods, value=None):
+def descend(fn, x0, value, lows, highs, periods):
     """Deterministic compass search within a box, one complete poll per call of ``fn``.
 
     Each poll evaluates every move of ``_probe_table`` from the incumbent,
@@ -109,14 +92,15 @@ def descend(fn, x0, lows, highs, periods, value=None):
     ``fn`` must broadcast over 1-D probe arrays, one per coordinate; it gets
     them as the contiguous rows of one (coordinates, probes) array.
 
-    ``value`` is ``fn`` at ``x0`` where the caller has it (``search`` passes
-    the grid's value); without it the descent evaluates ``x0`` first.  Every
-    step factor is a power of two, so the step is the first step times one
-    scale, exactly, and the stop rule reads the scale times the widest first
-    step.
+    ``value`` is ``fn`` at ``x0``, which the callers take from the grid
+    stage instead of evaluating the 1-row ``x0`` again; the two agree bit
+    for bit where numpy's elementwise functions round a mesh element and a
+    1-element row alike (tests/test_gie.py checks every gielab objective).
+    Every step factor is a power of two, so the step is the first step
+    times one scale, exactly, and the stop rule reads the scale times the
+    widest first step.
     """
-    x = np.array(x0, dtype=float)
-    val = fn(*x[:, None])[0] if value is None else value
+    x, val = np.array(x0, dtype=float), value
     first_steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
     widest, scale = float(first_steps.max()), 1.0
     cycle = np.array([np.inf if period is None else period for period in periods])
@@ -160,11 +144,13 @@ def search(fn, space, points):
     value there, so ``fn`` is called once for the grid, once per poll and
     once for the candidates.
     """
-    lows, highs, axes, rows = space.arrays(points)
+    lows, highs = np.array(space.lows), np.array(space.highs)
+    axes = [np.linspace(lo, hi, points, endpoint=period is None) for lo, hi, period in zip(lows, highs, space.periods)]
     coarse, coarse_val = grid_argmin(fn, axes)
-    refined, refined_val = descend(fn, coarse, lows, highs, space.periods, coarse_val)
+    refined, refined_val = descend(fn, coarse, coarse_val, lows, highs, space.periods)
     trace = [(space.params(coarse), coarse_val), (space.params(refined), float(refined_val))]
-    trace += [(space.params(row), float(value)) for row, value in zip(rows.T, fn(*rows))]
+    rows = np.array([row for _, row in space.candidates], dtype=float).reshape(len(space.candidates), len(lows))
+    trace += [(space.params(row), float(value)) for row, value in zip(rows, fn(*rows.T))]
     best_val = min(value for _, value in trace[1:])
     for (label, _), (_, value) in zip(space.candidates, trace[2:]):
         if value <= best_val + TIE_ATOL:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gielab.information
 import gielab.optimize
 from gielab.config import GridConfig
 from gielab.errors import DomainNotCoveredError, InvalidInputError, NumericalDegeneracyError
@@ -29,7 +30,7 @@ from gielab.gie import (
     sym_glems_candidates,
     verified_domain,
 )
-from gielab.information import gcmi_condition_g
+from gielab.information import gcmi_condition_g, gcmi_numeric
 from gielab.measurement import FiniteMeasurement, condition_on_e, general_single_mode, homodyne
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.renyi2 import gr2_of_family
@@ -278,8 +279,8 @@ class TestKh:
         # a probe-at-a-time Hooke-Jeeves search stopped here on a cap of 400 sweeps with f_min ~ 1.6e-9
         descend, polls = gielab.optimize.descend, []
 
-        def checked(fn, x0, lows, highs, periods, start_value=None):
-            x, value = descend(fn, x0, lows, highs, periods, start_value)
+        def checked(fn, x0, start_value, lows, highs, periods):
+            x, value = descend(fn, x0, start_value, lows, highs, periods)
             x_ref, value_ref, count, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs, periods)
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
             assert not stopped_on_cap
@@ -309,6 +310,36 @@ class TestKh:
             QMatrixParams(0.5, 1.0, 2.0)  # lambda2 > lambda1
         with pytest.raises(InvalidInputError):
             k_h(QMatrixParams(0.5, 1.0, 0.5), 1.2, 0.8)  # unphysical (a, k)
+
+
+class TestGridValueStartsTheDescent:
+    # descend starts from the grid's value at its best point instead of evaluating that point again as
+    # a 1-row array; the search path is the same only where both evaluations round alike
+    @pytest.mark.parametrize("points", (5, 13, 21, 33))
+    def test_each_objective_gives_the_grid_value_on_the_grid_best_as_one_row(self, monkeypatch, points):
+        grid_argmin, mismatches, calls = gielab.optimize.grid_argmin, [], []
+
+        def checked(fn, axes):
+            best, value = grid_argmin(fn, axes)
+            calls.append(best)
+            if not fn(*best[:, None])[0] == value:
+                mismatches.append((best.tolist(), value, fn(*best[:, None])[0]))
+            return best, value
+
+        monkeypatch.setattr(gielab.optimize, "grid_argmin", checked)
+        monkeypatch.setattr(gielab.information, "grid_argmin", checked)
+        rng = np.random.default_rng(points)
+        for _ in range(4):
+            a, u, g, v = 1.0 + 5.0 * rng.random(), rng.random(), 1.0 + 1.41 * rng.random(), rng.random()
+            half_log_ratio = (2.0 * v - 1.0) * np.log(g)
+            k = (g - 1.0) + u * (np.sqrt(g * g - 1.0) - (g - 1.0))
+            for fam in (make_family("sym_glems", a=a, kp=u * np.sqrt(a * a - 1.0)),
+                        make_family("asym_glems", a=g * np.exp(half_log_ratio), b=g * np.exp(-half_log_ratio)),
+                        make_family("sym_sq_thermal", a=g, k=k)):
+                gie_numeric(fam, GridConfig(points=points))
+            gcmi_numeric(make_family("sym_sq_thermal", a=g, k=k).std, points)
+        assert len(calls) == 16  # f_xx of sym_glems and asym_glems, K_h, u
+        assert mismatches == []
 
 
 def _sq_thermal_pi(a, k):

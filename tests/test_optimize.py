@@ -30,6 +30,11 @@ def run(candidates, fn=with_rows_beyond_5):
     return search(fn, dataclasses.replace(TOY, candidates=tuple(candidates)), POINTS)
 
 
+def value_at(fn, x0):
+    """``fn`` at ``x0`` as a 1-row evaluation, the start value ``descend`` takes."""
+    return fn(*np.array(x0, dtype=float)[:, None])[0]
+
+
 def counted(fn):
     """``fn`` and a list that grows by one entry per call of it."""
     calls = []
@@ -103,7 +108,7 @@ class TestSearch:
         candidates = [("a", (5.0, 2.0)), ("b", (0.7, 0.1))]
         _, _, trace = run(candidates)
         grid_best, grid_val = grid_argmin(bowl, (np.linspace(0.0, 1.0, POINTS),) * 2)
-        end, end_val = descend(bowl, grid_best, np.zeros(2), np.ones(2), (None, None))
+        end, end_val = descend(bowl, grid_best, grid_val, np.zeros(2), np.ones(2), (None, None))
         assert not np.array_equal(grid_best, end)  # the off-grid minimum moves the descent
         assert trace == [
             (TOY.params(grid_best), grid_val),
@@ -121,24 +126,14 @@ class TestSearch:
             space = dataclasses.replace(space, highs=(np.pi, 1.0), periods=(np.pi, None))
         fn, calls = counted(with_rows_beyond_5)
         _, _, trace = search(fn, space, points)
-        lows, highs, axes, _ = space.arrays(points)
-        grid_best, _ = grid_argmin(with_rows_beyond_5, axes)
+        lows, highs = np.array(space.lows), np.array(space.highs)
+        axes = [np.linspace(0.0, high, points, endpoint=period is None) for high, period in zip(highs, space.periods)]
+        grid_best, grid_val = grid_argmin(with_rows_beyond_5, axes)
         _, _, polls, _ = probe_at_a_time_descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)
         assert len(calls) == 1 + polls + 1
         assert calls[0] is None and calls[-1] == 2  # the mesh first, the two candidates in one call last
-        assert trace[1][0] == space.params(descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)[0])
-
-    def test_space_arrays_are_built_once_and_read_only(self):
-        space = dataclasses.replace(TOY, candidates=(("a", (5.0, 2.0)), ("b", (0.7, 0.1))))
-        lows, highs, axes, rows = space.arrays(POINTS)
-        assert space.arrays(POINTS) is space.arrays(POINTS)
-        assert rows.tolist() == [[5.0, 0.7], [2.0, 0.1]]  # (coordinates, candidates)
-        assert [axis.tolist() for axis in axes] == [np.linspace(0.0, 1.0, POINTS).tolist()] * 2
-        for array in (lows, highs, *axes, rows):
-            assert not array.flags.writeable
-        assert space.arrays(5)[2][0].size == 5
-        assert dataclasses.replace(space).arrays(POINTS) is not space.arrays(POINTS)
-        assert dataclasses.replace(space) == space  # the arrays take no part in equality
+        end, _ = descend(with_rows_beyond_5, grid_best, grid_val, lows, highs, space.periods)
+        assert trace[1][0] == space.params(end)
 
     def test_params_reduce_periodic_coordinates_and_exponentiate_logarithms(self):
         space = dataclasses.replace(TOY, periods=(np.pi, None), logs=(1,))
@@ -157,7 +152,8 @@ class TestPeriodicSeam:
 
     def test_the_descent_wraps_across_the_seam(self):
         # clipped to [0, pi], this descent stops on the phi = 0 face
-        x, value = descend(seam_bowl, (0.05, 0.5), np.zeros(2), np.array([np.pi, 1.0]), (np.pi, None))
+        x0 = (0.05, 0.5)
+        x, value = descend(seam_bowl, x0, value_at(seam_bowl, x0), np.zeros(2), np.array([np.pi, 1.0]), (np.pi, None))
         assert abs(x[0] - (np.pi - 0.02)) < 1e-6
         assert value < 1e-12
 
@@ -288,26 +284,15 @@ class TestDescend:
     @given(box_problems())
     @example(NEAR_HALFWAY_SQUARE)
     def test_complete_polls_follow_the_probe_at_a_time_path(self, problem):
+        # the start value comes in, so the batched descent calls fn once per poll
         fn, x0, lows, highs, periods = problem
-        with mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(fn, x0, lows, highs, periods)
-            x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
-        assert x.tolist() == x_ref.tolist()
-        assert float(val) == float(val_ref)
-
-    @settings(max_examples=80, deadline=None)
-    @given(box_problems())
-    @example(NEAR_HALFWAY_SQUARE)
-    def test_a_start_value_keeps_the_path_and_saves_one_call(self, problem):
-        fn, x0, lows, highs, periods = problem
-        start = fn(*np.array(x0, dtype=float)[:, None])[0]
         counted_fn, calls = counted(fn)
         with mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(counted_fn, x0, lows, highs, periods, start)
+            x, val = descend(counted_fn, x0, value_at(fn, x0), lows, highs, periods)
             x_ref, val_ref, polls, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
-        assert len(calls) == polls  # one call per poll, none for the start
+        assert len(calls) == polls
 
     @settings(max_examples=80, deadline=None)
     @given(box_problems(), st.integers(1, 12))
@@ -315,7 +300,7 @@ class TestDescend:
         # a cap of 1-12 polls cuts most descents short
         fn, x0, lows, highs, periods = problem
         with mock.patch.object(optimize, "MAX_POLLS", max_polls), mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(fn, x0, lows, highs, periods)
+            x, val = descend(fn, x0, value_at(fn, x0), lows, highs, periods)
             x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
