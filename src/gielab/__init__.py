@@ -20,9 +20,6 @@ from .gie import (
     QMatrixParams,
     gie_closed_form,
     gie_numeric,
-    gie_numeric_asym_glems,
-    gie_numeric_sym_glems,
-    gie_numeric_sym_sq_thermal,
     k_h,
     k_h_determinant,
     minimize_kh,

@@ -199,15 +199,13 @@ def _single_mode_numeric(fam: StateFamily, pi: Purification, grid_cfg: GridConfi
     return _judged(fam, closed, float(numeric), optimum, trace, gate(gate_min), gate_min=gate_min)
 
 
-def gie_numeric_sym_glems(a: float, kp: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
+def gie_numeric_sym_glems(fam: StateFamily, grid_cfg: GridConfig) -> GieResult:
     """Eve-side minimization for a symmetric GLEMS (x-homodyne fixed on A, B), gated on G > 2 - sqrt(2)."""
-    fam = make_family("sym_glems", a=a, kp=kp)
     return _single_mode_numeric(fam, purify(fam.std), grid_cfg, lambda g: g > GATE_LOWER_BOUND)
 
 
-def gie_numeric_asym_glems(a: float, b: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
+def gie_numeric_asym_glems(fam: StateFamily, grid_cfg: GridConfig) -> GieResult:
     """Eve-side minimization for an asymmetric squeezed-thermal GLEMS, whose closed form rests on G >= 0."""
-    fam = make_family("asym_glems", a=a, b=b)
     return _single_mode_numeric(fam, purify_asym_glems(fam), grid_cfg, lambda g: g >= 0.0)
 
 
@@ -340,15 +338,13 @@ def _kh_seed(lambda1, lambda2) -> tuple:
     return lambda1, lambda2, 1.0 / lambda1, inv_l2
 
 
-def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
+def gie_numeric_sym_sq_thermal(fam: StateFamily, grid_cfg: GridConfig) -> GieResult:
     """Eve-side minimization for a symmetric squeezed thermal state."""
-    fam = make_family("sym_sq_thermal", a=a, k=k)
     closed = gie_closed_form(fam)
-    if is_separable(fam.std):  # closed = 0 and verified_domain holds
-        return _judged(fam, closed, 0.0, "separable (no optimization run)", ())
     pi = purify(fam.std)
     if pi.r_count == 0:  # a^2 - k^2 = 1 within purify's cutoff: pure state
         return _numeric_pure(fam, closed)
+    a, k = fam.std.a, fam.std.kx
     k_min, optimum, trace = minimize_kh(a, k, grid_cfg)
     i_h = 0.5 * np.log(a * a / ((a - k) * (a + k)))
     numeric = float(i_h + 0.5 * np.log(k_min))
@@ -361,17 +357,12 @@ def gie_numeric_sym_sq_thermal(a: float, k: float, grid_cfg: GridConfig = DEFAUL
 
 def gie_numeric(fam: StateFamily, grid_cfg: GridConfig = DEFAULT_GRID) -> GieResult:
     """Dispatch the numeric Eve-side verification by family tag."""
-    p = fam.std
     if fam.tag == "pure":
         return _numeric_pure(fam, gie_closed_form(fam))
-    # Each minimizer takes its family's defining scalars and rebuilds the
-    # family, so a CV GHZ state, a sym_glems instance, runs on the rebuilt
-    # kx = a - 1/(a + kp) and that family's spectrum, not on its own kx,
-    # which differs in the last bits.
     if fam.tag == "sym_glems":
-        return gie_numeric_sym_glems(p.a, p.kp, grid_cfg)
+        return gie_numeric_sym_glems(fam, grid_cfg)
     if fam.tag == "sym_sq_thermal":
-        return gie_numeric_sym_sq_thermal(p.a, p.kx, grid_cfg)
+        return gie_numeric_sym_sq_thermal(fam, grid_cfg)
     if fam.tag == "asym_glems":
-        return gie_numeric_asym_glems(p.a, p.b, grid_cfg)
+        return gie_numeric_asym_glems(fam, grid_cfg)
     raise DomainNotCoveredError("numeric verification covers the four solvable families only")

@@ -169,11 +169,7 @@ def seed_frame_schur(pi: Purification, entries):
     def kernel(phi, s):
         if len(s) != n_seeds:
             raise DimensionMismatchError(f"the seed-frame kernel needs {n_seeds} seed eigenvalues, got {len(s)}")
-        phi = np.asarray(phi)
-        try:
-            s = np.array(s, dtype=float)
-        except ValueError:  # seed arrays of different shapes, as on a sparse mesh
-            s = np.array(np.broadcast_arrays(*s))
+        phi, s = np.asarray(phi), np.array(s, dtype=float)
         ndim = max(phi.ndim, s.ndim - 1)
         if ndim not in shaped:
             tail = (1,) * ndim

@@ -100,7 +100,7 @@ def std_form_xx_det(gamma):
 
 def a_minus_kx(p: StdForm) -> float:
     """a - kx, which the symmetric closed forms divide by; NumericalDegeneracyError
-    where kx rounds to a or above (a CV GHZ state from r ~ 9.4)."""
+    where kx rounds to a or above (a CV GHZ state from r ~ 9.55)."""
     gap = p.a - p.kx
     if not gap > 0.0:
         raise NumericalDegeneracyError(f"a - kx rounds to {gap:g} at a = {p.a:.17g}: past the double-precision limit")
@@ -118,18 +118,6 @@ def is_separable(p: StdForm) -> bool:
     if p.kp <= 0.0:  # both correlations share a sign: separable outright
         return True
     return ppt_min_symplectic_eigenvalue(p) >= 1.0 - PPT_ATOL
-
-
-def _cv_ghz_std(r: float) -> StdForm:
-    # past r ~ 177 the entries overflow to inf or nan, which StdForm rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        xp = (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 3.0
-        xm = (np.exp(-2.0 * r) + 2.0 * np.exp(2.0 * r)) / 3.0
-        a = float(np.sqrt(xp * xm))
-        kx = np.sqrt(xm / xp) * (xm - xp)
-        kp = np.sqrt(xp / xm) * (xm - xp)
-    # the third mode purifies the two: its local a is the one noisy eigenvalue
-    return StdForm(a=a, b=a, kx=float(kx), kp=float(kp), nus=(a, 1.0))
 
 
 # Each family's defining scalars, in the order a, b, k, kp, r.
@@ -150,8 +138,8 @@ def make_family(tag: str, **params) -> StateFamily:
         sym_glems(a, kp)       one unit symplectic eigenvalue, kx = a - 1/(a + kp)
         sym_sq_thermal(a, k)   kx = kp = k
         asym_glems(a, b)       k fixed by the unit-eigenvalue branch
-        cv_ghz(r)              two-mode reduction of the CV GHZ state
-                               (a symmetric GLEMS instance)
+        cv_ghz(r)              two-mode reduction of the CV GHZ state, built as
+                               the sym_glems instance of its (a, kp)
 
     Raises:
         InvalidFamilyParamsError: an unknown tag, a missing or unknown
@@ -196,7 +184,13 @@ def make_family(tag: str, **params) -> StateFamily:
     r = float(params["r"])  # cv_ghz
     if r < 0.0:
         raise InvalidFamilyParamsError(f"cv_ghz needs r >= 0, got {r}")
-    return StateFamily(tag="sym_glems", std=_cv_ghz_std(r))
+    # past r ~ 177 the entries overflow to inf or nan, which StdForm rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        xp = (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 3.0
+        xm = (np.exp(-2.0 * r) + 2.0 * np.exp(2.0 * r)) / 3.0
+        a, kp = np.sqrt(xp * xm), np.sqrt(xp / xm) * (xm - xp)
+    # a^2 = 1 + (8/9) sinh^2(2r) >= 1, but the product xp xm rounds below 1 for some r < 1e-8
+    return make_family("sym_glems", a=max(float(a), 1.0), kp=float(kp))
 
 
 def classify(p: StdForm) -> StateFamily:

@@ -241,20 +241,29 @@ def check_kh_machinery(grid_cfg: GridConfig, n=1000) -> CheckResult:
 
 
 def check_thresholds(results) -> CheckResult:
-    """Criterion 6: sqrt(a~ b~) <= a and the GCMI gate along optimizer traces."""
+    """Criterion 6: sqrt(a~ b~) <= a and the GCMI gates along optimizer traces,
+    G > 2 - sqrt(2) for sym_glems and G >= 0 for asym_glems; every in-domain
+    result must be verified, so a gate the minimizer misjudges fails too."""
     worst_ab = -np.inf
-    worst_gate = np.inf
+    worst_gate = worst_asym_gate = np.inf
+    unverified = []
     for tag, params, res in results:
         if tag == "sym_sq_thermal":
             worst_ab = max(worst_ab, res.extra["sqrt_ab_max"] - params["a"])
         elif tag == "sym_glems":
             worst_gate = min(worst_gate, res.extra["gate_min"])
-    passed = worst_ab <= SQRT_AB_SLACK and worst_gate > GATE_LOWER_BOUND
-    return CheckResult(
-        "threshold machinery",
-        passed,
-        f"max sqrt(ab~) - a = {worst_ab:.3e}, min gate = {worst_gate:.6f} (> {GATE_LOWER_BOUND:.3f})",
+        else:
+            worst_asym_gate = min(worst_asym_gate, res.extra["gate_min"])
+        if not res.verified:
+            unverified.append((tag, params))
+    passed = worst_ab <= SQRT_AB_SLACK and worst_gate > GATE_LOWER_BOUND and worst_asym_gate >= 0.0 and not unverified
+    detail = (
+        f"max sqrt(ab~) - a = {worst_ab:.3e}, min gate = {worst_gate:.6f} (> {GATE_LOWER_BOUND:.3f}), "
+        f"asym_glems min G = {worst_asym_gate:.6f} (>= 0)"
     )
+    if unverified:
+        detail += f"; unverified: {unverified[:3]}"
+    return CheckResult("threshold machinery", passed, detail)
 
 
 def check_conjecture(grid_n=20) -> CheckResult:

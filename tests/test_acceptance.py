@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from gielab import verify
+from gielab import gie, verify
 from gielab.config import GridConfig
 from gielab.gie import gie_closed_form
 from gielab.information import gcmi_condition_g
+from gielab.purification import purify_asym_glems
 from gielab.states import make_family
 from gielab.verify import (
     check_candidate_ordering,
@@ -92,6 +93,19 @@ def test_criterion_5_kh_machinery(acceptance_report):
 
 def test_criterion_6_threshold_machinery(family_numeric_results, acceptance_report):
     acceptance_report(check_thresholds(family_numeric_results))
+
+
+def test_criterion_6_fails_when_the_asym_glems_gate_misjudges(monkeypatch):
+    # a gate rule stricter than the G >= 0 the closed form rests on unverifies
+    # every asym_glems result; only the threshold check reads that verdict
+    def stricter_gate(fam, grid_cfg):
+        return gie._single_mode_numeric(fam, purify_asym_glems(fam), grid_cfg, lambda g: g >= 10.0)
+
+    monkeypatch.setattr(gie, "gie_numeric_asym_glems", stricter_gate)
+    lines = [check.line() for check in verify.run_suite("fast")]
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        next(line for line in lines if "threshold machinery" in line)
+    ]
 
 
 def test_criterion_7_conjecture_equality(acceptance_report):

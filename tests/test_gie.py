@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gielab.gie
 import gielab.information
 import gielab.optimize
 from gielab.config import GridConfig
 from gielab.errors import DomainNotCoveredError, InvalidInputError, NumericalDegeneracyError
 from gielab.gie import (
     GATE_LOWER_BOUND,
+    SQRT_AB_SLACK,
     QMatrixParams,
     _conditional_cms,
     _kh_seed,
@@ -21,9 +23,6 @@ from gielab.gie import (
     _trace_forms,
     gie_closed_form,
     gie_numeric,
-    gie_numeric_asym_glems,
-    gie_numeric_sym_glems,
-    gie_numeric_sym_sq_thermal,
     k_h,
     k_h_determinant,
     minimize_kh,
@@ -46,6 +45,11 @@ U3_WORKED = 0.05889151782819164
 SQ_THERMAL_WORKED = 0.06230388333615484
 ASYM_WORKED = 0.3364722366212129
 GHZ_WORKED = 0.08954514823451633
+
+
+def _numeric(tag, **params):
+    """gie_numeric at grid 13 on the family built from its defining scalars."""
+    return gie_numeric(make_family(tag, **params), FAST)
 
 
 def _g_50_digits(cm) -> float:
@@ -140,14 +144,14 @@ class TestCandidates:
 
 class TestNumericSymGlems:
     def test_worked_point(self):
-        res = gie_numeric_sym_glems(1.5, 0.5, FAST)
+        res = _numeric("sym_glems", a=1.5, kp=0.5)
         assert res.discrepancy < 2e-5
         assert res.eve_optimum == "homodyne x_E"
         assert res.extra["gate_min"] > GATE_LOWER_BOUND
         assert res.verified
 
     def test_low_noise_point(self):
-        res = gie_numeric_sym_glems(1.1, 0.2, FAST)
+        res = _numeric("sym_glems", a=1.1, kp=0.2)
         assert res.discrepancy < 2e-5
 
     def test_cv_ghz_through_pipeline(self):
@@ -156,8 +160,8 @@ class TestNumericSymGlems:
         assert abs(res.numeric - GHZ_WORKED) < 2e-5
 
     def test_strongly_squeezed_cv_ghz_keeps_one_e_mode(self):
-        # this state's own kx rounds off the GLEMS surface (recomputed from
-        # (a, b, kx, kp), nu2 = 1 + 1.6e-9); the carried spectrum (a, 1) keeps one E mode
+        # kx rounds off the GLEMS surface (the spectrum recomputed from (a, b, kx, kp)
+        # has nu2 = 1 + 1.6e-9); the carried spectrum (nu, 1) keeps one E mode
         fam = make_family("cv_ghz", r=4.5)
         assert purify(fam.std).r_count == 1
         res = gie_numeric(fam, FAST)
@@ -169,13 +173,13 @@ class TestNumericSymGlems:
         # a b - kx^2 read as det gamma over the larger root: the gate read through
         # kx~ was off by 3.4e-7 here
         a, kp = 5.955034189330633, 5.29661995673705
-        res = gie_numeric_sym_glems(a, kp, FAST)
+        res = _numeric("sym_glems", a=a, kp=kp)
         phi, tau, t = np.array([params for params, _ in res.optimizer_trace]).T
         cms = _conditional_cms(purify(make_family("sym_glems", a=a, kp=kp).std), phi, _single_mode_seed(tau, t))
         assert abs(min(_g_50_digits(cm) for cm in cms) - res.extra["gate_min"]) < 3e-8
 
     def test_trace_records_candidates(self):
-        res = gie_numeric_sym_glems(1.5, 0.5, FAST)
+        res = _numeric("sym_glems", a=1.5, kp=0.5)
         values = [v for _, v in res.optimizer_trace]
         assert min(values) == res.numeric
         assert len(res.optimizer_trace) >= 4  # grid best, refined, 3 candidates
@@ -183,13 +187,13 @@ class TestNumericSymGlems:
 
 class TestNumericSymSqThermal:
     def test_worked_point(self):
-        res = gie_numeric_sym_sq_thermal(1.2, 0.5, FAST)
+        res = _numeric("sym_sq_thermal", a=1.2, k=0.5)
         assert abs(res.numeric - SQ_THERMAL_WORKED) < 2e-5
         assert res.eve_optimum == "homodyne x_EA p_EB"
         assert res.extra["sqrt_ab_max"] <= 1.2 + 1e-9
 
     def test_weakly_squeezed_point(self):
-        res = gie_numeric_sym_sq_thermal(1.05, 0.3, FAST)
+        res = _numeric("sym_sq_thermal", a=1.05, k=0.3)
         expected = np.log((0.75**2 + 1.0) / 1.5)
         assert np.isclose(res.closed_form, expected, atol=1e-12)
         assert abs(res.numeric - expected) < 2e-5
@@ -199,28 +203,35 @@ class TestNumericSymSqThermal:
         # and that decides: the pure path, where every measurement of E ties
         a, k = 2.0, 1.7320508072
         assert purify(make_family("sym_sq_thermal", a=a, k=k).std).r_count == 0
-        res = gie_numeric_sym_sq_thermal(a, k, FAST)
+        res = _numeric("sym_sq_thermal", a=a, k=k)
         assert res.eve_optimum == "heterodyne"
         assert res.verified and res.discrepancy < 1e-9
 
-    def test_separable_short_circuit(self):
-        res = gie_numeric_sym_sq_thermal(3.0, 1.0, FAST)
-        assert res.closed_form == 0.0 and res.numeric == 0.0
-        assert res.optimizer_trace == ()
+    def test_separable_states_run_the_search_and_gate(self, rng):
+        # a - k >= 1 is separable: the K_h search still runs, and its minimum is f = 0
+        worst = 0.0
+        for _ in range(200):
+            a = 1.0 + rng.random() * 8.0
+            k = rng.random() * (a - 1.0)
+            res = _numeric("sym_sq_thermal", a=a, k=k)
+            assert res.closed_form == 0.0 and res.verified and len(res.optimizer_trace) >= 4
+            assert res.extra["sqrt_ab_max"] <= a + SQRT_AB_SLACK
+            worst = max(worst, abs(res.numeric))
+        assert worst < 1e-14
 
 
 class TestNumericAsymGlems:
     def test_worked_point(self):
-        res = gie_numeric_asym_glems(2.0, 1.5, FAST)
+        res = _numeric("asym_glems", a=2.0, b=1.5)
         assert abs(res.numeric - ASYM_WORKED) < 2e-5
         assert res.eve_optimum == "heterodyne"
 
     def test_swapped_purities_same_value(self):
-        res = gie_numeric_asym_glems(1.5, 2.0, FAST)
+        res = _numeric("asym_glems", a=1.5, b=2.0)
         assert abs(res.numeric - ASYM_WORKED) < 2e-5
 
     def test_product_boundary_vanishes(self):
-        res = gie_numeric_asym_glems(2.0, 1.0, FAST)
+        res = _numeric("asym_glems", a=2.0, b=1.0)
         assert res.closed_form == 0.0
         assert abs(res.numeric) < 1e-9
 
@@ -230,7 +241,7 @@ class TestNumericAsymGlems:
         # readers carry a sqrt(eps) floor where the conditional form is isotropic
         # (the heterodyne rows), so the bound is the sym_glems readout's 3e-8.
         for a, b in ((2.0, 1.5), (1.5, 2.0), (2.9, 2.0), (5.0, 1.05), (1.1, 2.0), (3.0, 1.9)):
-            res = gie_numeric_asym_glems(a, b, FAST)
+            res = _numeric("asym_glems", a=a, b=b)
             pi = purify_asym_glems(make_family("asym_glems", a=a, b=b))
             gates = []
             for (phi, tau, t), _ in res.optimizer_trace:
@@ -241,11 +252,28 @@ class TestNumericAsymGlems:
 
     def test_equal_purities_take_the_pure_path(self):
         # a = b is the pure state with k = sqrt(a^2 - 1); every measurement of E ties
-        res = gie_numeric_asym_glems(1.5, 1.5, FAST)
+        res = _numeric("asym_glems", a=1.5, b=1.5)
         assert res.eve_optimum == "heterodyne"
         assert res.extra == {}
         assert abs(res.numeric - np.log(1.5)) < 1e-12
         assert res.verified and res.discrepancy < 1e-12
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("tag, params", [
+        ("sym_glems", {"a": 1.5, "kp": 0.5}),
+        ("cv_ghz", {"r": 0.5}),
+        ("sym_sq_thermal", {"a": 1.2, "k": 0.5}),
+        ("asym_glems", {"a": 2.0, "b": 1.5}),
+    ])
+    def test_gie_numeric_calls_the_family_step_through_the_module(self, monkeypatch, tag, params):
+        # perfbench/spans.py traces the steps by patching these names in gielab.gie;
+        # a dispatch that bypassed them would leave the traced layers at zero calls
+        fam = make_family(tag, **params)
+        calls = []
+        monkeypatch.setattr(gielab.gie, f"gie_numeric_{fam.tag}", lambda *args: calls.append(args) or "recorded")
+        assert gie_numeric(fam, FAST) == "recorded"
+        assert calls == [(fam, FAST)]
 
 
 class TestKh:
@@ -456,32 +484,32 @@ class TestEveFrame:
 
 class TestDomainCorners:
     def test_sq_thermal_at_domain_boundary(self):
-        res = gie_numeric_sym_sq_thermal(2.41, 1.72, FAST)
+        res = _numeric("sym_sq_thermal", a=2.41, k=1.72)
         assert res.discrepancy < 2e-5
         assert res.verified
         assert res.eve_optimum == "homodyne x_EA p_EB"
 
     def test_asym_glems_near_domain_boundary(self):
         a, b = 2.9, 2.0  # sqrt(ab) = 2.408
-        res = gie_numeric_asym_glems(a, b, FAST)
+        res = _numeric("asym_glems", a=a, b=b)
         assert res.discrepancy < 2e-5
         assert res.verified
         assert res.eve_optimum == "heterodyne"
 
     def test_strongly_asymmetric_glems_inside_domain(self):
-        res = gie_numeric_asym_glems(5.0, 1.05, FAST)  # sqrt(ab) = 2.29
+        res = _numeric("asym_glems", a=5.0, b=1.05)  # sqrt(ab) = 2.29
         assert res.discrepancy < 2e-5
         assert res.verified
 
     def test_outside_domain_reported_but_unverified(self):
-        res = gie_numeric_asym_glems(6.0, 1.2, FAST)  # sqrt(ab) = 2.68
+        res = _numeric("asym_glems", a=6.0, b=1.2)  # sqrt(ab) = 2.68
         assert not res.verified
         assert res.closed_form > 0 and np.isfinite(res.numeric)
 
     def test_near_pure_sym_glems(self):
         a = 1.5
         kp = 0.999 * np.sqrt(a * a - 1.0)
-        res = gie_numeric_sym_glems(a, kp, FAST)
+        res = _numeric("sym_glems", a=a, kp=kp)
         assert res.discrepancy < 2e-5
 
 
@@ -626,10 +654,42 @@ class TestCvGhzRange:
                 assert res.verified and res.eve_optimum == "homodyne x_E"
         assert raised[0] > 86.7 and raised == list(self.R_GRID[self.R_GRID >= raised[0]])
 
+    def test_is_the_sym_glems_instance_of_its_a_and_kp(self):
+        # one construction, which the closed form, GR2 and the Eve-side search all read
+        for r in self.R_GRID[self.R_GRID < 86.75]:
+            xp = (np.exp(2.0 * r) + 2.0 * np.exp(-2.0 * r)) / 3.0
+            xm = (np.exp(-2.0 * r) + 2.0 * np.exp(2.0 * r)) / 3.0
+            ghz = make_family("cv_ghz", r=float(r))
+            glems = make_family("sym_glems", a=float(np.sqrt(xp * xm)), kp=float(np.sqrt(xp / xm) * (xm - xp)))
+            assert ghz == glems and ghz.std.nus == glems.std.nus, r
+
+    @pytest.mark.parametrize("r", [0.0, 1e-300, 1.4e-16, 3.5e-16, 1e-15, 5.271173393637379e-09, 1e-8])
+    def test_weak_squeezing_evaluates(self, r):
+        # the product xp xm rounds a below 1 at some r < 1e-8; a is exactly >= 1
+        fam = make_family("cv_ghz", r=r)
+        assert fam.std.a >= 1.0
+        assert gie_numeric(fam, FAST).discrepancy < MINMAX_ATOL
+        assert abs(gr2_of_family(fam) - gie_closed_form(fam)) < 1e-12
+
+    def test_gr2_matches_a_50_digit_reference(self):
+        # GR2 = ln[(nu + 1/nu)/2], nu^2 = (a - kx)(a - kp), of the exact state at 50 digits;
+        # the a - kx that kx = a - 1/(a + kp) leaves grows off as eps a^2 (1.6e-8 at r = 5.5)
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        for r in 0.05 * np.arange(111):  # [0, 5.5]
+            with mpmath.workdps(50):
+                e2r = mpmath.exp(2 * mpmath.mpf(float(r)))
+                xp, xm = (e2r + 2 / e2r) / 3, (1 / e2r + 2 * e2r) / 3
+                a = mpmath.sqrt(xp * xm)
+                nu = mpmath.sqrt((a - mpmath.sqrt(xm / xp) * (xm - xp)) * (a - mpmath.sqrt(xp / xm) * (xm - xp)))
+                exact = mpmath.log((nu + 1 / nu) / 2) if nu < 1 else 0
+                worst = max(worst, abs(float(gr2_of_family(make_family("cv_ghz", r=float(r))) - exact)))
+        assert worst < 2e-8
+
     @pytest.mark.parametrize("r", [9.55, 40.0])
     def test_past_the_double_precision_limit_one_typed_error(self, r):
-        # the rebuilt kx = a - 1/(a + kp) rounds to a from r = 9.55 (a ~ 9.3e7), and
-        # the state's own kx from r = 9.4; RuntimeWarnings are errors in this suite
+        # kx = a - 1/(a + kp) rounds to a from r = 9.55 (a ~ 9.3e7); RuntimeWarnings
+        # are errors in this suite
         fam = make_family("cv_ghz", r=r)
         with pytest.raises(NumericalDegeneracyError, match="double-precision limit"):
             gie_numeric(fam, FAST)

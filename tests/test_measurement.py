@@ -164,9 +164,10 @@ def _xx_kernel(pi):
 
 
 def _r2_kernel(pi):
-    """All ten entries at Eve's seed blockdiag(Q, Q^{-1}), Q = P diag(l1, l2) P^T, as the R = 2 gate reads them."""
+    """All ten entries at Eve's seed blockdiag(Q, Q^{-1}), Q = P diag(l1, l2) P^T, as the R = 2 gate reads them;
+    the kernel takes one shape for all four seed eigenvalues, so a sparse mesh is broadcast first."""
     schur = seed_frame_schur(pi, UPPER_TRIANGLE)
-    return lambda phi, l1, l2: schur(phi, (l1, l2, 1.0 / l1, 1.0 / l2))
+    return lambda phi, l1, l2: schur(phi, np.broadcast_arrays(l1, l2, 1.0 / l1, 1.0 / l2))
 
 
 class TestSeedFrameKernel:
@@ -264,8 +265,10 @@ class TestSeedFrameKernelBitForBit:
 
     @staticmethod
     def _assert_identical(pi, entries, seed_map, *args):
-        new = seed_frame_schur(pi, entries)(args[0], seed_map(*args[1:]))
-        old = seed_frame_schur_loop(pi, entries)(args[0], seed_map(*args[1:]))
+        # the kernel takes its seed eigenvalues broadcast to one shape, the loop as the seed map gives them
+        seeds = seed_map(*args[1:])
+        new = seed_frame_schur(pi, entries)(args[0], np.broadcast_arrays(*seeds))
+        old = seed_frame_schur_loop(pi, entries)(args[0], seeds)
         assert len(new) == len(old) == len(entries)
         for x, y in zip(new, old):
             assert np.shape(x) == np.shape(y)
