@@ -5,7 +5,9 @@ measurements and runs a grid stage (``grid_argmin``), a compass search
 (``descend``) from the best grid point and then the space's exact
 candidates, rows of the same objective; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
-rule (``TIE_ATOL``).
+rule (``TIE_ATOL``).  Each objective call of the descent evaluates a poll
+and the poll that would follow its miss, so a failed poll costs no call of
+its own.
 """
 
 from __future__ import annotations
@@ -78,8 +80,24 @@ def _probe_table(dim):
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _chained_table(dim):
+    """The moves of one objective call of a ``dim``-coordinate descent: a poll and the poll after its miss.
+
+    The ``_probe_table`` poll, then the poll at 1/8 of its step that follows
+    when it has no improving probe, without that poll's 2x block: the 2x
+    block is the first poll's 1/4 block again, bit for bit, so it cannot
+    improve.  Every factor is a power of two, so each row is the one a poll
+    of its own would probe, exactly.
+    """
+    table = _probe_table(dim)
+    chained = np.concatenate([table, table[len(table) // 4 :] * 0.125])
+    chained.flags.writeable = False
+    return chained
+
+
 def descend(fn, x0, value, lows, highs, periods):
-    """Deterministic compass search within a box, one complete poll per call of ``fn``.
+    """Deterministic compass search within a box, a poll and the poll after its miss per call of ``fn``.
 
     Each poll evaluates every move of ``_probe_table`` from the incumbent,
     clipped to the box except on a coordinate with a ``periods`` entry, in
@@ -91,6 +109,11 @@ def descend(fn, x0, value, lows, highs, periods):
     ``RESOLUTION`` or after ``MAX_POLLS`` polls, both read at call time.
     ``fn`` must broadcast over 1-D probe arrays, one per coordinate; it gets
     them as the contiguous rows of one (coordinates, probes) array.
+
+    One call of ``fn`` evaluates the rows of ``_chained_table``: the poll at
+    the current step and the poll at 1/8 of it, which the descent reads only
+    when the first poll misses and neither stop falls between the two.  So
+    the path, the end and the poll count are those of one poll per call.
 
     ``value`` is ``fn`` at ``x0``, which the callers take from the grid
     stage instead of evaluating the 1-row ``x0`` again; the two agree bit
@@ -106,28 +129,36 @@ def descend(fn, x0, value, lows, highs, periods):
     cycle = np.array([np.inf if period is None else period for period in periods])
     wraps = cycle < np.inf
     lows, highs = np.where(wraps, -np.inf, lows)[:, None], np.where(wraps, np.inf, highs)[:, None]
-    moves = first_steps[:, None] * _probe_table(x.size).T  # (coordinates, probes) at scale 1
-    block = moves.shape[1] // 4
-    for _ in range(MAX_POLLS):
+    moves = first_steps[:, None] * _chained_table(x.size).T  # (coordinates, probes) at scale 1
+    block = moves.shape[1] // 7
+    levels = (slice(0, 4 * block), slice(4 * block, None))
+    polls = 0
+    while polls < MAX_POLLS:
         trials = x[:, None] + moves * scale
         np.maximum(trials, lows, out=trials)
         np.minimum(trials, highs, out=trials)
         values = fn(*trials)
-        better = values < val - MIN_IMPROVEMENT
-        first = int(better.argmax())
-        if better[first]:  # an improving value: only now rule out the probes that clipping kept in place
-            better &= (trials != x[:, None]).any(axis=0)
+        improving = values < val - MIN_IMPROVEMENT  # both levels start from this incumbent
+        for level in levels:
+            better = improving[level]  # a view, so the probes ruled out below leave ``improving`` too
             first = int(better.argmax())
-        if better[first]:
-            rows = slice(first - first % block, first - first % block + block)
-            pick = rows.start + int(np.where(better[rows], values[rows], np.inf).argmin())
-            x, val = trials[:, pick], values[pick]
-            np.remainder(x, cycle, out=x, where=wraps)
-            scale *= (2.0, 1.0, 0.5, 0.25)[first // block]
-        else:
-            scale *= 0.125
-        if scale * widest < RESOLUTION:
-            break
+            if better[first]:  # an improving value: only now rule out the probes that clipping kept in place
+                better &= (trials[:, level] != x[:, None]).any(axis=0)
+                first = int(better.argmax())
+            polls += 1
+            if better[first]:
+                start = level.start + first - first % block  # the level's first block with an improving probe
+                rows = slice(start, start + block)
+                pick = start + int(np.where(improving[rows], values[rows], np.inf).argmin())
+                x, val = trials[:, pick], values[pick]
+                np.remainder(x, cycle, out=x, where=wraps)
+                scale *= (2.0, 1.0, 0.5, 0.25, 1.0, 0.5, 0.25)[start // block]
+            else:
+                scale *= 0.125
+            if scale * widest < RESOLUTION or polls == MAX_POLLS:
+                return x, val
+            if better[first]:  # the second level was probed around the old incumbent
+                break
     return x, val
 
 
@@ -141,8 +172,9 @@ def search(fn, space, points):
     of it, else ``space.label`` with the descent end's parameters; and
     ``(space.params(row), value)`` of the grid best, the descent end and
     every candidate.  The descent starts from the grid best with the grid's
-    value there, so ``fn`` is called once for the grid, once per poll and
-    once for the candidates.
+    value there, so ``fn`` is called once for the grid, once per descent
+    call (a poll, and the poll after it when it misses) and once for the
+    candidates.
     """
     lows, highs = np.array(space.lows), np.array(space.highs)
     axes = [np.linspace(lo, hi, points, endpoint=period is None) for lo, hi, period in zip(lows, highs, space.periods)]

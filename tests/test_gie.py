@@ -36,8 +36,8 @@ from gielab.renyi2 import gr2_of_family
 from gielab.states import StdForm, classify, make_family
 from gielab.symplectic import CovMat, rotation
 from gielab.verify import MINMAX_ATOL
-from oracles import std_form_params
-from tests.test_optimize import probe_at_a_time_descend
+from oracles import poll_per_call_descend, std_form_params
+from tests.test_optimize import chained_reads, probe_at_a_time_descend
 
 FAST = GridConfig(points=13)
 
@@ -309,10 +309,10 @@ class TestKh:
 
         def checked(fn, x0, start_value, lows, highs, periods):
             x, value = descend(fn, x0, start_value, lows, highs, periods)
-            x_ref, value_ref, count, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs, periods)
+            x_ref, value_ref, outcomes, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs, periods)
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
             assert not stopped_on_cap
-            polls.append(count)
+            polls.append(len(outcomes))
             return x, value
 
         monkeypatch.setattr(gielab.optimize, "descend", checked)
@@ -368,6 +368,57 @@ class TestGridValueStartsTheDescent:
             gcmi_numeric(make_family("sym_sq_thermal", a=g, k=k).std, points)
         assert len(calls) == 16  # f_xx of sym_glems and asym_glems, K_h, u
         assert mismatches == []
+
+
+def _recording(fn, rows):
+    """``fn``, appending the (coordinates, probes) array of each call to ``rows``."""
+
+    def wrapped(*xs):
+        rows.append(np.array(xs))
+        return fn(*xs)
+
+    return wrapped
+
+
+class TestChainedPolls:
+    # one objective call of descend evaluates a poll and the poll at 1/8 of its step, which it reads
+    # only after a miss; on every gielab objective that is the poll-per-call path, poll for poll
+    @pytest.mark.parametrize("points", (13, 33))
+    def test_each_objective_follows_the_poll_per_call_descent(self, monkeypatch, points):
+        descend, polls_per_descent = gielab.optimize.descend, []
+
+        def checked(fn, x0, value, lows, highs, periods):
+            calls, polls = [], []
+            x, val = descend(_recording(fn, calls), x0, value, lows, highs, periods)
+            x_ref, val_ref, outcomes = poll_per_call_descend(_recording(fn, polls), x0, value, lows, highs, periods)
+            assert (x.tolist(), float(val)) == (x_ref.tolist(), float(val_ref))
+            reads = chained_reads(outcomes)
+            assert len(calls) == len(reads)
+            block = polls[0].shape[1] // 4
+            for rows, read in zip(calls, reads):
+                # the first level is the poll itself, the second the poll after its miss without its 2x block
+                assert np.array_equal(rows[:, : 4 * block], polls[read[0]])
+                if len(read) == 2:
+                    assert np.array_equal(rows[:, 4 * block :], polls[read[1]][:, block:])
+            polls_per_descent.append(len(outcomes))
+            return x, val
+
+        monkeypatch.setattr(gielab.optimize, "descend", checked)
+        monkeypatch.setattr(gielab.information, "descend", checked)
+        rng = np.random.default_rng(points)
+        for _ in range(3):
+            a, u, g, v = 1.0 + 5.0 * rng.random(), rng.random(), 1.0 + 1.41 * rng.random(), rng.random()
+            half_log_ratio = (2.0 * v - 1.0) * np.log(g)
+            k = (g - 1.0) + u * (np.sqrt(g * g - 1.0) - (g - 1.0))
+            for fam in (make_family("sym_glems", a=a, kp=u * np.sqrt(a * a - 1.0)),
+                        make_family("asym_glems", a=g * np.exp(half_log_ratio), b=g * np.exp(-half_log_ratio)),
+                        make_family("sym_sq_thermal", a=g, k=k)):
+                gie_numeric(fam, GridConfig(points=points))
+        # conditional forms whose u grid best is finite at grids 13 and 33, so gcmi_numeric descends
+        for cond in (StdForm(a=2.73, b=2.95, kx=1.13, kp=1.1), StdForm(a=2.83, b=2.52, kx=0.56, kp=-0.55)):
+            gcmi_numeric(cond, points)
+        assert len(polls_per_descent) == 3 * 3 + 2  # f_xx of sym_glems and asym_glems, K_h, u
+        assert min(polls_per_descent) > 1
 
 
 def _sq_thermal_pi(a, k):

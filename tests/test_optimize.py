@@ -46,6 +46,23 @@ def counted(fn):
     return wrapped, calls
 
 
+def chained_reads(outcomes):
+    """The polls that each objective call of ``descend`` reads, on a path with these poll outcomes.
+
+    A call reads one poll and, when that poll misses (False) and the path
+    goes on, the poll that follows it.  Returns one tuple of poll indices
+    per call.
+    """
+    reads, poll = [], 0
+    while poll < len(outcomes):
+        reads.append((poll,) if outcomes[poll] or poll + 1 == len(outcomes) else (poll, poll + 1))
+        poll += len(reads[-1])
+    return reads
+
+
+ROWS_PER_CALL = {2: 32 + 24, 3: 72 + 54}  # a poll, then the poll after its miss without its 2x block
+
+
 def descent_end():
     value, _, trace = run([])
     return value, trace[1][0]
@@ -129,9 +146,10 @@ class TestSearch:
         lows, highs = np.array(space.lows), np.array(space.highs)
         axes = [np.linspace(0.0, high, points, endpoint=period is None) for high, period in zip(highs, space.periods)]
         grid_best, grid_val = grid_argmin(with_rows_beyond_5, axes)
-        _, _, polls, _ = probe_at_a_time_descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)
-        assert len(calls) == 1 + polls + 1
+        _, _, outcomes, _ = probe_at_a_time_descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)
+        assert len(calls) == 1 + len(chained_reads(outcomes)) + 1
         assert calls[0] is None and calls[-1] == 2  # the mesh first, the two candidates in one call last
+        assert calls[1:-1] == [ROWS_PER_CALL[2]] * (len(calls) - 2)
         end, _ = descend(with_rows_beyond_5, grid_best, grid_val, lows, highs, space.periods)
         assert trace[1][0] == space.params(end)
 
@@ -175,7 +193,8 @@ def probe_at_a_time_descend(fn, x0, lows, highs, periods):
     as of any box, and the probe the search moves to is reduced modulo
     it.  Stops below ``optimize.RESOLUTION`` or after
     ``optimize.MAX_POLLS`` polls, both read at call time.  Returns its end,
-    the value there, the polls it ran and whether the poll cap stopped it.
+    the value there, each poll's outcome (True where it moved, False where
+    it divided the step by 8) and whether the poll cap stopped it.
     Each probe is a 1-row array, so the objective takes the array path that
     the batched descent takes.
     """
@@ -189,7 +208,8 @@ def probe_at_a_time_descend(fn, x0, lows, highs, periods):
                 d = np.zeros(x.size)
                 d[i], d[j] = 1.0, sign
                 directions.append(d / np.sqrt(2.0))
-    for poll in range(1, optimize.MAX_POLLS + 1):
+    outcomes = []
+    for _ in range(optimize.MAX_POLLS):
         best = None
         for multiple in (2.0, 1.0, 0.5, 0.25):
             for direction in directions:
@@ -208,9 +228,10 @@ def probe_at_a_time_descend(fn, x0, lows, highs, periods):
                 break
         else:
             steps = steps / 8.0
+        outcomes.append(best is not None)
         if steps.max() < optimize.RESOLUTION:
-            return x, val, poll, False
-    return x, val, optimize.MAX_POLLS, True
+            return x, val, outcomes, False
+    return x, val, outcomes, True
 
 
 def box_objective(center, weights, coupling, well, cut, periods):
@@ -279,23 +300,48 @@ NEAR_HALFWAY_SQUARE = (
 )
 
 
+# Stops between the two levels of one descent call: the poll that stops the descent misses at the
+# start of a call, and the poll after it, probed in the same call, would improve, so reading it past
+# the stop would move the end.  Poll 6 of this path is such a miss, so a cap of 6 falls there.
+CAP_BETWEEN_LEVELS = (
+    box_objective(np.array([1.47, 2.3]), np.array([1.04, 4.03]), -0.56, 0.0, None, (None, None)),
+    np.array([0.78, 3.21]),
+    np.array([0.04, 1.01]),
+    np.array([0.91, 3.56]),
+    (None, None),
+)
+# a box 1e-5 by 5e-5, so that the resolution stop (1e-7 in the tests) falls within 12 polls: after
+# nine moves, poll 10 misses at the start of a call and takes the step below it
+RESOLUTION_BETWEEN_LEVELS = (
+    box_objective(np.array([0.5000052, -1.199976]), np.array([2.8, 1.1]), 0.5, 0.0, None, (None, None)),
+    np.array([0.5000028, -1.1999544]),
+    np.array([0.5, -1.2]),
+    np.array([0.50001, -1.19995]),
+    (None, None),
+)
+
+
 class TestDescend:
     @settings(max_examples=80, deadline=None)
     @given(box_problems())
     @example(NEAR_HALFWAY_SQUARE)
     def test_complete_polls_follow_the_probe_at_a_time_path(self, problem):
-        # the start value comes in, so the batched descent calls fn once per poll
+        # the start value comes in, so the batched descent calls fn once per poll, or once for a
+        # poll and the poll after its miss
         fn, x0, lows, highs, periods = problem
         counted_fn, calls = counted(fn)
         with mock.patch.object(optimize, "RESOLUTION", 1e-7):
             x, val = descend(counted_fn, x0, value_at(fn, x0), lows, highs, periods)
-            x_ref, val_ref, polls, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
+            x_ref, val_ref, outcomes, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
-        assert len(calls) == polls
+        assert len(calls) == len(chained_reads(outcomes))
+        assert calls == [ROWS_PER_CALL[x0.size]] * len(calls)
 
     @settings(max_examples=80, deadline=None)
     @given(box_problems(), st.integers(1, 12))
+    @example(CAP_BETWEEN_LEVELS, 6)
+    @example(RESOLUTION_BETWEEN_LEVELS, 12)
     def test_the_poll_cap_stops_both_searches_at_the_same_point(self, problem, max_polls):
         # a cap of 1-12 polls cuts most descents short
         fn, x0, lows, highs, periods = problem
