@@ -146,30 +146,32 @@ def cmd_sweep(args) -> int:
     axes = {name: _parse_range(token, bound, name) for name, token in _family_tokens(args).items()}
     if bound and "a" not in axes:
         raise GielabError(f"an a+/-offset for --{' --'.join(bound)} needs --a, which family {args.family} does not take")
-    rows = []
-    for point in itertools.product(*axes.values()):
-        values = dict(zip(axes, point))
-        for name, offset in bound.items():
-            values[name] = values["a"] + offset
-        try:
-            record = _run_point(args.family, values, args, grid_cfg)
-            if args.bits:
-                record = _to_bits(record)
-        except GielabError as exc:
-            record = {
-                "family": args.family,
-                "a": values.get("a"),
-                "b": values.get("b"),
-                "verified": False,
-                "eve_optimum": f"error: {exc}",
-            }
-        rows.append(record)
-    try:
+
+    def records():
+        for point in itertools.product(*axes.values()):
+            values = dict(zip(axes, point))
+            for name, offset in bound.items():
+                values[name] = values["a"] + offset
+            try:
+                record = _run_point(args.family, values, args, grid_cfg)
+                if args.bits:
+                    record = _to_bits(record)
+            except GielabError as exc:
+                record = {
+                    "family": args.family,
+                    "a": values.get("a"),
+                    "b": values.get("b"),
+                    "verified": False,
+                    "eve_optimum": f"error: {exc}",
+                }
+            yield record
+
+    try:  # --out is opened before the first point, and each row is written as it is computed
         fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
         try:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for record in rows:
+            for record in records():
                 writer.writerow(_csv_row(record))
         finally:
             if args.out:

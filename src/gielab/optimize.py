@@ -7,7 +7,10 @@ candidates, rows of the same objective; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
 rule (``TIE_ATOL``).  Each objective call of the descent evaluates a poll
 and the poll that would follow its miss, so a failed poll costs no call of
-its own.
+its own; the descent reads a call with one ``argmax`` and one ``argmin``
+and falls back to its filtered rule only where that could differ.  What
+``search`` builds from a space (grid axes, box, candidate rows and their
+reported parameters) it builds once per space and grid size, read-only.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ class SearchSpace:
     coordinates searched as logarithms, ``candidates`` are the exact
     ``(label, row)`` pairs in priority order (a row may lie outside the box;
     an infinite coordinate is an exact limit) and ``label(name=value, ...)``
-    names a general optimum.
+    names a general optimum.  Every field is a tuple (of tuples, for the
+    candidates), so a space hashes: ``search`` caches its layout per space
+    and grid size, and spaces that compare equal share one.
     """
 
     names: tuple
@@ -57,7 +62,7 @@ def grid_argmin(fn, axes):
     that depends on fewer coordinates is done once per distinct value; it
     must broadcast its arguments to the full mesh shape.
     """
-    values = fn(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    values = fn(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
     flat = int(np.argmin(values))
     index = np.unravel_index(flat, values.shape)
     return np.array([axis[i] for axis, i in zip(axes, index)]), float(values.flat[flat])
@@ -115,51 +120,107 @@ def descend(fn, x0, value, lows, highs, periods):
     when the first poll misses and neither stop falls between the two.  So
     the path, the end and the poll count are those of one poll per call.
 
+    A call is read with one ``argmax`` over both levels: the first improving
+    probe names the poll that moves (the first level, or the second when the
+    first has none) and its block, and one ``argmin`` over that block's
+    values names the probe taken.  That is the rule above exactly when the
+    pick improves and moved: then the rule's first improving probe that
+    moved lies between the first improving probe and the pick, in the same
+    block, and the pick is the block's least value.  Otherwise (clipping
+    kept the pick on the incumbent, or a NaN in the block, which ``argmin``
+    returns first) the call is read by the rule itself, which drops the
+    probes that did not move from the level and takes the least improving
+    value of the block.
+
     ``value`` is ``fn`` at ``x0``, which the callers take from the grid
     stage instead of evaluating the 1-row ``x0`` again; the two agree bit
     for bit where numpy's elementwise functions round a mesh element and a
     1-element row alike (tests/test_gie.py checks every gielab objective).
     Every step factor is a power of two, so the step is the first step
     times one scale, exactly, and the stop rule reads the scale times the
-    widest first step.
+    widest first step; the moves at each scale seen are computed once.
     """
     x, val = np.array(x0, dtype=float), value
     first_steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
     widest, scale = float(first_steps.max()), 1.0
-    cycle = np.array([np.inf if period is None else period for period in periods])
-    wraps = cycle < np.inf
+    wrapped = [(i, period) for i, period in enumerate(periods) if period is not None]
+    wraps = np.array([period is not None for period in periods])
     lows, highs = np.where(wraps, -np.inf, lows)[:, None], np.where(wraps, np.inf, highs)[:, None]
     moves = first_steps[:, None] * _chained_table(x.size).T  # (coordinates, probes) at scale 1
+    scaled = {1.0: moves}
     block = moves.shape[1] // 7
-    levels = (slice(0, 4 * block), slice(4 * block, None))
     polls = 0
     while polls < MAX_POLLS:
-        trials = x[:, None] + moves * scale
+        step = scaled.get(scale)
+        if step is None:
+            step = scaled[scale] = moves * scale
+        trials = x[:, None] + step
         np.maximum(trials, lows, out=trials)
         np.minimum(trials, highs, out=trials)
         values = fn(*trials)
-        improving = values < val - MIN_IMPROVEMENT  # both levels start from this incumbent
-        for level in levels:
-            better = improving[level]  # a view, so the probes ruled out below leave ``improving`` too
-            first = int(better.argmax())
-            if better[first]:  # an improving value: only now rule out the probes that clipping kept in place
-                better &= (trials[:, level] != x[:, None]).any(axis=0)
-                first = int(better.argmax())
+        bar = val - MIN_IMPROVEMENT  # both levels start from this incumbent
+        improving = values < bar
+        first = int(improving.argmax())
+        if improving[first]:
+            start = first - first % block
+            pick = start + int(values[start : start + block].argmin())
+            if not (values[pick] < bar and trials[:, pick].tolist() != x.tolist()):
+                start, pick = _filtered_pick(trials, values, improving, x, block)
+        else:
+            start = None
+        if start is None or start >= 4 * block:  # the first level misses
             polls += 1
-            if better[first]:
-                start = level.start + first - first % block  # the level's first block with an improving probe
-                rows = slice(start, start + block)
-                pick = start + int(np.where(improving[rows], values[rows], np.inf).argmin())
-                x, val = trials[:, pick], values[pick]
-                np.remainder(x, cycle, out=x, where=wraps)
-                scale *= (2.0, 1.0, 0.5, 0.25, 1.0, 0.5, 0.25)[start // block]
-            else:
-                scale *= 0.125
+            scale *= 0.125
             if scale * widest < RESOLUTION or polls == MAX_POLLS:
                 return x, val
-            if better[first]:  # the second level was probed around the old incumbent
-                break
+        polls += 1
+        if start is None:
+            scale *= 0.125
+        else:
+            x, val = trials[:, pick], values[pick]
+            for i, period in wrapped:
+                x[i] %= period
+            scale *= (2.0, 1.0, 0.5, 0.25, 1.0, 0.5, 0.25)[start // block]
+        if scale * widest < RESOLUTION or polls == MAX_POLLS:
+            return x, val
     return x, val
+
+
+def _filtered_pick(trials, values, improving, x, block):
+    """The block start and the probe that ``descend`` takes in one call, by its rule itself.
+
+    In the first level with an improving probe that moved: the start of the
+    first block with one, and its least improving value that moved (the
+    first on ties).  ``(None, None)`` when neither level has one.
+    """
+    for level in (slice(0, 4 * block), slice(4 * block, None)):
+        better = improving[level] & (trials[:, level] != x[:, None]).any(axis=0)
+        first = int(better.argmax())
+        if better[first]:
+            offset = first - first % block
+            start = level.start + offset
+            least = np.where(better[offset : offset + block], values[start : start + block], np.inf)
+            return start, start + int(least.argmin())
+    return None, None
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(space, points):
+    """What ``search`` reads of ``space`` at ``points`` per coordinate, built once per pair.
+
+    The grid axes, the box as ``(lows, highs)`` arrays, the candidate rows
+    as one (candidates, coordinates) array and their reported parameters;
+    the arrays are read-only.  Nothing here reads ``RESOLUTION``,
+    ``MAX_POLLS`` or ``MIN_IMPROVEMENT``, which ``descend`` reads at call
+    time.
+    """
+    lows, highs = np.array(space.lows, dtype=float), np.array(space.highs, dtype=float)
+    axes = tuple(np.linspace(lo, hi, points, endpoint=period is None)
+                 for lo, hi, period in zip(lows, highs, space.periods))
+    rows = np.array([row for _, row in space.candidates], dtype=float).reshape(len(space.candidates), len(lows))
+    for array in (lows, highs, rows, *axes):
+        array.flags.writeable = False
+    return axes, lows, highs, rows, tuple(space.params(row) for row in rows)
 
 
 def search(fn, space, points):
@@ -167,7 +228,9 @@ def search(fn, space, points):
 
     ``fn`` takes one array per coordinate and broadcasts over them (the grid
     passes meshes, the descent and the candidates 1-D arrays, all candidates
-    in one call).  Returns ``(best_value, label, trace)``: the least of the
+    in one call); the grid meshes and the candidate rows are read-only
+    views of the layout that ``_layout`` builds once per ``(space,
+    points)``.  Returns ``(best_value, label, trace)``: the least of the
     descent end and the candidates; the first candidate within ``TIE_ATOL``
     of it, else ``space.label`` with the descent end's parameters; and
     ``(space.params(row), value)`` of the grid best, the descent end and
@@ -176,13 +239,11 @@ def search(fn, space, points):
     call (a poll, and the poll after it when it misses) and once for the
     candidates.
     """
-    lows, highs = np.array(space.lows), np.array(space.highs)
-    axes = [np.linspace(lo, hi, points, endpoint=period is None) for lo, hi, period in zip(lows, highs, space.periods)]
+    axes, lows, highs, rows, reported = _layout(space, points)
     coarse, coarse_val = grid_argmin(fn, axes)
     refined, refined_val = descend(fn, coarse, coarse_val, lows, highs, space.periods)
     trace = [(space.params(coarse), coarse_val), (space.params(refined), float(refined_val))]
-    rows = np.array([row for _, row in space.candidates], dtype=float).reshape(len(space.candidates), len(lows))
-    trace += [(space.params(row), float(value)) for row, value in zip(rows, fn(*rows.T))]
+    trace += [(params, float(value)) for params, value in zip(reported, fn(*rows.T))]
     best_val = min(value for _, value in trace[1:])
     for (label, _), (_, value) in zip(space.candidates, trace[2:]):
         if value <= best_val + TIE_ATOL:

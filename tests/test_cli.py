@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gielab import verify
+from gielab import cli, verify
 from gielab.cli import main
 from gielab.errors import GielabError
 from gielab.gie import gie_closed_form
@@ -219,13 +219,18 @@ class TestSweep:
         assert code == 1
         assert out == ""
 
-    def test_unwritable_path_is_io_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("numeric", ((), ("--numeric",)))
+    def test_unwritable_path_is_io_error(self, capsys, monkeypatch, tmp_path, numeric):
+        # --out is opened before the first point, so no point is evaluated
+        calls = []
+        monkeypatch.setattr(cli, "gie_numeric", lambda *args: calls.append(args))
         code, _, err = run_cli(
-            capsys, "sweep", "--family", "pure", "--a", "1.5",
+            capsys, "sweep", "--family", "pure", "--a", "1.5", *numeric,
             "--out", str(tmp_path / "missing" / "x.csv"),
         )
         assert code == 3
         assert "cannot write" in err
+        assert calls == []
 
 
 class TestMalformedInput:

@@ -36,8 +36,8 @@ from gielab.renyi2 import gr2_of_family
 from gielab.states import StdForm, classify, make_family
 from gielab.symplectic import CovMat, rotation
 from gielab.verify import MINMAX_ATOL
-from oracles import poll_per_call_descend, std_form_params
-from tests.test_optimize import chained_reads, probe_at_a_time_descend
+from oracles import std_form_params
+from tests.test_optimize import follow_poll_per_call, probe_at_a_time_descend
 
 FAST = GridConfig(points=13)
 
@@ -370,36 +370,15 @@ class TestGridValueStartsTheDescent:
         assert mismatches == []
 
 
-def _recording(fn, rows):
-    """``fn``, appending the (coordinates, probes) array of each call to ``rows``."""
-
-    def wrapped(*xs):
-        rows.append(np.array(xs))
-        return fn(*xs)
-
-    return wrapped
-
-
 class TestChainedPolls:
     # one objective call of descend evaluates a poll and the poll at 1/8 of its step, which it reads
     # only after a miss; on every gielab objective that is the poll-per-call path, poll for poll
     @pytest.mark.parametrize("points", (13, 33))
     def test_each_objective_follows_the_poll_per_call_descent(self, monkeypatch, points):
-        descend, polls_per_descent = gielab.optimize.descend, []
+        polls_per_descent = []
 
         def checked(fn, x0, value, lows, highs, periods):
-            calls, polls = [], []
-            x, val = descend(_recording(fn, calls), x0, value, lows, highs, periods)
-            x_ref, val_ref, outcomes = poll_per_call_descend(_recording(fn, polls), x0, value, lows, highs, periods)
-            assert (x.tolist(), float(val)) == (x_ref.tolist(), float(val_ref))
-            reads = chained_reads(outcomes)
-            assert len(calls) == len(reads)
-            block = polls[0].shape[1] // 4
-            for rows, read in zip(calls, reads):
-                # the first level is the poll itself, the second the poll after its miss without its 2x block
-                assert np.array_equal(rows[:, : 4 * block], polls[read[0]])
-                if len(read) == 2:
-                    assert np.array_equal(rows[:, 4 * block :], polls[read[1]][:, block:])
+            x, val, outcomes = follow_poll_per_call(fn, x0, value, lows, highs, periods)
             polls_per_descent.append(len(outcomes))
             return x, val
 

@@ -2,8 +2,10 @@ import dataclasses
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import poll_per_call_descend
 
 from gielab import optimize
 from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, SearchSpace, descend, grid_argmin, search
@@ -61,6 +63,39 @@ def chained_reads(outcomes):
 
 
 ROWS_PER_CALL = {2: 32 + 24, 3: 72 + 54}  # a poll, then the poll after its miss without its 2x block
+
+
+def recording(fn, rows):
+    """``fn``, appending the (coordinates, probes) array of each call to ``rows``."""
+
+    def wrapped(*xs):
+        rows.append(np.array(xs))
+        return fn(*xs)
+
+    return wrapped
+
+
+def follow_poll_per_call(fn, x0, value, lows, highs, periods):
+    """Run ``descend`` and ``oracles.poll_per_call_descend`` from one start; return the end, its value and the outcomes.
+
+    Asserts that both end at the same point with the same value, that
+    ``descend`` calls ``fn`` once per ``chained_reads`` entry of the
+    oracle's poll outcomes, and that each call probes the polls it reads:
+    its first level is the poll itself, its second the poll after that
+    poll's miss without its 2x block.
+    """
+    calls, polls = [], []
+    x, val = descend(recording(fn, calls), x0, value, lows, highs, periods)
+    x_ref, val_ref, outcomes = poll_per_call_descend(recording(fn, polls), x0, value, lows, highs, periods)
+    assert (x.tolist(), float(val)) == (x_ref.tolist(), float(val_ref))
+    reads = chained_reads(outcomes)
+    assert len(calls) == len(reads)
+    block = polls[0].shape[1] // 4
+    for rows, read in zip(calls, reads):
+        assert np.array_equal(rows[:, : 4 * block], polls[read[0]])
+        if len(read) == 2:
+            assert np.array_equal(rows[:, 4 * block :], polls[read[1]][:, block:])
+    return x, val, outcomes
 
 
 def descent_end():
@@ -158,6 +193,44 @@ class TestSearch:
         assert space.params((np.pi / 2.0, 0.0)) == (np.pi / 2.0, 1.0)
         assert space.params((0.0, np.inf)) == (0.0, np.inf)
         assert space.params((0.0, -np.inf)) == (0.0, 0.0)
+
+
+class TestLayoutCache:
+    SPACE = SearchSpace(
+        names=("phi", "tau", "t"), lows=(0.0, 0.0, 0.0), highs=(np.pi, 2.0, 3.0), periods=(np.pi, None, None),
+        logs=(1,), candidates=(("near", (0.3, 0.7, 1.0)), ("far", (0.0, 0.0, np.inf))), label="general",
+    )
+
+    @staticmethod
+    def fn(phi, log_tau, t):
+        return np.sin(phi - 0.3) ** 2 + (log_tau - 0.7) ** 2 + np.tanh(t - 1.1) ** 2  # pi-periodic in phi
+
+    def test_a_cached_layout_gives_the_traces_of_a_fresh_one(self):
+        optimize._layout.cache_clear()
+        cached = [search(self.fn, self.SPACE, points) for points in (13, 21, 13)]
+        assert optimize._layout.cache_info()[:2] == (1, 2)  # (hits, misses): 13 is built once
+        fresh = []
+        for points in (13, 21, 13):
+            optimize._layout.cache_clear()
+            fresh.append(search(self.fn, self.SPACE, points))
+        assert cached == fresh
+
+    def test_the_cached_arrays_are_read_only(self):
+        def writes_its_mesh(phi, log_tau, t):
+            phi[...] = 0.0
+            return self.fn(phi, log_tau, t)
+
+        with pytest.raises(ValueError, match="read-only"):
+            search(writes_its_mesh, self.SPACE, 5)
+        axes, lows, highs, rows, _ = optimize._layout(self.SPACE, 5)
+        assert not any(array.flags.writeable for array in (*axes, lows, highs, rows))
+
+    def test_spaces_that_differ_only_in_their_candidates_get_their_own_entries(self):
+        optimize._layout.cache_clear()
+        first, second = (dataclasses.replace(TOY, candidates=(("c", (5.0, y)),)) for y in (1.0, 2.0))
+        assert run(first.candidates)[2][2] == ((5.0, 1.0), 1.0)
+        assert run(second.candidates)[2][2] == ((5.0, 2.0), 2.0)
+        assert optimize._layout.cache_info().currsize == 2
 
 
 def seam_bowl(phi, y):
@@ -321,7 +394,53 @@ RESOLUTION_BETWEEN_LEVELS = (
 )
 
 
+def corner_bowl(x, y):
+    """Minimum 2 below the unit square's (1, 1) corner at (2, 2); every probe past the corner clips back onto it."""
+    return (x - 2.0) * (x - 2.0) + (y - 2.0) * (y - 2.0)
+
+
+def nan_band(x, y):
+    """``bowl`` with a NaN band at 0.55 < x < 0.65 (``np.where`` raises no RuntimeWarning)."""
+    return np.where((x > 0.55) & (x < 0.65), np.nan, bowl(x, y))
+
+
+def tied_ridge(x, y):
+    """-(x - 0.5)^2, NaN above y = 0.55: from (0.5, 0.5) the probes +-x of each block tie."""
+    return np.where(y > 0.55, np.nan, -(x - 0.5) * (x - 0.5))
+
+
+UNIT_SQUARE = (np.zeros(2), np.ones(2), (None, None))
+# starts at which ``descend`` must read a call by its filtered rule: (fn, x0, start value)
+HAND_OVERS = {
+    # the start value 3 is above fn(x0) = 2, so the probes that clip back onto x0 read as improving: the
+    # first improving probe (+x in the 2x block) and the block's least value did not move
+    "clipped onto the start": (corner_bowl, np.array([1.0, 1.0]), 3.0),
+    # the 2x block's +x probe reads NaN, which argmin returns first, beside the improving -x probe
+    "NaN in the winning block": (nan_band, np.array([0.5, 0.5]), value_at(nan_band, (0.5, 0.5))),
+    # +x and -x tie beside NaN probes: the first, +x, must win, so the descent ends on the x = 1 face
+    "equal values in one block": (tied_ridge, np.array([0.5, 0.5]), value_at(tied_ridge, (0.5, 0.5))),
+}
+
+
 class TestDescend:
+    @pytest.mark.parametrize("case", HAND_OVERS.values(), ids=HAND_OVERS.keys())
+    def test_the_filtered_reading_follows_the_poll_per_call_descent(self, case):
+        fn, x0, value = case
+        with mock.patch.object(optimize, "_filtered_pick", wraps=optimize._filtered_pick) as filtered:
+            x, _, outcomes = follow_poll_per_call(fn, x0, value, *UNIT_SQUARE)
+        assert filtered.called
+        assert outcomes[0]
+        if fn is tied_ridge:
+            assert x.tolist() == [1.0, 0.5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(box_problems(), st.sampled_from((1e-3, 1.0)))
+    def test_a_start_value_above_fn_follows_the_poll_per_call_descent(self, problem, excess):
+        # probes that clipping keeps on x0 read as improving, so calls from a box face hand over
+        fn, x0, lows, highs, periods = problem
+        with mock.patch.object(optimize, "RESOLUTION", 1e-7):
+            follow_poll_per_call(fn, x0, value_at(fn, x0) + excess, lows, highs, periods)
+
     @settings(max_examples=80, deadline=None)
     @given(box_problems())
     @example(NEAR_HALFWAY_SQUARE)
