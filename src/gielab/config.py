@@ -14,8 +14,9 @@ search reads it:
   ``states.CLASSIFY_ATOL`` and ``states.STD_FORM_ENTRY_MAX``;
 - ``purification.PURITY_ATOL``;
 - ``information.NATS_SLACK``;
-- ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_POLLS``, ``optimize.TIE_ATOL``
-  and ``optimize.RESOLUTION``;
+- ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_POLLS``, ``optimize.TIE_ATOL``,
+  ``optimize.RESOLUTION`` and ``optimize.SLAB_POINTS`` (the most mesh
+  points of one grid-stage objective call; it changes no result);
 - the search boxes, in the search descriptions ``gie.SINGLE_MODE_SEARCH``
   (R = 1) and ``gie.KH_SEARCH`` (K_h), and ``information.SQUEEZE_MAX`` (GCMI);
 - ``gie.SQRT_AB_SLACK``, ``gie.GATE_LOWER_BOUND`` and

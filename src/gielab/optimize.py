@@ -5,17 +5,22 @@ measurements and runs a grid stage (``grid_argmin``), a compass search
 (``descend``) from the best grid point and then the space's exact
 candidates, rows of the same objective; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
-rule (``TIE_ATOL``).  Each objective call of the descent evaluates a poll
-and the poll that would follow its miss, so a failed poll costs no call of
-its own; the descent reads a call with one ``argmax`` and one ``argmin``
-and falls back to its filtered rule only where that could differ.  What
-``search`` builds from a space (grid axes, box, candidate rows and their
-reported parameters) it builds once per space and grid size, read-only.
+rule (``TIE_ATOL``).  The grid stage calls the objective once per slab of
+the mesh's first axis, at most ``SLAB_POINTS`` mesh points each, and reads
+the slabs in C order, so its best point is ``np.argmin`` of the whole
+mesh while no temporary holds more than a slab.  Each objective call of
+the descent evaluates a poll and the poll that would follow its miss, so
+a failed poll costs no call of its own; the descent reads a call with one
+``argmax`` and one ``argmin`` and falls back to its filtered rule only
+where that could differ.  What ``search`` builds from a space (grid axes,
+box, candidate rows and their reported parameters) it builds once per
+space and grid size, read-only.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,7 @@ MIN_IMPROVEMENT = 1e-15  # a probe must beat the incumbent by more than this to 
 MAX_POLLS = 400  # the descent stops after this many polls even above its resolution
 RESOLUTION = 1e-8  # the step below which every search in gielab stops descending
 TIE_ATOL = 1e-12  # a candidate this close to the best value names the optimum
+SLAB_POINTS = 2**14  # the grid stage evaluates at most this many mesh points per objective call
 
 
 @dataclass(frozen=True)
@@ -56,16 +62,36 @@ class SearchSpace:
 
 
 def grid_argmin(fn, axes):
-    """Evaluate ``fn`` on the full mesh of ``axes``; return the best point and its value.
+    """Evaluate ``fn`` on the full mesh of ``axes``, in slabs of the first axis; return the best point and its value.
 
     ``fn`` gets the sparse mesh, one broadcastable array per axis, so work
     that depends on fewer coordinates is done once per distinct value; it
-    must broadcast its arguments to the full mesh shape.
+    must broadcast its arguments to the full mesh shape.  ``fn`` is called
+    once per slab: the fewest equal runs of the first axis (sizes differing
+    by at most one row, the longer first) of at most ``SLAB_POINTS`` mesh
+    points each, or of one row where a row holds more; each call gets
+    read-only views.  The slabs are read in C order and a later one wins
+    only with a lower value, so the result is ``np.argmin`` of the whole
+    mesh: the first least value, or the first NaN, after which no slab is
+    evaluated.
     """
-    values = fn(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
-    flat = int(np.argmin(values))
-    index = np.unravel_index(flat, values.shape)
-    return np.array([axis[i] for axis, i in zip(axes, index)]), float(values.flat[flat])
+    first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True, copy=False)
+    rows = len(axes[0])
+    count = -(-rows // max(1, SLAB_POINTS // math.prod(len(axis) for axis in axes[1:])))
+    size, longer = divmod(rows, count)
+    best_val, start = None, 0
+    for slab in range(count):
+        stop = start + size + (slab < longer)
+        values = fn(first[start:stop], *rest)
+        flat = int(np.argmin(values))
+        value = values.flat[flat]
+        if best_val is None or value < best_val or np.isnan(value):
+            index, best_val = np.unravel_index(flat, values.shape), value
+            best = (start + index[0], *index[1:])
+            if np.isnan(value):  # np.argmin returns the first NaN
+                break
+        start = stop
+    return np.array([axis[i] for axis, i in zip(axes, best)]), float(best_val)
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,9 +261,10 @@ def search(fn, space, points):
     of it, else ``space.label`` with the descent end's parameters; and
     ``(space.params(row), value)`` of the grid best, the descent end and
     every candidate.  The descent starts from the grid best with the grid's
-    value there, so ``fn`` is called once for the grid, once per descent
-    call (a poll, and the poll after it when it misses) and once for the
-    candidates.
+    value there, so ``fn`` is called once per grid slab (one slab up to
+    ``SLAB_POINTS`` mesh points, so up to 25 points per coordinate in 3-D),
+    once per descent call (a poll, and the poll after it when it misses)
+    and once for the candidates.
     """
     axes, lows, highs, rows, reported = _layout(space, points)
     coarse, coarse_val = grid_argmin(fn, axes)

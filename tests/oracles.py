@@ -12,6 +12,9 @@ axes, one numpy operation on each: the reference that the one-pass kernel
 must match bit for bit.  ``poll_per_call_descend`` is
 ``gielab.optimize.descend`` with one complete poll per objective call, the
 reference that the chained descent must follow poll for poll.
+``whole_mesh_argmin`` is ``gielab.optimize.grid_argmin`` as one objective
+call on the whole mesh, the reference that the slabbed grid stage must
+match point for point.
 """
 
 from __future__ import annotations
@@ -57,6 +60,14 @@ def seed_frame_schur_loop(pi: Purification, entries):
         return tuple(out)
 
     return kernel
+
+
+def whole_mesh_argmin(fn, axes):
+    """``gielab.optimize.grid_argmin`` in one call of ``fn`` on the whole sparse mesh of ``axes``."""
+    values = fn(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
+    flat = int(np.argmin(values))
+    index = np.unravel_index(flat, values.shape)
+    return np.array([axis[i] for axis, i in zip(axes, index)]), float(values.flat[flat])
 
 
 def poll_per_call_descend(fn, x0, value, lows, highs, periods):

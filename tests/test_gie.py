@@ -36,7 +36,7 @@ from gielab.renyi2 import gr2_of_family
 from gielab.states import StdForm, classify, make_family
 from gielab.symplectic import CovMat, rotation
 from gielab.verify import MINMAX_ATOL
-from oracles import std_form_params
+from oracles import std_form_params, whole_mesh_argmin
 from tests.test_optimize import follow_poll_per_call, probe_at_a_time_descend
 
 FAST = GridConfig(points=13)
@@ -340,10 +340,29 @@ class TestKh:
             k_h(QMatrixParams(0.5, 1.0, 0.5), 1.2, 0.8)  # unphysical (a, k)
 
 
+def run_every_objective(points, draws):
+    """Run each gielab objective's search at ``points`` on ``draws`` seeded points of every family.
+
+    Per draw: ``gie_numeric`` of a sym_glems, an asym_glems and a
+    sym_sq_thermal family (R = 1 ``f_xx`` twice, then K_h), then
+    ``gcmi_numeric`` (u) of the sym_sq_thermal standard form.
+    """
+    rng = np.random.default_rng(points)
+    for _ in range(draws):
+        a, u, g, v = 1.0 + 5.0 * rng.random(), rng.random(), 1.0 + 1.41 * rng.random(), rng.random()
+        half_log_ratio = (2.0 * v - 1.0) * np.log(g)
+        k = (g - 1.0) + u * (np.sqrt(g * g - 1.0) - (g - 1.0))
+        for fam in (make_family("sym_glems", a=a, kp=u * np.sqrt(a * a - 1.0)),
+                    make_family("asym_glems", a=g * np.exp(half_log_ratio), b=g * np.exp(-half_log_ratio)),
+                    make_family("sym_sq_thermal", a=g, k=k)):
+            gie_numeric(fam, GridConfig(points=points))
+        gcmi_numeric(make_family("sym_sq_thermal", a=g, k=k).std, points)
+
+
 class TestGridValueStartsTheDescent:
     # descend starts from the grid's value at its best point instead of evaluating that point again as
     # a 1-row array; the search path is the same only where both evaluations round alike
-    @pytest.mark.parametrize("points", (5, 13, 21, 33))
+    @pytest.mark.parametrize("points", (5, 13, 21, 33, 45))
     def test_each_objective_gives_the_grid_value_on_the_grid_best_as_one_row(self, monkeypatch, points):
         grid_argmin, mismatches, calls = gielab.optimize.grid_argmin, [], []
 
@@ -356,18 +375,50 @@ class TestGridValueStartsTheDescent:
 
         monkeypatch.setattr(gielab.optimize, "grid_argmin", checked)
         monkeypatch.setattr(gielab.information, "grid_argmin", checked)
-        rng = np.random.default_rng(points)
-        for _ in range(4):
-            a, u, g, v = 1.0 + 5.0 * rng.random(), rng.random(), 1.0 + 1.41 * rng.random(), rng.random()
-            half_log_ratio = (2.0 * v - 1.0) * np.log(g)
-            k = (g - 1.0) + u * (np.sqrt(g * g - 1.0) - (g - 1.0))
-            for fam in (make_family("sym_glems", a=a, kp=u * np.sqrt(a * a - 1.0)),
-                        make_family("asym_glems", a=g * np.exp(half_log_ratio), b=g * np.exp(-half_log_ratio)),
-                        make_family("sym_sq_thermal", a=g, k=k)):
-                gie_numeric(fam, GridConfig(points=points))
-            gcmi_numeric(make_family("sym_sq_thermal", a=g, k=k).std, points)
+        run_every_objective(points, 4)
         assert len(calls) == 16  # f_xx of sym_glems and asym_glems, K_h, u
         assert mismatches == []
+
+
+class TestGridSlabs:
+    # grid_argmin evaluates its mesh in slabs of the first axis (Eve's angle, or u's r_A), at most
+    # optimize.SLAB_POINTS mesh points per call; each slab's values must be the whole mesh's, bit for bit
+    @pytest.mark.parametrize("points, budget", ((5, None), (13, None), (21, None), (33, None), (45, None), (13, 180)))
+    def test_each_objective_gives_the_whole_mesh_values_slab_by_slab(self, monkeypatch, points, budget):
+        if budget is not None:  # one row of phi per slab of a 13^3 mesh; u's 14^2 mesh in two slabs
+            monkeypatch.setattr(gielab.optimize, "SLAB_POINTS", budget)
+        grid_argmin, slabs_per_grid, mismatches = gielab.optimize.grid_argmin, [], []
+
+        def checked(fn, axes):
+            slabs = []
+
+            def recorded(*mesh):
+                values = fn(*mesh)
+                slabs.append((np.broadcast_shapes(*(m.shape for m in mesh)), values))
+                return values
+
+            best, value = grid_argmin(recorded, axes)
+            slabs_per_grid.append([shape for shape, _ in slabs])
+            whole = fn(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
+            if np.concatenate([values for _, values in slabs]).tobytes() != whole.tobytes():
+                mismatches.append((len(axes), [shape for shape, _ in slabs]))
+            ref_best, ref_value = whole_mesh_argmin(fn, axes)
+            assert (best.tolist(), value) == (ref_best.tolist(), ref_value)
+            return best, value
+
+        monkeypatch.setattr(gielab.optimize, "grid_argmin", checked)
+        monkeypatch.setattr(gielab.information, "grid_argmin", checked)
+        run_every_objective(points, 3)
+        assert mismatches == []
+        assert len(slabs_per_grid) == 12  # f_xx of sym_glems and asym_glems, K_h, u
+        sizes = [math.prod(shape) for shapes in slabs_per_grid for shape in shapes]
+        assert max(sizes) <= gielab.optimize.SLAB_POINTS
+        if budget is None and points <= 21:
+            assert [len(shapes) for shapes in slabs_per_grid] == [1] * 12
+        if points >= 33:  # the 3-D meshes split: 33^3 into 3 x 11 rows of phi, 45^3 into 3 x 8 + 3 x 7
+            assert {len(shapes) for shapes in slabs_per_grid} == {1, {33: 3, 45: 6}[points]}
+        if budget is not None:
+            assert min(len(shapes) for shapes in slabs_per_grid) > 1
 
 
 class TestChainedPolls:

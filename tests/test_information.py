@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from gielab.errors import InvalidInputError, NumericalDegeneracyError
+from gielab import information
+from gielab.errors import GielabError, InvalidInputError, NumericalDegeneracyError
 from gielab.information import (
+    SQUEEZE_MAX,
     f_decomposed,
     f_xx,
     gcmi_condition_g,
@@ -26,6 +30,25 @@ def _pi(tag, **params):
 def _g(p: StdForm):
     """GCMI gate of a standard form."""
     return gcmi_condition_g(p.a, p.b, p.a * p.b - p.kx * p.kx)
+
+
+BRUTE_FORCE_ATOL = 1e-12  # nats between gcmi_numeric's descent and brute_force_u_min, which errs by about 1e-15
+
+
+def brute_force_u_min(p: StdForm) -> float:
+    """The least u of a 1201^2 grid on [0, SQUEEZE_MAX]^2 with both r = inf rows, refined around its
+    best finite point three times by a 201^2 grid over the two cells on each side: spacing 8e-8 in r."""
+    rs = np.append(np.linspace(0.0, SQUEEZE_MAX, 1201), np.inf)
+    mesh = u_function(p, rs[:, None], rs[None, :])
+    least = float(mesh.min())
+    i, j = np.unravel_index(np.argmin(mesh[:-1, :-1]), (1201, 1201))
+    center, half = (rs[i], rs[j]), 2.0 * SQUEEZE_MAX / 1200
+    for _ in range(3):
+        ra, rb = (np.linspace(max(c - half, 0.0), min(c + half, SQUEEZE_MAX), 201) for c in center)
+        zoom = u_function(p, ra[:, None], rb[None, :])
+        k, m = np.unravel_index(np.argmin(zoom), zoom.shape)
+        center, half, least = (ra[k], rb[m]), half / 50.0, min(least, float(zoom[k, m]))
+    return least
 
 
 def _random_finite_e(rng, r_count):
@@ -177,6 +200,31 @@ class TestGcmi:
             if _g(p) < 0:
                 continue
             assert abs(gcmi_numeric(p, points=13) - f_xx(p.a, p.b, p.kx)) < 1e-6
+
+    @pytest.mark.parametrize("points", (13, 21, 33))
+    def test_the_descent_from_a_finite_grid_best_reaches_the_brute_force_minimum(self, points):
+        # verify's GCMI check draws only G >= 0 forms, whose u grid best is the r = inf row, so it never
+        # descends; where G < 0 the grid best can be finite, and then gcmi_numeric descends from it
+        rng = np.random.default_rng(27)
+        descended = 0
+        for _ in range(400):  # about 1 draw in 15 has G < 0 and a finite grid best
+            a, b, kx = rng.uniform(2.2, 3.6), rng.uniform(2.2, 3.6), rng.uniform(0.2, 1.4)
+            try:
+                p = StdForm(a, b, kx, rng.uniform(-kx, kx))
+            except GielabError:
+                continue
+            if _g(p) >= 0.0:
+                continue
+            with mock.patch.object(information, "descend", wraps=information.descend) as descend:
+                numeric = gcmi_numeric(p, points)
+            if not descend.called:  # the grid best is an r = inf row
+                continue
+            descended += 1
+            assert abs(numeric - -0.5 * np.log(brute_force_u_min(p))) < BRUTE_FORCE_ATOL
+            assert numeric > f_xx(p.a, p.b, p.kx)  # the double homodyne is not optimal here
+            if descended == 4:
+                break
+        assert descended == 4
 
 
 class TestFDecomposed:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import poll_per_call_descend
+from oracles import poll_per_call_descend, whole_mesh_argmin
 
 from gielab import optimize
 from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, SearchSpace, descend, grid_argmin, search
@@ -230,6 +230,67 @@ class TestLayoutCache:
         for y in (1.0, 2.0):
             assert run([("c", (5.0, y))])[2][2] == ((5.0, y), y)  # the row at x = 5 evaluates to y
         assert optimize._layout.cache_info().currsize == 2
+
+
+@st.composite
+def slab_meshes(draw):
+    """A table of values on a 1-D to 3-D mesh and a slab budget, from one point up to the whole mesh.
+
+    The values are few, with both infinities (K_h masks lambda2 > lambda1
+    to inf), so ties fall across slab boundaries, and up to two entries may
+    be NaN; the first axis may have length 1.
+    """
+    shape = (draw(st.integers(1, 9)), *draw(st.lists(st.integers(1, 4), max_size=2)))
+    size = int(np.prod(shape))
+    table = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0, np.inf, -np.inf)), min_size=size, max_size=size)))
+    table[draw(st.lists(st.integers(0, size - 1), max_size=2))] = np.nan
+    return table.reshape(shape), draw(st.integers(1, size + 1))
+
+
+def lookup(table, calls):
+    """An objective on the index mesh of ``table`` that appends the mesh shape of each call to ``calls``."""
+
+    def fn(*mesh):
+        calls.append(np.broadcast_shapes(*(m.shape for m in mesh)))
+        return table[tuple(m.astype(np.intp) for m in mesh)]
+
+    return fn
+
+
+class TestGridSlabs:
+    @settings(max_examples=300, deadline=None)
+    @given(slab_meshes())
+    # a tie for the least value across the boundary of one-row slabs: the first wins
+    @example((np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), 2))
+    # the NaN in the second slab wins over the -inf before it, as in np.argmin
+    @example((np.array([[-np.inf, 1.0], [np.nan, np.nan]]), 2))
+    # K_h's inf rows in the first slab, the least value in the uneven last one
+    @example((np.array([[np.inf, np.inf], [np.inf, 3.0], [2.0, 5.0], [4.0, 2.0], [2.0, 1.0]]), 4))
+    # a row longer than the budget, and a first axis of length 1
+    @example((np.array([[3.0, -1.0, -1.0]]), 1))
+    def test_the_slabs_give_the_whole_mesh_argmin(self, case):
+        table, budget = case
+        axes = [np.arange(n, dtype=float) for n in table.shape]
+        calls = []
+        with mock.patch.object(optimize, "SLAB_POINTS", budget):
+            best, value = grid_argmin(lookup(table, calls), axes)
+        ref_best, ref_value = whole_mesh_argmin(lookup(table, []), axes)
+        assert best.tolist() == ref_best.tolist()
+        assert value == ref_value or np.isnan(value) and np.isnan(ref_value)
+        # the fewest equal slabs of the first axis (the longer first) within the budget, or one row each
+        per_row = table[0].size
+        count = -(-table.shape[0] // max(1, budget // per_row))
+        sizes = [len(rows) for rows in np.array_split(np.arange(table.shape[0]), count)]
+        assert [shape[1:] for shape in calls] == [table.shape[1:]] * len(calls)
+        assert [shape[0] for shape in calls] == sizes[: len(calls)]
+        if not np.isnan(ref_value):  # the slab with the first NaN is the last evaluated
+            assert len(calls) == count
+
+    def test_the_default_budget_cuts_the_default_grid_in_three(self):
+        calls = []
+        grid_argmin(lookup(np.zeros((33, 33, 33)), calls), [np.arange(33.0)] * 3)
+        assert calls == [(11, 33, 33)] * 3
+        assert optimize.SLAB_POINTS >= 25**3  # grids up to 25, verify's 13 and 21 among them, make one call
 
 
 def seam_bowl(phi, y):
