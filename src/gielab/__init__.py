@@ -17,7 +17,6 @@ from .errors import (
 )
 from .gie import (
     GieResult,
-    QMatrixParams,
     gie_closed_form,
     gie_numeric,
     k_h,

@@ -36,31 +36,12 @@ from .measurement import seed_frame_schur
 from .optimize import SearchSpace, search
 from .purification import Purification, purify, purify_asym_glems
 from .states import FAMILY_ATOL, StateFamily, a_minus_kx, is_separable, make_family, std_form_cm, std_form_xx_det
-from .symplectic import PHYSICAL_ATOL, XXPP, rotation
+from .symplectic import PHYSICAL_ATOL
 
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
 SQRT_AB_SLACK = 1e-9  # allowed excess of sqrt(a~ b~) over a along a sym_sq_thermal trace
 _CM_UPPER = np.triu_indices(4)  # the ten entries of a 4x4 CM; built once, since per call it costs a sixth of a gate call
-
-
-@dataclass(frozen=True)
-class QMatrixParams:
-    """Spectral parameters of Eve's reduced two-mode measurement matrix."""
-
-    phi: float
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.phi < np.pi:
-            raise InvalidInputError(f"phi must lie in [0, pi), got {self.phi}")
-        if not 0.0 <= self.lambda2 <= self.lambda1:
-            raise InvalidInputError(f"need lambda1 >= lambda2 >= 0, got ({self.lambda1}, {self.lambda2})")
-
-    def matrix(self) -> np.ndarray:
-        p = rotation(self.phi)
-        return p @ np.diag([self.lambda1, self.lambda2]) @ p.T
 
 
 @dataclass(frozen=True)
@@ -222,12 +203,29 @@ def _numeric_pure(fam: StateFamily, closed: float) -> GieResult:
 # ---------------------------------------------------------------------------
 
 
-def _cosh_sinh_v(a: float, k: float) -> tuple[float, float, float]:
+def _cosh_sinh_v(a, k) -> tuple:
+    """(nu, cosh v, sinh v) of the symmetric squeezed thermal state (a, k), elementwise:
+    the one check of (a, k), for scalars or arrays of one shape."""
     nu_sq = (a - k) * (a + k)  # as make_family reads it
-    if a < 1.0 or k < 0.0 or nu_sq < 1.0 - FAMILY_ATOL:
+    bad = (a < 1.0) | (k < 0.0) | (nu_sq < 1.0 - FAMILY_ATOL)
+    if np.count_nonzero(bad):  # on minimize_kh's Python floats, an eighth of np.any's cost
+        first = np.argmax(bad)
+        a, k = np.ravel(a)[first], np.ravel(k)[first]
         raise InvalidInputError(f"need a >= 1, k >= 0 and a^2 - k^2 >= 1, got ({a}, {k})")
-    nu = np.sqrt(max(nu_sq, 1.0))
+    nu = np.sqrt(np.maximum(nu_sq, 1.0))
     return nu, (nu + 1.0 / nu) / 2.0, (nu - 1.0 / nu) / 2.0
+
+
+def _kh_args(phi, lambda1, lambda2, a, k) -> tuple:
+    """The arguments of ``k_h`` and ``k_h_determinant`` as float arrays of one
+    broadcast shape, then ``_cosh_sinh_v(a, k)``: every element checked at once."""
+    args = (phi, lambda1, lambda2, a, k)
+    phi, lambda1, lambda2, a, k = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in args))
+    bad = ~((0.0 <= phi) & (phi < np.pi) & (0.0 <= lambda2) & (lambda2 <= lambda1))
+    if bad.any():
+        got = f"({phi[bad][0]}, {lambda1[bad][0]}, {lambda2[bad][0]})"
+        raise InvalidInputError(f"need phi in [0, pi) and lambda1 >= lambda2 >= 0, got (phi, lambda1, lambda2) = {got}")
+    return phi, lambda1, lambda2, a, k, _cosh_sinh_v(a, k)
 
 
 def _k_h_scaled(phi, lambda1, lambda2, a, k, cosh_v, sinh_v):
@@ -244,64 +242,63 @@ def _k_h_scaled(phi, lambda1, lambda2, a, k, cosh_v, sinh_v):
     return (a * a - k * k) / (a * a) + ((k / a) * e + f * np.cos(2.0 * phi)) ** 2 / denom, denom
 
 
-def k_h(q: QMatrixParams, a: float, k: float) -> float:
+def k_h(phi, lambda1, lambda2, a, k):
     """Reduced Eve-side determinant ratio for double x-homodyne on A and B.
 
     ``K_h = (a^2 - k^2)/a^2 + [(k/a) E + F cos(2 phi)]^2 / (E^2 - F^2)``
-    with E and F polynomial in the measurement parameters.  This is the
-    validated scalar entry point; ``minimize_kh`` runs the same formula
-    without rebuilding ``QMatrixParams``.  lambda1 = inf gives the exact
-    limit, the dual homodyne at phi = pi/2 and lambda2 = 0.
+    with E and F polynomial in the measurement parameters, Eve's
+    Q = P(phi) diag(lambda1, lambda2) P(phi)^T.  Broadcasts over all five
+    arguments and checks every element: phi in [0, pi), lambda1 >= lambda2
+    >= 0 and a physical (a, k).  ``minimize_kh`` runs the same formula
+    without the checks.  lambda1 = inf gives the exact limit, the dual
+    homodyne at phi = pi/2 and lambda2 = 0.
 
     Raises:
-        InvalidInputError: E^2 - F^2 is not positive (impossible for valid parameters).
+        InvalidInputError: an element is out of range, or E^2 - F^2 is not
+            positive (impossible for valid parameters).
     """
-    _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
-    value, denom = _k_h_scaled(q.phi, q.lambda1, q.lambda2, a, k, cosh_v, sinh_v)
-    if not denom > 0.0:
-        raise InvalidInputError(f"E^2 - F^2 = {denom} is not positive; invalid parameters")
-    return float(value)
+    phi, lambda1, lambda2, a, k, (_, cosh_v, sinh_v) = _kh_args(phi, lambda1, lambda2, a, k)
+    value, denom = _k_h_scaled(phi, lambda1, lambda2, a, k, cosh_v, sinh_v)
+    if not np.all(denom > 0.0):
+        raise InvalidInputError(f"E^2 - F^2 = {denom[~(denom > 0.0)][0]} is not positive; invalid parameters")
+    return value[()]
 
 
-def _spectral_seed(q: QMatrixParams) -> np.ndarray:
-    """Eve's pure two-mode seed with x block Q and p block Q^{-1} (xxpp), in xpxp order."""
-    q_mat = q.matrix()
-    seed_primed = np.block(
-        [
-            [q_mat, np.zeros((2, 2))],
-            [np.zeros((2, 2)), np.linalg.inv(q_mat)],
-        ]
-    )
-    return XXPP.T @ seed_primed @ XXPP
+def _spectral_seed(phi, lambda1, lambda2) -> np.ndarray:
+    """Eve's pure two-mode seeds blockdiag(Q, Q^{-1}) (xxpp), stacked (..., 4, 4) in xpxp order.
+
+    Q = P(phi) diag(lambda1, lambda2) P(phi)^T fills the x entries and
+    Q^{-1} = P(phi) diag(1/lambda1, 1/lambda2) P(phi)^T the p entries.
+    """
+    c, s = np.cos(phi), np.sin(phi)
+    seed = np.zeros(np.shape(phi) + (4, 4))
+    for quad, (l1, l2) in enumerate(((lambda1, lambda2), (1.0 / lambda1, 1.0 / lambda2))):
+        block = seed[..., quad::2, quad::2]
+        block[..., 0, 0] = l1 * c * c + l2 * s * s
+        block[..., 1, 1] = l1 * s * s + l2 * c * c
+        block[..., 0, 1] = block[..., 1, 0] = (l1 - l2) * c * s
+    return seed
 
 
-def k_h_determinant(q: QMatrixParams, a: float, k: float) -> float:
+def k_h_determinant(phi, lambda1, lambda2, a, k):
     """Unreduced determinant form of K_h built from explicit 4x4 matrices.
 
     Eve's seed is the pure two-mode CM assembled from the spectral matrix Q
-    in xxpp ordering; the four conditional blocks are the closed homodyne
-    limits of the Eve-side covariances.  Serves as the independent oracle
-    for the reduced formula.
+    (``_spectral_seed``, so lambda1 and lambda2 finite and positive); the
+    four conditional blocks are the closed homodyne limits of the Eve-side
+    covariances.  Broadcasts and checks as ``k_h`` does.  Serves as the
+    independent oracle for the reduced formula.
     """
-    nu, _, _ = _cosh_sinh_v(a, k)
+    phi, lambda1, lambda2, a, k, (nu, _, _) = _kh_args(phi, lambda1, lambda2, a, k)
     z_sq = np.sqrt((a + k) / (a - k))
-    seed = _spectral_seed(q)
     w = (nu * nu - 1.0) / (2.0 * a)
-    d11, d22 = nu - w * z_sq, nu - w / z_sq
-    x_a = np.array(
-        [
-            [d11, 0.0, w, 0.0],
-            [0.0, nu, 0.0, 0.0],
-            [w, 0.0, d22, 0.0],
-            [0.0, 0.0, 0.0, nu],
-        ]
-    )
-    x_b = x_a.copy()
-    x_b[0, 2] = x_b[2, 0] = -w
-    x_ab = np.diag([1.0 / nu, nu, 1.0 / nu, nu])
-    gamma_e = nu * np.eye(4)
-    det = np.linalg.det
-    return float(det(seed + x_a) * det(seed + x_b) / (det(seed + x_ab) * det(seed + gamma_e)))
+    xs = np.zeros((4, *nu.shape, 4, 4))  # X_A, X_B, X_AB and gamma_E: p entries nu, x entries below
+    xs[..., 1, 1] = xs[..., 3, 3] = nu
+    xs[..., 0, 0] = nu - w * z_sq, nu - w * z_sq, 1.0 / nu, nu
+    xs[..., 2, 2] = nu - w / z_sq, nu - w / z_sq, 1.0 / nu, nu
+    xs[:2, ..., 0, 2] = xs[:2, ..., 2, 0] = w, -w
+    det_a, det_b, det_ab, det_e = np.linalg.det(_spectral_seed(phi, lambda1, lambda2) + xs)
+    return (det_a * det_b / (det_ab * det_e))[()]
 
 
 KH_SEARCH = SearchSpace(  # Eve's Q = R(phi) diag(lambda1, lambda2) R(phi)^T as (phi, ln lambda1, ln lambda2)

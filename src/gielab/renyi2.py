@@ -44,18 +44,14 @@ class ThreeModePureParams:
         return (self.a1, self.a2, self.a3)
 
 
-def _reduction_terms(p: ThreeModePureParams, traced_mode: int, ak_excess: float | None):
-    """(a_i, a_j, a_k, a_k - 1) of the reduction that traces out ``traced_mode``."""
-    if traced_mode not in (1, 2, 3):
-        raise InvalidThreeModeError(f"traced_mode must be 1, 2 or 3, got {traced_mode}")
-    a = p.as_tuple()
-    ak = a[traced_mode - 1]
-    ai, aj = (a[n] for n in range(3) if n != traced_mode - 1)
+def _reduction_terms(p: ThreeModePureParams, ak_excess: float | None):
+    """(a_i, a_j, a_k, a_k - 1) of the reduction that traces out the third mode."""
+    ai, aj, ak = p.as_tuple()
     return ai, aj, ak, ak - 1.0 if ak_excess is None else ak_excess
 
 
-def gr2_branch(p: ThreeModePureParams, traced_mode: int, ak_excess: float | None = None) -> int:
-    """Which branch of g_k fires (1, 2 or 3).
+def gr2_branch(p: ThreeModePureParams, ak_excess: float | None = None) -> int:
+    """Which branch of g_k fires (1, 2 or 3) for the reduction that traces out the third mode.
 
     Branch 1 holds when ``a_k >= sqrt(a_i^2 + a_j^2 - 1)``, branch 3 when
     ``a_k <= alpha_k``; ties go to these closed-form branches.  Near the
@@ -73,7 +69,7 @@ def gr2_branch(p: ThreeModePureParams, traced_mode: int, ak_excess: float | None
     branch 3 holds for every state.  ``ak_excess`` is a_k - 1 when the
     caller knows it exactly; a_k itself may be rounded.
     """
-    ai, aj, ak, excess = _reduction_terms(p, traced_mode, ak_excess)
+    ai, aj, ak, excess = _reduction_terms(p, ak_excess)
     u, v = abs(ai - aj), ai + aj
     w = excess - u
     ws = w * (2.0 * u + w + 2.0)
@@ -86,20 +82,22 @@ def gr2_branch(p: ThreeModePureParams, traced_mode: int, ak_excess: float | None
     return 2
 
 
-def gr2_two_mode_reduction(p: ThreeModePureParams, traced_mode: int, ak_excess: float | None = None) -> float:
-    """GR2 entanglement of the two-mode reduction with one mode traced out.
+def gr2_two_mode_reduction(p: ThreeModePureParams, ak_excess: float | None = None) -> float:
+    """GR2 entanglement of the two-mode reduction with the third mode traced out.
 
-    ``traced_mode`` is 1, 2 or 3.  The value is ``(1/2) ln g_k`` with the
+    The kept modes are the first two, (a_i, a_j) = (a1, a2), and a_k = a3;
+    the reduction is symmetric in a1 and a2, so permuting the triple
+    traces out another mode.  The value is ``(1/2) ln g_k`` with the
     branch of g_k chosen by ``gr2_branch``; on the third branch it is
     ``ln(|a_i^2 - a_j^2| / (a_k^2 - 1))``, taken from the factored forms
     ``(a_i - a_j)(a_i + a_j)`` and ``(a_k - 1)(a_k + 1)``.  ``ak_excess`` is
     a_k - 1 when the caller knows it exactly (the asymmetric GLEMS reduction
     passes |a - b|, whose a_k = 1 + |a - b| rounds).
     """
-    branch = gr2_branch(p, traced_mode, ak_excess)
+    branch = gr2_branch(p, ak_excess)
     if branch == 1:
         return 0.0
-    ai, aj, ak, excess = _reduction_terms(p, traced_mode, ak_excess)
+    ai, aj, ak, excess = _reduction_terms(p, ak_excess)
     if branch == 3:
         return float(np.log(abs((ai - aj) * (ai + aj)) / (excess * (ak + 1.0))))
     a1, a2, a3 = a = p.as_tuple()
@@ -143,7 +141,7 @@ def gr2_of_family(fam: StateFamily) -> float:
         if a == b:
             return gr2_symmetric(fam.std)
         excess = abs(a - b)  # exact a_3 - 1; the rounded a_3 = 1 + |a - b| cancels
-        return gr2_two_mode_reduction(ThreeModePureParams(a1=a, a2=b, a3=1.0 + excess), 3, ak_excess=excess)
+        return gr2_two_mode_reduction(ThreeModePureParams(a1=a, a2=b, a3=1.0 + excess), ak_excess=excess)
     if fam.tag in ("pure", "sym_glems", "sym_sq_thermal"):
         return gr2_symmetric(fam.std)
     raise WrongFamilyError("GR2 closed forms cover the four solvable families only")

@@ -5,8 +5,8 @@ Covariance matrices are stored dense in the quadrature ordering
 module provides the symplectic form, symplectic spectra, the Williamson
 decomposition (one spectral construction for every input) and the
 phase-space matrices they use.  The fixed ones are read-only constants
-built at import (``J2``, ``SIGMA_Z``, ``BEAM_SPLITTER``, ``XXPP``), as is
-``symplectic_form(n)`` for each n; rotations are built from their angle.
+built at import (``J2``, ``SIGMA_Z``, ``BEAM_SPLITTER``), as is
+``symplectic_form(n)`` for each n.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ J2 = _readonly([[0.0, 1.0], [-1.0, 0.0]])
 SIGMA_Z = _readonly(np.diag([1.0, -1.0]))
 # balanced beam splitter on two modes, orthogonal and symplectic
 BEAM_SPLITTER = _readonly(np.block([[np.eye(2), np.eye(2)], [-np.eye(2), np.eye(2)]]) / np.sqrt(2.0))
-XXPP = _readonly(np.eye(4)[[0, 2, 1, 3]])  # (x1,p1,x2,p2) -> (x1,x2,p1,p2): orthogonal, not symplectic
 
 
 @dataclass(frozen=True)
@@ -167,10 +166,4 @@ def williamson(gamma) -> WilliamsonDecomposition:
         raise DecompositionError(f"williamson residual {residual:.3e} (symplectic {symp_residual:.3e})")
     s.flags.writeable = False
     return WilliamsonDecomposition(s=s, nus=tuple(float(nu) for nu in nus))
-
-
-def rotation(phi: float) -> np.ndarray:
-    """Single-mode phase-space rotation P(phi)."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
 

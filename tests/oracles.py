@@ -14,7 +14,9 @@ must match bit for bit.  ``poll_per_call_descend`` is
 reference that the chained descent must follow poll for poll.
 ``whole_mesh_argmin`` is ``gielab.optimize.grid_argmin`` as one objective
 call on the whole mesh, the reference that the slabbed grid stage must
-match point for point.
+match point for point.  ``rotation`` and ``XXPP`` are the phase-space
+rotation P(phi) and the xpxp -> xxpp reordering, from which the tests
+assemble Eve's spectral seed as a matrix product.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ from gielab.symplectic import CovMat
 
 CCM_PSD_RTOL = 1e-10  # a CCM eigenvalue may dip this far below zero, relative to max(1, the largest)
 PINV_RCOND = 1e-12  # pseudoinverse singular-value cutoff of the E block
+XXPP = np.eye(4)[[0, 2, 1, 3]]  # (x1,p1,x2,p2) -> (x1,x2,p1,p2): orthogonal, not symplectic
+
+
+def rotation(phi: float) -> np.ndarray:
+    """Single-mode phase-space rotation P(phi)."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, -s], [s, c]])
 
 
 def seed_frame_schur_loop(pi: Purification, entries):

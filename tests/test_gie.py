@@ -14,7 +14,6 @@ from gielab.errors import DomainNotCoveredError, InvalidInputError, NumericalDeg
 from gielab.gie import (
     GATE_LOWER_BOUND,
     SQRT_AB_SLACK,
-    QMatrixParams,
     _conditional_cms,
     _kh_seed,
     _single_mode_numeric,
@@ -34,9 +33,9 @@ from gielab.measurement import FiniteMeasurement, condition_on_e, general_single
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.renyi2 import gr2_of_family
 from gielab.states import StdForm, classify, make_family
-from gielab.symplectic import CovMat, rotation
+from gielab.symplectic import CovMat
 from gielab.verify import MINMAX_ATOL
-from oracles import std_form_params, whole_mesh_argmin
+from oracles import XXPP, rotation, std_form_params, whole_mesh_argmin
 from tests.test_optimize import follow_poll_per_call, probe_at_a_time_descend
 
 FAST = GridConfig(points=13)
@@ -278,11 +277,11 @@ class TestDispatch:
 
 class TestKh:
     def test_equal_spectrum_gives_unity(self):
-        for phi in (0.0, 0.4, 1.3, 3.0):
-            for lam in (0.2, 1.0, 55.0):
-                assert abs(k_h(QMatrixParams(phi, lam, lam), 1.2, 0.5) - 1.0) < 1e-12
+        phi, lam = np.meshgrid((0.0, 0.4, 1.3, 3.0), (0.2, 1.0, 55.0))
+        assert np.abs(k_h(phi, lam, lam, 1.2, 0.5) - 1.0).max() < 1e-12
 
     def test_reduced_matches_determinant_form(self, rng):
+        draws = []
         for _ in range(300):
             a = 1.0 + rng.random() * 1.41
             lo, hi = max(a - 1.0, 0.0), np.sqrt(a * a - 1.0)
@@ -290,8 +289,9 @@ class TestKh:
             if a * a - k * k <= 1.0 + 1e-9:
                 continue
             lam = np.exp(rng.uniform(-3, 6, size=2))
-            q = QMatrixParams(rng.random() * np.pi, max(lam), min(lam))
-            assert abs(k_h(q, a, k) - k_h_determinant(q, a, k)) < 1e-9
+            draws.append((rng.random() * np.pi, max(lam), min(lam), a, k))
+        args = np.array(draws).T
+        assert np.abs(k_h(*args) - k_h_determinant(*args)).max() < 1e-9
 
     def test_minimum_matches_closed_form(self):
         k_min, optimum, _ = minimize_kh(1.2, 0.5, FAST)
@@ -301,7 +301,7 @@ class TestKh:
     def test_grid_stage_evaluates_the_public_formula(self):
         for a, k in ((1.2, 0.5), (1.8, 1.1), (2.3, 1.0), (1.5, 0.3)):
             params, value = minimize_kh(a, k, FAST)[2][0]
-            assert value == k_h(QMatrixParams(*params), a, k)
+            assert value == k_h(*params, a, k)
 
     def test_descent_that_hit_the_old_sweep_cap_ends_on_its_resolution(self, monkeypatch):
         # a probe-at-a-time Hooke-Jeeves search stopped here on a cap of 400 sweeps with f_min ~ 1.6e-9
@@ -331,14 +331,90 @@ class TestKh:
         params, value = minimize_kh(a, k, FAST)[2][2]
         assert params == (np.pi / 2.0, np.inf, 0.0)
         assert abs(value - expected) < 1e-14
-        assert abs(k_h(QMatrixParams(np.pi / 2.0, np.inf, 0.0), a, k) - expected) < 1e-14
+        assert abs(k_h(np.pi / 2.0, np.inf, 0.0, a, k) - expected) < 1e-14
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidInputError):
-            QMatrixParams(0.5, 1.0, 2.0)  # lambda2 > lambda1
+            k_h(0.5, 1.0, 2.0, 1.2, 0.5)  # lambda2 > lambda1
         with pytest.raises(InvalidInputError):
-            k_h(QMatrixParams(0.5, 1.0, 0.5), 1.2, 0.8)  # unphysical (a, k)
+            k_h(0.5, 1.0, 0.5, 1.2, 0.8)  # unphysical (a, k)
 
+
+# (phi, lambda1, lambda2, a, k): Eve's Q with ln lambda in [-3, 6], and a physical (a, k)
+# with a in [1, 3] and k = w sqrt(a^2 - 1), w in [0, 1]
+KH_DRAWS = st.tuples(
+    st.floats(0.0, np.pi, exclude_max=True), st.floats(-3.0, 6.0), st.floats(-3.0, 6.0),
+    st.floats(1.0, 3.0), st.floats(0.0, 1.0),
+).map(lambda d: (d[0], np.exp(max(d[1], d[2])), np.exp(min(d[1], d[2])), d[3], d[4] * np.sqrt(d[3] * d[3] - 1.0)))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestKhOnStacks:
+    """``k_h``, ``k_h_determinant`` and ``_spectral_seed`` on stacks of (phi, lambda1, lambda2, a, k)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(KH_DRAWS, min_size=1, max_size=8))
+    def test_a_stack_equals_its_0d_calls(self, draws):
+        args = np.array(draws).T
+        assert _bits(k_h_determinant(*args)) == _bits([k_h_determinant(*row) for row in draws])
+        # k_h also on the exact dual-homodyne row lambda1 = inf, lambda2 = 0
+        rows = [*draws, (np.pi / 2.0, np.inf, 0.0, *draws[0][3:])]
+        assert _bits(k_h(*np.array(rows).T)) == _bits([k_h(*row) for row in rows])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(KH_DRAWS, min_size=1, max_size=8))
+    def test_spectral_seed_is_the_reordered_block_matrix(self, draws):
+        phi, l1, l2, _, _ = np.array(draws).T
+        for seed, row in zip(_spectral_seed(phi, l1, l2), zip(phi, l1, l2), strict=True):
+            q = rotation(row[0]) @ np.diag(row[1:]) @ rotation(row[0]).T
+            expected = XXPP.T @ np.block([[q, np.zeros((2, 2))], [np.zeros((2, 2)), np.linalg.inv(q)]]) @ XXPP
+            # to 1e-12 of the draw's largest entry: inv(Q) itself is good to about cond(Q) ulps
+            assert np.abs(seed - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(KH_DRAWS, min_size=1, max_size=8), st.data())
+    def test_one_bad_element_rejects_the_stack(self, draws, data):
+        args = np.array(draws).T  # rows phi, lambda1, lambda2, a, k
+        i = data.draw(st.integers(0, len(draws) - 1))
+        fault = data.draw(st.sampled_from(("phi", "lambda2 > lambda1", "a < 1", "k < 0", "a^2 - k^2 < 1")))
+        if fault == "phi":
+            args[0, i] = np.pi
+        elif fault == "lambda2 > lambda1":
+            args[2, i] = 2.0 * args[1, i]
+        elif fault == "a < 1":
+            args[3, i], args[4, i] = 0.5, 0.0
+        elif fault == "k < 0":
+            args[4, i] = -0.1
+        else:
+            args[4, i] = args[3, i]
+        for oracle in (k_h, k_h_determinant):
+            with pytest.raises(InvalidInputError):
+                oracle(*args)
+
+
+class TestFamilyFormulasOnSeparableEdges:
+    """``gie_closed_form`` returns 0 on separable states through ``is_separable`` before
+    any family formula runs; with that short-circuit off, each formula is itself 0 on
+    its family's separable edge."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1.0, 30.0))
+    def test_each_formula_vanishes_on_its_edge(self, a):
+        edges = (
+            ("sym_glems", {"a": a, "kp": 0.0}),
+            ("asym_glems", {"a": a, "b": 1.0}),
+            ("asym_glems", {"a": 1.0, "b": a}),
+            ("sym_sq_thermal", {"a": a, "k": a - 1.0}),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gielab.gie, "is_separable", lambda p: False)
+            for tag, params in edges:
+                fam = make_family(tag, **params)
+                assert fam.tag == tag
+                assert gie_closed_form(fam) == 0.0, (tag, params)
 
 def run_every_objective(points, draws):
     """Run each gielab objective's search at ``points`` on ``draws`` seeded points of every family.
@@ -494,8 +570,9 @@ class TestQFrameGate:
                 points.append((rng.random() * np.pi, lam[1], lam[0]))
             phi, l1, l2 = np.array(points).T
             cms = _conditional_cms(pi, phi, _kh_seed(l1, l2))
-            for q, cm, value in zip(points, cms, _kh_sqrt_ab(pi, points), strict=True):
-                seed = FiniteMeasurement(CovMat(_spectral_seed(QMatrixParams(*q))))
+            seeds = _spectral_seed(phi, l1, l2)
+            for seed_cm, cm, value in zip(seeds, cms, _kh_sqrt_ab(pi, points), strict=True):
+                seed = FiniteMeasurement(CovMat(seed_cm))
                 assert np.abs(cm - condition_on_e(pi, seed).mat).max() < 1e-12  # all ten entries
                 assert abs(value - _lab_frame_sqrt_ab(pi, seed)) < 1e-12
         # R = 1: the seed P(phi) diag(tau e^{2t}, tau e^{-2t}) P(phi)^T

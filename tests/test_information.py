@@ -17,8 +17,8 @@ from gielab.information import (
 from gielab.measurement import FiniteMeasurement, general_single_mode, heterodyne, homodyne
 from gielab.purification import Purification, purify
 from gielab.states import StdForm, make_family, std_form_xx_det
-from gielab.symplectic import CovMat, rotation
-from oracles import assemble_ccm
+from gielab.symplectic import CovMat
+from oracles import assemble_ccm, rotation
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

@@ -103,19 +103,19 @@ class TestThreeModeCouplings:
 class TestGr2Reduction:
     def test_first_branch_vanishes(self):
         # a3 = a for b = 1 sits exactly on the first-branch boundary
-        value = gr2_two_mode_reduction(ThreeModePureParams(2.0, 1.0, 2.0), traced_mode=3)
+        value = gr2_two_mode_reduction(ThreeModePureParams(2.0, 1.0, 2.0))
         assert value == 0.0
 
     def test_worked_third_branch_point(self):
-        value = gr2_two_mode_reduction(ThreeModePureParams(2.0, 1.5, 1.5), traced_mode=3)
+        value = gr2_two_mode_reduction(ThreeModePureParams(2.0, 1.5, 1.5))
         assert np.isclose(value, np.log(1.75 / 1.25), atol=1e-12)
 
     def test_branches_partition_parameter_space(self, rng):
         hits = {1: 0, 2: 0, 3: 0}
         for _ in range(400):
             triple = _random_valid_triple(rng)
-            hits[gr2_branch(triple, traced_mode=3)] += 1
-            value = gr2_two_mode_reduction(triple, traced_mode=3)
+            hits[gr2_branch(triple)] += 1
+            value = gr2_two_mode_reduction(triple)
             assert np.isfinite(value) and value >= 0.0
         assert hits[2] > 0  # the middle branch exists for generic triples
         assert hits[1] > 0 and hits[3] > 0
@@ -129,8 +129,8 @@ class TestGr2Reduction:
             lo, hi = abs(a1 - a2) + 1.0, a1 + a2 - 1.0
             if not lo < ak < hi:
                 continue
-            below = gr2_two_mode_reduction(ThreeModePureParams(a1, a2, ak * (1 - 1e-9)), 3)
-            above = gr2_two_mode_reduction(ThreeModePureParams(a1, a2, ak * (1 + 1e-9)), 3)
+            below = gr2_two_mode_reduction(ThreeModePureParams(a1, a2, ak * (1 - 1e-9)))
+            above = gr2_two_mode_reduction(ThreeModePureParams(a1, a2, ak * (1 + 1e-9)))
             assert abs(below - above) < 1e-6
 
     def test_delta_nonnegative_on_grid(self):
@@ -180,7 +180,7 @@ class TestConjecture:
             if abs(a - b) < 1e-6:
                 continue
             triple = ThreeModePureParams(a, b, 1.0 + abs(a - b))
-            assert gr2_branch(triple, traced_mode=3) != 2
+            assert gr2_branch(triple) != 2
 
     def test_gr2_equals_gie_on_family_grids(self):
         for a in np.linspace(1.1, 2.2, 8):
@@ -197,8 +197,8 @@ def _assert_reduction_is_exact(a: float, b: float):
     ``check_conjecture``'s 1e-12 of the GIE closed form ln((a + b) / (|a - b| + 2))."""
     excess = abs(a - b)
     triple = ThreeModePureParams(a, b, 1.0 + excess)
-    assert gr2_branch(triple, traced_mode=3, ak_excess=excess) != 2
-    gr2 = gr2_two_mode_reduction(triple, traced_mode=3, ak_excess=excess)
+    assert gr2_branch(triple, ak_excess=excess) != 2
+    gr2 = gr2_two_mode_reduction(triple, ak_excess=excess)
     assert abs(gr2 - np.log((a + b) / (excess + 2.0))) < 1e-12
 
 

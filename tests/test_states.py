@@ -12,8 +12,8 @@ from gielab.states import (
     std_form_cm,
     std_form_xx_det,
 )
-from gielab.symplectic import CovMat, rotation, symplectic_eigenvalues
-from oracles import std_form_params, to_std_form
+from gielab.symplectic import CovMat, symplectic_eigenvalues
+from oracles import rotation, std_form_params, to_std_form
 
 
 def rotate_locally(gamma: CovMat, phi_a: float, phi_b: float) -> CovMat:
