@@ -7,7 +7,8 @@ minimizer that fixes double x-homodyne on A and B, minimizes the outcome
 mutual information over Eve's Gaussian measurements, and reports the
 optimal measurement together with the optimizer trace.  Each minimizer is
 its family's objective (``information.f_xx`` of ``measurement.seed_frame_schur``
-at ``_single_mode_seed`` for R = 1, K_h for R = 2) handed to
+at ``_single_mode_seed`` for R = 1, K_h for R = 2), split at Eve's angle
+phi into the terms of the other two coordinates and the value, handed to
 ``gielab.optimize.search`` with one module-level ``SearchSpace``
 (``SINGLE_MODE_SEARCH``, ``KH_SEARCH``): box, pi-periodic phi, the exact
 limit candidates as rows of that objective and the label of Eve's optimum.
@@ -124,7 +125,8 @@ def _conditional_cms(pi: Purification, phi, s) -> np.ndarray:
     """Conditional CMs of A and B, stacked (rows, 4, 4), after Eve's seed
     ``R(phi) diag(s) R(phi)^T`` at each row: all ten entries in one call."""
     rows, cols = _CM_UPPER
-    entries = seed_frame_schur(pi, tuple(zip(rows.tolist(), cols.tolist())))(phi, s)
+    weights, kernel = seed_frame_schur(pi, tuple(zip(rows.tolist(), cols.tolist())))
+    entries = kernel(phi, weights(s))
     cms = np.empty((np.size(phi), 4, 4))
     cms[:, rows, cols] = cms[:, cols, rows] = np.transpose(entries)
     return cms
@@ -165,17 +167,22 @@ def _single_mode_numeric(fam: StateFamily, pi: Purification, grid_cfg: GridConfi
 
     One objective, ``f_xx`` of the conditional entries (0, 0), (2, 2) and
     (0, 2), serves the grid, the descent and the candidates, which are its
-    rows at t = 0 (heterodyne) and t = inf (the exact homodynes).
+    rows at t = 0 (heterodyne) and t = inf (the exact homodynes).  It
+    prepares the kernel's weights from (ln tau, t) and evaluates its angle
+    half at phi.
     """
     closed = gie_closed_form(fam)
     if pi.r_count == 0:  # a pure state: a^2 - kp^2 = 1 (sym_glems), a = b (asym_glems)
         return _numeric_pure(fam, closed)
-    schur = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
+    weights, kernel = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
 
-    def objective(phi, log_tau, t):
-        return f_xx(*schur(phi, _single_mode_seed(np.exp(log_tau), t)))
+    def prepare(log_tau, t):
+        return weights(_single_mode_seed(np.exp(log_tau), t))
 
-    numeric, optimum, trace = search(objective, SINGLE_MODE_SEARCH, grid_cfg.points)
+    def evaluate(phi, w):
+        return f_xx(*kernel(phi, w))
+
+    numeric, optimum, trace = search((prepare, evaluate), SINGLE_MODE_SEARCH, grid_cfg.points)
     gate_min = float(np.min(gcmi_condition_g(*_trace_forms(pi, _single_mode_seed, trace))))
     return _judged(fam, closed, float(numeric), optimum, trace, gate(gate_min), gate_min=gate_min)
 
@@ -228,18 +235,30 @@ def _kh_args(phi, lambda1, lambda2, a, k) -> tuple:
     return phi, lambda1, lambda2, a, k, _cosh_sinh_v(a, k)
 
 
-def _k_h_scaled(phi, lambda1, lambda2, a, k, cosh_v, sinh_v):
-    """K_h and its denominator; broadcasts over (phi, lambda1, lambda2).
+def _kh_formula(a, k, cosh_v, sinh_v) -> tuple:
+    """K_h of the state (a, k) split at phi: ``(terms, value)``, both broadcasting.
 
-    E and F are divided by lambda1, which leaves K_h unchanged and keeps
-    every term finite at lambda1 = inf: there E/lambda1 = cosh v and
-    F/lambda1 = sinh v, the exact dual-homodyne limit.
+    ``terms(lambda1, lambda2)`` returns what does not depend on phi,
+    (lambda2 > lambda1, (k/a) E, F, E^2 - F^2), and ``value(phi,
+    prepared)`` K_h from those terms, inf where lambda2 > lambda1.  E and F are divided by lambda1,
+    which leaves K_h unchanged and keeps every term finite at lambda1 =
+    inf: there E/lambda1 = cosh v and F/lambda1 = sinh v, the exact
+    dual-homodyne limit.
     """
-    ratio = lambda2 / lambda1
-    e = 1.0 / lambda1 + lambda2 + cosh_v * (1.0 + ratio)
-    f = sinh_v * (1.0 - ratio)
-    denom = e * e - f * f
-    return (a * a - k * k) / (a * a) + ((k / a) * e + f * np.cos(2.0 * phi)) ** 2 / denom, denom
+
+    k_over_a, base = k / a, (a * a - k * k) / (a * a)  # (a^2 - k^2)/a^2, the phi-free part of K_h
+
+    def terms(lambda1, lambda2):
+        ratio = lambda2 / lambda1
+        e = 1.0 / lambda1 + lambda2 + cosh_v * (1.0 + ratio)
+        f = sinh_v * (1.0 - ratio)
+        return lambda2 > lambda1, k_over_a * e, f, e * e - f * f
+
+    def value(phi, prepared):
+        mask, ke, f, denom = prepared
+        return np.where(mask, np.inf, base + (ke + f * np.cos(2.0 * phi)) ** 2 / denom)
+
+    return terms, value
 
 
 def k_h(phi, lambda1, lambda2, a, k):
@@ -249,19 +268,21 @@ def k_h(phi, lambda1, lambda2, a, k):
     with E and F polynomial in the measurement parameters, Eve's
     Q = P(phi) diag(lambda1, lambda2) P(phi)^T.  Broadcasts over all five
     arguments and checks every element: phi in [0, pi), lambda1 >= lambda2
-    >= 0 and a physical (a, k).  ``minimize_kh`` runs the same formula
-    without the checks.  lambda1 = inf gives the exact limit, the dual
-    homodyne at phi = pi/2 and lambda2 = 0.
+    >= 0 and a physical (a, k).  ``minimize_kh`` runs the same formula,
+    ``_kh_formula``, without the checks.  lambda1 = inf gives the exact
+    limit, the dual homodyne at phi = pi/2 and lambda2 = 0.
 
     Raises:
         InvalidInputError: an element is out of range, or E^2 - F^2 is not
             positive (impossible for valid parameters).
     """
     phi, lambda1, lambda2, a, k, (_, cosh_v, sinh_v) = _kh_args(phi, lambda1, lambda2, a, k)
-    value, denom = _k_h_scaled(phi, lambda1, lambda2, a, k, cosh_v, sinh_v)
+    terms, value = _kh_formula(a, k, cosh_v, sinh_v)
+    prepared = terms(lambda1, lambda2)
+    denom = prepared[3]
     if not np.all(denom > 0.0):
         raise InvalidInputError(f"E^2 - F^2 = {denom[~(denom > 0.0)][0]} is not positive; invalid parameters")
-    return value[()]
+    return value(phi, prepared)[()]
 
 
 def _spectral_seed(phi, lambda1, lambda2) -> np.ndarray:
@@ -286,10 +307,19 @@ def k_h_determinant(phi, lambda1, lambda2, a, k):
     Eve's seed is the pure two-mode CM assembled from the spectral matrix Q
     (``_spectral_seed``, so lambda1 and lambda2 finite and positive); the
     four conditional blocks are the closed homodyne limits of the Eve-side
-    covariances.  Broadcasts and checks as ``k_h`` does.  Serves as the
+    covariances.  Broadcasts and checks as ``k_h`` does, and also rejects
+    the exact limit rows that only ``k_h`` evaluates.  Serves as the
     independent oracle for the reduced formula.
+
+    Raises:
+        InvalidInputError: an element fails ``k_h``'s checks, or has an
+            infinite lambda1 or lambda2 = 0.
     """
     phi, lambda1, lambda2, a, k, (nu, _, _) = _kh_args(phi, lambda1, lambda2, a, k)
+    limit = ~((lambda1 < np.inf) & (lambda2 > 0.0))
+    if limit.any():
+        got = f"({lambda1[limit][0]}, {lambda2[limit][0]})"
+        raise InvalidInputError(f"need lambda1 finite and lambda2 > 0, got (lambda1, lambda2) = {got}")
     z_sq = np.sqrt((a + k) / (a - k))
     w = (nu * nu - 1.0) / (2.0 * a)
     xs = np.zeros((4, *nu.shape, 4, 4))  # X_A, X_B, X_AB and gamma_E: p entries nu, x entries below
@@ -313,17 +343,19 @@ KH_SEARCH = SearchSpace(  # Eve's Q = R(phi) diag(lambda1, lambda2) R(phi)^T as 
 def minimize_kh(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID):
     """Deterministic minimization of K_h over Eve's reduced parameters.
 
-    Runs ``gielab.optimize.search`` on ``KH_SEARCH``.  Returns ``(k_min,
-    optimum, trace)``; optimum is the label of the named candidate or
-    ``Q(phi=..., lambda1=..., lambda2=...)`` at the descent end.
+    Runs ``gielab.optimize.search`` on ``KH_SEARCH`` with K_h split at phi
+    (``_kh_formula``): its terms prepare (ln lambda1, ln lambda2), its value
+    evaluates phi.  Returns ``(k_min, optimum, trace)``; optimum is the
+    label of the named candidate or ``Q(phi=..., lambda1=...,
+    lambda2=...)`` at the descent end.
     """
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
+    terms, value = _kh_formula(a, k, cosh_v, sinh_v)
 
-    def objective(phi, log_l1, log_l2):
-        l1, l2 = np.exp(log_l1), np.exp(log_l2)
-        return np.where(l2 > l1, np.inf, _k_h_scaled(phi, l1, l2, a, k, cosh_v, sinh_v)[0])
+    def prepare(log_l1, log_l2):
+        return terms(np.exp(log_l1), np.exp(log_l2))
 
-    k_min, optimum, trace = search(objective, KH_SEARCH, grid_cfg.points)
+    k_min, optimum, trace = search((prepare, value), KH_SEARCH, grid_cfg.points)
     return float(k_min), optimum, trace
 
 

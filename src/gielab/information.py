@@ -15,8 +15,6 @@ where G >= 0 at Eve's optimum the x-homodyne value they report is the GCMI.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .errors import (
@@ -101,6 +99,24 @@ def gcmi_condition_g(a, b, xx_det):
     return np.sqrt(a / b) + np.sqrt(b / a) + 1.0 / np.sqrt(a * b) - np.sqrt(xx_det)
 
 
+def _u_split(cond: StdForm) -> tuple:
+    """u of ``cond`` split at r_A: ``(terms, value)``, both broadcasting.
+
+    ``terms(r_b)`` returns what does not depend on r_A, ``(b + e^{-2 r_B},
+    b + e^{2 r_B})``, and ``value(r_a, prepared)`` u from those terms.
+    """
+    a, b, kx_sq, kp_sq = cond.a, cond.b, cond.kx * cond.kx, cond.kp * cond.kp
+
+    def terms(r_b):
+        return b + np.exp(-2.0 * r_b), b + np.exp(2.0 * r_b)
+
+    def value(r_a, prepared):
+        b_minus, b_plus = prepared
+        return (1.0 - kx_sq / ((a + np.exp(-2.0 * r_a)) * b_minus)) * (1.0 - kp_sq / ((a + np.exp(2.0 * r_a)) * b_plus))
+
+    return terms, value
+
+
 def u_function(cond: StdForm, r_a, r_b):
     """Objective of the GCMI minimization over local squeezed measurements.
 
@@ -108,10 +124,11 @@ def u_function(cond: StdForm, r_a, r_b):
     ``a_± = a + e^{±2 r}``.  The squeezings broadcast against each other;
     an infinite one gives the analytic limit exactly, because
     ``e^{-2 r} = 0`` and ``e^{2 r} = inf`` make the second factor 1.
+    ``gcmi_numeric`` searches it split at r_A (``_u_split``); this is the
+    two halves in one call, bit for bit.
     """
-    a_minus, b_minus = cond.a + np.exp(-2.0 * r_a), cond.b + np.exp(-2.0 * r_b)
-    a_plus, b_plus = cond.a + np.exp(2.0 * r_a), cond.b + np.exp(2.0 * r_b)
-    return (1.0 - cond.kx * cond.kx / (a_minus * b_minus)) * (1.0 - cond.kp * cond.kp / (a_plus * b_plus))
+    terms, value = _u_split(cond)
+    return value(r_a, terms(r_b))
 
 
 def gcmi_numeric(cond: StdForm, points: int) -> float:
@@ -123,7 +140,7 @@ def gcmi_numeric(cond: StdForm, points: int) -> float:
     non-negative; this numeric minimum checks it there and covers the rest.
     """
     rs = np.append(np.linspace(0.0, SQUEEZE_MAX, points), np.inf)
-    objective = partial(u_function, cond)
+    objective = _u_split(cond)
     best, best_val = grid_argmin(objective, (rs, rs))
     if np.isfinite(best).all():
         best, best_val = descend(objective, best, best_val, np.zeros(2), np.full(2, SQUEEZE_MAX), (None, None))

@@ -10,7 +10,9 @@ Phys. 84, 621 (2012), Sec. II).  ``condition_on_e`` applies it to any
 measurement, with M from ``eve_kernel``.  ``seed_frame_schur`` is its
 path for the Eve-side searches: gamma_E = nu I makes M diagonal in the
 frame of Eve's seed, and it returns only the conditional entries the
-caller reads, for seed eigenvalues the caller maps from its search row.
+caller reads, for seed eigenvalues the caller maps from its search row,
+in two halves: the weights of the seed eigenvalues, then the rotation by
+Eve's angle.
 """
 
 from __future__ import annotations
@@ -133,19 +135,26 @@ def seed_frame_schur(pi: Purification, entries):
     so the kernel is ``R diag(1 / (nu + s)) R^T``: no inverse, nothing
     cancels, and an infinite s gives weight 0, the exact homodyne limit.
 
-    Returns an elementwise, broadcasting ``kernel(phi, s)`` with s the 2R
-    seed eigenvalues in xxpp order; it gives the conditional entries (i, j)
-    of ``entries``, stacked along a leading axis.  One pass serves every
-    entry and every seed axis k: one rotation of the gamma_ABE rows, one
-    product ``c_ik c_jk`` per entry and axis, and ``g_ij + sum_k w_k (c_ik
-    c_jk)`` summed over k in order, so each entry is the same sequence of
-    rounded operations as a loop over entries and axes.  The rotation
-    depends on phi alone, so on a sparse mesh it is done once per angle.
-    It needs at least one E mode: a pure state has nothing to condition
-    on, and the callers take their pure paths before this.
+    Returns the kernel in two elementwise, broadcasting halves, ``(weights,
+    kernel)``.  The seed half ``weights(s)`` takes the 2R seed eigenvalues
+    s in xxpp order and returns the negated weights ``-1 / (nu + s_k)``,
+    stacked along a leading axis; the angle half ``kernel(phi, w)`` gives
+    the conditional entries (i, j) of ``entries`` at the angle phi for
+    those weights, stacked along a leading axis.  So ``kernel(phi,
+    weights(s))`` conditions on the seed (phi, s), and a caller whose seeds
+    depend on fewer coordinates than phi's takes their weights once.  The
+    angle half is one pass over every entry and every seed axis k: one
+    rotation of the gamma_ABE rows, every ``w_k (c_ik c_jk)`` in one array,
+    and ``g_ij + sum_k w_k (c_ik c_jk)`` summed over k in order into its
+    k = 0 part, so each entry is the same sequence of rounded operations as
+    a loop over entries and axes, and a call allocates one array of the
+    output's size per seed axis and no temporary of that size besides.  The
+    rotation depends on phi alone, so on a sparse mesh it is done once per
+    angle.  It needs at least one E mode: a pure state has nothing to
+    condition on, and the callers take their pure paths before this.
 
     Raises:
-        DimensionMismatchError: no E mode, or a kernel call without 2R seed eigenvalues.
+        DimensionMismatchError: no E mode, or a ``weights`` call without 2R seed eigenvalues.
         InvalidInputError: gamma_E is not a multiple of the identity.
     """
     if pi.r_count == 0:
@@ -166,25 +175,29 @@ def seed_frame_schur(pi: Purification, entries):
     target = g[rows[:n_entries], rows[n_entries:]]
     shaped = {}  # the coefficients and g_ij shaped to broadcast against phi of each dimension
 
-    def kernel(phi, s):
+    def weights(s):
         if len(s) != n_seeds:
             raise DimensionMismatchError(f"the seed-frame kernel needs {n_seeds} seed eigenvalues, got {len(s)}")
-        phi, s = np.asarray(phi), np.array(s, dtype=float)
-        ndim = max(phi.ndim, s.ndim - 1)
+        return -1.0 / (nu + np.array(s, dtype=float))  # negated
+
+    def kernel(phi, w):
+        phi = np.asarray(phi)
+        ndim = max(phi.ndim, w.ndim - 1)
         if ndim not in shaped:
             tail = (1,) * ndim
             shaped[ndim] = (cos_coef.reshape(cos_coef.shape + tail), sin_coef.reshape(sin_coef.shape + tail),
                             target.reshape(target.shape + tail))
         cos_k, sin_k, target_k = shaped[ndim]
         cols = cos_k * np.cos(phi) + sin_k * np.sin(phi)  # (axes k, rows i then j, *phi)
-        weights = -1.0 / (nu + s.reshape((n_seeds, 1) + (1,) * (ndim + 1 - s.ndim) + s.shape[1:]))  # negated
-        products = cols[:, :n_entries] * cols[:, n_entries:]
+        w = w.reshape((n_seeds, 1) + (1,) * (ndim + 1 - w.ndim) + w.shape[1:])
+        weighted = w * (cols[:, :n_entries] * cols[:, n_entries:])
         # g_ij + w_0 (c_i0 c_j0) (addition commutes bit for bit), then + w_k (c_ik c_jk) in order of k, in
-        # place: a call allocates two arrays of the output's size, not one per term, which a 33^3 mesh feels
-        out = weights[0] * products[0]
+        # place in the k = 0 part: one array freed per call, not an output and a temporary, so glibc's
+        # malloc keeps a grid slab's pages instead of trimming them and faulting them in again next call
+        out = weighted[0]
         out += target_k
-        for w, product in zip(weights[1:], products[1:]):
-            out += w * product
+        for term in weighted[1:]:
+            out += term
         return out
 
-    return kernel
+    return weights, kernel

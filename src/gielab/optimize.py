@@ -5,13 +5,17 @@ measurements and runs a grid stage (``grid_argmin``), a compass search
 (``descend``) from the best grid point and then the space's exact
 candidates, rows of the same objective; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
-rule (``TIE_ATOL``).  The grid stage calls the objective once per slab of
-the mesh's first axis, at most ``SLAB_POINTS`` mesh points each, and reads
-the slabs in C order, so its best point is ``np.argmin`` of the whole
-mesh while no temporary holds more than a slab.  Each objective call of
-the descent evaluates a poll and the poll that would follow its miss, so
-a failed poll costs no call of its own; the descent reads a call with one
-``argmax`` and one ``argmin`` and falls back to its filtered rule only
+rule (``TIE_ATOL``).  Every objective is a pair ``(prepare, evaluate)``
+split at its first coordinate: ``prepare(*rest)`` computes what depends
+only on the trailing coordinates and ``evaluate(first, prepared)`` the
+value, so ``evaluate(x[0], prepare(*x[1:]))`` is the objective at x.  The
+grid stage prepares the trailing sparse mesh once and evaluates it once
+per slab of the first axis, at most ``SLAB_POINTS`` mesh points each, and
+reads the slabs in C order, so its best point is ``np.argmin`` of the
+whole mesh while no temporary holds more than a slab.  Each objective call
+of the descent evaluates a poll and the poll that would follow its miss,
+so a failed poll costs no call of its own; the descent reads a call with
+one ``argmax`` and one ``argmin`` and falls back to its filtered rule only
 where that could differ.  What ``search`` builds from a space (grid axes,
 box, candidate rows and their reported parameters) it builds once per
 space and grid size, read-only.
@@ -29,7 +33,7 @@ MIN_IMPROVEMENT = 1e-15  # a probe must beat the incumbent by more than this to 
 MAX_POLLS = 400  # the descent stops after this many polls even above its resolution
 RESOLUTION = 1e-8  # the step below which every search in gielab stops descending
 TIE_ATOL = 1e-12  # a candidate this close to the best value names the optimum
-SLAB_POINTS = 2**14  # the grid stage evaluates at most this many mesh points per objective call
+SLAB_POINTS = 21**3  # the grid stage evaluates at most this many mesh points per objective call
 
 
 @dataclass(frozen=True)
@@ -61,28 +65,32 @@ class SearchSpace:
                      for i, (v, period) in enumerate(zip(x, self.periods)))
 
 
-def grid_argmin(fn, axes):
-    """Evaluate ``fn`` on the full mesh of ``axes``, in slabs of the first axis; return the best point and its value.
+def grid_argmin(objective, axes):
+    """Evaluate ``objective`` on the mesh of ``axes`` in slabs of the first axis; return the best point and its value.
 
-    ``fn`` gets the sparse mesh, one broadcastable array per axis, so work
-    that depends on fewer coordinates is done once per distinct value; it
-    must broadcast its arguments to the full mesh shape.  ``fn`` is called
-    once per slab: the fewest equal runs of the first axis (sizes differing
-    by at most one row, the longer first) of at most ``SLAB_POINTS`` mesh
-    points each, or of one row where a row holds more; each call gets
-    read-only views.  The slabs are read in C order and a later one wins
-    only with a lower value, so the result is ``np.argmin`` of the whole
-    mesh: the first least value, or the first NaN, after which no slab is
-    evaluated.
+    ``objective`` is a ``(prepare, evaluate)`` pair split at the first
+    coordinate.  ``prepare`` is called once, on the sparse mesh of the
+    trailing axes (one broadcastable array per axis, so work that depends
+    on fewer coordinates is done once per distinct value), and
+    ``evaluate`` once per slab of the first axis with what ``prepare``
+    returned; it must broadcast to the full slab shape.  The slabs are the
+    fewest equal runs of the first axis (sizes differing by at most one
+    row, the longer first) of at most ``SLAB_POINTS`` mesh points each, or
+    of one row where a row holds more; every mesh array is a read-only
+    view.  The slabs are read in C order and a later one wins only with a
+    lower value, so the result is ``np.argmin`` of the whole mesh: the
+    first least value, or the first NaN, after which no slab is evaluated.
     """
+    prepare, evaluate = objective
     first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True, copy=False)
+    prepared = prepare(*rest)
     rows = len(axes[0])
     count = -(-rows // max(1, SLAB_POINTS // math.prod(len(axis) for axis in axes[1:])))
     size, longer = divmod(rows, count)
     best_val, start = None, 0
     for slab in range(count):
         stop = start + size + (slab < longer)
-        values = fn(first[start:stop], *rest)
+        values = evaluate(first[start:stop], prepared)
         flat = int(np.argmin(values))
         value = values.flat[flat]
         if best_val is None or value < best_val or np.isnan(value):
@@ -127,21 +135,22 @@ def _chained_table(dim):
     return chained
 
 
-def descend(fn, x0, value, lows, highs, periods):
-    """Deterministic compass search within a box, a poll and the poll after its miss per call of ``fn``.
+def descend(objective, x0, value, lows, highs, periods):
+    """Deterministic compass search within a box, a poll and the poll after its miss per objective call.
 
+    ``objective`` is a ``(prepare, evaluate)`` pair as ``grid_argmin``
+    takes it; one objective call is ``evaluate(first, prepare(*rest))`` on
+    the rows of one (coordinates, probes) array, both halves called here.
     Each poll evaluates every move of ``_probe_table`` from the incumbent,
     clipped to the box except on a coordinate with a ``periods`` entry, in
-    which ``fn`` must be periodic; the first step is 5% of the box.  The
-    descent takes the lowest probe that moves and beats the incumbent by
-    more than ``MIN_IMPROVEMENT`` (the first on ties) in the first block
+    which the objective must be periodic; the first step is 5% of the box.
+    The descent takes the lowest probe that moves and beats the incumbent
+    by more than ``MIN_IMPROVEMENT`` (the first on ties) in the first block
     with one, wrapped into [0, period), and scales the step by that block's
     multiple; a poll without one divides the step by 8.  It stops below
     ``RESOLUTION`` or after ``MAX_POLLS`` polls, both read at call time.
-    ``fn`` must broadcast over 1-D probe arrays, one per coordinate; it gets
-    them as the contiguous rows of one (coordinates, probes) array.
 
-    One call of ``fn`` evaluates the rows of ``_chained_table``: the poll at
+    One objective call evaluates the rows of ``_chained_table``: the poll at
     the current step and the poll at 1/8 of it, which the descent reads only
     when the first poll misses and neither stop falls between the two.  So
     the path, the end and the poll count are those of one poll per call.
@@ -158,7 +167,7 @@ def descend(fn, x0, value, lows, highs, periods):
     probes that did not move from the level and takes the least improving
     value of the block.
 
-    ``value`` is ``fn`` at ``x0``, which the callers take from the grid
+    ``value`` is the objective at ``x0``, which the callers take from the grid
     stage instead of evaluating the 1-row ``x0`` again; the two agree bit
     for bit where numpy's elementwise functions round a mesh element and a
     1-element row alike (tests/test_gie.py checks every gielab objective).
@@ -166,6 +175,7 @@ def descend(fn, x0, value, lows, highs, periods):
     times one scale, exactly, and the stop rule reads the scale times the
     widest first step; the moves at each scale seen are computed once.
     """
+    prepare, evaluate = objective
     x, val = np.array(x0, dtype=float), value
     first_steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
     widest, scale = float(first_steps.max()), 1.0
@@ -183,7 +193,8 @@ def descend(fn, x0, value, lows, highs, periods):
         trials = x[:, None] + step
         np.maximum(trials, lows, out=trials)
         np.minimum(trials, highs, out=trials)
-        values = fn(*trials)
+        lead, *rest = trials
+        values = evaluate(lead, prepare(*rest))
         bar = val - MIN_IMPROVEMENT  # both levels start from this incumbent
         improving = values < bar
         first = int(improving.argmax())
@@ -249,28 +260,32 @@ def _layout(space, points):
     return axes, lows, highs, rows, tuple(space.params(row) for row in rows)
 
 
-def search(fn, space, points):
-    """Minimize ``fn`` on the grid of ``space``, ``points`` per coordinate, descend, then try its candidates.
+def search(objective, space, points):
+    """Minimize ``objective`` on the grid of ``space``, ``points`` per coordinate, descend, then try its candidates.
 
-    ``fn`` takes one array per coordinate and broadcasts over them (the grid
-    passes meshes, the descent and the candidates 1-D arrays, all candidates
-    in one call); the grid meshes and the candidate rows are read-only
-    views of the layout that ``_layout`` builds once per ``(space,
-    points)``.  Returns ``(best_value, label, trace)``: the least of the
-    descent end and the candidates; the first candidate within ``TIE_ATOL``
-    of it, else ``space.label`` with the descent end's parameters; and
+    ``objective`` is a ``(prepare, evaluate)`` pair as ``grid_argmin``
+    takes it; both halves broadcast (the grid passes meshes, the descent
+    and the candidates 1-D arrays, all candidates in one call), and the
+    grid meshes and the candidate rows are read-only views of the layout
+    that ``_layout`` builds once per ``(space, points)``.  Returns
+    ``(best_value, label, trace)``: the least of the descent end and the
+    candidates; the first candidate within ``TIE_ATOL`` of it, else
+    ``space.label`` with the descent end's parameters; and
     ``(space.params(row), value)`` of the grid best, the descent end and
     every candidate.  The descent starts from the grid best with the grid's
-    value there, so ``fn`` is called once per grid slab (one slab up to
-    ``SLAB_POINTS`` mesh points, so up to 25 points per coordinate in 3-D),
-    once per descent call (a poll, and the poll after it when it misses)
-    and once for the candidates.
+    value there, so ``prepare`` is called once for the grid, once per
+    descent call (a poll, and the poll after it when it misses) and once
+    for the candidates, and ``evaluate`` as often plus once per further
+    grid slab (a slab holds up to ``SLAB_POINTS`` mesh points, so grids up
+    to 21 points per coordinate are one slab in 3-D).
     """
+    prepare, evaluate = objective
     axes, lows, highs, rows, reported = _layout(space, points)
-    coarse, coarse_val = grid_argmin(fn, axes)
-    refined, refined_val = descend(fn, coarse, coarse_val, lows, highs, space.periods)
+    coarse, coarse_val = grid_argmin(objective, axes)
+    refined, refined_val = descend(objective, coarse, coarse_val, lows, highs, space.periods)
+    lead, *rest = rows.T
     trace = [(space.params(coarse), coarse_val), (space.params(refined), float(refined_val))]
-    trace += [(params, float(value)) for params, value in zip(reported, fn(*rows.T))]
+    trace += [(params, float(value)) for params, value in zip(reported, evaluate(lead, prepare(*rest)))]
     best_val = min(value for _, value in trace[1:])
     for (label, _), (_, value) in zip(space.candidates, trace[2:]):
         if value <= best_val + TIE_ATOL:

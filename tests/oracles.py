@@ -14,7 +14,14 @@ must match bit for bit.  ``poll_per_call_descend`` is
 reference that the chained descent must follow poll for poll.
 ``whole_mesh_argmin`` is ``gielab.optimize.grid_argmin`` as one objective
 call on the whole mesh, the reference that the slabbed grid stage must
-match point for point.  ``rotation`` and ``XXPP`` are the phase-space
+match point for point.  These take an objective as one callable of every
+coordinate; ``joined`` makes one of a gielab ``(prepare, evaluate)`` pair
+and ``split`` the pair of one.  ``single_mode_objective``,
+``kh_objective`` and ``u_objective`` are the R = 1, K_h and u objectives
+of ``gielab.gie`` and ``gielab.information`` as one callable each, the
+reference that their split forms must match bit for bit on every grid
+slab, descent call and candidate row; the R = 1 one conditions through
+``seed_frame_schur_loop``.  ``rotation`` and ``XXPP`` are the phase-space
 rotation P(phi) and the xpxp -> xxpp reordering, from which the tests
 assemble Eve's spectral seed as a matrix product.
 """
@@ -27,6 +34,8 @@ import numpy as np
 
 from gielab import optimize
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError, UnphysicalStateError
+from gielab.gie import _cosh_sinh_v, _single_mode_seed
+from gielab.information import f_xx
 from gielab.measurement import FiniteMeasurement
 from gielab.purification import Purification
 from gielab.states import StdForm
@@ -69,6 +78,53 @@ def seed_frame_schur_loop(pi: Purification, entries):
         return tuple(out)
 
     return kernel
+
+
+def joined(objective):
+    """A ``(prepare, evaluate)`` objective as one callable of every coordinate."""
+    prepare, evaluate = objective
+    return lambda first, *rest: evaluate(first, prepare(*rest))
+
+
+def split(fn):
+    """A callable of every coordinate as a ``(prepare, evaluate)`` objective whose ``prepare`` returns its arguments."""
+    return (lambda *rest: rest), (lambda first, rest: fn(first, *rest))
+
+
+def single_mode_objective(pi: Purification):
+    """The R = 1 objective ``f_xx`` at Eve's seed row (phi, ln tau, t), through the loop kernel."""
+    kernel = seed_frame_schur_loop(pi, ((0, 0), (2, 2), (0, 2)))
+
+    def objective(phi, log_tau, t):
+        return f_xx(*kernel(phi, _single_mode_seed(np.exp(log_tau), t)))
+
+    return objective
+
+
+def kh_objective(a: float, k: float):
+    """K_h at Eve's row (phi, ln lambda1, ln lambda2) in one expression, inf where lambda2 > lambda1."""
+    _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
+
+    def objective(phi, log_l1, log_l2):
+        l1, l2 = np.exp(log_l1), np.exp(log_l2)
+        ratio = l2 / l1
+        e = 1.0 / l1 + l2 + cosh_v * (1.0 + ratio)
+        f = sinh_v * (1.0 - ratio)
+        value = (a * a - k * k) / (a * a) + ((k / a) * e + f * np.cos(2.0 * phi)) ** 2 / (e * e - f * f)
+        return np.where(l2 > l1, np.inf, value)
+
+    return objective
+
+
+def u_objective(cond: StdForm):
+    """The GCMI objective u(r_A, r_B) in one expression."""
+
+    def objective(r_a, r_b):
+        a_minus, b_minus = cond.a + np.exp(-2.0 * r_a), cond.b + np.exp(-2.0 * r_b)
+        a_plus, b_plus = cond.a + np.exp(2.0 * r_a), cond.b + np.exp(2.0 * r_b)
+        return (1.0 - cond.kx * cond.kx / (a_minus * b_minus)) * (1.0 - cond.kp * cond.kp / (a_plus * b_plus))
+
+    return objective
 
 
 def whole_mesh_argmin(fn, axes):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from gielab.config import GridConfig
 from gielab.errors import DomainNotCoveredError, InvalidInputError, NumericalDegeneracyError
 from gielab.gie import (
     GATE_LOWER_BOUND,
+    KH_SEARCH,
+    SINGLE_MODE_SEARCH,
     SQRT_AB_SLACK,
     _conditional_cms,
     _kh_seed,
@@ -35,7 +38,16 @@ from gielab.renyi2 import gr2_of_family
 from gielab.states import StdForm, classify, make_family
 from gielab.symplectic import CovMat
 from gielab.verify import MINMAX_ATOL
-from oracles import XXPP, rotation, std_form_params, whole_mesh_argmin
+from oracles import (
+    XXPP,
+    joined,
+    kh_objective,
+    rotation,
+    single_mode_objective,
+    std_form_params,
+    u_objective,
+    whole_mesh_argmin,
+)
 from tests.test_optimize import follow_poll_per_call, probe_at_a_time_descend
 
 FAST = GridConfig(points=13)
@@ -307,9 +319,11 @@ class TestKh:
         # a probe-at-a-time Hooke-Jeeves search stopped here on a cap of 400 sweeps with f_min ~ 1.6e-9
         descend, polls = gielab.optimize.descend, []
 
-        def checked(fn, x0, start_value, lows, highs, periods):
-            x, value = descend(fn, x0, start_value, lows, highs, periods)
-            x_ref, value_ref, outcomes, stopped_on_cap = probe_at_a_time_descend(fn, x0, lows, highs, periods)
+        def checked(objective, x0, start_value, lows, highs, periods):
+            x, value = descend(objective, x0, start_value, lows, highs, periods)
+            x_ref, value_ref, outcomes, stopped_on_cap = probe_at_a_time_descend(
+                joined(objective), x0, lows, highs, periods
+            )
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
             assert not stopped_on_cap
             polls.append(len(outcomes))
@@ -338,6 +352,16 @@ class TestKh:
             k_h(0.5, 1.0, 2.0, 1.2, 0.5)  # lambda2 > lambda1
         with pytest.raises(InvalidInputError):
             k_h(0.5, 1.0, 0.5, 1.2, 0.8)  # unphysical (a, k)
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_determinant_oracle_rejects_the_rows_only_k_h_evaluates(self):
+        # its seed blockdiag(Q, Q^-1) needs lambda1 finite and lambda2 > 0; k_h takes the exact limits
+        for row in ((0.5, np.inf, np.inf), (0.5, 1.0, 0.0), (np.pi / 2.0, np.inf, 0.0)):
+            with pytest.raises(InvalidInputError, match="lambda1 finite and lambda2 > 0"):
+                k_h_determinant(*row, 1.2, 0.5)
+        with pytest.raises(InvalidInputError):  # one such row rejects a stack
+            k_h_determinant(np.array([0.5, 0.5]), np.array([2.0, 1.0]), np.array([1.0, 0.0]), 1.2, 0.5)
+        assert np.isfinite(k_h(np.pi / 2.0, np.inf, 0.0, 1.2, 0.5))  # the dual-homodyne row
 
 
 # (phi, lambda1, lambda2, a, k): Eve's Q with ln lambda in [-3, 6], and a physical (a, k)
@@ -416,23 +440,97 @@ class TestFamilyFormulasOnSeparableEdges:
                 assert fam.tag == tag
                 assert gie_closed_form(fam) == 0.0, (tag, params)
 
-def run_every_objective(points, draws):
-    """Run each gielab objective's search at ``points`` on ``draws`` seeded points of every family.
+def every_objective(points, draws):
+    """Each gielab objective's search at ``points`` on ``draws`` seeded points of every family.
 
     Per draw: ``gie_numeric`` of a sym_glems, an asym_glems and a
     sym_sq_thermal family (R = 1 ``f_xx`` twice, then K_h), then
-    ``gcmi_numeric`` (u) of the sym_sq_thermal standard form.
+    ``gcmi_numeric`` (u) of the sym_sq_thermal standard form.  Yields
+    ``(reference, space, run)``: the objective's one-callable oracle, its
+    ``SearchSpace`` (None for u, which ``gcmi_numeric`` searches without
+    one) and a call that runs the search.
     """
     rng = np.random.default_rng(points)
+    grid = GridConfig(points=points)
     for _ in range(draws):
         a, u, g, v = 1.0 + 5.0 * rng.random(), rng.random(), 1.0 + 1.41 * rng.random(), rng.random()
         half_log_ratio = (2.0 * v - 1.0) * np.log(g)
         k = (g - 1.0) + u * (np.sqrt(g * g - 1.0) - (g - 1.0))
-        for fam in (make_family("sym_glems", a=a, kp=u * np.sqrt(a * a - 1.0)),
-                    make_family("asym_glems", a=g * np.exp(half_log_ratio), b=g * np.exp(-half_log_ratio)),
-                    make_family("sym_sq_thermal", a=g, k=k)):
-            gie_numeric(fam, GridConfig(points=points))
-        gcmi_numeric(make_family("sym_sq_thermal", a=g, k=k).std, points)
+        glems = make_family("sym_glems", a=a, kp=u * np.sqrt(a * a - 1.0))
+        asym = make_family("asym_glems", a=g * np.exp(half_log_ratio), b=g * np.exp(-half_log_ratio))
+        thermal = make_family("sym_sq_thermal", a=g, k=k)
+        yield single_mode_objective(purify(glems.std)), SINGLE_MODE_SEARCH, partial(gie_numeric, glems, grid)
+        yield single_mode_objective(purify_asym_glems(asym)), SINGLE_MODE_SEARCH, partial(gie_numeric, asym, grid)
+        yield kh_objective(thermal.std.a, thermal.std.kx), KH_SEARCH, partial(gie_numeric, thermal, grid)
+        yield u_objective(thermal.std), None, partial(gcmi_numeric, thermal.std, points)
+
+
+def _same_bits(x, y) -> bool:
+    return np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def run_against_the_oracles(monkeypatch, points, draws):
+    """Run ``every_objective`` with each split objective checked against its one-callable oracle.
+
+    Every ``evaluate`` result of the grid stages and the descents must
+    equal the oracle on the same rows, bit for bit, and so must the
+    candidate values of each trace.  Per grid stage, ``prepare`` runs once,
+    before the first slab; the slabs read in order are the oracle on the
+    whole mesh; the best point and value are ``whole_mesh_argmin`` of the
+    oracle; and the grid value, which starts the descent, is the value of
+    the best point as one row, through the split objective and the oracle
+    alike.  Returns the slab shapes of each grid stage and the mismatches.
+    """
+    grid_argmin, descend = gielab.optimize.grid_argmin, gielab.optimize.descend
+    grids, mismatches, current = [], [], {}
+
+    def checking(objective, calls, slabs):
+        """``objective``, naming each call in ``calls`` and appending the values of each ``evaluate`` to ``slabs``."""
+        prepare, evaluate = objective
+
+        def checked_prepare(*rest):
+            calls.append("prepare")
+            return rest, prepare(*rest)
+
+        def checked_evaluate(first, prepared):
+            rest, terms = prepared
+            values = evaluate(first, terms)
+            calls.append("evaluate")
+            slabs.append(values)
+            if not _same_bits(values, current["reference"](first, *rest)):
+                mismatches.append(("call", np.broadcast_shapes(np.shape(first), *(np.shape(r) for r in rest))))
+            return values
+
+        return checked_prepare, checked_evaluate
+
+    def checked_grid(objective, axes):
+        reference, calls, slabs = current["reference"], [], []
+        best, value = grid_argmin(checking(objective, calls, slabs), axes)
+        assert calls == ["prepare"] + ["evaluate"] * len(slabs)
+        whole = reference(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
+        if not _same_bits(np.concatenate(slabs), whole):
+            mismatches.append(("slabs", [slab.shape for slab in slabs]))
+        ref_best, ref_value = whole_mesh_argmin(reference, axes)
+        assert (best.tolist(), value) == (ref_best.tolist(), ref_value)
+        row = best[:, None]
+        if not joined(objective)(*row)[0] == value == reference(*row)[0]:
+            mismatches.append(("grid value", best.tolist(), value))
+        grids.append([slab.shape for slab in slabs])
+        return best, value
+
+    def checked_descent(objective, *args):
+        return descend(checking(objective, [], []), *args)
+
+    for module in (gielab.optimize, gielab.information):
+        monkeypatch.setattr(module, "grid_argmin", checked_grid)
+        monkeypatch.setattr(module, "descend", checked_descent)
+    for current["reference"], space, run in every_objective(points, draws):
+        result = run()
+        if space is not None:
+            rows = gielab.optimize._layout(space, points)[3]
+            if not _same_bits([value for _, value in result.optimizer_trace[2:]], current["reference"](*rows.T)):
+                mismatches.append(("candidates", space.label))
+    return grids, mismatches
 
 
 class TestGridValueStartsTheDescent:
@@ -440,61 +538,30 @@ class TestGridValueStartsTheDescent:
     # a 1-row array; the search path is the same only where both evaluations round alike
     @pytest.mark.parametrize("points", (5, 13, 21, 33, 45))
     def test_each_objective_gives_the_grid_value_on_the_grid_best_as_one_row(self, monkeypatch, points):
-        grid_argmin, mismatches, calls = gielab.optimize.grid_argmin, [], []
-
-        def checked(fn, axes):
-            best, value = grid_argmin(fn, axes)
-            calls.append(best)
-            if not fn(*best[:, None])[0] == value:
-                mismatches.append((best.tolist(), value, fn(*best[:, None])[0]))
-            return best, value
-
-        monkeypatch.setattr(gielab.optimize, "grid_argmin", checked)
-        monkeypatch.setattr(gielab.information, "grid_argmin", checked)
-        run_every_objective(points, 4)
-        assert len(calls) == 16  # f_xx of sym_glems and asym_glems, K_h, u
+        grids, mismatches = run_against_the_oracles(monkeypatch, points, 4)
+        assert len(grids) == 16  # f_xx of sym_glems and asym_glems, K_h, u
         assert mismatches == []
 
 
 class TestGridSlabs:
-    # grid_argmin evaluates its mesh in slabs of the first axis (Eve's angle, or u's r_A), at most
-    # optimize.SLAB_POINTS mesh points per call; each slab's values must be the whole mesh's, bit for bit
+    # grid_argmin prepares the trailing mesh of each split objective once and evaluates it in slabs of
+    # the first axis (Eve's angle, or u's r_A), at most optimize.SLAB_POINTS mesh points per call; each
+    # slab, descent call and candidate row must be the one-callable oracle's, bit for bit
     @pytest.mark.parametrize("points, budget", ((5, None), (13, None), (21, None), (33, None), (45, None), (13, 180)))
     def test_each_objective_gives_the_whole_mesh_values_slab_by_slab(self, monkeypatch, points, budget):
         if budget is not None:  # one row of phi per slab of a 13^3 mesh; u's 14^2 mesh in two slabs
             monkeypatch.setattr(gielab.optimize, "SLAB_POINTS", budget)
-        grid_argmin, slabs_per_grid, mismatches = gielab.optimize.grid_argmin, [], []
-
-        def checked(fn, axes):
-            slabs = []
-
-            def recorded(*mesh):
-                values = fn(*mesh)
-                slabs.append((np.broadcast_shapes(*(m.shape for m in mesh)), values))
-                return values
-
-            best, value = grid_argmin(recorded, axes)
-            slabs_per_grid.append([shape for shape, _ in slabs])
-            whole = fn(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
-            if np.concatenate([values for _, values in slabs]).tobytes() != whole.tobytes():
-                mismatches.append((len(axes), [shape for shape, _ in slabs]))
-            ref_best, ref_value = whole_mesh_argmin(fn, axes)
-            assert (best.tolist(), value) == (ref_best.tolist(), ref_value)
-            return best, value
-
-        monkeypatch.setattr(gielab.optimize, "grid_argmin", checked)
-        monkeypatch.setattr(gielab.information, "grid_argmin", checked)
-        run_every_objective(points, 3)
+        grids, mismatches = run_against_the_oracles(monkeypatch, points, 3)
         assert mismatches == []
-        assert len(slabs_per_grid) == 12  # f_xx of sym_glems and asym_glems, K_h, u
-        sizes = [math.prod(shape) for shapes in slabs_per_grid for shape in shapes]
+        assert len(grids) == 12  # f_xx of sym_glems and asym_glems, K_h, u
+        sizes = [math.prod(shape) for shapes in grids for shape in shapes]
         assert max(sizes) <= gielab.optimize.SLAB_POINTS
         if budget is None and points <= 21:
-            assert [len(shapes) for shapes in slabs_per_grid] == [1] * 12
-        if points >= 33:  # the 3-D meshes split: 33^3 into 3 x 11 rows of phi, 45^3 into 3 x 8 + 3 x 7
-            assert {len(shapes) for shapes in slabs_per_grid} == {1, {33: 3, 45: 6}[points]}
+            assert [len(shapes) for shapes in grids] == [1] * 12
+        if points >= 33:  # the 3-D meshes split: 33^3 into 3 x 7 + 2 x 6 rows of phi, 45^3 into 9 x 4 + 3 x 3
+            assert {len(shapes) for shapes in grids} == {1, {33: 5, 45: 12}[points]}
         if budget is not None:
-            assert min(len(shapes) for shapes in slabs_per_grid) > 1
+            assert min(len(shapes) for shapes in grids) > 1
 
 
 class TestChainedPolls:
@@ -504,8 +571,8 @@ class TestChainedPolls:
     def test_each_objective_follows_the_poll_per_call_descent(self, monkeypatch, points):
         polls_per_descent = []
 
-        def checked(fn, x0, value, lows, highs, periods):
-            x, val, outcomes = follow_poll_per_call(fn, x0, value, lows, highs, periods)
+        def checked(objective, x0, value, lows, highs, periods):
+            x, val, outcomes = follow_poll_per_call(joined(objective), x0, value, lows, highs, periods)
             polls_per_descent.append(len(outcomes))
             return x, val
 

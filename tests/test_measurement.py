@@ -159,15 +159,15 @@ UPPER_TRIANGLE = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 def _xx_kernel(pi):
     """(va, vb, c) at Eve's single-mode seed row (phi, tau, t), as the R = 1 objective reads them."""
-    schur = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
-    return lambda phi, tau, t: schur(phi, _single_mode_seed(tau, t))
+    weights, kernel = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
+    return lambda phi, tau, t: kernel(phi, weights(_single_mode_seed(tau, t)))
 
 
 def _r2_kernel(pi):
     """All ten entries at Eve's seed blockdiag(Q, Q^{-1}), Q = P diag(l1, l2) P^T, as the R = 2 gate reads them;
     the kernel takes one shape for all four seed eigenvalues, so a sparse mesh is broadcast first."""
-    schur = seed_frame_schur(pi, UPPER_TRIANGLE)
-    return lambda phi, l1, l2: schur(phi, np.broadcast_arrays(l1, l2, 1.0 / l1, 1.0 / l2))
+    weights, kernel = seed_frame_schur(pi, UPPER_TRIANGLE)
+    return lambda phi, l1, l2: kernel(phi, weights(np.broadcast_arrays(l1, l2, 1.0 / l1, 1.0 / l2)))
 
 
 class TestSeedFrameKernel:
@@ -224,12 +224,12 @@ class TestSeedFrameKernel:
     def test_needs_one_seed_eigenvalue_per_e_axis(self):
         with pytest.raises(DimensionMismatchError):
             seed_frame_schur(_pi("pure", a=2.0), ((0, 0),))
-        one_mode = seed_frame_schur(_kernel_pi(*KERNEL_STATES[0]), ((0, 0),))
+        one_mode, _ = seed_frame_schur(_kernel_pi(*KERNEL_STATES[0]), ((0, 0),))
         with pytest.raises(DimensionMismatchError, match="needs 2 seed eigenvalues, got 4"):
-            one_mode(0.0, (1.0, 2.0, 3.0, 4.0))
-        two_modes = seed_frame_schur(_pi("sym_sq_thermal", a=1.3, k=0.6), ((0, 0),))
+            one_mode((1.0, 2.0, 3.0, 4.0))
+        two_modes, _ = seed_frame_schur(_pi("sym_sq_thermal", a=1.3, k=0.6), ((0, 0),))
         with pytest.raises(DimensionMismatchError, match="needs 4 seed eigenvalues, got 2"):
-            two_modes(0.0, (1.0, 2.0))
+            two_modes((1.0, 2.0))
 
     def test_box_edges_against_50_digit_reference(self):
         mpmath = pytest.importorskip("mpmath")
@@ -265,9 +265,10 @@ class TestSeedFrameKernelBitForBit:
 
     @staticmethod
     def _assert_identical(pi, entries, seed_map, *args):
-        # the kernel takes its seed eigenvalues broadcast to one shape, the loop as the seed map gives them
+        # the seed half takes its eigenvalues broadcast to one shape, the loop as the seed map gives them
         seeds = seed_map(*args[1:])
-        new = seed_frame_schur(pi, entries)(args[0], np.broadcast_arrays(*seeds))
+        weights, kernel = seed_frame_schur(pi, entries)
+        new = kernel(args[0], weights(np.broadcast_arrays(*seeds)))
         old = seed_frame_schur_loop(pi, entries)(args[0], seeds)
         assert len(new) == len(old) == len(entries)
         for x, y in zip(new, old):

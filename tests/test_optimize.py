@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import poll_per_call_descend, whole_mesh_argmin
+from oracles import poll_per_call_descend, split, whole_mesh_argmin
 
 from gielab import optimize
 from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, SearchSpace, descend, grid_argmin, search
@@ -29,7 +29,7 @@ def with_rows_beyond_5(x, y):
 
 
 def run(candidates, fn=with_rows_beyond_5):
-    return search(fn, dataclasses.replace(TOY, candidates=tuple(candidates)), POINTS)
+    return search(split(fn), dataclasses.replace(TOY, candidates=tuple(candidates)), POINTS)
 
 
 def value_at(fn, x0):
@@ -85,7 +85,7 @@ def follow_poll_per_call(fn, x0, value, lows, highs, periods):
     poll's miss without its 2x block.
     """
     calls, polls = [], []
-    x, val = descend(recording(fn, calls), x0, value, lows, highs, periods)
+    x, val = descend(split(recording(fn, calls)), x0, value, lows, highs, periods)
     x_ref, val_ref, outcomes = poll_per_call_descend(recording(fn, polls), x0, value, lows, highs, periods)
     assert (x.tolist(), float(val)) == (x_ref.tolist(), float(val_ref))
     reads = chained_reads(outcomes)
@@ -135,7 +135,7 @@ class TestSearch:
         def fn(phi, log_tau, t):
             return np.sin(phi - 0.3) ** 2 + (log_tau - 0.7) ** 2 + (t - 1.1) ** 2  # pi-periodic in phi
 
-        _, label, trace = search(fn, space, 9)
+        _, label, trace = search(split(fn), space, 9)
         phi, tau, t = trace[1][0]
         assert abs(phi - 0.3) < 1e-6 and abs(tau - np.exp(0.7)) < 1e-6 and abs(t - 1.1) < 1e-6
         assert label == f"general(phi={phi:.6g}, tau={tau:.6g}, t={t:.6g})"
@@ -159,8 +159,8 @@ class TestSearch:
     def test_trace_is_grid_best_then_descent_end_then_candidates(self):
         candidates = [("a", (5.0, 2.0)), ("b", (0.7, 0.1))]
         _, _, trace = run(candidates)
-        grid_best, grid_val = grid_argmin(bowl, (np.linspace(0.0, 1.0, POINTS),) * 2)
-        end, end_val = descend(bowl, grid_best, grid_val, np.zeros(2), np.ones(2), (None, None))
+        grid_best, grid_val = grid_argmin(split(bowl), (np.linspace(0.0, 1.0, POINTS),) * 2)
+        end, end_val = descend(split(bowl), grid_best, grid_val, np.zeros(2), np.ones(2), (None, None))
         assert not np.array_equal(grid_best, end)  # the off-grid minimum moves the descent
         assert trace == [
             (TOY.params(grid_best), grid_val),
@@ -177,15 +177,15 @@ class TestSearch:
         if periodic:
             space = dataclasses.replace(space, highs=(np.pi, 1.0), periods=(np.pi, None))
         fn, calls = counted(with_rows_beyond_5)
-        _, _, trace = search(fn, space, points)
+        _, _, trace = search(split(fn), space, points)
         lows, highs = np.array(space.lows), np.array(space.highs)
         axes = [np.linspace(0.0, high, points, endpoint=period is None) for high, period in zip(highs, space.periods)]
-        grid_best, grid_val = grid_argmin(with_rows_beyond_5, axes)
+        grid_best, grid_val = grid_argmin(split(with_rows_beyond_5), axes)
         _, _, outcomes, _ = probe_at_a_time_descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)
         assert len(calls) == 1 + len(chained_reads(outcomes)) + 1
         assert calls[0] is None and calls[-1] == 2  # the mesh first, the two candidates in one call last
         assert calls[1:-1] == [ROWS_PER_CALL[2]] * (len(calls) - 2)
-        end, _ = descend(with_rows_beyond_5, grid_best, grid_val, lows, highs, space.periods)
+        end, _ = descend(split(with_rows_beyond_5), grid_best, grid_val, lows, highs, space.periods)
         assert trace[1][0] == space.params(end)
 
     def test_params_reduce_periodic_coordinates_and_exponentiate_logarithms(self):
@@ -207,12 +207,12 @@ class TestLayoutCache:
 
     def test_a_cached_layout_gives_the_traces_of_a_fresh_one(self):
         optimize._layout.cache_clear()
-        cached = [search(self.fn, self.SPACE, points) for points in (13, 21, 13)]
+        cached = [search(split(self.fn), self.SPACE, points) for points in (13, 21, 13)]
         assert optimize._layout.cache_info()[:2] == (1, 2)  # (hits, misses): 13 is built once
         fresh = []
         for points in (13, 21, 13):
             optimize._layout.cache_clear()
-            fresh.append(search(self.fn, self.SPACE, points))
+            fresh.append(search(split(self.fn), self.SPACE, points))
         assert cached == fresh
 
     def test_the_cached_arrays_are_read_only(self):
@@ -221,7 +221,7 @@ class TestLayoutCache:
             return self.fn(phi, log_tau, t)
 
         with pytest.raises(ValueError, match="read-only"):
-            search(writes_its_mesh, self.SPACE, 5)
+            search(split(writes_its_mesh), self.SPACE, 5)
         axes, lows, highs, rows, _ = optimize._layout(self.SPACE, 5)
         assert not any(array.flags.writeable for array in (*axes, lows, highs, rows))
 
@@ -248,13 +248,21 @@ def slab_meshes(draw):
 
 
 def lookup(table, calls):
-    """An objective on the index mesh of ``table`` that appends the mesh shape of each call to ``calls``."""
+    """An objective on the index mesh of ``table`` that records each call.
 
-    def fn(*mesh):
-        calls.append(np.broadcast_shapes(*(m.shape for m in mesh)))
-        return table[tuple(m.astype(np.intp) for m in mesh)]
+    ``prepare`` appends ``"prepare"`` to ``calls``, ``evaluate`` the mesh
+    shape of its slab.
+    """
 
-    return fn
+    def prepare(*rest):
+        calls.append("prepare")
+        return rest
+
+    def evaluate(first, rest):
+        calls.append(np.broadcast_shapes(first.shape, *(r.shape for r in rest)))
+        return table[tuple(m.astype(np.intp) for m in (first, *rest))]
+
+    return prepare, evaluate
 
 
 class TestGridSlabs:
@@ -274,23 +282,28 @@ class TestGridSlabs:
         calls = []
         with mock.patch.object(optimize, "SLAB_POINTS", budget):
             best, value = grid_argmin(lookup(table, calls), axes)
-        ref_best, ref_value = whole_mesh_argmin(lookup(table, []), axes)
+        ref_best, ref_value = whole_mesh_argmin(lambda *mesh: table[tuple(m.astype(np.intp) for m in mesh)], axes)
         assert best.tolist() == ref_best.tolist()
         assert value == ref_value or np.isnan(value) and np.isnan(ref_value)
+        # the trailing mesh is prepared once, before the first slab
+        assert calls[0] == "prepare" and "prepare" not in calls[1:]
+        slabs = calls[1:]
         # the fewest equal slabs of the first axis (the longer first) within the budget, or one row each
         per_row = table[0].size
         count = -(-table.shape[0] // max(1, budget // per_row))
         sizes = [len(rows) for rows in np.array_split(np.arange(table.shape[0]), count)]
-        assert [shape[1:] for shape in calls] == [table.shape[1:]] * len(calls)
-        assert [shape[0] for shape in calls] == sizes[: len(calls)]
+        assert [shape[1:] for shape in slabs] == [table.shape[1:]] * len(slabs)
+        assert [shape[0] for shape in slabs] == sizes[: len(slabs)]
         if not np.isnan(ref_value):  # the slab with the first NaN is the last evaluated
-            assert len(calls) == count
+            assert len(slabs) == count
 
-    def test_the_default_budget_cuts_the_default_grid_in_three(self):
+    @pytest.mark.parametrize("points, rows", ((21, [21]), (33, [7, 7, 7, 6, 6]), (45, [4] * 9 + [3] * 3)),
+                             ids=("21", "33", "45"))
+    def test_the_default_budget_cuts_grids_past_21_in_slabs_of_phi(self, points, rows):
         calls = []
-        grid_argmin(lookup(np.zeros((33, 33, 33)), calls), [np.arange(33.0)] * 3)
-        assert calls == [(11, 33, 33)] * 3
-        assert optimize.SLAB_POINTS >= 25**3  # grids up to 25, verify's 13 and 21 among them, make one call
+        grid_argmin(lookup(np.zeros((points,) * 3), calls), [np.arange(float(points))] * 3)
+        assert calls == ["prepare"] + [(n, points, points) for n in rows]
+        assert optimize.SLAB_POINTS >= 21**3  # grids up to 21, verify's 13 and 21 among them, make one call
 
 
 def seam_bowl(phi, y):
@@ -304,13 +317,13 @@ class TestPeriodicSeam:
     def test_the_descent_wraps_across_the_seam(self):
         # clipped to [0, pi], this descent stops on the phi = 0 face
         x0 = (0.05, 0.5)
-        x, value = descend(seam_bowl, x0, value_at(seam_bowl, x0), np.zeros(2), np.array([np.pi, 1.0]), (np.pi, None))
+        x, value = descend(split(seam_bowl), x0, value_at(seam_bowl, x0), np.zeros(2), np.array([np.pi, 1.0]), (np.pi, None))
         assert abs(x[0] - (np.pi - 0.02)) < 1e-6
         assert value < 1e-12
 
     def test_the_trace_reports_the_angle_modulo_its_period(self):
         # a one-point grid starts the descent on phi = 0, the other side of the seam
-        _, label, trace = search(seam_bowl, self.SPACE, 1)
+        _, label, trace = search(split(seam_bowl), self.SPACE, 1)
         (phi, y), value = trace[1]
         assert 0.0 <= phi < np.pi and abs(phi - (np.pi - 0.02)) < 1e-6 and abs(y - 0.5) < 1e-6
         assert value < 1e-12
@@ -510,7 +523,7 @@ class TestDescend:
         fn, x0, lows, highs, periods = problem
         counted_fn, calls = counted(fn)
         with mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(counted_fn, x0, value_at(fn, x0), lows, highs, periods)
+            x, val = descend(split(counted_fn), x0, value_at(fn, x0), lows, highs, periods)
             x_ref, val_ref, outcomes, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
@@ -525,7 +538,7 @@ class TestDescend:
         # a cap of 1-12 polls cuts most descents short
         fn, x0, lows, highs, periods = problem
         with mock.patch.object(optimize, "MAX_POLLS", max_polls), mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(fn, x0, value_at(fn, x0), lows, highs, periods)
+            x, val = descend(split(fn), x0, value_at(fn, x0), lows, highs, periods)
             x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
