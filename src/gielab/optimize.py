@@ -13,12 +13,15 @@ grid stage prepares the trailing sparse mesh once and evaluates it once
 per slab of the first axis, at most ``SLAB_POINTS`` mesh points each, and
 reads the slabs in C order, so its best point is ``np.argmin`` of the
 whole mesh while no temporary holds more than a slab.  Each objective call
-of the descent evaluates a poll and the poll that would follow its miss,
-so a failed poll costs no call of its own; the descent reads a call with
-one ``argmax`` and one ``argmin`` and falls back to its filtered rule only
-where that could differ.  What ``search`` builds from a space (grid axes,
-box, candidate rows and their reported parameters) it builds once per
-space and grid size, read-only.
+of the descent evaluates a poll, the poll that would follow its miss, so
+a failed poll costs no call of its own, and a model row: the least points
+of parabolas fitted to the previous call's 1/4-block coordinate probes,
+which the call moves to where it beats the incumbent and the poll's pick,
+while the poll alone sets the step and the stops.  The descent reads a
+call with one ``argmax`` and one ``argmin`` and falls back to its filtered
+rule only where that could differ.  What ``search`` builds from a space
+(grid axes, box, candidate rows and their reported parameters) it builds
+once per space and grid size, read-only.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def _chained_table(dim):
 
 
 def descend(objective, x0, value, lows, highs, periods):
-    """Deterministic compass search within a box, a poll and the poll after its miss per objective call.
+    """Deterministic compass search within a box: a poll, the poll after its miss and a model row per objective call.
 
     ``objective`` is a ``(prepare, evaluate)`` pair as ``grid_argmin``
     takes it; one objective call is ``evaluate(first, prepare(*rest))`` on
@@ -144,16 +147,29 @@ def descend(objective, x0, value, lows, highs, periods):
     Each poll evaluates every move of ``_probe_table`` from the incumbent,
     clipped to the box except on a coordinate with a ``periods`` entry, in
     which the objective must be periodic; the first step is 5% of the box.
-    The descent takes the lowest probe that moves and beats the incumbent
-    by more than ``MIN_IMPROVEMENT`` (the first on ties) in the first block
-    with one, wrapped into [0, period), and scales the step by that block's
-    multiple; a poll without one divides the step by 8.  It stops below
-    ``RESOLUTION`` or after ``MAX_POLLS`` polls, both read at call time.
+    A poll takes the lowest probe that moves and beats the incumbent by
+    more than ``MIN_IMPROVEMENT`` (the first on ties) in the first block
+    with one and scales the step by that block's multiple; a poll without
+    one divides the step by 8.  The descent stops below ``RESOLUTION`` or
+    after ``MAX_POLLS`` polls, both read at call time.
 
     One objective call evaluates the rows of ``_chained_table``: the poll at
     the current step and the poll at 1/8 of it, which the descent reads only
-    when the first poll misses and neither stop falls between the two.  So
-    the path, the end and the poll count are those of one poll per call.
+    when the first poll misses and neither stop falls between the two.
+    Every call after the first may add one row, the model row
+    (``_model_row``), a search step in the sense of Torczon (SIAM J. Optim.
+    7, 1 (1997)) built from the poll's own values: per coordinate whose two
+    1/4-block probes of the previous call moved by exactly +-h (neither was
+    clipped), with finite values and a positive curvature, the least point
+    of the parabola through them and the previous incumbent, clamped to 2 h
+    from that incumbent and clipped to the box; the previous incumbent's
+    coordinate elsewhere.  A call without such a coordinate has no model
+    row.  The call moves to the model row where the row moved, beats the
+    incumbent by more than ``MIN_IMPROVEMENT`` and beats the probe the polls
+    take (ties go to the polls).  The step, the poll count and both stops
+    follow the polls alone, so the compass search is the safeguard of the
+    model row.  The point the descent moves to is wrapped into
+    [0, period) on a periodic coordinate.
 
     A call is read with one ``argmax`` over both levels: the first improving
     probe names the poll that moves (the first level, or the second when the
@@ -173,7 +189,9 @@ def descend(objective, x0, value, lows, highs, periods):
     1-element row alike (tests/test_gie.py checks every gielab objective).
     Every step factor is a power of two, so the step is the first step
     times one scale, exactly, and the stop rule reads the scale times the
-    widest first step; the moves at each scale seen are computed once.
+    widest first step; the moves at each scale seen are computed once.  A
+    call clips its rows only where its largest move, twice the step, may
+    leave the box: inside it clipping changes no bit.
     """
     prepare, evaluate = objective
     x, val = np.array(x0, dtype=float), value
@@ -181,46 +199,102 @@ def descend(objective, x0, value, lows, highs, periods):
     widest, scale = float(first_steps.max()), 1.0
     wrapped = [(i, period) for i, period in enumerate(periods) if period is not None]
     wraps = np.array([period is not None for period in periods])
-    lows, highs = np.where(wraps, -np.inf, lows)[:, None], np.where(wraps, np.inf, highs)[:, None]
-    moves = first_steps[:, None] * _chained_table(x.size).T  # (coordinates, probes) at scale 1
+    lows, highs = np.where(wraps, -np.inf, lows), np.where(wraps, np.inf, highs)
+    bounds = list(zip(lows.tolist(), highs.tolist()))
+    clipped = [(i, low, high) for i, (low, high) in enumerate(bounds) if not wraps[i]]
+    lows, highs = lows[:, None], highs[:, None]
+    chained = _chained_table(x.size)
+    probes, block = len(chained), len(chained) // 7
+    quarter = slice(3 * block, 3 * block + 2 * x.size)  # the first level's 1/4-block moves +e0, -e0, +e1, ...
+    # (coordinates, probes) at scale 1, and a last column of zeros that the model row overwrites
+    moves = first_steps[:, None] * np.concatenate([chained, np.zeros((1, x.size))]).T
+    reaches = (first_steps * 2.0).tolist()  # the largest move of each coordinate at scale 1
+    # per coordinate, for the model row: its index, its 1/4-block move at scale 1 and its box (infinite where periodic)
+    fits = [(i, q, low, high) for i, (q, (low, high)) in enumerate(zip((first_steps * 0.25).tolist(), bounds))]
+    tail = range(1, x.size)
     scaled = {1.0: moves}
-    block = moves.shape[1] // 7
-    polls = 0
+    polls, model = 0, None
     while polls < MAX_POLLS:
         step = scaled.get(scale)
         if step is None:
             step = scaled[scale] = moves * scale
-        trials = x[:, None] + step
-        np.maximum(trials, lows, out=trials)
-        np.minimum(trials, highs, out=trials)
-        lead, *rest = trials
-        values = evaluate(lead, prepare(*rest))
-        bar = val - MIN_IMPROVEMENT  # both levels start from this incumbent
+        centre, centre_val, centre_scale = x.tolist(), val, scale
+        if model is None:
+            trials = x[:, None] + step[:, :probes]
+        else:
+            trials = x[:, None] + step
+            trials[:, probes] = model
+        for i, low, high in clipped:  # clip only where some probe can leave the box; the model row is in it
+            if centre[i] - reaches[i] * scale < low or centre[i] + reaches[i] * scale > high:
+                np.maximum(trials, lows, out=trials)
+                np.minimum(trials, highs, out=trials)
+                break
+        values = evaluate(trials[0], prepare(*[trials[i] for i in tail]))
+        bar = val - MIN_IMPROVEMENT  # both levels and the model row start from this incumbent
         improving = values < bar
         first = int(improving.argmax())
-        if improving[first]:
+        if first < probes and improving[first]:
             start = first - first % block
             pick = start + int(values[start : start + block].argmin())
-            if not (values[pick] < bar and trials[:, pick].tolist() != x.tolist()):
-                start, pick = _filtered_pick(trials, values, improving, x, block)
+            if not (values[pick] < bar and trials[:, pick].tolist() != centre):
+                start, pick = _filtered_pick(trials[:, :probes], values, improving[:probes], x, block)
         else:
-            start = None
+            start = pick = None
+        stop = False
         if start is None or start >= 4 * block:  # the first level misses
             polls += 1
             scale *= 0.125
             if scale * widest < RESOLUTION or polls == MAX_POLLS:
-                return x, val
+                stop, pick = True, None  # the poll after the miss lies past the stop: it is not read
+        if model is not None and improving[probes] and (pick is None or values[probes] < values[pick]):
+            if model != centre:  # the row moved
+                pick = probes
+        if pick is not None:
+            x, val = trials[:, pick], values[pick]
+            for i, period in wrapped:
+                x[i] %= period
+        if stop:
+            return x, val
         polls += 1
         if start is None:
             scale *= 0.125
         else:
-            x, val = trials[:, pick], values[pick]
-            for i, period in wrapped:
-                x[i] %= period
             scale *= (2.0, 1.0, 0.5, 0.25, 1.0, 0.5, 0.25)[start // block]
         if scale * widest < RESOLUTION or polls == MAX_POLLS:
             return x, val
+        model = _model_row(centre, centre_val, values[quarter].tolist(), fits, centre_scale)
     return x, val
+
+
+def _model_row(centre, value, fit, fits, scale):
+    """The model row of the call after the one centred on ``centre``, or None where no coordinate qualifies.
+
+    On Python floats: ``value`` is the objective at ``centre`` and ``fit``
+    its values at centre + h e_i and centre - h e_i, coordinate by
+    coordinate; ``fits`` holds per coordinate ``(i, quarter, low, high)``,
+    where h = quarter * ``scale`` is the 1/4-block step and [low, high] the
+    box (infinite on a periodic coordinate).  A coordinate qualifies where
+    both probes lie in the box (so neither was clipped) and the curvature
+    ``above + below - 2 value`` is positive and finite (so both values are
+    finite); its entry is the least point of the parabola through the
+    three values, clamped to 2 h from the centre and clipped to the box.
+    Other coordinates keep the centre's.
+    """
+    row = None
+    twice = 2.0 * float(value)
+    for i, quarter, low, high in fits:
+        above, below = fit[2 * i], fit[2 * i + 1]
+        curvature = above + below - twice
+        if 0.0 < curvature < math.inf:
+            c, step = centre[i], quarter * scale
+            if low <= c - step and c + step <= high:
+                shift = 0.5 * step * (below - above) / curvature
+                limit = step + step
+                v = c + (limit if shift > limit else -limit if shift < -limit else shift)
+                if row is None:
+                    row = centre[:]
+                row[i] = low if v < low else high if v > high else v
+    return row
 
 
 def _filtered_pick(trials, values, improving, x, block):
@@ -274,9 +348,9 @@ def search(objective, space, points):
     ``(space.params(row), value)`` of the grid best, the descent end and
     every candidate.  The descent starts from the grid best with the grid's
     value there, so ``prepare`` is called once for the grid, once per
-    descent call (a poll, and the poll after it when it misses) and once
-    for the candidates, and ``evaluate`` as often plus once per further
-    grid slab (a slab holds up to ``SLAB_POINTS`` mesh points, so grids up
+    descent call (a poll, the poll after it when it misses and the model
+    row) and once for the candidates, and ``evaluate`` as often plus once
+    per further grid slab (a slab holds up to ``SLAB_POINTS`` mesh points, so grids up
     to 21 points per coordinate are one slab in 3-D).
     """
     prepare, evaluate = objective

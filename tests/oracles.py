@@ -9,12 +9,9 @@ and kp^2 rather than for a b - kx^2 as ``gielab.states.std_form_xx_det``
 does; ``to_std_form`` is its checked ``StdForm``.  ``seed_frame_schur_loop``
 is ``gielab.measurement.seed_frame_schur`` as a loop over entries and seed
 axes, one numpy operation on each: the reference that the one-pass kernel
-must match bit for bit.  ``poll_per_call_descend`` is
-``gielab.optimize.descend`` with one complete poll per objective call, the
-reference that the chained descent must follow poll for poll.
-``whole_mesh_argmin`` is ``gielab.optimize.grid_argmin`` as one objective
-call on the whole mesh, the reference that the slabbed grid stage must
-match point for point.  These take an objective as one callable of every
+must match bit for bit.  ``whole_mesh_argmin`` is
+``gielab.optimize.grid_argmin`` as one objective call on the whole mesh,
+the reference that the slabbed grid stage must match point for point.  These take an objective as one callable of every
 coordinate; ``joined`` makes one of a gielab ``(prepare, evaluate)`` pair
 and ``split`` the pair of one.  ``single_mode_objective``,
 ``kh_objective`` and ``u_objective`` are the R = 1, K_h and u objectives
@@ -32,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gielab import optimize
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError, UnphysicalStateError
 from gielab.gie import _cosh_sinh_v, _single_mode_seed
 from gielab.information import f_xx
@@ -133,45 +129,6 @@ def whole_mesh_argmin(fn, axes):
     flat = int(np.argmin(values))
     index = np.unravel_index(flat, values.shape)
     return np.array([axis[i] for axis, i in zip(axes, index)]), float(values.flat[flat])
-
-
-def poll_per_call_descend(fn, x0, value, lows, highs, periods):
-    """``gielab.optimize.descend``, evaluating one complete ``_probe_table`` poll per call of ``fn``.
-
-    Returns the end, the value there and each poll's outcome in order: True
-    where the poll moved the incumbent, False where it divided the step by 8.
-    """
-    x, val = np.array(x0, dtype=float), value
-    first_steps = np.maximum((highs - lows) * 0.05, optimize.RESOLUTION)
-    widest, scale = float(first_steps.max()), 1.0
-    cycle = np.array([np.inf if period is None else period for period in periods])
-    wraps = cycle < np.inf
-    lows, highs = np.where(wraps, -np.inf, lows)[:, None], np.where(wraps, np.inf, highs)[:, None]
-    moves = first_steps[:, None] * optimize._probe_table(x.size).T  # (coordinates, probes) at scale 1
-    block = moves.shape[1] // 4
-    outcomes = []
-    for _ in range(optimize.MAX_POLLS):
-        trials = x[:, None] + moves * scale
-        np.maximum(trials, lows, out=trials)
-        np.minimum(trials, highs, out=trials)
-        values = fn(*trials)
-        better = values < val - optimize.MIN_IMPROVEMENT
-        first = int(better.argmax())
-        if better[first]:
-            better &= (trials != x[:, None]).any(axis=0)
-            first = int(better.argmax())
-        outcomes.append(bool(better[first]))
-        if better[first]:
-            rows = slice(first - first % block, first - first % block + block)
-            pick = rows.start + int(np.where(better[rows], values[rows], np.inf).argmin())
-            x, val = trials[:, pick], values[pick]
-            np.remainder(x, cycle, out=x, where=wraps)
-            scale *= (2.0, 1.0, 0.5, 0.25)[first // block]
-        else:
-            scale *= 0.125
-        if scale * widest < optimize.RESOLUTION:
-            break
-    return x, val, outcomes
 
 
 def std_form_params(gamma) -> tuple[float, float, float, float]:

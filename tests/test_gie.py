@@ -321,7 +321,7 @@ class TestKh:
 
         def checked(objective, x0, start_value, lows, highs, periods):
             x, value = descend(objective, x0, start_value, lows, highs, periods)
-            x_ref, value_ref, outcomes, stopped_on_cap = probe_at_a_time_descend(
+            x_ref, value_ref, outcomes, stopped_on_cap, _ = probe_at_a_time_descend(
                 joined(objective), x0, lows, highs, periods
             )
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
@@ -565,8 +565,9 @@ class TestGridSlabs:
 
 
 class TestChainedPolls:
-    # one objective call of descend evaluates a poll and the poll at 1/8 of its step, which it reads
-    # only after a miss; on every gielab objective that is the poll-per-call path, poll for poll
+    # one objective call of descend evaluates a poll, the poll at 1/8 of its step, which it reads
+    # only after a miss, and a model row; on every gielab objective the calls follow the
+    # probe-at-a-time reference row for row
     @pytest.mark.parametrize("points", (13, 33))
     def test_each_objective_follows_the_poll_per_call_descent(self, monkeypatch, points):
         polls_per_descent = []

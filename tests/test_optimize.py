@@ -1,11 +1,12 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import poll_per_call_descend, split, whole_mesh_argmin
+from oracles import split, whole_mesh_argmin
 
 from gielab import optimize
 from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, SearchSpace, descend, grid_argmin, search
@@ -48,20 +49,6 @@ def counted(fn):
     return wrapped, calls
 
 
-def chained_reads(outcomes):
-    """The polls that each objective call of ``descend`` reads, on a path with these poll outcomes.
-
-    A call reads one poll and, when that poll misses (False) and the path
-    goes on, the poll that follows it.  Returns one tuple of poll indices
-    per call.
-    """
-    reads, poll = [], 0
-    while poll < len(outcomes):
-        reads.append((poll,) if outcomes[poll] or poll + 1 == len(outcomes) else (poll, poll + 1))
-        poll += len(reads[-1])
-    return reads
-
-
 ROWS_PER_CALL = {2: 32 + 24, 3: 72 + 54}  # a poll, then the poll after its miss without its 2x block
 
 
@@ -75,26 +62,40 @@ def recording(fn, rows):
     return wrapped
 
 
+def call_rows(centre, steps, model, lows, highs, periods):
+    """The rows of one objective call of ``descend`` from ``centre`` at ``steps``.
+
+    The ``_probe_table`` poll, the poll at 1/8 of ``steps`` without its 2x
+    block, each clipped to the box except on a coordinate with a period,
+    and the model row last where there is one.
+    """
+    table = optimize._probe_table(centre.size).T
+    block = table.shape[1] // 4
+    wraps = np.array([period is not None for period in periods])[:, None]
+
+    def poll(step):
+        rows = centre[:, None] + step[:, None] * table
+        return np.where(wraps, rows, np.minimum(np.maximum(rows, lows[:, None]), highs[:, None]))
+
+    rows = [poll(steps), poll(steps / 8.0)[:, block:]]
+    return np.hstack(rows if model is None else rows + [np.array(model)[:, None]])
+
+
 def follow_poll_per_call(fn, x0, value, lows, highs, periods):
-    """Run ``descend`` and ``oracles.poll_per_call_descend`` from one start; return the end, its value and the outcomes.
+    """Run ``descend`` and ``probe_at_a_time_descend`` from one start value; return the end, its value and the outcomes.
 
     Asserts that both end at the same point with the same value, that
-    ``descend`` calls ``fn`` once per ``chained_reads`` entry of the
-    oracle's poll outcomes, and that each call probes the polls it reads:
-    its first level is the poll itself, its second the poll after that
-    poll's miss without its 2x block.
+    ``descend`` calls ``fn`` once per objective call of the reference and
+    that each call probes what the reference reads in it: its poll, the
+    poll after that poll's miss without its 2x block, and its model row.
     """
-    calls, polls = [], []
+    calls = []
     x, val = descend(split(recording(fn, calls)), x0, value, lows, highs, periods)
-    x_ref, val_ref, outcomes = poll_per_call_descend(recording(fn, polls), x0, value, lows, highs, periods)
+    x_ref, val_ref, outcomes, _, ref_calls = probe_at_a_time_descend(fn, x0, lows, highs, periods, value)
     assert (x.tolist(), float(val)) == (x_ref.tolist(), float(val_ref))
-    reads = chained_reads(outcomes)
-    assert len(calls) == len(reads)
-    block = polls[0].shape[1] // 4
-    for rows, read in zip(calls, reads):
-        assert np.array_equal(rows[:, : 4 * block], polls[read[0]])
-        if len(read) == 2:
-            assert np.array_equal(rows[:, 4 * block :], polls[read[1]][:, block:])
+    assert len(calls) == len(ref_calls)
+    for rows, (centre, steps, model) in zip(calls, ref_calls):
+        assert np.array_equal(rows, call_rows(centre, steps, model, lows, highs, periods))
     return x, val, outcomes
 
 
@@ -181,10 +182,11 @@ class TestSearch:
         lows, highs = np.array(space.lows), np.array(space.highs)
         axes = [np.linspace(0.0, high, points, endpoint=period is None) for high, period in zip(highs, space.periods)]
         grid_best, grid_val = grid_argmin(split(with_rows_beyond_5), axes)
-        _, _, outcomes, _ = probe_at_a_time_descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)
-        assert len(calls) == 1 + len(chained_reads(outcomes)) + 1
+        ref_calls = probe_at_a_time_descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)[4]
+        assert len(calls) == 1 + len(ref_calls) + 1
         assert calls[0] is None and calls[-1] == 2  # the mesh first, the two candidates in one call last
-        assert calls[1:-1] == [ROWS_PER_CALL[2]] * (len(calls) - 2)
+        # a call's model row rides in it: 56 rows, or 57 with one
+        assert calls[1:-1] == [ROWS_PER_CALL[2] + (model is not None) for _, _, model in ref_calls]
         end, _ = descend(split(with_rows_beyond_5), grid_best, grid_val, lows, highs, space.periods)
         assert trace[1][0] == space.params(end)
 
@@ -316,10 +318,13 @@ class TestPeriodicSeam:
 
     def test_the_descent_wraps_across_the_seam(self):
         # clipped to [0, pi], this descent stops on the phi = 0 face
-        x0 = (0.05, 0.5)
-        x, value = descend(split(seam_bowl), x0, value_at(seam_bowl, x0), np.zeros(2), np.array([np.pi, 1.0]), (np.pi, None))
+        x0, calls = (0.05, 0.5), []
+        x, value = descend(split(recording(seam_bowl, calls)), x0, value_at(seam_bowl, x0), np.zeros(2),
+                           np.array([np.pi, 1.0]), (np.pi, None))
         assert abs(x[0] - (np.pi - 0.02)) < 1e-6
         assert value < 1e-12
+        # the second call's model row lies past the seam, at phi = -0.0204, and moves that call
+        assert calls[1].shape[1] == ROWS_PER_CALL[2] + 1 and calls[1][0, -1] < 0.0
 
     def test_the_trace_reports_the_angle_modulo_its_period(self):
         # a one-point grid starts the descent on phi = 0, the other side of the seam
@@ -330,22 +335,38 @@ class TestPeriodicSeam:
         assert label == f"general(phi={phi:.6g}, y={y:.6g})"
 
 
-def probe_at_a_time_descend(fn, x0, lows, highs, periods):
-    """Oracle: the compass search of ``descend``, evaluating one probe per call.
+def probe_at_a_time_descend(fn, x0, lows, highs, periods, value=None, model_rows=True):
+    """Oracle: the compass search of ``descend`` with its model row, evaluating one probe per call.
 
     Polls the moves block by block (2, 1, 1/2 and 1/4 times the step) and
     stops at the first block with an improving probe.  A probe is not
     clipped on a coordinate with a period, whose step is 5% of the period
-    as of any box, and the probe the search moves to is reduced modulo
+    as of any box, and the point the search moves to is reduced modulo
     it.  Stops below ``optimize.RESOLUTION`` or after
-    ``optimize.MAX_POLLS`` polls, both read at call time.  Returns its end,
-    the value there, each poll's outcome (True where it moved, False where
-    it divided the step by 8) and whether the poll cap stopped it.
-    Each probe is a 1-row array, so the objective takes the array path that
-    the batched descent takes.
+    ``optimize.MAX_POLLS`` polls, both read at call time.
+
+    The polls come in the objective calls of ``descend``: a poll, and the
+    poll after it where it misses and the search goes on.  Each call but
+    the first may also evaluate a model row, fitted on Python floats to
+    the previous call's incumbent c, its value and its probes c +- h e_i
+    at 1/4 of that call's step: per coordinate whose two probes stayed in
+    the box (or has a period), with finite values and a positive finite
+    curvature, the least point of the parabola through the three, at most
+    2 h from c and clipped to the box; c's own coordinate elsewhere.  The
+    call moves to the model row, in place of what its polls take, when the
+    row moved, beats the incumbent by more than ``MIN_IMPROVEMENT`` and
+    beats the probe the polls take; the step follows the polls.
+    ``model_rows=False`` is the plain compass search.
+
+    ``value`` is the start value (default: ``fn`` at ``x0``).  Returns its
+    end, the value there, each poll's outcome (True where it moved, False
+    where it divided the step by 8), whether the poll cap stopped it and,
+    per objective call, its incumbent, its step and its model row (None
+    without one).  Each probe is a 1-row array, so the objective takes the
+    array path that the batched descent takes.
     """
     x = np.array(x0, dtype=float)
-    val = fn(*x[:, None])[0]
+    val = fn(*x[:, None])[0] if value is None else value
     steps = np.maximum((highs - lows) * 0.05, optimize.RESOLUTION)
     directions = list(np.eye(x.size))
     for i in range(x.size):
@@ -354,30 +375,71 @@ def probe_at_a_time_descend(fn, x0, lows, highs, periods):
                 d = np.zeros(x.size)
                 d[i], d[j] = 1.0, sign
                 directions.append(d / np.sqrt(2.0))
-    outcomes = []
-    for _ in range(optimize.MAX_POLLS):
-        best = None
+
+    def probe(x, move, steps):
+        """The probe at ``x + steps * move``, clipped, and whether it left ``x``."""
+        raw = x + steps * move
+        clipped = np.clip(raw, lows, highs)
+        trial = np.array([c if p is None else r for r, c, p in zip(raw, clipped, periods)])
+        return trial, not np.array_equal(trial, x)
+
+    def poll(x, val):
+        """The improving probe that one poll takes, with its value and its block's multiple, or None."""
         for multiple in (2.0, 1.0, 0.5, 0.25):
+            best = None
             for direction in directions:
                 for sign in (1.0, -1.0):
-                    raw = x + steps * (multiple * sign * direction)
-                    clipped = np.clip(raw, lows, highs)
-                    trial = np.array([c if p is None else r for r, c, p in zip(raw, clipped, periods)])
-                    if np.array_equal(trial, x):
-                        continue
-                    tval = fn(*trial[:, None])[0]
-                    if tval < val - MIN_IMPROVEMENT and (best is None or tval < best[1]):
-                        best = trial, tval
+                    trial, moved = probe(x, multiple * sign * direction, steps)
+                    if moved:
+                        tval = fn(*trial[:, None])[0]
+                        if tval < val - MIN_IMPROVEMENT and (best is None or tval < best[1]):
+                            best = trial, tval
             if best is not None:
-                x, val = np.array([v if p is None else v % p for v, p in zip(best[0], periods)]), best[1]
-                steps = steps * multiple
+                return best[0], best[1], multiple
+        return None
+
+    def fitted_row(centre, centre_val, steps):
+        """The model row from ``centre``: one parabola per coordinate through its probes at +-1/4 of ``steps``."""
+        row, fitted = centre.tolist(), False
+        boxes = zip(row[:], (0.25 * steps).tolist(), lows.tolist(), highs.tolist(), periods)
+        for i, (c, step, low, high, period) in enumerate(boxes):
+            ends = []
+            for sign in (1.0, -1.0):
+                trial, _ = probe(centre, 0.25 * sign * np.eye(x.size)[i], steps)
+                if period is None and trial[i] != c + sign * step:
+                    break  # clipped
+                ends.append(float(fn(*trial[:, None])[0]))
+            else:
+                above, below = ends
+                curvature = above + below - 2.0 * float(centre_val)
+                if math.isfinite(above) and math.isfinite(below) and 0.0 < curvature < math.inf:
+                    shift = max(-2.0 * step, min(2.0 * step, step * (below - above) / (2.0 * curvature)))
+                    row[i] = c + shift if period is not None else min(max(c + shift, low), high)
+                    fitted = True
+        return row if fitted else None
+
+    outcomes, calls, model, polls = [], [], None, 0
+    while True:
+        calls.append((x.copy(), steps.copy(), model))
+        centre, centre_val, centre_steps = x.copy(), val, steps
+        taken = None
+        for _ in range(2):  # a poll, and the poll after its miss
+            taken = poll(x, val)
+            polls += 1
+            outcomes.append(taken is not None)
+            steps = steps * taken[2] if taken is not None else steps / 8.0
+            stopped = steps.max() < optimize.RESOLUTION or polls == optimize.MAX_POLLS
+            if taken is not None or stopped:
                 break
-        else:
-            steps = steps / 8.0
-        outcomes.append(best is not None)
-        if steps.max() < optimize.RESOLUTION:
-            return x, val, outcomes, False
-    return x, val, outcomes, True
+        if model is not None:
+            model_val = fn(*np.array(model)[:, None])[0]
+            if model_val < val - MIN_IMPROVEMENT and (taken is None or model_val < taken[1]) and model != x.tolist():
+                taken = np.array(model), model_val
+        if taken is not None:
+            x, val = np.array([v if p is None else v % p for v, p in zip(taken[0], periods)]), taken[1]
+        if stopped:
+            return x, val, outcomes, not steps.max() < optimize.RESOLUTION, calls
+        model = fitted_row(centre, centre_val, centre_steps) if model_rows else None
 
 
 def box_objective(center, weights, coupling, well, cut, periods):
@@ -495,6 +557,30 @@ HAND_OVERS = {
 }
 
 
+def nan_off_diagonal(x, y):
+    """``bowl`` on the diagonal x = y and NaN off it: coordinate probes read NaN, diagonal moves stay on it."""
+    return np.where(x == y, bowl(x, y), np.nan)
+
+
+def inf_off_diagonal(x, y):
+    """``nan_off_diagonal`` with inf off the diagonal, as the K_h objective masks lambda2 > lambda1."""
+    return np.where(x == y, bowl(x, y), np.inf)
+
+
+# starts from which no call has a coordinate that the model row may use: (fn, x0, lows, highs, periods)
+NO_MODEL_ROW = {
+    # every probe past the (1, 1) corner clips back onto it
+    "clipped probes": (corner_bowl, np.array([1.0, 1.0]), *UNIT_SQUARE),
+    # the descent walks the diagonal to (0.47, 0.47)
+    "NaN probes": (nan_off_diagonal, np.array([0.2, 0.2]), *UNIT_SQUARE),
+    "inf probes": (inf_off_diagonal, np.array([0.2, 0.2]), *UNIT_SQUARE),
+    # flat in y (zero curvature) and concave in x, so the descent walks to the x = 1 face
+    "non-positive curvature": (tied_ridge, np.array([0.5, 0.5]), *UNIT_SQUARE),
+}
+# the model row of the second call lies at phi = -0.0204, past the seam, and is taken and wrapped
+SEAM_MODEL_ROW = (seam_bowl, np.array([0.05, 0.5]), np.zeros(2), np.array([np.pi, 1.0]), (np.pi, None))
+
+
 class TestDescend:
     @pytest.mark.parametrize("case", HAND_OVERS.values(), ids=HAND_OVERS.keys())
     def test_the_filtered_reading_follows_the_poll_per_call_descent(self, case):
@@ -517,18 +603,22 @@ class TestDescend:
     @settings(max_examples=80, deadline=None)
     @given(box_problems())
     @example(NEAR_HALFWAY_SQUARE)
+    @example(SEAM_MODEL_ROW)
     def test_complete_polls_follow_the_probe_at_a_time_path(self, problem):
-        # the start value comes in, so the batched descent calls fn once per poll, or once for a
-        # poll and the poll after its miss
+        # the start value comes in, so the batched descent calls fn once per objective call of the
+        # reference: a poll, or a poll and the poll after its miss, and the model row rides in it
         fn, x0, lows, highs, periods = problem
         counted_fn, calls = counted(fn)
+        start = value_at(fn, x0)
         with mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(split(counted_fn), x0, value_at(fn, x0), lows, highs, periods)
-            x_ref, val_ref, outcomes, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
+            x, val = descend(split(counted_fn), x0, start, lows, highs, periods)
+            x_ref, val_ref, _, _, ref_calls = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
-        assert len(calls) == len(chained_reads(outcomes))
-        assert calls == [ROWS_PER_CALL[x0.size]] * len(calls)
+        assert calls == [ROWS_PER_CALL[x0.size] + (model is not None) for _, _, model in ref_calls]
+        assert val <= start
+        for v, period in zip(x, periods):
+            assert period is None or 0.0 <= v < period
 
     @settings(max_examples=80, deadline=None)
     @given(box_problems(), st.integers(1, 12))
@@ -539,6 +629,18 @@ class TestDescend:
         fn, x0, lows, highs, periods = problem
         with mock.patch.object(optimize, "MAX_POLLS", max_polls), mock.patch.object(optimize, "RESOLUTION", 1e-7):
             x, val = descend(split(fn), x0, value_at(fn, x0), lows, highs, periods)
-            x_ref, val_ref, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
+            x_ref, val_ref, _, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
+
+    @pytest.mark.parametrize("case", NO_MODEL_ROW.values(), ids=NO_MODEL_ROW.keys())
+    def test_without_a_qualifying_coordinate_the_descent_is_the_plain_compass_search(self, case):
+        fn, x0, lows, highs, periods = case
+        with mock.patch.object(optimize, "RESOLUTION", 1e-7):
+            x, val, _ = follow_poll_per_call(fn, x0, value_at(fn, x0), lows, highs, periods)
+            ref_calls = probe_at_a_time_descend(fn, x0, lows, highs, periods)[4]
+            x_ref, val_ref, _, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods, model_rows=False)
+        assert len(ref_calls) > 1 and all(model is None for _, _, model in ref_calls)
+        assert (x.tolist(), float(val)) == (x_ref.tolist(), float(val_ref))
+        if fn is not corner_bowl:
+            assert not np.array_equal(x, x0)  # the path moves
