@@ -157,12 +157,13 @@ def cmd_sweep(args) -> int:
                 if args.bits:
                     record = _to_bits(record)
             except GielabError as exc:
+                point = ", ".join(f"{name}={value!r}" for name, value in values.items())
                 record = {
                     "family": args.family,
                     "a": values.get("a"),
                     "b": values.get("b"),
                     "verified": False,
-                    "eve_optimum": f"error: {exc}",
+                    "eve_optimum": f"error at {point}: {exc}",
                 }
             yield record
 

@@ -12,6 +12,10 @@ phi into the terms of the other two coordinates and the value, handed to
 ``gielab.optimize.search`` with one module-level ``SearchSpace``
 (``SINGLE_MODE_SEARCH``, ``KH_SEARCH``): box, pi-periodic phi, the exact
 limit candidates as rows of that objective and the label of Eve's optimum.
+K_h is one pair on the searched coordinates (``_kh_formula``, of phi,
+ln lambda1 and ln lambda2), which ``minimize_kh`` hands to ``search`` as
+it is and the checked oracle ``k_h`` evaluates at the logarithms of its
+arguments.
 
 The R = 1 minimizers report the x-homodyne value, which equals GIE where
 the GCMI gate G (``information.gcmi_condition_g``) is non-negative at Eve's
@@ -225,30 +229,36 @@ def _cosh_sinh_v(a, k) -> tuple:
 
 def _kh_args(phi, lambda1, lambda2, a, k) -> tuple:
     """The arguments of ``k_h`` and ``k_h_determinant`` as float arrays of one
-    broadcast shape, then ``_cosh_sinh_v(a, k)``: every element checked at once."""
+    broadcast shape, then ``_cosh_sinh_v(a, k)``: every element checked at once.
+    On every row admitted, E^2 - F^2 = (E - F)(E + F) > 0, since
+    E - F >= cosh v - sinh v > 0."""
     args = (phi, lambda1, lambda2, a, k)
     phi, lambda1, lambda2, a, k = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in args))
-    bad = ~((0.0 <= phi) & (phi < np.pi) & (0.0 <= lambda2) & (lambda2 <= lambda1))
+    bad = ~((0.0 <= phi) & (phi < np.pi) & (0.0 <= lambda2) & (lambda2 <= lambda1)
+            & (0.0 < lambda1) & (lambda2 < np.inf))
     if bad.any():
         got = f"({phi[bad][0]}, {lambda1[bad][0]}, {lambda2[bad][0]})"
-        raise InvalidInputError(f"need phi in [0, pi) and lambda1 >= lambda2 >= 0, got (phi, lambda1, lambda2) = {got}")
+        need = "phi in [0, pi), lambda1 >= lambda2 >= 0, lambda1 > 0 and lambda2 finite"
+        raise InvalidInputError(f"need {need}, got (phi, lambda1, lambda2) = {got}")
     return phi, lambda1, lambda2, a, k, _cosh_sinh_v(a, k)
 
 
 def _kh_formula(a, k, cosh_v, sinh_v) -> tuple:
     """K_h of the state (a, k) split at phi: ``(terms, value)``, both broadcasting.
 
-    ``terms(lambda1, lambda2)`` returns what does not depend on phi,
-    (lambda2 > lambda1, (k/a) E, F, E^2 - F^2), and ``value(phi,
-    prepared)`` K_h from those terms, inf where lambda2 > lambda1.  E and F are divided by lambda1,
-    which leaves K_h unchanged and keeps every term finite at lambda1 =
-    inf: there E/lambda1 = cosh v and F/lambda1 = sinh v, the exact
-    dual-homodyne limit.
+    ``terms(log_l1, log_l2)`` takes the searched coordinates (ln lambda1,
+    ln lambda2) and returns what does not depend on phi, (lambda2 >
+    lambda1, (k/a) E, F, E^2 - F^2), and ``value(phi, prepared)`` K_h from
+    those terms, inf where lambda2 > lambda1.  E and F are divided by
+    lambda1, which leaves K_h unchanged and keeps every term finite at
+    lambda1 = inf: there E/lambda1 = cosh v and F/lambda1 = sinh v, the
+    exact dual-homodyne limit.
     """
 
     k_over_a, base = k / a, (a * a - k * k) / (a * a)  # (a^2 - k^2)/a^2, the phi-free part of K_h
 
-    def terms(lambda1, lambda2):
+    def terms(log_l1, log_l2):
+        lambda1, lambda2 = np.exp(log_l1), np.exp(log_l2)
         ratio = lambda2 / lambda1
         e = 1.0 / lambda1 + lambda2 + cosh_v * (1.0 + ratio)
         f = sinh_v * (1.0 - ratio)
@@ -268,21 +278,19 @@ def k_h(phi, lambda1, lambda2, a, k):
     with E and F polynomial in the measurement parameters, Eve's
     Q = P(phi) diag(lambda1, lambda2) P(phi)^T.  Broadcasts over all five
     arguments and checks every element: phi in [0, pi), lambda1 >= lambda2
-    >= 0 and a physical (a, k).  ``minimize_kh`` runs the same formula,
-    ``_kh_formula``, without the checks.  lambda1 = inf gives the exact
-    limit, the dual homodyne at phi = pi/2 and lambda2 = 0.
+    >= 0 with lambda1 > 0 and lambda2 finite, and a physical (a, k).  It
+    evaluates ``_kh_formula``, the pair that ``minimize_kh`` searches
+    without the checks, at (phi, ln lambda1, ln lambda2).  lambda1 = inf
+    gives the exact limit, the dual homodyne at phi = pi/2 and lambda2 = 0.
 
     Raises:
-        InvalidInputError: an element is out of range, or E^2 - F^2 is not
-            positive (impossible for valid parameters).
+        InvalidInputError: an element is out of range.
     """
     phi, lambda1, lambda2, a, k, (_, cosh_v, sinh_v) = _kh_args(phi, lambda1, lambda2, a, k)
     terms, value = _kh_formula(a, k, cosh_v, sinh_v)
-    prepared = terms(lambda1, lambda2)
-    denom = prepared[3]
-    if not np.all(denom > 0.0):
-        raise InvalidInputError(f"E^2 - F^2 = {denom[~(denom > 0.0)][0]} is not positive; invalid parameters")
-    return value(phi, prepared)[()]
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: the lambda2 = 0 limit row
+        log_l2 = np.log(lambda2)
+    return value(phi, terms(np.log(lambda1), log_l2))[()]
 
 
 def _spectral_seed(phi, lambda1, lambda2) -> np.ndarray:
@@ -344,18 +352,13 @@ def minimize_kh(a: float, k: float, grid_cfg: GridConfig = DEFAULT_GRID):
     """Deterministic minimization of K_h over Eve's reduced parameters.
 
     Runs ``gielab.optimize.search`` on ``KH_SEARCH`` with K_h split at phi
-    (``_kh_formula``): its terms prepare (ln lambda1, ln lambda2), its value
-    evaluates phi.  Returns ``(k_min, optimum, trace)``; optimum is the
-    label of the named candidate or ``Q(phi=..., lambda1=...,
-    lambda2=...)`` at the descent end.
+    (``_kh_formula``), handed over as it is: its terms prepare (ln lambda1,
+    ln lambda2), its value evaluates phi.  Returns ``(k_min, optimum,
+    trace)``; optimum is the label of the named candidate or ``Q(phi=...,
+    lambda1=..., lambda2=...)`` at the descent end.
     """
     _, cosh_v, sinh_v = _cosh_sinh_v(a, k)
-    terms, value = _kh_formula(a, k, cosh_v, sinh_v)
-
-    def prepare(log_l1, log_l2):
-        return terms(np.exp(log_l1), np.exp(log_l2))
-
-    k_min, optimum, trace = search((prepare, value), KH_SEARCH, grid_cfg.points)
+    k_min, optimum, trace = search(_kh_formula(a, k, cosh_v, sinh_v), KH_SEARCH, grid_cfg.points)
     return float(k_min), optimum, trace
 
 

@@ -7,7 +7,9 @@ into an unconditioned part plus an Eve-side correction, and the Gaussian
 classical mutual information (GCMI) of a conditional standard form: the
 double x-homodyne closed form ``f_xx``, its optimality gate G, and the
 numeric minimum of the objective u over local squeezed measurements that
-checks the closed form wherever the gate holds.  ``f_xx`` is also the
+checks the closed form wherever the gate holds.  u exists once, as the
+``(terms, value)`` pair ``_u_split`` that ``gcmi_numeric`` hands to the
+grid stage and the descent.  ``f_xx`` is also the
 objective of the single-mode-Eve minimizers in ``gielab.gie``, and G,
 which broadcasts over a stack of conditional forms, their certificate:
 where G >= 0 at Eve's optimum the x-homodyne value they report is the GCMI.
@@ -100,10 +102,15 @@ def gcmi_condition_g(a, b, xx_det):
 
 
 def _u_split(cond: StdForm) -> tuple:
-    """u of ``cond`` split at r_A: ``(terms, value)``, both broadcasting.
+    """The objective of the GCMI minimization over local squeezed measurements, split at r_A.
 
-    ``terms(r_b)`` returns what does not depend on r_A, ``(b + e^{-2 r_B},
-    b + e^{2 r_B})``, and ``value(r_a, prepared)`` u from those terms.
+    ``u = [1 - kx^2/(a_- b_-)][1 - kp^2/(a_+ b_+)]`` with
+    ``a_± = a + e^{±2 r}``, as the pair ``(terms, value)`` that
+    ``gcmi_numeric`` searches: ``terms(r_b)`` returns what does not depend
+    on r_A, ``(b + e^{-2 r_B}, b + e^{2 r_B})``, and ``value(r_a,
+    prepared)`` u from those terms.  Both broadcast; an infinite squeezing
+    gives the analytic limit exactly, because ``e^{-2 r} = 0`` and
+    ``e^{2 r} = inf`` make the second factor 1.
     """
     a, b, kx_sq, kp_sq = cond.a, cond.b, cond.kx * cond.kx, cond.kp * cond.kp
 
@@ -117,27 +124,14 @@ def _u_split(cond: StdForm) -> tuple:
     return terms, value
 
 
-def u_function(cond: StdForm, r_a, r_b):
-    """Objective of the GCMI minimization over local squeezed measurements.
-
-    ``u = [1 - kx^2/(a_- b_-)][1 - kp^2/(a_+ b_+)]`` with
-    ``a_± = a + e^{±2 r}``.  The squeezings broadcast against each other;
-    an infinite one gives the analytic limit exactly, because
-    ``e^{-2 r} = 0`` and ``e^{2 r} = inf`` make the second factor 1.
-    ``gcmi_numeric`` searches it split at r_A (``_u_split``); this is the
-    two halves in one call, bit for bit.
-    """
-    terms, value = _u_split(cond)
-    return value(r_a, terms(r_b))
-
-
 def gcmi_numeric(cond: StdForm, points: int) -> float:
     """Gaussian classical mutual information of a conditional standard form.
 
-    Minimizes u(rA, rB) on a deterministic grid whose axes end in the exact
-    r = inf limit, then descends from a finite best.  The closed form
-    ``f_xx(a, b, kx)`` is proven optimal only where ``gcmi_condition_g`` is
-    non-negative; this numeric minimum checks it there and covers the rest.
+    Minimizes u(rA, rB) (``_u_split``) on a deterministic grid whose axes
+    end in the exact r = inf limit, then descends from a finite best.  The
+    closed form ``f_xx(a, b, kx)`` is proven optimal only where
+    ``gcmi_condition_g`` is non-negative; this numeric minimum checks it
+    there and covers the rest.
     """
     rs = np.append(np.linspace(0.0, SQUEEZE_MAX, points), np.inf)
     objective = _u_split(cond)

@@ -6,22 +6,24 @@ measurements and runs a grid stage (``grid_argmin``), a compass search
 candidates, rows of the same objective; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
 rule (``TIE_ATOL``).  Every objective is a pair ``(prepare, evaluate)``
-split at its first coordinate: ``prepare(*rest)`` computes what depends
-only on the trailing coordinates and ``evaluate(first, prepared)`` the
-value, so ``evaluate(x[0], prepare(*x[1:]))`` is the objective at x.  The
-grid stage prepares the trailing sparse mesh once and evaluates it once
-per slab of the first axis, at most ``SLAB_POINTS`` mesh points each, and
-reads the slabs in C order, so its best point is ``np.argmin`` of the
-whole mesh while no temporary holds more than a slab.  Each objective call
-of the descent evaluates a poll, the poll that would follow its miss, so
-a failed poll costs no call of its own, and a model row: the least points
-of parabolas fitted to the previous call's 1/4-block coordinate probes,
-which the call moves to where it beats the incumbent and the poll's pick,
-while the poll alone sets the step and the stops.  The descent reads a
-call with one ``argmax`` and one ``argmin`` and falls back to its filtered
-rule only where that could differ.  What ``search`` builds from a space
-(grid axes, box, candidate rows and their reported parameters) it builds
-once per space and grid size, read-only.
+split at its first coordinate, as its family builds it and on the
+coordinates searched: ``prepare(*rest)`` computes what depends only on the
+trailing coordinates and ``evaluate(first, prepared)`` the value, so
+``evaluate(x[0], prepare(*x[1:]))`` is the objective at x.  The grid stage
+prepares the trailing sparse mesh once and evaluates it once per slab of
+the first axis, at most ``SLAB_POINTS`` mesh points each, and reads the
+slabs in C order, so its best point is ``np.argmin`` of the whole mesh
+while no temporary holds more than a slab.  Each objective call of the
+descent evaluates the moves of one table (``_chained_table``), a poll and
+the poll that would follow its miss, so a failed poll costs no call of its
+own, and a model row: the least points of parabolas fitted to the previous
+call's 1/4-block coordinate probes, which the call moves to where it beats
+the incumbent and the poll's pick, while the poll alone sets the step and
+the stops.  The descent reads a call with one ``argmax`` and one
+``argmin`` and falls back to its filtered rule only where that could
+differ.  What ``search`` builds from a space (grid axes, box, candidate
+rows and their reported parameters) it builds once per space and grid
+size, read-only.
 """
 
 from __future__ import annotations
@@ -106,36 +108,25 @@ def grid_argmin(objective, axes):
 
 
 @functools.lru_cache(maxsize=None)
-def _probe_table(dim):
-    """The moves of one poll of a ``dim``-coordinate descent, in units of the step.
+def _chained_table(dim):
+    """The moves of one objective call of a ``dim``-coordinate descent, in units of the step.
 
     Coordinate moves, then pairwise diagonal moves (diagonal valleys stall a
-    pure coordinate search), each with sign + then -, in four blocks at
-    2, 1, 1/2 and 1/4 times the step.
+    pure coordinate search), each with sign + then -, in seven blocks at 2,
+    1, 1/2, 1/4, 1/8, 1/16 and 1/32 times the step: the first four are a
+    poll, the last three the poll at 1/8 of its step that follows when it
+    has no improving probe, without that poll's 2x block, which is the first
+    poll's 1/4 block again, bit for bit, so it cannot improve.  Every factor
+    is a power of two, so each row is the one a poll of its own would
+    probe, exactly.
     """
     eye = np.eye(dim)
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     diagonals = [(eye[i] + sign * eye[j]) / np.sqrt(2.0) for i, j in pairs for sign in (1.0, -1.0)]
     moves = np.array([sign * d for d in (*eye, *diagonals) for sign in (1.0, -1.0)])
-    table = np.concatenate([multiple * moves for multiple in (2.0, 1.0, 0.5, 0.25)])
+    table = np.concatenate([multiple * moves for multiple in (2.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)])
     table.flags.writeable = False
     return table
-
-
-@functools.lru_cache(maxsize=None)
-def _chained_table(dim):
-    """The moves of one objective call of a ``dim``-coordinate descent: a poll and the poll after its miss.
-
-    The ``_probe_table`` poll, then the poll at 1/8 of its step that follows
-    when it has no improving probe, without that poll's 2x block: the 2x
-    block is the first poll's 1/4 block again, bit for bit, so it cannot
-    improve.  Every factor is a power of two, so each row is the one a poll
-    of its own would probe, exactly.
-    """
-    table = _probe_table(dim)
-    chained = np.concatenate([table, table[len(table) // 4 :] * 0.125])
-    chained.flags.writeable = False
-    return chained
 
 
 def descend(objective, x0, value, lows, highs, periods):
@@ -144,18 +135,19 @@ def descend(objective, x0, value, lows, highs, periods):
     ``objective`` is a ``(prepare, evaluate)`` pair as ``grid_argmin``
     takes it; one objective call is ``evaluate(first, prepare(*rest))`` on
     the rows of one (coordinates, probes) array, both halves called here.
-    Each poll evaluates every move of ``_probe_table`` from the incumbent,
-    clipped to the box except on a coordinate with a ``periods`` entry, in
-    which the objective must be periodic; the first step is 5% of the box.
-    A poll takes the lowest probe that moves and beats the incumbent by
-    more than ``MIN_IMPROVEMENT`` (the first on ties) in the first block
-    with one and scales the step by that block's multiple; a poll without
-    one divides the step by 8.  The descent stops below ``RESOLUTION`` or
-    after ``MAX_POLLS`` polls, both read at call time.
+    Each poll evaluates the moves of the first four blocks of
+    ``_chained_table`` (2, 1, 1/2 and 1/4 times the step) from the
+    incumbent, clipped to the box except on a coordinate with a ``periods``
+    entry, in which the objective must be periodic; the first step is 5% of
+    the box.  A poll takes the lowest probe that moves and beats the
+    incumbent by more than ``MIN_IMPROVEMENT`` (the first on ties) in the
+    first block with one and scales the step by that block's multiple; a
+    poll without one divides the step by 8.  The descent stops below
+    ``RESOLUTION`` or after ``MAX_POLLS`` polls, both read at call time.
 
-    One objective call evaluates the rows of ``_chained_table``: the poll at
-    the current step and the poll at 1/8 of it, which the descent reads only
-    when the first poll misses and neither stop falls between the two.
+    One objective call evaluates every row of ``_chained_table``: the poll
+    at the current step and the poll at 1/8 of it, which the descent reads
+    only when the first poll misses and neither stop falls between the two.
     Every call after the first may add one row, the model row
     (``_model_row``), a search step in the sense of Torczon (SIAM J. Optim.
     7, 1 (1997)) built from the poll's own values: per coordinate whose two

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -198,8 +199,11 @@ class TestSweep:
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 3
-        first = lines[1].split(",")
+        first = next(csv.reader(lines[1:]))
         assert first[9] == "false" and "error" in first[10]  # a = 1.05 is unphysical
+        # the row names its point, k = a - 0.7 included, which no CSV column of an error row holds
+        assert first[10].startswith(f"error at a={1.05!r}, k={1.05 - 0.7!r}: ")
+        assert first[1:5] == ["1.05", "", "", ""]
 
     def test_two_axes_run_a_major(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"

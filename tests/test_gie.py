@@ -356,12 +356,32 @@ class TestKh:
     @pytest.mark.filterwarnings("error")
     def test_the_determinant_oracle_rejects_the_rows_only_k_h_evaluates(self):
         # its seed blockdiag(Q, Q^-1) needs lambda1 finite and lambda2 > 0; k_h takes the exact limits
-        for row in ((0.5, np.inf, np.inf), (0.5, 1.0, 0.0), (np.pi / 2.0, np.inf, 0.0)):
+        for row in ((0.5, np.inf, 1.0), (0.5, 1.0, 0.0), (np.pi / 2.0, np.inf, 0.0)):
             with pytest.raises(InvalidInputError, match="lambda1 finite and lambda2 > 0"):
                 k_h_determinant(*row, 1.2, 0.5)
+            assert np.isfinite(k_h(*row, 1.2, 0.5))
         with pytest.raises(InvalidInputError):  # one such row rejects a stack
             k_h_determinant(np.array([0.5, 0.5]), np.array([2.0, 1.0]), np.array([1.0, 0.0]), 1.2, 0.5)
-        assert np.isfinite(k_h(np.pi / 2.0, np.inf, 0.0, 1.2, 0.5))  # the dual-homodyne row
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_where_e_squared_minus_f_squared_is_not_positive_are_rejected_first(self):
+        # lambda1 = lambda2 = 0 is 0/0 in E and F, lambda1 = lambda2 = inf is inf/inf: both oracles
+        # reject them in their shared checks, before any arithmetic can warn
+        for row, need in (((0.3, 0.0, 0.0), "lambda1 > 0"), ((0.5, np.inf, np.inf), "lambda2 finite")):
+            for oracle in (k_h, k_h_determinant):
+                with pytest.raises(InvalidInputError, match=need):
+                    oracle(*row, 1.5, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_k_h_is_the_searched_pair_at_the_logarithms(self):
+        # k_h evaluates _kh_formula, which minimize_kh searches on (phi, ln lambda1, ln lambda2), at the
+        # logarithms of its arguments; the stack holds the exact limit row and a row with lambda2 = 0
+        rows = np.array([(1.8, 0.11, 0.07, 1.2, 0.5), (2.3, 6.49, 1.38, 1.2, 0.5), (2.7, 84.65, 79.17, 1.2, 0.5),
+                         (1.9, 7.3, 1.1, 1.8, 1.1), (2.2, 0.45, 0.0, 2.3, 1.0), (np.pi / 2.0, np.inf, 0.0, 1.2, 0.5)])
+        phi, l1, l2, a, k = rows.T
+        with np.errstate(divide="ignore"):
+            reference = kh_objective(a, k)(phi, np.log(l1), np.log(l2))
+        assert _bits(k_h(phi, l1, l2, a, k)) == _bits(reference)
 
 
 # (phi, lambda1, lambda2, a, k): Eve's Q with ln lambda in [-3, 6], and a physical (a, k)

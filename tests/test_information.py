@@ -7,18 +7,18 @@ from gielab import information
 from gielab.errors import GielabError, InvalidInputError, NumericalDegeneracyError
 from gielab.information import (
     SQUEEZE_MAX,
+    _u_split,
     f_decomposed,
     f_xx,
     gcmi_condition_g,
     gcmi_numeric,
     mutual_information_f,
-    u_function,
 )
 from gielab.measurement import FiniteMeasurement, general_single_mode, heterodyne, homodyne
 from gielab.purification import Purification, purify
 from gielab.states import StdForm, make_family, std_form_xx_det
 from gielab.symplectic import CovMat
-from oracles import assemble_ccm, rotation
+from oracles import assemble_ccm, joined, rotation, u_objective
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -39,13 +39,14 @@ def brute_force_u_min(p: StdForm) -> float:
     """The least u of a 1201^2 grid on [0, SQUEEZE_MAX]^2 with both r = inf rows, refined around its
     best finite point three times by a 201^2 grid over the two cells on each side: spacing 8e-8 in r."""
     rs = np.append(np.linspace(0.0, SQUEEZE_MAX, 1201), np.inf)
-    mesh = u_function(p, rs[:, None], rs[None, :])
+    u = u_objective(p)
+    mesh = u(rs[:, None], rs[None, :])
     least = float(mesh.min())
     i, j = np.unravel_index(np.argmin(mesh[:-1, :-1]), (1201, 1201))
     center, half = (rs[i], rs[j]), 2.0 * SQUEEZE_MAX / 1200
     for _ in range(3):
         ra, rb = (np.linspace(max(c - half, 0.0), min(c + half, SQUEEZE_MAX), 201) for c in center)
-        zoom = u_function(p, ra[:, None], rb[None, :])
+        zoom = u(ra[:, None], rb[None, :])
         k, m = np.unravel_index(np.argmin(zoom), zoom.shape)
         center, half, least = (ra[k], rb[m]), half / 50.0, min(least, float(zoom[k, m]))
     return least
@@ -163,17 +164,18 @@ class TestGcmi:
             assert g >= -1e-12
 
     def test_u_endpoints(self):
-        p = StdForm(2.0, 2.0, 1.0, -1.0)
-        assert np.isclose(u_function(p, 0.0, 0.0), (1.0 - 1.0 / 9.0) ** 2, atol=1e-14)
-        assert np.isclose(u_function(p, np.inf, np.inf), 0.75, atol=1e-14)
+        u = joined(_u_split(StdForm(2.0, 2.0, 1.0, -1.0)))
+        assert np.isclose(u(0.0, 0.0), (1.0 - 1.0 / 9.0) ** 2, atol=1e-14)
+        assert np.isclose(u(np.inf, np.inf), 0.75, atol=1e-14)
 
     def test_u_broadcasts_with_exact_infinite_limits(self):
         p = StdForm(2.0, 1.5, 1.0, 0.4)
+        u = joined(_u_split(p))
         rs = np.array([0.0, 0.7, 3.0, 12.0, np.inf])
         ra, rb = np.meshgrid(rs, rs, indexing="ij")
-        mesh = u_function(p, ra, rb)
+        mesh = u(ra, rb)
         for i, j in np.ndindex(mesh.shape):
-            assert mesh[i, j] == u_function(p, float(ra[i, j]), float(rb[i, j]))
+            assert mesh[i, j] == u(float(ra[i, j]), float(rb[i, j]))
         # an infinite squeezing leaves the first factor only
         assert np.array_equal(mesh[:, -1], 1.0 - p.kx * p.kx / ((p.a + np.exp(-2.0 * rs)) * p.b))
         assert np.array_equal(mesh[-1, :], 1.0 - p.kx * p.kx / (p.a * (p.b + np.exp(-2.0 * rs))))

@@ -65,12 +65,13 @@ def recording(fn, rows):
 def call_rows(centre, steps, model, lows, highs, periods):
     """The rows of one objective call of ``descend`` from ``centre`` at ``steps``.
 
-    The ``_probe_table`` poll, the poll at 1/8 of ``steps`` without its 2x
-    block, each clipped to the box except on a coordinate with a period,
-    and the model row last where there is one.
+    The poll of the first four blocks of the call table, the same poll at
+    1/8 of ``steps`` without its 2x block, each clipped to the box except on
+    a coordinate with a period, and the model row last where there is one.
     """
-    table = optimize._probe_table(centre.size).T
-    block = table.shape[1] // 4
+    chained = optimize._chained_table(centre.size)
+    block = len(chained) // 7
+    table = chained[: 4 * block].T
     wraps = np.array([period is not None for period in periods])[:, None]
 
     def poll(step):
