@@ -24,7 +24,11 @@ the trace: sym_glems needs it above ``GATE_LOWER_BOUND``, asym_glems G >= 0.
 Both trace gates, G and sqrt(a~ b~) <= a (sym_sq_thermal), read the one
 ``_trace_forms``: each row through its seed map (``_single_mode_seed``,
 ``_kh_seed``), conditioned on Eve in one ``seed_frame_schur`` call per
-point, read as a stack by one ``std_form_xx_det``.
+point, read as a stack by one ``std_form_xx_det``.  The R = 1 grid
+prepares the kernel's seed half once per (ln tau, t) mesh point and
+evaluates its angle half per slab of phi; at the heterodyne row t = 0
+Eve's seed is isotropic, so every phi gives the same bits there, and the
+grid takes the first.
 """
 
 from __future__ import annotations
@@ -129,8 +133,8 @@ def _conditional_cms(pi: Purification, phi, s) -> np.ndarray:
     """Conditional CMs of A and B, stacked (rows, 4, 4), after Eve's seed
     ``R(phi) diag(s) R(phi)^T`` at each row: all ten entries in one call."""
     rows, cols = _CM_UPPER
-    weights, kernel = seed_frame_schur(pi, tuple(zip(rows.tolist(), cols.tolist())))
-    entries = kernel(phi, weights(s))
+    terms, kernel = seed_frame_schur(pi, tuple(zip(rows.tolist(), cols.tolist())))
+    entries = kernel(phi, terms(s))
     cms = np.empty((np.size(phi), 4, 4))
     cms[:, rows, cols] = cms[:, cols, rows] = np.transpose(entries)
     return cms
@@ -172,19 +176,20 @@ def _single_mode_numeric(fam: StateFamily, pi: Purification, grid_cfg: GridConfi
     One objective, ``f_xx`` of the conditional entries (0, 0), (2, 2) and
     (0, 2), serves the grid, the descent and the candidates, which are its
     rows at t = 0 (heterodyne) and t = inf (the exact homodynes).  It
-    prepares the kernel's weights from (ln tau, t) and evaluates its angle
-    half at phi.
+    prepares the kernel's seed half from (ln tau, t), the entries' phi-free
+    part and Eve's weight difference, and evaluates its angle half at phi:
+    one product and one sum per entry and mesh point.
     """
     closed = gie_closed_form(fam)
     if pi.r_count == 0:  # a pure state: a^2 - kp^2 = 1 (sym_glems), a = b (asym_glems)
         return _numeric_pure(fam, closed)
-    weights, kernel = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
+    terms, kernel = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
 
     def prepare(log_tau, t):
-        return weights(_single_mode_seed(np.exp(log_tau), t))
+        return terms(_single_mode_seed(np.exp(log_tau), t))
 
-    def evaluate(phi, w):
-        return f_xx(*kernel(phi, w))
+    def evaluate(phi, prepared):
+        return f_xx(*kernel(phi, prepared))
 
     numeric, optimum, trace = search((prepare, evaluate), SINGLE_MODE_SEARCH, grid_cfg.points)
     gate_min = float(np.min(gcmi_condition_g(*_trace_forms(pi, _single_mode_seed, trace))))

@@ -11,8 +11,10 @@ measurement, with M from ``eve_kernel``.  ``seed_frame_schur`` is its
 path for the Eve-side searches: gamma_E = nu I makes M diagonal in the
 frame of Eve's seed, and it returns only the conditional entries the
 caller reads, for seed eigenvalues the caller maps from its search row,
-in two halves: the weights of the seed eigenvalues, then the rotation by
-Eve's angle.
+in two halves.  Each E mode's pair of seed axes enters through the sum and
+the difference of its two weights: the seed half adds the sums' terms,
+which do not depend on Eve's angle, and the angle half adds the
+differences times terms of cos 2phi and sin 2phi.
 """
 
 from __future__ import annotations
@@ -132,29 +134,37 @@ def seed_frame_schur(pi: Purification, entries):
     Eve's seed is ``R(phi) diag(s) R(phi)^T``, with E in xxpp order and
     R(phi) rotating each consecutive pair of axes by P(phi): (x, p) for one
     E mode, (x1, x2) and (p1, p2) for two.  gamma_E = nu I commutes with R,
-    so the kernel is ``R diag(1 / (nu + s)) R^T``: no inverse, nothing
-    cancels, and an infinite s gives weight 0, the exact homodyne limit.
+    so the kernel is ``R diag(w) R^T`` with the negated weights ``w = -1 /
+    (nu + s)``: no inverse, and an infinite s gives weight 0, the exact
+    homodyne limit.  Pair m of seed axes turns the columns (u, v) =
+    (m, R + m) of gamma_ABE into c = u cos + v sin and c' = v cos - u sin,
+    so that
 
-    Returns the kernel in two elementwise, broadcasting halves, ``(weights,
-    kernel)``.  The seed half ``weights(s)`` takes the 2R seed eigenvalues
-    s in xxpp order and returns the negated weights ``-1 / (nu + s_k)``,
-    stacked along a leading axis; the angle half ``kernel(phi, w)`` gives
-    the conditional entries (i, j) of ``entries`` at the angle phi for
-    those weights, stacked along a leading axis.  So ``kernel(phi,
-    weights(s))`` conditions on the seed (phi, s), and a caller whose seeds
-    depend on fewer coordinates than phi's takes their weights once.  The
-    angle half is one pass over every entry and every seed axis k: one
-    rotation of the gamma_ABE rows, every ``w_k (c_ik c_jk)`` in one array,
-    and ``g_ij + sum_k w_k (c_ik c_jk)`` summed over k in order into its
-    k = 0 part, so each entry is the same sequence of rounded operations as
-    a loop over entries and axes, and a call allocates one array of the
-    output's size per seed axis and no temporary of that size besides.  The
-    rotation depends on phi alone, so on a sparse mesh it is done once per
-    angle.  It needs at least one E mode: a pure state has nothing to
-    condition on, and the callers take their pure paths before this.
+        w_2m c_i c_j + w_2m+1 c'_i c'_j = sigma_m S_ij + delta_m T_ij(phi)
+
+    with sigma_m = w_2m + w_2m+1, delta_m = w_2m - w_2m+1, S_ij = (u_i u_j
+    + v_i v_j)/2 and T_ij(phi) = [(u_i u_j - v_i v_j) cos 2phi + (u_i v_j +
+    v_i u_j) sin 2phi]/2.
+
+    Returns the kernel in two elementwise, broadcasting halves, ``(terms,
+    kernel)``.  The seed half ``terms(s)`` takes the 2R seed eigenvalues s
+    in xxpp order, as one shape, and returns what does not depend on phi:
+    the entries ``g_ij + sum_m sigma_m S_ij`` of ``entries``, stacked along
+    a leading axis, and the R halved differences delta_m / 2 (the halves of
+    S and T ride on the weights, exactly, as powers of two).  The angle
+    half ``kernel(phi, terms(s))`` adds ``delta_m T_ij(phi)`` to them over m
+    in order and returns the conditional entries at the seed (phi, s),
+    stacked along a leading axis.  T depends on phi alone, so on a sparse
+    mesh it is formed once per angle and a mesh point costs one product and
+    one sum per entry and E mode, and a caller whose seeds depend on fewer
+    coordinates than phi's takes their terms once.  At an isotropic seed
+    (s_2m = s_2m+1, as the heterodyne) delta_m is 0 exactly, so the entries
+    do not depend on phi in any bit.  It needs at least one E mode: a pure
+    state has nothing to condition on, and the callers take their pure
+    paths before this.
 
     Raises:
-        DimensionMismatchError: no E mode, or a ``weights`` call without 2R seed eigenvalues.
+        DimensionMismatchError: no E mode, or a ``terms`` call without 2R seed eigenvalues.
         InvalidInputError: gamma_E is not a multiple of the identity.
     """
     if pi.r_count == 0:
@@ -163,41 +173,41 @@ def seed_frame_schur(pi: Purification, entries):
     nu = pi.gamma_e[0, 0]
     if not (pi.gamma_e == nu * np.eye(2 * pi.r_count)).all():
         raise InvalidInputError(f"the seed-frame kernel needs gamma_E = nu I, got {pi.gamma_e.tolist()}")
-    n_seeds, n_entries = 2 * pi.r_count, len(entries)
-    # R(phi) turns the E columns (u, v) = (m, R + m) of gamma_ABE (xpxp) into axes 2m and 2m + 1 of the
-    # seed frame, u cos + v sin and v cos + (-u) sin (bit for bit v cos - u sin): their cos and sin
-    # coefficients at the rows i, then the rows j, of the entries
-    rows = np.array(entries, dtype=np.intp).T.ravel()
-    gathered = pi.gamma_abe[rows].T
-    u, v = gathered[: pi.r_count], gathered[pi.r_count :]
-    cos_coef, sin_coef = np.empty((n_seeds, 2 * n_entries)), np.empty((n_seeds, 2 * n_entries))
-    cos_coef[0::2], cos_coef[1::2], sin_coef[0::2], sin_coef[1::2] = u, v, v, -u
-    target = g[rows[:n_entries], rows[n_entries:]]
-    shaped = {}  # the coefficients and g_ij shaped to broadcast against phi of each dimension
+    rows = np.array(entries, dtype=np.intp).T
+    # (E modes m, entries): u and v at the rows i and j, then 2 S, g_ij and the cos and sin coefficients of 2 T
+    (u_i, v_i), (u_j, v_j) = pi.gamma_abe[rows].transpose(0, 2, 1).reshape(2, 2, pi.r_count, -1)
+    uu, vv = u_i * u_j, v_i * v_j
+    per_entry = (uu + vv, g[rows[0], rows[1]], np.array([uu - vv, u_i * v_j + v_i * u_j]))
+    shaped = {}  # per_entry shaped to broadcast against seeds or phi of each dimension
 
-    def weights(s):
-        if len(s) != n_seeds:
-            raise DimensionMismatchError(f"the seed-frame kernel needs {n_seeds} seed eigenvalues, got {len(s)}")
-        return -1.0 / (nu + np.array(s, dtype=float))  # negated
-
-    def kernel(phi, w):
-        phi = np.asarray(phi)
-        ndim = max(phi.ndim, w.ndim - 1)
+    def coefficients(ndim):
         if ndim not in shaped:
-            tail = (1,) * ndim
-            shaped[ndim] = (cos_coef.reshape(cos_coef.shape + tail), sin_coef.reshape(sin_coef.shape + tail),
-                            target.reshape(target.shape + tail))
-        cos_k, sin_k, target_k = shaped[ndim]
-        cols = cos_k * np.cos(phi) + sin_k * np.sin(phi)  # (axes k, rows i then j, *phi)
-        w = w.reshape((n_seeds, 1) + (1,) * (ndim + 1 - w.ndim) + w.shape[1:])
-        weighted = w * (cols[:, :n_entries] * cols[:, n_entries:])
-        # g_ij + w_0 (c_i0 c_j0) (addition commutes bit for bit), then + w_k (c_ik c_jk) in order of k, in
-        # place in the k = 0 part: one array freed per call, not an output and a temporary, so glibc's
-        # malloc keeps a grid slab's pages instead of trimming them and faulting them in again next call
-        out = weighted[0]
-        out += target_k
-        for term in weighted[1:]:
-            out += term
+            shaped[ndim] = tuple(x.reshape(x.shape + (1,) * ndim) for x in per_entry)
+        return shaped[ndim]
+
+    def terms(s):
+        if len(s) != 2 * pi.r_count:
+            raise DimensionMismatchError(f"the seed-frame kernel needs {2 * pi.r_count} seed eigenvalues, got {len(s)}")
+        w = -0.5 / (nu + np.array(s, dtype=float))  # half the negated weights, (2R, *seed shape)
+        sums, diffs = w[0::2] + w[1::2], w[0::2] - w[1::2]
+        twice_s, base, _ = coefficients(w.ndim - 1)
+        for m in range(pi.r_count):
+            base = base + sums[m] * twice_s[m]
+        return base, diffs
+
+    def kernel(phi, prepared):
+        base, diffs = prepared
+        phi = np.asarray(phi)
+        if phi.ndim >= base.ndim:  # axes of phi that the seeds lack go after the entries axis
+            base = base.reshape(base.shape[:1] + (1,) * (phi.ndim + 1 - base.ndim) + base.shape[1:])
+        turn = coefficients(base.ndim - 1)[2]  # (cos and sin, E modes, entries, ...)
+        turns = turn[0] * np.cos(2.0 * phi) + turn[1] * np.sin(2.0 * phi)  # 2 T, per E mode
+        # delta_0 T + (g_ij + sum_m sigma_m S_ij) (addition commutes bit for bit), then + delta_m T in order of m,
+        # in place: one array of the output's size per call, and no temporary of that size for one E mode
+        out = diffs[0] * turns[0]
+        out += base
+        for m in range(1, pi.r_count):
+            out += diffs[m] * turns[m]
         return out
 
-    return weights, kernel
+    return terms, kernel

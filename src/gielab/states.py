@@ -80,22 +80,34 @@ def std_form_cm(p: StdForm) -> CovMat:
 def std_form_xx_det(gamma):
     """a, b and a b - kx^2 of the standard form of a two-mode CM or a stack of them.
 
-    Read from det A, det B, det C and det gamma, which fix the standard form:
-    with s = kx^2 + kp^2, a b - kx^2 and a b - kp^2 are the roots of
-    t^2 - (2ab - s) t + det gamma, so a b - kx^2 is det gamma over the larger
-    root, without cancelling a b against kx^2.  No physicality validation
-    beyond positive local determinants is applied."""
+    a and b are the square roots of det A and det B.  a b - kx^2 and
+    a b - kp^2 multiply to det gamma and differ by D = kx^2 - kp^2 >= 0, so
+    a b - kx^2 = 2 det gamma / (D + sqrt(D^2 + 4 det gamma)), without
+    cancelling a b against kx^2.  D is read without cancellation either:
+    kx and |kp| are the singular values of the locally normalized cross
+    block [[p, q], [r, s]] = sqrt(ab) A^(-1/2) C B^(-1/2), so D^2 = ((p -
+    s)^2 + (q + r)^2)((p + s)^2 + (q - r)^2), and the 2x2 square root
+    sqrt(A) = (A + a I) / sqrt(tr A + 2a) gives sqrt(a) A^(-1/2) = adj(A +
+    a I) / sqrt(a (tr A + 2a)), all elementwise on the stack.  The root
+    taken is the positive one, as for a positive definite gamma; no
+    physicality validation beyond positive local determinants is applied."""
     mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
     if mat.shape[-2:] != (4, 4):
         raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
     det = np.linalg.det
-    det_a, det_b, det_c, det_g = det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat[..., :2, 2:]), det(mat)
-    if np.any(det_a <= 0.0) or np.any(det_b <= 0.0):
+    det_a, det_b, det_g = det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat)
+    if ((det_a <= 0.0) | (det_b <= 0.0)).any():
         raise UnphysicalStateError("local block determinant is not positive")
     a, b = np.sqrt(det_a), np.sqrt(det_b)
-    s = (det_a * det_b + det_c * det_c - det_g) / (a * b)
-    half = a * b - s / 2.0
-    return a, b, det_g / (half + np.sqrt(np.maximum(half * half - det_g, 0.0)))
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
+        [mat[..., i, j] for j in range(4)] for i in range(4))
+    # adj(A + a I) C adj(B + b I) = [[p, q], [r, s]] sqrt(a (tr A + 2a) b (tr B + 2b)), the adjugates' diagonals first
+    pa, pd, qa, qd = a11 + a, a00 + a, b11 + b, b00 + b
+    x00, x01, x10, x11 = c00 * qa - c01 * b10, c01 * qd - c00 * b01, c10 * qa - c11 * b10, c11 * qd - c10 * b01
+    p, q, r, s = pa * x00 - a01 * x10, pa * x01 - a01 * x11, pd * x10 - a10 * x00, pd * x11 - a10 * x01
+    scale = a * (pa + pd) * (b * (qa + qd))
+    diff = np.hypot(p - s, q + r) * np.hypot(p + s, q - r) / scale  # kx^2 - kp^2
+    return a, b, 2.0 * det_g / (diff + np.hypot(diff, 2.0 * np.sqrt(det_g)))
 
 
 def a_minus_kx(p: StdForm) -> float:

@@ -7,8 +7,8 @@ matrix, sharing no code with the conditioning kernels of
 reads the whole standard form (a, b, kx, kp) of one CM, solving for kx^2
 and kp^2 rather than for a b - kx^2 as ``gielab.states.std_form_xx_det``
 does; ``to_std_form`` is its checked ``StdForm``.  ``seed_frame_schur_loop``
-is ``gielab.measurement.seed_frame_schur`` as a loop over entries and seed
-axes, one numpy operation on each: the reference that the one-pass kernel
+is ``gielab.measurement.seed_frame_schur`` as a loop over entries and E
+modes, one numpy operation on each: the reference that the two-half kernel
 must match bit for bit.  ``whole_mesh_argmin`` is
 ``gielab.optimize.grid_argmin`` as one objective call on the whole mesh,
 the reference that the slabbed grid stage must match point for point.  These take an objective as one callable of every
@@ -49,27 +49,32 @@ def rotation(phi: float) -> np.ndarray:
 
 
 def seed_frame_schur_loop(pi: Purification, entries):
-    """``seed_frame_schur(pi, entries)``, entry by entry and seed axis by seed axis.
+    """``seed_frame_schur(pi, entries)``, entry by entry and E mode by E mode.
 
     ``kernel(phi, s)`` returns a tuple of the entries; each is ``g_ij`` plus
-    ``w_k (c_ik c_jk)`` added over the seed axes k in order, with
-    ``w_k = -1 / (nu + s_k)`` and ``c_ik`` row i of gamma_ABE R(phi).
+    ``sigma_m S_ij`` added over the E modes m in order, then plus
+    ``delta_m T_ij(phi)`` over m in order, with the negated weights ``w_k =
+    -1 / (nu + s_k)``, ``sigma_m = w_2m + w_2m+1``, ``delta_m = w_2m -
+    w_2m+1`` and S and T of the columns (u, v) = (m, R + m) of gamma_ABE.
     """
     g = pi.gamma_ab.mat
     nu = pi.gamma_e[0, 0]
-    xxpp = np.r_[0 : 2 * pi.r_count : 2, 1 : 2 * pi.r_count : 2]
-    # row i of gamma_ABE as the (u, v) pairs of E axes that R(phi) rotates
-    pairs = {i: [tuple(uv) for uv in pi.gamma_abe[i, xxpp].reshape(-1, 2)] for entry in entries for i in entry}
-    targets = [(g[i, j], i, j) for i, j in entries]
+    r = pi.r_count
+    # row i of gamma_ABE as the (u, v) pair of each E mode m that R(phi) turns
+    pairs = {i: [(pi.gamma_abe[i, m], pi.gamma_abe[i, r + m]) for m in range(r)] for entry in entries for i in entry}
 
     def kernel(phi, s):
-        cos, sin = np.cos(phi), np.sin(phi)
-        cols = {i: [c for u, v in uv for c in (u * cos + v * sin, v * cos - u * sin)] for i, uv in pairs.items()}
-        weights = [-1.0 / (nu + s_j) for s_j in s]
+        cos2, sin2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
+        weights = [-1.0 / (nu + s_k) for s_k in s]
+        sums = [weights[2 * m] + weights[2 * m + 1] for m in range(r)]
+        diffs = [weights[2 * m] - weights[2 * m + 1] for m in range(r)]
         out = []
-        for acc, i, j in targets:
-            for w, ci, cj in zip(weights, cols[i], cols[j], strict=True):
-                acc = acc + w * (ci * cj)
+        for i, j in entries:
+            acc = g[i, j]
+            for sigma, (ui, vi), (uj, vj) in zip(sums, pairs[i], pairs[j], strict=True):
+                acc = acc + sigma * (0.5 * (ui * uj + vi * vj))
+            for delta, (ui, vi), (uj, vj) in zip(diffs, pairs[i], pairs[j], strict=True):
+                acc = acc + delta * (0.5 * (ui * uj - vi * vj) * cos2 + 0.5 * (ui * vj + vi * uj) * sin2)
             out.append(acc)
         return tuple(out)
 

@@ -181,13 +181,13 @@ class TestNumericSymGlems:
         assert res.discrepancy < MINMAX_ATOL
 
     def test_gate_matches_a_50_digit_readout(self):
-        # a b - kx^2 read as det gamma over the larger root: the gate read through
-        # kx~ was off by 3.4e-7 here
+        # a b - kx^2 read as 2 det gamma / (D + sqrt(D^2 + 4 det gamma)): the gate read through
+        # kx~ was off by 3.4e-7 here, and through sqrt(half^2 - det gamma) by up to 3e-8
         a, kp = 5.955034189330633, 5.29661995673705
         res = _numeric("sym_glems", a=a, kp=kp)
         phi, tau, t = np.array([params for params, _ in res.optimizer_trace]).T
         cms = _conditional_cms(purify(make_family("sym_glems", a=a, kp=kp).std), phi, _single_mode_seed(tau, t))
-        assert abs(min(_g_50_digits(cm) for cm in cms) - res.extra["gate_min"]) < 3e-8
+        assert abs(min(_g_50_digits(cm) for cm in cms) - res.extra["gate_min"]) < 1e-12
 
     def test_trace_records_candidates(self):
         res = _numeric("sym_glems", a=1.5, kp=0.5)
@@ -248,9 +248,9 @@ class TestNumericAsymGlems:
 
     def test_gate_min_is_g_of_the_lab_frame_conditional_forms(self):
         # G of the lab-frame conditional CM at each trace row, read at 50 digits:
-        # no seed-frame kernel and no std_form_xx_det.  Both double-precision
-        # readers carry a sqrt(eps) floor where the conditional form is isotropic
-        # (the heterodyne rows), so the bound is the sym_glems readout's 3e-8.
+        # no seed-frame kernel and no std_form_xx_det.  The reader has no sqrt(eps)
+        # floor where the conditional form is isotropic (the heterodyne rows): it
+        # was 1.05e-8 off at (1.1, 2.0) when it read sqrt(half^2 - det gamma)
         for a, b in ((2.0, 1.5), (1.5, 2.0), (2.9, 2.0), (5.0, 1.05), (1.1, 2.0), (3.0, 1.9)):
             res = _numeric("asym_glems", a=a, b=b)
             pi = purify_asym_glems(make_family("asym_glems", a=a, b=b))
@@ -258,8 +258,17 @@ class TestNumericAsymGlems:
             for (phi, tau, t), _ in res.optimizer_trace:
                 ge = homodyne([phi + np.pi / 2.0]) if np.isinf(t) else general_single_mode(phi, tau, t)
                 gates.append(_g_50_digits(condition_on_e(pi, ge).mat))
-            assert abs(min(gates) - res.extra["gate_min"]) < 3e-8
+            assert abs(min(gates) - res.extra["gate_min"]) < 1e-12
             assert res.extra["gate_min"] >= 0.0 and res.verified
+
+    def test_heterodyne_rows_read_one(self):
+        # after the heterodyne on E the conditional form is isotropic (kx~ = kp~) with a~ b~ - kx~^2 = 1;
+        # read through sqrt(half^2 - det gamma) these rows gave 0.99999997419
+        fam = make_family("asym_glems", a=2.0, b=1.5)
+        res = gie_numeric(fam, FAST)
+        rows = [row for row in res.optimizer_trace if row[0][2] == 0.0]  # t = 0: grid best, descent end, heterodyne
+        _, _, xx_det = _trace_forms(purify_asym_glems(fam), _single_mode_seed, rows)
+        assert len(rows) == 3 and np.abs(xx_det - 1.0).max() < 1e-15
 
     def test_equal_purities_take_the_pure_path(self):
         # a = b is the pure state with k = sqrt(a^2 - 1); every measurement of E ties

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError
 from gielab.gie import SINGLE_MODE_SEARCH, _kh_seed, _single_mode_seed
@@ -15,7 +17,7 @@ from gielab.measurement import (
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.states import make_family
 from gielab.symplectic import CovMat, symplectic_eigenvalues
-from oracles import Ccm, assemble_ccm, seed_frame_schur_loop
+from oracles import Ccm, assemble_ccm, rotation, seed_frame_schur_loop
 
 _, TAU_LOG_MAX, T_MAX = SINGLE_MODE_SEARCH.highs  # the R = 1 box edges: ln(tau) and t
 
@@ -159,15 +161,15 @@ UPPER_TRIANGLE = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 def _xx_kernel(pi):
     """(va, vb, c) at Eve's single-mode seed row (phi, tau, t), as the R = 1 objective reads them."""
-    weights, kernel = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
-    return lambda phi, tau, t: kernel(phi, weights(_single_mode_seed(tau, t)))
+    terms, kernel = seed_frame_schur(pi, ((0, 0), (2, 2), (0, 2)))
+    return lambda phi, tau, t: kernel(phi, terms(_single_mode_seed(tau, t)))
 
 
 def _r2_kernel(pi):
     """All ten entries at Eve's seed blockdiag(Q, Q^{-1}), Q = P diag(l1, l2) P^T, as the R = 2 gate reads them;
     the kernel takes one shape for all four seed eigenvalues, so a sparse mesh is broadcast first."""
-    weights, kernel = seed_frame_schur(pi, UPPER_TRIANGLE)
-    return lambda phi, l1, l2: kernel(phi, weights(np.broadcast_arrays(l1, l2, 1.0 / l1, 1.0 / l2)))
+    terms, kernel = seed_frame_schur(pi, UPPER_TRIANGLE)
+    return lambda phi, l1, l2: kernel(phi, terms(np.broadcast_arrays(l1, l2, 1.0 / l1, 1.0 / l2)))
 
 
 class TestSeedFrameKernel:
@@ -261,14 +263,14 @@ class TestSeedFrameKernel:
 
 
 class TestSeedFrameKernelBitForBit:
-    """The one-pass kernel against the entry-by-entry loop of ``oracles``: equal, not close."""
+    """The two-half kernel against the entry-by-entry loop of ``oracles``: equal, not close."""
 
     @staticmethod
     def _assert_identical(pi, entries, seed_map, *args):
         # the seed half takes its eigenvalues broadcast to one shape, the loop as the seed map gives them
         seeds = seed_map(*args[1:])
-        weights, kernel = seed_frame_schur(pi, entries)
-        new = kernel(args[0], weights(np.broadcast_arrays(*seeds)))
+        terms, kernel = seed_frame_schur(pi, entries)
+        new = kernel(args[0], terms(np.broadcast_arrays(*seeds)))
         old = seed_frame_schur_loop(pi, entries)(args[0], seeds)
         assert len(new) == len(old) == len(entries)
         for x, y in zip(new, old):
@@ -311,3 +313,27 @@ class TestSeedFrameKernelBitForBit:
         pi = _pi("sym_sq_thermal", a=1.3, k=0.6)
         self._assert_identical(pi, UPPER_TRIANGLE, _kh_seed, phis, np.full(7, np.inf), np.zeros(7))
         self._assert_identical(pi, UPPER_TRIANGLE, _kh_seed, phis, np.exp(rng.uniform(0.0, 9.0, 7)), np.zeros(7))
+
+
+class TestSeedFrameKernelAtIsotropicSeeds:
+    """An isotropic seed (s_2m = s_2m+1 for every E mode, as the heterodyne) commutes with R(phi): its
+    differences delta_m are 0 exactly, so the conditional entries are the same bits at every angle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(KERNEL_STATES[::2] + (("sym_sq_thermal", {"a": 1.3, "k": 0.6}),)),
+        st.floats(0.0, np.pi, exclude_max=True),
+        st.lists(st.floats(-12.0, 24.0), min_size=2, max_size=2),
+        st.lists(st.floats(0.0, np.pi, exclude_max=True), min_size=2, max_size=9),
+    )
+    def test_entries_do_not_depend_on_phi(self, state, theta, log_s, phis):
+        pi = _kernel_pi(*state)
+        # Eve's mode turned by theta, as TestEveFrame builds it (R = 1), or the purification as it is (R = 2)
+        if pi.r_count == 1:
+            pi = Purification(pi.gamma_ab, pi.gamma_abe @ rotation(theta), pi.gamma_e, 1)
+        terms, kernel = seed_frame_schur(pi, UPPER_TRIANGLE)
+        s = np.exp(log_s)
+        seeds = (s[0], s[0], s[1], s[1])[: 2 * pi.r_count]
+        entries = kernel(np.array(phis), terms(seeds))
+        assert np.array_equal(entries, np.broadcast_to(entries[:, :1], entries.shape))
+        assert all(np.array_equal(kernel(phi, terms(seeds)), entries[:, 0]) for phi in (0.0, np.pi / 2.0))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gielab.errors import UnphysicalStateError, WrongFamilyError
 from gielab.measurement import heterodyne
 from gielab.information import mutual_information_f
-from gielab.purification import purify, purify_asym_glems
+from gielab.purification import PURITY_ATOL, Purification, _certified_pure, _checked_pure, purify, purify_asym_glems
 from gielab.states import make_family, std_form_cm
 from gielab.symplectic import BEAM_SPLITTER, CovMat, SIGMA_Z
 from gielab.verify import random_physical_cm
@@ -110,3 +112,39 @@ class TestPurifyAsymGlems:
         f_analytic = mutual_information_f(analytic, ga, gb, ge)
         f_generic = mutual_information_f(generic, ga, gb, ge)
         assert abs(f_analytic - f_generic) < 1e-8
+
+
+def _family_pi(tag, a, frac):
+    """The family purification gielab searches at scale a and a second parameter read as a fraction of its range."""
+    if tag == "asym_glems":
+        return purify_asym_glems(make_family(tag, a=a, b=1.0 + frac * (a - 1.0)))
+    k = frac * np.sqrt(a * a - 1.0)
+    return purify(make_family(tag, **({"kp": k} if tag == "sym_glems" else {"k": k}), a=a).std)
+
+
+class TestPurityCertificate:
+    """``_checked_pure`` certifies purity from ||(Omega gamma)^2 + I||_F before any eigen-solve."""
+
+    def test_a_scaled_e_block_still_raises(self):
+        pi = purify_asym_glems(make_family("asym_glems", a=2.0, b=1.5))
+        scaled = Purification(pi.gamma_ab, pi.gamma_abe, pi.gamma_e * (1.0 + 1e-6), 1)
+        assert not _certified_pure(scaled)
+        with pytest.raises(UnphysicalStateError, match="purification impure, spectrum defect"):
+            _checked_pure(scaled)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(("sym_glems", "sym_sq_thermal", "asym_glems")),
+        st.floats(1.01, 100.0),
+        st.floats(0.05, 0.95),
+        st.floats(-13.0, -5.0),
+        st.sampled_from(("gamma_e", "gamma_abe")),
+    )
+    def test_never_passes_a_point_the_eigen_path_rejects(self, tag, a, frac, log_eps, block):
+        pi = _family_pi(tag, a, frac)
+        assert pi.r_count > 0 and _certified_pure(pi)  # every family purification up to a = 100
+        blocks = {"gamma_e": pi.gamma_e, "gamma_abe": pi.gamma_abe}
+        blocks[block] = blocks[block] * (1.0 + 10.0**log_eps)
+        perturbed = Purification(pi.gamma_ab, blocks["gamma_abe"], blocks["gamma_e"], pi.r_count)
+        if _certified_pure(perturbed):
+            assert perturbed.purity_defect() <= PURITY_ATOL
