@@ -8,14 +8,17 @@ mutual information over Eve's Gaussian measurements, and reports the
 optimal measurement together with the optimizer trace.  Each minimizer is
 its family's objective (``information.f_xx`` of ``measurement.seed_frame_schur``
 at ``_single_mode_seed`` for R = 1, K_h for R = 2), split at Eve's angle
-phi into the terms of the other two coordinates and the value, handed to
+phi into the terms of the other two coordinates, a key and the value of
+the key (``optimize.grid_argmin``'s triple), handed to
 ``gielab.optimize.search`` with one module-level ``SearchSpace``
 (``SINGLE_MODE_SEARCH``, ``KH_SEARCH``): box, pi-periodic phi, the exact
 limit candidates as rows of that objective and the label of Eve's optimum.
-K_h is one pair on the searched coordinates (``_kh_formula``, of phi,
-ln lambda1 and ln lambda2), which ``minimize_kh`` hands to ``search`` as
-it is and the checked oracle ``k_h`` evaluates at the logarithms of its
-arguments.
+K_h is one triple on the searched coordinates (``_kh_formula``, of phi,
+ln lambda1 and ln lambda2, its own key), which ``minimize_kh`` hands to
+``search`` as it is and the checked oracle ``k_h`` evaluates at the
+logarithms of its arguments.  The R = 1 key is the ratio r inside
+``f_xx`` = 1/2 ln r (``information.xx_ratio``), so the grid stage takes
+one logarithm per slab, on its least key, instead of one per mesh point.
 
 The R = 1 minimizers report the x-homodyne value, which equals GIE where
 the GCMI gate G (``information.gcmi_condition_g``) is non-negative at Eve's
@@ -26,9 +29,9 @@ Both trace gates, G and sqrt(a~ b~) <= a (sym_sq_thermal), read the one
 ``_kh_seed``), conditioned on Eve in one ``seed_frame_schur`` call per
 point, read as a stack by one ``std_form_xx_det``.  The R = 1 grid
 prepares the kernel's seed half once per (ln tau, t) mesh point and
-evaluates its angle half per slab of phi; at the heterodyne row t = 0
-Eve's seed is isotropic, so every phi gives the same bits there, and the
-grid takes the first.
+evaluates its angle half and the ratio per slab of phi; at the
+heterodyne row t = 0 Eve's seed is isotropic, so every phi gives the same
+bits there, and the grid takes the first.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ import numpy as np
 
 from .config import DEFAULT_GRID, GridConfig
 from .errors import DomainNotCoveredError, InvalidInputError
-from .information import f_xx, gcmi_condition_g
+from .information import f_xx, gcmi_condition_g, half_log, xx_ratio
 from .measurement import condition_on_e  # noqa: F401  (perfbench/spans.py traces this name in gielab.gie)
 from .measurement import seed_frame_schur
-from .optimize import SearchSpace, search
+from .optimize import SearchSpace, as_is, search
 from .purification import Purification, purify, purify_asym_glems
 from .states import FAMILY_ATOL, StateFamily, a_minus_kx, is_separable, make_family, std_form_cm, std_form_xx_det
 from .symplectic import PHYSICAL_ATOL
@@ -178,7 +181,16 @@ def _single_mode_numeric(fam: StateFamily, pi: Purification, grid_cfg: GridConfi
     rows at t = 0 (heterodyne) and t = inf (the exact homodynes).  It
     prepares the kernel's seed half from (ln tau, t), the entries' phi-free
     part and Eve's weight difference, and evaluates its angle half at phi:
-    one product and one sum per entry and mesh point.
+    one product and one sum per entry and mesh point.  Its key is
+    ``xx_ratio`` of the entries, r = va vb / (va vb - c^2), and its
+    ``finish`` ``half_log``, so ``f_xx`` = 1/2 ln r: the grid ranks each
+    slab by r and takes one logarithm, on its least key, while the descent
+    and the candidates read ``f_xx`` itself, bit for bit.  Near the optimum
+    of a high-GIE state (r about 30 at a = 6, kp = 5.9) about four
+    neighbouring keys round to one value, and Eve's mirror angles about
+    pi/2 give keys an ulp apart; the grid finishes the keys near the least
+    one and takes the first least value (``optimize.grid_argmin``'s tie
+    rule), so its best point is that of ``f_xx`` on the whole mesh.
     """
     closed = gie_closed_form(fam)
     if pi.r_count == 0:  # a pure state: a^2 - kp^2 = 1 (sym_glems), a = b (asym_glems)
@@ -189,9 +201,9 @@ def _single_mode_numeric(fam: StateFamily, pi: Purification, grid_cfg: GridConfi
         return terms(_single_mode_seed(np.exp(log_tau), t))
 
     def evaluate(phi, prepared):
-        return f_xx(*kernel(phi, prepared))
+        return xx_ratio(*kernel(phi, prepared))
 
-    numeric, optimum, trace = search((prepare, evaluate), SINGLE_MODE_SEARCH, grid_cfg.points)
+    numeric, optimum, trace = search((prepare, evaluate, half_log), SINGLE_MODE_SEARCH, grid_cfg.points)
     gate_min = float(np.min(gcmi_condition_g(*_trace_forms(pi, _single_mode_seed, trace))))
     return _judged(fam, closed, float(numeric), optimum, trace, gate(gate_min), gate_min=gate_min)
 
@@ -249,15 +261,15 @@ def _kh_args(phi, lambda1, lambda2, a, k) -> tuple:
 
 
 def _kh_formula(a, k, cosh_v, sinh_v) -> tuple:
-    """K_h of the state (a, k) split at phi: ``(terms, value)``, both broadcasting.
+    """K_h of the state (a, k) split at phi: ``(terms, value, as_is)``, all broadcasting.
 
     ``terms(log_l1, log_l2)`` takes the searched coordinates (ln lambda1,
     ln lambda2) and returns what does not depend on phi, (lambda2 >
     lambda1, (k/a) E, F, E^2 - F^2), and ``value(phi, prepared)`` K_h from
-    those terms, inf where lambda2 > lambda1.  E and F are divided by
-    lambda1, which leaves K_h unchanged and keeps every term finite at
-    lambda1 = inf: there E/lambda1 = cosh v and F/lambda1 = sinh v, the
-    exact dual-homodyne limit.
+    those terms, inf where lambda2 > lambda1; K_h is its own key.  E and F
+    are divided by lambda1, which leaves K_h unchanged and keeps every term
+    finite at lambda1 = inf: there E/lambda1 = cosh v and F/lambda1 =
+    sinh v, the exact dual-homodyne limit.
     """
 
     k_over_a, base = k / a, (a * a - k * k) / (a * a)  # (a^2 - k^2)/a^2, the phi-free part of K_h
@@ -273,7 +285,7 @@ def _kh_formula(a, k, cosh_v, sinh_v) -> tuple:
         mask, ke, f, denom = prepared
         return np.where(mask, np.inf, base + (ke + f * np.cos(2.0 * phi)) ** 2 / denom)
 
-    return terms, value
+    return terms, value, as_is
 
 
 def k_h(phi, lambda1, lambda2, a, k):
@@ -284,7 +296,7 @@ def k_h(phi, lambda1, lambda2, a, k):
     Q = P(phi) diag(lambda1, lambda2) P(phi)^T.  Broadcasts over all five
     arguments and checks every element: phi in [0, pi), lambda1 >= lambda2
     >= 0 with lambda1 > 0 and lambda2 finite, and a physical (a, k).  It
-    evaluates ``_kh_formula``, the pair that ``minimize_kh`` searches
+    evaluates ``_kh_formula``, the triple that ``minimize_kh`` searches
     without the checks, at (phi, ln lambda1, ln lambda2).  lambda1 = inf
     gives the exact limit, the dual homodyne at phi = pi/2 and lambda2 = 0.
 
@@ -292,7 +304,7 @@ def k_h(phi, lambda1, lambda2, a, k):
         InvalidInputError: an element is out of range.
     """
     phi, lambda1, lambda2, a, k, (_, cosh_v, sinh_v) = _kh_args(phi, lambda1, lambda2, a, k)
-    terms, value = _kh_formula(a, k, cosh_v, sinh_v)
+    terms, value, _ = _kh_formula(a, k, cosh_v, sinh_v)
     with np.errstate(divide="ignore"):  # ln 0 = -inf: the lambda2 = 0 limit row
         log_l2 = np.log(lambda2)
     return value(phi, terms(np.log(lambda1), log_l2))[()]

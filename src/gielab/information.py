@@ -8,9 +8,10 @@ classical mutual information (GCMI) of a conditional standard form: the
 double x-homodyne closed form ``f_xx``, its optimality gate G, and the
 numeric minimum of the objective u over local squeezed measurements that
 checks the closed form wherever the gate holds.  u exists once, as the
-``(terms, value)`` pair ``_u_split`` that ``gcmi_numeric`` hands to the
-grid stage and the descent.  ``f_xx`` is also the
-objective of the single-mode-Eve minimizers in ``gielab.gie``, and G,
+``(terms, value, as_is)`` triple ``_u_split`` that ``gcmi_numeric`` hands
+to the grid stage and the descent.  ``f_xx``, the half logarithm of
+``xx_ratio``, is also the objective of the single-mode-Eve minimizers in
+``gielab.gie``, whose grid stage ranks Eve's mesh by the ratio, and G,
 which broadcasts over a stack of conditional forms, their certificate:
 where G >= 0 at Eve's optimum the x-homodyne value they report is the GCMI.
 """
@@ -26,7 +27,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .measurement import FiniteMeasurement, GaussianMeasurement, condition_on_e
-from .optimize import descend, grid_argmin
+from .optimize import as_is, descend, grid_argmin
 from .purification import Purification
 from .states import StdForm
 
@@ -80,12 +81,25 @@ def mutual_information_f(
     return _check_nats(float(value), "mutual information")
 
 
+def xx_ratio(va, vb, c):
+    """The determinant ratio ``va vb / (va vb - c^2)`` inside ``f_xx``; broadcasts.
+
+    ``f_xx`` is its half logarithm (``half_log``), so it sorts as ``f_xx``
+    does: the R = 1 grid stage ranks Eve's mesh by it."""
+    vab = va * vb
+    return vab / (vab - c * c)
+
+
+def half_log(ratio):
+    """Half the natural logarithm of a determinant ratio, in nats; broadcasts."""
+    return 0.5 * np.log(ratio)
+
+
 def f_xx(va, vb, c):
     """Double x-homodyne mutual information on A and B, from the conditional
     x variances va, vb and their covariance c; broadcasts.  On a conditional
     standard form it is ``f_xx(a, b, kx)``."""
-    vab = va * vb
-    return 0.5 * np.log(vab / (vab - c * c))
+    return half_log(xx_ratio(va, vb, c))
 
 
 def gcmi_condition_g(a, b, xx_det):
@@ -94,9 +108,10 @@ def gcmi_condition_g(a, b, xx_det):
     ``G = sqrt(a/b) + sqrt(b/a) + 1/sqrt(ab) - sqrt(ab - kx^2)`` from the
     standard form's a, b and ``xx_det = a b - kx^2``, as
     ``states.std_form_xx_det`` returns them; broadcasts.  The closed form is
-    proven optimal whenever G >= 0.
+    proven optimal whenever G >= 0.  A negative or NaN ``xx_det`` raises
+    ``InvalidInputError``.
     """
-    if np.any(xx_det < 0.0):
+    if not np.all(xx_det >= 0.0):  # a NaN fails too
         raise InvalidInputError(f"need a b >= kx^2, got a b - kx^2 = {np.min(xx_det)}")
     return np.sqrt(a / b) + np.sqrt(b / a) + 1.0 / np.sqrt(a * b) - np.sqrt(xx_det)
 
@@ -105,12 +120,12 @@ def _u_split(cond: StdForm) -> tuple:
     """The objective of the GCMI minimization over local squeezed measurements, split at r_A.
 
     ``u = [1 - kx^2/(a_- b_-)][1 - kp^2/(a_+ b_+)]`` with
-    ``a_± = a + e^{±2 r}``, as the pair ``(terms, value)`` that
+    ``a_± = a + e^{±2 r}``, as the triple ``(terms, value, as_is)`` that
     ``gcmi_numeric`` searches: ``terms(r_b)`` returns what does not depend
     on r_A, ``(b + e^{-2 r_B}, b + e^{2 r_B})``, and ``value(r_a,
-    prepared)`` u from those terms.  Both broadcast; an infinite squeezing
-    gives the analytic limit exactly, because ``e^{-2 r} = 0`` and
-    ``e^{2 r} = inf`` make the second factor 1.
+    prepared)`` u from those terms, which is its own key.  Both broadcast;
+    an infinite squeezing gives the analytic limit exactly, because
+    ``e^{-2 r} = 0`` and ``e^{2 r} = inf`` make the second factor 1.
     """
     a, b, kx_sq, kp_sq = cond.a, cond.b, cond.kx * cond.kx, cond.kp * cond.kp
 
@@ -121,7 +136,7 @@ def _u_split(cond: StdForm) -> tuple:
         b_minus, b_plus = prepared
         return (1.0 - kx_sq / ((a + np.exp(-2.0 * r_a)) * b_minus)) * (1.0 - kp_sq / ((a + np.exp(2.0 * r_a)) * b_plus))
 
-    return terms, value
+    return terms, value, as_is
 
 
 def gcmi_numeric(cond: StdForm, points: int) -> float:

@@ -5,15 +5,22 @@ measurements and runs a grid stage (``grid_argmin``), a compass search
 (``descend``) from the best grid point and then the space's exact
 candidates, rows of the same objective; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
-rule (``TIE_ATOL``).  Every objective is a pair ``(prepare, evaluate)``
-split at its first coordinate, as its family builds it and on the
-coordinates searched: ``prepare(*rest)`` computes what depends only on the
-trailing coordinates and ``evaluate(first, prepared)`` the value, so
-``evaluate(x[0], prepare(*x[1:]))`` is the objective at x.  The grid stage
-prepares the trailing sparse mesh once and evaluates it once per slab of
-the first axis, at most ``SLAB_POINTS`` mesh points each, and reads the
-slabs in C order, so its best point is ``np.argmin`` of the whole mesh
-while no temporary holds more than a slab.  Each objective call of the
+rule (``TIE_ATOL``).  Every objective is a triple ``(prepare, evaluate,
+finish)`` split at its first coordinate, as its family builds it and on
+the coordinates searched: ``prepare(*rest)`` computes what depends only on
+the trailing coordinates, ``evaluate(first, prepared)`` a key that sorts
+in the same order as the value and ``finish(key)`` the value, so
+``finish(evaluate(x[0], prepare(*x[1:])))`` is the objective at x.  The
+key is the value itself (``finish`` is ``as_is``) except where a monotone
+last step can wait: the R = 1 objective's key is the ratio inside
+``f_xx`` and its ``finish`` the half logarithm.  The grid stage prepares
+the trailing sparse mesh once, evaluates its keys once per slab of the
+first axis, at most ``SLAB_POINTS`` mesh points each, finishes each
+slab's least key (and, in the winning slab, the few keys that could share
+its value) and reads the slabs in C order, so its best point is
+``np.argmin`` of the values of the whole mesh while no temporary holds
+more than a slab.  The descent and the candidate rows take the values,
+``finish`` of the keys.  Each objective call of the
 descent evaluates the moves of one table (``_chained_table``), a poll and
 the poll that would follow its miss, so a failed poll costs no call of its
 own, and a model row: the least points of parabolas fitted to the previous
@@ -39,6 +46,7 @@ MAX_POLLS = 400  # the descent stops after this many polls even above its resolu
 RESOLUTION = 1e-8  # the step below which every search in gielab stops descending
 TIE_ATOL = 1e-12  # a candidate this close to the best value names the optimum
 SLAB_POINTS = 21**3  # the grid stage evaluates at most this many mesh points per objective call
+KEY_TIE_RTOL = 1e-12  # a grid key this close above a slab's least key, relative, may share its value
 
 
 @dataclass(frozen=True)
@@ -70,23 +78,49 @@ class SearchSpace:
                      for i, (v, period) in enumerate(zip(x, self.periods)))
 
 
+def as_is(values):
+    """The ``finish`` of an objective whose key is its value."""
+    return values
+
+
 def grid_argmin(objective, axes):
     """Evaluate ``objective`` on the mesh of ``axes`` in slabs of the first axis; return the best point and its value.
 
-    ``objective`` is a ``(prepare, evaluate)`` pair split at the first
-    coordinate.  ``prepare`` is called once, on the sparse mesh of the
-    trailing axes (one broadcastable array per axis, so work that depends
-    on fewer coordinates is done once per distinct value), and
+    ``objective`` is a ``(prepare, evaluate, finish)`` triple split at the
+    first coordinate.  ``prepare`` is called once, on the sparse mesh of
+    the trailing axes (one broadcastable array per axis, so work that
+    depends on fewer coordinates is done once per distinct value), and
     ``evaluate`` once per slab of the first axis with what ``prepare``
-    returned; it must broadcast to the full slab shape.  The slabs are the
-    fewest equal runs of the first axis (sizes differing by at most one
-    row, the longer first) of at most ``SLAB_POINTS`` mesh points each, or
-    of one row where a row holds more; every mesh array is a read-only
-    view.  The slabs are read in C order and a later one wins only with a
-    lower value, so the result is ``np.argmin`` of the whole mesh: the
-    first least value, or the first NaN, after which no slab is evaluated.
+    returned, giving the slab's keys, which must broadcast to the full slab
+    shape.  The slabs are the fewest equal runs of the first axis (sizes
+    differing by at most one row, the longer first) of at most
+    ``SLAB_POINTS`` mesh points each, or of one row where a row holds more;
+    every mesh array is a read-only view.  The slabs are read in C order
+    and a later one wins only with a lower value, so the result is
+    ``np.argmin`` of ``finish`` of the whole mesh, the first least value or
+    the first NaN, after which no slab is evaluated.  ``finish`` is taken
+    once per slab, on its least key (``np.argmin`` of the keys), and then,
+    in the winning slab alone, by two rules on the keys before that one
+    which could share its value:
+
+    - Ties: distinct keys can round to one value (1/2 ln maps about four
+      neighbouring keys near r = 30 to one number).  The keys before the
+      least one and within ``KEY_TIE_RTOL`` of it, relative, are finished
+      too, and the first whose value equals the least value wins.  No
+      finite key farther above rounds to its value under 1/2 ln (2.3e-13
+      bounds the relative spread of one value's keys).  ``as_is`` has no
+      such ties: there ``np.argmin`` of the keys is the answer.
+    - NaN: a slab whose least key finishes to NaN (a NaN key, which
+      ``np.argmin`` returns first, or a negative key, which 1/2 ln maps to
+      NaN) finishes all its keys before that one and wins at the first NaN
+      among them, else at its least key.
+
+    Both rules hold where ``finish`` is non-decreasing on the keys it does
+    not map to NaN and maps to NaN only keys below all others or NaN
+    keys: ``as_is``, and 1/2 ln as far as numpy's log rounds monotonically,
+    which tests/test_gie.py checks on every mesh it searches.
     """
-    prepare, evaluate = objective
+    prepare, evaluate, finish = objective
     first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True, copy=False)
     prepared = prepare(*rest)
     rows = len(axes[0])
@@ -95,16 +129,37 @@ def grid_argmin(objective, axes):
     best_val, start = None, 0
     for slab in range(count):
         stop = start + size + (slab < longer)
-        values = evaluate(first[start:stop], prepared)
-        flat = int(np.argmin(values))
-        value = values.flat[flat]
-        if best_val is None or value < best_val or np.isnan(value):
-            index, best_val = np.unravel_index(flat, values.shape), value
-            best = (start + index[0], *index[1:])
-            if np.isnan(value):  # np.argmin returns the first NaN
+        keys = evaluate(first[start:stop], prepared)
+        flat = int(np.argmin(keys))
+        value = float(finish(keys.flat[flat]))
+        if best_val is None or value < best_val or math.isnan(value):
+            best_keys, best_flat, best_val, best_start = keys, flat, value, start
+            if math.isnan(value):
                 break
         start = stop
-    return np.array([axis[i] for axis, i in zip(axes, best)]), float(best_val)
+    index = np.unravel_index(_first_at(best_keys, best_flat, best_val, finish), best_keys.shape)
+    best = (best_start + index[0], *index[1:])
+    return np.array([axis[i] for axis, i in zip(axes, best)]), best_val
+
+
+def _first_at(keys, flat, value, finish):
+    """The first flat index of ``keys`` whose value is ``value``, the finished least key at ``flat``.
+
+    ``grid_argmin``'s tie and NaN rules, on the keys before ``flat``.
+    """
+    if flat and finish is not as_is:
+        before, key = keys.reshape(-1)[:flat], float(keys.flat[flat])
+        if math.isnan(value):
+            nan = np.isnan(finish(before))
+            if nan.any():
+                return int(nan.argmax())
+        elif math.isfinite(key):
+            near = np.flatnonzero(before <= key + abs(key) * KEY_TIE_RTOL)
+            if near.size:
+                tied = near[finish(before[near]) == value]
+                if tied.size:
+                    return int(tied[0])
+    return flat
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,9 +187,10 @@ def _chained_table(dim):
 def descend(objective, x0, value, lows, highs, periods):
     """Deterministic compass search within a box: a poll, the poll after its miss and a model row per objective call.
 
-    ``objective`` is a ``(prepare, evaluate)`` pair as ``grid_argmin``
-    takes it; one objective call is ``evaluate(first, prepare(*rest))`` on
-    the rows of one (coordinates, probes) array, both halves called here.
+    ``objective`` is a ``(prepare, evaluate, finish)`` triple as
+    ``grid_argmin`` takes it; one objective call is ``finish(evaluate(first,
+    prepare(*rest)))`` on the rows of one (coordinates, probes) array, all
+    three called here, and the descent reads values, never keys.
     Each poll evaluates the moves of the first four blocks of
     ``_chained_table`` (2, 1, 1/2 and 1/4 times the step) from the
     incumbent, clipped to the box except on a coordinate with a ``periods``
@@ -185,7 +241,7 @@ def descend(objective, x0, value, lows, highs, periods):
     call clips its rows only where its largest move, twice the step, may
     leave the box: inside it clipping changes no bit.
     """
-    prepare, evaluate = objective
+    prepare, evaluate, finish = objective
     x, val = np.array(x0, dtype=float), value
     first_steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
     widest, scale = float(first_steps.max()), 1.0
@@ -221,7 +277,7 @@ def descend(objective, x0, value, lows, highs, periods):
                 np.maximum(trials, lows, out=trials)
                 np.minimum(trials, highs, out=trials)
                 break
-        values = evaluate(trials[0], prepare(*[trials[i] for i in tail]))
+        values = finish(evaluate(trials[0], prepare(*[trials[i] for i in tail])))
         bar = val - MIN_IMPROVEMENT  # both levels and the model row start from this incumbent
         improving = values < bar
         first = int(improving.argmax())
@@ -329,29 +385,32 @@ def _layout(space, points):
 def search(objective, space, points):
     """Minimize ``objective`` on the grid of ``space``, ``points`` per coordinate, descend, then try its candidates.
 
-    ``objective`` is a ``(prepare, evaluate)`` pair as ``grid_argmin``
-    takes it; both halves broadcast (the grid passes meshes, the descent
-    and the candidates 1-D arrays, all candidates in one call), and the
-    grid meshes and the candidate rows are read-only views of the layout
+    ``objective`` is a ``(prepare, evaluate, finish)`` triple as
+    ``grid_argmin`` takes it; all three broadcast (the grid passes meshes,
+    the descent and the candidates 1-D arrays, all candidates in one call),
+    and the grid meshes and the candidate rows are read-only views of the layout
     that ``_layout`` builds once per ``(space, points)``.  Returns
     ``(best_value, label, trace)``: the least of the descent end and the
     candidates; the first candidate within ``TIE_ATOL`` of it, else
     ``space.label`` with the descent end's parameters; and
     ``(space.params(row), value)`` of the grid best, the descent end and
-    every candidate.  The descent starts from the grid best with the grid's
-    value there, so ``prepare`` is called once for the grid, once per
-    descent call (a poll, the poll after it when it misses and the model
-    row) and once for the candidates, and ``evaluate`` as often plus once
-    per further grid slab (a slab holds up to ``SLAB_POINTS`` mesh points, so grids up
-    to 21 points per coordinate are one slab in 3-D).
+    every candidate, each a value (``finish`` of its key).  The grid best is
+    ranked by the keys with ``grid_argmin``'s tie and NaN rules.  The
+    descent starts from the grid best with the grid's value there, so
+    ``prepare`` is called once for the grid, once per descent call (a poll,
+    the poll after it when it misses and the model row) and once for the
+    candidates, ``evaluate`` as often plus once per further grid slab (a
+    slab holds up to ``SLAB_POINTS`` mesh points, so grids up to 21 points
+    per coordinate are one slab in 3-D), and ``finish`` once per call of
+    ``prepare``.
     """
-    prepare, evaluate = objective
+    prepare, evaluate, finish = objective
     axes, lows, highs, rows, reported = _layout(space, points)
     coarse, coarse_val = grid_argmin(objective, axes)
     refined, refined_val = descend(objective, coarse, coarse_val, lows, highs, space.periods)
     lead, *rest = rows.T
     trace = [(space.params(coarse), coarse_val), (space.params(refined), float(refined_val))]
-    trace += [(params, float(value)) for params, value in zip(reported, evaluate(lead, prepare(*rest)))]
+    trace += [(params, float(value)) for params, value in zip(reported, finish(evaluate(lead, prepare(*rest))))]
     best_val = min(value for _, value in trace[1:])
     for (label, _), (_, value) in zip(space.candidates, trace[2:]):
         if value <= best_val + TIE_ATOL:

@@ -89,8 +89,18 @@ def std_form_xx_det(gamma):
     s)^2 + (q + r)^2)((p + s)^2 + (q - r)^2), and the 2x2 square root
     sqrt(A) = (A + a I) / sqrt(tr A + 2a) gives sqrt(a) A^(-1/2) = adj(A +
     a I) / sqrt(a (tr A + 2a)), all elementwise on the stack.  The root
-    taken is the positive one, as for a positive definite gamma; no
-    physicality validation beyond positive local determinants is applied."""
+    taken is the positive one, which is right where a b - kx^2 and a b -
+    kp^2 are both positive: their product det gamma is then positive and
+    so is their mean a b - (kx^2 + kp^2)/2, where kx^2 + kp^2 is the
+    squared Frobenius norm of the normalized cross block.  Any other input
+    (a gamma that is not positive definite) raises; no physicality
+    validation beyond these signs is applied.
+
+    Raises:
+        UnphysicalStateError: det A or det B is not positive, or a b - kx^2
+            and a b - kp^2 are not both positive (det gamma <= 0, or a b <=
+            (kx^2 + kp^2)/2), at some CM of the stack.
+    """
     mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
     if mat.shape[-2:] != (4, 4):
         raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
@@ -106,7 +116,13 @@ def std_form_xx_det(gamma):
     x00, x01, x10, x11 = c00 * qa - c01 * b10, c01 * qd - c00 * b01, c10 * qa - c11 * b10, c11 * qd - c10 * b01
     p, q, r, s = pa * x00 - a01 * x10, pa * x01 - a01 * x11, pd * x10 - a10 * x00, pd * x11 - a10 * x01
     scale = a * (pa + pd) * (b * (qa + qd))
-    diff = np.hypot(p - s, q + r) * np.hypot(p + s, q - r) / scale  # kx^2 - kp^2
+    # sqrt(scale) (kx + |kp|) and sqrt(scale) |kx - |kp||, whose squares add to 2 scale (kx^2 + kp^2)
+    outer, inner = np.hypot(p + s, q - r), np.hypot(p - s, q + r)
+    spread = np.hypot(outer, inner)
+    # the signs of det gamma and of 4 scale (a b - (kx^2 + kp^2)/2) in one array; a NaN fails too
+    if not np.minimum(det_g, 4.0 * a * b * scale - spread * spread).min() > 0.0:
+        raise UnphysicalStateError("a b - kx^2 and a b - kp^2 are not both positive")
+    diff = inner * outer / scale  # kx^2 - kp^2
     return a, b, 2.0 * det_g / (diff + np.hypot(diff, 2.0 * np.sqrt(det_g)))
 
 

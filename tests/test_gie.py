@@ -501,21 +501,23 @@ def _same_bits(x, y) -> bool:
 def run_against_the_oracles(monkeypatch, points, draws):
     """Run ``every_objective`` with each split objective checked against its one-callable oracle.
 
-    Every ``evaluate`` result of the grid stages and the descents must
-    equal the oracle on the same rows, bit for bit, and so must the
-    candidate values of each trace.  Per grid stage, ``prepare`` runs once,
-    before the first slab; the slabs read in order are the oracle on the
-    whole mesh; the best point and value are ``whole_mesh_argmin`` of the
-    oracle; and the grid value, which starts the descent, is the value of
-    the best point as one row, through the split objective and the oracle
-    alike.  Returns the slab shapes of each grid stage and the mismatches.
+    Every ``evaluate`` result of the grid stages and the descents, keys
+    mapped through the objective's ``finish``, must equal the oracle on the
+    same rows, bit for bit, and so must the candidate values of each
+    trace.  Per grid stage, ``prepare`` runs once, before the first slab;
+    the slabs read in order, mapped through ``finish``, are the oracle on
+    the whole mesh; ``finish`` is non-decreasing on the sorted keys of the
+    mesh; the best point and value are ``whole_mesh_argmin`` of the oracle;
+    and the grid value, which starts the descent, is the value of the best
+    point as one row, through the split objective and the oracle alike.
+    Returns the slab shapes of each grid stage and the mismatches.
     """
     grid_argmin, descend = gielab.optimize.grid_argmin, gielab.optimize.descend
     grids, mismatches, current = [], [], {}
 
     def checking(objective, calls, slabs):
-        """``objective``, naming each call in ``calls`` and appending the values of each ``evaluate`` to ``slabs``."""
-        prepare, evaluate = objective
+        """``objective``, naming each call in ``calls`` and appending the keys of each ``evaluate`` to ``slabs``."""
+        prepare, evaluate, finish = objective
 
         def checked_prepare(*rest):
             calls.append("prepare")
@@ -523,22 +525,28 @@ def run_against_the_oracles(monkeypatch, points, draws):
 
         def checked_evaluate(first, prepared):
             rest, terms = prepared
-            values = evaluate(first, terms)
+            keys = evaluate(first, terms)
             calls.append("evaluate")
-            slabs.append(values)
-            if not _same_bits(values, current["reference"](first, *rest)):
+            slabs.append(keys)
+            if not _same_bits(finish(keys), current["reference"](first, *rest)):
                 mismatches.append(("call", np.broadcast_shapes(np.shape(first), *(np.shape(r) for r in rest))))
-            return values
+            return keys
 
-        return checked_prepare, checked_evaluate
+        return checked_prepare, checked_evaluate, finish
 
     def checked_grid(objective, axes):
         reference, calls, slabs = current["reference"], [], []
+        finish = objective[2]
         best, value = grid_argmin(checking(objective, calls, slabs), axes)
         assert calls == ["prepare"] + ["evaluate"] * len(slabs)
         whole = reference(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
-        if not _same_bits(np.concatenate(slabs), whole):
+        keys = np.concatenate(slabs)
+        if not _same_bits(finish(keys), whole):
             mismatches.append(("slabs", [slab.shape for slab in slabs]))
+        ranked = finish(np.sort(keys, axis=None))
+        ranked = ranked[~np.isnan(ranked)]
+        if not (ranked[:-1] <= ranked[1:]).all():
+            mismatches.append(("finish not monotone", [slab.shape for slab in slabs]))
         ref_best, ref_value = whole_mesh_argmin(reference, axes)
         assert (best.tolist(), value) == (ref_best.tolist(), ref_value)
         row = best[:, None]

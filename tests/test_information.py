@@ -132,6 +132,10 @@ class TestGcmi:
         assert np.isclose(gcmi_condition_g(4.0, 1.0, 3.0), 3.0 - np.sqrt(3.0), atol=1e-14)
         with pytest.raises(InvalidInputError):
             gcmi_condition_g(2.0, 2.0, -1e-3)  # a b < kx^2
+        with pytest.raises(InvalidInputError, match="nan"):
+            gcmi_condition_g(2.0, 2.0, np.nan)
+        with pytest.raises(InvalidInputError):
+            gcmi_condition_g(np.full(2, 2.0), np.full(2, 2.0), np.array([1.0, np.nan]))
 
     def test_condition_broadcasts_over_a_stack(self, rng):
         mats = np.array([x @ x.T + np.eye(4) for x in rng.normal(size=(50, 4, 4))])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import split, whole_mesh_argmin
 
 from gielab import optimize
+from gielab.information import half_log
 from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, SearchSpace, descend, grid_argmin, search
 
 # the unit square, 11 grid points per coordinate
@@ -250,8 +251,24 @@ def slab_meshes(draw):
     return table.reshape(shape), draw(st.integers(1, size + 1))
 
 
-def lookup(table, calls):
-    """An objective on the index mesh of ``table`` that records each call.
+@st.composite
+def key_meshes(draw):
+    """A table of R = 1 style keys on a 1-D to 3-D mesh and a slab budget, as ``slab_meshes`` draws values.
+
+    The keys are few and come in neighbours a few ulps apart whose half
+    logarithms are equal, with 0, a negative key (1/2 ln of both is -inf or
+    NaN) and inf; up to two entries may be NaN.
+    """
+    near = [float(x) for base in (30.0, 1e6) for x in base + np.arange(4) * np.spacing(base)]
+    shape = (draw(st.integers(1, 9)), *draw(st.lists(st.integers(1, 4), max_size=2)))
+    size = int(np.prod(shape))
+    table = np.array(draw(st.lists(st.sampled_from((*near, 0.0, -1.0, np.inf)), min_size=size, max_size=size)))
+    table[draw(st.lists(st.integers(0, size - 1), max_size=2))] = np.nan
+    return table.reshape(shape), draw(st.integers(1, size + 1))
+
+
+def lookup(table, calls, finish=optimize.as_is):
+    """An objective on the index mesh of ``table``, whose entries are its keys, that records each call.
 
     ``prepare`` appends ``"prepare"`` to ``calls``, ``evaluate`` the mesh
     shape of its slab.
@@ -265,7 +282,7 @@ def lookup(table, calls):
         calls.append(np.broadcast_shapes(first.shape, *(r.shape for r in rest)))
         return table[tuple(m.astype(np.intp) for m in (first, *rest))]
 
-    return prepare, evaluate
+    return prepare, evaluate, finish
 
 
 class TestGridSlabs:
@@ -299,6 +316,53 @@ class TestGridSlabs:
         assert [shape[0] for shape in slabs] == sizes[: len(slabs)]
         if not np.isnan(ref_value):  # the slab with the first NaN is the last evaluated
             assert len(slabs) == count
+
+    @settings(max_examples=300, deadline=None)
+    @given(key_meshes())
+    # two keys whose half logarithms are equal: np.argmin of the keys would take the second
+    @example((np.array([[np.nextafter(1e6, np.inf)], [1e6]]), 1))
+    @example((np.array([np.nextafter(1e6, np.inf), 1e6]), 2))
+    # a NaN key in the second of three one-row slabs: it wins and the third slab is not evaluated
+    @example((np.array([[3.0, 0.5], [np.nan, 2.0], [0.1, 4.0]]), 2))
+    # the least key -2 finishes to NaN; the first NaN value is the key -1 before it
+    @example((np.array([[4.0, -1.0, 3.0, -2.0]]), 4))
+    # a NaN key, which np.argmin of the keys returns, after a negative key
+    @example((np.array([[-1.0, np.nan]]), 2))
+    def test_a_key_objective_gives_the_whole_mesh_argmin_of_its_values(self, case):
+        # the grid ranks by the keys and takes 1/2 ln of the few that can be least, which must be
+        # np.argmin of 1/2 ln of the whole mesh: the first least value, or the first NaN
+        table, budget = case
+        axes = [np.arange(n, dtype=float) for n in table.shape]
+        with mock.patch.object(optimize, "SLAB_POINTS", budget), np.errstate(invalid="ignore", divide="ignore"):
+            best, value = grid_argmin(lookup(table, [], half_log), axes)
+            ref_best, ref_value = whole_mesh_argmin(lambda *mesh: half_log(table[tuple(map(np.intp, mesh))]), axes)
+        assert best.tolist() == ref_best.tolist()
+        assert value == ref_value or np.isnan(value) and np.isnan(ref_value)
+
+    def test_the_documented_key_examples(self):
+        # (keys, np.argmin of their half logarithms, np.argmin of the keys, the value): the grid takes the first
+        cases = (([np.nextafter(1e6, np.inf), 1e6], 0, 1, half_log(1e6)), ([4.0, -1.0, 3.0, -2.0], 1, 3, np.nan),
+                 ([-1.0, np.nan], 0, 1, np.nan))
+        with np.errstate(invalid="ignore"):
+            for keys, values_pick, keys_pick, expected in cases:
+                keys = np.array(keys)
+                assert (int(np.argmin(half_log(keys))), int(np.argmin(keys))) == (values_pick, keys_pick)
+                best, value = grid_argmin(lookup(keys, [], half_log), [np.arange(keys.size, dtype=float)])
+                assert best.tolist() == [values_pick]
+                assert value == expected or np.isnan(value) and np.isnan(expected)
+
+    def test_a_slab_without_near_keys_takes_one_logarithm(self):
+        finished = []
+
+        def counted_log(keys):
+            finished.append(np.size(keys))
+            return half_log(keys)
+
+        keys = np.array([[5.0, 3.0], [4.0, 30.0], [1e6, 2.0], [7.0, 31.0]])
+        with mock.patch.object(optimize, "SLAB_POINTS", 4):
+            best, value = grid_argmin(lookup(keys, [], counted_log), [np.arange(4.0), np.arange(2.0)])
+        assert (best.tolist(), value) == ([2.0, 1.0], half_log(2.0))
+        assert finished == [1, 1]  # two slabs, one key each
 
     @pytest.mark.parametrize("points, rows", ((21, [21]), (33, [7, 7, 7, 6, 6]), (45, [4] * 9 + [3] * 3)),
                              ids=("21", "33", "45"))

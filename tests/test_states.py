@@ -111,6 +111,29 @@ class TestToStdForm:
         assert np.array_equal(a_x, a) and np.array_equal(b_x, b)
         assert np.allclose(xx_det, a * b - kx * kx, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("mat", (
+        # positive local and total determinants, a b - kx^2 = a b - kp^2 = -3: not positive definite
+        [[1, 0, 2, 0], [0, 1, 0, -2], [2, 0, 1, 0], [0, -2, 0, 1]],
+        # det gamma = (1 - 9)(1 - 0.25) = -6
+        [[1, 0, 3, 0], [0, 1, 0, 0.5], [3, 0, 1, 0], [0, 0.5, 0, 1]],
+        # det gamma = 0: a b = kx^2
+        [[1, 0, 1, 0], [0, 1, 0, 0.5], [1, 0, 1, 0], [0, 0.5, 0, 1]],
+    ), ids=("both-negative", "det-negative", "det-zero"))
+    def test_a_gamma_that_is_not_positive_definite_raises(self, mat):
+        mat = np.array(mat, dtype=float)
+        with pytest.raises(UnphysicalStateError, match="not both positive"):
+            std_form_xx_det(mat)
+        physical = std_form_cm(StdForm(1.5, 1.5, 0.3, 0.2)).mat
+        with pytest.raises(UnphysicalStateError):  # one such CM rejects a stack
+            std_form_xx_det(np.array([physical, mat]))
+
+    def test_the_sign_test_passes_every_positive_definite_gamma(self, rng):
+        # nearly pure forms too: a b - kx^2 of a squeezed vacuum is 1 however large a is
+        mats = [x @ x.T + 1e-6 * np.eye(4) for x in rng.normal(size=(200, 4, 4))]
+        mats += [std_form_cm(make_family("pure", a=a).std).mat for a in (1.0, 3.0, 1e3, 1e6)]
+        _, _, xx_det = std_form_xx_det(np.array(mats))
+        assert (xx_det > 0.0).all()
+
 
 class TestSeparability:
     def test_entangled_isotropic_point(self):
