@@ -17,10 +17,7 @@ search reads it:
 - ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_POLLS``, ``optimize.TIE_ATOL``,
   ``optimize.RESOLUTION``, ``optimize.SLAB_POINTS`` (21^3, the most
   mesh points of one grid-stage ``evaluate`` call, so grids up to 21 are
-  one slab; it changes no result) and ``optimize.KEY_TIE_RTOL`` (1e-12,
-  how far above a slab's least key, relative, the grid stage looks for
-  keys that round to the same value; it changes no result, since no key
-  of one 1/2 ln value lies farther than 2.3e-13 from another);
+  one slab; it changes no result);
 - the search boxes, in the search descriptions ``gie.SINGLE_MODE_SEARCH``
   (R = 1) and ``gie.KH_SEARCH`` (K_h), and ``information.SQUEEZE_MAX`` (GCMI);
 - ``gie.SQRT_AB_SLACK``, ``gie.GATE_LOWER_BOUND`` and

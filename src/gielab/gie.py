@@ -18,7 +18,7 @@ ln lambda1 and ln lambda2, its own key), which ``minimize_kh`` hands to
 ``search`` as it is and the checked oracle ``k_h`` evaluates at the
 logarithms of its arguments.  The R = 1 key is the ratio r inside
 ``f_xx`` = 1/2 ln r (``information.xx_ratio``), so the grid stage takes
-one logarithm per slab, on its least key, instead of one per mesh point.
+one logarithm, on the least key of the mesh, instead of one per mesh point.
 
 The R = 1 minimizers report the x-homodyne value, which equals GIE where
 the GCMI gate G (``information.gcmi_condition_g``) is non-negative at Eve's
@@ -183,14 +183,10 @@ def _single_mode_numeric(fam: StateFamily, pi: Purification, grid_cfg: GridConfi
     part and Eve's weight difference, and evaluates its angle half at phi:
     one product and one sum per entry and mesh point.  Its key is
     ``xx_ratio`` of the entries, r = va vb / (va vb - c^2), and its
-    ``finish`` ``half_log``, so ``f_xx`` = 1/2 ln r: the grid ranks each
-    slab by r and takes one logarithm, on its least key, while the descent
-    and the candidates read ``f_xx`` itself, bit for bit.  Near the optimum
-    of a high-GIE state (r about 30 at a = 6, kp = 5.9) about four
-    neighbouring keys round to one value, and Eve's mirror angles about
-    pi/2 give keys an ulp apart; the grid finishes the keys near the least
-    one and takes the first least value (``optimize.grid_argmin``'s tie
-    rule), so its best point is that of ``f_xx`` on the whole mesh.
+    ``finish`` ``half_log``, so ``f_xx`` = 1/2 ln r: the grid ranks Eve's
+    mesh by r and takes one logarithm, on its least key, while the descent
+    and the candidates read ``f_xx`` itself, bit for bit.  Its value is the
+    least ``f_xx`` of the mesh and its point the first least r.
     """
     closed = gie_closed_form(fam)
     if pi.r_count == 0:  # a pure state: a^2 - kp^2 = 1 (sym_glems), a = b (asym_glems)
@@ -283,7 +279,8 @@ def _kh_formula(a, k, cosh_v, sinh_v) -> tuple:
 
     def value(phi, prepared):
         mask, ke, f, denom = prepared
-        return np.where(mask, np.inf, base + (ke + f * np.cos(2.0 * phi)) ** 2 / denom)
+        numer = ke + f * np.cos(2.0 * phi)  # squared as numer * numer: a numpy scalar's ** 2 can round apart
+        return np.where(mask, np.inf, base + numer * numer / denom)
 
     return terms, value, as_is
 

@@ -15,12 +15,11 @@ key is the value itself (``finish`` is ``as_is``) except where a monotone
 last step can wait: the R = 1 objective's key is the ratio inside
 ``f_xx`` and its ``finish`` the half logarithm.  The grid stage prepares
 the trailing sparse mesh once, evaluates its keys once per slab of the
-first axis, at most ``SLAB_POINTS`` mesh points each, finishes each
-slab's least key (and, in the winning slab, the few keys that could share
-its value) and reads the slabs in C order, so its best point is
-``np.argmin`` of the values of the whole mesh while no temporary holds
-more than a slab.  The descent and the candidate rows take the values,
-``finish`` of the keys.  Each objective call of the
+first axis, at most ``SLAB_POINTS`` mesh points each, and reads the slabs
+in C order, so its best point is ``np.argmin`` of the keys of the whole
+mesh while no temporary holds more than a slab; it finishes that one key.
+The descent and the candidate rows take the values, ``finish`` of the
+keys.  Each objective call of the
 descent evaluates the moves of one table (``_chained_table``), a poll and
 the poll that would follow its miss, so a failed poll costs no call of its
 own, and a model row: the least points of parabolas fitted to the previous
@@ -46,7 +45,6 @@ MAX_POLLS = 400  # the descent stops after this many polls even above its resolu
 RESOLUTION = 1e-8  # the step below which every search in gielab stops descending
 TIE_ATOL = 1e-12  # a candidate this close to the best value names the optimum
 SLAB_POINTS = 21**3  # the grid stage evaluates at most this many mesh points per objective call
-KEY_TIE_RTOL = 1e-12  # a grid key this close above a slab's least key, relative, may share its value
 
 
 @dataclass(frozen=True)
@@ -96,29 +94,14 @@ def grid_argmin(objective, axes):
     differing by at most one row, the longer first) of at most
     ``SLAB_POINTS`` mesh points each, or of one row where a row holds more;
     every mesh array is a read-only view.  The slabs are read in C order
-    and a later one wins only with a lower value, so the result is
-    ``np.argmin`` of ``finish`` of the whole mesh, the first least value or
-    the first NaN, after which no slab is evaluated.  ``finish`` is taken
-    once per slab, on its least key (``np.argmin`` of the keys), and then,
-    in the winning slab alone, by two rules on the keys before that one
-    which could share its value:
-
-    - Ties: distinct keys can round to one value (1/2 ln maps about four
-      neighbouring keys near r = 30 to one number).  The keys before the
-      least one and within ``KEY_TIE_RTOL`` of it, relative, are finished
-      too, and the first whose value equals the least value wins.  No
-      finite key farther above rounds to its value under 1/2 ln (2.3e-13
-      bounds the relative spread of one value's keys).  ``as_is`` has no
-      such ties: there ``np.argmin`` of the keys is the answer.
-    - NaN: a slab whose least key finishes to NaN (a NaN key, which
-      ``np.argmin`` returns first, or a negative key, which 1/2 ln maps to
-      NaN) finishes all its keys before that one and wins at the first NaN
-      among them, else at its least key.
-
-    Both rules hold where ``finish`` is non-decreasing on the keys it does
-    not map to NaN and maps to NaN only keys below all others or NaN
-    keys: ``as_is``, and 1/2 ln as far as numpy's log rounds monotonically,
-    which tests/test_gie.py checks on every mesh it searches.
+    and a later one wins only with a lower least key, so the best point is
+    ``np.argmin`` of the keys of the whole mesh, the first least key or the
+    first NaN, after which no slab is evaluated.  Its value is ``finish``
+    of that one key.  Where ``finish`` is non-decreasing on the keys
+    (``as_is``, and 1/2 ln as far as numpy's log rounds monotonically,
+    which tests/test_gie.py checks on every mesh it searches), that is the
+    least value of the whole mesh, bit for bit; where several points share
+    it, the point named is the first least key.
     """
     prepare, evaluate, finish = objective
     first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True, copy=False)
@@ -126,40 +109,19 @@ def grid_argmin(objective, axes):
     rows = len(axes[0])
     count = -(-rows // max(1, SLAB_POINTS // math.prod(len(axis) for axis in axes[1:])))
     size, longer = divmod(rows, count)
-    best_val, start = None, 0
+    best_key, start = None, 0
     for slab in range(count):
         stop = start + size + (slab < longer)
         keys = evaluate(first[start:stop], prepared)
         flat = int(np.argmin(keys))
-        value = float(finish(keys.flat[flat]))
-        if best_val is None or value < best_val or math.isnan(value):
-            best_keys, best_flat, best_val, best_start = keys, flat, value, start
-            if math.isnan(value):
+        key = keys.flat[flat]
+        if best_key is None or key < best_key or math.isnan(key):
+            index = np.unravel_index(flat, keys.shape)
+            best_key, best = key, (start + index[0], *index[1:])
+            if math.isnan(key):
                 break
         start = stop
-    index = np.unravel_index(_first_at(best_keys, best_flat, best_val, finish), best_keys.shape)
-    best = (best_start + index[0], *index[1:])
-    return np.array([axis[i] for axis, i in zip(axes, best)]), best_val
-
-
-def _first_at(keys, flat, value, finish):
-    """The first flat index of ``keys`` whose value is ``value``, the finished least key at ``flat``.
-
-    ``grid_argmin``'s tie and NaN rules, on the keys before ``flat``.
-    """
-    if flat and finish is not as_is:
-        before, key = keys.reshape(-1)[:flat], float(keys.flat[flat])
-        if math.isnan(value):
-            nan = np.isnan(finish(before))
-            if nan.any():
-                return int(nan.argmax())
-        elif math.isfinite(key):
-            near = np.flatnonzero(before <= key + abs(key) * KEY_TIE_RTOL)
-            if near.size:
-                tied = near[finish(before[near]) == value]
-                if tied.size:
-                    return int(tied[0])
-    return flat
+    return np.array([axis[i] for axis, i in zip(axes, best)]), float(finish(best_key))
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,14 +357,14 @@ def search(objective, space, points):
     ``space.label`` with the descent end's parameters; and
     ``(space.params(row), value)`` of the grid best, the descent end and
     every candidate, each a value (``finish`` of its key).  The grid best is
-    ranked by the keys with ``grid_argmin``'s tie and NaN rules.  The
-    descent starts from the grid best with the grid's value there, so
-    ``prepare`` is called once for the grid, once per descent call (a poll,
-    the poll after it when it misses and the model row) and once for the
-    candidates, ``evaluate`` as often plus once per further grid slab (a
-    slab holds up to ``SLAB_POINTS`` mesh points, so grids up to 21 points
-    per coordinate are one slab in 3-D), and ``finish`` once per call of
-    ``prepare``.
+    the first least key of the mesh.  The descent starts from the grid
+    best with the grid's value there, so ``prepare`` is called once for
+    the grid, once per descent call (a poll, the poll after it when it
+    misses and the model row) and once for the candidates, ``evaluate`` as
+    often plus once per further grid slab (a slab holds up to
+    ``SLAB_POINTS`` mesh points, so grids up to 21 points per coordinate
+    are one slab in 3-D), and ``finish`` once per call of ``prepare``, the
+    grid's on its least key alone.
     """
     prepare, evaluate, finish = objective
     axes, lows, highs, rows, reported = _layout(space, points)

@@ -267,6 +267,11 @@ def key_meshes(draw):
     return table.reshape(shape), draw(st.integers(1, size + 1))
 
 
+def same_value(x, y):
+    """Equal values, or both NaN."""
+    return x == y or bool(np.isnan(x) and np.isnan(y))
+
+
 def lookup(table, calls, finish=optimize.as_is):
     """An objective on the index mesh of ``table``, whose entries are its keys, that records each call.
 
@@ -304,7 +309,7 @@ class TestGridSlabs:
             best, value = grid_argmin(lookup(table, calls), axes)
         ref_best, ref_value = whole_mesh_argmin(lambda *mesh: table[tuple(m.astype(np.intp) for m in mesh)], axes)
         assert best.tolist() == ref_best.tolist()
-        assert value == ref_value or np.isnan(value) and np.isnan(ref_value)
+        assert same_value(value, ref_value)
         # the trailing mesh is prepared once, before the first slab
         assert calls[0] == "prepare" and "prepare" not in calls[1:]
         slabs = calls[1:]
@@ -319,39 +324,60 @@ class TestGridSlabs:
 
     @settings(max_examples=300, deadline=None)
     @given(key_meshes())
-    # two keys whose half logarithms are equal: np.argmin of the keys would take the second
+    # two keys whose half logarithms are equal: the grid names the least key, the second
     @example((np.array([[np.nextafter(1e6, np.inf)], [1e6]]), 1))
     @example((np.array([np.nextafter(1e6, np.inf), 1e6]), 2))
     # a NaN key in the second of three one-row slabs: it wins and the third slab is not evaluated
     @example((np.array([[3.0, 0.5], [np.nan, 2.0], [0.1, 4.0]]), 2))
-    # the least key -2 finishes to NaN; the first NaN value is the key -1 before it
+    # the least key -2 wins, and 1/2 ln maps it to NaN
     @example((np.array([[4.0, -1.0, 3.0, -2.0]]), 4))
     # a NaN key, which np.argmin of the keys returns, after a negative key
     @example((np.array([[-1.0, np.nan]]), 2))
-    def test_a_key_objective_gives_the_whole_mesh_argmin_of_its_values(self, case):
-        # the grid ranks by the keys and takes 1/2 ln of the few that can be least, which must be
-        # np.argmin of 1/2 ln of the whole mesh: the first least value, or the first NaN
+    def test_a_key_objective_gives_the_whole_mesh_argmin_of_its_keys(self, case):
+        # the grid ranks by the keys and takes 1/2 ln of the one it names: np.argmin of the keys of the
+        # whole mesh; 1/2 ln is monotone, so without NaN keys that is the least value of the mesh
         table, budget = case
         axes = [np.arange(n, dtype=float) for n in table.shape]
+        ref_best, ref_key = whole_mesh_argmin(lambda *mesh: table[tuple(map(np.intp, mesh))], axes)
         with mock.patch.object(optimize, "SLAB_POINTS", budget), np.errstate(invalid="ignore", divide="ignore"):
             best, value = grid_argmin(lookup(table, [], half_log), axes)
-            ref_best, ref_value = whole_mesh_argmin(lambda *mesh: half_log(table[tuple(map(np.intp, mesh))]), axes)
+            finished, least = half_log(ref_key), np.min(half_log(table))
         assert best.tolist() == ref_best.tolist()
-        assert value == ref_value or np.isnan(value) and np.isnan(ref_value)
+        assert same_value(value, finished)
+        if not np.isnan(table).any():
+            assert same_value(value, least)
+
+    @settings(max_examples=200, deadline=None)
+    @given(key_meshes())
+    def test_the_result_does_not_depend_on_the_slab_partition(self, case):
+        table, budget = case
+        axes = [np.arange(n, dtype=float) for n in table.shape]
+
+        def run(points):
+            with mock.patch.object(optimize, "SLAB_POINTS", points), np.errstate(invalid="ignore", divide="ignore"):
+                return grid_argmin(lookup(table, [], half_log), axes)
+
+        one_best, one_value = run(table.size)
+        for points in (1, 2 * table[0].size, budget):  # one row per slab, two rows, the drawn budget
+            best, value = run(points)
+            assert best.tolist() == one_best.tolist()
+            assert same_value(value, one_value)
 
     def test_the_documented_key_examples(self):
-        # (keys, np.argmin of their half logarithms, np.argmin of the keys, the value): the grid takes the first
-        cases = (([np.nextafter(1e6, np.inf), 1e6], 0, 1, half_log(1e6)), ([4.0, -1.0, 3.0, -2.0], 1, 3, np.nan),
-                 ([-1.0, np.nan], 0, 1, np.nan))
+        # (keys, np.argmin of the keys, the value): the grid names the first least key, though an earlier
+        # key has the same value ([nextafter(1e6, inf), 1e6]) or an earlier one maps to NaN ([4, -1, 3, -2])
+        cases = (([np.nextafter(1e6, np.inf), 1e6], 1, half_log(1e6)), ([4.0, -1.0, 3.0, -2.0], 3, np.nan),
+                 ([-1.0, np.nan], 1, np.nan))
         with np.errstate(invalid="ignore"):
-            for keys, values_pick, keys_pick, expected in cases:
+            for keys, keys_pick, expected in cases:
                 keys = np.array(keys)
-                assert (int(np.argmin(half_log(keys))), int(np.argmin(keys))) == (values_pick, keys_pick)
+                assert int(np.argmin(keys)) == keys_pick
                 best, value = grid_argmin(lookup(keys, [], half_log), [np.arange(keys.size, dtype=float)])
-                assert best.tolist() == [values_pick]
-                assert value == expected or np.isnan(value) and np.isnan(expected)
+                assert best.tolist() == [keys_pick]
+                assert same_value(value, expected)
+        assert half_log(np.nextafter(1e6, np.inf)) == half_log(1e6)
 
-    def test_a_slab_without_near_keys_takes_one_logarithm(self):
+    def test_a_two_slab_grid_takes_one_logarithm(self):
         finished = []
 
         def counted_log(keys):
@@ -359,10 +385,12 @@ class TestGridSlabs:
             return half_log(keys)
 
         keys = np.array([[5.0, 3.0], [4.0, 30.0], [1e6, 2.0], [7.0, 31.0]])
+        calls = []
         with mock.patch.object(optimize, "SLAB_POINTS", 4):
-            best, value = grid_argmin(lookup(keys, [], counted_log), [np.arange(4.0), np.arange(2.0)])
+            best, value = grid_argmin(lookup(keys, calls, counted_log), [np.arange(4.0), np.arange(2.0)])
         assert (best.tolist(), value) == ([2.0, 1.0], half_log(2.0))
-        assert finished == [1, 1]  # two slabs, one key each
+        assert calls == ["prepare", (2, 2), (2, 2)]
+        assert finished == [1]  # one key, once for the whole grid stage
 
     @pytest.mark.parametrize("points, rows", ((21, [21]), (33, [7, 7, 7, 6, 6]), (45, [4] * 9 + [3] * 3)),
                              ids=("21", "33", "45"))
