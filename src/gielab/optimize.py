@@ -2,8 +2,9 @@
 
 ``search`` reads one ``SearchSpace`` per parametrization of Eve's
 measurements and runs a grid stage (``grid_argmin``), a compass search
-(``descend``) from the best grid point and then the space's exact
-candidates, rows of the same objective; it is the one place that orders
+(``descend``) from the best grid point, whose first objective call also
+evaluates the space's exact candidates, rows of the same objective, so
+they cost no call of their own; it is the one place that orders
 these stages, builds the optimizer trace and names the optimum with the tie
 rule (``TIE_ATOL``).  Every objective is a triple ``(prepare, evaluate,
 finish)`` split at its first coordinate, as its family builds it and on
@@ -27,9 +28,13 @@ call's 1/4-block coordinate probes, which the call moves to where it beats
 the incumbent and the poll's pick, while the poll alone sets the step and
 the stops.  The descent reads a call with one ``argmax`` and one
 ``argmin`` and falls back to its filtered rule only where that could
-differ.  What ``search`` builds from a space (grid axes, box, candidate
-rows and their reported parameters) it builds once per space and grid
-size, read-only.
+differ.  What ``search`` builds from a space (the grid's sparse mesh, the
+candidate rows and their reported parameters, ``_layout``) it builds once
+per space and grid size, and what ``descend`` builds from a box (the
+first steps, the wrap and clip lists, the moves at every step scale that
+a descent on it reaches and the model row's fits, ``_box``) once per box
+and ``RESOLUTION``; all of it is read-only, and no cache reads a module
+constant that is not part of its key.
 """
 
 from __future__ import annotations
@@ -81,20 +86,21 @@ def as_is(values):
     return values
 
 
-def grid_argmin(objective, axes):
-    """Evaluate ``objective`` on the mesh of ``axes`` in slabs of the first axis; return the best point and its value.
+def grid_argmin(objective, mesh):
+    """Evaluate ``objective`` on ``mesh`` in slabs of its first axis; return the best point and its value.
 
+    ``mesh`` is the sparse mesh of the grid axes, one broadcastable array
+    per axis (``np.meshgrid(*axes, indexing="ij", sparse=True)``), so work
+    that depends on fewer coordinates is done once per distinct value.
     ``objective`` is a ``(prepare, evaluate, finish)`` triple split at the
-    first coordinate.  ``prepare`` is called once, on the sparse mesh of
-    the trailing axes (one broadcastable array per axis, so work that
-    depends on fewer coordinates is done once per distinct value), and
-    ``evaluate`` once per slab of the first axis with what ``prepare``
-    returned, giving the slab's keys, which must broadcast to the full slab
-    shape.  The slabs are the fewest equal runs of the first axis (sizes
-    differing by at most one row, the longer first) of at most
-    ``SLAB_POINTS`` mesh points each, or of one row where a row holds more;
-    every mesh array is a read-only view.  The slabs are read in C order
-    and a later one wins only with a lower least key, so the best point is
+    first coordinate.  ``prepare`` is called once, on the trailing arrays
+    of the mesh, and ``evaluate`` once per slab of the first axis with what
+    ``prepare`` returned, giving the slab's keys, which must broadcast to
+    the full slab shape.  The slabs are the fewest equal runs of the first
+    axis (sizes differing by at most one row, the longer first) of at most
+    ``SLAB_POINTS`` mesh points each, or of one row where a row holds more,
+    each a view of the first array.  The slabs are read in C order and a
+    later one wins only with a lower least key, so the best point is
     ``np.argmin`` of the keys of the whole mesh, the first least key or the
     first NaN, after which no slab is evaluated.  Its value is ``finish``
     of that one key.  Where ``finish`` is non-decreasing on the keys
@@ -104,10 +110,10 @@ def grid_argmin(objective, axes):
     it, the point named is the first least key.
     """
     prepare, evaluate, finish = objective
-    first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True, copy=False)
+    first, *rest = mesh
     prepared = prepare(*rest)
-    rows = len(axes[0])
-    count = -(-rows // max(1, SLAB_POINTS // math.prod(len(axis) for axis in axes[1:])))
+    rows = first.shape[0]
+    count = -(-rows // max(1, SLAB_POINTS // math.prod(axis.size for axis in rest)))
     size, longer = divmod(rows, count)
     best_key, start = None, 0
     for slab in range(count):
@@ -121,7 +127,8 @@ def grid_argmin(objective, axes):
             if math.isnan(key):
                 break
         start = stop
-    return np.array([axis[i] for axis, i in zip(axes, best)]), float(finish(best_key))
+    # each array of a sparse mesh varies along its own axis only, so its flat index is that axis's
+    return np.array([axis.item(i) for axis, i in zip(mesh, best)]), float(finish(best_key))
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,7 +153,43 @@ def _chained_table(dim):
     return table
 
 
-def descend(objective, x0, value, lows, highs, periods):
+@functools.lru_cache(maxsize=None)
+def _box(lows, highs, periods, resolution):
+    """What ``descend`` reads of its box, built once per ``(lows, highs, periods, resolution)``.
+
+    ``(widest, wrapped, clipped, bounds, moves, reaches, fits, scaled)``:
+    the widest first step (each first step is 5% of the box, at least
+    ``resolution``); the ``(i, period)`` of each periodic coordinate; the
+    ``(i, low, high)`` of each clipped one; the box as two (coordinates, 1)
+    arrays, infinite on a periodic coordinate; the moves of one objective
+    call at scale 1, a (coordinates, probes + 1) array of the first steps
+    times ``_chained_table`` with a last column of zeros that the model row
+    overwrites; the largest move of each coordinate at scale 1; per
+    coordinate, for ``_model_row``, its index, its 1/4-block move at scale
+    1 and its box; and the moves at each step scale that any descent on
+    this box has reached, keyed by the scale, which every descent on the
+    box reads and extends.  Every array is read-only.  ``descend`` passes
+    ``RESOLUTION`` as ``resolution``, so a patched value gets its own
+    layout; nothing here reads ``MAX_POLLS`` or ``MIN_IMPROVEMENT``.
+    """
+    lows, highs = np.array(lows, dtype=float), np.array(highs, dtype=float)
+    first_steps = np.maximum((highs - lows) * 0.05, resolution)
+    wrapped = tuple((i, period) for i, period in enumerate(periods) if period is not None)
+    wraps = np.array([period is not None for period in periods])
+    lows, highs = np.where(wraps, -np.inf, lows), np.where(wraps, np.inf, highs)
+    bounds = tuple(zip(lows.tolist(), highs.tolist()))
+    clipped = tuple((i, low, high) for i, (low, high) in enumerate(bounds) if not wraps[i])
+    chained = _chained_table(len(bounds))
+    moves = first_steps[:, None] * np.concatenate([chained, np.zeros((1, len(bounds)))]).T
+    reaches = tuple((first_steps * 2.0).tolist())
+    fits = tuple((i, q, low, high) for i, (q, (low, high)) in enumerate(zip((first_steps * 0.25).tolist(), bounds)))
+    lows, highs = lows[:, None], highs[:, None]
+    for array in (lows, highs, moves):
+        array.flags.writeable = False
+    return float(first_steps.max()), wrapped, clipped, (lows, highs), moves, reaches, fits, {1.0: moves}
+
+
+def descend(objective, x0, value, lows, highs, periods, rows):
     """Deterministic compass search within a box: a poll, the poll after its miss and a model row per objective call.
 
     ``objective`` is a ``(prepare, evaluate, finish)`` triple as
@@ -181,6 +224,14 @@ def descend(objective, x0, value, lows, highs, periods):
     model row.  The point the descent moves to is wrapped into
     [0, period) on a periodic coordinate.
 
+    ``rows`` is a (coordinates, candidates) array of further rows that the
+    first objective call evaluates after its probes, as they stand (never
+    clipped; a coordinate may be infinite), so that they cost no call of
+    their own; the descent never reads them.  Returns ``(x, value,
+    row_values)``: the end, its value and the values of ``rows``.  A
+    descent that makes no call (``MAX_POLLS`` <= 0) evaluates ``rows`` in
+    one call of its own.
+
     A call is read with one ``argmax`` over both levels: the first improving
     probe names the poll that moves (the first level, or the second when the
     first has none) and its block, and one ``argmin`` over that block's
@@ -197,37 +248,30 @@ def descend(objective, x0, value, lows, highs, periods):
     stage instead of evaluating the 1-row ``x0`` again; the two agree bit
     for bit where numpy's elementwise functions round a mesh element and a
     1-element row alike (tests/test_gie.py checks every gielab objective).
-    Every step factor is a power of two, so the step is the first step
-    times one scale, exactly, and the stop rule reads the scale times the
-    widest first step; the moves at each scale seen are computed once.  A
-    call clips its rows only where its largest move, twice the step, may
-    leave the box: inside it clipping changes no bit.
+    Everything that depends only on the box (``_box``) is built once per
+    box and ``RESOLUTION``, not per descent.  Every step factor is a power
+    of two, so the step is the first step times one scale, exactly, and the
+    stop rule reads the scale times the widest first step; the moves at
+    each scale are computed once per box, for all its descents.  A call
+    clips its rows only where its largest move, twice the step, may leave
+    the box: inside it clipping changes no bit.
     """
     prepare, evaluate, finish = objective
     x, val = np.array(x0, dtype=float), value
-    first_steps = np.maximum((highs - lows) * 0.05, RESOLUTION)
-    widest, scale = float(first_steps.max()), 1.0
-    wrapped = [(i, period) for i, period in enumerate(periods) if period is not None]
-    wraps = np.array([period is not None for period in periods])
-    lows, highs = np.where(wraps, -np.inf, lows), np.where(wraps, np.inf, highs)
-    bounds = list(zip(lows.tolist(), highs.tolist()))
-    clipped = [(i, low, high) for i, (low, high) in enumerate(bounds) if not wraps[i]]
-    lows, highs = lows[:, None], highs[:, None]
-    chained = _chained_table(x.size)
-    probes, block = len(chained), len(chained) // 7
+    widest, wrapped, clipped, (lows, highs), moves, reaches, fits, scaled = _box(
+        tuple(lows), tuple(highs), tuple(periods), RESOLUTION
+    )
+    probes = moves.shape[1] - 1
+    block = probes // 7
     quarter = slice(3 * block, 3 * block + 2 * x.size)  # the first level's 1/4-block moves +e0, -e0, +e1, ...
-    # (coordinates, probes) at scale 1, and a last column of zeros that the model row overwrites
-    moves = first_steps[:, None] * np.concatenate([chained, np.zeros((1, x.size))]).T
-    reaches = (first_steps * 2.0).tolist()  # the largest move of each coordinate at scale 1
-    # per coordinate, for the model row: its index, its 1/4-block move at scale 1 and its box (infinite where periodic)
-    fits = [(i, q, low, high) for i, (q, (low, high)) in enumerate(zip((first_steps * 0.25).tolist(), bounds))]
     tail = range(1, x.size)
-    scaled = {1.0: moves}
-    polls, model = 0, None
+    polls, model, scale = 0, None, 1.0
     while polls < MAX_POLLS:
         step = scaled.get(scale)
         if step is None:
-            step = scaled[scale] = moves * scale
+            step = moves * scale
+            step.flags.writeable = False
+            scaled[scale] = step
         centre, centre_val, centre_scale = x.tolist(), val, scale
         if model is None:
             trials = x[:, None] + step[:, :probes]
@@ -239,7 +283,11 @@ def descend(objective, x0, value, lows, highs, periods):
                 np.maximum(trials, lows, out=trials)
                 np.minimum(trials, highs, out=trials)
                 break
+        if not polls:  # the first call: the rows after its probes, unclipped
+            trials = np.concatenate((trials, rows), axis=1)
         values = finish(evaluate(trials[0], prepare(*[trials[i] for i in tail])))
+        if not polls:
+            row_values = values[probes:]
         bar = val - MIN_IMPROVEMENT  # both levels and the model row start from this incumbent
         improving = values < bar
         first = int(improving.argmax())
@@ -264,16 +312,16 @@ def descend(objective, x0, value, lows, highs, periods):
             for i, period in wrapped:
                 x[i] %= period
         if stop:
-            return x, val
+            return x, val, row_values
         polls += 1
         if start is None:
             scale *= 0.125
         else:
             scale *= (2.0, 1.0, 0.5, 0.25, 1.0, 0.5, 0.25)[start // block]
         if scale * widest < RESOLUTION or polls == MAX_POLLS:
-            return x, val
+            return x, val, row_values
         model = _model_row(centre, centre_val, values[quarter].tolist(), fits, centre_scale)
-    return x, val
+    return x, val, finish(evaluate(rows[0], prepare(*rows[1:])))
 
 
 def _model_row(centre, value, fit, fits, scale):
@@ -329,19 +377,20 @@ def _filtered_pick(trials, values, improving, x, block):
 def _layout(space, points):
     """What ``search`` reads of ``space`` at ``points`` per coordinate, built once per pair.
 
-    The grid axes, the box as ``(lows, highs)`` arrays, the candidate rows
-    as one (candidates, coordinates) array and their reported parameters;
-    the arrays are read-only.  Nothing here reads ``RESOLUTION``,
-    ``MAX_POLLS`` or ``MIN_IMPROVEMENT``, which ``descend`` reads at call
-    time.
+    The sparse mesh of the grid axes, as ``grid_argmin`` takes it, the
+    candidate rows as one (coordinates, candidates) array, as ``descend``
+    takes them, and their reported parameters; every array is read-only
+    (the mesh is a view of the read-only axes).  Nothing here reads
+    ``RESOLUTION``, ``MAX_POLLS``, ``MIN_IMPROVEMENT`` or ``SLAB_POINTS``:
+    ``descend`` and ``grid_argmin`` read them at call time.
     """
-    lows, highs = np.array(space.lows, dtype=float), np.array(space.highs, dtype=float)
-    axes = tuple(np.linspace(lo, hi, points, endpoint=period is None)
-                 for lo, hi, period in zip(lows, highs, space.periods))
-    rows = np.array([row for _, row in space.candidates], dtype=float).reshape(len(space.candidates), len(lows))
-    for array in (lows, highs, rows, *axes):
+    axes = [np.linspace(lo, hi, points, endpoint=period is None)
+            for lo, hi, period in zip(map(float, space.lows), map(float, space.highs), space.periods)]
+    rows = np.array([row for _, row in space.candidates], dtype=float).reshape(len(space.candidates), len(axes)).T
+    for array in (rows, *axes):
         array.flags.writeable = False
-    return axes, lows, highs, rows, tuple(space.params(row) for row in rows)
+    mesh = tuple(np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
+    return mesh, rows, tuple(space.params(row) for row in rows.T)
 
 
 def search(objective, space, points):
@@ -349,30 +398,29 @@ def search(objective, space, points):
 
     ``objective`` is a ``(prepare, evaluate, finish)`` triple as
     ``grid_argmin`` takes it; all three broadcast (the grid passes meshes,
-    the descent and the candidates 1-D arrays, all candidates in one call),
-    and the grid meshes and the candidate rows are read-only views of the layout
-    that ``_layout`` builds once per ``(space, points)``.  Returns
-    ``(best_value, label, trace)``: the least of the descent end and the
-    candidates; the first candidate within ``TIE_ATOL`` of it, else
-    ``space.label`` with the descent end's parameters; and
-    ``(space.params(row), value)`` of the grid best, the descent end and
-    every candidate, each a value (``finish`` of its key).  The grid best is
-    the first least key of the mesh.  The descent starts from the grid
-    best with the grid's value there, so ``prepare`` is called once for
-    the grid, once per descent call (a poll, the poll after it when it
-    misses and the model row) and once for the candidates, ``evaluate`` as
-    often plus once per further grid slab (a slab holds up to
-    ``SLAB_POINTS`` mesh points, so grids up to 21 points per coordinate
+    the descent 1-D arrays), and the grid mesh and the candidate rows are
+    read-only arrays of the layout that ``_layout`` builds once per
+    ``(space, points)``.  Returns ``(best_value, label, trace)``: the least
+    of the descent end and the candidates; the first candidate within
+    ``TIE_ATOL`` of it, else ``space.label`` with the descent end's
+    parameters; and ``(space.params(row), value)`` of the grid best, the
+    descent end and every candidate, each a value (``finish`` of its key).
+    The grid best is the first least key of the mesh.  The descent starts
+    from the grid best with the grid's value there, and its first call
+    evaluates the candidate rows after its probes, so ``prepare`` is called
+    once for the grid and once per descent call (a poll, the poll after it
+    when it misses, the model row and, in the first call, the candidates),
+    ``evaluate`` as often plus once per further grid slab (a slab holds up
+    to ``SLAB_POINTS`` mesh points, so grids up to 21 points per coordinate
     are one slab in 3-D), and ``finish`` once per call of ``prepare``, the
     grid's on its least key alone.
     """
-    prepare, evaluate, finish = objective
-    axes, lows, highs, rows, reported = _layout(space, points)
-    coarse, coarse_val = grid_argmin(objective, axes)
-    refined, refined_val = descend(objective, coarse, coarse_val, lows, highs, space.periods)
-    lead, *rest = rows.T
+    mesh, rows, reported = _layout(space, points)
+    coarse, coarse_val = grid_argmin(objective, mesh)
+    refined, refined_val, row_values = descend(objective, coarse, coarse_val, space.lows, space.highs,
+                                               space.periods, rows)
     trace = [(space.params(coarse), coarse_val), (space.params(refined), float(refined_val))]
-    trace += [(params, float(value)) for params, value in zip(reported, finish(evaluate(lead, prepare(*rest))))]
+    trace += [(params, float(value)) for params, value in zip(reported, row_values)]
     best_val = min(value for _, value in trace[1:])
     for (label, _), (_, value) in zip(space.candidates, trace[2:]):
         if value <= best_val + TIE_ATOL:

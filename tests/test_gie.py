@@ -327,15 +327,15 @@ class TestKh:
         # a probe-at-a-time Hooke-Jeeves search stopped here on a cap of 400 sweeps with f_min ~ 1.6e-9
         descend, polls = gielab.optimize.descend, []
 
-        def checked(objective, x0, start_value, lows, highs, periods):
-            x, value = descend(objective, x0, start_value, lows, highs, periods)
+        def checked(objective, x0, start_value, lows, highs, periods, rows):
+            x, value, row_values = descend(objective, x0, start_value, lows, highs, periods, rows)
             x_ref, value_ref, outcomes, stopped_on_cap, _ = probe_at_a_time_descend(
                 joined(objective), x0, lows, highs, periods
             )
             assert (x.tolist(), float(value)) == (x_ref.tolist(), float(value_ref))
             assert not stopped_on_cap
             polls.append(len(outcomes))
-            return x, value
+            return x, value, row_values
 
         monkeypatch.setattr(gielab.optimize, "descend", checked)
         a, k = 1.7356584694880974, 0.41199196834939183
@@ -512,10 +512,14 @@ def run_against_the_oracles(monkeypatch, points, draws):
     its value ``finish`` of that key, the least value of the oracle; and
     the grid value, which starts the descent, is the value of the best
     point as one row, through the split objective and the oracle alike.
-    Returns the slab shapes of each grid stage and the mismatches.
+    The first call of each descent carries the search's candidate rows
+    after its probes: their values must equal, bit for bit, both a
+    separate ``finish(evaluate(lead, prepare(*rest)))`` on those rows alone
+    and the oracle on them.  Returns the slab shapes of each grid stage and
+    the mismatches.
     """
     grid_argmin, descend = gielab.optimize.grid_argmin, gielab.optimize.descend
-    grids, mismatches, current = [], [], {}
+    grids, mismatches, descents, current = [], [], [], {}
 
     def checking(objective, calls, slabs):
         """``objective``, naming each call in ``calls`` and appending the keys of each ``evaluate`` to ``slabs``."""
@@ -536,12 +540,13 @@ def run_against_the_oracles(monkeypatch, points, draws):
 
         return checked_prepare, checked_evaluate, finish
 
-    def checked_grid(objective, axes):
+    def checked_grid(objective, mesh):
         reference, calls, slabs = current["reference"], [], []
         finish = objective[2]
-        best, value = grid_argmin(checking(objective, calls, slabs), axes)
+        best, value = grid_argmin(checking(objective, calls, slabs), mesh)
         assert calls == ["prepare"] + ["evaluate"] * len(slabs)
-        whole = reference(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False))
+        whole = reference(*mesh)
+        axes = [axis.ravel() for axis in mesh]
         keys = np.concatenate(slabs)
         if not _same_bits(finish(keys), whole):
             mismatches.append(("slabs", [slab.shape for slab in slabs]))
@@ -559,7 +564,15 @@ def run_against_the_oracles(monkeypatch, points, draws):
         return best, value
 
     def checked_descent(objective, *args):
-        return descend(checking(objective, [], []), *args)
+        x, value, row_values = descend(checking(objective, [], []), *args)
+        prepare, evaluate, finish = objective
+        rows = args[-1]
+        lead, *rest = rows
+        if not (_same_bits(row_values, finish(evaluate(lead, prepare(*rest))))
+                and _same_bits(row_values, current["reference"](*rows))):
+            mismatches.append(("rows of the first call", rows.T.tolist()))
+        descents.append(rows.shape[1])
+        return x, value, row_values
 
     for module in (gielab.optimize, gielab.information):
         monkeypatch.setattr(module, "grid_argmin", checked_grid)
@@ -567,9 +580,10 @@ def run_against_the_oracles(monkeypatch, points, draws):
     for current["reference"], space, run in every_objective(points, draws):
         result = run()
         if space is not None:
-            rows = gielab.optimize._layout(space, points)[3]
-            if not _same_bits([value for _, value in result.optimizer_trace[2:]], current["reference"](*rows.T)):
+            rows = gielab.optimize._layout(space, points)[1]
+            if not _same_bits([value for _, value in result.optimizer_trace[2:]], current["reference"](*rows)):
                 mismatches.append(("candidates", space.label))
+            assert descents[-1] == rows.shape[1]  # the search's descent carried its candidates
     return grids, mismatches
 
 
@@ -612,10 +626,11 @@ class TestChainedPolls:
     def test_each_objective_follows_the_poll_per_call_descent(self, monkeypatch, points):
         polls_per_descent = []
 
-        def checked(objective, x0, value, lows, highs, periods):
-            x, val, outcomes = follow_poll_per_call(joined(objective), x0, value, lows, highs, periods)
+        def checked(objective, x0, value, lows, highs, periods, rows):
+            x, val, outcomes, row_values = follow_poll_per_call(joined(objective), x0, value, lows, highs, periods,
+                                                                rows)
             polls_per_descent.append(len(outcomes))
-            return x, val
+            return x, val, row_values
 
         monkeypatch.setattr(gielab.optimize, "descend", checked)
         monkeypatch.setattr(gielab.information, "descend", checked)

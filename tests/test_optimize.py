@@ -34,6 +34,16 @@ def run(candidates, fn=with_rows_beyond_5):
     return search(split(fn), dataclasses.replace(TOY, candidates=tuple(candidates)), POINTS)
 
 
+def mesh_of(axes):
+    """The sparse mesh of ``axes``, as ``grid_argmin`` takes it."""
+    return np.meshgrid(*axes, indexing="ij", sparse=True)
+
+
+def descend_alone(objective, x0, value, lows, highs, periods):
+    """``descend`` with no further rows for its first call; its end and the value there."""
+    return descend(objective, x0, value, lows, highs, periods, np.empty((len(x0), 0)))[:2]
+
+
 def value_at(fn, x0):
     """``fn`` at ``x0`` as a 1-row evaluation, the start value ``descend`` takes."""
     return fn(*np.array(x0, dtype=float)[:, None])[0]
@@ -83,22 +93,29 @@ def call_rows(centre, steps, model, lows, highs, periods):
     return np.hstack(rows if model is None else rows + [np.array(model)[:, None]])
 
 
-def follow_poll_per_call(fn, x0, value, lows, highs, periods):
-    """Run ``descend`` and ``probe_at_a_time_descend`` from one start value; return the end, its value and the outcomes.
+def follow_poll_per_call(fn, x0, value, lows, highs, periods, rows=None):
+    """Run ``descend`` and ``probe_at_a_time_descend`` from one start value; return the end, its value, the
+    outcomes and the values of ``rows``.
 
     Asserts that both end at the same point with the same value, that
     ``descend`` calls ``fn`` once per objective call of the reference and
     that each call probes what the reference reads in it: its poll, the
-    poll after that poll's miss without its 2x block, and its model row.
+    poll after that poll's miss without its 2x block, and its model row;
+    the first call also evaluates ``rows`` (a (coordinates, candidates)
+    array, default none) after its probes, as they stand.
     """
+    lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
+    rows = np.empty((len(x0), 0)) if rows is None else rows
     calls = []
-    x, val = descend(split(recording(fn, calls)), x0, value, lows, highs, periods)
+    x, val, row_values = descend(split(recording(fn, calls)), x0, value, lows, highs, periods, rows)
     x_ref, val_ref, outcomes, _, ref_calls = probe_at_a_time_descend(fn, x0, lows, highs, periods, value)
     assert (x.tolist(), float(val)) == (x_ref.tolist(), float(val_ref))
     assert len(calls) == len(ref_calls)
-    for rows, (centre, steps, model) in zip(calls, ref_calls):
-        assert np.array_equal(rows, call_rows(centre, steps, model, lows, highs, periods))
-    return x, val, outcomes
+    expected = [call_rows(centre, steps, model, lows, highs, periods) for centre, steps, model in ref_calls]
+    expected[0] = np.hstack([expected[0], rows])
+    for probed, reference in zip(calls, expected):
+        assert np.array_equal(probed, reference)
+    return x, val, outcomes, row_values
 
 
 def descent_end():
@@ -162,8 +179,8 @@ class TestSearch:
     def test_trace_is_grid_best_then_descent_end_then_candidates(self):
         candidates = [("a", (5.0, 2.0)), ("b", (0.7, 0.1))]
         _, _, trace = run(candidates)
-        grid_best, grid_val = grid_argmin(split(bowl), (np.linspace(0.0, 1.0, POINTS),) * 2)
-        end, end_val = descend(split(bowl), grid_best, grid_val, np.zeros(2), np.ones(2), (None, None))
+        grid_best, grid_val = grid_argmin(split(bowl), mesh_of((np.linspace(0.0, 1.0, POINTS),) * 2))
+        end, end_val = descend_alone(split(bowl), grid_best, grid_val, np.zeros(2), np.ones(2), (None, None))
         assert not np.array_equal(grid_best, end)  # the off-grid minimum moves the descent
         assert trace == [
             (TOY.params(grid_best), grid_val),
@@ -174,8 +191,9 @@ class TestSearch:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 13), st.booleans())
-    def test_one_call_for_the_grid_one_per_poll_and_one_for_the_candidates(self, points, periodic):
-        # the descent starts from the grid best with the grid's value, without evaluating it again
+    def test_one_call_for_the_grid_and_one_per_descent_call(self, points, periodic):
+        # the descent starts from the grid best with the grid's value, without evaluating it again, and
+        # its first call evaluates the candidates after its probes
         space = dataclasses.replace(TOY, candidates=(("a", (5.0, 2.0)), ("b", (0.7, 0.1))))
         if periodic:
             space = dataclasses.replace(space, highs=(np.pi, 1.0), periods=(np.pi, None))
@@ -183,13 +201,16 @@ class TestSearch:
         _, _, trace = search(split(fn), space, points)
         lows, highs = np.array(space.lows), np.array(space.highs)
         axes = [np.linspace(0.0, high, points, endpoint=period is None) for high, period in zip(highs, space.periods)]
-        grid_best, grid_val = grid_argmin(split(with_rows_beyond_5), axes)
+        grid_best, grid_val = grid_argmin(split(with_rows_beyond_5), mesh_of(axes))
         ref_calls = probe_at_a_time_descend(with_rows_beyond_5, grid_best, lows, highs, space.periods)[4]
-        assert len(calls) == 1 + len(ref_calls) + 1
-        assert calls[0] is None and calls[-1] == 2  # the mesh first, the two candidates in one call last
-        # a call's model row rides in it: 56 rows, or 57 with one
-        assert calls[1:-1] == [ROWS_PER_CALL[2] + (model is not None) for _, _, model in ref_calls]
-        end, _ = descend(split(with_rows_beyond_5), grid_best, grid_val, lows, highs, space.periods)
+        assert len(calls) == 1 + len(ref_calls)
+        assert calls[0] is None  # the mesh first
+        # a call's model row rides in it: 56 rows, or 57 with one; the first call has none, and carries
+        # the two candidates after its probes
+        expected = [ROWS_PER_CALL[2] + (model is not None) for _, _, model in ref_calls]
+        expected[0] += 2
+        assert calls[1:] == expected
+        end, _ = descend_alone(split(with_rows_beyond_5), grid_best, grid_val, lows, highs, space.periods)
         assert trace[1][0] == space.params(end)
 
     def test_params_reduce_periodic_coordinates_and_exponentiate_logarithms(self):
@@ -197,6 +218,12 @@ class TestSearch:
         assert space.params((np.pi / 2.0, 0.0)) == (np.pi / 2.0, 1.0)
         assert space.params((0.0, np.inf)) == (0.0, np.inf)
         assert space.params((0.0, -np.inf)) == (0.0, 0.0)
+
+
+def clear_caches():
+    """Empty the search layout and box layout caches."""
+    optimize._layout.cache_clear()
+    optimize._box.cache_clear()
 
 
 class TestLayoutCache:
@@ -210,12 +237,13 @@ class TestLayoutCache:
         return np.sin(phi - 0.3) ** 2 + (log_tau - 0.7) ** 2 + np.tanh(t - 1.1) ** 2  # pi-periodic in phi
 
     def test_a_cached_layout_gives_the_traces_of_a_fresh_one(self):
-        optimize._layout.cache_clear()
+        clear_caches()
         cached = [search(split(self.fn), self.SPACE, points) for points in (13, 21, 13)]
         assert optimize._layout.cache_info()[:2] == (1, 2)  # (hits, misses): 13 is built once
+        assert optimize._box.cache_info()[:2] == (2, 1)  # one box for every grid size
         fresh = []
         for points in (13, 21, 13):
-            optimize._layout.cache_clear()
+            clear_caches()
             fresh.append(search(split(self.fn), self.SPACE, points))
         assert cached == fresh
 
@@ -226,8 +254,71 @@ class TestLayoutCache:
 
         with pytest.raises(ValueError, match="read-only"):
             search(split(writes_its_mesh), self.SPACE, 5)
-        axes, lows, highs, rows, _ = optimize._layout(self.SPACE, 5)
-        assert not any(array.flags.writeable for array in (*axes, lows, highs, rows))
+        mesh, rows, _ = optimize._layout(self.SPACE, 5)
+        assert not any(array.flags.writeable for array in (*mesh, rows))
+
+    def test_the_box_layout_and_every_cached_move_table_are_read_only(self):
+        clear_caches()
+        search(split(self.fn), self.SPACE, 5)
+        (_, _, _, bounds, moves, _, _, scaled), = [optimize._box(self.SPACE.lows, self.SPACE.highs,
+                                                                  self.SPACE.periods, optimize.RESOLUTION)]
+        assert len(scaled) > 1  # the descent reached scales past the first
+        for array in (*bounds, moves, *scaled.values()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        assert scaled[1.0] is moves
+        assert all(np.array_equal(step, moves * scale) for scale, step in scaled.items())
+
+    def test_a_descent_after_a_long_one_on_its_box_gives_the_trace_of_a_cold_one(self):
+        # the long descent fills the box's move tables at many scales; the short one reads them
+        box = np.zeros(2), np.array([np.pi, 1.0]), (np.pi, None)
+        long_start, short_start = np.array([2.0, 0.9]), np.array([0.1, 0.45])
+        clear_caches()
+        follow_poll_per_call(seam_bowl, long_start, value_at(seam_bowl, long_start), *box)
+        warm_scales = set(optimize._box((0.0, 0.0), (np.pi, 1.0), (np.pi, None), optimize.RESOLUTION)[-1])
+        warm_calls = []
+        warm = descend_alone(split(recording(seam_bowl, warm_calls)), short_start,
+                             value_at(seam_bowl, short_start), *box)
+        clear_caches()
+        cold_calls = []
+        cold = descend_alone(split(recording(seam_bowl, cold_calls)), short_start,
+                             value_at(seam_bowl, short_start), *box)
+        cold_scales = set(optimize._box((0.0, 0.0), (np.pi, 1.0), (np.pi, None), optimize.RESOLUTION)[-1])
+        assert len(cold_scales & warm_scales) > 2  # the short descent reads tables that the long one built
+        assert (warm[0].tolist(), float(warm[1])) == (cold[0].tolist(), float(cold[1]))
+        assert len(warm_calls) == len(cold_calls)
+        assert all(np.array_equal(w, c) for w, c in zip(warm_calls, cold_calls))
+
+    # RESOLUTION 0.2 is above 5% of every side of the box, so it sets the first steps that the box layout holds
+    @pytest.mark.parametrize("name, value", (("RESOLUTION", 0.2), ("MAX_POLLS", 3), ("MIN_IMPROVEMENT", 1e-3),
+                                             ("SLAB_POINTS", 13)), ids=("RESOLUTION", "MAX_POLLS",
+                                                                        "MIN_IMPROVEMENT", "SLAB_POINTS"))
+    def test_a_patched_constant_applies_once_the_caches_are_warm(self, name, value):
+        runs = []
+
+        def run():
+            calls = []
+
+            def fn(*xs):  # records the grid's slabs and the descent's rows alike
+                calls.append(np.stack(np.broadcast_arrays(*xs)))
+                return self.fn(*xs)
+
+            runs.append((search(split(fn), self.SPACE, 13), calls))
+
+        clear_caches()
+        run()
+        with mock.patch.object(optimize, name, value):
+            run()
+            clear_caches()
+            run()
+        (unpatched, unpatched_calls), (warm, warm_calls), (cold, cold_calls) = runs
+        assert warm == cold
+        assert len(warm_calls) == len(cold_calls)
+        assert all(np.array_equal(w, c) for w, c in zip(warm_calls, cold_calls))
+        # the patch changes the search
+        assert len(warm_calls) != len(unpatched_calls) or any(
+            not np.array_equal(w, u) for w, u in zip(warm_calls, unpatched_calls))
 
     def test_spaces_that_differ_only_in_their_candidates_get_their_own_entries(self):
         optimize._layout.cache_clear()
@@ -306,7 +397,7 @@ class TestGridSlabs:
         axes = [np.arange(n, dtype=float) for n in table.shape]
         calls = []
         with mock.patch.object(optimize, "SLAB_POINTS", budget):
-            best, value = grid_argmin(lookup(table, calls), axes)
+            best, value = grid_argmin(lookup(table, calls), mesh_of(axes))
         ref_best, ref_value = whole_mesh_argmin(lambda *mesh: table[tuple(m.astype(np.intp) for m in mesh)], axes)
         assert best.tolist() == ref_best.tolist()
         assert same_value(value, ref_value)
@@ -340,7 +431,7 @@ class TestGridSlabs:
         axes = [np.arange(n, dtype=float) for n in table.shape]
         ref_best, ref_key = whole_mesh_argmin(lambda *mesh: table[tuple(map(np.intp, mesh))], axes)
         with mock.patch.object(optimize, "SLAB_POINTS", budget), np.errstate(invalid="ignore", divide="ignore"):
-            best, value = grid_argmin(lookup(table, [], half_log), axes)
+            best, value = grid_argmin(lookup(table, [], half_log), mesh_of(axes))
             finished, least = half_log(ref_key), np.min(half_log(table))
         assert best.tolist() == ref_best.tolist()
         assert same_value(value, finished)
@@ -355,7 +446,7 @@ class TestGridSlabs:
 
         def run(points):
             with mock.patch.object(optimize, "SLAB_POINTS", points), np.errstate(invalid="ignore", divide="ignore"):
-                return grid_argmin(lookup(table, [], half_log), axes)
+                return grid_argmin(lookup(table, [], half_log), mesh_of(axes))
 
         one_best, one_value = run(table.size)
         for points in (1, 2 * table[0].size, budget):  # one row per slab, two rows, the drawn budget
@@ -372,7 +463,7 @@ class TestGridSlabs:
             for keys, keys_pick, expected in cases:
                 keys = np.array(keys)
                 assert int(np.argmin(keys)) == keys_pick
-                best, value = grid_argmin(lookup(keys, [], half_log), [np.arange(keys.size, dtype=float)])
+                best, value = grid_argmin(lookup(keys, [], half_log), mesh_of([np.arange(keys.size, dtype=float)]))
                 assert best.tolist() == [keys_pick]
                 assert same_value(value, expected)
         assert half_log(np.nextafter(1e6, np.inf)) == half_log(1e6)
@@ -387,7 +478,7 @@ class TestGridSlabs:
         keys = np.array([[5.0, 3.0], [4.0, 30.0], [1e6, 2.0], [7.0, 31.0]])
         calls = []
         with mock.patch.object(optimize, "SLAB_POINTS", 4):
-            best, value = grid_argmin(lookup(keys, calls, counted_log), [np.arange(4.0), np.arange(2.0)])
+            best, value = grid_argmin(lookup(keys, calls, counted_log), mesh_of([np.arange(4.0), np.arange(2.0)]))
         assert (best.tolist(), value) == ([2.0, 1.0], half_log(2.0))
         assert calls == ["prepare", (2, 2), (2, 2)]
         assert finished == [1]  # one key, once for the whole grid stage
@@ -396,7 +487,7 @@ class TestGridSlabs:
                              ids=("21", "33", "45"))
     def test_the_default_budget_cuts_grids_past_21_in_slabs_of_phi(self, points, rows):
         calls = []
-        grid_argmin(lookup(np.zeros((points,) * 3), calls), [np.arange(float(points))] * 3)
+        grid_argmin(lookup(np.zeros((points,) * 3), calls), mesh_of([np.arange(float(points))] * 3))
         assert calls == ["prepare"] + [(n, points, points) for n in rows]
         assert optimize.SLAB_POINTS >= 21**3  # grids up to 21, verify's 13 and 21 among them, make one call
 
@@ -412,7 +503,7 @@ class TestPeriodicSeam:
     def test_the_descent_wraps_across_the_seam(self):
         # clipped to [0, pi], this descent stops on the phi = 0 face
         x0, calls = (0.05, 0.5), []
-        x, value = descend(split(recording(seam_bowl, calls)), x0, value_at(seam_bowl, x0), np.zeros(2),
+        x, value = descend_alone(split(recording(seam_bowl, calls)), x0, value_at(seam_bowl, x0), np.zeros(2),
                            np.array([np.pi, 1.0]), (np.pi, None))
         assert abs(x[0] - (np.pi - 0.02)) < 1e-6
         assert value < 1e-12
@@ -459,6 +550,7 @@ def probe_at_a_time_descend(fn, x0, lows, highs, periods, value=None, model_rows
     array path that the batched descent takes.
     """
     x = np.array(x0, dtype=float)
+    lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
     val = fn(*x[:, None])[0] if value is None else value
     steps = np.maximum((highs - lows) * 0.05, optimize.RESOLUTION)
     directions = list(np.eye(x.size))
@@ -679,7 +771,7 @@ class TestDescend:
     def test_the_filtered_reading_follows_the_poll_per_call_descent(self, case):
         fn, x0, value = case
         with mock.patch.object(optimize, "_filtered_pick", wraps=optimize._filtered_pick) as filtered:
-            x, _, outcomes = follow_poll_per_call(fn, x0, value, *UNIT_SQUARE)
+            x, _, outcomes, _ = follow_poll_per_call(fn, x0, value, *UNIT_SQUARE)
         assert filtered.called
         assert outcomes[0]
         if fn is tied_ridge:
@@ -704,7 +796,7 @@ class TestDescend:
         counted_fn, calls = counted(fn)
         start = value_at(fn, x0)
         with mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(split(counted_fn), x0, start, lows, highs, periods)
+            x, val = descend_alone(split(counted_fn), x0, start, lows, highs, periods)
             x_ref, val_ref, _, _, ref_calls = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
@@ -721,16 +813,54 @@ class TestDescend:
         # a cap of 1-12 polls cuts most descents short
         fn, x0, lows, highs, periods = problem
         with mock.patch.object(optimize, "MAX_POLLS", max_polls), mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val = descend(split(fn), x0, value_at(fn, x0), lows, highs, periods)
+            x, val = descend_alone(split(fn), x0, value_at(fn, x0), lows, highs, periods)
             x_ref, val_ref, _, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods)
         assert x.tolist() == x_ref.tolist()
         assert float(val) == float(val_ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(box_problems(), st.data())
+    def test_the_first_call_carries_the_rows_unclipped_and_never_reads_them(self, problem, data):
+        fn, x0, lows, highs, periods = problem
+        count = data.draw(st.integers(1, 3))
+        coordinate = st.floats(-8.0, 8.0)  # in the box or out of it
+        rows = np.array(data.draw(st.lists(st.lists(coordinate, min_size=x0.size, max_size=x0.size),
+                                           min_size=count, max_size=count))).T
+        with_rows, alone, start = [], [], value_at(fn, x0)
+        with mock.patch.object(optimize, "RESOLUTION", 1e-7):
+            x, val, row_values = descend(split(recording(fn, with_rows)), x0, start, lows, highs, periods, rows)
+            x_alone, val_alone = descend_alone(split(recording(fn, alone)), x0, start, lows, highs, periods)
+        assert (x.tolist(), float(val)) == (x_alone.tolist(), float(val_alone))
+        # the first call is the one without rows, then the rows as they stand; the later calls are equal
+        assert np.array_equal(with_rows[0], np.hstack([alone[0], rows]))
+        assert len(with_rows) == len(alone)
+        assert all(np.array_equal(a, b) for a, b in zip(with_rows[1:], alone[1:]))
+        assert row_values.tobytes() == fn(*rows).tobytes()
+
+    def test_rows_below_every_probe_do_not_move_the_descent(self):
+        rows = np.array([[5.0, 5.0], [-100.0, -50.0]])  # x >= 5: the values -100 and -50, outside the box
+        x0, objective = np.array([0.9, 0.1]), split(with_rows_beyond_5)
+        start = value_at(with_rows_beyond_5, x0)
+        x, val, row_values = descend(objective, x0, start, *UNIT_SQUARE, rows)
+        x_alone, val_alone = descend_alone(objective, x0, start, *UNIT_SQUARE)
+        assert (x.tolist(), val) == (x_alone.tolist(), val_alone)
+        assert abs(x[0] - 0.33) < 1e-6 and abs(x[1] - 0.61) < 1e-6  # the bowl's minimum, in the box
+        assert row_values.tolist() == [-100.0, -50.0]
+
+    def test_a_descent_without_a_call_evaluates_its_rows_in_one_call(self):
+        fn, calls = counted(with_rows_beyond_5)
+        rows = np.array([[5.0, 0.5], [2.0, 0.5]])
+        with mock.patch.object(optimize, "MAX_POLLS", 0):
+            x, val, row_values = descend(split(fn), np.array([0.9, 0.1]), 7.0, *UNIT_SQUARE, rows)
+        assert (x.tolist(), val) == ([0.9, 0.1], 7.0)
+        assert calls == [2]
+        assert row_values.tolist() == [2.0, float(bowl(0.5, 0.5))]
 
     @pytest.mark.parametrize("case", NO_MODEL_ROW.values(), ids=NO_MODEL_ROW.keys())
     def test_without_a_qualifying_coordinate_the_descent_is_the_plain_compass_search(self, case):
         fn, x0, lows, highs, periods = case
         with mock.patch.object(optimize, "RESOLUTION", 1e-7):
-            x, val, _ = follow_poll_per_call(fn, x0, value_at(fn, x0), lows, highs, periods)
+            x, val, _, _ = follow_poll_per_call(fn, x0, value_at(fn, x0), lows, highs, periods)
             ref_calls = probe_at_a_time_descend(fn, x0, lows, highs, periods)[4]
             x_ref, val_ref, _, _, _ = probe_at_a_time_descend(fn, x0, lows, highs, periods, model_rows=False)
         assert len(ref_calls) > 1 and all(model is None for _, _, model in ref_calls)
