@@ -27,7 +27,10 @@ the trace: sym_glems needs it above ``GATE_LOWER_BOUND``, asym_glems G >= 0.
 Both trace gates, G and sqrt(a~ b~) <= a (sym_sq_thermal), read the one
 ``_trace_forms``: each row through its seed map (``_single_mode_seed``,
 ``_kh_seed``), conditioned on Eve in one ``seed_frame_schur`` call per
-point, read as a stack by one ``std_form_xx_det``.  The R = 1 grid
+point on the module-level tuple of the ten CM entries (its index rows
+built once), gathered into a stack of CMs and read by one
+``std_form_xx_det``, whose row loop runs on Python floats around its
+three determinants and ``np.hypot``.  The R = 1 grid
 prepares the kernel's seed half once per (ln tau, t) mesh point and
 evaluates its angle half and the ratio per slab of phi; at the
 heterodyne row t = 0 Eve's seed is isotropic, so every phi gives the same
@@ -53,7 +56,8 @@ from .symplectic import PHYSICAL_ATOL
 VERIFIED_DOMAIN_BOUND = 2.41
 GATE_LOWER_BOUND = 2.0 - np.sqrt(2.0)
 SQRT_AB_SLACK = 1e-9  # allowed excess of sqrt(a~ b~) over a along a sym_sq_thermal trace
-_CM_UPPER = np.triu_indices(4)  # the ten entries of a 4x4 CM; built once, since per call it costs a sixth of a gate call
+_CM_ENTRIES = tuple((i, j) for i in range(4) for j in range(i, 4))  # the ten entries (i <= j) of a 4x4 CM
+_CM_POSITIONS = np.array([_CM_ENTRIES.index((min(i, j), max(i, j))) for i in range(4) for j in range(4)])  # row-major
 
 
 @dataclass(frozen=True)
@@ -134,13 +138,10 @@ def sym_glems_candidates(a: float, kp: float) -> tuple[float, float, float]:
 
 def _conditional_cms(pi: Purification, phi, s) -> np.ndarray:
     """Conditional CMs of A and B, stacked (rows, 4, 4), after Eve's seed
-    ``R(phi) diag(s) R(phi)^T`` at each row: all ten entries in one call."""
-    rows, cols = _CM_UPPER
-    terms, kernel = seed_frame_schur(pi, tuple(zip(rows.tolist(), cols.tolist())))
-    entries = kernel(phi, terms(s))
-    cms = np.empty((np.size(phi), 4, 4))
-    cms[:, rows, cols] = cms[:, cols, rows] = np.transpose(entries)
-    return cms
+    ``R(phi) diag(s) R(phi)^T`` at each row: all ten entries in one call,
+    each copied to its one or two positions by one gather."""
+    terms, kernel = seed_frame_schur(pi, _CM_ENTRIES)
+    return kernel(phi, terms(s)).T[:, _CM_POSITIONS].reshape(-1, 4, 4)
 
 
 def _trace_forms(pi: Purification, seed_map, trace) -> tuple:

@@ -19,6 +19,7 @@ differences times terms of cos 2phi and sin 2phi.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,22 @@ def condition_on_e(pi: Purification, ge: GaussianMeasurement | None) -> CovMat:
     return CovMat(pi.gamma_ab.mat - pi.gamma_abe @ eve_kernel(pi.gamma_e, ge) @ pi.gamma_abe.T)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, one read-only array per n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_rows(entries: tuple) -> np.ndarray:
+    """The rows (i, j) of an ``entries`` tuple as a read-only (2, entries) index array, built once per tuple."""
+    rows = np.array(entries, dtype=np.intp).T
+    rows.flags.writeable = False
+    return rows
+
+
 def seed_frame_schur(pi: Purification, entries):
     """The Schur step in the frame of Eve's seed, for ``gamma_E = nu I``.
 
@@ -159,9 +176,11 @@ def seed_frame_schur(pi: Purification, entries):
     one sum per entry and E mode, and a caller whose seeds depend on fewer
     coordinates than phi's takes their terms once.  At an isotropic seed
     (s_2m = s_2m+1, as the heterodyne) delta_m is 0 exactly, so the entries
-    do not depend on phi in any bit.  It needs at least one E mode: a pure
-    state has nothing to condition on, and the callers take their pure
-    paths before this.
+    do not depend on phi in any bit.  ``entries`` is a tuple of (i, j)
+    pairs; its index rows are built once per tuple (``_entry_rows``), so a
+    caller that passes one module-level tuple builds them once.  It needs
+    at least one E mode: a pure state has nothing to condition on, and the
+    callers take their pure paths before this.
 
     Raises:
         DimensionMismatchError: no E mode, or a ``terms`` call without 2R seed eigenvalues.
@@ -171,13 +190,16 @@ def seed_frame_schur(pi: Purification, entries):
         raise DimensionMismatchError("the seed-frame kernel needs at least one E mode")
     g = pi.gamma_ab.mat
     nu = pi.gamma_e[0, 0]
-    if not (pi.gamma_e == nu * np.eye(2 * pi.r_count)).all():
+    if not (pi.gamma_e == nu * _identity(2 * pi.r_count)).all():
         raise InvalidInputError(f"the seed-frame kernel needs gamma_E = nu I, got {pi.gamma_e.tolist()}")
-    rows = np.array(entries, dtype=np.intp).T
-    # (E modes m, entries): u and v at the rows i and j, then 2 S, g_ij and the cos and sin coefficients of 2 T
-    (u_i, v_i), (u_j, v_j) = pi.gamma_abe[rows].transpose(0, 2, 1).reshape(2, 2, pi.r_count, -1)
-    uu, vv = u_i * u_j, v_i * v_j
-    per_entry = (uu + vv, g[rows[0], rows[1]], np.array([uu - vv, u_i * v_j + v_i * u_j]))
+    rows = _entry_rows(entries)
+    # (row i or j, u or v, E modes m, entries), then the products (u_i u_j, v_i v_j) and (u_i v_j, v_i u_j)
+    pair = pi.gamma_abe[rows].transpose(0, 2, 1).reshape(2, 2, pi.r_count, -1)
+    same, crossed = pair[0] * pair[1], pair[0] * pair[1, ::-1]
+    turn = np.empty_like(same)  # the cos and sin coefficients of 2 T: u_i u_j - v_i v_j and u_i v_j + v_i u_j
+    np.subtract(same[0], same[1], out=turn[0])
+    np.add(crossed[0], crossed[1], out=turn[1])
+    per_entry = (same[0] + same[1], g[rows[0], rows[1]], turn)  # 2 S, g_ij and the coefficients of 2 T
     shaped = {}  # per_entry shaped to broadcast against seeds or phi of each dimension
 
     def coefficients(ndim):
@@ -201,7 +223,8 @@ def seed_frame_schur(pi: Purification, entries):
         if phi.ndim >= base.ndim:  # axes of phi that the seeds lack go after the entries axis
             base = base.reshape(base.shape[:1] + (1,) * (phi.ndim + 1 - base.ndim) + base.shape[1:])
         turn = coefficients(base.ndim - 1)[2]  # (cos and sin, E modes, entries, ...)
-        turns = turn[0] * np.cos(2.0 * phi) + turn[1] * np.sin(2.0 * phi)  # 2 T, per E mode
+        two_phi = 2.0 * phi
+        turns = turn[0] * np.cos(two_phi) + turn[1] * np.sin(two_phi)  # 2 T, per E mode
         # delta_0 T + (g_ij + sum_m sigma_m S_ij) (addition commutes bit for bit), then + delta_m T in order of m,
         # in place: one array of the output's size per call, and no temporary of that size for one E mode
         out = diffs[0] * turns[0]

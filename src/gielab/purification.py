@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UnphysicalStateError, WrongFamilyError
 from .states import StateFamily, StdForm, a_minus_kx, std_form_cm
-from .symplectic import BEAM_SPLITTER, PHYSICAL_ATOL, SIGMA_Z, CovMat, WilliamsonDecomposition
+from .symplectic import BEAM_SPLITTER, PHYSICAL_ATOL, CovMat, WilliamsonDecomposition
 from .symplectic import symplectic_eigenvalues, symplectic_form, williamson
 
 PURITY_ATOL = 1e-7  # allowed deviation of the purification's symplectic spectrum from 1
@@ -124,8 +124,10 @@ def purify(gamma) -> Purification:
     abe0 = np.zeros((4, 2 * r_count))
     gamma_e = np.zeros((2 * r_count, 2 * r_count))
     for col, i in enumerate(noisy):
-        abe0[2 * i : 2 * i + 2, 2 * col : 2 * col + 2] = np.sqrt(nus[i] ** 2 - 1.0) * SIGMA_Z
-        gamma_e[2 * col : 2 * col + 2, 2 * col : 2 * col + 2] = nus[i] * np.eye(2)
+        # the blocks sqrt(nu^2 - 1) SIGMA_Z and nu I, entry by entry
+        root = np.sqrt(nus[i] ** 2 - 1.0)
+        abe0[2 * i, 2 * col], abe0[2 * i + 1, 2 * col + 1] = root, -root
+        gamma_e[2 * col, 2 * col] = gamma_e[2 * col + 1, 2 * col + 1] = nus[i]
     return _checked_pure(Purification(cov, decomp.inverse() @ abe0, gamma_e, r_count))
 
 
@@ -137,9 +139,13 @@ def purify_asym_glems(fam: StateFamily) -> Purification:
     a, b = fam.std.a, fam.std.b
     if a == b:  # the pure state with k = sqrt(a^2 - 1)
         return Purification(gamma_ab, np.zeros((4, 0)), np.zeros((0, 0)), 0)
-    eye = np.eye(2)
+    # gamma_ABE stacks x SIGMA_Z over y I (a > b) or x I over y SIGMA_Z, gamma_E is nu I: set entry by entry
+    gamma_abe, gamma_e = np.zeros((4, 2)), np.zeros((2, 2))
     if a > b:
-        gamma_abe = np.vstack([np.sqrt((a - b) * (a + 1.0)) * SIGMA_Z, np.sqrt((a - b) * (b - 1.0)) * eye])
+        x, y = np.sqrt((a - b) * (a + 1.0)), np.sqrt((a - b) * (b - 1.0))
+        gamma_abe[0, 0], gamma_abe[1, 1], gamma_abe[2, 0], gamma_abe[3, 1] = x, -x, y, y
     else:
-        gamma_abe = np.vstack([np.sqrt((b - a) * (a - 1.0)) * eye, np.sqrt((b - a) * (b + 1.0)) * SIGMA_Z])
-    return _checked_pure(Purification(gamma_ab, gamma_abe, (1.0 + abs(a - b)) * eye, 1))
+        x, y = np.sqrt((b - a) * (a - 1.0)), np.sqrt((b - a) * (b + 1.0))
+        gamma_abe[0, 0], gamma_abe[1, 1], gamma_abe[2, 0], gamma_abe[3, 1] = x, x, y, -y
+    gamma_e[0, 0] = gamma_e[1, 1] = 1.0 + abs(a - b)
+    return _checked_pure(Purification(gamma_ab, gamma_abe, gamma_e, 1))

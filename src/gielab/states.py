@@ -8,6 +8,7 @@ kp <= 0 means both correlation signs agree, which is always separable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,13 +89,18 @@ def std_form_xx_det(gamma):
     block [[p, q], [r, s]] = sqrt(ab) A^(-1/2) C B^(-1/2), so D^2 = ((p -
     s)^2 + (q + r)^2)((p + s)^2 + (q - r)^2), and the 2x2 square root
     sqrt(A) = (A + a I) / sqrt(tr A + 2a) gives sqrt(a) A^(-1/2) = adj(A +
-    a I) / sqrt(a (tr A + 2a)), all elementwise on the stack.  The root
-    taken is the positive one, which is right where a b - kx^2 and a b -
-    kp^2 are both positive: their product det gamma is then positive and
-    so is their mean a b - (kx^2 + kp^2)/2, where kx^2 + kp^2 is the
-    squared Frobenius norm of the normalized cross block.  Any other input
-    (a gamma that is not positive definite) raises; no physicality
-    validation beyond these signs is applied.
+    a I) / sqrt(a (tr A + 2a)).  The three determinants are
+    ``np.linalg.det`` calls on the stack; the rest is a loop over its rows
+    on Python floats, with ``np.hypot`` once per level on all rows
+    (``math.hypot`` rounds differently in the last bit on some inputs).
+    The root taken is the positive one, which is
+    right where a b - kx^2 and a b - kp^2 are both positive: their product
+    det gamma is then positive and so is their mean a b - (kx^2 + kp^2)/2,
+    where kx^2 + kp^2 is the squared Frobenius norm of the normalized cross
+    block.  Any other input (a gamma that is not positive definite) raises;
+    no physicality validation beyond these signs is applied.  A single CM
+    gives numpy scalars, a stack arrays of its shape (empty for an empty
+    stack).
 
     Raises:
         UnphysicalStateError: det A or det B is not positive, or a b - kx^2
@@ -105,25 +111,34 @@ def std_form_xx_det(gamma):
     if mat.shape[-2:] != (4, 4):
         raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
     det = np.linalg.det
-    det_a, det_b, det_g = det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat)
-    if ((det_a <= 0.0) | (det_b <= 0.0)).any():
-        raise UnphysicalStateError("local block determinant is not positive")
-    a, b = np.sqrt(det_a), np.sqrt(det_b)
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
-        [mat[..., i, j] for j in range(4)] for i in range(4))
-    # adj(A + a I) C adj(B + b I) = [[p, q], [r, s]] sqrt(a (tr A + 2a) b (tr B + 2b)), the adjugates' diagonals first
-    pa, pd, qa, qd = a11 + a, a00 + a, b11 + b, b00 + b
-    x00, x01, x10, x11 = c00 * qa - c01 * b10, c01 * qd - c00 * b01, c10 * qa - c11 * b10, c11 * qd - c10 * b01
-    p, q, r, s = pa * x00 - a01 * x10, pa * x01 - a01 * x11, pd * x10 - a10 * x00, pd * x11 - a10 * x01
-    scale = a * (pa + pd) * (b * (qa + qd))
-    # sqrt(scale) (kx + |kp|) and sqrt(scale) |kx - |kp||, whose squares add to 2 scale (kx^2 + kp^2)
-    outer, inner = np.hypot(p + s, q - r), np.hypot(p - s, q + r)
-    spread = np.hypot(outer, inner)
-    # the signs of det gamma and of 4 scale (a b - (kx^2 + kp^2)/2) in one array; a NaN fails too
-    if not np.minimum(det_g, 4.0 * a * b * scale - spread * spread).min() > 0.0:
-        raise UnphysicalStateError("a b - kx^2 and a b - kp^2 are not both positive")
-    diff = inner * outer / scale  # kx^2 - kp^2
-    return a, b, 2.0 * det_g / (diff + np.hypot(diff, 2.0 * np.sqrt(det_g)))
+    det_a, det_b, det_g = np.reshape((det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat)), (3, -1)).tolist()
+    a, b, scale, legs = [], [], [], []
+    for da, db, entries in zip(det_a, det_b, mat.reshape(-1, 16).tolist()):
+        if da <= 0.0 or db <= 0.0:
+            raise UnphysicalStateError("local block determinant is not positive")
+        ra, rb = math.sqrt(da), math.sqrt(db)
+        a00, a01, c00, c01, a10, a11, c10, c11, _, _, b00, b01, _, _, b10, b11 = entries
+        # adj(A + a I) C adj(B + b I) = [[p, q], [r, s]] sqrt(a (tr A + 2a) b (tr B + 2b)), adjugate diagonals first
+        pa, pd, qa, qd = a11 + ra, a00 + ra, b11 + rb, b00 + rb
+        x00, x01, x10, x11 = c00 * qa - c01 * b10, c01 * qd - c00 * b01, c10 * qa - c11 * b10, c11 * qd - c10 * b01
+        p, q, r, s = pa * x00 - a01 * x10, pa * x01 - a01 * x11, pd * x10 - a10 * x00, pd * x11 - a10 * x01
+        a.append(ra)
+        b.append(rb)
+        scale.append(ra * (pa + pd) * (rb * (qa + qd)))
+        legs += (p + s, q - r, p - s, q + r)
+    # per row sqrt(scale) (kx + |kp|) and sqrt(scale) |kx - |kp||, whose squares add to 2 scale (kx^2 + kp^2)
+    legs = np.array(legs)
+    halves = np.hypot(legs[0::2], legs[1::2])  # outer, inner of each row in turn
+    spread = np.hypot(halves[0::2], halves[1::2])
+    diff, root = [], []
+    for ra, rb, sc, dg, (outer, inner), sp in zip(a, b, scale, det_g, halves.reshape(-1, 2).tolist(), spread.tolist()):
+        # the signs of det gamma and of 4 scale (a b - (kx^2 + kp^2)/2), each tested on its own: a NaN fails either
+        if not (dg > 0.0 and 4.0 * ra * rb * sc - sp * sp > 0.0):
+            raise UnphysicalStateError("a b - kx^2 and a b - kp^2 are not both positive")
+        diff.append(inner * outer / sc)  # kx^2 - kp^2
+        root.append(2.0 * math.sqrt(dg))
+    xx_det = [2.0 * dg / (d + h) for dg, d, h in zip(det_g, diff, np.hypot(diff, root).tolist())]
+    return tuple(np.array((a, b, xx_det)).reshape((3, *mat.shape[:-2])))
 
 
 def a_minus_kx(p: StdForm) -> float:

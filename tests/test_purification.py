@@ -7,8 +7,9 @@ from gielab.errors import UnphysicalStateError, WrongFamilyError
 from gielab.measurement import heterodyne
 from gielab.information import mutual_information_f
 from gielab.purification import PURITY_ATOL, Purification, _certified_pure, _checked_pure, purify, purify_asym_glems
-from gielab.states import make_family, std_form_cm
-from gielab.symplectic import BEAM_SPLITTER, CovMat, SIGMA_Z
+from gielab.purification import _symmetric_williamson
+from gielab.states import StdForm, make_family, std_form_cm
+from gielab.symplectic import BEAM_SPLITTER, PHYSICAL_ATOL, CovMat, SIGMA_Z, williamson
 from gielab.verify import random_physical_cm
 
 
@@ -148,3 +149,69 @@ class TestPurityCertificate:
         perturbed = Purification(pi.gamma_ab, blocks["gamma_abe"], blocks["gamma_e"], pi.r_count)
         if _certified_pure(perturbed):
             assert perturbed.purity_defect() <= PURITY_ATOL
+
+
+def block_products(decomp, flip=False, plus=False):
+    """gamma_ABE and gamma_E from the blocks sqrt(nu^2 - 1) SIGMA_Z and nu I, as products of 2x2 blocks.
+
+    ``flip`` makes the -sqrt(nu^2 - 1) entry positive and ``plus`` takes
+    sqrt(nu^2 + 1): either gives a purification that is not pure.
+    """
+    noisy = [i for i, nu in enumerate(decomp.nus) if nu > 1.0 + PHYSICAL_ATOL]
+    abe0, gamma_e = np.zeros((4, 2 * len(noisy))), np.zeros((2 * len(noisy),) * 2)
+    for col, i in enumerate(noisy):
+        nu = decomp.nus[i]
+        block = np.sqrt(nu**2 + (1.0 if plus else -1.0)) * (np.abs(SIGMA_Z) if flip else SIGMA_Z)
+        abe0[2 * i : 2 * i + 2, 2 * col : 2 * col + 2] = block
+        gamma_e[2 * col : 2 * col + 2, 2 * col : 2 * col + 2] = nu * np.eye(2)
+    return decomp.inverse() @ abe0, gamma_e
+
+
+def _routes():
+    """(purify's input, its Williamson decomposition) on the analytic symmetric frame (R = 1, 2) and williamson's."""
+    rng = np.random.default_rng(7)
+    routes = []
+    for std in (make_family("sym_glems", a=2.3, kp=1.4).std, make_family("sym_sq_thermal", a=2.1, k=1.3).std,
+                make_family("sym_glems", a=40.0, kp=30.0).std, make_family("sym_sq_thermal", a=1.05, k=0.2).std):
+        routes += [(std, _symmetric_williamson(std)), (std_form_cm(std), williamson(std_form_cm(std)))]
+    for _ in range(6):
+        cov = CovMat(random_physical_cm(rng, scale=0.4))
+        routes.append((cov, williamson(cov)))
+    return routes
+
+
+class TestBlocksEntryByEntry:
+    """``purify`` sets the blocks' entries directly; the 2x2 block products give the same bits."""
+
+    @pytest.mark.parametrize("gamma,decomp", _routes())
+    def test_purify_gives_the_block_products(self, gamma, decomp):
+        pi = purify(gamma)
+        gamma_abe, gamma_e = block_products(decomp)
+        assert pi.r_count > 0
+        assert np.array_equal(pi.gamma_abe, gamma_abe) and np.array_equal(pi.gamma_e, gamma_e)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 1.5), (1.5, 2.0), (1.8, 1.2), (2.2, 1.0), (1.0, 1.7), (9441.26, 3000.5)])
+    def test_purify_asym_glems_gives_the_block_products(self, a, b):
+        pi = purify_asym_glems(make_family("asym_glems", a=a, b=b))
+        eye = np.eye(2)
+        if a > b:
+            gamma_abe = np.vstack([np.sqrt((a - b) * (a + 1.0)) * SIGMA_Z, np.sqrt((a - b) * (b - 1.0)) * eye])
+        else:
+            gamma_abe = np.vstack([np.sqrt((b - a) * (a - 1.0)) * eye, np.sqrt((b - a) * (b + 1.0)) * SIGMA_Z])
+        assert np.array_equal(pi.gamma_abe, gamma_abe)
+        assert np.array_equal(pi.gamma_e, (1.0 + abs(a - b)) * eye)
+
+    @pytest.mark.parametrize("mutant", ("flip", "plus"))
+    @pytest.mark.parametrize("gamma,decomp", _routes())
+    def test_a_wrong_purification_still_fails(self, gamma, decomp, mutant):
+        gamma_abe, gamma_e = block_products(decomp, **{mutant: True})
+        cov = std_form_cm(gamma) if isinstance(gamma, StdForm) else gamma
+        with pytest.raises(UnphysicalStateError, match="purification impure"):
+            _checked_pure(Purification(cov, gamma_abe, gamma_e, gamma_e.shape[0] // 2))
+
+    @pytest.mark.parametrize("a,b", [(2.0, 1.5), (1.5, 2.0), (1.8, 1.2)])
+    def test_a_wrong_asym_glems_purification_still_fails(self, a, b):
+        pi = purify_asym_glems(make_family("asym_glems", a=a, b=b))
+        flipped = np.abs(pi.gamma_abe)  # the SIGMA_Z block's negative entry made positive
+        with pytest.raises(UnphysicalStateError, match="purification impure"):
+            _checked_pure(Purification(pi.gamma_ab, flipped, pi.gamma_e, 1))

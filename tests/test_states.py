@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gielab.errors import GielabError, InvalidFamilyParamsError, InvalidInputError, UnphysicalStateError
+from gielab.gie import _conditional_cms, _kh_seed, _single_mode_seed
+from gielab.purification import purify, purify_asym_glems
 from gielab.states import (
     FAMILY_PARAMS,
     StdForm,
@@ -13,6 +17,7 @@ from gielab.states import (
     std_form_xx_det,
 )
 from gielab.symplectic import CovMat, symplectic_eigenvalues
+from gielab.verify import random_physical_cm
 from oracles import rotation, std_form_params, to_std_form
 
 
@@ -133,6 +138,163 @@ class TestToStdForm:
         mats += [std_form_cm(make_family("pure", a=a).std).mat for a in (1.0, 3.0, 1e3, 1e6)]
         _, _, xx_det = std_form_xx_det(np.array(mats))
         assert (xx_det > 0.0).all()
+
+
+def vectorized_xx_det(gamma):
+    """The elementwise form of ``std_form_xx_det`` on the whole stack, the bit reference of its row loop."""
+    mat = gamma.mat if isinstance(gamma, CovMat) else np.asarray(gamma, dtype=float)
+    if mat.shape[-2:] != (4, 4):
+        raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
+    det = np.linalg.det
+    det_a, det_b, det_g = det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat)
+    if ((det_a <= 0.0) | (det_b <= 0.0)).any():
+        raise UnphysicalStateError("local block determinant is not positive")
+    a, b = np.sqrt(det_a), np.sqrt(det_b)
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = (
+        [mat[..., i, j] for j in range(4)] for i in range(4))
+    # adj(A + a I) C adj(B + b I) = [[p, q], [r, s]] sqrt(a (tr A + 2a) b (tr B + 2b)), the adjugates' diagonals first
+    pa, pd, qa, qd = a11 + a, a00 + a, b11 + b, b00 + b
+    x00, x01, x10, x11 = c00 * qa - c01 * b10, c01 * qd - c00 * b01, c10 * qa - c11 * b10, c11 * qd - c10 * b01
+    p, q, r, s = pa * x00 - a01 * x10, pa * x01 - a01 * x11, pd * x10 - a10 * x00, pd * x11 - a10 * x01
+    scale = a * (pa + pd) * (b * (qa + qd))
+    # sqrt(scale) (kx + |kp|) and sqrt(scale) |kx - |kp||, whose squares add to 2 scale (kx^2 + kp^2)
+    outer, inner = np.hypot(p + s, q - r), np.hypot(p - s, q + r)
+    spread = np.hypot(outer, inner)
+    # the signs of det gamma and of 4 scale (a b - (kx^2 + kp^2)/2) in one array; a NaN fails too
+    if not np.minimum(det_g, 4.0 * a * b * scale - spread * spread).min() > 0.0:
+        raise UnphysicalStateError("a b - kx^2 and a b - kp^2 are not both positive")
+    diff = inner * outer / scale  # kx^2 - kp^2
+    return a, b, 2.0 * det_g / (diff + np.hypot(diff, 2.0 * np.sqrt(det_g)))
+
+
+_angles = st.floats(0.0, np.pi, exclude_max=True)
+
+
+def _random_cm(seed, scale):
+    return random_physical_cm(np.random.default_rng(seed), scale)
+
+
+def _single_mode_cm(tag, a, frac, phi, log_tau, t):
+    """The conditional CM of a single-mode-E family at the search row (phi, ln tau, t)."""
+    if tag == "asym_glems":
+        pi = purify_asym_glems(make_family(tag, a=a, b=1.0 + frac * (a - 1.0)))
+    else:
+        pi = purify(make_family(tag, a=a, kp=frac * np.sqrt(a * a - 1.0)).std)
+    return _conditional_cms(pi, np.array([phi]), _single_mode_seed(np.exp([log_tau]), np.array([t])))[0]
+
+
+def _kh_cm(a, frac, phi, log_l1, log_l2):
+    """The conditional CM of a symmetric squeezed thermal state at the K_h row (phi, lambda1, lambda2)."""
+    pi = purify(make_family("sym_sq_thermal", a=a, k=frac * np.sqrt(a * a - 1.0)).std)
+    return _conditional_cms(pi, np.array([phi]), _kh_seed(np.exp([log_l1]), np.exp([min(log_l2, log_l1)])))[0]
+
+
+def _near_isotropic_cm(a, b, frac, log_eps, phi_a, phi_b):
+    """A locally rotated standard form with kp = kx (1 - eps): ``inner`` is about eps.  kx = kp at
+    the fraction's largest value is an asymmetric GLEMS, so every fraction below it is physical."""
+    kx = frac * np.sqrt(min((a + 1.0) * (b - 1.0), (a - 1.0) * (b + 1.0)))
+    return rotate_locally(std_form_cm(StdForm(a, b, kx, kx * (1.0 - 10.0**log_eps))), phi_a, phi_b).mat
+
+
+_scales = st.floats(1.01, 5.0)
+_fracs = st.floats(0.05, 0.95)
+_physical_cms = st.one_of(
+    st.builds(_random_cm, st.integers(0, 2**32 - 1), st.floats(0.05, 1.5)),
+    st.builds(_single_mode_cm, st.sampled_from(("sym_glems", "asym_glems")), _scales, _fracs, _angles,
+              st.floats(0.0, 8.0), st.one_of(st.floats(0.0, 8.0), st.just(np.inf))),
+    st.builds(_kh_cm, _scales, _fracs, _angles, st.floats(-12.0, 24.0), st.floats(-12.0, 24.0)),
+    st.builds(_kh_cm, _scales, _fracs, st.just(np.pi / 2.0), st.just(np.inf), st.just(-np.inf)),  # K_h's limit row
+    st.builds(lambda a: std_form_cm(make_family("pure", a=a).std).mat, st.floats(1.0, 1e3)),
+    st.builds(_near_isotropic_cm, _scales, _scales, _fracs, st.floats(-16.0, -6.0), _angles, _angles),
+)
+
+
+def _not_positive_definite(kind, x, phi_a, phi_b):
+    """A CM that ``std_form_xx_det`` rejects, of one kind, locally rotated; x >= 0.1 keeps it clear of the border."""
+    nan = 1.5 * np.eye(4)
+    i, j = np.transpose(np.triu_indices(4))[int(3.0 * x) % 10]
+    nan[i, j] = nan[j, i] = np.nan
+    mat = {
+        "nan": nan,
+        "det-a": np.diag([1.0, -x, 1.0, 1.0]),  # det A <= 0
+        "det-gamma": np.array([[1, 0, 1 + x, 0], [0, 1, 0, 0.5], [1 + x, 0, 1, 0], [0, 0.5, 0, 1]]),  # a b < kx^2
+        "mean": np.array([[1, 0, 1 + x, 0], [0, 1, 0, -1 - x], [1 + x, 0, 1, 0], [0, -1 - x, 0, 1]]),  # both < 0
+    }[kind]
+    return rotate_locally(CovMat(mat), phi_a, phi_b).mat if kind != "nan" else mat
+
+
+class TestRowReader:
+    """``std_form_xx_det``'s row loop against the elementwise form it replaced: equal, not close."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_physical_cms, min_size=1, max_size=6))
+    def test_a_stack_gives_the_vectorized_bits(self, mats):
+        got, ref = std_form_xx_det(np.array(mats)), vectorized_xx_det(np.array(mats))
+        for x, y in zip(got, ref):
+            assert x.shape == y.shape == (len(mats),) and x.dtype == y.dtype
+            assert np.array_equal(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_physical_cms)
+    def test_a_single_cm_gives_numpy_scalars(self, mat):
+        for x, y in zip(std_form_xx_det(mat), vectorized_xx_det(mat)):
+            assert np.ndim(x) == 0 and type(x) is type(y) and x == y
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_physical_cms, max_size=5),
+        st.integers(0, 5),
+        st.sampled_from(("nan", "det-a", "det-gamma", "mean")),
+        st.floats(0.1, 3.0),
+        _angles,
+        _angles,
+    )
+    def test_a_stack_the_vectorized_form_rejects_raises(self, mats, at, kind, x, phi_a, phi_b):
+        mats.insert(min(at, len(mats)), _not_positive_definite(kind, x, phi_a, phi_b))
+        with np.errstate(invalid="ignore"):  # det of a NaN row
+            with pytest.raises(UnphysicalStateError):
+                vectorized_xx_det(np.array(mats))
+            with pytest.raises(UnphysicalStateError):
+                std_form_xx_det(np.array(mats))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10), min_size=1, max_size=6))
+    def test_any_symmetric_stack_raises_or_reads_as_the_vectorized_form(self, uppers):
+        mats = np.empty((len(uppers), 4, 4))
+        rows, cols = np.triu_indices(4)
+        mats[:, rows, cols] = mats[:, cols, rows] = uppers
+        try:
+            ref = vectorized_xx_det(mats)
+        except UnphysicalStateError:
+            with pytest.raises(UnphysicalStateError):
+                std_form_xx_det(mats)
+            return
+        for x, y in zip(std_form_xx_det(mats), ref):
+            assert np.array_equal(x, y)
+
+    def test_a_large_stack_gives_the_vectorized_bits(self, rng):
+        # np.hypot and math.hypot (correctly rounded) part in the last bit on about 0.2% of these rows
+        mats = [random_physical_cm(rng, scale) for scale in rng.uniform(0.05, 1.5, 4000)]
+        n = 500
+        phi, log_tau, t, log_l1, log_l2 = rng.uniform(0.0, np.pi, n), *rng.uniform(0.0, 8.0, (2, n)), *np.sort(
+            rng.uniform(-12.0, 24.0, (2, n)), axis=0)[::-1]
+        for pi in (purify(make_family("sym_glems", a=2.3, kp=1.4).std),
+                   purify_asym_glems(make_family("asym_glems", a=1.4, b=2.2))):
+            mats += list(_conditional_cms(pi, phi, _single_mode_seed(np.exp(log_tau), t)))
+        pi = purify(make_family("sym_sq_thermal", a=2.1, k=1.3).std)
+        mats += list(_conditional_cms(pi, phi, _kh_seed(np.exp(log_l1), np.exp(log_l2))))
+        got, ref = std_form_xx_det(np.array(mats)), vectorized_xx_det(np.array(mats))
+        for x, y in zip(got, ref):
+            assert np.array_equal(x, y)
+
+    def test_an_empty_stack_gives_empty_arrays(self):
+        for x in std_form_xx_det(np.empty((0, 4, 4))):
+            assert isinstance(x, np.ndarray) and x.shape == (0,) and x.dtype == float
+
+    def test_a_stack_keeps_its_leading_shape(self, rng):
+        mats = np.array([random_physical_cm(rng, scale=0.4) for _ in range(6)])
+        for x, y in zip(std_form_xx_det(mats.reshape(2, 3, 4, 4)), vectorized_xx_det(mats)):
+            assert x.shape == (2, 3) and np.array_equal(x.ravel(), y)
 
 
 class TestSeparability:
