@@ -17,7 +17,9 @@ search reads it:
 - ``optimize.MIN_IMPROVEMENT``, ``optimize.MAX_POLLS``, ``optimize.TIE_ATOL``,
   ``optimize.RESOLUTION``, ``optimize.SLAB_POINTS`` (21^3, the most
   mesh points of one grid-stage ``evaluate`` call, so grids up to 21 are
-  one slab; it changes no result);
+  one slab; it changes no result); ``MIN_IMPROVEMENT`` and ``TIE_ATOL``
+  compare objective values, which in all three searches (R = 1, K_h and
+  the GCMI's u) are determinant ratios, not nats;
 - the search boxes, in the search descriptions ``gie.SINGLE_MODE_SEARCH``
   (R = 1) and ``gie.KH_SEARCH`` (K_h), and ``information.SQUEEZE_MAX`` (GCMI);
 - ``gie.SQRT_AB_SLACK``, ``gie.GATE_LOWER_BOUND`` and
@@ -47,6 +49,8 @@ class GridConfig:
     points: int = 33  # coarse grid points per search coordinate
 
     def __post_init__(self):
+        if not isinstance(self.points, int) or isinstance(self.points, bool):
+            raise InvalidInputError(f"the grid size must be an int, got {self.points!r}")
         if self.points < 1:
             raise InvalidInputError(f"the grid needs at least 1 point, got {self.points}")
 

@@ -6,19 +6,20 @@ thermal states (a <= 2.41) and asymmetric squeezed-thermal GLEMS
 minimizer that fixes double x-homodyne on A and B, minimizes the outcome
 mutual information over Eve's Gaussian measurements, and reports the
 optimal measurement together with the optimizer trace.  Each minimizer is
-its family's objective (``information.f_xx`` of ``measurement.seed_frame_schur``
-at ``_single_mode_seed`` for R = 1, K_h for R = 2), split at Eve's angle
-phi into the terms of the other two coordinates, a key and the value of
-the key (``optimize.grid_argmin``'s triple), handed to
+its family's determinant ratio (for R = 1 the ratio r inside
+``information.f_xx`` = 1/2 ln r, ``information.xx_ratio``, of
+``measurement.seed_frame_schur`` at ``_single_mode_seed``; K_h for R = 2),
+split at Eve's angle phi into the terms of the other two coordinates and
+the value (``optimize.grid_argmin``'s pair), handed to
 ``gielab.optimize.search`` with one module-level ``SearchSpace``
 (``SINGLE_MODE_SEARCH``, ``KH_SEARCH``): box, pi-periodic phi, the exact
-limit candidates as rows of that objective and the label of Eve's optimum.
-K_h is one triple on the searched coordinates (``_kh_formula``, of phi,
-ln lambda1 and ln lambda2, its own key), which ``minimize_kh`` hands to
-``search`` as it is and the checked oracle ``k_h`` evaluates at the
-logarithms of its arguments.  The R = 1 key is the ratio r inside
-``f_xx`` = 1/2 ln r (``information.xx_ratio``), so the grid stage takes
-one logarithm, on the least key of the mesh, instead of one per mesh point.
+limit candidates as rows of that objective and the label of Eve's
+optimum.  Each family takes the logarithm once, after the search:
+``_single_mode_numeric`` converts the optimum and the trace to nats with
+one ``half_log`` call, the K_h family adds 1/2 ln K_h,min to I_h.  K_h is
+one pair on the searched coordinates (``_kh_formula``, of phi, ln lambda1
+and ln lambda2), which ``minimize_kh`` hands to ``search`` as it is and
+the checked oracle ``k_h`` evaluates at the logarithms of its arguments.
 
 The R = 1 minimizers report the x-homodyne value, which equals GIE where
 the GCMI gate G (``information.gcmi_condition_g``) is non-negative at Eve's
@@ -48,7 +49,7 @@ from .errors import DomainNotCoveredError, InvalidInputError
 from .information import f_xx, gcmi_condition_g, half_log, xx_ratio
 from .measurement import condition_on_e  # noqa: F401  (perfbench/spans.py traces this name in gielab.gie)
 from .measurement import seed_frame_schur
-from .optimize import SearchSpace, as_is, search
+from .optimize import SearchSpace, search
 from .purification import Purification, purify, purify_asym_glems
 from .states import FAMILY_ATOL, StateFamily, a_minus_kx, is_separable, make_family, std_form_cm, std_form_xx_det
 from .symplectic import PHYSICAL_ATOL
@@ -182,12 +183,10 @@ def _single_mode_numeric(fam: StateFamily, pi: Purification, grid_cfg: GridConfi
     rows at t = 0 (heterodyne) and t = inf (the exact homodynes).  It
     prepares the kernel's seed half from (ln tau, t), the entries' phi-free
     part and Eve's weight difference, and evaluates its angle half at phi:
-    one product and one sum per entry and mesh point.  Its key is
-    ``xx_ratio`` of the entries, r = va vb / (va vb - c^2), and its
-    ``finish`` ``half_log``, so ``f_xx`` = 1/2 ln r: the grid ranks Eve's
-    mesh by r and takes one logarithm, on its least key, while the descent
-    and the candidates read ``f_xx`` itself, bit for bit.  Its value is the
-    least ``f_xx`` of the mesh and its point the first least r.
+    one product and one sum per entry and mesh point.  Its value is
+    ``xx_ratio`` of the entries, r = va vb / (va vb - c^2), so ``f_xx`` =
+    1/2 ln r: the search ranks Eve's measurements by r, and its optimum and
+    every trace value become nats in one ``half_log`` call over one array.
     """
     closed = gie_closed_form(fam)
     if pi.r_count == 0:  # a pure state: a^2 - kp^2 = 1 (sym_glems), a = b (asym_glems)
@@ -200,9 +199,11 @@ def _single_mode_numeric(fam: StateFamily, pi: Purification, grid_cfg: GridConfi
     def evaluate(phi, prepared):
         return xx_ratio(*kernel(phi, prepared))
 
-    numeric, optimum, trace = search((prepare, evaluate, half_log), SINGLE_MODE_SEARCH, grid_cfg.points)
+    ratio, optimum, trace = search((prepare, evaluate), SINGLE_MODE_SEARCH, grid_cfg.points)
+    numeric, *values = half_log(np.array([ratio, *(value for _, value in trace)])).tolist()
+    trace = [(params, value) for (params, _), value in zip(trace, values)]
     gate_min = float(np.min(gcmi_condition_g(*_trace_forms(pi, _single_mode_seed, trace))))
-    return _judged(fam, closed, float(numeric), optimum, trace, gate(gate_min), gate_min=gate_min)
+    return _judged(fam, closed, numeric, optimum, trace, gate(gate_min), gate_min=gate_min)
 
 
 def gie_numeric_sym_glems(fam: StateFamily, grid_cfg: GridConfig) -> GieResult:
@@ -258,15 +259,15 @@ def _kh_args(phi, lambda1, lambda2, a, k) -> tuple:
 
 
 def _kh_formula(a, k, cosh_v, sinh_v) -> tuple:
-    """K_h of the state (a, k) split at phi: ``(terms, value, as_is)``, all broadcasting.
+    """K_h of the state (a, k) split at phi: ``(terms, value)``, both broadcasting.
 
     ``terms(log_l1, log_l2)`` takes the searched coordinates (ln lambda1,
     ln lambda2) and returns what does not depend on phi, (lambda2 >
     lambda1, (k/a) E, F, E^2 - F^2), and ``value(phi, prepared)`` K_h from
-    those terms, inf where lambda2 > lambda1; K_h is its own key.  E and F
-    are divided by lambda1, which leaves K_h unchanged and keeps every term
-    finite at lambda1 = inf: there E/lambda1 = cosh v and F/lambda1 =
-    sinh v, the exact dual-homodyne limit.
+    those terms, inf where lambda2 > lambda1.  E and F are divided by
+    lambda1, which leaves K_h unchanged and keeps every term finite at
+    lambda1 = inf: there E/lambda1 = cosh v and F/lambda1 = sinh v, the
+    exact dual-homodyne limit.
     """
 
     k_over_a, base = k / a, (a * a - k * k) / (a * a)  # (a^2 - k^2)/a^2, the phi-free part of K_h
@@ -283,7 +284,7 @@ def _kh_formula(a, k, cosh_v, sinh_v) -> tuple:
         numer = ke + f * np.cos(2.0 * phi)  # squared as numer * numer: a numpy scalar's ** 2 can round apart
         return np.where(mask, np.inf, base + numer * numer / denom)
 
-    return terms, value, as_is
+    return terms, value
 
 
 def k_h(phi, lambda1, lambda2, a, k):
@@ -294,7 +295,7 @@ def k_h(phi, lambda1, lambda2, a, k):
     Q = P(phi) diag(lambda1, lambda2) P(phi)^T.  Broadcasts over all five
     arguments and checks every element: phi in [0, pi), lambda1 >= lambda2
     >= 0 with lambda1 > 0 and lambda2 finite, and a physical (a, k).  It
-    evaluates ``_kh_formula``, the triple that ``minimize_kh`` searches
+    evaluates ``_kh_formula``, the pair that ``minimize_kh`` searches
     without the checks, at (phi, ln lambda1, ln lambda2).  lambda1 = inf
     gives the exact limit, the dual homodyne at phi = pi/2 and lambda2 = 0.
 
@@ -302,7 +303,7 @@ def k_h(phi, lambda1, lambda2, a, k):
         InvalidInputError: an element is out of range.
     """
     phi, lambda1, lambda2, a, k, (_, cosh_v, sinh_v) = _kh_args(phi, lambda1, lambda2, a, k)
-    terms, value, _ = _kh_formula(a, k, cosh_v, sinh_v)
+    terms, value = _kh_formula(a, k, cosh_v, sinh_v)
     with np.errstate(divide="ignore"):  # ln 0 = -inf: the lambda2 = 0 limit row
         log_l2 = np.log(lambda2)
     return value(phi, terms(np.log(lambda1), log_l2))[()]

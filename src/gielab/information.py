@@ -8,12 +8,13 @@ classical mutual information (GCMI) of a conditional standard form: the
 double x-homodyne closed form ``f_xx``, its optimality gate G, and the
 numeric minimum of the objective u over local squeezed measurements that
 checks the closed form wherever the gate holds.  u exists once, as the
-``(terms, value, as_is)`` triple ``_u_split`` that ``gcmi_numeric`` hands
-to the grid stage and the descent.  ``f_xx``, the half logarithm of
-``xx_ratio``, is also the objective of the single-mode-Eve minimizers in
-``gielab.gie``, whose grid stage ranks Eve's mesh by the ratio, and G,
-which broadcasts over a stack of conditional forms, their certificate:
-where G >= 0 at Eve's optimum the x-homodyne value they report is the GCMI.
+``(terms, value)`` pair ``_u_split`` that ``gcmi_numeric`` hands to the
+grid stage and the descent, and the GCMI is -1/2 ln of its minimum.
+``f_xx`` is the half logarithm (``half_log``) of the determinant ratio
+``xx_ratio``, which the single-mode-Eve minimizers of ``gielab.gie``
+search, taking the logarithm once, after the search; G, which
+broadcasts over a stack of conditional forms, is their certificate: where
+G >= 0 at Eve's optimum the x-homodyne value they report is the GCMI.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .measurement import FiniteMeasurement, GaussianMeasurement, condition_on_e
-from .optimize import as_is, descend, grid_argmin
+from .optimize import descend, grid_argmin
 from .purification import Purification
 from .states import StdForm
 
@@ -86,8 +87,8 @@ def mutual_information_f(
 def xx_ratio(va, vb, c):
     """The determinant ratio ``va vb / (va vb - c^2)`` inside ``f_xx``; broadcasts.
 
-    ``f_xx`` is its half logarithm (``half_log``), so it sorts as ``f_xx``
-    does: the R = 1 grid stage ranks Eve's mesh by it."""
+    ``f_xx`` is its half logarithm (``half_log``); the R = 1 minimizers
+    search it."""
     vab = va * vb
     return vab / (vab - c * c)
 
@@ -122,10 +123,10 @@ def _u_split(cond: StdForm) -> tuple:
     """The objective of the GCMI minimization over local squeezed measurements, split at r_A.
 
     ``u = [1 - kx^2/(a_- b_-)][1 - kp^2/(a_+ b_+)]`` with
-    ``a_± = a + e^{±2 r}``, as the triple ``(terms, value, as_is)`` that
+    ``a_± = a + e^{±2 r}``, as the pair ``(terms, value)`` that
     ``gcmi_numeric`` searches: ``terms(r_b)`` returns what does not depend
     on r_A, ``(b + e^{-2 r_B}, b + e^{2 r_B})``, and ``value(r_a,
-    prepared)`` u from those terms, which is its own key.  Both broadcast;
+    prepared)`` u from those terms.  Both broadcast;
     an infinite squeezing gives the analytic limit exactly, because
     ``e^{-2 r} = 0`` and ``e^{2 r} = inf`` make the second factor 1.
     """
@@ -138,7 +139,7 @@ def _u_split(cond: StdForm) -> tuple:
         b_minus, b_plus = prepared
         return (1.0 - kx_sq / ((a + np.exp(-2.0 * r_a)) * b_minus)) * (1.0 - kp_sq / ((a + np.exp(2.0 * r_a)) * b_plus))
 
-    return terms, value, as_is
+    return terms, value
 
 
 @functools.lru_cache(maxsize=None)

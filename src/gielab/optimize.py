@@ -4,37 +4,33 @@
 measurements and runs a grid stage (``grid_argmin``), a compass search
 (``descend``) from the best grid point, whose first objective call also
 evaluates the space's exact candidates, rows of the same objective, so
-they cost no call of their own; it is the one place that orders
-these stages, builds the optimizer trace and names the optimum with the tie
-rule (``TIE_ATOL``).  Every objective is a triple ``(prepare, evaluate,
-finish)`` split at its first coordinate, as its family builds it and on
-the coordinates searched: ``prepare(*rest)`` computes what depends only on
-the trailing coordinates, ``evaluate(first, prepared)`` a key that sorts
-in the same order as the value and ``finish(key)`` the value, so
-``finish(evaluate(x[0], prepare(*x[1:])))`` is the objective at x.  The
-key is the value itself (``finish`` is ``as_is``) except where a monotone
-last step can wait: the R = 1 objective's key is the ratio inside
-``f_xx`` and its ``finish`` the half logarithm.  The grid stage prepares
-the trailing sparse mesh once, evaluates its keys once per slab of the
-first axis, at most ``SLAB_POINTS`` mesh points each, and reads the slabs
-in C order, so its best point is ``np.argmin`` of the keys of the whole
-mesh while no temporary holds more than a slab; it finishes that one key.
-The descent and the candidate rows take the values, ``finish`` of the
-keys.  Each objective call of the
-descent evaluates the moves of one table (``_chained_table``), a poll and
-the poll that would follow its miss, so a failed poll costs no call of its
-own, and a model row: the least points of parabolas fitted to the previous
-call's 1/4-block coordinate probes, which the call moves to where it beats
-the incumbent and the poll's pick, while the poll alone sets the step and
-the stops.  The descent reads a call with one ``argmax`` and one
-``argmin`` and falls back to its filtered rule only where that could
-differ.  What ``search`` builds from a space (the grid's sparse mesh, the
-candidate rows and their reported parameters, ``_layout``) it builds once
-per space and grid size, and what ``descend`` builds from a box (the
-first steps, the wrap and clip lists, the moves at every step scale that
-a descent on it reaches and the model row's fits, ``_box``) once per box
-and ``RESOLUTION``; all of it is read-only, and no cache reads a module
-constant that is not part of its key.
+they cost no call of their own; it is the one place that orders these
+stages, builds the optimizer trace and names the optimum with the tie rule
+(``TIE_ATOL``).  Every objective is a pair ``(prepare, evaluate)`` split
+at its first coordinate, as its family builds it and on the coordinates
+searched: ``prepare(*rest)`` computes what depends only on the trailing
+coordinates and ``evaluate(first, prepared)`` the value, so
+``evaluate(x[0], prepare(*x[1:]))`` is the objective at x.  Every gielab
+objective is a determinant ratio (K_h, the GCMI's u and the ratio inside
+the R = 1 ``f_xx``), whose logarithm its caller takes once, after the
+search.  The grid stage prepares the trailing sparse mesh once, evaluates
+it once per slab of the first axis, at most ``SLAB_POINTS`` mesh points
+each, and reads the slabs in C order, so its best point is ``np.argmin``
+of the whole mesh while no temporary holds more than a slab.  Each
+objective call of the descent evaluates the moves of one table
+(``_chained_table``), a poll and the poll that would follow its miss, so a
+failed poll costs no call of its own, and a model row: the least points of
+parabolas fitted to the previous call's 1/4-block coordinate probes, which
+the call moves to where it beats the incumbent and the poll's pick, while
+the poll alone sets the step and the stops.  The descent reads a call with
+one ``argmax`` and one ``argmin`` and falls back to its filtered rule only
+where that could differ.  What ``search`` builds from a space (the grid's
+sparse mesh, the candidate rows and their reported parameters,
+``_layout``) it builds once per space and grid size, and what ``descend``
+builds from a box (the first steps, the wrap and clip lists, the moves at
+every step scale that a descent on it reaches and the model row's fits,
+``_box``) once per box and ``RESOLUTION``; all of it is read-only, and no
+cache reads a module constant that is not part of its key.
 """
 
 from __future__ import annotations
@@ -81,54 +77,44 @@ class SearchSpace:
                      for i, (v, period) in enumerate(zip(x, self.periods)))
 
 
-def as_is(values):
-    """The ``finish`` of an objective whose key is its value."""
-    return values
-
-
 def grid_argmin(objective, mesh):
     """Evaluate ``objective`` on ``mesh`` in slabs of its first axis; return the best point and its value.
 
     ``mesh`` is the sparse mesh of the grid axes, one broadcastable array
     per axis (``np.meshgrid(*axes, indexing="ij", sparse=True)``), so work
     that depends on fewer coordinates is done once per distinct value.
-    ``objective`` is a ``(prepare, evaluate, finish)`` triple split at the
-    first coordinate.  ``prepare`` is called once, on the trailing arrays
-    of the mesh, and ``evaluate`` once per slab of the first axis with what
-    ``prepare`` returned, giving the slab's keys, which must broadcast to
+    ``objective`` is a ``(prepare, evaluate)`` pair split at the first
+    coordinate.  ``prepare`` is called once, on the trailing arrays of the
+    mesh, and ``evaluate`` once per slab of the first axis with what
+    ``prepare`` returned, giving the slab's values, which must broadcast to
     the full slab shape.  The slabs are the fewest equal runs of the first
     axis (sizes differing by at most one row, the longer first) of at most
     ``SLAB_POINTS`` mesh points each, or of one row where a row holds more,
     each a view of the first array.  The slabs are read in C order and a
-    later one wins only with a lower least key, so the best point is
-    ``np.argmin`` of the keys of the whole mesh, the first least key or the
-    first NaN, after which no slab is evaluated.  Its value is ``finish``
-    of that one key.  Where ``finish`` is non-decreasing on the keys
-    (``as_is``, and 1/2 ln as far as numpy's log rounds monotonically,
-    which tests/test_gie.py checks on every mesh it searches), that is the
-    least value of the whole mesh, bit for bit; where several points share
-    it, the point named is the first least key.
+    later one wins only with a lower least value, so the result is
+    ``np.argmin`` of the whole mesh: the first least value, or the first
+    NaN, after which no slab is evaluated.
     """
-    prepare, evaluate, finish = objective
+    prepare, evaluate = objective
     first, *rest = mesh
     prepared = prepare(*rest)
     rows = first.shape[0]
     count = -(-rows // max(1, SLAB_POINTS // math.prod(axis.size for axis in rest)))
     size, longer = divmod(rows, count)
-    best_key, start = None, 0
+    best_val, start = None, 0
     for slab in range(count):
         stop = start + size + (slab < longer)
-        keys = evaluate(first[start:stop], prepared)
-        flat = int(np.argmin(keys))
-        key = keys.flat[flat]
-        if best_key is None or key < best_key or math.isnan(key):
-            index = np.unravel_index(flat, keys.shape)
-            best_key, best = key, (start + index[0], *index[1:])
-            if math.isnan(key):
+        values = evaluate(first[start:stop], prepared)
+        flat = int(np.argmin(values))
+        value = values.flat[flat]
+        if best_val is None or value < best_val or math.isnan(value):
+            index = np.unravel_index(flat, values.shape)
+            best_val, best = value, (start + index[0], *index[1:])
+            if math.isnan(value):
                 break
         start = stop
     # each array of a sparse mesh varies along its own axis only, so its flat index is that axis's
-    return np.array([axis.item(i) for axis, i in zip(mesh, best)]), float(finish(best_key))
+    return np.array([axis.item(i) for axis, i in zip(mesh, best)]), float(best_val)
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,19 +178,18 @@ def _box(lows, highs, periods, resolution):
 def descend(objective, x0, value, lows, highs, periods, rows):
     """Deterministic compass search within a box: a poll, the poll after its miss and a model row per objective call.
 
-    ``objective`` is a ``(prepare, evaluate, finish)`` triple as
-    ``grid_argmin`` takes it; one objective call is ``finish(evaluate(first,
-    prepare(*rest)))`` on the rows of one (coordinates, probes) array, all
-    three called here, and the descent reads values, never keys.
-    Each poll evaluates the moves of the first four blocks of
-    ``_chained_table`` (2, 1, 1/2 and 1/4 times the step) from the
-    incumbent, clipped to the box except on a coordinate with a ``periods``
-    entry, in which the objective must be periodic; the first step is 5% of
-    the box.  A poll takes the lowest probe that moves and beats the
-    incumbent by more than ``MIN_IMPROVEMENT`` (the first on ties) in the
-    first block with one and scales the step by that block's multiple; a
-    poll without one divides the step by 8.  The descent stops below
-    ``RESOLUTION`` or after ``MAX_POLLS`` polls, both read at call time.
+    ``objective`` is a ``(prepare, evaluate)`` pair as ``grid_argmin``
+    takes it; one objective call is ``evaluate(first, prepare(*rest))`` on
+    the rows of one (coordinates, probes) array.  Each poll evaluates the
+    moves of the first four blocks of ``_chained_table`` (2, 1, 1/2 and
+    1/4 times the step) from the incumbent, clipped to the box except on a
+    coordinate with a ``periods`` entry, in which the objective must be
+    periodic; the first step is 5% of the box.  A poll takes the lowest
+    probe that moves and beats the incumbent by more than
+    ``MIN_IMPROVEMENT`` (the first on ties) in the first block with one
+    and scales the step by that block's multiple; a poll without one
+    divides the step by 8.  The descent stops below ``RESOLUTION`` or
+    after ``MAX_POLLS`` polls, both read at call time.
 
     One objective call evaluates every row of ``_chained_table``: the poll
     at the current step and the poll at 1/8 of it, which the descent reads
@@ -256,7 +241,7 @@ def descend(objective, x0, value, lows, highs, periods, rows):
     clips its rows only where its largest move, twice the step, may leave
     the box: inside it clipping changes no bit.
     """
-    prepare, evaluate, finish = objective
+    prepare, evaluate = objective
     x, val = np.array(x0, dtype=float), value
     widest, wrapped, clipped, (lows, highs), moves, reaches, fits, scaled = _box(
         tuple(lows), tuple(highs), tuple(periods), RESOLUTION
@@ -285,7 +270,7 @@ def descend(objective, x0, value, lows, highs, periods, rows):
                 break
         if not polls:  # the first call: the rows after its probes, unclipped
             trials = np.concatenate((trials, rows), axis=1)
-        values = finish(evaluate(trials[0], prepare(*[trials[i] for i in tail])))
+        values = evaluate(trials[0], prepare(*[trials[i] for i in tail]))
         if not polls:
             row_values = values[probes:]
         bar = val - MIN_IMPROVEMENT  # both levels and the model row start from this incumbent
@@ -321,7 +306,7 @@ def descend(objective, x0, value, lows, highs, periods, rows):
         if scale * widest < RESOLUTION or polls == MAX_POLLS:
             return x, val, row_values
         model = _model_row(centre, centre_val, values[quarter].tolist(), fits, centre_scale)
-    return x, val, finish(evaluate(rows[0], prepare(*rows[1:])))
+    return x, val, evaluate(rows[0], prepare(*rows[1:]))
 
 
 def _model_row(centre, value, fit, fits, scale):
@@ -396,24 +381,23 @@ def _layout(space, points):
 def search(objective, space, points):
     """Minimize ``objective`` on the grid of ``space``, ``points`` per coordinate, descend, then try its candidates.
 
-    ``objective`` is a ``(prepare, evaluate, finish)`` triple as
-    ``grid_argmin`` takes it; all three broadcast (the grid passes meshes,
-    the descent 1-D arrays), and the grid mesh and the candidate rows are
-    read-only arrays of the layout that ``_layout`` builds once per
-    ``(space, points)``.  Returns ``(best_value, label, trace)``: the least
-    of the descent end and the candidates; the first candidate within
-    ``TIE_ATOL`` of it, else ``space.label`` with the descent end's
-    parameters; and ``(space.params(row), value)`` of the grid best, the
-    descent end and every candidate, each a value (``finish`` of its key).
-    The grid best is the first least key of the mesh.  The descent starts
-    from the grid best with the grid's value there, and its first call
-    evaluates the candidate rows after its probes, so ``prepare`` is called
-    once for the grid and once per descent call (a poll, the poll after it
-    when it misses, the model row and, in the first call, the candidates),
-    ``evaluate`` as often plus once per further grid slab (a slab holds up
-    to ``SLAB_POINTS`` mesh points, so grids up to 21 points per coordinate
-    are one slab in 3-D), and ``finish`` once per call of ``prepare``, the
-    grid's on its least key alone.
+    ``objective`` is a ``(prepare, evaluate)`` pair as ``grid_argmin``
+    takes it; both broadcast (the grid passes meshes, the descent 1-D
+    arrays), and the grid mesh and the candidate rows are read-only arrays
+    of the layout that ``_layout`` builds once per ``(space, points)``.
+    Returns ``(best_value, label, trace)``: the first candidate within
+    ``TIE_ATOL`` of the least of the descent end and the candidates, with
+    its own value, so the label and the value come from one row; else that
+    least value and ``space.label`` with the descent end's parameters.  The trace
+    is ``(space.params(row), value)`` of the grid best (the first least
+    value of the mesh), the descent end and every candidate.  The descent
+    starts from the grid best with the grid's value there, and its first
+    call evaluates the candidate rows after its probes, so ``prepare`` is
+    called once for the grid and once per descent call (a poll, the poll
+    after it when it misses, the model row and, in the first call, the
+    candidates), ``evaluate`` as often plus once per further grid slab (a
+    slab holds up to ``SLAB_POINTS`` mesh points, so grids up to 21 points
+    per coordinate are one slab in 3-D).
     """
     mesh, rows, reported = _layout(space, points)
     coarse, coarse_val = grid_argmin(objective, mesh)
@@ -424,6 +408,6 @@ def search(objective, space, points):
     best_val = min(value for _, value in trace[1:])
     for (label, _), (_, value) in zip(space.candidates, trace[2:]):
         if value <= best_val + TIE_ATOL:
-            return best_val, label, trace
+            return value, label, trace
     end = ", ".join(f"{name}={value:.6g}" for name, value in zip(space.names, trace[1][0]))
     return best_val, f"{space.label}({end})", trace

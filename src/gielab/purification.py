@@ -124,7 +124,7 @@ def purify(gamma) -> Purification:
     abe0 = np.zeros((4, 2 * r_count))
     gamma_e = np.zeros((2 * r_count, 2 * r_count))
     for col, i in enumerate(noisy):
-        # the blocks sqrt(nu^2 - 1) SIGMA_Z and nu I, entry by entry
+        # the blocks sqrt(nu^2 - 1) diag(1, -1) and nu I, entry by entry
         root = np.sqrt(nus[i] ** 2 - 1.0)
         abe0[2 * i, 2 * col], abe0[2 * i + 1, 2 * col + 1] = root, -root
         gamma_e[2 * col, 2 * col] = gamma_e[2 * col + 1, 2 * col + 1] = nus[i]
@@ -139,7 +139,7 @@ def purify_asym_glems(fam: StateFamily) -> Purification:
     a, b = fam.std.a, fam.std.b
     if a == b:  # the pure state with k = sqrt(a^2 - 1)
         return Purification(gamma_ab, np.zeros((4, 0)), np.zeros((0, 0)), 0)
-    # gamma_ABE stacks x SIGMA_Z over y I (a > b) or x I over y SIGMA_Z, gamma_E is nu I: set entry by entry
+    # gamma_ABE stacks x Z over y I (a > b) or x I over y Z, Z = diag(1, -1), gamma_E is nu I: set entry by entry
     gamma_abe, gamma_e = np.zeros((4, 2)), np.zeros((2, 2))
     if a > b:
         x, y = np.sqrt((a - b) * (a + 1.0)), np.sqrt((a - b) * (b - 1.0))

@@ -111,7 +111,8 @@ def std_form_xx_det(gamma):
     if mat.shape[-2:] != (4, 4):
         raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
     det = np.linalg.det
-    det_a, det_b, det_g = np.reshape((det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat)), (3, -1)).tolist()
+    with np.errstate(all="ignore"):  # LAPACK's flags on a singular block; the sign tests below judge every row
+        det_a, det_b, det_g = np.reshape((det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat)), (3, -1)).tolist()
     a, b, scale, legs = [], [], [], []
     for da, db, entries in zip(det_a, det_b, mat.reshape(-1, 16).tolist()):
         if da <= 0.0 or db <= 0.0:

@@ -5,7 +5,7 @@ Covariance matrices are stored dense in the quadrature ordering
 module provides the symplectic form, symplectic spectra, the Williamson
 decomposition (one spectral construction for every input) and the
 phase-space matrices they use.  The fixed ones are read-only constants
-built at import (``J2``, ``SIGMA_Z``, ``BEAM_SPLITTER``), as is
+built at import (``J2``, ``BEAM_SPLITTER``), as is
 ``symplectic_form(n)`` for each n.
 """
 
@@ -36,7 +36,6 @@ def _readonly(mat) -> np.ndarray:
 
 
 J2 = _readonly([[0.0, 1.0], [-1.0, 0.0]])
-SIGMA_Z = _readonly(np.diag([1.0, -1.0]))
 # balanced beam splitter on two modes, orthogonal and symplectic
 BEAM_SPLITTER = _readonly(np.block([[np.eye(2), np.eye(2)], [-np.eye(2), np.eye(2)]]) / np.sqrt(2.0))
 
@@ -110,6 +109,8 @@ def std_form_symplectic_eigenvalues(a, b, kx, kp) -> tuple[float, float]:
     ``delta^2 - 4 det gamma = (a - b)^2 ((a + b)^2 - 4 k^2)``, so
     ``nu+- = (sqrt((a + b)^2 - 4 k^2) +- |a - b|) / 2`` with no cancellation
     near a = b, where the general form loses about half the digits.
+    Where ``2 nu1^2 = delta + sqrt(delta^2 - 4 det gamma)`` is not positive
+    the form has no spectrum, and (0, 0) is returned.
     """
     if kx == kp:
         root = np.sqrt(max((a + b) ** 2 - 4.0 * kx * kx, 0.0))
@@ -118,7 +119,9 @@ def std_form_symplectic_eigenvalues(a, b, kx, kp) -> tuple[float, float]:
     det_gamma = (a * b - kx * kx) * (a * b - kp * kp)
     d = max(delta * delta - 4.0 * det_gamma, 0.0)
     root = np.sqrt(d)
-    nu1 = np.sqrt(max((delta + root) / 2.0, 0.0))
+    if delta + root <= 0.0:  # 2 nu1^2, positive on every physical form and its partial transpose
+        return 0.0, 0.0
+    nu1 = np.sqrt((delta + root) / 2.0)
     # product form avoids the cancellation in (delta - root)/2
     nu2 = np.sqrt(max(2.0 * det_gamma / (delta + root), 0.0))
     return float(nu1), float(nu2)

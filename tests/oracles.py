@@ -11,9 +11,10 @@ is ``gielab.measurement.seed_frame_schur`` as a loop over entries and E
 modes, one numpy operation on each: the reference that the two-half kernel
 must match bit for bit.  ``whole_mesh_argmin`` is
 ``gielab.optimize.grid_argmin`` as one objective call on the whole mesh,
-the reference that the slabbed grid stage must match point for point.  These take an objective as one callable of every
-coordinate; ``joined`` makes one of a gielab ``(prepare, evaluate,
-finish)`` triple and ``split`` the triple of one, whose key is its value.  ``single_mode_objective``,
+the reference that the slabbed grid stage must match point for point.
+These take an objective as one callable of every coordinate; ``joined``
+makes one of a gielab ``(prepare, evaluate)`` pair and ``split`` the pair
+of one.  ``single_mode_objective`` (the ratio inside ``f_xx``),
 ``kh_objective`` and ``u_objective`` are the R = 1, K_h and u objectives
 of ``gielab.gie`` and ``gielab.information`` as one callable each, the
 reference that their split forms must match bit for bit on every grid
@@ -31,9 +32,8 @@ import numpy as np
 
 from gielab.errors import DimensionMismatchError, InvalidInputError, InvalidMeasurementError, UnphysicalStateError
 from gielab.gie import _cosh_sinh_v, _single_mode_seed
-from gielab.information import f_xx
+from gielab.information import xx_ratio
 from gielab.measurement import FiniteMeasurement
-from gielab.optimize import as_is
 from gielab.purification import Purification
 from gielab.states import StdForm
 from gielab.symplectic import CovMat
@@ -83,22 +83,22 @@ def seed_frame_schur_loop(pi: Purification, entries):
 
 
 def joined(objective):
-    """A ``(prepare, evaluate, finish)`` objective as one callable of every coordinate, giving its values."""
-    prepare, evaluate, finish = objective
-    return lambda first, *rest: finish(evaluate(first, prepare(*rest)))
+    """A ``(prepare, evaluate)`` objective as one callable of every coordinate."""
+    prepare, evaluate = objective
+    return lambda first, *rest: evaluate(first, prepare(*rest))
 
 
 def split(fn):
-    """A callable of every coordinate as a ``(prepare, evaluate, as_is)`` objective; ``prepare`` returns its input."""
-    return (lambda *rest: rest), (lambda first, rest: fn(first, *rest)), as_is
+    """A callable of every coordinate as a ``(prepare, evaluate)`` objective; ``prepare`` returns its input."""
+    return (lambda *rest: rest), (lambda first, rest: fn(first, *rest))
 
 
 def single_mode_objective(pi: Purification):
-    """The R = 1 objective ``f_xx`` at Eve's seed row (phi, ln tau, t), through the loop kernel."""
+    """The R = 1 objective, the ratio inside ``f_xx``, at Eve's seed row (phi, ln tau, t), through the loop kernel."""
     kernel = seed_frame_schur_loop(pi, ((0, 0), (2, 2), (0, 2)))
 
     def objective(phi, log_tau, t):
-        return f_xx(*kernel(phi, _single_mode_seed(np.exp(log_tau), t)))
+        return xx_ratio(*kernel(phi, _single_mode_seed(np.exp(log_tau), t)))
 
     return objective
 

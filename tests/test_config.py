@@ -24,6 +24,13 @@ def test_grid_needs_a_point(points):
         GridConfig(points=points)
 
 
+@pytest.mark.parametrize("points", [2.5, 13.0, True, False, "13", None])
+def test_grid_needs_an_int(points):
+    # 2.5 once failed later as a bare TypeError in np.linspace, True ran as a 1-point grid
+    with pytest.raises(InvalidInputError, match="int"):
+        GridConfig(points=points)
+
+
 def test_every_constant_in_the_tolerance_index_exists():
     names = re.findall(r"``(\w+)\.(\w+)``", config.__doc__)
     assert names

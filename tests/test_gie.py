@@ -31,7 +31,7 @@ from gielab.gie import (
     sym_glems_candidates,
     verified_domain,
 )
-from gielab.information import gcmi_condition_g, gcmi_numeric
+from gielab.information import gcmi_condition_g, gcmi_numeric, half_log
 from gielab.measurement import FiniteMeasurement, condition_on_e, general_single_mode, homodyne
 from gielab.purification import Purification, purify, purify_asym_glems
 from gielab.renyi2 import gr2_of_family
@@ -502,28 +502,26 @@ def _same_bits(x, y) -> bool:
 def run_against_the_oracles(monkeypatch, points, draws):
     """Run ``every_objective`` with each split objective checked against its one-callable oracle.
 
-    Every ``evaluate`` result of the grid stages and the descents, keys
-    mapped through the objective's ``finish``, must equal the oracle on the
-    same rows, bit for bit, and so must the candidate values of each
-    trace.  Per grid stage, ``prepare`` runs once, before the first slab;
-    the slabs read in order, mapped through ``finish``, are the oracle on
-    the whole mesh; ``finish`` is non-decreasing on the sorted keys of the
-    mesh; the best point is ``np.argmin`` of the keys of the whole mesh and
-    its value ``finish`` of that key, the least value of the oracle; and
-    the grid value, which starts the descent, is the value of the best
-    point as one row, through the split objective and the oracle alike.
-    The first call of each descent carries the search's candidate rows
-    after its probes: their values must equal, bit for bit, both a
-    separate ``finish(evaluate(lead, prepare(*rest)))`` on those rows alone
-    and the oracle on them.  Returns the slab shapes of each grid stage and
-    the mismatches.
+    Every ``evaluate`` result of the grid stages and the descents must
+    equal the oracle on the same rows, bit for bit, and so must the
+    candidate values of each trace (in nats for R = 1: ``half_log`` of the
+    oracle's ratio).  Per grid stage, ``prepare`` runs once, before the
+    first slab; the slabs read in order are the oracle on the whole mesh;
+    the best point is ``np.argmin`` of the whole mesh and its value the
+    least value of the oracle; and the grid value, which starts the
+    descent, is the value of the best point as one row, through the split
+    objective and the oracle alike.  The first call of each descent carries
+    the search's candidate rows after its probes: their values must equal,
+    bit for bit, both a separate ``evaluate(lead, prepare(*rest))`` on
+    those rows alone and the oracle on them.  Returns the slab shapes of
+    each grid stage and the mismatches.
     """
     grid_argmin, descend = gielab.optimize.grid_argmin, gielab.optimize.descend
     grids, mismatches, descents, current = [], [], [], {}
 
     def checking(objective, calls, slabs):
-        """``objective``, naming each call in ``calls`` and appending the keys of each ``evaluate`` to ``slabs``."""
-        prepare, evaluate, finish = objective
+        """``objective``, naming each call in ``calls`` and appending the values of each ``evaluate`` to ``slabs``."""
+        prepare, evaluate = objective
 
         def checked_prepare(*rest):
             calls.append("prepare")
@@ -531,32 +529,27 @@ def run_against_the_oracles(monkeypatch, points, draws):
 
         def checked_evaluate(first, prepared):
             rest, terms = prepared
-            keys = evaluate(first, terms)
+            values = evaluate(first, terms)
             calls.append("evaluate")
-            slabs.append(keys)
-            if not _same_bits(finish(keys), current["reference"](first, *rest)):
+            slabs.append(values)
+            if not _same_bits(values, current["reference"](first, *rest)):
                 mismatches.append(("call", np.broadcast_shapes(np.shape(first), *(np.shape(r) for r in rest))))
-            return keys
+            return values
 
-        return checked_prepare, checked_evaluate, finish
+        return checked_prepare, checked_evaluate
 
     def checked_grid(objective, mesh):
         reference, calls, slabs = current["reference"], [], []
-        finish = objective[2]
         best, value = grid_argmin(checking(objective, calls, slabs), mesh)
         assert calls == ["prepare"] + ["evaluate"] * len(slabs)
         whole = reference(*mesh)
         axes = [axis.ravel() for axis in mesh]
-        keys = np.concatenate(slabs)
-        if not _same_bits(finish(keys), whole):
+        values = np.concatenate(slabs)
+        if not _same_bits(values, whole):
             mismatches.append(("slabs", [slab.shape for slab in slabs]))
-        ranked = finish(np.sort(keys, axis=None))
-        ranked = ranked[~np.isnan(ranked)]
-        if not (ranked[:-1] <= ranked[1:]).all():
-            mismatches.append(("finish not monotone", [slab.shape for slab in slabs]))
-        flat = int(np.argmin(keys))
-        assert best.tolist() == [axis[i] for axis, i in zip(axes, np.unravel_index(flat, keys.shape))]
-        assert _same_bits(value, float(finish(keys.flat[flat]))) and _same_bits(value, float(whole.min()))
+        flat = int(np.argmin(values))
+        assert best.tolist() == [axis[i] for axis, i in zip(axes, np.unravel_index(flat, values.shape))]
+        assert _same_bits(value, float(whole.min()))
         row = best[:, None]
         if not joined(objective)(*row)[0] == value == reference(*row)[0]:
             mismatches.append(("grid value", best.tolist(), value))
@@ -565,10 +558,10 @@ def run_against_the_oracles(monkeypatch, points, draws):
 
     def checked_descent(objective, *args):
         x, value, row_values = descend(checking(objective, [], []), *args)
-        prepare, evaluate, finish = objective
+        prepare, evaluate = objective
         rows = args[-1]
         lead, *rest = rows
-        if not (_same_bits(row_values, finish(evaluate(lead, prepare(*rest))))
+        if not (_same_bits(row_values, evaluate(lead, prepare(*rest)))
                 and _same_bits(row_values, current["reference"](*rows))):
             mismatches.append(("rows of the first call", rows.T.tolist()))
         descents.append(rows.shape[1])
@@ -581,10 +574,50 @@ def run_against_the_oracles(monkeypatch, points, draws):
         result = run()
         if space is not None:
             rows = gielab.optimize._layout(space, points)[1]
-            if not _same_bits([value for _, value in result.optimizer_trace[2:]], current["reference"](*rows)):
+            expected = current["reference"](*rows)
+            if space is SINGLE_MODE_SEARCH:  # the R = 1 trace is in nats
+                expected = half_log(expected)
+            if not _same_bits([value for _, value in result.optimizer_trace[2:]], expected):
                 mismatches.append(("candidates", space.label))
             assert descents[-1] == rows.shape[1]  # the search's descent carried its candidates
     return grids, mismatches
+
+
+class TestNamedCandidateValue:
+    # where search names a candidate it returns that candidate's own value, so the label and the number
+    # come from one trace row, also where the descent end undercuts the row by a few ulps (the first
+    # asym_glems point, whose descent end lies below the heterodyne row at grid 13)
+    @staticmethod
+    def _searches(draws):
+        """(tag, value, label, trace, space) of the search of each mixed family at grid 13: the R = 1 families
+        through ``gie_numeric`` (value and trace in nats), sym_sq_thermal through ``minimize_kh`` (K_h)."""
+        grid = GridConfig(points=13)
+        families = [make_family("asym_glems", a=1.4640684801270016, b=1.4496950814360083)]
+        rng = np.random.default_rng(13)
+        for _ in range(draws):
+            a, u, g, v = 1.0 + 5.0 * rng.random(), rng.random(), 1.0 + 1.41 * rng.random(), rng.random()
+            half_log_ratio = (2.0 * v - 1.0) * np.log(g)
+            families += [make_family("sym_glems", a=a, kp=u * np.sqrt(a * a - 1.0)),
+                         make_family("asym_glems", a=g * np.exp(half_log_ratio), b=g * np.exp(-half_log_ratio)),
+                         make_family("sym_sq_thermal", a=g, k=(g - 1.0) + u * (np.sqrt(g * g - 1.0) - (g - 1.0)))]
+        for fam in families:
+            if fam.tag == "sym_sq_thermal":
+                yield (fam.tag, *minimize_kh(fam.std.a, fam.std.kx, grid), KH_SEARCH)
+            else:
+                res = gie_numeric(fam, grid)
+                yield fam.tag, res.numeric, res.eve_optimum, res.optimizer_trace, SINGLE_MODE_SEARCH
+
+    def test_the_value_of_a_named_candidate_is_its_trace_value(self):
+        named, undercut = {}, 0
+        for tag, value, label, trace, space in self._searches(6):
+            labels = [name for name, _ in space.candidates]
+            if label in labels:
+                row_value = trace[2 + labels.index(label)][1]
+                assert _same_bits(value, row_value), (label, value, row_value)
+                named[tag] = named.get(tag, 0) + 1
+                undercut += trace[1][1] < row_value
+        assert named.keys() == {"sym_glems", "asym_glems", "sym_sq_thermal"}, named
+        assert undercut >= 1  # the first point: the descent end lies below the named row
 
 
 class TestGridValueStartsTheDescent:
@@ -593,7 +626,7 @@ class TestGridValueStartsTheDescent:
     @pytest.mark.parametrize("points", (5, 13, 21, 33, 45))
     def test_each_objective_gives_the_grid_value_on_the_grid_best_as_one_row(self, monkeypatch, points):
         grids, mismatches = run_against_the_oracles(monkeypatch, points, 4)
-        assert len(grids) == 16  # f_xx of sym_glems and asym_glems, K_h, u
+        assert len(grids) == 16  # the R = 1 ratio of sym_glems and asym_glems, K_h, u
         assert mismatches == []
 
 
@@ -607,7 +640,7 @@ class TestGridSlabs:
             monkeypatch.setattr(gielab.optimize, "SLAB_POINTS", budget)
         grids, mismatches = run_against_the_oracles(monkeypatch, points, 3)
         assert mismatches == []
-        assert len(grids) == 12  # f_xx of sym_glems and asym_glems, K_h, u
+        assert len(grids) == 12  # the R = 1 ratio of sym_glems and asym_glems, K_h, u
         sizes = [math.prod(shape) for shapes in grids for shape in shapes]
         assert max(sizes) <= gielab.optimize.SLAB_POINTS
         if budget is None and points <= 21:
@@ -646,7 +679,7 @@ class TestChainedPolls:
         # conditional forms whose u grid best is finite at grids 13 and 33, so gcmi_numeric descends
         for cond in (StdForm(a=2.73, b=2.95, kx=1.13, kp=1.1), StdForm(a=2.83, b=2.52, kx=0.56, kp=-0.55)):
             gcmi_numeric(cond, points)
-        assert len(polls_per_descent) == 3 * 3 + 2  # f_xx of sym_glems and asym_glems, K_h, u
+        assert len(polls_per_descent) == 3 * 3 + 2  # the R = 1 ratio of sym_glems and asym_glems, K_h, u
         assert min(polls_per_descent) > 1
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracles import split, whole_mesh_argmin
 
 from gielab import optimize
-from gielab.information import half_log
 from gielab.optimize import MIN_IMPROVEMENT, TIE_ATOL, SearchSpace, descend, grid_argmin, search
 
 # the unit square, 11 grid points per coordinate
@@ -124,20 +123,22 @@ def descent_end():
 
 
 class TestSearch:
-    def test_candidate_within_tie_above_the_descent_is_named(self):
+    def test_candidate_within_tie_above_the_descent_is_named_with_its_own_value(self):
         low, _ = descent_end()
-        value, label, trace = run([("exact", (5.0, low + 0.5 * TIE_ATOL))])
+        tied = low + 0.5 * TIE_ATOL
+        value, label, trace = run([("exact", (5.0, tied))])
         assert label == "exact"
-        assert trace[2][0] == (5.0, low + 0.5 * TIE_ATOL)
-        assert value == low  # the value is the minimum, not the named candidate's
+        assert trace[2] == ((5.0, tied), tied)
+        assert trace[1][1] == low < tied
+        assert value == tied  # the named candidate's value, from the row its label names
 
-    def test_earlier_candidate_wins_a_tie(self):
+    def test_earlier_candidate_wins_a_tie_with_its_own_value(self):
         first, second = ("first", (5.0, -1.0)), ("second", (6.0, -1.0))
         assert run([first, second])[1] == "first"
         assert run([second, first])[1] == "second"
-        # a later candidate lower by less than TIE_ATOL does not displace it
+        # a later candidate lower by less than TIE_ATOL does not displace it, nor set the value
         value, label, _ = run([("first", (5.0, -1.0 + 0.5 * TIE_ATOL)), second])
-        assert (value, label) == (-1.0, "first")
+        assert (value, label) == (-1.0 + 0.5 * TIE_ATOL, "first")
 
     def test_no_candidate_within_tie_names_the_descent_end(self):
         low, end = descent_end()
@@ -342,29 +343,13 @@ def slab_meshes(draw):
     return table.reshape(shape), draw(st.integers(1, size + 1))
 
 
-@st.composite
-def key_meshes(draw):
-    """A table of R = 1 style keys on a 1-D to 3-D mesh and a slab budget, as ``slab_meshes`` draws values.
-
-    The keys are few and come in neighbours a few ulps apart whose half
-    logarithms are equal, with 0, a negative key (1/2 ln of both is -inf or
-    NaN) and inf; up to two entries may be NaN.
-    """
-    near = [float(x) for base in (30.0, 1e6) for x in base + np.arange(4) * np.spacing(base)]
-    shape = (draw(st.integers(1, 9)), *draw(st.lists(st.integers(1, 4), max_size=2)))
-    size = int(np.prod(shape))
-    table = np.array(draw(st.lists(st.sampled_from((*near, 0.0, -1.0, np.inf)), min_size=size, max_size=size)))
-    table[draw(st.lists(st.integers(0, size - 1), max_size=2))] = np.nan
-    return table.reshape(shape), draw(st.integers(1, size + 1))
-
-
 def same_value(x, y):
     """Equal values, or both NaN."""
     return x == y or bool(np.isnan(x) and np.isnan(y))
 
 
-def lookup(table, calls, finish=optimize.as_is):
-    """An objective on the index mesh of ``table``, whose entries are its keys, that records each call.
+def lookup(table, calls):
+    """An objective on the index mesh of ``table``, whose entries are its values, that records each call.
 
     ``prepare`` appends ``"prepare"`` to ``calls``, ``evaluate`` the mesh
     shape of its slab.
@@ -378,7 +363,7 @@ def lookup(table, calls, finish=optimize.as_is):
         calls.append(np.broadcast_shapes(first.shape, *(r.shape for r in rest)))
         return table[tuple(m.astype(np.intp) for m in (first, *rest))]
 
-    return prepare, evaluate, finish
+    return prepare, evaluate
 
 
 class TestGridSlabs:
@@ -392,6 +377,8 @@ class TestGridSlabs:
     @example((np.array([[np.inf, np.inf], [np.inf, 3.0], [2.0, 5.0], [4.0, 2.0], [2.0, 1.0]]), 4))
     # a row longer than the budget, and a first axis of length 1
     @example((np.array([[3.0, -1.0, -1.0]]), 1))
+    # a NaN in the second of three one-row slabs: it wins and the third slab is not evaluated
+    @example((np.array([[3.0, 0.5], [np.nan, 2.0], [0.1, 4.0]]), 2))
     def test_the_slabs_give_the_whole_mesh_argmin(self, case):
         table, budget = case
         axes = [np.arange(n, dtype=float) for n in table.shape]
@@ -410,78 +397,27 @@ class TestGridSlabs:
         sizes = [len(rows) for rows in np.array_split(np.arange(table.shape[0]), count)]
         assert [shape[1:] for shape in slabs] == [table.shape[1:]] * len(slabs)
         assert [shape[0] for shape in slabs] == sizes[: len(slabs)]
-        if not np.isnan(ref_value):  # the slab with the first NaN is the last evaluated
+        if np.isnan(ref_value):  # the slab with the first NaN is the last evaluated
+            nan_row = np.unravel_index(int(np.argmax(np.isnan(table))), table.shape)[0]
+            assert sum(shape[0] for shape in slabs[:-1]) <= nan_row < sum(shape[0] for shape in slabs)
+        else:
             assert len(slabs) == count
 
-    @settings(max_examples=300, deadline=None)
-    @given(key_meshes())
-    # two keys whose half logarithms are equal: the grid names the least key, the second
-    @example((np.array([[np.nextafter(1e6, np.inf)], [1e6]]), 1))
-    @example((np.array([np.nextafter(1e6, np.inf), 1e6]), 2))
-    # a NaN key in the second of three one-row slabs: it wins and the third slab is not evaluated
-    @example((np.array([[3.0, 0.5], [np.nan, 2.0], [0.1, 4.0]]), 2))
-    # the least key -2 wins, and 1/2 ln maps it to NaN
-    @example((np.array([[4.0, -1.0, 3.0, -2.0]]), 4))
-    # a NaN key, which np.argmin of the keys returns, after a negative key
-    @example((np.array([[-1.0, np.nan]]), 2))
-    def test_a_key_objective_gives_the_whole_mesh_argmin_of_its_keys(self, case):
-        # the grid ranks by the keys and takes 1/2 ln of the one it names: np.argmin of the keys of the
-        # whole mesh; 1/2 ln is monotone, so without NaN keys that is the least value of the mesh
-        table, budget = case
-        axes = [np.arange(n, dtype=float) for n in table.shape]
-        ref_best, ref_key = whole_mesh_argmin(lambda *mesh: table[tuple(map(np.intp, mesh))], axes)
-        with mock.patch.object(optimize, "SLAB_POINTS", budget), np.errstate(invalid="ignore", divide="ignore"):
-            best, value = grid_argmin(lookup(table, [], half_log), mesh_of(axes))
-            finished, least = half_log(ref_key), np.min(half_log(table))
-        assert best.tolist() == ref_best.tolist()
-        assert same_value(value, finished)
-        if not np.isnan(table).any():
-            assert same_value(value, least)
-
     @settings(max_examples=200, deadline=None)
-    @given(key_meshes())
+    @given(slab_meshes())
     def test_the_result_does_not_depend_on_the_slab_partition(self, case):
         table, budget = case
         axes = [np.arange(n, dtype=float) for n in table.shape]
 
         def run(points):
-            with mock.patch.object(optimize, "SLAB_POINTS", points), np.errstate(invalid="ignore", divide="ignore"):
-                return grid_argmin(lookup(table, [], half_log), mesh_of(axes))
+            with mock.patch.object(optimize, "SLAB_POINTS", points):
+                return grid_argmin(lookup(table, []), mesh_of(axes))
 
         one_best, one_value = run(table.size)
         for points in (1, 2 * table[0].size, budget):  # one row per slab, two rows, the drawn budget
             best, value = run(points)
             assert best.tolist() == one_best.tolist()
             assert same_value(value, one_value)
-
-    def test_the_documented_key_examples(self):
-        # (keys, np.argmin of the keys, the value): the grid names the first least key, though an earlier
-        # key has the same value ([nextafter(1e6, inf), 1e6]) or an earlier one maps to NaN ([4, -1, 3, -2])
-        cases = (([np.nextafter(1e6, np.inf), 1e6], 1, half_log(1e6)), ([4.0, -1.0, 3.0, -2.0], 3, np.nan),
-                 ([-1.0, np.nan], 1, np.nan))
-        with np.errstate(invalid="ignore"):
-            for keys, keys_pick, expected in cases:
-                keys = np.array(keys)
-                assert int(np.argmin(keys)) == keys_pick
-                best, value = grid_argmin(lookup(keys, [], half_log), mesh_of([np.arange(keys.size, dtype=float)]))
-                assert best.tolist() == [keys_pick]
-                assert same_value(value, expected)
-        assert half_log(np.nextafter(1e6, np.inf)) == half_log(1e6)
-
-    def test_a_two_slab_grid_takes_one_logarithm(self):
-        finished = []
-
-        def counted_log(keys):
-            finished.append(np.size(keys))
-            return half_log(keys)
-
-        keys = np.array([[5.0, 3.0], [4.0, 30.0], [1e6, 2.0], [7.0, 31.0]])
-        calls = []
-        with mock.patch.object(optimize, "SLAB_POINTS", 4):
-            best, value = grid_argmin(lookup(keys, calls, counted_log), mesh_of([np.arange(4.0), np.arange(2.0)]))
-        assert (best.tolist(), value) == ([2.0, 1.0], half_log(2.0))
-        assert calls == ["prepare", (2, 2), (2, 2)]
-        assert finished == [1]  # one key, once for the whole grid stage
 
     @pytest.mark.parametrize("points, rows", ((21, [21]), (33, [7, 7, 7, 6, 6]), (45, [4] * 9 + [3] * 3)),
                              ids=("21", "33", "45"))

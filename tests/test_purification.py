@@ -9,8 +9,10 @@ from gielab.information import mutual_information_f
 from gielab.purification import PURITY_ATOL, Purification, _certified_pure, _checked_pure, purify, purify_asym_glems
 from gielab.purification import _symmetric_williamson
 from gielab.states import StdForm, make_family, std_form_cm
-from gielab.symplectic import BEAM_SPLITTER, PHYSICAL_ATOL, CovMat, SIGMA_Z, williamson
+from gielab.symplectic import BEAM_SPLITTER, PHYSICAL_ATOL, CovMat, williamson
 from gielab.verify import random_physical_cm
+
+SIGMA_Z = np.diag([1.0, -1.0])  # the sign block of every purification's gamma_ABE
 
 
 class TestPurify:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gielab.errors import GielabError, InvalidFamilyParamsError, InvalidInputError, UnphysicalStateError
@@ -16,7 +16,7 @@ from gielab.states import (
     std_form_cm,
     std_form_xx_det,
 )
-from gielab.symplectic import CovMat, symplectic_eigenvalues
+from gielab.symplectic import CovMat, std_form_symplectic_eigenvalues, symplectic_eigenvalues
 from gielab.verify import random_physical_cm
 from oracles import rotation, std_form_params, to_std_form
 
@@ -48,6 +48,14 @@ class TestStdFormCm:
     def test_sign_convention_enforced(self):
         with pytest.raises(InvalidInputError):
             StdForm(2.0, 2.0, 0.3, 0.9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_form_without_a_spectrum_is_rejected_without_a_warning(self):
+        # a = b = 1, kx = 2, kp = 1: det gamma = 0 and delta + sqrt(delta^2 - 4 det gamma) = 0, so the
+        # product form of nu2 was 0/0, a NaN that passed the nu2 gate
+        with pytest.raises(UnphysicalStateError, match="nu2 = 0$"):
+            StdForm(1.0, 1.0, 2.0, 1.0)
+        assert std_form_symplectic_eigenvalues(1.0, 1.0, 2.0, 1.0) == (0.0, 0.0)
 
 
 class TestToStdForm:
@@ -146,7 +154,8 @@ def vectorized_xx_det(gamma):
     if mat.shape[-2:] != (4, 4):
         raise InvalidInputError(f"expected a two-mode covariance matrix, got {mat.shape}")
     det = np.linalg.det
-    det_a, det_b, det_g = det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat)
+    with np.errstate(all="ignore"):  # as std_form_xx_det reads a singular block
+        det_a, det_b, det_g = det(mat[..., :2, :2]), det(mat[..., 2:, 2:]), det(mat)
     if ((det_a <= 0.0) | (det_b <= 0.0)).any():
         raise UnphysicalStateError("local block determinant is not positive")
     a, b = np.sqrt(det_a), np.sqrt(det_b)
@@ -259,6 +268,9 @@ class TestRowReader:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10), min_size=1, max_size=6))
+    # np.linalg.det flags a division by zero on B = [[0, s], [s, 0]] with s subnormal: it must raise
+    # UnphysicalStateError, not a RuntimeWarning
+    @example([[0.0] * 10, [0.0] * 8 + [1.1125369292536007e-308, 0.0]])
     def test_any_symmetric_stack_raises_or_reads_as_the_vectorized_form(self, uppers):
         mats = np.empty((len(uppers), 4, 4))
         rows, cols = np.triu_indices(4)

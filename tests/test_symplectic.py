@@ -12,7 +12,6 @@ from gielab.states import StdForm
 from gielab.symplectic import (
     BEAM_SPLITTER,
     J2,
-    SIGMA_Z,
     CovMat,
     std_form_symplectic_eigenvalues,
     symplectic_eigenvalues,
@@ -57,7 +56,7 @@ class TestSymplecticForm:
 
     def test_one_read_only_array_per_mode_count(self):
         assert symplectic_form(2) is symplectic_form(2)
-        for mat in (symplectic_form(1), symplectic_form(2), J2, SIGMA_Z, BEAM_SPLITTER):
+        for mat in (symplectic_form(1), symplectic_form(2), J2, BEAM_SPLITTER):
             assert not mat.flags.writeable
 
 
